@@ -82,7 +82,7 @@ class HalfPlane:
 class ConvexPolygon:
     """Convex polygon with counterclockwise vertices and positive area."""
 
-    __slots__ = ("vertices", "_area", "_bbox")
+    __slots__ = ("vertices", "_area", "_bbox", "_edges")
 
     def __init__(self, vertices, check: bool = True):
         v = np.array(vertices, dtype=float)
@@ -107,6 +107,7 @@ class ConvexPolygon:
         self.vertices = v
         self._area = None
         self._bbox = None
+        self._edges = None
 
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()!r})"
@@ -121,11 +122,14 @@ class ConvexPolygon:
         """Boolean mask of points inside (boundary counts, up to tol)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
+        if self._edges is None:
+            e = np.roll(v, -1, axis=0) - v
+            self._edges = (e, np.hypot(e[:, 0], e[:, 1]))
+        e, length = self._edges
         # cross(edge, point - vertex) >= -tol*|edge| for all edges
         rel = pts[:, None, :] - v[None, :, :]
         cr = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-        lim = -tol * np.hypot(e[:, 0], e[:, 1])[None, :]
+        lim = -tol * length[None, :]
         return np.all(cr >= lim, axis=1)
 
 
@@ -349,27 +353,6 @@ def convex_intersect(a: ConvexPolygon | None, b: ConvexPolygon | None,
     return out
 
 
-def region_clip(region: Region, hp: HalfPlane, min_area: float = 0.0) -> list:
-    """Clip every piece; returns the surviving pieces as a list."""
-    out = []
-    for p in region.pieces:
-        c = clip_convex(p, hp, min_area)
-        if c is not None:
-            out.append(c)
-    return out
-
-
-def region_intersect(a: Region, b: Region, budget: int = DEFAULT_PIECE_BUDGET,
-                     min_area: float = 0.0) -> Region:
-    pieces = []
-    for p in a.pieces:
-        for q in b.pieces:
-            c = convex_intersect(p, q, min_area)
-            if c is not None:
-                pieces.append(c)
-    return Region.from_pieces(pieces, budget=budget, min_area=min_area)
-
-
 def intersection_area(a: Region, b: Region) -> float:
     # pieces shared by identity intersect in exactly themselves and touch
     # the rest of the other region only along boundaries
@@ -497,12 +480,6 @@ def _pad_bbox(bb, pad):
 # ---------------------------------------------------------------------------
 # measures and metrics
 
-def area(obj) -> float:
-    if isinstance(obj, ConvexPolygon):
-        return obj.area
-    return obj.area
-
-
 def symdiff_area(a: Region, b: Region) -> float:
     """Area of the symmetric difference of two regions."""
     return max(a.area + b.area - 2.0 * intersection_area(a, b), 0.0)
@@ -520,23 +497,6 @@ def _point_segment_distance(p, a, b) -> float:
     t = float((p - a) @ ab) / denom
     t = min(1.0, max(0.0, t))
     return float(np.hypot(*(p - (a + t * ab))))
-
-
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    d1 = _cross2(p2 - p1, q1 - p1)
-    d2 = _cross2(p2 - p1, q2 - p1)
-    d3 = _cross2(q2 - q1, p1 - q1)
-    d4 = _cross2(q2 - q1, p2 - q1)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def _segment_segment_distance(p1, p2, q1, q2) -> float:
-    if _segments_intersect(p1, p2, q1, q2):
-        return 0.0
-    return min(_point_segment_distance(p1, q1, q2),
-               _point_segment_distance(p2, q1, q2),
-               _point_segment_distance(q1, p1, p2),
-               _point_segment_distance(q2, p1, p2))
 
 
 def _points_segments_distance(pts: np.ndarray, s1: np.ndarray,
@@ -785,22 +745,6 @@ def linear_performance() -> PerformanceFunction:
                                lambda upper: 1.0)
 
 
-def custom_performance(fn, dfn=None, lipschitz=None) -> PerformanceFunction:
-    if dfn is None:
-        h = 1e-6
-
-        def dfn(x, _f=fn):  # noqa: E731 - central difference fallback
-            x = np.asarray(x, dtype=float)
-            return (np.asarray(_f(x + h)) - np.asarray(_f(np.maximum(x - h, 0.0)))) \
-                / (x + h - np.maximum(x - h, 0.0))
-
-    if lipschitz is None:
-        def lipschitz(upper, _d=dfn):
-            return float(np.max(np.asarray(_d(np.linspace(0.0, upper, 129)))))
-
-    return PerformanceFunction("custom", fn, dfn, lipschitz)
-
-
 # ---------------------------------------------------------------------------
 # integration and generalized centroids
 
@@ -830,25 +774,40 @@ def _quad_points(region: Region, order: int, refine: int):
     return np.vstack(pts_all), np.concatenate(w_all)
 
 
+def _quadrature(region: Region, density: Density, order: int, refine: int):
+    """Quadrature points, physical weights and density values of a region.
+
+    Building them is the costly part of an integral, so callers that
+    integrate several functions over one region build them once.
+    """
+    pts, w = _quad_points(region, order, refine)
+    return pts, w, density(pts)
+
+
+def _quad_sum(quad, fn: Callable) -> float:
+    """Integral of fn(q) * density(q) over a quadrature point set."""
+    pts, w, dens = quad
+    if len(pts) == 0:
+        return 0.0
+    return float(np.sum(w * np.asarray(fn(pts), dtype=float) * dens))
+
+
+def _quad_sum_vec(quad, fn: Callable) -> np.ndarray:
+    """Integral of a 2-vector fn(q) * density(q) over a quadrature point set."""
+    pts, w, dens = quad
+    if len(pts) == 0:
+        return np.zeros(2)
+    vals = np.asarray(fn(pts), dtype=float)  # (n, 2)
+    return np.sum((w * dens)[:, None] * vals, axis=0)
+
+
 def integrate(region: Region, density: Density, fn: Callable,
               order: int = 6, refine: int = 1) -> float:
     """Integral of fn(q) * density(q) over the region.
 
     fn maps an (n, 2) array of points to n scalar values.
     """
-    pts, w = _quad_points(region, order, refine)
-    if len(pts) == 0:
-        return 0.0
-    return float(np.sum(w * np.asarray(fn(pts), dtype=float) * density(pts)))
-
-
-def _integrate_vec(region: Region, density: Density, fn: Callable,
-                   order: int, refine: int) -> np.ndarray:
-    pts, w = _quad_points(region, order, refine)
-    if len(pts) == 0:
-        return np.zeros(2)
-    vals = np.asarray(fn(pts), dtype=float)  # (n, 2)
-    return np.sum((w * density(pts))[:, None] * vals, axis=0)
+    return _quad_sum(_quadrature(region, density, order, refine), fn)
 
 
 def region_mass(region: Region, density: Density, order: int = 6,
@@ -870,25 +829,22 @@ def mass_centroid(region: Region, density: Density, order: int = 6,
         if m0 <= 0.0:
             raise VanishedRegion("region has no area")
         return m1 / m0
-    m0 = integrate(region, density, lambda q: np.ones(len(q)), order, refine)
+    quad = _quadrature(region, density, order, refine)
+    m0 = _quad_sum(quad, lambda q: np.ones(len(q)))
     if m0 <= 0.0:
         raise VanishedRegion("region has no mass")
-    m1 = _integrate_vec(region, density, lambda q: q, order, refine)
-    return m1 / m0
+    return _quad_sum_vec(quad, lambda q: q) / m0
 
 
-def one_center_cost(p, region: Region, density: Density,
-                    perf: PerformanceFunction, order: int = 6,
-                    refine: int = 1) -> float:
-    """Expected cost of serving the region from point p."""
+def _cost_integrand(p, perf: PerformanceFunction) -> Callable:
+    """q -> perf(|q - p|), the one-center cost density at p."""
     p = np.asarray(p, dtype=float)
-    return integrate(region, density,
-                     lambda q: np.asarray(perf.fn(np.hypot(q[:, 0] - p[0],
-                                                           q[:, 1] - p[1]))),
-                     order, refine)
+    return lambda q: np.asarray(perf.fn(np.hypot(q[:, 0] - p[0],
+                                                 q[:, 1] - p[1])))
 
 
-def _cost_gradient(p, region, density, perf, order, refine) -> np.ndarray:
+def _gradient_integrand(p, perf: PerformanceFunction) -> Callable:
+    """q -> gradient in p of perf(|q - p|), zero where q coincides with p."""
     p = np.asarray(p, dtype=float)
 
     def g(q):
@@ -899,7 +855,14 @@ def _cost_gradient(p, region, density, perf, order, refine) -> np.ndarray:
         scale[r < 1e-14] = 0.0
         return d * scale[:, None]
 
-    return _integrate_vec(region, density, g, order, refine)
+    return g
+
+
+def one_center_cost(p, region: Region, density: Density,
+                    perf: PerformanceFunction, order: int = 6,
+                    refine: int = 1) -> float:
+    """Expected cost of serving the region from point p."""
+    return integrate(region, density, _cost_integrand(p, perf), order, refine)
 
 
 def centroid(region: Region, density: Density, perf: PerformanceFunction,
@@ -909,7 +872,8 @@ def centroid(region: Region, density: Density, perf: PerformanceFunction,
     """Point minimizing the one-center cost of the region.
 
     Quadratic cost has the closed-form mass centroid; other costs run
-    projected gradient descent with backtracking from that start.
+    projected gradient descent with backtracking from that start, every
+    iterate evaluated on one quadrature point set built up front.
     """
     if region.is_empty:
         raise EmptyRegion("centroid of an empty region")
@@ -918,16 +882,17 @@ def centroid(region: Region, density: Density, perf: PerformanceFunction,
     start = mass_centroid(region, density, order, refine)
     if perf.kind == "quadratic":
         return start
+    quad = _quadrature(region, density, order, refine)
     scale = diameter(region)
     if within is not None:
         scale = max(scale, diameter(within))
     if tol is None:
         tol = 1e-10 * max(scale, 1e-12)
     x = start
-    fx = one_center_cost(x, region, density, perf, order, refine)
+    fx = _quad_sum(quad, _cost_integrand(x, perf))
     step = max(scale, 1e-12)
     for _ in range(max_iter):
-        g = _cost_gradient(x, region, density, perf, order, refine)
+        g = _quad_sum_vec(quad, _gradient_integrand(x, perf))
         gnorm = float(np.hypot(g[0], g[1]))
         if gnorm * step < tol * 1e-3:
             break
@@ -941,7 +906,7 @@ def centroid(region: Region, density: Density, perf: PerformanceFunction,
             dn = float(np.hypot(d[0], d[1]))
             if dn < tol:
                 break
-            fc = one_center_cost(cand, region, density, perf, order, refine)
+            fc = _quad_sum(quad, _cost_integrand(cand, perf))
             if fc <= fx + 1e-4 * float(g @ d):
                 x, fx = cand, fc
                 moved = True

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class Environment:
     def area(self) -> float:
         return self.polygon.area
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         return geo.diameter(self.polygon)
 

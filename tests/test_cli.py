@@ -1,4 +1,6 @@
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +83,22 @@ def test_presets_command_lists_names(capsys):
     out = capsys.readouterr().out
     for name in cli.preset_names():
         assert name in out
+
+
+def test_readme_command_lines_parse():
+    # every example of the README's "Command line" block must parse
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("gossipcover ")]
+    assert len(lines) >= 4
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "gossipcover"
+        args = cli.build_parser().parse_args(argv[1:])
+        if args.command in ("run", "compare"):
+            assert args.config in cli.preset_names() or \
+                args.config.endswith(".yaml")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from gossipcover import geometry as geo
+from gossipcover.partition import environment
 from gossipcover.geometry import (ConvexPolygon, HalfPlane, Region,
                                   bisector_halfplane, clip_convex,
                                   convex_intersect, interior_distance,
@@ -361,3 +362,54 @@ def test_performance_validate_rejects_bad():
         dfn=lambda x: -np.ones_like(x), lipschitz_on=lambda d: 1.0)
     with pytest.raises(ValueError):
         bad.validate(1.0)
+
+
+# ---------------------------------------------------------------------------
+# linear-cost centroids over one quadrature point set
+
+# three convex pieces tiling an irregular hexagon-like region
+MULTI_PIECE = region_of([[0.0, 0.0], [1.0, 0.0], [1.2, 0.6], [0.3, 0.9]],
+                        [[1.0, 0.0], [2.0, 0.0], [2.0, 0.4], [1.2, 0.6]],
+                        [[0.3, 0.9], [1.2, 0.6], [0.9, 1.3]])
+MULTI_WITHIN = ConvexPolygon([[0, 0], [2, 0], [2, 1.5], [0, 1.5]])
+MULTI_GRID = geo.GridDensity(0.0, 0.0, 2.0, 1.5,
+                             [[1.0, 2.0, 0.5], [3.0, 1.0, 2.0]])
+
+
+@pytest.mark.parametrize("dens, expected", [
+    (geo.UniformDensity(), [0.8625724442598369, 0.4420946663780301]),
+    (MULTI_GRID, [0.8135882554705047, 0.4473795400944238]),
+])
+def test_linear_centroid_of_multi_piece_region_is_pinned(dens, expected):
+    # recorded values: reusing one point set must not move a single digit
+    c = geo.centroid(MULTI_PIECE, dens, geo.linear_performance(),
+                     MULTI_WITHIN)
+    assert c == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("dens", [geo.UniformDensity(), MULTI_GRID])
+def test_linear_centroid_beats_nearby_points(dens):
+    perf = geo.linear_performance()
+    c = geo.centroid(MULTI_PIECE, dens, perf, MULTI_WITHIN)
+    base = geo.one_center_cost(c, MULTI_PIECE, dens, perf)
+    for angle in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+        for radius in (1e-3, 1e-2):
+            q = c + radius * np.array([math.cos(angle), math.sin(angle)])
+            assert bool(MULTI_WITHIN.contains(q)[0])
+            assert geo.one_center_cost(q, MULTI_PIECE, dens, perf) >= base
+
+
+def test_contains_with_cached_edges_matches_fresh_polygons():
+    rng = np.random.default_rng(101)
+    verts = oracles.random_convex_polygon(rng, 9, scale=1.0).vertices
+    pts = rng.uniform(-1.2, 1.2, size=(400, 2))
+    reused = ConvexPolygon(verts)
+    for tol in (0.0, 1e-3, 0.0):
+        assert np.array_equal(reused.contains(pts, tol),
+                              ConvexPolygon(verts).contains(pts, tol))
+
+
+def test_environment_diameter_matches_polygon_diameter():
+    env = environment([[0, 0], [3, 0], [3.5, 1], [1, 2], [-0.5, 1]])
+    for _ in range(2):  # computed once, then read back
+        assert env.diameter == geo.diameter(env.polygon)
