@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from importlib import resources
 
@@ -463,15 +462,9 @@ def cmd_run(args) -> int:
             raise ConfigError("batch: needs at least one run")
         seeds = list(range(seed, seed + args.batch))
         codes = {}
-
-        def one(s: int) -> int:
-            sub = os.path.join(out_dir, f"seed-{s}")
-            return run_once(cfg, args, sub, s,
-                            lambda msg: print(f"[seed {s}] {msg}"))
-
-        with ThreadPoolExecutor(max_workers=min(args.batch, 4)) as pool:
-            for s, code in zip(seeds, pool.map(one, seeds)):
-                codes[s] = code
+        for s in seeds:
+            codes[s] = run_once(cfg, args, os.path.join(out_dir, f"seed-{s}"),
+                                s, lambda msg: print(f"[seed {s}] {msg}"))
         for s in seeds:
             print(f"seed {s}: exit {codes[s]}")
         for bad in (EXIT_DEGENERATE, EXIT_BUDGET):

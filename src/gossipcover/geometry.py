@@ -810,13 +810,6 @@ def integrate(region: Region, density: Density, fn: Callable,
     return _quad_sum(_quadrature(region, density, order, refine), fn)
 
 
-def region_mass(region: Region, density: Density, order: int = 6,
-                refine: int = 1) -> float:
-    if isinstance(density, UniformDensity):
-        return density.value * region.area
-    return integrate(region, density, lambda q: np.ones(len(q)), order, refine)
-
-
 def mass_centroid(region: Region, density: Density, order: int = 6,
                   refine: int = 1) -> np.ndarray:
     """Density-weighted mean point (exact for uniform density)."""

@@ -19,6 +19,12 @@ from .partition import Partition
 
 @dataclass(frozen=True)
 class StepOutcome:
+    """Result of one pairwise exchange.
+
+    traded_area is the area that changed owner: the pieces the split
+    moved across its cut line, from region i to j and from j to i.
+    """
+
     partition: Partition
     changed: bool
     pair: tuple[int, int]
@@ -38,17 +44,18 @@ def _unchanged(partition, i, j, h, cs) -> StepOutcome:
     return StepOutcome(partition, False, (i, j), h, h, 0.0)
 
 
-def _apply_pair(partition: Partition, i: int, j: int, ri: Region, rj: Region,
-                density, perf, h_before, order, refine) -> StepOutcome:
+def _apply_pair(partition: Partition, i: int, j: int, split, density, perf,
+                h_before, order, refine) -> StepOutcome:
+    """Install a split's (pieces_i, pieces_j, traded) unless it trades nothing."""
     env = partition.env
+    pieces_i, pieces_j, traded = split
+    if traded <= env.tol_area:
+        return _unchanged(partition, i, j, h_before, None)
+    ri, rj = env.region(pieces_i), env.region(pieces_j)
     for k, r in ((i, ri), (j, rj)):
         if r.is_empty or r.area <= env.tol_area:
             raise VanishedRegion(
                 f"region {k} vanished in exchange ({i}, {j}): area {r.area:.3e}")
-    traded = 0.5 * (geo.symdiff_area(partition.regions[i], ri)
-                    + geo.symdiff_area(partition.regions[j], rj))
-    if traded <= env.tol_area:
-        return _unchanged(partition, i, j, h_before, None)
     new = partition.replace(i, j, ri, rj)
     h_after = pt.centroid_cost(new, density, perf, order, refine)
     return StepOutcome(new, True, (i, j), h_before, h_after, traded)
@@ -61,7 +68,7 @@ def _already_split(partition: Partition, i: int, j: int, ci, cj) -> bool:
     slivers, so the step can skip the geometry entirely.
     """
     hp = geo.bisector_halfplane(ci, cj)
-    eps = 1e-12 * partition.env.diameter
+    eps = partition.env.snap
     di = partition.regions[i].all_vertices() @ hp.normal - hp.offset
     if float(di.max()) > eps:
         return False
@@ -83,8 +90,8 @@ def gossip_step(partition: Partition, i: int, j: int, density: Density,
         return _unchanged(partition, i, j, h_before, cs)
     if _already_split(partition, i, j, cs[i], cs[j]):
         return _unchanged(partition, i, j, h_before, cs)
-    ri, rj = pt.pair_rebalanced(partition, i, j, cs[i], cs[j])
-    return _apply_pair(partition, i, j, ri, rj, density, perf, h_before,
+    split = pt.pair_split(partition, i, j, cs[i], cs[j])
+    return _apply_pair(partition, i, j, split, density, perf, h_before,
                        order, refine)
 
 
@@ -110,11 +117,13 @@ def trade_fraction(partition: Partition, i: int, j: int, delta: float,
 
 
 def _slab_regions(partition: Partition, i: int, j: int, ci, cj,
-                  beta: float) -> tuple[Region, Region]:
+                  beta: float) -> tuple[list, list, float]:
     """Exchange only the outer beta-fraction of each region's far slab.
 
     The far slab of region i is its part beyond the centroid bisector;
     the traded sub-slab keeps the points farthest from the bisector.
+    Returns the pieces of the new regions i and j and the traded area,
+    as pt.pair_split does.
     """
     env = partition.env
     u = (cj - ci)
@@ -133,12 +142,10 @@ def _slab_regions(partition: Partition, i: int, j: int, ci, cj,
     wj = far_reach(vj, -1.0)
     keep_i = HalfPlane(u, m + (1.0 - beta) * wi)
     keep_j = HalfPlane(-u, -(m - (1.0 - beta) * wj))
-    snap = 1e-12 * env.diameter
-    kept_i, give_i = geo.region_split(vi, keep_i, snap, env.sliver_area)
-    kept_j, give_j = geo.region_split(vj, keep_j, snap, env.sliver_area)
-    make = lambda pieces: Region.from_pieces(pieces, min_area=env.sliver_area,
-                                             merge_tol=env.tol_area)
-    return make(kept_i + give_j), make(kept_j + give_i)
+    kept_i, give_i = geo.region_split(vi, keep_i, env.snap, env.sliver_area)
+    kept_j, give_j = geo.region_split(vj, keep_j, env.snap, env.sliver_area)
+    traded = sum(p.area for p in give_i) + sum(p.area for p in give_j)
+    return kept_i + give_j, kept_j + give_i, traded
 
 
 def partial_gossip_step(partition: Partition, i: int, j: int, delta: float,
@@ -164,10 +171,10 @@ def partial_gossip_step(partition: Partition, i: int, j: int, delta: float,
     if beta >= 1.0:
         if _already_split(partition, i, j, cs[i], cs[j]):
             return _unchanged(partition, i, j, h_before, cs)
-        ri, rj = pt.pair_rebalanced(partition, i, j, cs[i], cs[j])
+        split = pt.pair_split(partition, i, j, cs[i], cs[j])
     else:
-        ri, rj = _slab_regions(partition, i, j, cs[i], cs[j], beta)
-    return _apply_pair(partition, i, j, ri, rj, density, perf, h_before,
+        split = _slab_regions(partition, i, j, cs[i], cs[j], beta)
+    return _apply_pair(partition, i, j, split, density, perf, h_before,
                        order, refine)
 
 
@@ -186,8 +193,10 @@ def fixed_point_residual(partition: Partition, density: Density,
                          precomputed_centroids=None) -> float:
     """Largest partition movement a single full exchange could cause.
 
-    mode "full" checks every pair; "adjacent" only pairs whose interiors
-    come within delta.
+    A pair's movement is the sum of its two regions' symmetric
+    differences to their split, which is exactly twice the area the
+    split trades. mode "full" checks every pair; "adjacent" only pairs
+    whose interiors come within delta.
     """
     env = partition.env
     if mode == "adjacent":
@@ -209,9 +218,8 @@ def fixed_point_residual(partition: Partition, density: Density,
             continue
         if _already_split(partition, i, j, cs[i], cs[j]):
             continue
-        ri, rj = pt.pair_rebalanced(partition, i, j, cs[i], cs[j])
-        moved = geo.symdiff_area(partition.regions[i], ri) + \
-            geo.symdiff_area(partition.regions[j], rj)
+        _, _, traded = pt.pair_split(partition, i, j, cs[i], cs[j])
+        moved = 2.0 * traded
         if moved > worst:
             worst = moved
     return worst

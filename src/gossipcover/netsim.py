@@ -24,8 +24,7 @@ import numpy as np
 from . import geometry as geo
 from . import gossip as gp
 from . import partition as pt
-from .geometry import Density, GeometryError, PerformanceFunction, Region, \
-    VanishedRegion
+from .geometry import Density, GeometryError, PerformanceFunction, Region
 from .partition import DegenerateEvolution, Environment, Partition
 from .switching import _wilson
 
@@ -317,7 +316,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
             try:
                 out = gp.partial_gossip_step(current, i, j, config.delta,
                                              density, perf, order, refine)
-            except VanishedRegion as exc:
+            except GeometryError as exc:
                 trace.final = current
                 trace.termination = "degenerate"
                 trace.elapsed = t

@@ -6,7 +6,6 @@ a Region; the regions tile the environment up to tolerance.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,6 +60,16 @@ class Environment:
     @property
     def sliver_area(self) -> float:
         return 1e-13 * self.area
+
+    # cut-to-vertex distance below which a split treats the vertex as on the cut
+    @property
+    def snap(self) -> float:
+        return 1e-12 * self.diameter
+
+    def region(self, pieces) -> Region:
+        """Region of the given pieces: slivers dropped, neighbours merged."""
+        return Region.from_pieces(pieces, min_area=self.sliver_area,
+                                  merge_tol=self.tol_area)
 
     def as_region(self) -> Region:
         return Region((self.polygon,))
@@ -242,33 +251,32 @@ def partition_distance(u: Partition, v: Partition) -> float:
     return sum(symdiff_area(u.regions[k], v.regions[k]) for k in range(u.n))
 
 
-def bisector_split(region_a: Region, region_b: Region, point_a, point_b,
-                   min_area: float = 0.0,
-                   budget: int = geo.DEFAULT_PIECE_BUDGET,
-                   merge_tol: float = 1e-12,
-                   snap: float = 0.0) -> tuple[Region, Region]:
-    """Reassign the union of two regions by the bisector of two points.
+def pair_split(partition: Partition, i: int, j: int, ci,
+               cj) -> tuple[list, list, float]:
+    """Reassign the union of regions i and j by the bisector of ci and cj.
 
-    The first output collects everything at least as close to point_a,
-    the second the rest; inputs with disjoint interiors keep that property.
-    Each piece is split two-sided so both halves share their seam vertices,
-    which conserves area; snap absorbs cuts that nearly coincide with an
-    existing edge instead of shaving hairline slivers off it.
+    Returns the pieces of the new region i (everything at least as close
+    to ci), the pieces of the new region j, and the traded area: region
+    i's pieces beyond the bisector plus region j's pieces before it.
+    Each piece is split two-sided so both halves share their seam
+    vertices, which conserves area; the environment's snap absorbs cuts
+    that nearly coincide with an existing edge instead of shaving
+    hairline slivers off it.
     """
-    hp = bisector_halfplane(point_a, point_b)
-    a_from_a, b_from_a = geo.region_split(region_a, hp, snap, min_area)
-    a_from_b, b_from_b = geo.region_split(region_b, hp, snap, min_area)
-    return (Region.from_pieces(a_from_a + a_from_b, budget=budget,
-                               min_area=min_area, merge_tol=merge_tol),
-            Region.from_pieces(b_from_a + b_from_b, budget=budget,
-                               min_area=min_area, merge_tol=merge_tol))
+    env = partition.env
+    hp = bisector_halfplane(ci, cj)
+    keep_i, give_i = geo.region_split(partition.regions[i], hp, env.snap,
+                                      env.sliver_area)
+    give_j, keep_j = geo.region_split(partition.regions[j], hp, env.snap,
+                                      env.sliver_area)
+    traded = sum(p.area for p in give_i) + sum(p.area for p in give_j)
+    return keep_i + give_j, give_i + keep_j, traded
 
 
 def pair_rebalanced(partition: Partition, i: int, j: int, ci, cj) -> tuple[Region, Region]:
+    pieces_i, pieces_j, _ = pair_split(partition, i, j, ci, cj)
     env = partition.env
-    return bisector_split(partition.regions[i], partition.regions[j], ci, cj,
-                          min_area=env.sliver_area, merge_tol=env.tol_area,
-                          snap=1e-12 * env.diameter)
+    return env.region(pieces_i), env.region(pieces_j)
 
 
 def is_centroidal_voronoi(partition: Partition, density: Density,
@@ -297,7 +305,9 @@ def is_mixed_centroidal(partition: Partition, density: Density,
     """True when every region pair is pairwise balanced.
 
     A pair passes when its centroids coincide, or when splitting the
-    pair's union by the centroid bisector reproduces the pair.
+    pair's union by the centroid bisector reproduces the pair: the two
+    regions' symmetric differences to their split, which sum to twice
+    the traded area, stay within tol.
     """
     env = partition.env
     if tol is None:
@@ -308,10 +318,8 @@ def is_mixed_centroidal(partition: Partition, density: Density,
             gap = float(np.hypot(*(cs[i] - cs[j])))
             if gap <= env.tol_point:
                 continue
-            ri, rj = pair_rebalanced(partition, i, j, cs[i], cs[j])
-            moved = symdiff_area(partition.regions[i], ri) + \
-                symdiff_area(partition.regions[j], rj)
-            if moved > tol:
+            _, _, traded = pair_split(partition, i, j, cs[i], cs[j])
+            if 2.0 * traded > tol:
                 return False
     return True
 
@@ -384,12 +392,6 @@ def write_snapshot(partition: Partition, path_or_file, step: int = 0):
     finally:
         if own:
             f.close()
-
-
-def snapshot_string(partition: Partition, step: int = 0) -> str:
-    buf = io.StringIO()
-    write_snapshot(partition, buf, step)
-    return buf.getvalue()
 
 
 def _parse_ring(tokens) -> np.ndarray:

@@ -14,7 +14,6 @@ the unit circle forever instead of settling.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import gossip as gp
 from . import partition as pt
-from .geometry import Density, PerformanceFunction, VanishedRegion
+from .geometry import Density, GeometryError, PerformanceFunction
 from .partition import DegenerateEvolution, Partition
 
 
@@ -175,7 +174,7 @@ def run_evolution(initial: Partition, density: Density,
             else:
                 out = gp.partial_gossip_step(current, i, j, delta, density,
                                              perf, order, refine)
-        except VanishedRegion as exc:
+        except GeometryError as exc:
             trace.termination = "degenerate"
             trace.final = current
             raise DegenerateEvolution(str(exc), step=t, trace=trace) from exc
@@ -227,7 +226,7 @@ def run_lloyd(initial: Partition, density: Density,
                 break
         try:
             current = gp.lloyd_step(current, density, perf, order, refine)
-        except VanishedRegion as exc:
+        except GeometryError as exc:
             trace.termination = "degenerate"
             trace.final = current
             raise DegenerateEvolution(str(exc), step=t, trace=trace) from exc
@@ -273,12 +272,6 @@ def write_trace(trace: EvolutionTrace, path_or_file):
     finally:
         if own:
             f.close()
-
-
-def trace_string(trace: EvolutionTrace) -> str:
-    buf = io.StringIO()
-    write_trace(trace, buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ from pathlib import Path
 import pytest
 
 from gossipcover import cli
+from gossipcover import geometry as geo
+from gossipcover import gossip as gp
+from gossipcover import partition as pt
+from gossipcover import switching as sw
+from gossipcover.partition import DegenerateEvolution
 
 QUICK_PAIRWISE = """\
 environment:
@@ -145,6 +150,36 @@ def test_run_budget_exhaustion_returns_4(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out)]) == 4
     assert "termination step_budget" in (out / "summary.txt").read_text()
+
+
+def test_step_geometry_failure_is_degenerate(tmp_path, monkeypatch):
+    # a piece budget overflow inside the fourth exchange (t = 3) ends the
+    # run as a degenerate evolution that keeps its partial trace
+    real = gp.gossip_step
+    calls = []
+
+    def failing(*args, **kwargs):
+        if len(calls) == 3:
+            raise geo.PieceBudgetExceeded("257 pieces exceed budget 256")
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "gossip_step", failing)
+    initial = pt.voronoi(pt.rectangle(2.0, 1.0),
+                         [[0.3, 0.2], [0.5, 0.8], [1.7, 0.4]])
+    with pytest.raises(DegenerateEvolution) as info:
+        sw.run_evolution(initial, geo.UniformDensity(),
+                         geo.quadratic_performance(), sw.RoundRobin(3),
+                         budget=50, check_every=100)
+    assert info.value.step == 3
+    assert len(info.value.trace.steps) == 3
+    calls.clear()
+    cfg = write_cfg(tmp_path, QUICK_PAIRWISE)
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 3
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "termination degenerate" in summary
+    assert "steps 3" in summary
 
 
 def test_run_unknown_algorithm_returns_2(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from gossipcover import geometry as geo
 from gossipcover import gossip as gp
 from gossipcover import partition as pt
+from gossipcover import switching as sw
 from gossipcover.geometry import VanishedRegion, region_of
 from gossipcover.partition import Partition
 
@@ -173,6 +174,58 @@ def test_partial_step_monotone_seeded_sweep():
         delta = float(rng.uniform(0.02, env.diameter / 10.0))
         out = gp.partial_gossip_step(part, i, j, delta, DENS, QUAD)
         assert out.h_after <= out.h_before + 1e-9
+
+
+def half_symdiff(before, after, i, j):
+    return 0.5 * (geo.symdiff_area(before.regions[i], after[0])
+                  + geo.symdiff_area(before.regions[j], after[1]))
+
+
+def test_split_traded_area_is_half_the_symmetric_differences():
+    rng = np.random.default_rng(43)
+    env = pt.rectangle(2.0, 1.0)
+    delta = env.diameter / 10.0
+    slabs = 0
+    for _ in range(20):
+        part = random_partition(rng, env, 6)
+        i, j = sorted(rng.choice(part.n, size=2, replace=False))
+        pa, pb = rng.uniform([0, 0], [2, 1], size=(2, 2))
+        if np.hypot(*(pa - pb)) < 1e-6:
+            continue
+        _, _, traded = pt.pair_split(part, i, j, pa, pb)
+        rebalanced = pt.pair_rebalanced(part, i, j, pa, pb)
+        assert traded == pytest.approx(
+            half_symdiff(part, rebalanced, i, j), abs=env.tol_area)
+        cs = pt.centroids(part, DENS, QUAD)
+        for i, j in sw.all_pairs(part.n):
+            # the distance-limited exchange reports its slab's traded area
+            beta = gp.trade_fraction(part, i, j, delta, DENS, QUAD)
+            out = gp.partial_gossip_step(part, i, j, delta, DENS, QUAD)
+            after = (out.partition.regions[i], out.partition.regions[j])
+            assert out.traded_area == pytest.approx(
+                half_symdiff(part, after, i, j), abs=env.tol_area)
+            slabs += out.changed and beta < 1.0
+            # an exchange that trades within tolerance leaves the partition
+            if pt.pair_split(part, i, j, cs[i], cs[j])[2] <= env.tol_area:
+                full = gp.gossip_step(part, i, j, DENS, QUAD)
+                assert full.partition is part and not full.changed
+    assert slabs > 0
+
+
+def test_hairline_trade_returns_same_partition():
+    # centroids at 0.5 - 5e-10 and 1.5 - 5e-10 put the bisector 5e-10 past
+    # the seam: the cut is real, but trades 5e-10 <= tol_area = 2e-9
+    env = pt.rectangle(2.0, 1.0)
+    part = strips(env, [1.0 - 1e-9])
+    cs = pt.centroids(part, DENS, QUAD)
+    assert not gp._already_split(part, 0, 1, cs[0], cs[1])
+    _, _, traded = pt.pair_split(part, 0, 1, cs[0], cs[1])
+    assert 0.0 < traded <= env.tol_area
+    for out in (gp.gossip_step(part, 0, 1, DENS, QUAD),
+                gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD)):
+        assert out.partition is part
+        assert not out.changed
+        assert out.traded_area == 0.0
 
 
 def test_vanished_region_raises_not_clamps():

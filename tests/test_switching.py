@@ -141,7 +141,9 @@ def test_trace_serialization():
     init = three_region_start()
     trace = sw.run_evolution(init, DENS, QUAD, sw.RoundRobin(3),
                              budget=6, check_every=100)
-    text = sw.trace_string(trace)
+    buf = io.StringIO()
+    sw.write_trace(trace, buf)
+    text = buf.getvalue()
     lines = text.splitlines()
     assert lines[0] == "# t i j h residual min_centroid_gap min_region_area max_pieces"
     data = [ln for ln in lines if not ln.startswith("#")]
