@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -24,7 +23,6 @@ import yaml
 
 from . import dyadic as dy
 from . import geometry as geo
-from . import gossip as gp
 from . import netsim as ns
 from . import partition as pt
 from . import svg
@@ -354,6 +352,8 @@ def _run_netsim(cfg, args, out_dir, seed, log) -> int:
         trace = exc.trace
         code = EXIT_DEGENERATE
         log(f"degenerate evolution: {exc}")
+    except ValueError as exc:
+        raise ConfigError(f"algorithm: {exc}") from exc
     wall = time.perf_counter() - started
 
     ns.write_comm_log(trace, os.path.join(out_dir, "comm_log.txt"))

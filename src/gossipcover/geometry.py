@@ -13,7 +13,7 @@ fixed environment should pass tolerances scaled to it.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -163,9 +163,19 @@ def _ring_moment(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Region:
-    """Union of convex polygons with pairwise disjoint interiors."""
+    """Union of convex polygons with pairwise disjoint interiors.
+
+    A region never changes, so it caches maps of itself: centroid_cache
+    (filled by partition.centroids and partition.centroid_cost) and
+    distance_cache (interior distances, keyed weakly by the partner).
+    """
 
     pieces: tuple
+    centroid_cache: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
+    distance_cache: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
+        compare=False)
 
     @staticmethod
     def from_pieces(pieces: Iterable, budget: int = DEFAULT_PIECE_BUDGET,
@@ -547,18 +557,17 @@ def _bbox_gap(a, b) -> float:
 
 
 def interior_distance(a: Region, b: Region) -> float:
-    """Infimum distance between region interiors; 0 when they touch."""
+    """Infimum distance between region interiors; 0 when they touch.
+
+    The answer is cached on both regions, each holding the other weakly.
+    """
     if a.is_empty or b.is_empty:
         raise EmptyRegion("interior distance needs nonempty regions")
-    memo = a.__dict__.setdefault("_memo", {})
-    key = ("idist", id(b))
-    hit = memo.get(key)
-    if hit is not None and hit[0]() is b:
-        return hit[1]
-    d = _interior_distance(a, b)
-    # weakref guards against a recycled id() after the partner is collected
-    memo[key] = (weakref.ref(b), d)
-    b.__dict__.setdefault("_memo", {})[("idist", id(a))] = (weakref.ref(a), d)
+    d = a.distance_cache.get(b)
+    if d is None:
+        d = _interior_distance(a, b)
+        a.distance_cache[b] = d
+        b.distance_cache[a] = d
     return d
 
 
@@ -714,12 +723,18 @@ Density = UniformDensity | GridDensity
 
 @dataclass(frozen=True)
 class PerformanceFunction:
-    """Increasing convex cost of distance, with derivative and Lipschitz data."""
+    """Increasing convex cost of distance, with derivative and Lipschitz data.
+
+    refine splits every quadrature triangle into refine**2 children when
+    integrating this cost; a cost kinked at the center, like the linear
+    one, needs it to shrink the degree-6 rule's error.
+    """
 
     kind: str
     fn: Callable[[np.ndarray], np.ndarray]
     dfn: Callable[[np.ndarray], np.ndarray]
     lipschitz_on: Callable[[float], float]
+    refine: int = 1
 
     def validate(self, upper: float, tol: float = 1e-9):
         """Spot-check monotonicity and convexity on [0, upper]."""
@@ -748,20 +763,27 @@ def linear_performance() -> PerformanceFunction:
 # ---------------------------------------------------------------------------
 # integration and generalized centroids
 
-def _piece_triangles(piece: ConvexPolygon, refine: int) -> np.ndarray:
-    v = piece.vertices
-    fans = []
-    for k in range(1, len(v) - 1):
-        fans.append(subdivide_triangle(v[0], v[k], v[k + 1], refine))
-    return np.concatenate(fans, axis=0)
+# total degree of the triangle rule behind every integral
+QUAD_DEGREE = 6
+# the descent for non-quadratic centroids stops once a step moves less
+# than this fraction of the region's (or domain's) diameter
+_DESCENT_TOL = 1e-10
+_DESCENT_MAX_ITER = 500
 
 
-def _quad_points(region: Region, order: int, refine: int):
-    """All quadrature points with physical weights for a region."""
-    bary, wts = triangle_rule(order)
+def _quadrature(region: Region, density: Density, refine: int):
+    """Quadrature points, physical weights and density values of a region:
+    the degree-6 rule on refine**2 children of each piece's fan triangles.
+
+    Building them is the costly part of an integral, so callers that
+    integrate several functions over one region build them once.
+    """
+    bary, wts = triangle_rule(QUAD_DEGREE)
     pts_all, w_all = [], []
     for piece in region.pieces:
-        tris = _piece_triangles(piece, refine)  # (k, 3, 2)
+        v = piece.vertices
+        tris = np.concatenate([subdivide_triangle(v[0], v[k], v[k + 1], refine)
+                               for k in range(1, len(v) - 1)], axis=0)
         e1 = tris[:, 1] - tris[:, 0]
         e2 = tris[:, 2] - tris[:, 0]
         areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
@@ -770,17 +792,9 @@ def _quad_points(region: Region, order: int, refine: int):
         pts_all.append(pts.reshape(-1, 2))
         w_all.append(w.reshape(-1))
     if not pts_all:
-        return np.zeros((0, 2)), np.zeros(0)
-    return np.vstack(pts_all), np.concatenate(w_all)
-
-
-def _quadrature(region: Region, density: Density, order: int, refine: int):
-    """Quadrature points, physical weights and density values of a region.
-
-    Building them is the costly part of an integral, so callers that
-    integrate several functions over one region build them once.
-    """
-    pts, w = _quad_points(region, order, refine)
+        pts, w = np.zeros((0, 2)), np.zeros(0)
+    else:
+        pts, w = np.vstack(pts_all), np.concatenate(w_all)
     return pts, w, density(pts)
 
 
@@ -801,18 +815,20 @@ def _quad_sum_vec(quad, fn: Callable) -> np.ndarray:
     return np.sum((w * dens)[:, None] * vals, axis=0)
 
 
-def integrate(region: Region, density: Density, fn: Callable,
-              order: int = 6, refine: int = 1) -> float:
-    """Integral of fn(q) * density(q) over the region.
+def integrate(region: Region, density: Density, fn: Callable) -> float:
+    """Integral of fn(q) * density(q) over the region, by the degree-6 rule.
 
     fn maps an (n, 2) array of points to n scalar values.
     """
-    return _quad_sum(_quadrature(region, density, order, refine), fn)
+    return _quad_sum(_quadrature(region, density, 1), fn)
 
 
-def mass_centroid(region: Region, density: Density, order: int = 6,
-                  refine: int = 1) -> np.ndarray:
+def mass_centroid(region: Region, density: Density) -> np.ndarray:
     """Density-weighted mean point (exact for uniform density)."""
+    return _mass_centroid(region, density, 1)
+
+
+def _mass_centroid(region: Region, density: Density, refine: int) -> np.ndarray:
     if region.is_empty:
         raise EmptyRegion("centroid of an empty region")
     if isinstance(density, UniformDensity):
@@ -822,7 +838,7 @@ def mass_centroid(region: Region, density: Density, order: int = 6,
         if m0 <= 0.0:
             raise VanishedRegion("region has no area")
         return m1 / m0
-    quad = _quadrature(region, density, order, refine)
+    quad = _quadrature(region, density, refine)
     m0 = _quad_sum(quad, lambda q: np.ones(len(q)))
     if m0 <= 0.0:
         raise VanishedRegion("region has no mass")
@@ -852,16 +868,15 @@ def _gradient_integrand(p, perf: PerformanceFunction) -> Callable:
 
 
 def one_center_cost(p, region: Region, density: Density,
-                    perf: PerformanceFunction, order: int = 6,
-                    refine: int = 1) -> float:
+                    perf: PerformanceFunction) -> float:
     """Expected cost of serving the region from point p."""
-    return integrate(region, density, _cost_integrand(p, perf), order, refine)
+    return _quad_sum(_quadrature(region, density, perf.refine),
+                     _cost_integrand(p, perf))
 
 
 def centroid(region: Region, density: Density, perf: PerformanceFunction,
-             within: ConvexPolygon | None = None, order: int = 6,
-             refine: int = 1, tol: float | None = None,
-             max_iter: int = 500, min_area: float = 0.0) -> np.ndarray:
+             within: ConvexPolygon | None = None,
+             min_area: float = 0.0) -> np.ndarray:
     """Point minimizing the one-center cost of the region.
 
     Quadratic cost has the closed-form mass centroid; other costs run
@@ -872,19 +887,18 @@ def centroid(region: Region, density: Density, perf: PerformanceFunction,
         raise EmptyRegion("centroid of an empty region")
     if region.area <= min_area:
         raise VanishedRegion(f"region area {region.area:.3e} below tolerance")
-    start = mass_centroid(region, density, order, refine)
+    start = _mass_centroid(region, density, perf.refine)
     if perf.kind == "quadratic":
         return start
-    quad = _quadrature(region, density, order, refine)
+    quad = _quadrature(region, density, perf.refine)
     scale = diameter(region)
     if within is not None:
         scale = max(scale, diameter(within))
-    if tol is None:
-        tol = 1e-10 * max(scale, 1e-12)
+    tol = _DESCENT_TOL * max(scale, 1e-12)
     x = start
     fx = _quad_sum(quad, _cost_integrand(x, perf))
     step = max(scale, 1e-12)
-    for _ in range(max_iter):
+    for _ in range(_DESCENT_MAX_ITER):
         g = _quad_sum_vec(quad, _gradient_integrand(x, perf))
         gnorm = float(np.hypot(g[0], g[1]))
         if gnorm * step < tol * 1e-3:

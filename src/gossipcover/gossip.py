@@ -40,24 +40,24 @@ def check_delta(env: pt.Environment, delta: float) -> float:
     return float(delta)
 
 
-def _unchanged(partition, i, j, h, cs) -> StepOutcome:
+def _unchanged(partition, i, j, h) -> StepOutcome:
     return StepOutcome(partition, False, (i, j), h, h, 0.0)
 
 
 def _apply_pair(partition: Partition, i: int, j: int, split, density, perf,
-                h_before, order, refine) -> StepOutcome:
+                h_before) -> StepOutcome:
     """Install a split's (pieces_i, pieces_j, traded) unless it trades nothing."""
     env = partition.env
     pieces_i, pieces_j, traded = split
     if traded <= env.tol_area:
-        return _unchanged(partition, i, j, h_before, None)
+        return _unchanged(partition, i, j, h_before)
     ri, rj = env.region(pieces_i), env.region(pieces_j)
     for k, r in ((i, ri), (j, rj)):
         if r.is_empty or r.area <= env.tol_area:
             raise VanishedRegion(
                 f"region {k} vanished in exchange ({i}, {j}): area {r.area:.3e}")
     new = partition.replace(i, j, ri, rj)
-    h_after = pt.centroid_cost(new, density, perf, order, refine)
+    h_after = pt.centroid_cost(new, density, perf)
     return StepOutcome(new, True, (i, j), h_before, h_after, traded)
 
 
@@ -77,22 +77,20 @@ def _already_split(partition: Partition, i: int, j: int, ci, cj) -> bool:
 
 
 def gossip_step(partition: Partition, i: int, j: int, density: Density,
-                perf: PerformanceFunction, order: int = 6,
-                refine: int = 1) -> StepOutcome:
+                perf: PerformanceFunction) -> StepOutcome:
     """Full pairwise exchange: split the union by the centroid bisector."""
     if i == j:
         raise ValueError("pair indices must differ")
     env = partition.env
-    cs = pt.centroids(partition, density, perf, order, refine)
-    h_before = pt.multicenter_cost(partition, cs, density, perf, order, refine)
+    cs = pt.centroids(partition, density, perf)
+    h_before = pt.centroid_cost(partition, density, perf)
     gap = float(np.hypot(*(cs[i] - cs[j])))
     if gap <= env.tol_point:
-        return _unchanged(partition, i, j, h_before, cs)
+        return _unchanged(partition, i, j, h_before)
     if _already_split(partition, i, j, cs[i], cs[j]):
-        return _unchanged(partition, i, j, h_before, cs)
+        return _unchanged(partition, i, j, h_before)
     split = pt.pair_split(partition, i, j, cs[i], cs[j])
-    return _apply_pair(partition, i, j, split, density, perf, h_before,
-                       order, refine)
+    return _apply_pair(partition, i, j, split, density, perf, h_before)
 
 
 def _sat(x: float) -> float:
@@ -105,10 +103,9 @@ def trade_fraction_from(gap: float, pair_distance: float, delta: float) -> float
 
 
 def trade_fraction(partition: Partition, i: int, j: int, delta: float,
-                   density: Density, perf: PerformanceFunction,
-                   order: int = 6, refine: int = 1) -> float:
+                   density: Density, perf: PerformanceFunction) -> float:
     delta = check_delta(partition.env, delta)
-    cs = pt.centroids(partition, density, perf, order, refine)
+    cs = pt.centroids(partition, density, perf)
     gap = float(np.hypot(*(cs[i] - cs[j])))
     if gap <= partition.env.tol_point:
         return 0.0
@@ -149,48 +146,44 @@ def _slab_regions(partition: Partition, i: int, j: int, ci, cj,
 
 
 def partial_gossip_step(partition: Partition, i: int, j: int, delta: float,
-                        density: Density, perf: PerformanceFunction,
-                        order: int = 6, refine: int = 1) -> StepOutcome:
+                        density: Density,
+                        perf: PerformanceFunction) -> StepOutcome:
     """Distance-limited exchange; reduces to the full exchange when the
     regions touch and the centroid gap reaches delta."""
     if i == j:
         raise ValueError("pair indices must differ")
     env = partition.env
     delta = check_delta(env, delta)
-    cs = pt.centroids(partition, density, perf, order, refine)
-    h_before = pt.multicenter_cost(partition, cs, density, perf, order, refine)
+    cs = pt.centroids(partition, density, perf)
+    h_before = pt.centroid_cost(partition, density, perf)
     gap = float(np.hypot(*(cs[i] - cs[j])))
     if gap <= env.tol_point:
-        return _unchanged(partition, i, j, h_before, cs)
+        return _unchanged(partition, i, j, h_before)
     pd = geo.interior_distance(partition.regions[i], partition.regions[j])
     if pd >= delta:
-        return _unchanged(partition, i, j, h_before, cs)
+        return _unchanged(partition, i, j, h_before)
     beta = trade_fraction_from(gap, pd, delta)
     if beta <= 0.0:
-        return _unchanged(partition, i, j, h_before, cs)
+        return _unchanged(partition, i, j, h_before)
     if beta >= 1.0:
         if _already_split(partition, i, j, cs[i], cs[j]):
-            return _unchanged(partition, i, j, h_before, cs)
+            return _unchanged(partition, i, j, h_before)
         split = pt.pair_split(partition, i, j, cs[i], cs[j])
     else:
         split = _slab_regions(partition, i, j, cs[i], cs[j], beta)
-    return _apply_pair(partition, i, j, split, density, perf, h_before,
-                       order, refine)
+    return _apply_pair(partition, i, j, split, density, perf, h_before)
 
 
 def lloyd_step(partition: Partition, density: Density,
-               perf: PerformanceFunction, order: int = 6,
-               refine: int = 1) -> Partition:
+               perf: PerformanceFunction) -> Partition:
     """Synchronous update: nearest-point partition of the current centroids."""
-    cs = pt.centroids(partition, density, perf, order, refine)
+    cs = pt.centroids(partition, density, perf)
     return pt.voronoi(partition.env, cs)
 
 
 def fixed_point_residual(partition: Partition, density: Density,
                          perf: PerformanceFunction, mode: str = "full",
-                         delta: float | None = None, order: int = 6,
-                         refine: int = 1,
-                         precomputed_centroids=None) -> float:
+                         delta: float | None = None) -> float:
     """Largest partition movement a single full exchange could cause.
 
     A pair's movement is the sum of its two regions' symmetric
@@ -208,9 +201,7 @@ def fixed_point_residual(partition: Partition, density: Density,
                  for j in range(i + 1, partition.n)]
     else:
         raise ValueError(f"unknown residual mode {mode!r}")
-    cs = precomputed_centroids
-    if cs is None:
-        cs = pt.centroids(partition, density, perf, order, refine)
+    cs = pt.centroids(partition, density, perf)
     worst = 0.0
     for i, j in pairs:
         gap = float(np.hypot(*(cs[i] - cs[j])))

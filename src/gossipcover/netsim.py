@@ -235,7 +235,6 @@ def _start_position(region: Region) -> np.ndarray:
 
 def simulate(config: NetConfig, initial: Partition, density: Density,
              perf: PerformanceFunction, duration: float, *,
-             order: int = 6, refine: int = 1,
              snapshot_times=()) -> NetTrace:
     """Run the network for the given duration of simulated time.
 
@@ -247,6 +246,8 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     """
     env = initial.env
     n = initial.n
+    if n < 2:
+        raise ValueError(f"netsim needs at least two regions, got n = {n}")
     if len(config.speeds) != n:
         raise ValueError(f"{len(config.speeds)} speeds for {n} regions")
     leg = leg_time(env, config)
@@ -315,7 +316,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
                 continue
             try:
                 out = gp.partial_gossip_step(current, i, j, config.delta,
-                                             density, perf, order, refine)
+                                             density, perf)
             except GeometryError as exc:
                 trace.final = current
                 trace.termination = "degenerate"

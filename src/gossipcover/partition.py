@@ -171,74 +171,57 @@ def voronoi(env: Environment, points) -> Partition:
 # ---------------------------------------------------------------------------
 # coverage costs
 
-def _region_memo(region: Region) -> dict:
-    # regions are immutable, so centroid/cost results can live on the instance;
-    # values keep the density/performance objects alive so ids stay unambiguous
-    memo = region.__dict__.get("_memo")
-    if memo is None:
-        memo = region.__dict__["_memo"] = {}
-    return memo
-
-
-def _one_center_cost_memo(point: np.ndarray, region: Region, density: Density,
-                          perf: PerformanceFunction, order: int,
-                          refine: int) -> float:
-    memo = _region_memo(region)
-    key = ("cost", id(density), id(perf), order, refine, point.tobytes())
-    hit = memo.get(key)
-    if hit is not None and hit[0] is density and hit[1] is perf:
-        return hit[2]
-    val = geo.one_center_cost(point, region, density, perf, order, refine)
-    memo[key] = (density, perf, val)
-    return val
-
-
 def multicenter_cost(partition: Partition, points, density: Density,
-                     perf: PerformanceFunction, order: int = 6,
-                     refine: int = 1) -> float:
+                     perf: PerformanceFunction) -> float:
     """Total cost of serving each region from its assigned point."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if len(pts) != partition.n:
         raise DimensionMismatch(
             f"{len(pts)} points for {partition.n} regions")
-    return sum(_one_center_cost_memo(pts[i], partition.regions[i], density,
-                                     perf, order, refine)
+    return sum(geo.one_center_cost(pts[i], partition.regions[i], density, perf)
                for i in range(partition.n))
 
 
+def _centroid_entry(region: Region, env: Environment, density: Density,
+                    perf: PerformanceFunction) -> tuple:
+    """The region's cached (centroid, cost or None); the centroid is
+    computed on first use."""
+    key = (density, perf, env.polygon)
+    entry = region.centroid_cache.get(key)
+    if entry is None:
+        c = geo.centroid(region, density, perf, within=env.polygon,
+                         min_area=env.tol_area)
+        entry = region.centroid_cache[key] = (c, None)
+    return entry
+
+
+def _centroid_cost(region: Region, env: Environment, density: Density,
+                   perf: PerformanceFunction) -> float:
+    c, cost = _centroid_entry(region, env, density, perf)
+    if cost is None:
+        cost = geo.one_center_cost(c, region, density, perf)
+        region.centroid_cache[(density, perf, env.polygon)] = (c, cost)
+    return cost
+
+
 def centroids(partition: Partition, density: Density,
-              perf: PerformanceFunction, order: int = 6,
-              refine: int = 1) -> np.ndarray:
-    env = partition.env
-    out = []
-    for r in partition.regions:
-        memo = _region_memo(r)
-        key = ("centroid", id(density), id(perf), id(env.polygon), order, refine)
-        hit = memo.get(key)
-        if hit is not None and hit[0] is density and hit[1] is perf:
-            out.append(hit[2])
-            continue
-        c = geo.centroid(r, density, perf, within=env.polygon,
-                         order=order, refine=refine, min_area=env.tol_area)
-        memo[key] = (density, perf, c)
-        out.append(c)
-    return np.array(out)
+              perf: PerformanceFunction) -> np.ndarray:
+    """Each region's one-center point, computed once per region."""
+    return np.array([_centroid_entry(r, partition.env, density, perf)[0]
+                     for r in partition.regions])
 
 
 def centroid_cost(partition: Partition, density: Density,
-                  perf: PerformanceFunction, order: int = 6,
-                  refine: int = 1) -> float:
+                  perf: PerformanceFunction) -> float:
     """Multicenter cost with every region served from its own centroid."""
-    cs = centroids(partition, density, perf, order, refine)
-    return multicenter_cost(partition, cs, density, perf, order, refine)
+    return sum(_centroid_cost(r, partition.env, density, perf)
+               for r in partition.regions)
 
 
 def voronoi_cost(env: Environment, points, density: Density,
-                 perf: PerformanceFunction, order: int = 6,
-                 refine: int = 1) -> float:
+                 perf: PerformanceFunction) -> float:
     """Multicenter cost of the nearest-point partition of the given points."""
-    v = voronoi(env, points)
-    return multicenter_cost(v, points, density, perf, order, refine)
+    return multicenter_cost(voronoi(env, points), points, density, perf)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +263,13 @@ def pair_rebalanced(partition: Partition, i: int, j: int, ci, cj) -> tuple[Regio
 
 
 def is_centroidal_voronoi(partition: Partition, density: Density,
-                          perf: PerformanceFunction, tol: float | None = None,
-                          order: int = 6, refine: int = 1) -> bool:
+                          perf: PerformanceFunction,
+                          tol: float | None = None) -> bool:
     """True when the partition equals the nearest-point partition of its centroids."""
     env = partition.env
     if tol is None:
         tol = 1e-5 * env.area
-    cs = centroids(partition, density, perf, order, refine)
+    cs = centroids(partition, density, perf)
     if partition.n > 1:
         d2 = np.sum((cs[:, None, :] - cs[None, :, :]) ** 2, axis=-1)
         np.fill_diagonal(d2, np.inf)
@@ -300,8 +283,8 @@ def is_centroidal_voronoi(partition: Partition, density: Density,
 
 
 def is_mixed_centroidal(partition: Partition, density: Density,
-                        perf: PerformanceFunction, tol: float | None = None,
-                        order: int = 6, refine: int = 1) -> bool:
+                        perf: PerformanceFunction,
+                        tol: float | None = None) -> bool:
     """True when every region pair is pairwise balanced.
 
     A pair passes when its centroids coincide, or when splitting the
@@ -312,7 +295,7 @@ def is_mixed_centroidal(partition: Partition, density: Density,
     env = partition.env
     if tol is None:
         tol = 1e-5 * env.area
-    cs = centroids(partition, density, perf, order, refine)
+    cs = centroids(partition, density, perf)
     for i in range(partition.n):
         for j in range(i + 1, partition.n):
             gap = float(np.hypot(*(cs[i] - cs[j])))
@@ -343,13 +326,8 @@ class DegeneracyReport:
 
 
 def degeneracy_report(partition: Partition, density: Density,
-                      perf: PerformanceFunction, order: int = 6,
-                      refine: int = 1,
-                      precomputed_centroids=None) -> DegeneracyReport:
-    cs = precomputed_centroids
-    if cs is None:
-        cs = centroids(partition, density, perf, order, refine)
-    cs = np.asarray(cs, dtype=float)
+                      perf: PerformanceFunction) -> DegeneracyReport:
+    cs = centroids(partition, density, perf)
     if len(cs) > 1:
         d2 = np.sum((cs[:, None, :] - cs[None, :, :]) ** 2, axis=-1)
         np.fill_diagonal(d2, np.inf)

@@ -118,8 +118,8 @@ def run_evolution(initial: Partition, density: Density,
                   perf: PerformanceFunction, scheduler, *,
                   map_kind: str = "gossip", delta: float | None = None,
                   budget: int = 5000, stop_tol: float | None = None,
-                  check_every: int = 5, order: int = 6,
-                  refine: int = 1, snapshot_steps=()) -> EvolutionTrace:
+                  check_every: int = 5,
+                  snapshot_steps=()) -> EvolutionTrace:
     """Evolve a partition by scheduled pairwise exchanges.
 
     map_kind "gossip" applies the full exchange; "partial" the
@@ -147,13 +147,11 @@ def run_evolution(initial: Partition, density: Density,
 
     trace = EvolutionTrace(stop_tol=stop_tol)
     current = initial
-    residual = math.nan
     snaps = sorted(set(int(s) for s in snapshot_steps))
 
     def compute_residual(p: Partition) -> float:
         return gp.fixed_point_residual(p, density, perf, mode=residual_mode,
-                                       delta=residual_delta, order=order,
-                                       refine=refine)
+                                       delta=residual_delta)
 
     for t in range(budget):
         while snaps and snaps[0] <= t:
@@ -170,16 +168,16 @@ def run_evolution(initial: Partition, density: Density,
         i, j = choice
         try:
             if map_kind == "gossip":
-                out = gp.gossip_step(current, i, j, density, perf, order, refine)
+                out = gp.gossip_step(current, i, j, density, perf)
             else:
                 out = gp.partial_gossip_step(current, i, j, delta, density,
-                                             perf, order, refine)
+                                             perf)
         except GeometryError as exc:
             trace.termination = "degenerate"
             trace.final = current
             raise DegenerateEvolution(str(exc), step=t, trace=trace) from exc
         current = out.partition
-        report = pt.degeneracy_report(current, density, perf, order, refine)
+        report = pt.degeneracy_report(current, density, perf)
         trace.steps.append(TraceStep(
             t=t, pair=(i, j), h=out.h_after, residual=residual,
             min_centroid_gap=report.min_centroid_gap,
@@ -191,17 +189,13 @@ def run_evolution(initial: Partition, density: Density,
     trace.final = current
     for s in snaps:
         trace.snapshots.append((s, current))
-    trace.final_residual = residual if not math.isnan(residual) \
-        else compute_residual(current)
-    if trace.termination == "converged" and trace.final_residual > stop_tol:
-        trace.final_residual = compute_residual(current)
+    trace.final_residual = residual
     return trace
 
 
 def run_lloyd(initial: Partition, density: Density,
               perf: PerformanceFunction, *, budget: int = 5000,
               stop_tol: float | None = None, check_every: int = 1,
-              order: int = 6, refine: int = 1,
               snapshot_steps=()) -> EvolutionTrace:
     """Synchronous comparison baseline: every region re-seats at once.
 
@@ -213,41 +207,35 @@ def run_lloyd(initial: Partition, density: Density,
         stop_tol = 1e-6 * env.area
     trace = EvolutionTrace(stop_tol=stop_tol)
     current = initial
-    residual = math.nan
     snaps = sorted(set(int(s) for s in snapshot_steps))
     for t in range(budget):
         while snaps and snaps[0] <= t:
             trace.snapshots.append((snaps.pop(0), current))
         if t % max(check_every, 1) == 0:
-            residual = gp.fixed_point_residual(current, density, perf,
-                                               order=order, refine=refine)
+            residual = gp.fixed_point_residual(current, density, perf)
             if residual <= stop_tol:
                 trace.termination = "converged"
                 break
         try:
-            current = gp.lloyd_step(current, density, perf, order, refine)
+            current = gp.lloyd_step(current, density, perf)
         except GeometryError as exc:
             trace.termination = "degenerate"
             trace.final = current
             raise DegenerateEvolution(str(exc), step=t, trace=trace) from exc
-        cs = pt.centroids(current, density, perf, order, refine)
-        h = pt.multicenter_cost(current, cs, density, perf, order, refine)
-        report = pt.degeneracy_report(current, density, perf, order, refine)
+        h = pt.centroid_cost(current, density, perf)
+        report = pt.degeneracy_report(current, density, perf)
         trace.steps.append(TraceStep(
             t=t, pair=(-1, -1), h=h, residual=residual,
             min_centroid_gap=report.min_centroid_gap,
             min_region_area=report.min_region_area,
             max_piece_count=report.max_piece_count))
     else:
-        residual = gp.fixed_point_residual(current, density, perf,
-                                           order=order, refine=refine)
+        residual = gp.fixed_point_residual(current, density, perf)
         trace.termination = "converged" if residual <= stop_tol else "step_budget"
     trace.final = current
     for s in snaps:
         trace.snapshots.append((s, current))
-    trace.final_residual = residual if not math.isnan(residual) \
-        else gp.fixed_point_residual(current, density, perf,
-                                     order=order, refine=refine)
+    trace.final_residual = residual
     return trace
 
 

@@ -1,0 +1,52 @@
+"""The quadrature settings live on the performance function alone.
+
+The subdivision level is the field PerformanceFunction.refine and the
+rule's degree is fixed, so no public callable and no function of the
+layers above geometry takes a quadrature or centroid knob.
+"""
+import inspect
+
+import pytest
+
+import gossipcover
+from gossipcover import gossip, netsim, partition, switching
+
+KNOBS = {"order", "refine", "precomputed_centroids"}
+
+
+def _knobs(fn) -> set:
+    return KNOBS & set(inspect.signature(fn).parameters)
+
+
+def _public_callables():
+    for name in gossipcover.__all__:
+        obj = getattr(gossipcover, name)
+        if inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        # the one place the subdivision level is set
+        if callable(obj) and obj is not gossipcover.PerformanceFunction:
+            yield name, obj
+
+
+def _module_functions(mod):
+    for name, obj in vars(mod).items():
+        if inspect.isfunction(obj) and obj.__module__ == mod.__name__:
+            yield f"{mod.__name__}.{name}", obj
+        elif inspect.isclass(obj) and obj.__module__ == mod.__name__:
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member):
+                    yield f"{mod.__name__}.{name}.{attr}", member
+
+
+def test_public_callables_take_no_quadrature_knobs():
+    bad = {name: _knobs(fn) for name, fn in _public_callables() if _knobs(fn)}
+    assert bad == {}
+
+
+@pytest.mark.parametrize("mod", [partition, gossip, switching, netsim],
+                         ids=lambda m: m.__name__)
+def test_layer_functions_take_no_quadrature_knobs(mod):
+    bad = {name: _knobs(fn) for name, fn in _module_functions(mod)
+           if _knobs(fn)}
+    assert bad == {}
+

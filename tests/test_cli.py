@@ -212,6 +212,23 @@ def test_run_netsim_bad_delta_returns_2(tmp_path):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+NETSIM_TWO_SPEEDS = NETSIM_SHORT.replace("speeds: [1.0, 1.0, 1.0]",
+                                         "speeds: [1.0, 1.0]")
+NETSIM_ONE_REGION = NETSIM_SHORT.replace(
+    "cuts: [1.0, 2.0]", "cuts: []").replace(
+    "speeds: [1.0, 1.0, 1.0]", "speeds: [1.0]") + "n: 1\n"
+
+
+@pytest.mark.parametrize("text, named", [(NETSIM_TWO_SPEEDS, "speeds"),
+                                         (NETSIM_ONE_REGION, "n = 1")])
+def test_run_netsim_region_mismatch_returns_2(tmp_path, capsys, text, named):
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: algorithm: ") and named in err
+    assert "Traceback" not in err
+
+
 def test_run_polar(tmp_path):
     cfg = write_cfg(tmp_path, """\
 algorithm:

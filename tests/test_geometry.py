@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -242,6 +244,18 @@ def test_interior_distance_cases():
     assert interior_distance(a, c) == pytest.approx(1.0)
     assert interior_distance(a, d) == 0.0
     assert interior_distance(a, a) == 0.0
+
+
+def test_interior_distance_holds_partner_weakly():
+    a = Region((square(0, 0, 1),))
+    b = Region((square(2, 0, 1),))
+    assert interior_distance(a, b) == pytest.approx(1.0)
+    assert interior_distance(b, a) == pytest.approx(1.0)
+    gone = weakref.ref(b)
+    del b
+    gc.collect()
+    assert gone() is None
+    assert len(a.distance_cache) == 0
 
 
 def test_interior_distance_matches_sampling():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,18 +93,69 @@ def test_monotone_cost_seeded_sweep():
             assert out.h_after < out.h_before
 
 
-def test_monotone_cost_linear_kernel():
-    # the linear kernel has a cone point at the center, so the fixed-degree
-    # rule is inexact and re-triangulating the traded pieces shifts the
-    # estimate; refine=3 keeps that wobble near 1e-5, tested against 1e-4
+def _linear_kernel_run():
     rng = np.random.default_rng(6)
     env = pt.rectangle(2.0, 1.0)
     part = random_partition(rng, env, 5)
+    lin3 = dataclasses.replace(LIN, refine=3)
     for _ in range(25):
         i, j = sorted(rng.choice(part.n, size=2, replace=False))
-        out = gp.gossip_step(part, i, j, DENS, LIN, refine=3)
-        assert out.h_after <= out.h_before + 1e-4
+        out = gp.gossip_step(part, i, j, DENS, lin3)
+        yield out
         part = out.partition
+
+
+def test_monotone_cost_linear_kernel():
+    # the linear kernel has a cone point at the center, so the fixed-degree
+    # rule is inexact and re-triangulating the traded pieces shifts the
+    # estimate; refine 3 keeps that wobble near 1e-5, tested against 1e-4
+    for out in _linear_kernel_run():
+        assert out.h_after <= out.h_before + 1e-4
+
+
+# h_after of the 25 steps above, recorded when refine was a keyword of
+# gossip_step; refine as a field of the cost must give the same floats
+LINEAR_KERNEL_H_AFTER = [
+    "0x1.32ef41a677ffbp-1", "0x1.30ab87b51b570p-1", "0x1.30101a48fc702p-1",
+    "0x1.2fe695d159045p-1", "0x1.2fc6aad8e66f2p-1", "0x1.2fc6aad8e66f2p-1",
+    "0x1.2d75ec2adf2b7p-1", "0x1.2bb283183b35dp-1", "0x1.28b6644d90b96p-1",
+    "0x1.28b6644d90b96p-1", "0x1.28b6644d90b96p-1", "0x1.28b6644d90b96p-1",
+    "0x1.277c44e8b3c2cp-1", "0x1.1a3c2e5f61f79p-1", "0x1.1a3c2e5f61f79p-1",
+    "0x1.1a3c2e5f61f79p-1", "0x1.1a3c2e5f61f79p-1", "0x1.193ee8efd798bp-1",
+    "0x1.1581c298efb7fp-1", "0x1.1528248cf7d7cp-1", "0x1.1528248cf7d7cp-1",
+    "0x1.1528248cf7d7cp-1", "0x1.14e6a997d4e67p-1", "0x1.14954a0eed410p-1",
+    "0x1.138fa7315f2c2p-1",
+]
+
+
+def test_linear_kernel_h_after_is_pinned():
+    got = [out.h_after for out in _linear_kernel_run()]
+    assert got == [float.fromhex(h) for h in LINEAR_KERNEL_H_AFTER]
+
+
+def test_trading_step_with_warm_caches_computes_two_regions(monkeypatch):
+    # only the two regions the exchange rebuilt need a centroid and a cost
+    rng = np.random.default_rng(17)
+    env = pt.rectangle(2.0, 1.0)
+    part = random_partition(rng, env, 6)
+    pt.centroid_cost(part, DENS, QUAD)
+    calls = {"centroid": 0, "one_center_cost": 0}
+
+    def count(name):
+        original = getattr(geo, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(geo, name, counted)
+
+    for name in calls:
+        count(name)
+    i, j = pt.adjacency_pairs(part, 1e-9)[0]
+    out = gp.gossip_step(part, i, j, DENS, QUAD)
+    assert out.changed and out.traded_area > 0.0
+    assert calls == {"centroid": 2, "one_center_cost": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,29 @@ def test_centroid_cost_not_above_any_other_choice():
         assert best <= pt.multicenter_cost(part, pts, DENS, QUAD) + 1e-12
 
 
+def test_region_keeps_centroid_and_cost_per_performance():
+    # one region evaluated under two costs holds both answers side by side
+    rng = np.random.default_rng(37)
+    env = strip_env()
+    part = pt.voronoi(env, rng.uniform([0.1, 0.1], [1.9, 0.9], size=(4, 2)))
+    lin = geo.linear_performance()
+    cached = {}
+    for perf in (QUAD, lin, QUAD, lin):
+        cached[perf.kind] = (pt.centroids(part, DENS, perf),
+                             pt.centroid_cost(part, DENS, perf))
+    for perf in (QUAD, lin):
+        cs, h = cached[perf.kind]
+        fresh = [geo.centroid(Region(r.pieces), DENS, perf, within=env.polygon,
+                              min_area=env.tol_area) for r in part.regions]
+        assert np.array_equal(cs, np.array(fresh))
+        assert h == sum(geo.one_center_cost(c, Region(r.pieces), DENS, perf)
+                        for c, r in zip(fresh, part.regions))
+        for k, r in enumerate(part.regions):
+            c, cost = r.centroid_cache[(DENS, perf, env.polygon)]
+            assert np.array_equal(c, cs[k]) and cost is not None
+    assert not np.array_equal(cached["quadratic"][0], cached["linear"][0])
+
+
 def test_voronoi_cost_not_above_given_partition():
     rng = np.random.default_rng(31)
     env = strip_env()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gossipcover import geometry as geo
+from gossipcover import gossip as gp
 from gossipcover import partition as pt
 from gossipcover import switching as sw
 
@@ -112,6 +113,17 @@ def test_run_evolution_stops_when_schedule_runs_out():
                              budget=100, check_every=100)
     assert trace.termination == "step_budget"
     assert len(trace.steps) == 2
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_final_residual_describes_final_partition(budget):
+    init = three_region_start()
+    for trace in (sw.run_evolution(init, DENS, QUAD, sw.RoundRobin(3),
+                                   budget=budget, check_every=5),
+                  sw.run_lloyd(init, DENS, QUAD, budget=budget)):
+        assert len(trace.steps) == budget
+        assert trace.final_residual == gp.fixed_point_residual(
+            trace.final, DENS, QUAD)
 
 
 def test_run_evolution_snapshots():
