@@ -17,7 +17,8 @@ from .geometry import (ConvexPolygon, EmptyRegion, GeometryError, GridDensity,
                        bisector_halfplane, centroid, hausdorff_distance,
                        interior_distance, intersection_area,
                        linear_performance, mass_centroid, one_center_cost,
-                       quadratic_performance, region_of, symdiff_area)
+                       quadratic_performance, region_of, regions_within,
+                       symdiff_area)
 from .gossip import (StepOutcome, fixed_point_residual, gossip_step,
                      lloyd_step, partial_gossip_step, trade_fraction)
 from .netsim import NetConfig, NetTrace, SamplingExhausted, simulate
@@ -46,7 +47,7 @@ __all__ = [
     "is_centroidal_voronoi", "is_mixed_centroidal", "linear_performance",
     "lloyd_step", "mass_centroid", "multicenter_cost", "one_center_cost",
     "partial_gossip_step", "partition_distance", "quadratic_performance",
-    "read_snapshot", "rectangle", "region_of", "run_evolution", "run_lloyd",
-    "run_polar", "simulate", "symdiff_area", "trade_fraction", "voronoi",
-    "write_snapshot",
+    "read_snapshot", "rectangle", "region_of", "regions_within",
+    "run_evolution", "run_lloyd", "run_polar", "simulate", "symdiff_area",
+    "trade_fraction", "voronoi", "write_snapshot",
 ]

@@ -166,14 +166,19 @@ class Region:
     """Union of convex polygons with pairwise disjoint interiors.
 
     A region never changes, so it caches maps of itself: centroid_cache
-    (filled by partition.centroids and partition.centroid_cost) and
-    distance_cache (interior distances, keyed weakly by the partner).
+    (filled by partition.centroids and partition.centroid_cost),
+    distance_cache (interior distances, keyed weakly by the partner) and
+    within_cache (regions_within answers, keyed weakly by the partner,
+    then by delta; one dict shared by both regions).
     """
 
     pieces: tuple
     centroid_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
     distance_cache: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
+        compare=False)
+    within_cache: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
         compare=False)
 
@@ -571,17 +576,56 @@ def interior_distance(a: Region, b: Region) -> float:
     return d
 
 
-def _interior_distance(a: Region, b: Region) -> float:
+def _share_seam_vertex(a: Region, b: Region) -> bool:
     # regions meeting along a shared seam carry identical vertex floats
-    scale = max(float(np.abs(p.vertices).max())
-                for r in (a, b) for p in r.pieces) + 1.0
+    va, vb = a.all_vertices(), b.all_vertices()
+    scale = max(float(np.abs(va).max()), float(np.abs(vb).max())) + 1.0
     inv_eps = 1.0 / (1e-12 * scale)
-    keys_a = set()
+    keys_a = set(map(tuple, np.rint(va * inv_eps).astype(np.int64).tolist()))
+    keys_b = map(tuple, np.rint(vb * inv_eps).astype(np.int64).tolist())
+    return not keys_a.isdisjoint(keys_b)
+
+
+def regions_within(a: Region, b: Region, delta: float) -> bool:
+    """interior_distance(a, b) < delta, decided without the exact distance.
+
+    A shared seam vertex answers True, piece pairs whose bounding boxes
+    lie at least delta apart are skipped, and the first piece pair within
+    delta answers True. The answer is cached per delta in a dict both
+    regions share, each holding the other weakly; a cached exact
+    distance answers directly.
+    """
+    if a.is_empty or b.is_empty:
+        raise EmptyRegion("interior distance needs nonempty regions")
+    d = a.distance_cache.get(b)
+    if d is not None:
+        return d < delta
+    answers = a.within_cache.get(b)
+    if answers is None:
+        answers = a.within_cache[b] = b.within_cache[a] = {}
+    hit = answers.get(delta)
+    if hit is None:
+        hit = answers[delta] = _regions_within(a, b, delta)
+    return hit
+
+
+def _regions_within(a: Region, b: Region, delta: float) -> bool:
+    if not delta > 0.0:
+        return False  # no distance, not even a seam's 0, is below it
+    if _share_seam_vertex(a, b):
+        return True
     for p in a.pieces:
-        keys_a |= _vertex_keys(p, inv_eps)
-    for q in b.pieces:
-        if keys_a & _vertex_keys(q, inv_eps):
-            return 0.0
+        bb = _poly_bbox(p)
+        for q in b.pieces:
+            if _bbox_gap(bb, _poly_bbox(q)) < delta and \
+                    _convex_distance(p, q) < delta:
+                return True
+    return False
+
+
+def _interior_distance(a: Region, b: Region) -> float:
+    if _share_seam_vertex(a, b):
+        return 0.0
     best = np.inf
     for p in a.pieces:
         bb = _poly_bbox(p)

@@ -76,6 +76,29 @@ def _already_split(partition: Partition, i: int, j: int, ci, cj) -> bool:
     return float(dj.min()) >= -eps
 
 
+def _trade_below_tolerance(partition: Partition, i: int, j: int, ci,
+                           cj) -> bool:
+    """True when the pair's split cannot trade more than tol_area.
+
+    What the split hands from region i to j lies between the bisector
+    and region i's farthest vertex past it, widened by the snap within
+    which the split treats a vertex as on the line, and within region
+    i's vertex span along the line; likewise for region j on the other
+    side. When the two rectangles hold at most tol_area together, the
+    split would return the pair unchanged.
+    """
+    env = partition.env
+    hp = geo.bisector_halfplane(ci, cj)
+    line = np.array([-hp.normal[1], hp.normal[0]])
+    bound = 0.0
+    for k, sign in ((i, 1.0), (j, -1.0)):
+        verts = partition.regions[k].all_vertices()
+        over = max(float((sign * (verts @ hp.normal - hp.offset)).max()), 0.0)
+        along = verts @ line
+        bound += (over + env.snap) * float(along.max() - along.min())
+    return bound <= env.tol_area
+
+
 def gossip_step(partition: Partition, i: int, j: int, density: Density,
                 perf: PerformanceFunction) -> StepOutcome:
     """Full pairwise exchange: split the union by the centroid bisector."""
@@ -87,7 +110,8 @@ def gossip_step(partition: Partition, i: int, j: int, density: Density,
     gap = float(np.hypot(*(cs[i] - cs[j])))
     if gap <= env.tol_point:
         return _unchanged(partition, i, j, h_before)
-    if _already_split(partition, i, j, cs[i], cs[j]):
+    if _already_split(partition, i, j, cs[i], cs[j]) or \
+            _trade_below_tolerance(partition, i, j, cs[i], cs[j]):
         return _unchanged(partition, i, j, h_before)
     split = pt.pair_split(partition, i, j, cs[i], cs[j])
     return _apply_pair(partition, i, j, split, density, perf, h_before)
@@ -166,7 +190,8 @@ def partial_gossip_step(partition: Partition, i: int, j: int, delta: float,
     if beta <= 0.0:
         return _unchanged(partition, i, j, h_before)
     if beta >= 1.0:
-        if _already_split(partition, i, j, cs[i], cs[j]):
+        if _already_split(partition, i, j, cs[i], cs[j]) or \
+                _trade_below_tolerance(partition, i, j, cs[i], cs[j]):
             return _unchanged(partition, i, j, h_before)
         split = pt.pair_split(partition, i, j, cs[i], cs[j])
     else:

@@ -312,8 +312,8 @@ def adjacency_pairs(partition: Partition, delta: float) -> list[tuple[int, int]]
     out = []
     for i in range(partition.n):
         for j in range(i + 1, partition.n):
-            if geo.interior_distance(partition.regions[i],
-                                     partition.regions[j]) < delta:
+            if geo.regions_within(partition.regions[i],
+                                  partition.regions[j], delta):
                 out.append((i, j))
     return out
 

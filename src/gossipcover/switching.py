@@ -124,11 +124,12 @@ def run_evolution(initial: Partition, density: Density,
 
     map_kind "gossip" applies the full exchange; "partial" the
     distance-limited one (needs delta). The fixed-point residual is
-    evaluated every check_every steps (and at the end); the run stops
-    once it reaches stop_tol, which defaults to 1e-6 times the
-    environment area. Residual entries between evaluations repeat the
-    most recent value. A region dropping below the area tolerance aborts
-    the run with DegenerateEvolution carrying the partial trace.
+    evaluated every check_every steps and for the final partition; the
+    run stops once it reaches stop_tol, which defaults to 1e-6 times the
+    environment area, or when the scheduler returns None. Residual
+    entries between evaluations repeat the most recent value. A region
+    dropping below the area tolerance aborts the run with
+    DegenerateEvolution carrying the partial trace.
     The partition state is recorded before each step listed in
     snapshot_steps; steps past the end of the run record the final
     state.
@@ -153,17 +154,16 @@ def run_evolution(initial: Partition, density: Density,
         return gp.fixed_point_residual(p, density, perf, mode=residual_mode,
                                        delta=residual_delta)
 
+    checked = None  # the partition the residual was last computed for
     for t in range(budget):
         while snaps and snaps[0] <= t:
             trace.snapshots.append((snaps.pop(0), current))
         if t % max(check_every, 1) == 0:
-            residual = compute_residual(current)
+            residual, checked = compute_residual(current), current
             if residual <= stop_tol:
-                trace.termination = "converged"
                 break
         choice = scheduler.select(t, current)
         if choice is None:
-            trace.termination = "step_budget"
             break
         i, j = choice
         try:
@@ -183,9 +183,9 @@ def run_evolution(initial: Partition, density: Density,
             min_centroid_gap=report.min_centroid_gap,
             min_region_area=report.min_region_area,
             max_piece_count=report.max_piece_count))
-    else:
+    if checked is not current:
         residual = compute_residual(current)
-        trace.termination = "converged" if residual <= stop_tol else "step_budget"
+    trace.termination = "converged" if residual <= stop_tol else "step_budget"
     trace.final = current
     for s in snaps:
         trace.snapshots.append((s, current))

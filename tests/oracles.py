@@ -94,6 +94,23 @@ def hausdorff_by_sampling(a: Region, b: Region, per_edge: int = 16) -> float:
     return worst
 
 
+def share_seam_vertex_by_pieces(a: Region, b: Region) -> bool:
+    """Piece-by-piece form of the seam-vertex test: any vertex of a and
+    any vertex of b on the same 1e-12 * (max |coordinate| + 1) grid key."""
+    scale = max(float(np.abs(p.vertices).max())
+                for r in (a, b) for p in r.pieces) + 1.0
+    inv_eps = 1.0 / (1e-12 * scale)
+
+    def keys(p):
+        v = np.rint(p.vertices * inv_eps).astype(np.int64)
+        return set(map(tuple, v.tolist()))
+
+    keys_a = set()
+    for p in a.pieces:
+        keys_a |= keys(p)
+    return any(keys_a & keys(q) for q in b.pieces)
+
+
 def interior_distance_by_sampling(a: Region, b: Region,
                                   per_edge: int = 24) -> float:
     pa = boundary_samples(a, per_edge)

@@ -258,6 +258,83 @@ def test_interior_distance_holds_partner_weakly():
     assert len(a.distance_cache) == 0
 
 
+def test_regions_within_t_junction():
+    # region b's two pieces meet at (2, 1) in the middle of a's right
+    # edge: the regions touch along a segment but share no vertex
+    a = Region((ConvexPolygon([[0, -1], [2, -1], [2, 3], [0, 3]]),))
+    b = region_of([[2, 0], [3, 0], [3, 1], [2, 1]],
+                  [[2, 1], [3, 1], [3, 2], [2, 2]])
+    assert not geo._share_seam_vertex(a, b)
+    assert geo.regions_within(a, b, 1e-9)
+    assert interior_distance(Region(a.pieces), Region(b.pieces)) == 0.0
+
+
+def test_regions_within_gap_equal_to_delta():
+    def pair():
+        return Region((square(0, 0, 1),)), Region((square(1.5, 0, 1),))
+
+    a, c = pair()
+    assert interior_distance(a, c) == 0.5
+    assert not geo.regions_within(*pair(), 0.5)
+    assert geo.regions_within(*pair(), math.nextafter(0.5, 1.0))
+    assert not geo.regions_within(*pair(), math.nextafter(0.5, 0.0))
+
+    # bounding boxes 0.5 apart, polygons farther: the gap that decides
+    # is the piece distance itself
+    def diagonal():
+        return (Region((square(0, 0, 1),)),
+                region_of([[1.5, 3], [3, 1.5], [3, 3]]))
+
+    gap = interior_distance(*diagonal())
+    assert gap > 1.0
+    assert not geo.regions_within(*diagonal(), gap)
+    assert geo.regions_within(*diagonal(), math.nextafter(gap, 2.0))
+
+
+def test_regions_within_shared_vertex_skips_piece_distances(monkeypatch):
+    def refuse(p, q):
+        raise AssertionError("piece distance computed")
+
+    monkeypatch.setattr(geo, "_convex_distance", refuse)
+    # corner contact only: one shared vertex
+    a = Region((square(0, 0, 1),))
+    b = Region((square(1, 1, 1),))
+    assert geo.regions_within(a, b, 1e-9)
+
+
+def test_regions_within_answers_from_exact_distance(monkeypatch):
+    a = Region((square(0, 0, 1),))
+    c = Region((square(1.5, 0, 1),))
+    assert interior_distance(a, c) == 0.5
+    monkeypatch.setattr(geo, "_convex_distance", None)
+    assert geo.regions_within(a, c, 0.75)
+    assert not geo.regions_within(c, a, 0.25)
+    assert len(a.within_cache) == 0
+
+
+def test_regions_within_holds_partner_weakly():
+    a = Region((square(0, 0, 1),))
+    b = Region((square(2, 0, 1),))
+    assert not geo.regions_within(a, b, 0.5)
+    assert geo.regions_within(b, a, 1.5)
+    assert a.within_cache[b] == {0.5: False, 1.5: True}
+    gone = weakref.ref(b)
+    del b
+    gc.collect()
+    assert gone() is None
+    assert len(a.within_cache) == 0
+
+
+def test_regions_within_keys_answers_by_delta():
+    a = Region((square(0, 0, 1),))
+    c = Region((square(1.5, 0, 1),))
+    assert geo.regions_within(a, c, 1.0)
+    assert not geo.regions_within(a, c, 0.25)
+    assert not geo.regions_within(c, a, 0.25)
+    assert geo.regions_within(c, a, 1.0)
+    assert len(a.distance_cache) == 0
+
+
 def test_interior_distance_matches_sampling():
     rng = np.random.default_rng(67)
     for _ in range(40):

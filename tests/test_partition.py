@@ -5,7 +5,9 @@ import pytest
 
 import oracles
 from gossipcover import geometry as geo
+from gossipcover import gossip as gp
 from gossipcover import partition as pt
+from gossipcover import switching as sw
 from gossipcover.geometry import Region, region_of
 from gossipcover.partition import Partition
 
@@ -248,6 +250,44 @@ def test_adjacency_pairs_strips():
     part = strips(env, [1.0, 2.0])
     assert pt.adjacency_pairs(part, 1e-6) == [(0, 1), (1, 2)]
     assert pt.adjacency_pairs(part, 1.5) == [(0, 1), (0, 2), (1, 2)]
+
+
+def _adjacent_gossip_partitions(seed, steps, every):
+    """Partitions along a seeded AdjacentRandom full-exchange run."""
+    env = pt.rectangle(2.0, 1.0)
+    rng = np.random.default_rng(seed)
+    part = pt.voronoi(env, rng.uniform([0.05, 0.05], [1.95, 0.95], (6, 2)))
+    sched = sw.AdjacentRandom(seed, 1e-9)
+    out = []
+    for t in range(steps):
+        i, j = sched.select(t, part)
+        part = gp.gossip_step(part, i, j, DENS, QUAD).partition
+        if (t + 1) % every == 0:
+            out.append(part)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_regions_within_equals_interior_distance_below_delta(seed):
+    parts = _adjacent_gossip_partitions(seed, 300, 100)
+    assert max(len(r.pieces) for p in parts for r in p.regions) > 5
+    for part in parts:
+        for delta in (1e-9, 1e-3, 0.5):
+            for i in range(part.n):
+                for j in range(i + 1, part.n):
+                    # fresh regions: neither answer comes from a cache
+                    a, b = (Region(part.regions[k].pieces) for k in (i, j))
+                    assert geo._share_seam_vertex(a, b) == \
+                        oracles.share_seam_vertex_by_pieces(a, b)
+                    exact = geo.interior_distance(
+                        Region(a.pieces), Region(b.pieces))
+                    assert geo.regions_within(a, b, delta) == (exact < delta)
+            fresh = Partition(part.env, tuple(Region(r.pieces)
+                                              for r in part.regions))
+            assert pt.adjacency_pairs(fresh, delta) == [
+                (i, j) for i in range(part.n) for j in range(i + 1, part.n)
+                if geo.interior_distance(part.regions[i],
+                                         part.regions[j]) < delta]
 
 
 def test_degeneracy_report_fields():

@@ -1,0 +1,121 @@
+"""Property tests (hypothesis) for the exchange's no-op bound.
+
+gossip._trade_below_tolerance lets a full exchange skip its split when
+the area beyond the bisector fits in a rectangle of at most tol_area.
+Whenever it skips, the split it replaces must trade at most tol_area,
+and the step must hand back the very same partition.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gossipcover import geometry as geo
+from gossipcover import gossip as gp
+from gossipcover import partition as pt
+from gossipcover.geometry import region_of
+from gossipcover.partition import Partition
+
+DENS = geo.UniformDensity()
+QUAD = geo.quadratic_performance()
+
+# perturbations from below snap (1e-12 of the diameter) to far above the
+# hairline overshoots the bound is meant to catch (a few 1e-9)
+EXPONENT = st.floats(-13.0, -6.0)
+UNIT = st.floats(-1.0, 1.0)
+NOISE = st.lists(st.tuples(UNIT, UNIT), min_size=10, max_size=10)
+
+
+def strips(env, cuts):
+    lo = float(env.polygon.vertices[:, 0].min())
+    hi = float(env.polygon.vertices[:, 0].max())
+    xs = [lo] + list(cuts) + [hi]
+    return Partition(env, tuple(
+        region_of([[a, 0], [b, 0], [b, 1], [a, 1]])
+        for a, b in zip(xs, xs[1:])))
+
+
+def check_bound(part, points, noise, scale):
+    """Every pair at its points moved by noise * scale: a skip trades
+    nothing; returns how many pairs the bound skipped."""
+    skipped = 0
+    k = 0
+    for i in range(part.n):
+        for j in range(i + 1, part.n):
+            ci = points[i] + scale * np.array(noise[k % len(noise)])
+            cj = points[j] + scale * np.array(noise[(k + 1) % len(noise)])
+            k += 2
+            if gp._trade_below_tolerance(part, i, j, ci, cj):
+                skipped += 1
+                assert pt.pair_split(part, i, j, ci, cj)[2] <= \
+                    part.env.tol_area
+    return skipped
+
+
+@settings(max_examples=60, deadline=None)
+@given(cuts=st.lists(UNIT, min_size=1, max_size=3), cut_exp=EXPONENT,
+       noise=NOISE, noise_exp=EXPONENT)
+def test_bound_skips_only_no_op_splits_on_strips(cuts, cut_exp, noise,
+                                                 noise_exp):
+    # unit strips with seams moved off their centroidal positions
+    n = len(cuts) + 1
+    env = pt.rectangle(float(n), 1.0)
+    part = strips(env, [k + 1.0 + c * 10.0 ** cut_exp
+                        for k, c in enumerate(cuts)])
+    cs = pt.centroids(part, DENS, QUAD)
+    check_bound(part, cs, noise, 10.0 ** noise_exp)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if gp._trade_below_tolerance(part, i, j, cs[i], cs[j]):
+                assert pt.pair_split(part, i, j, cs[i], cs[j])[2] <= \
+                    env.tol_area
+                for out in (gp.gossip_step(part, i, j, DENS, QUAD),
+                            gp.partial_gossip_step(part, i, j, 0.2, DENS,
+                                                   QUAD)):
+                    assert out.partition is part and not out.changed
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 5), noise=NOISE,
+       noise_exp=EXPONENT)
+def test_bound_skips_only_no_op_splits_on_voronoi(seed, n, noise, noise_exp):
+    # each pair's perturbed generators put the bisector near their seam
+    env = pt.rectangle(2.0, 1.0)
+    rng = np.random.default_rng(seed)
+    points = rng.uniform([0.05, 0.05], [1.95, 0.95], size=(n, 2))
+    part = pt.voronoi(env, points)
+    check_bound(part, points, noise, 10.0 ** noise_exp)
+
+
+def test_bound_skips_hairline_voronoi_pairs():
+    # the sweeps above are not vacuous: at 1e-10 noise the exact split
+    # test fails on adjacent Voronoi pairs and the bound skips them
+    env = pt.rectangle(2.0, 1.0)
+    rng = np.random.default_rng(5)
+    points = rng.uniform([0.05, 0.05], [1.95, 0.95], size=(5, 2))
+    part = pt.voronoi(env, points)
+    moved = points + 1e-10 * rng.uniform(-1.0, 1.0, size=points.shape)
+    caught = [(i, j) for i in range(part.n) for j in range(i + 1, part.n)
+              if not gp._already_split(part, i, j, moved[i], moved[j])
+              and gp._trade_below_tolerance(part, i, j, moved[i], moved[j])]
+    assert len(caught) >= 2
+    for i, j in caught:
+        assert 0.0 < pt.pair_split(part, i, j, moved[i], moved[j])[2] <= \
+            env.tol_area
+
+
+def test_bound_counts_the_snap_band():
+    # a thin piece of region 0 reaches from snap/2 before the bisector
+    # x = 1 to tol_area - snap/4 past it; the split snaps its near side
+    # onto the line and hands over the whole piece, which is more than
+    # tol_area, so the bound must not skip it
+    env = pt.rectangle(2.0, 1.0)
+    snap, tol = env.snap, env.tol_area
+    near, far = 1.0 - snap / 2.0, 1.0 + tol - snap / 4.0
+    part = Partition(env, (
+        region_of([[0, 0], [near, 0], [near, 1], [0, 1]],
+                  [[near, 0], [far, 0], [far, 1], [near, 1]]),
+        region_of([[far, 0], [2, 0], [2, 1], [far, 1]])))
+    ci, cj = np.array([0.5, 0.5]), np.array([1.5, 0.5])
+    assert not gp._already_split(part, 0, 1, ci, cj)
+    assert pt.pair_split(part, 0, 1, ci, cj)[2] > tol
+    assert not gp._trade_below_tolerance(part, 0, 1, ci, cj)

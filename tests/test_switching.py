@@ -126,6 +126,20 @@ def test_final_residual_describes_final_partition(budget):
             trace.final, DENS, QUAD)
 
 
+def test_final_residual_when_schedule_runs_out():
+    # the schedule ends between residual checks; the final residual is
+    # still the final partition's, not the initial one's
+    init = three_region_start(seed=4)
+    trace = sw.run_evolution(init, DENS, QUAD,
+                             sw.ExplicitSchedule([(0, 1), (1, 2)]),
+                             budget=100, check_every=100)
+    assert len(trace.steps) == 2
+    assert trace.final is not init
+    assert trace.final_residual == gp.fixed_point_residual(
+        trace.final, DENS, QUAD)
+    assert trace.final_residual != gp.fixed_point_residual(init, DENS, QUAD)
+
+
 def test_run_evolution_snapshots():
     init = three_region_start()
     trace = sw.run_evolution(init, DENS, QUAD, sw.RoundRobin(3),
