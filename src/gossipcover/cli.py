@@ -264,47 +264,77 @@ def write_summary(path: str, entries: dict):
 # ---------------------------------------------------------------------------
 # run modes
 
-def _run_pairwise(cfg, args, out_dir, seed, log) -> int:
+def _build_start(cfg: dict, seed: int) -> tuple:
+    """The config's (density, performance, initial partition)."""
     env = build_environment(cfg)
-    density = build_density(cfg)
-    perf = build_performance(cfg)
-    initial = build_initial(cfg, env, seed)
-    algo = _get(cfg, "algorithm.kind", "gossip")
+    return build_density(cfg), build_performance(cfg), \
+        build_initial(cfg, env, seed)
+
+
+def _snapshots(cfg: dict, args) -> list:
+    if args.snapshot_list is not None:
+        return args.snapshot_list
+    return [float(s) for s in _get(cfg, "snapshots", [])]
+
+
+def _run_stepwise(cfg: dict, algo: str, delta, start: tuple, seed: int,
+                  log, where: str, snapshot_steps) -> tuple:
+    """Run a stepwise algorithm ("gossip", "partial" or "lloyd") from
+    start with the config's budget, stop_tol, check_every and scheduler;
+    delta, when given, replaces algorithm.delta.
+
+    Returns the trace and its exit code. A rejected setting becomes a
+    ConfigError on the `where` field.
+    """
+    density, perf, initial = start
     budget = int(_number(cfg, "budget", 5000, positive=True))
     stop_tol = _number(cfg, "stop_tol")
     check_every = int(_number(cfg, "check_every", 5, positive=True))
-    snaps = args.snapshot_list if args.snapshot_list is not None \
-        else [float(s) for s in _get(cfg, "snapshots", [])]
-
-    started = time.perf_counter()
-    code = EXIT_OK
     try:
         if algo == "lloyd":
             trace = sw.run_lloyd(initial, density, perf, budget=budget,
                                  stop_tol=stop_tol,
-                                 snapshot_steps=[int(s) for s in snaps])
+                                 snapshot_steps=snapshot_steps)
         else:
-            delta = _number(cfg, "algorithm.delta",
-                            required=(algo == "partial"), positive=True)
+            if delta is None:
+                delta = _number(cfg, "algorithm.delta",
+                                required=(algo == "partial"), positive=True)
             scheduler = build_scheduler(cfg, initial.n, seed)
             trace = sw.run_evolution(
                 initial, density, perf, scheduler, map_kind=algo,
                 delta=delta, budget=budget, stop_tol=stop_tol,
-                check_every=check_every,
-                snapshot_steps=[int(s) for s in snaps])
+                check_every=check_every, snapshot_steps=snapshot_steps)
     except DegenerateEvolution as exc:
-        trace = exc.trace
-        code = EXIT_DEGENERATE
         log(f"degenerate evolution at step {exc.step}: {exc}")
+        return exc.trace, EXIT_DEGENERATE
     except ValueError as exc:
-        raise ConfigError(f"algorithm: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
+    return trace, EXIT_BUDGET if trace.termination == "step_budget" \
+        else EXIT_OK
+
+
+def _worst(codes) -> int:
+    """One exit code for several runs: degenerate, else budget, else ok."""
+    for bad in (EXIT_DEGENERATE, EXIT_BUDGET):
+        if bad in codes:
+            return bad
+    return EXIT_OK
+
+
+def _run_pairwise(cfg, args, out_dir, seed, log) -> int:
+    start = _build_start(cfg, seed)
+    density, perf, _ = start
+    algo = _get(cfg, "algorithm.kind", "gossip")
+    snaps = [int(s) for s in _snapshots(cfg, args)]
+
+    started = time.perf_counter()
+    trace, code = _run_stepwise(cfg, algo, None, start, seed, log,
+                                "algorithm", snaps)
     wall = time.perf_counter() - started
 
     sw.write_trace(trace, os.path.join(out_dir, "trace.txt"))
     write_h_csv(trace, os.path.join(out_dir, "h_series.csv"))
     write_snapshots(trace.snapshots, out_dir, density, perf, log)
-    if code == EXIT_OK and trace.termination == "step_budget":
-        code = EXIT_BUDGET
     entries = {
         "algorithm": algo, "seed": seed, "steps": len(trace.steps),
         "termination": trace.termination,
@@ -320,10 +350,8 @@ def _run_pairwise(cfg, args, out_dir, seed, log) -> int:
 
 
 def _run_netsim(cfg, args, out_dir, seed, log) -> int:
-    env = build_environment(cfg)
-    density = build_density(cfg)
-    perf = build_performance(cfg)
-    initial = build_initial(cfg, env, seed)
+    density, perf, initial = _build_start(cfg, seed)
+    env = initial.env
     try:
         config = ns.NetConfig(
             speeds=tuple(_get(cfg, "algorithm.speeds", [1.0] * initial.n)),
@@ -339,8 +367,7 @@ def _run_netsim(cfg, args, out_dir, seed, log) -> int:
         raise ConfigError(f"algorithm: {exc}") from exc
     horizon_legs = _number(cfg, "algorithm.horizon_legs", 500.0, positive=True)
     leg = ns.leg_time(env, config)
-    snaps = args.snapshot_list if args.snapshot_list is not None \
-        else [float(s) for s in _get(cfg, "snapshots", [])]
+    snaps = _snapshots(cfg, args)
 
     started = time.perf_counter()
     code = EXIT_OK
@@ -467,10 +494,7 @@ def cmd_run(args) -> int:
                                 s, lambda msg: print(f"[seed {s}] {msg}"))
         for s in seeds:
             print(f"seed {s}: exit {codes[s]}")
-        for bad in (EXIT_DEGENERATE, EXIT_BUDGET):
-            if bad in codes.values():
-                return bad
-        return EXIT_OK
+        return _worst(codes.values())
     return run_once(cfg, args, out_dir, seed, print)
 
 
@@ -498,40 +522,17 @@ def cmd_compare(args) -> int:
     seed = args.seed if args.seed is not None else int(_get(cfg, "seed", 0))
     out_dir = _ensure_out(args.out or _get(cfg, "out", "runs/compare"))
     algos = _algo_list(args.algos)
-
-    env = build_environment(cfg)
-    density = build_density(cfg)
-    perf = build_performance(cfg)
-    initial = build_initial(cfg, env, seed)
-    budget = int(_number(cfg, "budget", 5000, positive=True))
-    stop_tol = _number(cfg, "stop_tol")
+    start = _build_start(cfg, seed)
 
     series = {}
     codes = []
     for name, param in algos:
         if name not in ("gossip", "partial", "lloyd"):
             raise ConfigError(f"algos: {name!r} not comparable by step")
-        code = EXIT_OK
-        try:
-            if name == "lloyd":
-                trace = sw.run_lloyd(initial, density, perf, budget=budget,
-                                     stop_tol=stop_tol)
-            else:
-                delta = param if param is not None \
-                    else _number(cfg, "algorithm.delta",
-                                 required=(name == "partial"), positive=True)
-                scheduler = build_scheduler(cfg, initial.n, seed)
-                trace = sw.run_evolution(initial, density, perf, scheduler,
-                                         map_kind=name, delta=delta,
-                                         budget=budget, stop_tol=stop_tol)
-        except DegenerateEvolution as exc:
-            trace = exc.trace
-            code = EXIT_DEGENERATE
-        except ValueError as exc:
-            raise ConfigError(f"algos: {exc}") from exc
-        if code == EXIT_OK and trace.termination == "step_budget":
-            code = EXIT_BUDGET
         label = name if param is None else f"{name}_{param:g}"
+        trace, code = _run_stepwise(cfg, name, param, start, seed,
+                                    lambda msg: print(f"{label}: {msg}"),
+                                    "algos", ())
         series[label] = trace
         codes.append(code)
         print(f"{label}: {trace.termination} after {len(trace.steps)} steps, "
@@ -547,16 +548,14 @@ def cmd_compare(args) -> int:
                 steps = series[m].steps
                 row.append(repr(steps[t].h) if t < len(steps) else "")
             f.write(",".join(row) + "\n")
-    entries = {"seed": seed, "budget": budget}
+    entries = {"seed": seed,
+               "budget": int(_number(cfg, "budget", 5000, positive=True))}
     for m in labels:
         tr = series[m]
         entries[m] = (f"termination {tr.termination} steps {len(tr.steps)} "
                       f"residual {tr.final_residual!r}")
     write_summary(os.path.join(out_dir, "summary.txt"), entries)
-    for bad in (EXIT_DEGENERATE, EXIT_BUDGET):
-        if bad in codes:
-            return bad
-    return EXIT_OK
+    return _worst(codes)
 
 
 def cmd_presets(args) -> int:

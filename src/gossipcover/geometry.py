@@ -166,10 +166,9 @@ class Region:
     """Union of convex polygons with pairwise disjoint interiors.
 
     A region never changes, so it caches maps of itself: centroid_cache
-    (filled by partition.centroids and partition.centroid_cost),
-    distance_cache (interior distances, keyed weakly by the partner) and
-    within_cache (regions_within answers, keyed weakly by the partner,
-    then by delta; one dict shared by both regions).
+    (filled by partition.centroids and partition.centroid_cost) and
+    distance_cache ((value, exact) from the bounded distance search,
+    keyed weakly by the partner).
     """
 
     pieces: tuple
@@ -178,16 +177,13 @@ class Region:
     distance_cache: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
         compare=False)
-    within_cache: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
-        compare=False)
 
     @staticmethod
     def from_pieces(pieces: Iterable, budget: int = DEFAULT_PIECE_BUDGET,
-                    min_area: float = 0.0, merge: bool = True,
+                    min_area: float = 0.0,
                     merge_tol: float = 1e-12) -> "Region":
         kept = [p for p in pieces if p is not None and p.area > min_area]
-        if merge and len(kept) > 1:
+        if len(kept) > 1:
             kept = merge_pieces(kept, merge_tol)
         if len(kept) > budget:
             raise PieceBudgetExceeded(f"{len(kept)} pieces exceed budget {budget}")
@@ -201,10 +197,13 @@ class Region:
     def is_empty(self) -> bool:
         return len(self.pieces) == 0
 
-    def all_vertices(self) -> np.ndarray:
-        if self.is_empty:
-            return np.zeros((0, 2))
-        return np.vstack([p.vertices for p in self.pieces])
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """Every piece's vertices stacked, read-only."""
+        v = np.vstack([p.vertices for p in self.pieces]) if self.pieces \
+            else np.zeros((0, 2))
+        v.setflags(write=False)
+        return v
 
     def contains(self, points, tol: float = 0.0):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -234,13 +233,13 @@ def region_of(*vertex_lists) -> Region:
 # ---------------------------------------------------------------------------
 # construction and clipping
 
-def bisector_halfplane(p, q, tol: float = 0.0) -> HalfPlane:
+def bisector_halfplane(p, q) -> HalfPlane:
     """Half-plane of points at least as close to p as to q."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = q - p
     gap = float(np.hypot(d[0], d[1]))
-    if gap <= tol or gap == 0.0:
+    if gap == 0.0:
         raise CoincidentPoints(f"bisector undefined for gap {gap:.3e}")
     n = d / gap
     return HalfPlane(n, float(n @ (p + q)) / 2.0)
@@ -515,15 +514,15 @@ def _point_segment_distance(p, a, b) -> float:
 
 
 def _points_segments_distance(pts: np.ndarray, s1: np.ndarray,
-                              s2: np.ndarray) -> float:
-    """Min distance from any of the points to any segment (s1[k], s2[k])."""
+                              s2: np.ndarray) -> np.ndarray:
+    """Per-point distance to the nearest of the segments (s1[k], s2[k])."""
     ab = s2 - s1
     den = np.einsum("ij,ij->i", ab, ab)
     den = np.where(den == 0.0, 1.0, den)
     ap = pts[:, None, :] - s1[None, :, :]
     t = np.clip(np.einsum("pki,ki->pk", ap, ab) / den[None, :], 0.0, 1.0)
     diff = ap - t[:, :, None] * ab[None, :, :]
-    return float(np.sqrt(np.einsum("pki,pki->pk", diff, diff).min()))
+    return np.sqrt(np.einsum("pki,pki->pk", diff, diff).min(axis=1))
 
 
 def _any_segments_cross(a1, a2, b1, b2) -> bool:
@@ -548,8 +547,8 @@ def _convex_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
     va, vb = a.vertices, b.vertices
     ea1, ea2 = va, np.roll(va, -1, axis=0)
     eb1, eb2 = vb, np.roll(vb, -1, axis=0)
-    best = min(_points_segments_distance(va, eb1, eb2),
-               _points_segments_distance(vb, ea1, ea2))
+    best = min(float(_points_segments_distance(va, eb1, eb2).min()),
+               float(_points_segments_distance(vb, ea1, ea2).min()))
     if best > 0.0 and _any_segments_cross(ea1, ea2, eb1, eb2):
         return 0.0
     return best
@@ -562,23 +561,19 @@ def _bbox_gap(a, b) -> float:
 
 
 def interior_distance(a: Region, b: Region) -> float:
-    """Infimum distance between region interiors; 0 when they touch.
+    """Infimum distance between region interiors; 0 when they touch."""
+    return _distance_below(a, b, np.inf)
 
-    The answer is cached on both regions, each holding the other weakly.
-    """
-    if a.is_empty or b.is_empty:
-        raise EmptyRegion("interior distance needs nonempty regions")
-    d = a.distance_cache.get(b)
-    if d is None:
-        d = _interior_distance(a, b)
-        a.distance_cache[b] = d
-        b.distance_cache[a] = d
-    return d
+
+def regions_within(a: Region, b: Region, delta: float) -> bool:
+    """interior_distance(a, b) < delta, decided without the exact distance
+    when the regions lie at least delta apart."""
+    return _distance_below(a, b, delta) < delta
 
 
 def _share_seam_vertex(a: Region, b: Region) -> bool:
     # regions meeting along a shared seam carry identical vertex floats
-    va, vb = a.all_vertices(), b.all_vertices()
+    va, vb = a.vertices, b.vertices
     scale = max(float(np.abs(va).max()), float(np.abs(vb).max())) + 1.0
     inv_eps = 1.0 / (1e-12 * scale)
     keys_a = set(map(tuple, np.rint(va * inv_eps).astype(np.int64).tolist()))
@@ -586,47 +581,28 @@ def _share_seam_vertex(a: Region, b: Region) -> bool:
     return not keys_a.isdisjoint(keys_b)
 
 
-def regions_within(a: Region, b: Region, delta: float) -> bool:
-    """interior_distance(a, b) < delta, decided without the exact distance.
+def _distance_below(a: Region, b: Region, below: float) -> float:
+    """The interior distance when it is below `below`, else a lower bound
+    that is at least `below`.
 
-    A shared seam vertex answers True, piece pairs whose bounding boxes
-    lie at least delta apart are skipped, and the first piece pair within
-    delta answers True. The answer is cached per delta in a dict both
-    regions share, each holding the other weakly; a cached exact
-    distance answers directly.
+    A shared seam vertex answers 0 at once. The answer is cached on both
+    regions as (value, exact), each holding the other weakly; a cached
+    bound answers only thresholds up to itself.
     """
     if a.is_empty or b.is_empty:
         raise EmptyRegion("interior distance needs nonempty regions")
-    d = a.distance_cache.get(b)
-    if d is not None:
-        return d < delta
-    answers = a.within_cache.get(b)
-    if answers is None:
-        answers = a.within_cache[b] = b.within_cache[a] = {}
-    hit = answers.get(delta)
-    if hit is None:
-        hit = answers[delta] = _regions_within(a, b, delta)
-    return hit
+    hit = a.distance_cache.get(b)
+    if hit is not None and (hit[1] or hit[0] >= below):
+        return hit[0]
+    value = 0.0 if _share_seam_vertex(a, b) else _pieces_below(a, b, below)
+    a.distance_cache[b] = b.distance_cache[a] = (value, value < below)
+    return value
 
 
-def _regions_within(a: Region, b: Region, delta: float) -> bool:
-    if not delta > 0.0:
-        return False  # no distance, not even a seam's 0, is below it
-    if _share_seam_vertex(a, b):
-        return True
-    for p in a.pieces:
-        bb = _poly_bbox(p)
-        for q in b.pieces:
-            if _bbox_gap(bb, _poly_bbox(q)) < delta and \
-                    _convex_distance(p, q) < delta:
-                return True
-    return False
-
-
-def _interior_distance(a: Region, b: Region) -> float:
-    if _share_seam_vertex(a, b):
-        return 0.0
-    best = np.inf
+def _pieces_below(a: Region, b: Region, best: float) -> float:
+    """Smallest piece-pair distance below best, else best itself; piece
+    pairs whose bounding boxes lie at least the best so far apart are
+    skipped."""
     for p in a.pieces:
         bb = _poly_bbox(p)
         for q in b.pieces:
@@ -654,30 +630,33 @@ def point_region_distance(p, region: Region) -> float:
     return float(best)
 
 
-def _boundary_candidates(region: Region, samples_per_edge: int) -> np.ndarray:
-    pts = [region.all_vertices()]
-    if samples_per_edge > 0:
-        ts = np.arange(1, samples_per_edge + 1) / (samples_per_edge + 1)
-        for piece in region.pieces:
-            v = piece.vertices
-            nxt = np.roll(v, -1, axis=0)
-            seg = v[:, None, :] + ts[None, :, None] * (nxt - v)[:, None, :]
-            pts.append(seg.reshape(-1, 2))
+# interior points sampled per edge when a Hausdorff distance is bounded
+_HAUSDORFF_SAMPLES = 8
+
+
+def _boundary_candidates(region: Region) -> np.ndarray:
+    pts = [region.vertices]
+    ts = np.arange(1, _HAUSDORFF_SAMPLES + 1) / (_HAUSDORFF_SAMPLES + 1)
+    for piece in region.pieces:
+        v = piece.vertices
+        nxt = np.roll(v, -1, axis=0)
+        seg = v[:, None, :] + ts[None, :, None] * (nxt - v)[:, None, :]
+        pts.append(seg.reshape(-1, 2))
     return np.vstack(pts)
 
 
-def hausdorff_distance(a: Region, b: Region, samples_per_edge: int = 8) -> float:
+def hausdorff_distance(a: Region, b: Region) -> float:
     """Hausdorff distance evaluated over boundary candidate points.
 
     Exact when both regions are single convex pieces (the directed
     distance is then attained at a vertex); for unions it is a lower
-    bound refined by edge sampling.
+    bound refined by sampling each edge at _HAUSDORFF_SAMPLES points.
     """
     if a.is_empty or b.is_empty:
         raise EmptyRegion("hausdorff distance needs nonempty regions")
 
     def directed(src: Region, dst: Region) -> float:
-        cand = _boundary_candidates(src, samples_per_edge)
+        cand = _boundary_candidates(src)
         inside = dst.contains(cand)
         outside = cand[~inside]
         if len(outside) == 0:
@@ -689,7 +668,7 @@ def hausdorff_distance(a: Region, b: Region, samples_per_edge: int = 8) -> float
 
 def diameter(obj) -> float:
     """Largest vertex-to-vertex distance (polygon or region)."""
-    v = obj.all_vertices() if isinstance(obj, Region) else obj.vertices
+    v = obj.vertices
     if len(v) == 0:
         raise EmptyRegion("diameter of an empty region")
     d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
@@ -807,8 +786,6 @@ def linear_performance() -> PerformanceFunction:
 # ---------------------------------------------------------------------------
 # integration and generalized centroids
 
-# total degree of the triangle rule behind every integral
-QUAD_DEGREE = 6
 # the descent for non-quadratic centroids stops once a step moves less
 # than this fraction of the region's (or domain's) diameter
 _DESCENT_TOL = 1e-10
@@ -822,7 +799,7 @@ def _quadrature(region: Region, density: Density, refine: int):
     Building them is the costly part of an integral, so callers that
     integrate several functions over one region build them once.
     """
-    bary, wts = triangle_rule(QUAD_DEGREE)
+    bary, wts = triangle_rule()
     pts_all, w_all = [], []
     for piece in region.pieces:
         v = piece.vertices

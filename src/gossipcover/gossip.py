@@ -69,10 +69,10 @@ def _already_split(partition: Partition, i: int, j: int, ci, cj) -> bool:
     """
     hp = geo.bisector_halfplane(ci, cj)
     eps = partition.env.snap
-    di = partition.regions[i].all_vertices() @ hp.normal - hp.offset
+    di = partition.regions[i].vertices @ hp.normal - hp.offset
     if float(di.max()) > eps:
         return False
-    dj = partition.regions[j].all_vertices() @ hp.normal - hp.offset
+    dj = partition.regions[j].vertices @ hp.normal - hp.offset
     return float(dj.min()) >= -eps
 
 
@@ -92,11 +92,22 @@ def _trade_below_tolerance(partition: Partition, i: int, j: int, ci,
     line = np.array([-hp.normal[1], hp.normal[0]])
     bound = 0.0
     for k, sign in ((i, 1.0), (j, -1.0)):
-        verts = partition.regions[k].all_vertices()
+        verts = partition.regions[k].vertices
         over = max(float((sign * (verts @ hp.normal - hp.offset)).max()), 0.0)
         along = verts @ line
         bound += (over + env.snap) * float(along.max() - along.min())
     return bound <= env.tol_area
+
+
+def _full_exchange(partition: Partition, i: int, j: int, ci, cj, density,
+                   perf, h_before) -> StepOutcome:
+    """Split the pair's union by the bisector of ci and cj, unless the
+    split provably trades nothing."""
+    if _already_split(partition, i, j, ci, cj) or \
+            _trade_below_tolerance(partition, i, j, ci, cj):
+        return _unchanged(partition, i, j, h_before)
+    split = pt.pair_split(partition, i, j, ci, cj)
+    return _apply_pair(partition, i, j, split, density, perf, h_before)
 
 
 def gossip_step(partition: Partition, i: int, j: int, density: Density,
@@ -110,11 +121,8 @@ def gossip_step(partition: Partition, i: int, j: int, density: Density,
     gap = float(np.hypot(*(cs[i] - cs[j])))
     if gap <= env.tol_point:
         return _unchanged(partition, i, j, h_before)
-    if _already_split(partition, i, j, cs[i], cs[j]) or \
-            _trade_below_tolerance(partition, i, j, cs[i], cs[j]):
-        return _unchanged(partition, i, j, h_before)
-    split = pt.pair_split(partition, i, j, cs[i], cs[j])
-    return _apply_pair(partition, i, j, split, density, perf, h_before)
+    return _full_exchange(partition, i, j, cs[i], cs[j], density, perf,
+                          h_before)
 
 
 def _sat(x: float) -> float:
@@ -133,7 +141,9 @@ def trade_fraction(partition: Partition, i: int, j: int, delta: float,
     gap = float(np.hypot(*(cs[i] - cs[j])))
     if gap <= partition.env.tol_point:
         return 0.0
-    pd = geo.interior_distance(partition.regions[i], partition.regions[j])
+    # a separation of delta or more zeroes the fraction, so a bound will do
+    pd = geo._distance_below(partition.regions[i], partition.regions[j],
+                             delta)
     return trade_fraction_from(gap, pd, delta)
 
 
@@ -154,7 +164,7 @@ def _slab_regions(partition: Partition, i: int, j: int, ci, cj,
 
     def far_reach(region: Region, sign: float) -> float:
         # max signed distance past the bisector on the far side; 0 if none
-        verts = region.all_vertices()
+        verts = region.vertices
         s = sign * (verts @ u - m)
         reach = float(s.max()) if len(s) else 0.0
         return max(reach, 0.0)
@@ -183,19 +193,17 @@ def partial_gossip_step(partition: Partition, i: int, j: int, delta: float,
     gap = float(np.hypot(*(cs[i] - cs[j])))
     if gap <= env.tol_point:
         return _unchanged(partition, i, j, h_before)
-    pd = geo.interior_distance(partition.regions[i], partition.regions[j])
+    pd = geo._distance_below(partition.regions[i], partition.regions[j],
+                             delta)
     if pd >= delta:
         return _unchanged(partition, i, j, h_before)
     beta = trade_fraction_from(gap, pd, delta)
     if beta <= 0.0:
         return _unchanged(partition, i, j, h_before)
     if beta >= 1.0:
-        if _already_split(partition, i, j, cs[i], cs[j]) or \
-                _trade_below_tolerance(partition, i, j, cs[i], cs[j]):
-            return _unchanged(partition, i, j, h_before)
-        split = pt.pair_split(partition, i, j, cs[i], cs[j])
-    else:
-        split = _slab_regions(partition, i, j, cs[i], cs[j], beta)
+        return _full_exchange(partition, i, j, cs[i], cs[j], density, perf,
+                              h_before)
+    split = _slab_regions(partition, i, j, cs[i], cs[j], beta)
     return _apply_pair(partition, i, j, split, density, perf, h_before)
 
 

@@ -117,16 +117,8 @@ def _steps_per_leg(env: Environment, config: NetConfig) -> int:
 # ---------------------------------------------------------------------------
 # waypoint sampling
 
-def _dist_to_segments(pts: np.ndarray, s1: np.ndarray,
-                      s2: np.ndarray) -> np.ndarray:
-    """Per-point distance to the nearest of the given segments."""
-    ab = s2 - s1
-    den = np.einsum("ij,ij->i", ab, ab)
-    den = np.where(den == 0.0, 1.0, den)
-    ap = pts[:, None, :] - s1[None, :, :]
-    tt = np.clip(np.einsum("pki,ki->pk", ap, ab) / den[None, :], 0.0, 1.0)
-    diff = ap - tt[:, :, None] * ab[None, :, :]
-    return np.sqrt(np.einsum("pki,pki->pk", diff, diff).min(axis=1))
+# rejection draws for one waypoint before sampling gives up
+_MAX_WAYPOINT_DRAWS = 10_000
 
 
 def internal_boundary_segments(region: Region, env: Environment):
@@ -145,7 +137,7 @@ def internal_boundary_segments(region: Region, env: Environment):
         nxt = np.roll(v, -1, axis=0)
         for a, b in zip(v, nxt):
             mid = 0.5 * (a + b)
-            on_wall = bool(np.all(_dist_to_segments(
+            on_wall = bool(np.all(geo._points_segments_distance(
                 np.array([a, b, mid]), *wall_segs) <= tol))
             if on_wall:
                 continue
@@ -163,7 +155,7 @@ def internal_boundary_segments(region: Region, env: Environment):
 
 
 def random_destination(region: Region, env: Environment, margin: float,
-                       rng, max_attempts: int = 10_000) -> np.ndarray:
+                       rng) -> np.ndarray:
     """Uniform sample near the region's internal boundary.
 
     Draws an arc-length-uniform boundary point, offsets it uniformly in
@@ -178,15 +170,16 @@ def random_destination(region: Region, env: Environment, margin: float,
     total = cum[-1]
     if total <= 0.0:
         raise SamplingExhausted("internal boundary has zero length")
-    for _ in range(max_attempts):
+    for _ in range(_MAX_WAYPOINT_DRAWS):
         k = int(np.searchsorted(cum, rng.random() * total))
         base = starts[k] + rng.random() * (ends[k] - starts[k])
         r = margin * math.sqrt(rng.random())
         ang = 2.0 * math.pi * rng.random()
         q = base + r * np.array([math.cos(ang), math.sin(ang)])
-        if float(_dist_to_segments(q[None, :], starts, ends)[0]) <= margin:
+        if float(geo._points_segments_distance(q[None, :], starts,
+                                               ends)[0]) <= margin:
             return q
-    raise SamplingExhausted(f"no valid waypoint in {max_attempts} draws")
+    raise SamplingExhausted(f"no valid waypoint in {_MAX_WAYPOINT_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +363,7 @@ def analyze_log(events, duration: float, window: float, pairs) -> dict:
 
 def write_comm_log(trace: NetTrace, path_or_file):
     """Line format: time i j changed h (shared with the step traces)."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file,
-                                                            "__fspath__")
-    f = open(path_or_file, "w") if own else path_or_file
-    try:
+    with pt._opened(path_or_file, "w") as f:
         f.write("# time i j changed h\n")
         for e in trace.events:
             f.write(f"{e.time!r} {e.pair[0]} {e.pair[1]} "
@@ -381,6 +371,3 @@ def write_comm_log(trace: NetTrace, path_or_file):
         f.write(f"# termination {trace.termination} elapsed {trace.elapsed!r}\n")
         if trace.final is not None:
             pt.write_snapshot(trace.final, f)
-    finally:
-        if own:
-            f.close()

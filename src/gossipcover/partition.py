@@ -6,6 +6,7 @@ a Region; the regions tile the environment up to tolerance.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,13 +116,14 @@ class Partition:
         regs[i], regs[j] = ri, rj
         return Partition(self.env, tuple(regs))
 
-    def validate(self, overlap_tol: float | None = None) -> "Partition":
-        """Full check: pieces inside the environment, pairwise overlaps tiny."""
-        tol = self.env.tol_area if overlap_tol is None else overlap_tol
+    def validate(self) -> "Partition":
+        """Full check: pieces inside the environment, pairwise overlaps
+        within tol_area."""
+        tol = self.env.tol_area
         eps = self.env.tol_point
         for k, r in enumerate(self.regions):
             r.validate(overlap_tol=tol)
-            verts = r.all_vertices()
+            verts = r.vertices
             if len(verts) and not np.all(self.env.polygon.contains(verts, tol=10 * eps)):
                 raise GeometryError(f"region {k} leaves the environment")
         for i in range(self.n):
@@ -354,11 +356,21 @@ def _fmt_ring(v: np.ndarray) -> str:
     return " ".join(f"{_fmt(p[0])} {_fmt(p[1])}" for p in v)
 
 
+@contextmanager
+def _opened(path_or_file, mode: str):
+    """An open file object as it is, or a path opened in the mode and
+    closed on exit."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file,
+                                                         "__fspath__"):
+        with open(path_or_file, mode) as f:
+            yield f
+    else:
+        yield path_or_file
+
+
 def write_snapshot(partition: Partition, path_or_file, step: int = 0):
     """Plain-text snapshot: header, environment ring, then piece rings."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    f = open(path_or_file, "w") if own else path_or_file
-    try:
+    with _opened(path_or_file, "w") as f:
         f.write(_MAGIC + "\n")
         f.write(f"step {step}\n")
         f.write(f"regions {partition.n}\n")
@@ -367,9 +379,6 @@ def write_snapshot(partition: Partition, path_or_file, step: int = 0):
             f.write(f"region {k} pieces {len(r.pieces)}\n")
             for p in r.pieces:
                 f.write("piece " + _fmt_ring(p.vertices) + "\n")
-    finally:
-        if own:
-            f.close()
 
 
 def _parse_ring(tokens) -> np.ndarray:
@@ -380,13 +389,8 @@ def _parse_ring(tokens) -> np.ndarray:
 
 
 def read_snapshot(path_or_file) -> tuple[Partition, int]:
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    f = open(path_or_file) if own else path_or_file
-    try:
+    with _opened(path_or_file, "r") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
-    finally:
-        if own:
-            f.close()
     if not lines or lines[0] != _MAGIC:
         raise ValueError("not a partition snapshot")
     step = int(lines[1].split()[1])

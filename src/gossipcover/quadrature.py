@@ -34,38 +34,12 @@ def _symmetric_degree6():
     return np.array(pts), np.array(wts)
 
 
-def _collapsed_gauss(n: int):
-    """Product Gauss-Legendre rule mapped onto the triangle.
-
-    Exact for polynomials of total degree <= 2n - 2.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    ww = np.outer(wu, wu) * (1.0 - uu)
-    # triangle coords: x = u, y = v * (1 - u); barycentric vs (0,0),(1,0),(0,1)
-    xx = uu
-    yy = vv * (1.0 - uu)
-    bary = np.stack([1.0 - xx - yy, xx, yy], axis=-1).reshape(-1, 3)
-    wts = ww.reshape(-1) / 0.5  # normalize: reference triangle area is 1/2
-    return bary, wts
+_RULE = _symmetric_degree6()
 
 
-_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def triangle_rule(degree: int = 6):
-    """Barycentric points and normalized weights exact to the given total degree."""
-    if degree < 1:
-        raise ValueError("quadrature degree must be >= 1")
-    if degree not in _CACHE:
-        if degree == 6:
-            _CACHE[degree] = _symmetric_degree6()
-        else:
-            n = (degree + 3) // 2  # 2n - 2 >= degree
-            _CACHE[degree] = _collapsed_gauss(n)
-    return _CACHE[degree]
+def triangle_rule():
+    """Barycentric points and normalized weights of the degree-6 rule."""
+    return _RULE
 
 
 def subdivide_triangle(a, b, c, level: int):

@@ -127,70 +127,39 @@ def run_evolution(initial: Partition, density: Density,
     evaluated every check_every steps and for the final partition; the
     run stops once it reaches stop_tol, which defaults to 1e-6 times the
     environment area, or when the scheduler returns None. Residual
-    entries between evaluations repeat the most recent value. A region
-    dropping below the area tolerance aborts the run with
+    entries between evaluations repeat the most recent value. A
+    geometry failure inside a step aborts the run with
     DegenerateEvolution carrying the partial trace.
     The partition state is recorded before each step listed in
     snapshot_steps; steps past the end of the run record the final
     state.
     """
-    env = initial.env
-    if stop_tol is None:
-        stop_tol = 1e-6 * env.area
     if map_kind == "partial":
         if delta is None:
             raise ValueError("partial map needs delta")
-        delta = gp.check_delta(env, delta)
+        delta = gp.check_delta(initial.env, delta)
     elif map_kind != "gossip":
         raise ValueError(f"unknown map kind {map_kind!r}")
-    residual_mode = "adjacent" if isinstance(scheduler, AdjacentRandom) else "full"
-    residual_delta = scheduler.delta if residual_mode == "adjacent" else None
+    mode = "adjacent" if isinstance(scheduler, AdjacentRandom) else "full"
+    near = scheduler.delta if mode == "adjacent" else None
 
-    trace = EvolutionTrace(stop_tol=stop_tol)
-    current = initial
-    snaps = sorted(set(int(s) for s in snapshot_steps))
+    def residual(p: Partition) -> float:
+        return gp.fixed_point_residual(p, density, perf, mode=mode, delta=near)
 
-    def compute_residual(p: Partition) -> float:
-        return gp.fixed_point_residual(p, density, perf, mode=residual_mode,
-                                       delta=residual_delta)
-
-    checked = None  # the partition the residual was last computed for
-    for t in range(budget):
-        while snaps and snaps[0] <= t:
-            trace.snapshots.append((snaps.pop(0), current))
-        if t % max(check_every, 1) == 0:
-            residual, checked = compute_residual(current), current
-            if residual <= stop_tol:
-                break
+    def step(t: int, current: Partition):
         choice = scheduler.select(t, current)
         if choice is None:
-            break
+            return None
         i, j = choice
-        try:
-            if map_kind == "gossip":
-                out = gp.gossip_step(current, i, j, density, perf)
-            else:
-                out = gp.partial_gossip_step(current, i, j, delta, density,
-                                             perf)
-        except GeometryError as exc:
-            trace.termination = "degenerate"
-            trace.final = current
-            raise DegenerateEvolution(str(exc), step=t, trace=trace) from exc
-        current = out.partition
-        report = pt.degeneracy_report(current, density, perf)
-        trace.steps.append(TraceStep(
-            t=t, pair=(i, j), h=out.h_after, residual=residual,
-            min_centroid_gap=report.min_centroid_gap,
-            min_region_area=report.min_region_area,
-            max_piece_count=report.max_piece_count))
-    if checked is not current:
-        residual = compute_residual(current)
-    trace.termination = "converged" if residual <= stop_tol else "step_budget"
-    trace.final = current
-    for s in snaps:
-        trace.snapshots.append((s, current))
-    trace.final_residual = residual
-    return trace
+        if map_kind == "gossip":
+            out = gp.gossip_step(current, i, j, density, perf)
+        else:
+            out = gp.partial_gossip_step(current, i, j, delta, density, perf)
+        return (i, j), out.partition, out.h_after
+
+    return _evolve(initial, density, perf, step, residual, budget=budget,
+                   stop_tol=stop_tol, check_every=check_every,
+                   snapshot_steps=snapshot_steps)
 
 
 def run_lloyd(initial: Partition, density: Density,
@@ -199,39 +168,61 @@ def run_lloyd(initial: Partition, density: Density,
               snapshot_steps=()) -> EvolutionTrace:
     """Synchronous comparison baseline: every region re-seats at once.
 
-    Records the same trace shape as the pairwise runner; the pair field
-    is (-1, -1) since all regions move per step.
+    Records the same trace shape, and stops, snapshots and fails by the
+    same rules, as the pairwise runner; the pair field is (-1, -1) since
+    all regions move per step.
     """
-    env = initial.env
+    def step(t: int, current: Partition):
+        nxt = gp.lloyd_step(current, density, perf)
+        return (-1, -1), nxt, pt.centroid_cost(nxt, density, perf)
+
+    return _evolve(initial, density, perf, step,
+                   lambda p: gp.fixed_point_residual(p, density, perf),
+                   budget=budget, stop_tol=stop_tol, check_every=check_every,
+                   snapshot_steps=snapshot_steps)
+
+
+def _evolve(initial: Partition, density: Density, perf: PerformanceFunction,
+            step, residual_of, *, budget: int, stop_tol: float | None,
+            check_every: int, snapshot_steps) -> EvolutionTrace:
+    """The loop behind run_evolution and run_lloyd.
+
+    step(t, partition) returns (pair, next partition, its cost H), or
+    None to end the run; residual_of(partition) is the stop test's
+    fixed-point residual. Both runners document the cadence, stop,
+    snapshot and failure rules this loop applies.
+    """
     if stop_tol is None:
-        stop_tol = 1e-6 * env.area
+        stop_tol = 1e-6 * initial.env.area
     trace = EvolutionTrace(stop_tol=stop_tol)
     current = initial
     snaps = sorted(set(int(s) for s in snapshot_steps))
+    checked = None  # the partition the residual was last computed for
     for t in range(budget):
         while snaps and snaps[0] <= t:
             trace.snapshots.append((snaps.pop(0), current))
         if t % max(check_every, 1) == 0:
-            residual = gp.fixed_point_residual(current, density, perf)
+            residual, checked = residual_of(current), current
             if residual <= stop_tol:
-                trace.termination = "converged"
                 break
         try:
-            current = gp.lloyd_step(current, density, perf)
+            moved = step(t, current)
         except GeometryError as exc:
             trace.termination = "degenerate"
             trace.final = current
             raise DegenerateEvolution(str(exc), step=t, trace=trace) from exc
-        h = pt.centroid_cost(current, density, perf)
+        if moved is None:
+            break
+        pair, current, h = moved
         report = pt.degeneracy_report(current, density, perf)
         trace.steps.append(TraceStep(
-            t=t, pair=(-1, -1), h=h, residual=residual,
+            t=t, pair=pair, h=h, residual=residual,
             min_centroid_gap=report.min_centroid_gap,
             min_region_area=report.min_region_area,
             max_piece_count=report.max_piece_count))
-    else:
-        residual = gp.fixed_point_residual(current, density, perf)
-        trace.termination = "converged" if residual <= stop_tol else "step_budget"
+    if checked is not current:
+        residual = residual_of(current)
+    trace.termination = "converged" if residual <= stop_tol else "step_budget"
     trace.final = current
     for s in snaps:
         trace.snapshots.append((s, current))
@@ -244,9 +235,7 @@ def run_lloyd(initial: Partition, density: Density,
 
 def write_trace(trace: EvolutionTrace, path_or_file):
     """Line format: t i j h residual min_gap min_area max_pieces."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    f = open(path_or_file, "w") if own else path_or_file
-    try:
+    with pt._opened(path_or_file, "w") as f:
         f.write("# t i j h residual min_centroid_gap min_region_area max_pieces\n")
         for s in trace.steps:
             f.write(f"{s.t} {s.pair[0]} {s.pair[1]} {s.h!r} {s.residual!r} "
@@ -257,9 +246,6 @@ def write_trace(trace: EvolutionTrace, path_or_file):
         if trace.final is not None:
             pt.write_snapshot(trace.final, f,
                               step=trace.steps[-1].t if trace.steps else 0)
-    finally:
-        if own:
-            f.close()
 
 
 # ---------------------------------------------------------------------------

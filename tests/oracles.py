@@ -24,7 +24,7 @@ def jittered_grid(bbox, n_target: int, rng) -> tuple[np.ndarray, float]:
 
 
 def region_bbox(*regions) -> tuple:
-    v = np.vstack([r.all_vertices() for r in regions])
+    v = np.vstack([r.vertices for r in regions])
     return (v.min(axis=0), v.max(axis=0))
 
 

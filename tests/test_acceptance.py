@@ -292,7 +292,7 @@ def test_criterion_08():
             rng, 8, center=rng.uniform(-0.2, 0.2, 2)),))
         ds = geo.symdiff_area(A, B)
         dh = geo.hausdorff_distance(A, B)
-        allv = np.vstack([A.all_vertices(), B.all_vertices()])
+        allv = np.vstack([A.vertices, B.vertices])
         d2 = np.sum((allv[:, None] - allv[None, :]) ** 2, axis=-1)
         whole = float(np.sqrt(d2.max()))
         bound = const * (whole / 2.0) * dh

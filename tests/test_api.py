@@ -2,14 +2,16 @@
 
 The subdivision level is the field PerformanceFunction.refine and the
 rule's degree is fixed, so no public callable and no function of the
-layers above geometry takes a quadrature or centroid knob.
+layers above geometry takes a quadrature or centroid knob. Parameters
+that no caller ever set are fixed in the code and stay out too.
 """
 import inspect
 
 import pytest
 
 import gossipcover
-from gossipcover import gossip, netsim, partition, switching
+from gossipcover import (geometry, gossip, netsim, partition, quadrature,
+                         switching)
 
 KNOBS = {"order", "refine", "precomputed_centroids"}
 
@@ -50,3 +52,16 @@ def test_layer_functions_take_no_quadrature_knobs(mod):
            if _knobs(fn)}
     assert bad == {}
 
+
+FIXED = [(geometry.bisector_halfplane, "tol"),
+         (geometry.Region.from_pieces, "merge"),
+         (geometry.hausdorff_distance, "samples_per_edge"),
+         (partition.Partition.validate, "overlap_tol"),
+         (netsim.random_destination, "max_attempts"),
+         (quadrature.triangle_rule, "degree")]
+
+
+@pytest.mark.parametrize("fn, name", FIXED,
+                         ids=[f"{fn.__qualname__}.{name}" for fn, name in FIXED])
+def test_fixed_settings_take_no_parameter(fn, name):
+    assert name not in inspect.signature(fn).parameters

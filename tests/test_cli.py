@@ -281,6 +281,19 @@ def test_compare_two_algorithms(tmp_path):
     assert "lloyd termination converged" in summary
 
 
+def test_compare_series_matches_run(tmp_path):
+    # compare reads the same config keys as run, check_every included
+    cfg = write_cfg(tmp_path, QUICK_PAIRWISE)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert cli.main(["compare", cfg, "--algos", "gossip",
+                     "--out", str(tmp_path / "cmp")]) == 0
+    ran = (tmp_path / "run" / "h_series.csv").read_text().splitlines()
+    compared = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
+    assert compared[0] == "t,h_gossip"
+    assert [row.split(",")[:2] for row in ran[1:]] == \
+        [row.split(",") for row in compared[1:]]
+
+
 def test_compare_rejects_unknown_algo(tmp_path):
     cfg = write_cfg(tmp_path, QUICK_PAIRWISE)
     assert cli.main(["compare", cfg, "--algos", "netsim",

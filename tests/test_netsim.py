@@ -93,10 +93,10 @@ def test_internal_boundary_of_half_square():
 
 def test_internal_boundary_skips_seams():
     env = pt.rectangle(1.0, 1.0)
-    region = geo.Region.from_pieces([
+    region = geo.Region((
         geo.ConvexPolygon([[0, 0], [0.5, 0], [0.5, 0.5], [0, 0.5]]),
         geo.ConvexPolygon([[0, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]]),
-    ], merge=False)
+    ))
     starts, ends = ns.internal_boundary_segments(region, env)
     # only the two x = 0.5 edges survive; the shared seam and walls drop out
     assert len(starts) == 2
