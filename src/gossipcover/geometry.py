@@ -99,8 +99,9 @@ class ConvexPolygon:
             if a <= 0.0:
                 raise ValueError("polygon has no area")
             scale = float(np.max(np.abs(v))) + 1.0
-            e = np.roll(v, -1, axis=0) - v
-            cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
+            e = _cyclic_next(v) - v
+            en = _cyclic_next(e)
+            cross = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
             if np.any(cross < -1e-9 * scale * scale):
                 raise ValueError("polygon is not convex")
         v.setflags(write=False)
@@ -118,14 +119,22 @@ class ConvexPolygon:
             self._area = _ring_area(self.vertices)
         return self._area
 
+    def _edge_data(self):
+        """Edge vectors, their lengths, and one row (vx, vy, ex, ey, length)
+        of Python floats per edge; computed once."""
+        if self._edges is None:
+            v = self.vertices
+            e = _cyclic_next(v) - v
+            length = np.hypot(e[:, 0], e[:, 1])
+            rows = list(zip(*v.T.tolist(), *e.T.tolist(), length.tolist()))
+            self._edges = (e, length, rows)
+        return self._edges
+
     def contains(self, points, tol: float = 0.0):
         """Boolean mask of points inside (boundary counts, up to tol)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         v = self.vertices
-        if self._edges is None:
-            e = np.roll(v, -1, axis=0) - v
-            self._edges = (e, np.hypot(e[:, 0], e[:, 1]))
-        e, length = self._edges
+        e, length, _ = self._edge_data()
         # cross(edge, point - vertex) >= -tol*|edge| for all edges
         rel = pts[:, None, :] - v[None, :, :]
         cr = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
@@ -133,9 +142,28 @@ class ConvexPolygon:
         return np.all(cr >= lim, axis=1)
 
 
+def _contains_point(poly: ConvexPolygon, x: float, y: float,
+                    tol: float = 0.0) -> bool:
+    """poly.contains for the one point (x, y), on Python floats: the same
+    cross products against the same limits, so the same answer."""
+    for vx, vy, ex, ey, length in poly._edge_data()[2]:
+        if ex * (y - vy) - ey * (x - vx) < -tol * length:
+            return False
+    return True
+
+
+def _cyclic_next(a: np.ndarray) -> np.ndarray:
+    """Each row's successor around the ring: a[1], ..., a[-1], a[0]."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def _dedupe_ring(v: np.ndarray) -> np.ndarray:
-    scale = float(np.max(np.abs(v))) + 1.0
+    scale = float(np.abs(v).max()) + 1.0
     eps = _DEDUPE_REL * scale
+    # every gap, the closing one included, above eps: the loop keeps all
+    gap = _cyclic_next(v) - v
+    if (np.hypot(gap[:, 0], gap[:, 1]) > eps).all():
+        return v
     keep = []
     for p in v:
         if not keep or np.hypot(*(p - keep[-1])) > eps:
@@ -154,7 +182,7 @@ def _ring_area(v: np.ndarray) -> float:
 def _ring_moment(v: np.ndarray) -> np.ndarray:
     """Integral of (x, y) over the polygon (unnormalized first moment)."""
     x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = _cyclic_next(x), _cyclic_next(y)
     cr = x * yn - xn * y
     mx = float(np.sum((x + xn) * cr)) / 6.0
     my = float(np.sum((y + yn) * cr)) / 6.0
@@ -204,6 +232,11 @@ class Region:
             else np.zeros((0, 2))
         v.setflags(write=False)
         return v
+
+    @cached_property
+    def bbox(self) -> tuple:
+        """(xmin, ymin, xmax, ymax) of a nonempty region."""
+        return _bbox(self.vertices)
 
     def contains(self, points, tol: float = 0.0):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -259,27 +292,20 @@ def clip_convex(poly: ConvexPolygon | None, hp: HalfPlane,
     d = v @ hp.normal - hp.offset
     if snap > 0.0:
         d = np.where(np.abs(d) <= snap, 0.0, d)
-    if np.all(d <= 0.0):
+    if (d <= 0.0).all():
         return poly
-    if np.all(d >= 0.0):
+    if (d >= 0.0).all():
         return None
     out = []
-    n = len(v)
-    for k in range(n):
-        a, da = v[k], d[k]
-        b, db = v[(k + 1) % n], d[(k + 1) % n]
+    vl, dl = v.tolist(), d.tolist()
+    for a, da, b, db in zip(vl, dl, vl[1:] + vl[:1], dl[1:] + dl[:1]):
         if da <= 0.0:
             out.append(a)
-        if (da < 0.0 and db > 0.0) or (da > 0.0 and db < 0.0):
+        if da < 0.0 < db or da > 0.0 > db:
             t = da / (da - db)
             if 0.0 < t < 1.0:
-                out.append(a + t * (b - a))
-    if len(out) < 3:
-        return None
-    arr = _dedupe_ring(np.array(out))
-    if len(arr) < 3 or _ring_area(arr) <= min_area:
-        return None
-    return ConvexPolygon(arr, check=False)
+                out.append([a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])])
+    return _ring_polygon(out, min_area)
 
 
 def _ring_polygon(points: list, min_area: float) -> ConvexPolygon | None:
@@ -305,24 +331,23 @@ def split_convex(poly: ConvexPolygon, hp: HalfPlane, snap: float = 0.0,
     d = v @ hp.normal - hp.offset
     if snap > 0.0:
         d = np.where(np.abs(d) <= snap, 0.0, d)
-    if np.all(d <= 0.0):
-        if np.all(d == 0.0):
+    if (d <= 0.0).all():
+        if (d == 0.0).all():
             return None, None  # hairline lying on the boundary
         return poly, None
-    if np.all(d >= 0.0):
+    if (d >= 0.0).all():
         return None, poly
     ins: list = []
     outs: list = []
-    n = len(v)
-    for k in range(n):
-        a, da = v[k], d[k]
-        b, db = v[(k + 1) % n], d[(k + 1) % n]
+    vl, dl = v.tolist(), d.tolist()
+    for a, da, b, db in zip(vl, dl, vl[1:] + vl[:1], dl[1:] + dl[:1]):
         if da <= 0.0:
             ins.append(a)
         if da >= 0.0:
             outs.append(a)
-        if (da < 0.0 and db > 0.0) or (da > 0.0 and db < 0.0):
-            x = a + (da / (da - db)) * (b - a)
+        if da < 0.0 < db or da > 0.0 > db:
+            t = da / (da - db)
+            x = [a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]
             ins.append(x)
             outs.append(x)
     return _ring_polygon(ins, min_area), _ring_polygon(outs, min_area)
@@ -392,7 +417,8 @@ def intersection_area(a: Region, b: Region) -> float:
 
 
 def _bbox(v: np.ndarray):
-    return v[:, 0].min(), v[:, 1].min(), v[:, 0].max(), v[:, 1].max()
+    (x0, y0), (x1, y1) = v.min(axis=0).tolist(), v.max(axis=0).tolist()
+    return x0, y0, x1, y1
 
 
 def _poly_bbox(p: ConvexPolygon):
@@ -406,7 +432,12 @@ def _bbox_disjoint(a, b) -> bool:
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull, counterclockwise."""
+    """Monotone-chain hull, counterclockwise (Andrew 1979).
+
+    The chains run on Python floats; the turn test computes
+    (b - a) x (p - a) in the order the array form did, so every answer
+    is the same to the bit.
+    """
     pts = np.asarray(points, dtype=float)
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
@@ -416,17 +447,20 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     def build(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _cross2(out[-1] - out[-2], p - out[-2]) <= 0.0:
-                out.pop()
+            px, py = p
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0.0:
+                    out.pop()
+                else:
+                    break
             out.append(p)
         return out
 
-    lower = build(pts)
-    upper = build(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        return np.array(hull).reshape(-1, 2)
-    return np.array(hull)
+    seq = pts.tolist()
+    lower = build(seq)
+    upper = build(seq[::-1])
+    return np.array(lower[:-1] + upper[:-1], dtype=float).reshape(-1, 2)
 
 
 def _vertex_keys(p: ConvexPolygon, inv_eps: float) -> set:
@@ -499,10 +533,6 @@ def symdiff_area(a: Region, b: Region) -> float:
     return max(a.area + b.area - 2.0 * intersection_area(a, b), 0.0)
 
 
-def _cross2(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
 def _point_segment_distance(p, a, b) -> float:
     ab = b - a
     denom = float(ab @ ab)
@@ -542,9 +572,9 @@ def _any_segments_cross(a1, a2, b1, b2) -> bool:
 
 def _convex_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
     """Distance between two convex polygons (0 when they meet)."""
-    if bool(b.contains(a.vertices[:1])[0]) or bool(a.contains(b.vertices[:1])[0]):
-        return 0.0
     va, vb = a.vertices, b.vertices
+    if _contains_point(b, *va[0].tolist()) or _contains_point(a, *vb[0].tolist()):
+        return 0.0
     ea1, ea2 = va, np.roll(va, -1, axis=0)
     eb1, eb2 = vb, np.roll(vb, -1, axis=0)
     best = min(float(_points_segments_distance(va, eb1, eb2).min()),
@@ -557,6 +587,9 @@ def _convex_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
 def _bbox_gap(a, b) -> float:
     dx = max(0.0, a[0] - b[2], b[0] - a[2])
     dy = max(0.0, a[1] - b[3], b[1] - a[3])
+    if dx == 0.0 or dy == 0.0:
+        return dx + dy  # hypot is exact here
+    # np.hypot, not math.hypot: they differ in the last bit on some pairs
     return float(np.hypot(dx, dy))
 
 
@@ -571,21 +604,33 @@ def regions_within(a: Region, b: Region, delta: float) -> bool:
     return _distance_below(a, b, delta) < delta
 
 
+def _seam_scale(a: Region, b: Region) -> float:
+    """Max |coordinate| over both regions, plus one; a seam key cell is
+    1e-12 of it."""
+    return max(map(abs, a.bbox + b.bbox)) + 1.0
+
+
 def _share_seam_vertex(a: Region, b: Region) -> bool:
     # regions meeting along a shared seam carry identical vertex floats
-    va, vb = a.vertices, b.vertices
-    scale = max(float(np.abs(va).max()), float(np.abs(vb).max())) + 1.0
-    inv_eps = 1.0 / (1e-12 * scale)
-    keys_a = set(map(tuple, np.rint(va * inv_eps).astype(np.int64).tolist()))
-    keys_b = map(tuple, np.rint(vb * inv_eps).astype(np.int64).tolist())
+    inv_eps = 1.0 / (1e-12 * _seam_scale(a, b))
+    keys_a = set(map(tuple, np.rint(a.vertices * inv_eps).astype(np.int64).tolist()))
+    keys_b = map(tuple, np.rint(b.vertices * inv_eps).astype(np.int64).tolist())
     return not keys_a.isdisjoint(keys_b)
+
+
+# Bounding boxes farther apart than this many seam-key cells (1e-12 of
+# the scale each) share no key: a shared key needs every axis gap within
+# one cell plus rounding, so a box gap above 3 cells rules one out.
+_SEAM_KEY_REACH = 3.0
 
 
 def _distance_below(a: Region, b: Region, below: float) -> float:
     """The interior distance when it is below `below`, else a lower bound
     that is at least `below`.
 
-    A shared seam vertex answers 0 at once. The answer is cached on both
+    A shared seam vertex answers 0 at once; it is sought only when the
+    regions' bounding boxes nearly touch. Boxes at least `below` apart
+    answer `below`, as the piece scan would. The answer is cached on both
     regions as (value, exact), each holding the other weakly; a cached
     bound answers only thresholds up to itself.
     """
@@ -594,7 +639,14 @@ def _distance_below(a: Region, b: Region, below: float) -> float:
     hit = a.distance_cache.get(b)
     if hit is not None and (hit[1] or hit[0] >= below):
         return hit[0]
-    value = 0.0 if _share_seam_vertex(a, b) else _pieces_below(a, b, below)
+    gap = _bbox_gap(a.bbox, b.bbox)
+    if gap <= _SEAM_KEY_REACH * 1e-12 * _seam_scale(a, b) and \
+            _share_seam_vertex(a, b):
+        value = 0.0
+    elif gap >= below:
+        value = float(below)
+    else:
+        value = _pieces_below(a, b, below)
     a.distance_cache[b] = b.distance_cache[a] = (value, value < below)
     return value
 
@@ -677,7 +729,7 @@ def diameter(obj) -> float:
 
 def project_to_convex(p, poly: ConvexPolygon):
     p = np.asarray(p, dtype=float)
-    if bool(poly.contains(p[None, :])[0]):
+    if _contains_point(poly, *p.tolist()):
         return p
     v = poly.vertices
     best, best_d = p, np.inf

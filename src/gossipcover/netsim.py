@@ -143,7 +143,7 @@ def internal_boundary_segments(region: Region, env: Environment):
                 continue
             seam = False
             for m, other in enumerate(region.pieces):
-                if m != k and bool(other.contains(mid, tol=tol)[0]):
+                if m != k and geo._contains_point(other, *mid.tolist(), tol):
                     seam = True
                     break
             if not seam:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from gossipcover import geometry as geo
 from gossipcover.geometry import ConvexPolygon, Region
 
 
@@ -135,27 +136,147 @@ def random_convex_polygon(rng, n_pts: int = 8, center=(0.0, 0.0),
     while True:
         pts = np.asarray(center) + scale * (rng.random((n_pts, 2)) - 0.5)
         try:
-            hull = _hull(pts)
+            hull = convex_hull_ref(pts)
             return ConvexPolygon(hull)
         except ValueError:
             continue
 
 
-def _hull(points: np.ndarray) -> np.ndarray:
-    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+# ---------------------------------------------------------------------------
+# Array forms of the per-vertex geometry kernels, as they were before the
+# kernels moved to Python floats. The kernels must answer exactly as these
+# do, to the bit (tests/test_kernels.py).
 
-    def half(seq):
+DEDUPE_REL = 1e-12
+
+
+def dedupe_ring_ref(v: np.ndarray) -> np.ndarray:
+    scale = float(np.max(np.abs(v))) + 1.0
+    eps = DEDUPE_REL * scale
+    keep = []
+    for p in v:
+        if not keep or np.hypot(*(p - keep[-1])) > eps:
+            keep.append(p)
+    while len(keep) > 1 and np.hypot(*(keep[-1] - keep[0])) <= eps:
+        keep.pop()
+    return np.array(keep) if keep else v[:0]
+
+
+def _cross2(u, v) -> float:
+    return float(u[0] * v[1] - u[1] * v[0])
+
+
+def convex_hull_ref(points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    pts = pts[order]
+    if len(pts) < 3:
+        return pts
+
+    def build(seq):
         out = []
         for p in seq:
-            while len(out) >= 2:
-                u = out[-1] - out[-2]
-                w = p - out[-2]
-                if u[0] * w[1] - u[1] * w[0] > 0:
-                    break
+            while len(out) >= 2 and _cross2(out[-1] - out[-2], p - out[-2]) <= 0.0:
                 out.pop()
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+    lower = build(pts)
+    upper = build(pts[::-1])
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        return np.array(hull).reshape(-1, 2)
+    return np.array(hull)
+
+
+def _ring_vertices_ref(points: list, min_area: float):
+    """Vertices of the polygon a split or clip built from its point
+    list: deduplicated, then deduplicated again by the polygon's
+    constructor; None when it has too few vertices or too little area."""
+    if len(points) < 3:
+        return None
+    arr = dedupe_ring_ref(np.array(points))
+    if len(arr) < 3 or geo._ring_area(arr) <= min_area:
+        return None
+    return dedupe_ring_ref(np.array(arr, dtype=float))
+
+
+def _signed_ref(v, normal, offset, snap):
+    d = v @ normal - offset
+    if snap > 0.0:
+        d = np.where(np.abs(d) <= snap, 0.0, d)
+    return d
+
+
+def split_convex_ref(v: np.ndarray, normal, offset, snap=0.0, min_area=0.0):
+    """(inside, outside) vertex arrays of split_convex; None for an absent
+    side, and v itself for a side that is the whole polygon."""
+    d = _signed_ref(v, normal, offset, snap)
+    if np.all(d <= 0.0):
+        if np.all(d == 0.0):
+            return None, None
+        return v, None
+    if np.all(d >= 0.0):
+        return None, v
+    ins, outs = [], []
+    n = len(v)
+    for k in range(n):
+        a, da = v[k], d[k]
+        b, db = v[(k + 1) % n], d[(k + 1) % n]
+        if da <= 0.0:
+            ins.append(a)
+        if da >= 0.0:
+            outs.append(a)
+        if (da < 0.0 and db > 0.0) or (da > 0.0 and db < 0.0):
+            x = a + (da / (da - db)) * (b - a)
+            ins.append(x)
+            outs.append(x)
+    return _ring_vertices_ref(ins, min_area), _ring_vertices_ref(outs, min_area)
+
+
+def clip_convex_ref(v: np.ndarray, normal, offset, snap=0.0, min_area=0.0):
+    """Vertex array of clip_convex, v itself when nothing is cut, None
+    when empty."""
+    d = _signed_ref(v, normal, offset, snap)
+    if np.all(d <= 0.0):
+        return v
+    if np.all(d >= 0.0):
+        return None
+    out = []
+    n = len(v)
+    for k in range(n):
+        a, da = v[k], d[k]
+        b, db = v[(k + 1) % n], d[(k + 1) % n]
+        if da <= 0.0:
+            out.append(a)
+        if (da < 0.0 and db > 0.0) or (da > 0.0 and db < 0.0):
+            t = da / (da - db)
+            if 0.0 < t < 1.0:
+                out.append(a + t * (b - a))
+    return _ring_vertices_ref(out, min_area)
+
+
+def bbox_gap_ref(a, b) -> float:
+    dx = max(0.0, a[0] - b[2], b[0] - a[2])
+    dy = max(0.0, a[1] - b[3], b[1] - a[3])
+    return float(np.hypot(dx, dy))
+
+
+def contains_point_ref(v: np.ndarray, point, tol: float = 0.0) -> bool:
+    """The broadcast inside test of one point against a CCW ring."""
+    pts = np.atleast_2d(np.asarray(point, dtype=float))
+    e = np.roll(v, -1, axis=0) - v
+    length = np.hypot(e[:, 0], e[:, 1])
+    rel = pts[:, None, :] - v[None, :, :]
+    cr = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
+    lim = -tol * length[None, :]
+    return bool(np.all(cr >= lim, axis=1)[0])
+
+
+def ring_moment_ref(v: np.ndarray) -> np.ndarray:
+    x, y = v[:, 0], v[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cr = x * yn - xn * y
+    mx = float(np.sum((x + xn) * cr)) / 6.0
+    my = float(np.sum((y + yn) * cr)) / 6.0
+    return np.array([mx, my])

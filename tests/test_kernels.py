@@ -1,0 +1,317 @@
+"""The per-vertex geometry kernels run on Python floats. Each must give
+the same bits as the array form it replaced (kept in tests/oracles.py),
+on seeded and hypothesis inputs that reach their edge cases:
+near-duplicate vertices at the dedupe threshold, collinear runs,
+vertices within snap of a cut, points exactly on an edge, nonzero
+tolerances, and boxes that touch at a corner.
+"""
+import math
+import struct
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from gossipcover import geometry as geo
+from gossipcover import gossip as gp
+from gossipcover import partition as pt
+from gossipcover import switching as sw
+from gossipcover.geometry import ConvexPolygon, HalfPlane, Region
+
+# small integers make collinear runs, repeated points and edges that
+# points lie on exactly; the floats make everything else
+COORD = st.one_of(st.integers(-4, 4).map(float),
+                  st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+POINTS = st.lists(st.tuples(COORD, COORD), min_size=1, max_size=14)
+ANGLE = st.floats(0.0, 2.0 * math.pi)
+TOLS = [0.0, 1e-12, 1e-3, -1e-3, -0.1]
+
+
+def bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+def same(got, want) -> bool:
+    """Both absent, or arrays equal to the bit (shape, dtype and bytes)."""
+    if got is None or want is None:
+        return got is None and want is None
+    got = got.vertices if isinstance(got, ConvexPolygon) else got
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+def polygon(points):
+    hull = oracles.convex_hull_ref(np.array(points, dtype=float))
+    try:
+        return ConvexPolygon(hull)
+    except ValueError:
+        return None
+
+
+def seeded_polygons(seed, count):
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        yield oracles.random_convex_polygon(
+            rng, 3 + k % 9, center=rng.uniform(-5, 5, 2),
+            scale=10.0 ** rng.uniform(-3, 3))
+
+
+# ---------------------------------------------------------------------------
+# hull
+
+def check_hull(pts):
+    pts = np.array(pts, dtype=float).reshape(-1, 2)
+    assert same(geo._convex_hull(pts), oracles.convex_hull_ref(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(POINTS)
+def test_hull_matches_array_form(points):
+    check_hull(points)
+
+
+def test_hull_matches_array_form_on_collinear_runs_and_seeds():
+    rng = np.random.default_rng(11)
+    check_hull([[k, 2 * k] for k in range(6)])          # one line
+    check_hull([[x, y] for x in range(4) for y in range(3)])  # grid
+    check_hull([[0, 0], [1, 0], [2, 0], [2, 1], [0, 0], [1, 0]])
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        check_hull(rng.integers(-3, 4, size=(n, 2)))
+        check_hull(rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-6, 6))
+
+
+# ---------------------------------------------------------------------------
+# split and clip
+
+def check_cut(poly, hp, snap, min_area=0.0):
+    v, n, c = poly.vertices, hp.normal, hp.offset
+    ins, outs = geo.split_convex(poly, hp, snap, min_area)
+    want_ins, want_outs = oracles.split_convex_ref(v, n, c, snap, min_area)
+    assert same(ins, want_ins) and same(outs, want_outs)
+    got = geo.clip_convex(poly, hp, min_area, snap)
+    assert same(got, oracles.clip_convex_ref(v, n, c, snap, min_area))
+
+
+def cuts_through(poly, angle, snap):
+    """Half-planes at angle through every vertex, and moved off it by
+    fractions and multiples of snap."""
+    normal = np.array([math.cos(angle), math.sin(angle)])
+    for p in poly.vertices:
+        for shift in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
+            yield HalfPlane(normal, float(normal @ p) + shift * snap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(POINTS, ANGLE, st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
+       st.floats(-1.0, 1.0), st.sampled_from([0.0, 1e-6]))
+def test_split_and_clip_match_array_form(points, angle, snap_rel, where,
+                                         min_area):
+    poly = polygon(points)
+    assume(poly is not None)
+    snap = snap_rel * (float(np.abs(poly.vertices).max()) + 1.0)
+    for hp in cuts_through(poly, angle, snap):
+        check_cut(poly, hp, snap, min_area)
+    # and a cut anywhere across the polygon
+    normal = np.array([math.cos(angle), math.sin(angle)])
+    d = poly.vertices @ normal
+    offset = float(d.min() + (where + 1.0) / 2.0 * (d.max() - d.min()))
+    check_cut(poly, HalfPlane(normal, offset), snap, min_area)
+
+
+def test_split_and_clip_match_array_form_on_seeded_polygons():
+    rng = np.random.default_rng(12)
+    for poly in seeded_polygons(13, 60):
+        scale = float(np.abs(poly.vertices).max()) + 1.0
+        for snap in (0.0, 1e-12 * scale):
+            for hp in cuts_through(poly, rng.uniform(0, 2 * math.pi), snap):
+                check_cut(poly, hp, snap)
+    # a cut along an edge, and one through two opposite corners
+    square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    for hp in (HalfPlane((1.0, 0.0), 1.0), HalfPlane((1.0, -1.0), 0.0),
+               HalfPlane((0.0, 1.0), 0.5)):
+        for snap in (0.0, 1e-12):
+            check_cut(square, hp, snap)
+            check_cut(square, hp.flipped(), snap)
+
+
+# ---------------------------------------------------------------------------
+# dedupe
+
+def check_dedupe(ring):
+    ring = np.array(ring, dtype=float)
+    assert same(geo._dedupe_ring(ring), oracles.dedupe_ring_ref(ring))
+
+
+def near_copies(v, index, factors, angle):
+    """v with copies of v[index] moved by factor * eps after it."""
+    eps = oracles.DEDUPE_REL * (float(np.abs(v).max()) + 1.0)
+    step = np.array([math.cos(angle), math.sin(angle)])
+    extra = [v[index] + f * eps * step for f in factors]
+    return np.vstack([v[:index + 1], extra, v[index + 1:]])
+
+
+EPS_FACTORS = st.lists(st.sampled_from(
+    [0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-6, 2.0, -1.0]),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(POINTS, st.integers(0, 20), EPS_FACTORS, ANGLE)
+def test_dedupe_matches_array_form(points, index, factors, angle):
+    poly = polygon(points)
+    assume(poly is not None)
+    v = poly.vertices
+    check_dedupe(v)
+    check_dedupe(near_copies(v, index % len(v), factors, angle))
+    # the closing pair: a last vertex near the first
+    check_dedupe(near_copies(v, len(v) - 1, [0.0], angle)[:-1])
+    check_dedupe(np.vstack([v, near_copies(v, 0, factors, angle)[1:2]]))
+
+
+def test_dedupe_matches_array_form_at_the_wrap_around():
+    # only the closing gap is below eps
+    check_dedupe([[0, 0], [1, 0], [1, 1], [0, 1], [0, 1e-13]])
+    check_dedupe([[0, 0], [1, 0], [1, 1], [0, 1], [1e-13, -1e-13]])
+    # every gap below eps, and a single vertex
+    check_dedupe([[0, 0], [1e-13, 0], [1e-13, 1e-13]])
+    check_dedupe([[2.0, 3.0]])
+    for poly in seeded_polygons(14, 40):
+        v = poly.vertices
+        for k in range(len(v)):
+            check_dedupe(near_copies(v, k, [1.0, 1.0 - 1e-9], 0.3))
+
+
+# ---------------------------------------------------------------------------
+# bounding-box gap
+
+def check_gap(a, b):
+    assert bits(geo._bbox_gap(a, b)) == bits(oracles.bbox_gap_ref(a, b))
+    assert bits(geo._bbox_gap(b, a)) == bits(oracles.bbox_gap_ref(b, a))
+
+
+SIZE = st.floats(0.0, 5.0, allow_nan=False)
+SHIFT = st.one_of(st.just(0.0), st.floats(-5.0, 5.0, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(COORD, COORD, SIZE, SIZE, SHIFT, SHIFT, SIZE, SIZE)
+def test_bbox_gap_matches_array_form(x0, y0, w, h, gx, gy, w2, h2):
+    a = (x0, y0, x0 + w, y0 + h)
+    # gx = 0 puts b flush against a's right side, gy = 0 on its top
+    b = (a[2] + gx, a[3] + gy, a[2] + gx + w2, a[3] + gy + h2)
+    check_gap(a, b)
+
+
+ULP_PAST_1 = math.nextafter(1.0, 2.0)
+
+
+def test_bbox_gap_matches_array_form_on_touching_boxes():
+    unit = (0.0, 0.0, 1.0, 1.0)
+    for other in [(1.0, 1.0, 2.0, 2.0),      # corner to corner
+                  (1.0, -1.0, 2.0, 0.0),     # the other corner
+                  (1.0, 0.5, 2.0, 3.0),      # along a side
+                  (0.5, 0.5, 2.0, 2.0),      # overlapping
+                  (1.5, 0.2, 2.0, 0.4),      # apart along x only
+                  (1.5, 1.5, 2.0, 2.0),      # apart on both axes
+                  (ULP_PAST_1, ULP_PAST_1, 2.0, 2.0)]:     # one ulp apart
+        check_gap(unit, other)
+    rng = np.random.default_rng(15)
+    lo = rng.normal(size=(500, 2, 2))
+    hi = lo + rng.exponential(size=(500, 2, 2))
+    for (a0, b0), (a1, b1) in zip(lo.tolist(), hi.tolist()):
+        check_gap((*a0, *a1), (*b0, *b1))
+
+
+# ---------------------------------------------------------------------------
+# one-point inside test
+
+def check_inside(poly, point, tol):
+    got = geo._contains_point(poly, float(point[0]), float(point[1]), tol)
+    assert got == oracles.contains_point_ref(poly.vertices, point, tol)
+    assert got == bool(poly.contains(point, tol)[0])
+
+
+def edge_points(poly):
+    """Vertices, points exactly on the edges, and points just off them."""
+    v = poly.vertices
+    nxt = np.roll(v, -1, axis=0)
+    for a, b in zip(v, nxt):
+        for t in (0.0, 0.25, 0.5, 1.0 / 3.0, 1.0):
+            yield a + t * (b - a)
+        mid = 0.5 * (a + b)
+        normal = np.array([b[1] - a[1], a[0] - b[0]])
+        for s in (1e-15, 1e-12, 1e-6):
+            yield mid + s * normal
+            yield mid - s * normal
+
+
+@settings(max_examples=100, deadline=None)
+@given(POINTS, st.tuples(COORD, COORD), st.sampled_from(TOLS))
+def test_inside_test_matches_array_form(points, point, tol):
+    poly = polygon(points)
+    assume(poly is not None)
+    check_inside(poly, np.array(point), tol)
+    for q in edge_points(poly):
+        check_inside(poly, q, tol)
+
+
+def test_inside_test_matches_array_form_on_seeded_polygons():
+    rng = np.random.default_rng(16)
+    square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    for poly in [square, *seeded_polygons(17, 40)]:
+        v = poly.vertices
+        box = (v.min(axis=0) - 0.1, v.max(axis=0) + 0.1)
+        for tol in TOLS:
+            for q in [*edge_points(poly), *rng.uniform(*box, size=(20, 2))]:
+                check_inside(poly, q, tol)
+
+
+def test_project_to_convex_returns_exactly_the_inside_points():
+    square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    for q in edge_points(square):
+        # an inside point comes back as the very same array
+        returned = geo.project_to_convex(q, square) is q
+        assert returned == oracles.contains_point_ref(square.vertices, q)
+
+
+# ---------------------------------------------------------------------------
+# first moment
+
+def test_ring_moment_matches_array_form():
+    for poly in seeded_polygons(18, 60):
+        v = poly.vertices
+        assert same(geo._ring_moment(v), oracles.ring_moment_ref(v))
+
+
+# ---------------------------------------------------------------------------
+# seam test after the bounding boxes
+
+def test_distance_below_matches_seam_test_then_piece_scan():
+    # the answer before the box shortcuts: a shared seam vertex gives 0,
+    # else the piece scan below the threshold
+    env = pt.rectangle(2.0, 1.0)
+    rng = np.random.default_rng(19)
+    part = pt.voronoi(env, rng.uniform([0.05, 0.05], [1.95, 0.95], (6, 2)))
+    sched = sw.AdjacentRandom(19, 1e-9)
+    dens, quad = geo.UniformDensity(), geo.quadratic_performance()
+    apart = 0
+    for t in range(120):
+        i, j = sched.select(t, part)
+        part = gp.gossip_step(part, i, j, dens, quad).partition
+        if t % 40:
+            continue
+        for i in range(part.n):
+            for j in range(i + 1, part.n):
+                pieces = part.regions[i].pieces, part.regions[j].pieces
+                for below in (1e-9, 1e-3, 0.5, math.inf):
+                    a, b = (Region(p) for p in pieces)
+                    want = 0.0 if oracles.share_seam_vertex_by_pieces(a, b) \
+                        else geo._pieces_below(a, b, below)
+                    a, b = (Region(p) for p in pieces)
+                    got = geo._distance_below(a, b, below)
+                    assert bits(got) == bits(want)
+                    assert a.distance_cache[b] == (want, want < below)
+                    apart += geo._bbox_gap(a.bbox, b.bbox) >= below
+    assert apart > 0  # the shortcut that answers `below` was taken
