@@ -110,6 +110,19 @@ class ConvexPolygon:
         self._bbox = None
         self._edges = None
 
+    @classmethod
+    def _of_ring(cls, v: np.ndarray, area: float) -> "ConvexPolygon":
+        """The polygon on a ring _dedupe_ring has already been through,
+        counterclockwise, with its area: takes v as its own and measures
+        nothing again."""
+        poly = cls.__new__(cls)
+        v.setflags(write=False)
+        poly.vertices = v
+        poly._area = area
+        poly._bbox = None
+        poly._edges = None
+        return poly
+
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()!r})"
 
@@ -312,9 +325,12 @@ def _ring_polygon(points: list, min_area: float) -> ConvexPolygon | None:
     if len(points) < 3:
         return None
     arr = _dedupe_ring(np.array(points))
-    if len(arr) < 3 or _ring_area(arr) <= min_area:
+    if len(arr) < 3:
         return None
-    return ConvexPolygon(arr, check=False)
+    area = _ring_area(arr)
+    if area <= min_area:
+        return None
+    return ConvexPolygon._of_ring(arr, area)
 
 
 def split_convex(poly: ConvexPolygon, hp: HalfPlane, snap: float = 0.0,

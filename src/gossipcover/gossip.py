@@ -61,50 +61,67 @@ def _apply_pair(partition: Partition, i: int, j: int, split, density, perf,
     return StepOutcome(new, True, (i, j), h_before, h_after, traded)
 
 
+def _bisector_offsets(partition: Partition, i: int, j: int, ci, cj):
+    """The bisector of ci and cj, and each vertex's signed offset past it
+    for regions i and j: one half-plane and one projection per region
+    for every no-op test of the pair."""
+    hp = geo.bisector_halfplane(ci, cj)
+    regions = partition.regions
+    return (hp, regions[i].vertices @ hp.normal - hp.offset,
+            regions[j].vertices @ hp.normal - hp.offset)
+
+
+def _on_own_sides(di, dj, eps: float) -> bool:
+    """True when region i's offsets are all at most eps and region j's
+    all at least -eps."""
+    return float(di.max()) <= eps and float(dj.min()) >= -eps
+
+
+def _trade_bound(partition: Partition, i: int, j: int, hp, di, dj) -> float:
+    """Upper bound on the area the pair's split can trade.
+
+    What the split hands from region i to j lies between the bisector
+    and region i's farthest vertex past it, widened by the snap within
+    which the split treats a vertex as on the line, and within region
+    i's vertex span along the line; likewise for region j on the other
+    side. The bound is the two rectangles' area.
+    """
+    env = partition.env
+    line = np.array([-hp.normal[1], hp.normal[0]])
+    bound = 0.0
+    for k, over in ((i, float(di.max())), (j, float((-dj).max()))):
+        along = partition.regions[k].vertices @ line
+        bound += (max(over, 0.0) + env.snap) * float(along.max() - along.min())
+    return bound
+
+
 def _already_split(partition: Partition, i: int, j: int, ci, cj) -> bool:
     """True when the pair's regions already sit on their bisector's sides.
 
     The split would then return the regions unchanged up to snap-level
     slivers, so the step can skip the geometry entirely.
     """
-    hp = geo.bisector_halfplane(ci, cj)
-    eps = partition.env.snap
-    di = partition.regions[i].vertices @ hp.normal - hp.offset
-    if float(di.max()) > eps:
-        return False
-    dj = partition.regions[j].vertices @ hp.normal - hp.offset
-    return float(dj.min()) >= -eps
+    _, di, dj = _bisector_offsets(partition, i, j, ci, cj)
+    return _on_own_sides(di, dj, partition.env.snap)
 
 
 def _trade_below_tolerance(partition: Partition, i: int, j: int, ci,
                            cj) -> bool:
-    """True when the pair's split cannot trade more than tol_area.
-
-    What the split hands from region i to j lies between the bisector
-    and region i's farthest vertex past it, widened by the snap within
-    which the split treats a vertex as on the line, and within region
-    i's vertex span along the line; likewise for region j on the other
-    side. When the two rectangles hold at most tol_area together, the
-    split would return the pair unchanged.
-    """
-    env = partition.env
-    hp = geo.bisector_halfplane(ci, cj)
-    line = np.array([-hp.normal[1], hp.normal[0]])
-    bound = 0.0
-    for k, sign in ((i, 1.0), (j, -1.0)):
-        verts = partition.regions[k].vertices
-        over = max(float((sign * (verts @ hp.normal - hp.offset)).max()), 0.0)
-        along = verts @ line
-        bound += (over + env.snap) * float(along.max() - along.min())
-    return bound <= env.tol_area
+    """True when the pair's split cannot trade more than tol_area
+    (see _trade_bound)."""
+    bound = _trade_bound(partition, i, j,
+                         *_bisector_offsets(partition, i, j, ci, cj))
+    return bound <= partition.env.tol_area
 
 
 def _full_exchange(partition: Partition, i: int, j: int, ci, cj, density,
                    perf, h_before) -> StepOutcome:
     """Split the pair's union by the bisector of ci and cj, unless the
     split provably trades nothing."""
-    if _already_split(partition, i, j, ci, cj) or \
-            _trade_below_tolerance(partition, i, j, ci, cj):
+    env = partition.env
+    hp, di, dj = _bisector_offsets(partition, i, j, ci, cj)
+    if _on_own_sides(di, dj, env.snap) or \
+            _trade_bound(partition, i, j, hp, di, dj) <= env.tol_area:
         return _unchanged(partition, i, j, h_before)
     split = pt.pair_split(partition, i, j, ci, cj)
     return _apply_pair(partition, i, j, split, density, perf, h_before)
@@ -240,7 +257,8 @@ def fixed_point_residual(partition: Partition, density: Density,
         gap = float(np.hypot(*(cs[i] - cs[j])))
         if gap <= env.tol_point:
             continue
-        if _already_split(partition, i, j, cs[i], cs[j]):
+        _, di, dj = _bisector_offsets(partition, i, j, cs[i], cs[j])
+        if _on_own_sides(di, dj, env.snap):
             continue
         _, _, traded = pt.pair_split(partition, i, j, cs[i], cs[j])
         moved = 2.0 * traded

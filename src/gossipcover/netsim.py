@@ -13,6 +13,11 @@ fixed simulation step: per step an in-range pair trades with
 probability 1 - exp(-rate * dt). Each trade applies the
 distance-limited pairwise map to the shared partition, so the coverage
 cost never increases and far-apart regions are left alone.
+
+Motion between phase ends depends on the step alone, so the simulation
+computes a whole quiet window of positions, pair distances and coins
+with array operations, and runs only the steps that end a phase one at
+a time (see simulate).
 """
 from __future__ import annotations
 
@@ -130,23 +135,20 @@ def internal_boundary_segments(region: Region, env: Environment):
     """
     tol = 10.0 * env.tol_point
     wall = env.polygon.vertices
-    wall_segs = (wall, np.roll(wall, -1, axis=0))
+    wall_next = geo._cyclic_next(wall)
     starts, ends = [], []
     for k, piece in enumerate(region.pieces):
         v = piece.vertices
-        nxt = np.roll(v, -1, axis=0)
-        for a, b in zip(v, nxt):
-            mid = 0.5 * (a + b)
-            on_wall = bool(np.all(geo._points_segments_distance(
-                np.array([a, b, mid]), *wall_segs) <= tol))
-            if on_wall:
-                continue
-            seam = False
-            for m, other in enumerate(region.pieces):
-                if m != k and geo._contains_point(other, *mid.tolist(), tol):
-                    seam = True
-                    break
-            if not seam:
+        nxt = geo._cyclic_next(v)
+        mid = 0.5 * (v + nxt)
+        # an edge is on the wall when both ends and its midpoint are
+        d = geo._points_segments_distance(np.concatenate((v, nxt, mid)),
+                                          wall, wall_next)
+        inner = ~(d.reshape(3, -1) <= tol).all(axis=0)
+        others = region.pieces[:k] + region.pieces[k + 1:]
+        for a, b, (mx, my) in zip(v[inner], nxt[inner], mid[inner].tolist()):
+            if not any(geo._contains_point(other, mx, my, tol)
+                       for other in others):
                 starts.append(a)
                 ends.append(b)
     if not starts:
@@ -185,17 +187,6 @@ def random_destination(region: Region, env: Environment, margin: float,
 # ---------------------------------------------------------------------------
 # agents and the simulation loop
 
-@dataclass
-class AgentState:
-    region_index: int
-    position: np.ndarray
-    clock_offset: float
-    phase: str
-    steps_left: int
-    leg_start: np.ndarray
-    destination: np.ndarray
-
-
 @dataclass(frozen=True)
 class CommEvent:
     time: float
@@ -226,6 +217,51 @@ def _start_position(region: Region) -> np.ndarray:
     return geo.mass_centroid(Region((big,)), geo.UniformDensity())
 
 
+# np.hypot and math.hypot are each within an ulp of the true length, so
+# they can differ in the last bit; past this many ulps of the radius
+# both put a pair on the same side of it
+_HYPOT_ULPS = 8
+
+
+def _in_range(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the offsets (dx, dy) with math.hypot(dx, dy) <= radius.
+
+    np.hypot decides every entry at once; the few within _HYPOT_ULPS
+    ulps of the radius are decided again by math.hypot, so the mask is
+    the one-pair-at-a-time test to the bit.
+    """
+    d = np.hypot(dx, dy)
+    mask = d <= radius
+    near = np.abs(d - radius) <= _HYPOT_ULPS * math.ulp(radius)
+    for idx in zip(*np.nonzero(near)):
+        mask[idx] = math.hypot(float(dx[idx]), float(dy[idx])) <= radius
+    return mask
+
+
+def _window_positions(width: int, per_leg: int, phase: list, left: list,
+                      pos: list, start: list, dest: list):
+    """(xs, ys): every agent's position over the next width steps, rows
+    steps and columns agents, when no agent's phase ends in them.
+
+    A traveling agent at step r of the window has left[a] - r - 1 steps
+    to go and sits at start + frac * (dest - start), with the same
+    elementwise operations as the step that ends its leg.
+    """
+    n = len(phase)
+    steps = np.arange(1, width + 1)
+    xs = np.empty((width, n))
+    ys = np.empty((width, n))
+    for a in range(n):
+        if phase[a] == TRAVEL:
+            frac = (per_leg - left[a] + steps) / per_leg
+            (sx, sy), (ex, ey) = start[a], dest[a]
+            xs[:, a] = sx + frac * (ex - sx)
+            ys[:, a] = sy + frac * (ey - sy)
+        else:
+            xs[:, a], ys[:, a] = pos[a]
+    return xs, ys
+
+
 def simulate(config: NetConfig, initial: Partition, density: Density,
              perf: PerformanceFunction, duration: float, *,
              snapshot_times=()) -> NetTrace:
@@ -236,6 +272,17 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     epoch machine. Each simulation step advances motion first and then
     flips a coin per in-range pair for a trade. A vanished region
     aborts the run with the partial trace attached.
+
+    The loop goes a quiet window at a time: the run of steps before the
+    next one in which some agent's phase ends. Motion there depends on
+    the step alone, so the window's positions, pair distances and coins
+    come from a few array operations; one rng.random(m) call draws the
+    m coins of its in-range (step, pair) entries, the same stream as m
+    single draws. A step that ends a phase runs on its own: motion, then
+    the transition and waypoint draws in agent order, then its coins.
+    Every trade is one gp.partial_gossip_step call, in (step, pair)
+    order, and a snapshot is taken before the first trade at or after
+    its step.
     """
     env = initial.env
     n = initial.n
@@ -252,61 +299,73 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     trace = NetTrace(config=config, leg=leg, dt=dt)
     counts = trace.transitions
 
-    agents = []
+    # agent state; positions are (x, y) pairs of Python floats
+    phase, left, pos = [], [], []
     for i in range(n):
-        pos = _start_position(current.regions[i])
+        pos.append(tuple(_start_position(current.regions[i]).tolist()))
         hold = int(rng.integers(per_leg))
-        agents.append(AgentState(
-            region_index=i, position=pos, clock_offset=hold * dt,
-            phase=WAIT_1 if hold > 0 else TRAVEL,
-            steps_left=hold if hold > 0 else per_leg,
-            leg_start=pos, destination=pos))
-    for a in agents:
-        if a.phase == TRAVEL:
-            a.destination = random_destination(
-                current.regions[a.region_index], env,
-                config.waypoint_margin, rng)
+        phase.append(WAIT_1 if hold > 0 else TRAVEL)
+        left.append(hold if hold > 0 else per_leg)
+    start, dest = list(pos), list(pos)
+    for a in range(n):
+        if phase[a] == TRAVEL:
+            dest[a] = tuple(random_destination(
+                current.regions[a], env, config.waypoint_margin,
+                rng).tolist())
     # the initial hold is not an epoch phase: it only desynchronizes
     # clocks, so it is excluded from the transition counts
-    held = [a.phase == WAIT_1 for a in agents]
+    held = [p == WAIT_1 for p in phase]
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    first, second = np.array(pairs).T
     snap_times = sorted(float(t) for t in snapshot_times)
     snap_idx = 0
     total_steps = max(0, round(duration / dt))
-    t = 0.0
-    for k in range(total_steps):
-        while snap_idx < len(snap_times) and snap_times[snap_idx] <= t + 0.5 * dt:
-            trace.snapshots.append((snap_times[snap_idx], current))
-            snap_idx += 1
-        for idx, a in enumerate(agents):
-            a.steps_left -= 1
-            if a.phase == TRAVEL:
-                frac = (per_leg - a.steps_left) / per_leg
-                a.position = a.leg_start + frac * (a.destination - a.leg_start)
-            if a.steps_left == 0:
-                if held[idx]:
-                    held[idx] = False
-                    nxt = TRAVEL
-                else:
-                    nxt = epoch_transition(a.phase, rng)
-                    key = (a.phase, nxt)
-                    counts[key] = counts.get(key, 0) + 1
-                if nxt == TRAVEL:
-                    a.leg_start = a.position.copy()
-                    a.destination = random_destination(
-                        current.regions[a.region_index], env,
-                        config.waypoint_margin, rng)
-                a.phase = nxt
-                a.steps_left = per_leg
-        t = (k + 1) * dt
-        for (i, j) in pairs:
-            dx = agents[i].position[0] - agents[j].position[0]
-            dy = agents[i].position[1] - agents[j].position[1]
-            if math.hypot(dx, dy) > config.comm_radius:
-                continue
-            if rng.random() >= p_comm:
-                continue
+    k = 0
+    while k < total_steps:
+        width = min(min(left) - 1, total_steps - k)
+        if width > 0:
+            xs, ys = _window_positions(width, per_leg, phase, left, pos,
+                                       start, dest)
+            # a traveler's position is recomputed from its leg every
+            # step, so only the clocks move on
+            left = [s - width for s in left]
+        else:
+            width = 1
+            for a in range(n):
+                left[a] -= 1
+                if phase[a] == TRAVEL:
+                    frac = (per_leg - left[a]) / per_leg
+                    (sx, sy), (ex, ey) = start[a], dest[a]
+                    pos[a] = (sx + frac * (ex - sx), sy + frac * (ey - sy))
+                if left[a] == 0:
+                    if held[a]:
+                        held[a] = False
+                        nxt = TRAVEL
+                    else:
+                        nxt = epoch_transition(phase[a], rng)
+                        key = (phase[a], nxt)
+                        counts[key] = counts.get(key, 0) + 1
+                    if nxt == TRAVEL:
+                        start[a] = pos[a]
+                        dest[a] = tuple(random_destination(
+                            current.regions[a], env,
+                            config.waypoint_margin, rng).tolist())
+                    phase[a] = nxt
+                    left[a] = per_leg
+            xs, ys = np.array(pos).T[:, None]
+        rows, cols = np.nonzero(_in_range(xs[:, first] - xs[:, second],
+                                          ys[:, first] - ys[:, second],
+                                          config.comm_radius))
+        trade = rng.random(len(rows)) < p_comm
+        for r, c in zip(rows[trade].tolist(), cols[trade].tolist()):
+            step = k + r
+            while (snap_idx < len(snap_times)
+                   and snap_times[snap_idx] <= step * dt + 0.5 * dt):
+                trace.snapshots.append((snap_times[snap_idx], current))
+                snap_idx += 1
+            t = (step + 1) * dt
+            i, j = pairs[c]
             try:
                 out = gp.partial_gossip_step(current, i, j, config.delta,
                                              density, perf)
@@ -314,12 +373,13 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
                 trace.final = current
                 trace.termination = "degenerate"
                 trace.elapsed = t
-                raise DegenerateEvolution(str(exc), step=k,
+                raise DegenerateEvolution(str(exc), step=step,
                                           trace=trace) from exc
             current = out.partition
             trace.events.append(CommEvent(
                 time=t, pair=(i, j), changed=out.changed,
                 traded_area=out.traded_area, h=out.h_after))
+        k += width
     while snap_idx < len(snap_times):
         trace.snapshots.append((snap_times[snap_idx], current))
         snap_idx += 1

@@ -2,9 +2,15 @@
 geometry. Everything here trades speed for obvious correctness."""
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from gossipcover import geometry as geo
+from gossipcover import gossip as gp
+from gossipcover import netsim as ns
+from gossipcover import partition as pt
 from gossipcover.geometry import ConvexPolygon, Region
 
 
@@ -280,3 +286,115 @@ def ring_moment_ref(v: np.ndarray) -> np.ndarray:
     mx = float(np.sum((x + xn) * cr)) / 6.0
     my = float(np.sum((y + yn) * cr)) / 6.0
     return np.array([mx, my])
+
+
+# ---------------------------------------------------------------------------
+# The network simulation loop one step at a time, as it was before it
+# went a quiet window at a time. netsim.simulate must give the same
+# events, transitions, snapshots and final partition, to the bit
+# (tests/test_netsim.py).
+
+@dataclass
+class _AgentRef:
+    region_index: int
+    position: np.ndarray
+    clock_offset: float
+    phase: str
+    steps_left: int
+    leg_start: np.ndarray
+    destination: np.ndarray
+
+
+def simulate_ref(config, initial, density, perf, duration, *,
+                 snapshot_times=()):
+    """netsim.simulate one step at a time: motion, then one math.hypot
+    range test and one rng.random() coin per in-range pair."""
+    env = initial.env
+    n = initial.n
+    if n < 2:
+        raise ValueError(f"netsim needs at least two regions, got n = {n}")
+    if len(config.speeds) != n:
+        raise ValueError(f"{len(config.speeds)} speeds for {n} regions")
+    leg = ns.leg_time(env, config)
+    per_leg = ns._steps_per_leg(env, config)
+    dt = leg / per_leg
+    p_comm = 1.0 - math.exp(-config.comm_rate * dt)
+    rng = np.random.default_rng(config.seed)
+    current = initial
+    trace = ns.NetTrace(config=config, leg=leg, dt=dt)
+    counts = trace.transitions
+
+    agents = []
+    for i in range(n):
+        pos = ns._start_position(current.regions[i])
+        hold = int(rng.integers(per_leg))
+        agents.append(_AgentRef(
+            region_index=i, position=pos, clock_offset=hold * dt,
+            phase=ns.WAIT_1 if hold > 0 else ns.TRAVEL,
+            steps_left=hold if hold > 0 else per_leg,
+            leg_start=pos, destination=pos))
+    for a in agents:
+        if a.phase == ns.TRAVEL:
+            a.destination = ns.random_destination(
+                current.regions[a.region_index], env,
+                config.waypoint_margin, rng)
+    # the initial hold is not an epoch phase: it only desynchronizes
+    # clocks, so it is excluded from the transition counts
+    held = [a.phase == ns.WAIT_1 for a in agents]
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    snap_times = sorted(float(t) for t in snapshot_times)
+    snap_idx = 0
+    total_steps = max(0, round(duration / dt))
+    t = 0.0
+    for k in range(total_steps):
+        while snap_idx < len(snap_times) and snap_times[snap_idx] <= t + 0.5 * dt:
+            trace.snapshots.append((snap_times[snap_idx], current))
+            snap_idx += 1
+        for idx, a in enumerate(agents):
+            a.steps_left -= 1
+            if a.phase == ns.TRAVEL:
+                frac = (per_leg - a.steps_left) / per_leg
+                a.position = a.leg_start + frac * (a.destination - a.leg_start)
+            if a.steps_left == 0:
+                if held[idx]:
+                    held[idx] = False
+                    nxt = ns.TRAVEL
+                else:
+                    nxt = ns.epoch_transition(a.phase, rng)
+                    key = (a.phase, nxt)
+                    counts[key] = counts.get(key, 0) + 1
+                if nxt == ns.TRAVEL:
+                    a.leg_start = a.position.copy()
+                    a.destination = ns.random_destination(
+                        current.regions[a.region_index], env,
+                        config.waypoint_margin, rng)
+                a.phase = nxt
+                a.steps_left = per_leg
+        t = (k + 1) * dt
+        for (i, j) in pairs:
+            dx = agents[i].position[0] - agents[j].position[0]
+            dy = agents[i].position[1] - agents[j].position[1]
+            if math.hypot(dx, dy) > config.comm_radius:
+                continue
+            if rng.random() >= p_comm:
+                continue
+            try:
+                out = gp.partial_gossip_step(current, i, j, config.delta,
+                                             density, perf)
+            except geo.GeometryError as exc:
+                trace.final = current
+                trace.termination = "degenerate"
+                trace.elapsed = t
+                raise pt.DegenerateEvolution(str(exc), step=k,
+                                             trace=trace) from exc
+            current = out.partition
+            trace.events.append(ns.CommEvent(
+                time=t, pair=(i, j), changed=out.changed,
+                traded_area=out.traded_area, h=out.h_after))
+    while snap_idx < len(snap_times):
+        trace.snapshots.append((snap_times[snap_idx], current))
+        snap_idx += 1
+    trace.final = current
+    trace.elapsed = total_steps * dt
+    return trace

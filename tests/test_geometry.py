@@ -128,6 +128,33 @@ def test_split_shares_seam_vertices():
     assert seam_in == seam_out and len(seam_in) == 2
 
 
+def test_cut_pieces_keep_their_measured_ring():
+    # a split or clip hands its polygon the deduplicated ring and the area
+    # it measured; neither may differ from measuring the polygon afresh
+    rng = np.random.default_rng(5)
+    pieces = []
+    for _ in range(150):
+        poly = oracles.random_convex_polygon(rng, 9, scale=2.0)
+        n = rng.normal(size=2)
+        # through a vertex, nudged by less than the dedupe tolerance, or
+        # through a random point
+        anchor = poly.vertices[rng.integers(len(poly.vertices))] \
+            if rng.random() < 0.5 else rng.random(2) - 0.5
+        hp = HalfPlane(n, float(n @ anchor) + 1e-14 * rng.normal())
+        pieces += [p for p in split_convex(poly, hp, snap=1e-15)
+                   if p is not None]
+        pieces.append(clip_convex(poly, hp, snap=1e-15))
+    pieces = [p for p in pieces if p is not None]
+    assert len(pieces) > 200
+    for p in pieces:
+        assert not p.vertices.flags.writeable
+        assert np.array_equal(geo._dedupe_ring(p.vertices), p.vertices)
+        assert p.area == geo._ring_area(p.vertices)
+        fresh = ConvexPolygon(p.vertices, check=False)
+        assert fresh.vertices.tobytes() == p.vertices.tobytes()
+        assert fresh.area == p.area
+
+
 def test_region_split_multi_piece():
     region = region_of([[0, 0], [1, 0], [1, 1], [0, 1]],
                        [[2, 0], [3, 0], [3, 1], [2, 1]])

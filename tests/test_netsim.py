@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from gossipcover import geometry as geo
+from gossipcover import gossip as gp
 from gossipcover import netsim as ns
 from gossipcover import partition as pt
 
@@ -212,6 +214,143 @@ def test_simulate_deterministic_per_seed():
     b = ns.simulate(cfg, init, DENS, QUAD, duration=3.0 * leg)
     assert [(e.time, e.pair, e.changed, e.h) for e in a.events] == \
         [(e.time, e.pair, e.changed, e.h) for e in b.events]
+
+
+# ---------------------------------------------------------------------------
+# the windowed loop against the step-at-a-time reference
+
+def _partition_bytes(part):
+    return [[p.vertices.tobytes() for p in r.pieces] for r in part.regions]
+
+
+def assert_same_trace(got, want):
+    """Events, transitions, snapshots, final partition and elapsed time
+    equal to the bit; repr also pins every time to a Python float."""
+    assert [repr(e) for e in got.events] == [repr(e) for e in want.events]
+    assert got.transitions == want.transitions
+    assert [repr(t) for t, _ in got.snapshots] == \
+        [repr(t) for t, _ in want.snapshots]
+    assert [_partition_bytes(p) for _, p in got.snapshots] == \
+        [_partition_bytes(p) for _, p in want.snapshots]
+    assert _partition_bytes(got.final) == _partition_bytes(want.final)
+    assert repr(got.elapsed) == repr(want.elapsed)
+    assert got.termination == want.termination
+
+
+def both_loops(cfg, init, duration, **kwargs):
+    return (ns.simulate(cfg, init, DENS, QUAD, duration, **kwargs),
+            oracles.simulate_ref(cfg, init, DENS, QUAD, duration, **kwargs))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_windowed_loop_matches_reference_on_preset(seed):
+    env = strip_env()
+    init = strip_partition(env, cuts=(0.6, 1.9))  # the netsim-strip preset
+    cfg = ns.NetConfig(seed=seed)
+    got, want = both_loops(cfg, init, 20.0 * ns.leg_time(env, cfg))
+    assert len(want.events) > 50
+    assert_same_trace(got, want)
+
+
+def test_windowed_loop_matches_reference_with_mixed_speeds():
+    env = strip_env()
+    init = strip_partition(env, cuts=(0.8, 2.1))
+    leg = ns.leg_time(env, ns.NetConfig(speeds=(1.0, 0.6, 1.4)))
+    cfg = ns.NetConfig(speeds=(1.0, 0.6, 1.4), comm_rate=6.0, seed=11,
+                       time_step=leg / 37.0)
+    got, want = both_loops(cfg, init, 12.0 * leg)
+    assert any(e.changed for e in want.events)
+    assert_same_trace(got, want)
+
+
+def test_windowed_loop_snapshots_match_reference():
+    env = strip_env()
+    init = strip_partition(env, cuts=(0.6, 1.9))
+    leg = ns.leg_time(env, ns.NetConfig())
+    cfg = ns.NetConfig(comm_rate=8.0, seed=4, time_step=leg / 50.0)
+    dt = leg / 50
+    times = [0.0, 2.5 * leg + 0.3 * dt, 3 * leg, 150 * dt, 150 * dt,
+             6.0 * leg + 17 * dt, 1e6 * leg]
+    got, want = both_loops(cfg, init, 8.0 * leg, snapshot_times=times)
+    assert len(want.snapshots) == len(times)
+    assert_same_trace(got, want)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 23, 161, 377])
+def test_windowed_loop_matches_reference_at_any_horizon(steps):
+    # most horizons end inside a quiet window, some on a phase end
+    env = strip_env()
+    init = strip_partition(env, cuts=(0.6, 1.9))
+    leg = ns.leg_time(env, ns.NetConfig())
+    cfg = ns.NetConfig(comm_rate=20.0, seed=6, time_step=leg / 40.0)
+    got, want = both_loops(cfg, init, steps * (leg / 40),
+                           snapshot_times=[0.5 * steps * leg / 40])
+    assert_same_trace(got, want)
+
+
+def test_windowed_loop_degenerates_like_reference(monkeypatch):
+    env = strip_env()
+    init = strip_partition(env, cuts=(0.6, 1.9))
+    leg = ns.leg_time(env, ns.NetConfig())
+    cfg = ns.NetConfig(comm_rate=8.0, seed=2, time_step=leg / 50.0)
+    original = gp.partial_gossip_step
+    outcomes = []
+    for loop in (ns.simulate, oracles.simulate_ref):
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args[1:3])
+            if len(calls) == 9:
+                raise geo.VanishedRegion("forced at the ninth contact")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "partial_gossip_step", failing)
+        with pytest.raises(pt.DegenerateEvolution) as info:
+            loop(cfg, init, DENS, QUAD, 10.0 * leg,
+                 snapshot_times=[0.0, leg, 9.0 * leg])
+        outcomes.append((info.value.step, calls, info.value.trace))
+    (step, calls, got), (step_ref, calls_ref, want) = outcomes
+    assert step == step_ref
+    assert calls == calls_ref
+    assert got.termination == "degenerate"
+    assert len(got.events) == 8
+    assert_same_trace(got, want)
+
+
+def test_in_range_decides_as_math_hypot():
+    rng = np.random.default_rng(21)
+    for radius in (1.0, 0.7, 2.5):
+        ang = rng.uniform(0.0, 2.0 * math.pi, 20000)
+        dx = radius * np.cos(ang)
+        dy = radius * np.sin(ang)
+        up = np.nextafter(dx, np.inf)
+        down = np.nextafter(dx, -np.inf)
+        axis = np.array([radius, math.nextafter(radius, math.inf),
+                         math.nextafter(radius, -math.inf)])
+        for xs, ys in ((dx, dy), (up, dy), (down, dy),
+                       (axis, np.zeros(3)), (np.zeros(3), -axis)):
+            want = [math.hypot(x, y) <= radius
+                    for x, y in zip(xs.tolist(), ys.tolist())]
+            assert ns._in_range(xs, ys, radius).tolist() == want
+        # the loop asks for a block of (step, pair) entries at once
+        block = ns._in_range(down.reshape(-1, 4), dy.reshape(-1, 4), radius)
+        assert block.ravel().tolist() == [
+            math.hypot(x, y) <= radius
+            for x, y in zip(down.tolist(), dy.tolist())]
+
+
+def test_generator_block_draw_is_single_draws():
+    # the windowed loop draws a window's coins with one random(m) call
+    a = np.random.default_rng(99)
+    b = np.random.default_rng(99)
+    for m in (1, 5, 0, 37, 2, 200):
+        assert a.integers(200) == b.integers(200)
+        assert a.random() == b.random()
+        block = a.random(m)
+        singles = [b.random() for _ in range(m)]
+        assert block.tolist() == singles
+        assert a.integers(7) == b.integers(7)
+    assert a.random() == b.random()
 
 
 # ---------------------------------------------------------------------------
