@@ -20,12 +20,12 @@ from .geometry import (ConvexPolygon, EmptyRegion, GeometryError, GridDensity,
                        quadratic_performance, region_of, regions_within,
                        symdiff_area)
 from .gossip import (StepOutcome, fixed_point_residual, gossip_step,
-                     lloyd_step, partial_gossip_step, trade_fraction)
+                     is_mixed_centroidal, lloyd_step, partial_gossip_step,
+                     trade_fraction)
 from .netsim import NetConfig, NetTrace, SamplingExhausted, simulate
 from .partition import (DegenerateEvolution, Environment, Partition,
                         adjacency_pairs, centroid_cost, centroids,
-                        environment, is_centroidal_voronoi,
-                        is_mixed_centroidal, multicenter_cost,
+                        environment, is_centroidal_voronoi, multicenter_cost,
                         partition_distance, read_snapshot, rectangle, voronoi,
                         write_snapshot)
 from .switching import (AdjacentRandom, EvolutionTrace, ExplicitSchedule,

@@ -23,6 +23,7 @@ import yaml
 
 from . import dyadic as dy
 from . import geometry as geo
+from . import gossip as gp
 from . import netsim as ns
 from . import partition as pt
 from . import svg
@@ -142,27 +143,40 @@ def strip_partition(env: Environment, cuts) -> Partition:
     bounds = [lo] + xs + [hi]
     regions = []
     for a, b in zip(bounds, bounds[1:]):
-        piece = geo.clip_convex(env.polygon, geo.HalfPlane((1.0, 0.0), b),
-                                min_area=env.sliver_area)
-        piece = geo.clip_convex(piece, geo.HalfPlane((-1.0, 0.0), -a),
-                                min_area=env.sliver_area)
+        piece = geo.split_convex(env.polygon, geo.HalfPlane((1.0, 0.0), b),
+                                 0.0, env.sliver_area)[0]
+        if piece is not None:
+            piece = geo.split_convex(piece, geo.HalfPlane((-1.0, 0.0), -a),
+                                     0.0, env.sliver_area)[0]
         if piece is None:
             raise ConfigError(f"initial.cuts: empty strip [{a}, {b}]")
         regions.append(geo.Region((piece,)))
     return Partition(env, tuple(regions))
 
 
+# rejection draws for one generator before sampling gives up
+_MAX_GENERATOR_DRAWS = 10_000
+
+
 def random_generators(env: Environment, n: int, seed: int) -> np.ndarray:
-    """n points uniform over the environment, kept off the boundary."""
+    """n points uniform over the environment, kept 1e-3 of its diameter
+    off the boundary; a ConfigError when a point takes more than
+    _MAX_GENERATOR_DRAWS draws."""
     rng = np.random.default_rng(seed)
     v = env.polygon.vertices
     lo, hi = v.min(axis=0), v.max(axis=0)
     margin = -1e-3 * env.diameter
     out = []
-    while len(out) < n:
-        cand = rng.uniform(lo, hi, size=2)
-        if bool(env.polygon.contains(cand, tol=margin)[0]):
-            out.append(cand)
+    for _ in range(n):
+        for _ in range(_MAX_GENERATOR_DRAWS):
+            cand = rng.uniform(lo, hi, size=2)
+            if bool(env.polygon.contains(cand, tol=margin)[0]):
+                out.append(cand)
+                break
+        else:
+            raise ConfigError(
+                f"initial: no generator {-margin:.3g} inside the environment "
+                f"in {_MAX_GENERATOR_DRAWS} draws")
     return np.array(out)
 
 
@@ -392,7 +406,7 @@ def _run_netsim(cfg, args, out_dir, seed, log) -> int:
                     density, perf, log)
     mixed = False
     if trace.final is not None:
-        mixed = pt.is_mixed_centroidal(trace.final, density, perf,
+        mixed = gp.is_mixed_centroidal(trace.final, density, perf,
                                        tol=MIXED_CHECK_TOL * env.area)
     if code == EXIT_OK and not mixed:
         code = EXIT_BUDGET

@@ -291,36 +291,6 @@ def bisector_halfplane(p, q) -> HalfPlane:
     return HalfPlane(n, float(n @ (p + q)) / 2.0)
 
 
-def clip_convex(poly: ConvexPolygon | None, hp: HalfPlane,
-                min_area: float = 0.0, snap: float = 0.0) -> ConvexPolygon | None:
-    """Intersect a convex polygon with a half-plane; None when (near) empty.
-
-    Distances within snap of the boundary are treated as zero: without this
-    a vertex pair straddling the line by rounding noise alone fabricates a
-    crossing at a noise-ratio position along a real edge.
-    """
-    if poly is None:
-        return None
-    v = poly.vertices
-    d = v @ hp.normal - hp.offset
-    if snap > 0.0:
-        d = np.where(np.abs(d) <= snap, 0.0, d)
-    if (d <= 0.0).all():
-        return poly
-    if (d >= 0.0).all():
-        return None
-    out = []
-    vl, dl = v.tolist(), d.tolist()
-    for a, da, b, db in zip(vl, dl, vl[1:] + vl[:1], dl[1:] + dl[:1]):
-        if da <= 0.0:
-            out.append(a)
-        if da < 0.0 < db or da > 0.0 > db:
-            t = da / (da - db)
-            if 0.0 < t < 1.0:
-                out.append([a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])])
-    return _ring_polygon(out, min_area)
-
-
 def _ring_polygon(points: list, min_area: float) -> ConvexPolygon | None:
     if len(points) < 3:
         return None
@@ -341,7 +311,8 @@ def split_convex(poly: ConvexPolygon, hp: HalfPlane, snap: float = 0.0,
     of the boundary line are treated as lying on it, so a cut almost
     parallel to an existing edge reassigns the piece cleanly instead of
     shaving off a hairline sliver. Both outputs share the interpolated
-    seam vertices, which keeps the split area-conserving.
+    seam vertices, which keeps the split area-conserving. A clip to the
+    half-plane is the inside part, split_convex(...)[0].
     """
     v = poly.vertices
     d = v @ hp.normal - hp.offset
@@ -383,9 +354,9 @@ def region_split(region: Region, hp: HalfPlane, snap: float = 0.0,
     return ins, outs
 
 
-def convex_intersect(a: ConvexPolygon | None, b: ConvexPolygon | None,
-                     min_area: float = 0.0) -> ConvexPolygon | None:
-    """Intersection of two convex polygons via successive half-plane clips."""
+def convex_intersect(a: ConvexPolygon | None,
+                     b: ConvexPolygon | None) -> ConvexPolygon | None:
+    """Intersection of two convex polygons: a cut by each edge line of b."""
     if a is None or b is None:
         return None
     v = b.vertices
@@ -400,11 +371,9 @@ def convex_intersect(a: ConvexPolygon | None, b: ConvexPolygon | None,
             continue
         # inward normal of a CCW edge is (-ey, ex); inside means cross >= 0
         hp = HalfPlane(np.array([e[1], -e[0]]), float(e[1] * p0[0] - e[0] * p0[1]))
-        out = clip_convex(out, hp, min_area=0.0, snap=1e-12 * scale)
+        out = split_convex(out, hp, 1e-12 * scale)[0]
         if out is None:
             return None
-    if out.area <= min_area:
-        return None
     return out
 
 
@@ -549,16 +518,6 @@ def symdiff_area(a: Region, b: Region) -> float:
     return max(a.area + b.area - 2.0 * intersection_area(a, b), 0.0)
 
 
-def _point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = float((p - a) @ ab) / denom
-    t = min(1.0, max(0.0, t))
-    return float(np.hypot(*(p - (a + t * ab))))
-
-
 def _points_segments_distance(pts: np.ndarray, s1: np.ndarray,
                               s2: np.ndarray) -> np.ndarray:
     """Per-point distance to the nearest of the segments (s1[k], s2[k])."""
@@ -684,20 +643,6 @@ def _pieces_below(a: Region, b: Region, best: float) -> float:
     return float(best)
 
 
-def point_region_distance(p, region: Region) -> float:
-    p = np.asarray(p, dtype=float)
-    if bool(region.contains(p[None, :])[0]):
-        return 0.0
-    best = np.inf
-    for piece in region.pieces:
-        v = piece.vertices
-        for k in range(len(v)):
-            d = _point_segment_distance(p, v[k], v[(k + 1) % len(v)])
-            if d < best:
-                best = d
-    return float(best)
-
-
 # interior points sampled per edge when a Hausdorff distance is bounded
 _HAUSDORFF_SAMPLES = 8
 
@@ -725,11 +670,12 @@ def hausdorff_distance(a: Region, b: Region) -> float:
 
     def directed(src: Region, dst: Region) -> float:
         cand = _boundary_candidates(src)
-        inside = dst.contains(cand)
-        outside = cand[~inside]
+        outside = cand[~dst.contains(cand)]
         if len(outside) == 0:
             return 0.0
-        return max(point_region_distance(p, dst) for p in outside)
+        ends = np.vstack([_cyclic_next(p.vertices) for p in dst.pieces])
+        return float(_points_segments_distance(outside, dst.vertices,
+                                               ends).max())
 
     return max(directed(a, b), directed(b, a))
 

@@ -95,25 +95,6 @@ def _trade_bound(partition: Partition, i: int, j: int, hp, di, dj) -> float:
     return bound
 
 
-def _already_split(partition: Partition, i: int, j: int, ci, cj) -> bool:
-    """True when the pair's regions already sit on their bisector's sides.
-
-    The split would then return the regions unchanged up to snap-level
-    slivers, so the step can skip the geometry entirely.
-    """
-    _, di, dj = _bisector_offsets(partition, i, j, ci, cj)
-    return _on_own_sides(di, dj, partition.env.snap)
-
-
-def _trade_below_tolerance(partition: Partition, i: int, j: int, ci,
-                           cj) -> bool:
-    """True when the pair's split cannot trade more than tol_area
-    (see _trade_bound)."""
-    bound = _trade_bound(partition, i, j,
-                         *_bisector_offsets(partition, i, j, ci, cj))
-    return bound <= partition.env.tol_area
-
-
 def _full_exchange(partition: Partition, i: int, j: int, ci, cj, density,
                    perf, h_before) -> StepOutcome:
     """Split the pair's union by the bisector of ci and cj, unless the
@@ -151,10 +132,10 @@ def trade_fraction_from(gap: float, pair_distance: float, delta: float) -> float
     return _sat(gap / delta) * (1.0 - _sat(pair_distance / delta))
 
 
-def trade_fraction(partition: Partition, i: int, j: int, delta: float,
-                   density: Density, perf: PerformanceFunction) -> float:
-    delta = check_delta(partition.env, delta)
-    cs = pt.centroids(partition, density, perf)
+def _fraction(partition: Partition, i: int, j: int, delta: float,
+              cs) -> float:
+    """The pair's exchange scaling at centroids cs; 0 when they coincide
+    within tol_point."""
     gap = float(np.hypot(*(cs[i] - cs[j])))
     if gap <= partition.env.tol_point:
         return 0.0
@@ -162,6 +143,13 @@ def trade_fraction(partition: Partition, i: int, j: int, delta: float,
     pd = geo._distance_below(partition.regions[i], partition.regions[j],
                              delta)
     return trade_fraction_from(gap, pd, delta)
+
+
+def trade_fraction(partition: Partition, i: int, j: int, delta: float,
+                   density: Density, perf: PerformanceFunction) -> float:
+    delta = check_delta(partition.env, delta)
+    return _fraction(partition, i, j, delta,
+                     pt.centroids(partition, density, perf))
 
 
 def _slab_regions(partition: Partition, i: int, j: int, ci, cj,
@@ -203,18 +191,10 @@ def partial_gossip_step(partition: Partition, i: int, j: int, delta: float,
     regions touch and the centroid gap reaches delta."""
     if i == j:
         raise ValueError("pair indices must differ")
-    env = partition.env
-    delta = check_delta(env, delta)
+    delta = check_delta(partition.env, delta)
     cs = pt.centroids(partition, density, perf)
     h_before = pt.centroid_cost(partition, density, perf)
-    gap = float(np.hypot(*(cs[i] - cs[j])))
-    if gap <= env.tol_point:
-        return _unchanged(partition, i, j, h_before)
-    pd = geo._distance_below(partition.regions[i], partition.regions[j],
-                             delta)
-    if pd >= delta:
-        return _unchanged(partition, i, j, h_before)
-    beta = trade_fraction_from(gap, pd, delta)
+    beta = _fraction(partition, i, j, delta, cs)
     if beta <= 0.0:
         return _unchanged(partition, i, j, h_before)
     if beta >= 1.0:
@@ -239,7 +219,8 @@ def fixed_point_residual(partition: Partition, density: Density,
     A pair's movement is the sum of its two regions' symmetric
     differences to their split, which is exactly twice the area the
     split trades. mode "full" checks every pair; "adjacent" only pairs
-    whose interiors come within delta.
+    whose interiors come within delta. is_mixed_centroidal is this
+    residual, in mode "full", held to a threshold.
     """
     env = partition.env
     if mode == "adjacent":
@@ -265,3 +246,18 @@ def fixed_point_residual(partition: Partition, density: Density,
         if moved > worst:
             worst = moved
     return worst
+
+
+def is_mixed_centroidal(partition: Partition, density: Density,
+                        perf: PerformanceFunction,
+                        tol: float | None = None) -> bool:
+    """True when every region pair is pairwise balanced: the full-mode
+    fixed_point_residual is at most tol (default 1e-5 of the area).
+
+    A pair passes when its centroids coincide, or when splitting the
+    pair's union by the centroid bisector moves at most tol, that is
+    twice the traded area.
+    """
+    if tol is None:
+        tol = 1e-5 * partition.env.area
+    return fixed_point_residual(partition, density, perf) <= tol

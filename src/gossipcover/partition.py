@@ -72,9 +72,6 @@ class Environment:
         return Region.from_pieces(pieces, min_area=self.sliver_area,
                                   merge_tol=self.tol_area)
 
-    def as_region(self) -> Region:
-        return Region((self.polygon,))
-
 
 def environment(vertices) -> Environment:
     return Environment(ConvexPolygon(vertices))
@@ -143,13 +140,22 @@ def check_points(env: Environment, points, distinct: bool = True) -> np.ndarray:
     if not np.all(inside):
         bad = int(np.argmin(inside))
         raise GeometryError(f"point {bad} at {pts[bad]} lies outside the environment")
-    if distinct and len(pts) > 1:
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        if np.sqrt(d2.min()) <= env.tol_point:
-            i, j = np.unravel_index(np.argmin(d2), d2.shape)
+    if distinct:
+        gap, i, j = _min_gap(pts)
+        if gap <= env.tol_point:
             raise CoincidentGenerators(f"points {i} and {j} coincide")
     return pts
+
+
+def _min_gap(pts: np.ndarray) -> tuple[float, int, int]:
+    """The smallest distance between two of the points and the first pair
+    at it; inf for fewer than two points."""
+    if len(pts) < 2:
+        return np.inf, 0, 0
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    k = int(np.argmin(d2))
+    return float(np.sqrt(d2.flat[k])), *divmod(k, len(pts))
 
 
 def voronoi(env: Environment, points) -> Partition:
@@ -162,8 +168,8 @@ def voronoi(env: Environment, points) -> Partition:
         for j in range(n):
             if j == i or piece is None:
                 continue
-            piece = geo.clip_convex(piece, bisector_halfplane(pts[i], pts[j]),
-                                    min_area=env.sliver_area)
+            piece = geo.split_convex(piece, bisector_halfplane(pts[i], pts[j]),
+                                     0.0, env.sliver_area)[0]
         if piece is None:
             raise VanishedRegion(f"generator {i} has an empty cell")
         regions.append(Region((piece,)))
@@ -272,41 +278,13 @@ def is_centroidal_voronoi(partition: Partition, density: Density,
     if tol is None:
         tol = 1e-5 * env.area
     cs = centroids(partition, density, perf)
-    if partition.n > 1:
-        d2 = np.sum((cs[:, None, :] - cs[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        if np.sqrt(d2.min()) <= env.tol_point:
-            return False
+    if _min_gap(cs)[0] <= env.tol_point:
+        return False
     try:
         ref = voronoi(env, cs)
     except (CoincidentGenerators, VanishedRegion):
         return False
     return partition_distance(partition, ref) <= tol
-
-
-def is_mixed_centroidal(partition: Partition, density: Density,
-                        perf: PerformanceFunction,
-                        tol: float | None = None) -> bool:
-    """True when every region pair is pairwise balanced.
-
-    A pair passes when its centroids coincide, or when splitting the
-    pair's union by the centroid bisector reproduces the pair: the two
-    regions' symmetric differences to their split, which sum to twice
-    the traded area, stay within tol.
-    """
-    env = partition.env
-    if tol is None:
-        tol = 1e-5 * env.area
-    cs = centroids(partition, density, perf)
-    for i in range(partition.n):
-        for j in range(i + 1, partition.n):
-            gap = float(np.hypot(*(cs[i] - cs[j])))
-            if gap <= env.tol_point:
-                continue
-            _, _, traded = pair_split(partition, i, j, cs[i], cs[j])
-            if 2.0 * traded > tol:
-                return False
-    return True
 
 
 def adjacency_pairs(partition: Partition, delta: float) -> list[tuple[int, int]]:
@@ -329,15 +307,8 @@ class DegeneracyReport:
 
 def degeneracy_report(partition: Partition, density: Density,
                       perf: PerformanceFunction) -> DegeneracyReport:
-    cs = centroids(partition, density, perf)
-    if len(cs) > 1:
-        d2 = np.sum((cs[:, None, :] - cs[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        gap = float(np.sqrt(d2.min()))
-    else:
-        gap = np.inf
     return DegeneracyReport(
-        min_centroid_gap=gap,
+        min_centroid_gap=_min_gap(centroids(partition, density, perf))[0],
         min_region_area=min(r.area for r in partition.regions),
         max_piece_count=max(len(r.pieces) for r in partition.regions))
 

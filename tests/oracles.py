@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -196,7 +197,7 @@ def convex_hull_ref(points: np.ndarray) -> np.ndarray:
 
 
 def _ring_vertices_ref(points: list, min_area: float):
-    """Vertices of the polygon a split or clip built from its point
+    """Vertices of the polygon a split built from its point
     list: deduplicated, then deduplicated again by the polygon's
     constructor; None when it has too few vertices or too little area."""
     if len(points) < 3:
@@ -207,7 +208,8 @@ def _ring_vertices_ref(points: list, min_area: float):
     return dedupe_ring_ref(np.array(arr, dtype=float))
 
 
-def _signed_ref(v, normal, offset, snap):
+def signed_offsets_ref(v, normal, offset, snap):
+    """Each vertex's signed offset past the line, zero within snap of it."""
     d = v @ normal - offset
     if snap > 0.0:
         d = np.where(np.abs(d) <= snap, 0.0, d)
@@ -217,7 +219,7 @@ def _signed_ref(v, normal, offset, snap):
 def split_convex_ref(v: np.ndarray, normal, offset, snap=0.0, min_area=0.0):
     """(inside, outside) vertex arrays of split_convex; None for an absent
     side, and v itself for a side that is the whole polygon."""
-    d = _signed_ref(v, normal, offset, snap)
+    d = signed_offsets_ref(v, normal, offset, snap)
     if np.all(d <= 0.0):
         if np.all(d == 0.0):
             return None, None
@@ -240,26 +242,71 @@ def split_convex_ref(v: np.ndarray, normal, offset, snap=0.0, min_area=0.0):
     return _ring_vertices_ref(ins, min_area), _ring_vertices_ref(outs, min_area)
 
 
-def clip_convex_ref(v: np.ndarray, normal, offset, snap=0.0, min_area=0.0):
-    """Vertex array of clip_convex, v itself when nothing is cut, None
-    when empty."""
-    d = _signed_ref(v, normal, offset, snap)
-    if np.all(d <= 0.0):
-        return v
-    if np.all(d >= 0.0):
-        return None
-    out = []
-    n = len(v)
+def _shoelace_exact(points) -> Fraction:
+    n = len(points)
+    return abs(sum(points[k][0] * points[(k + 1) % n][1]
+                   - points[(k + 1) % n][0] * points[k][1]
+                   for k in range(n))) / 2
+
+
+def area_exact(v: np.ndarray) -> Fraction:
+    """Area of the polygon on these float vertices, in rationals."""
+    return _shoelace_exact([(Fraction(x), Fraction(y)) for x, y in v.tolist()])
+
+
+def cut_areas_exact(v: np.ndarray, normal, offset) -> tuple[Fraction, Fraction]:
+    """Areas of the polygon's parts with <normal, q> <= offset and >= offset,
+    in rational arithmetic on the given floats: no rounding anywhere, so
+    no crossing is ever lost or moved."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in v.tolist()]
+    nx, ny = (Fraction(c) for c in np.asarray(normal).tolist())
+    d = [nx * x + ny * y - Fraction(offset) for x, y in pts]
+    ins = []
+    n = len(pts)
     for k in range(n):
-        a, da = v[k], d[k]
-        b, db = v[(k + 1) % n], d[(k + 1) % n]
-        if da <= 0.0:
-            out.append(a)
-        if (da < 0.0 and db > 0.0) or (da > 0.0 and db < 0.0):
+        a, da = pts[k], d[k]
+        b, db = pts[(k + 1) % n], d[(k + 1) % n]
+        if da <= 0:
+            ins.append(a)
+        if da < 0 < db or da > 0 > db:
             t = da / (da - db)
-            if 0.0 < t < 1.0:
-                out.append(a + t * (b - a))
-    return _ring_vertices_ref(out, min_area)
+            ins.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    inside = _shoelace_exact(ins) if len(ins) >= 3 else Fraction(0)
+    return inside, _shoelace_exact(pts) - inside
+
+
+def is_mixed_centroidal_ref(partition, density, perf, tol=None) -> bool:
+    """The pairwise-balance test as its own pair loop: every pair whose
+    centroids lie more than tol_point apart moves at most tol (twice its
+    traded area) when split by their bisector."""
+    env = partition.env
+    if tol is None:
+        tol = 1e-5 * env.area
+    cs = pt.centroids(partition, density, perf)
+    for i in range(partition.n):
+        for j in range(i + 1, partition.n):
+            gap = float(np.hypot(*(cs[i] - cs[j])))
+            if gap <= env.tol_point:
+                continue
+            _, _, traded = pt.pair_split(partition, i, j, cs[i], cs[j])
+            if 2.0 * traded > tol:
+                return False
+    return True
+
+
+def random_generators_ref(env, n: int, seed: int) -> np.ndarray:
+    """Rejection sampling with no cap on the draws: uniform points in the
+    bounding box, kept when 1e-3 of the diameter inside the environment."""
+    rng = np.random.default_rng(seed)
+    v = env.polygon.vertices
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    margin = -1e-3 * env.diameter
+    out = []
+    while len(out) < n:
+        cand = rng.uniform(lo, hi, size=2)
+        if bool(env.polygon.contains(cand, tol=margin)[0]):
+            out.append(cand)
+    return np.array(out)
 
 
 def bbox_gap_ref(a, b) -> float:

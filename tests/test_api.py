@@ -54,6 +54,7 @@ def test_layer_functions_take_no_quadrature_knobs(mod):
 
 
 FIXED = [(geometry.bisector_halfplane, "tol"),
+         (geometry.convex_intersect, "min_area"),
          (geometry.Region.from_pieces, "merge"),
          (geometry.hausdorff_distance, "samples_per_edge"),
          (partition.Partition.validate, "overlap_tol"),
@@ -65,3 +66,20 @@ FIXED = [(geometry.bisector_halfplane, "tol"),
                          ids=[f"{fn.__qualname__}.{name}" for fn, name in FIXED])
 def test_fixed_settings_take_no_parameter(fn, name):
     assert name not in inspect.signature(fn).parameters
+
+
+# one implementation per operation: the second copies stay deleted
+GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
+        (geometry, "_point_segment_distance"), (gossip, "_already_split"),
+        (gossip, "_trade_below_tolerance"), (partition, "is_mixed_centroidal"),
+        (partition.Environment, "as_region")]
+
+
+@pytest.mark.parametrize("owner, name", GONE,
+                         ids=[name for _, name in GONE])
+def test_second_copies_stay_deleted(owner, name):
+    assert not hasattr(owner, name)
+
+
+def test_balance_test_lives_beside_the_residual():
+    assert gossipcover.is_mixed_centroidal is gossip.is_mixed_centroidal

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from gossipcover import cli
 from gossipcover import geometry as geo
 from gossipcover import gossip as gp
@@ -186,6 +187,28 @@ def test_run_unknown_algorithm_returns_2(tmp_path):
     cfg = write_cfg(tmp_path, QUICK_PAIRWISE.replace("kind: gossip",
                                                      "kind: quantum"))
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_run_thin_environment_without_generators_returns_2(tmp_path, capsys):
+    # no point lies 1e-3 of the diameter inside a 1 x 1e-4 rectangle, so
+    # generator sampling must give up instead of drawing forever
+    cfg = write_cfg(tmp_path, QUICK_PAIRWISE.replace(
+        "rectangle: [2.0, 1.0]", "rectangle: [1.0, 0.0001]").replace(
+        "n: 2", "n: 3"))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("env", [pt.rectangle(2.0, 1.0),
+                                 pt.rectangle(1.0, 0.01),
+                                 pt.environment([[0, 0], [3, 0], [0.2, 1]])],
+                         ids=["rect", "thin-rect", "triangle"])
+def test_random_generators_keep_their_draws(env):
+    for seed in range(3):
+        got = cli.random_generators(env, 6, seed)
+        want = oracles.random_generators_ref(env, 6, seed)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_run_missing_config_returns_2(tmp_path):

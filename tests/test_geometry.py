@@ -9,8 +9,7 @@ import oracles
 from gossipcover import geometry as geo
 from gossipcover.partition import environment
 from gossipcover.geometry import (ConvexPolygon, HalfPlane, Region,
-                                  bisector_halfplane, clip_convex,
-                                  convex_intersect, interior_distance,
+                                  bisector_halfplane, convex_intersect, interior_distance,
                                   intersection_area, merge_pieces, region_of,
                                   split_convex, symdiff_area)
 
@@ -76,17 +75,22 @@ def test_polygon_contains_boundary_tol():
 # ---------------------------------------------------------------------------
 # clipping and splitting
 
+def clip(poly, hp, snap=0.0):
+    """The part of poly inside hp, as every clip in the package takes it."""
+    return split_convex(poly, hp, snap)[0]
+
+
 def test_clip_square_halves():
     hp = HalfPlane((1.0, 0.0), 0.5)
-    left = clip_convex(UNIT_SQUARE, hp)
+    left = clip(UNIT_SQUARE, hp)
     assert left.area == pytest.approx(0.5)
-    right = clip_convex(UNIT_SQUARE, hp.flipped())
+    right = clip(UNIT_SQUARE, hp.flipped())
     assert right.area == pytest.approx(0.5)
 
 
 def test_clip_miss_and_cover():
-    assert clip_convex(UNIT_SQUARE, HalfPlane((1.0, 0.0), -0.2)) is None
-    full = clip_convex(UNIT_SQUARE, HalfPlane((1.0, 0.0), 4.0))
+    assert clip(UNIT_SQUARE, HalfPlane((1.0, 0.0), -0.2)) is None
+    full = clip(UNIT_SQUARE, HalfPlane((1.0, 0.0), 4.0))
     assert full.area == pytest.approx(1.0)
 
 
@@ -100,7 +104,7 @@ def test_clip_own_edge_is_identity():
         n = np.array([e[1], -e[0]])  # outward for ccw rings
         n = n / np.hypot(*n)
         hp = HalfPlane(n, float(n @ a))
-        out = clip_convex(poly, hp, snap=1e-12 * 3.0)
+        out = clip(poly, hp, snap=1e-12 * 3.0)
         assert out is not None
         assert out.area == pytest.approx(poly.area, rel=0, abs=1e-12)
 
@@ -129,8 +133,8 @@ def test_split_shares_seam_vertices():
 
 
 def test_cut_pieces_keep_their_measured_ring():
-    # a split or clip hands its polygon the deduplicated ring and the area
-    # it measured; neither may differ from measuring the polygon afresh
+    # a split hands its polygons the deduplicated ring and the area it
+    # measured; neither may differ from measuring the polygon afresh
     rng = np.random.default_rng(5)
     pieces = []
     for _ in range(150):
@@ -143,8 +147,6 @@ def test_cut_pieces_keep_their_measured_ring():
         hp = HalfPlane(n, float(n @ anchor) + 1e-14 * rng.normal())
         pieces += [p for p in split_convex(poly, hp, snap=1e-15)
                    if p is not None]
-        pieces.append(clip_convex(poly, hp, snap=1e-15))
-    pieces = [p for p in pieces if p is not None]
     assert len(pieces) > 200
     for p in pieces:
         assert not p.vertices.flags.writeable

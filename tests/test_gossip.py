@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from gossipcover import geometry as geo
 from gossipcover import gossip as gp
 from gossipcover import partition as pt
@@ -271,7 +272,8 @@ def test_hairline_trade_returns_same_partition():
     env = pt.rectangle(2.0, 1.0)
     part = strips(env, [1.0 - 1e-9])
     cs = pt.centroids(part, DENS, QUAD)
-    assert not gp._already_split(part, 0, 1, cs[0], cs[1])
+    _, d0, d1 = gp._bisector_offsets(part, 0, 1, cs[0], cs[1])
+    assert not gp._on_own_sides(d0, d1, env.snap)
     _, _, traded = pt.pair_split(part, 0, 1, cs[0], cs[1])
     assert 0.0 < traded <= env.tol_area
     for out in (gp.gossip_step(part, 0, 1, DENS, QUAD),
@@ -345,3 +347,30 @@ def test_residual_matches_direct_symdiff():
             worst = max(worst, moved)
     assert gp.fixed_point_residual(part, DENS, QUAD) == pytest.approx(
         worst, rel=1e-12)
+
+
+def test_mixed_centroidal_is_the_residual_threshold():
+    # the predicate thresholds the full residual; the pair loop it
+    # replaced must give the same answer at every tolerance: on Voronoi
+    # starts, on multi-piece partitions after 50 and 150 steps, and on
+    # strips balanced exactly and to a hairline
+    env = pt.rectangle(2.0, 1.0)
+    parts = [strips(env, [1.0]), strips(env, [1.0 - 1e-9])]
+    for seed in (21, 22):
+        start = random_partition(np.random.default_rng(seed), env, 6)
+        trace = sw.run_evolution(start, DENS, QUAD,
+                                 sw.AdjacentRandom(seed=seed, delta=1e-9),
+                                 budget=151, stop_tol=0.0, check_every=1000,
+                                 snapshot_steps=(50, 150))
+        parts += [start] + [p for _, p in trace.snapshots]
+    assert max(len(r.pieces) for p in parts for r in p.regions) > 1
+    answers = set()
+    for part in parts:
+        for tol in (0.0, env.tol_area, 1e-5 * env.area, 1e-4 * env.area):
+            got = gp.is_mixed_centroidal(part, DENS, QUAD, tol=tol)
+            assert got == oracles.is_mixed_centroidal_ref(part, DENS, QUAD,
+                                                          tol=tol)
+            answers.add(got)
+        assert gp.is_mixed_centroidal(part, DENS, QUAD) == \
+            oracles.is_mixed_centroidal_ref(part, DENS, QUAD)
+    assert answers == {True, False}

@@ -3,10 +3,12 @@ the same bits as the array form it replaced (kept in tests/oracles.py),
 on seeded and hypothesis inputs that reach their edge cases:
 near-duplicate vertices at the dedupe threshold, collinear runs,
 vertices within snap of a cut, points exactly on an edge, nonzero
-tolerances, and boxes that touch at a corner.
+tolerances, and boxes that touch at a corner. The split's pieces are
+also measured against its cut done in exact rational arithmetic.
 """
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -83,15 +85,40 @@ def test_hull_matches_array_form_on_collinear_runs_and_seeds():
 
 
 # ---------------------------------------------------------------------------
-# split and clip
+# split
 
 def check_cut(poly, hp, snap, min_area=0.0):
     v, n, c = poly.vertices, hp.normal, hp.offset
     ins, outs = geo.split_convex(poly, hp, snap, min_area)
     want_ins, want_outs = oracles.split_convex_ref(v, n, c, snap, min_area)
     assert same(ins, want_ins) and same(outs, want_outs)
-    got = geo.clip_convex(poly, hp, min_area, snap)
-    assert same(got, oracles.clip_convex_ref(v, n, c, snap, min_area))
+
+
+def exact_area(piece) -> Fraction:
+    return Fraction(0) if piece is None else oracles.area_exact(piece.vertices)
+
+
+def check_exact_areas(poly, hp, snap):
+    """The split's pieces, measured exactly, hold the polygon's exact parts
+    on either side of the line: to 1e-9 of its area, plus the band within
+    snap of the line, which the split may hand either way."""
+    ins, outs = geo.split_convex(poly, hp, snap)
+    want_ins, want_outs = oracles.cut_areas_exact(poly.vertices, hp.normal,
+                                                  hp.offset)
+    along = poly.vertices @ np.array([-hp.normal[1], hp.normal[0]])
+    tol = 1e-9 * poly.area + snap * float(along.max() - along.min())
+    assert abs(float(exact_area(ins) - want_ins)) <= tol
+    assert abs(float(exact_area(outs) - want_outs)) <= tol
+
+
+def rounds_a_crossing(poly, hp, snap) -> bool:
+    """True when some edge crossing's parameter rounds to 0 or 1: the
+    crossing lands on an edge end, the case a cut must not drop."""
+    d = oracles.signed_offsets_ref(poly.vertices, hp.normal, hp.offset,
+                                   snap).tolist()
+    return any((da < 0.0 < db or da > 0.0 > db)
+               and not 0.0 < da / (da - db) < 1.0
+               for da, db in zip(d, d[1:] + d[:1]))
 
 
 def cuts_through(poly, angle, snap):
@@ -106,8 +133,7 @@ def cuts_through(poly, angle, snap):
 @settings(max_examples=100, deadline=None)
 @given(POINTS, ANGLE, st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
        st.floats(-1.0, 1.0), st.sampled_from([0.0, 1e-6]))
-def test_split_and_clip_match_array_form(points, angle, snap_rel, where,
-                                         min_area):
+def test_split_matches_array_form(points, angle, snap_rel, where, min_area):
     poly = polygon(points)
     assume(poly is not None)
     snap = snap_rel * (float(np.abs(poly.vertices).max()) + 1.0)
@@ -120,20 +146,26 @@ def test_split_and_clip_match_array_form(points, angle, snap_rel, where,
     check_cut(poly, HalfPlane(normal, offset), snap, min_area)
 
 
-def test_split_and_clip_match_array_form_on_seeded_polygons():
+def test_split_matches_array_form_and_exact_areas_on_seeded_polygons():
     rng = np.random.default_rng(12)
+    cuts = []
     for poly in seeded_polygons(13, 60):
         scale = float(np.abs(poly.vertices).max()) + 1.0
         for snap in (0.0, 1e-12 * scale):
             for hp in cuts_through(poly, rng.uniform(0, 2 * math.pi), snap):
-                check_cut(poly, hp, snap)
+                cuts.append((poly, hp, snap))
     # a cut along an edge, and one through two opposite corners
     square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
     for hp in (HalfPlane((1.0, 0.0), 1.0), HalfPlane((1.0, -1.0), 0.0),
                HalfPlane((0.0, 1.0), 0.5)):
         for snap in (0.0, 1e-12):
-            check_cut(square, hp, snap)
-            check_cut(square, hp.flipped(), snap)
+            cuts += [(square, hp, snap), (square, hp.flipped(), snap)]
+    for poly, hp, snap in cuts:
+        check_cut(poly, hp, snap)
+        check_exact_areas(poly, hp, snap)
+    # the sweep reaches crossings that land on an edge end; a clip that
+    # dropped them lost real area on 56 of these cuts
+    assert sum(rounds_a_crossing(*cut) for cut in cuts) >= 50
 
 
 # ---------------------------------------------------------------------------

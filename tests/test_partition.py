@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -82,6 +83,8 @@ def test_check_points_rejects_outside_and_coincident():
         pt.check_points(env, [[0.5, 0.5], [5.0, 0.5]])
     with pytest.raises(pt.CoincidentGenerators):
         pt.check_points(env, [[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(pt.CoincidentGenerators, match="points 0 and 2 "):
+        pt.check_points(env, [[0.5, 0.5], [1.5, 0.5], [0.5, 0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +119,62 @@ def test_voronoi_matches_grid_labels():
         approx = oracles.voronoi_areas_by_grid(env.polygon, gens, 30_000, rng)
         for i in range(n):
             assert part.regions[i].area == pytest.approx(approx[i], abs=6e-3)
+
+
+def grid_centres(width, height, k, m):
+    """Cell centres of a k x m grid over the width x height rectangle,
+    column by column."""
+    return [[x, y] for x in (np.arange(k) + 0.5) * width / k
+            for y in (np.arange(m) + 0.5) * height / m]
+
+
+def circle_points(k, r):
+    return [[0.5 + r * math.cos(2 * math.pi * t / k),
+             0.5 + r * math.sin(2 * math.pi * t / k)] for t in range(k)]
+
+
+SYMMETRIC = [((1.0, 1.0), grid_centres(1.0, 1.0, 3, 3)),
+             ((2.0, 1.0), grid_centres(2.0, 1.0, 5, 2)),
+             ((1.0, 1.0), grid_centres(1.0, 1.0, 5, 4)),
+             ((1.0, 3.0), grid_centres(1.0, 3.0, 3, 3)),
+             ((1.0, 1.0), circle_points(4, 0.25)),
+             ((1.0, 1.0), circle_points(4, 0.3)),
+             ((1.0, 1.0), circle_points(5, 0.25)),
+             ((1.0, 1.0), circle_points(7, 0.25)),
+             ((1.0, 1.0), circle_points(8, 0.3))]
+
+
+@pytest.mark.parametrize("size, gens", SYMMETRIC,
+                         ids=["grid3x3", "grid5x2", "grid5x4", "grid3x3-tall",
+                              "circle4-0.25", "circle4-0.3", "circle5",
+                              "circle7", "circle8"])
+def test_voronoi_tiles_symmetric_generators(size, gens):
+    # symmetric sets put several bisectors through one vertex, where a
+    # cut's crossing lands on the end of an edge and must be kept
+    env = pt.rectangle(*size)
+    part = pt.voronoi(env, gens).validate()
+    total = sum(r.area for r in part.regions)
+    assert total == pytest.approx(env.area, abs=part.n * env.tol_area)
+    # each cell's centroid lies inside it, so nearest to its own generator
+    inner = np.array([geo.mass_centroid(r, DENS) for r in part.regions])
+    assert oracles.nearest_labels(inner, np.array(gens)).tolist() == \
+        list(range(part.n))
+
+
+@pytest.mark.parametrize("by_column", [False, True],
+                         ids=["row-by-row", "column-by-column"])
+def test_grid_box_partition_is_centroidal_voronoi(by_column):
+    # the exact 3 x 3 boxes of the unit square, the textbook CVT of nine
+    env = pt.rectangle(1.0, 1.0)
+    spans = list(zip([0.0, 1.0 / 3.0, 2.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0, 1.0]))
+    cells = [(sx, sy) if by_column else (sy, sx)
+             for sx in spans for sy in spans]
+    boxes = Partition(env, tuple(
+        region_of([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+        for (x0, x1), (y0, y1) in cells))
+    assert pt.is_centroidal_voronoi(boxes, DENS, QUAD)
+    ref = pt.voronoi(env, pt.centroids(boxes, DENS, QUAD))
+    assert pt.partition_distance(boxes, ref) <= boxes.n * env.tol_area
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +286,21 @@ def test_equal_strips_are_centroidal():
     env = strip_env()
     part = strips(env, [1.0])
     assert pt.is_centroidal_voronoi(part, DENS, QUAD)
-    assert pt.is_mixed_centroidal(part, DENS, QUAD)
+    assert gp.is_mixed_centroidal(part, DENS, QUAD)
 
 
 def test_uneven_strips_are_not_centroidal():
     env = strip_env()
     part = strips(env, [0.7])
     assert not pt.is_centroidal_voronoi(part, DENS, QUAD)
-    assert not pt.is_mixed_centroidal(part, DENS, QUAD)
+    assert not gp.is_mixed_centroidal(part, DENS, QUAD)
 
 
 def test_coincident_centroid_pairs_are_mixed_but_not_voronoi():
     part = quadrant_pairs()
     cs = pt.centroids(part, DENS, QUAD)
     assert np.allclose(cs[0], cs[1], atol=1e-12)
-    assert pt.is_mixed_centroidal(part, DENS, QUAD)
+    assert gp.is_mixed_centroidal(part, DENS, QUAD)
     assert not pt.is_centroidal_voronoi(part, DENS, QUAD)
 
 

@@ -1,14 +1,16 @@
-"""Property tests (hypothesis) for the exchange's no-op bound.
+"""Property tests (hypothesis) for the exchange's no-op tests.
 
-gossip._trade_below_tolerance lets a full exchange skip its split when
-the area beyond the bisector fits in a rectangle of at most tol_area.
-Whenever it skips, the split it replaces must trade at most tol_area,
-and the step must hand back the very same partition.
+gossip._trade_bound lets a full exchange skip its split when the area
+beyond the bisector fits in a rectangle of at most tol_area. Whenever it
+skips, the split it replaces must trade at most tol_area, and the step
+must hand back the very same partition. A zero fixed-point residual
+holds exactly when the partition is pairwise balanced at tolerance 0.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gossipcover import geometry as geo
 from gossipcover import gossip as gp
 from gossipcover import partition as pt
@@ -23,6 +25,19 @@ QUAD = geo.quadratic_performance()
 EXPONENT = st.floats(-13.0, -6.0)
 UNIT = st.floats(-1.0, 1.0)
 NOISE = st.lists(st.tuples(UNIT, UNIT), min_size=10, max_size=10)
+
+
+def already_split(part, i, j, ci, cj) -> bool:
+    """The exact no-op test, as the full exchange makes it."""
+    _, di, dj = gp._bisector_offsets(part, i, j, ci, cj)
+    return gp._on_own_sides(di, dj, part.env.snap)
+
+
+def trade_below_tolerance(part, i, j, ci, cj) -> bool:
+    """The no-op bound, as the full exchange makes it."""
+    bound = gp._trade_bound(part, i, j,
+                            *gp._bisector_offsets(part, i, j, ci, cj))
+    return bound <= part.env.tol_area
 
 
 def strips(env, cuts):
@@ -44,7 +59,7 @@ def check_bound(part, points, noise, scale):
             ci = points[i] + scale * np.array(noise[k % len(noise)])
             cj = points[j] + scale * np.array(noise[(k + 1) % len(noise)])
             k += 2
-            if gp._trade_below_tolerance(part, i, j, ci, cj):
+            if trade_below_tolerance(part, i, j, ci, cj):
                 skipped += 1
                 assert pt.pair_split(part, i, j, ci, cj)[2] <= \
                     part.env.tol_area
@@ -65,7 +80,7 @@ def test_bound_skips_only_no_op_splits_on_strips(cuts, cut_exp, noise,
     check_bound(part, cs, noise, 10.0 ** noise_exp)
     for i in range(n):
         for j in range(i + 1, n):
-            if gp._trade_below_tolerance(part, i, j, cs[i], cs[j]):
+            if trade_below_tolerance(part, i, j, cs[i], cs[j]):
                 assert pt.pair_split(part, i, j, cs[i], cs[j])[2] <= \
                     env.tol_area
                 for out in (gp.gossip_step(part, i, j, DENS, QUAD),
@@ -95,8 +110,8 @@ def test_bound_skips_hairline_voronoi_pairs():
     part = pt.voronoi(env, points)
     moved = points + 1e-10 * rng.uniform(-1.0, 1.0, size=points.shape)
     caught = [(i, j) for i in range(part.n) for j in range(i + 1, part.n)
-              if not gp._already_split(part, i, j, moved[i], moved[j])
-              and gp._trade_below_tolerance(part, i, j, moved[i], moved[j])]
+              if not already_split(part, i, j, moved[i], moved[j])
+              and trade_below_tolerance(part, i, j, moved[i], moved[j])]
     assert len(caught) >= 2
     for i, j in caught:
         assert 0.0 < pt.pair_split(part, i, j, moved[i], moved[j])[2] <= \
@@ -116,6 +131,26 @@ def test_bound_counts_the_snap_band():
                   [[near, 0], [far, 0], [far, 1], [near, 1]]),
         region_of([[far, 0], [2, 0], [2, 1], [far, 1]])))
     ci, cj = np.array([0.5, 0.5]), np.array([1.5, 0.5])
-    assert not gp._already_split(part, 0, 1, ci, cj)
+    assert not already_split(part, 0, 1, ci, cj)
     assert pt.pair_split(part, 0, 1, ci, cj)[2] > tol
-    assert not gp._trade_below_tolerance(part, 0, 1, ci, cj)
+    assert not trade_below_tolerance(part, 0, 1, ci, cj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cuts=st.lists(UNIT, min_size=1, max_size=3), cut_exp=EXPONENT,
+       seed=st.integers(0, 2 ** 16))
+def test_zero_residual_iff_mixed_centroidal_at_zero_tolerance(cuts, cut_exp,
+                                                              seed):
+    # strips whose seams sit on, within snap of, or off their balanced
+    # positions, and a Voronoi partition of random generators
+    n = len(cuts) + 1
+    env = pt.rectangle(float(n), 1.0)
+    points = np.random.default_rng(seed).uniform(
+        [0.05, 0.05], [n - 0.05, 0.95], size=(n + 1, 2))
+    for part in (strips(env, [k + 1.0 + c * 10.0 ** cut_exp
+                              for k, c in enumerate(cuts)]),
+                 pt.voronoi(env, points)):
+        zero = gp.fixed_point_residual(part, DENS, QUAD) == 0.0
+        assert zero == gp.is_mixed_centroidal(part, DENS, QUAD, tol=0.0)
+        assert zero == oracles.is_mixed_centroidal_ref(part, DENS, QUAD,
+                                                       tol=0.0)
