@@ -58,8 +58,23 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
 
 def _number(cfg, path, default=None, required=False, positive=False):
     val = _get(cfg, path, default, required)
+    return None if val is None else _checked(val, path, positive)
+
+
+def _numbers(cfg, path, default=None, required=False, positive=False,
+             length=None):
+    """The list at path with each entry checked as _number checks one;
+    length, when given, is the entry count it must have."""
+    val = _get(cfg, path, default, required)
     if val is None:
         return None
+    if not isinstance(val, list) or length not in (None, len(val)):
+        raise ConfigError(f"{path}: expected {length or 'a list of'} numbers, "
+                          f"got {val!r}")
+    return [_checked(x, f"{path}[{k}]", positive) for k, x in enumerate(val)]
+
+
+def _checked(val, path, positive) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {val!r}")
     if positive and val <= 0:
@@ -97,12 +112,10 @@ def load_config(path_or_name: str) -> dict:
 # building blocks from config sections
 
 def build_environment(cfg: dict) -> Environment:
-    rect = _get(cfg, "environment.rectangle")
+    rect = _numbers(cfg, "environment.rectangle", positive=True, length=2)
     verts = _get(cfg, "environment.vertices")
     if rect is not None:
-        if (not isinstance(rect, (list, tuple)) or len(rect) != 2):
-            raise ConfigError("environment.rectangle: expected [width, height]")
-        return pt.rectangle(float(rect[0]), float(rect[1]))
+        return pt.rectangle(*rect)
     if verts is not None:
         try:
             return pt.environment(verts)
@@ -186,11 +199,11 @@ def build_initial(cfg: dict, env: Environment, seed: int) -> Partition:
     if kind == "random_voronoi":
         if not isinstance(n, int) or n < 1:
             raise ConfigError("n: needs a positive region count")
-        init_seed = _get(cfg, "initial.seed", seed)
-        return pt.voronoi(env, random_generators(env, n, int(init_seed)))
+        init_seed = int(_number(cfg, "initial.seed", seed))
+        return pt.voronoi(env, random_generators(env, n, init_seed))
     if kind == "strips":
-        cuts = _get(cfg, "initial.cuts", required=True)
-        part = strip_partition(env, cuts)
+        part = strip_partition(env, _numbers(cfg, "initial.cuts",
+                                             required=True))
         if n is not None and part.n != n:
             raise ConfigError(f"initial.cuts: {part.n} strips but n={n}")
         return part
@@ -199,7 +212,7 @@ def build_initial(cfg: dict, env: Environment, seed: int) -> Partition:
         try:
             regions = tuple(geo.region_of(*rings) for rings in entries)
             return Partition(env, regions)
-        except (ValueError, geo.GeometryError) as exc:
+        except (TypeError, ValueError, geo.GeometryError) as exc:
             raise ConfigError(f"initial.regions: {exc}") from exc
     raise ConfigError(f"initial.kind: unknown kind {kind!r}")
 
@@ -216,9 +229,15 @@ def build_scheduler(cfg: dict, n: int, seed: int):
     if kind == "periodic":
         seq = _get(cfg, "scheduler.sequence", required=True)
         try:
-            return sw.Periodic(seq)
+            sched = sw.Periodic(seq)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"scheduler.sequence: {exc}") from exc
+        for pair in sched.sequence:
+            if not (len(pair) == 2 and all(type(k) is int for k in pair)
+                    and 0 <= pair[0] < pair[1] < n):
+                raise ConfigError(f"scheduler.sequence: {list(pair)} is not "
+                                  f"two distinct region indices below {n}")
+        return sched
     raise ConfigError(f"scheduler.kind: unknown kind {kind!r}")
 
 
@@ -288,7 +307,7 @@ def _build_start(cfg: dict, seed: int) -> tuple:
 def _snapshots(cfg: dict, args) -> list:
     if args.snapshot_list is not None:
         return args.snapshot_list
-    return [float(s) for s in _get(cfg, "snapshots", [])]
+    return _numbers(cfg, "snapshots", [])
 
 
 def _run_stepwise(cfg: dict, algo: str, delta, start: tuple, seed: int,
@@ -368,7 +387,8 @@ def _run_netsim(cfg, args, out_dir, seed, log) -> int:
     env = initial.env
     try:
         config = ns.NetConfig(
-            speeds=tuple(_get(cfg, "algorithm.speeds", [1.0] * initial.n)),
+            speeds=tuple(_numbers(cfg, "algorithm.speeds",
+                                  [1.0] * initial.n)),
             comm_radius=_number(cfg, "algorithm.comm_radius", 1.0,
                                 positive=True),
             comm_rate=_number(cfg, "algorithm.comm_rate", 2.0, positive=True),
@@ -496,7 +516,8 @@ def run_once(cfg: dict, args, out_dir: str, seed: int, log) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(_get(cfg, "seed", 0))
+    seed = args.seed if args.seed is not None else \
+        int(_number(cfg, "seed", 0))
     out_dir = args.out or _get(cfg, "out", "runs/out")
     if args.batch is not None:
         if args.batch < 1:
@@ -533,7 +554,8 @@ def _algo_list(text: str):
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(_get(cfg, "seed", 0))
+    seed = args.seed if args.seed is not None else \
+        int(_number(cfg, "seed", 0))
     out_dir = _ensure_out(args.out or _get(cfg, "out", "runs/compare"))
     algos = _algo_list(args.algos)
     start = _build_start(cfg, seed)

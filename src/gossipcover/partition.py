@@ -14,7 +14,7 @@ import numpy as np
 
 from . import geometry as geo
 from .geometry import (ConvexPolygon, Density, EmptyRegion, GeometryError,
-                       PerformanceFunction, Region, VanishedRegion,
+                       HalfPlane, PerformanceFunction, Region, VanishedRegion,
                        bisector_halfplane, symdiff_area)
 
 
@@ -242,30 +242,33 @@ def partition_distance(u: Partition, v: Partition) -> float:
     return sum(symdiff_area(u.regions[k], v.regions[k]) for k in range(u.n))
 
 
-def pair_split(partition: Partition, i: int, j: int, ci,
-               cj) -> tuple[list, list, float]:
-    """Reassign the union of regions i and j by the bisector of ci and cj.
+def pair_split(partition: Partition, i: int, j: int, hp_i: HalfPlane,
+               hp_j: HalfPlane) -> tuple[list, list, float]:
+    """Reassign the union of regions i and j along two cut lines.
 
-    Returns the pieces of the new region i (everything at least as close
-    to ci), the pieces of the new region j, and the traded area: region
-    i's pieces beyond the bisector plus region j's pieces before it.
-    Each piece is split two-sided so both halves share their seam
-    vertices, which conserves area; the environment's snap absorbs cuts
-    that nearly coincide with an existing edge instead of shaving
-    hairline slivers off it.
+    Region i keeps its part inside hp_i and hands the rest to j; region
+    j hands its part inside hp_j to i. Returns the pieces of the new
+    region i, those of the new region j, and the traded area: the sum
+    of the two handed-over parts. The full exchange cuts both regions at
+    the centroid bisector; the distance-limited one moves each line into
+    its region's far side. Each piece is split two-sided so both halves
+    share their seam vertices, which conserves area; the environment's
+    snap absorbs cuts that nearly coincide with an existing edge instead
+    of shaving hairline slivers off it.
     """
     env = partition.env
-    hp = bisector_halfplane(ci, cj)
-    keep_i, give_i = geo.region_split(partition.regions[i], hp, env.snap,
+    keep_i, give_i = geo.region_split(partition.regions[i], hp_i, env.snap,
                                       env.sliver_area)
-    give_j, keep_j = geo.region_split(partition.regions[j], hp, env.snap,
+    give_j, keep_j = geo.region_split(partition.regions[j], hp_j, env.snap,
                                       env.sliver_area)
     traded = sum(p.area for p in give_i) + sum(p.area for p in give_j)
     return keep_i + give_j, give_i + keep_j, traded
 
 
 def pair_rebalanced(partition: Partition, i: int, j: int, ci, cj) -> tuple[Region, Region]:
-    pieces_i, pieces_j, _ = pair_split(partition, i, j, ci, cj)
+    """Regions i and j split along the bisector of ci and cj."""
+    hp = bisector_halfplane(ci, cj)
+    pieces_i, pieces_j, _ = pair_split(partition, i, j, hp, hp)
     env = partition.env
     return env.region(pieces_i), env.region(pieces_j)
 

@@ -164,13 +164,13 @@ def run_evolution(initial: Partition, density: Density,
 
 def run_lloyd(initial: Partition, density: Density,
               perf: PerformanceFunction, *, budget: int = 5000,
-              stop_tol: float | None = None, check_every: int = 1,
+              stop_tol: float | None = None,
               snapshot_steps=()) -> EvolutionTrace:
     """Synchronous comparison baseline: every region re-seats at once.
 
     Records the same trace shape, and stops, snapshots and fails by the
-    same rules, as the pairwise runner; the pair field is (-1, -1) since
-    all regions move per step.
+    same rules, as the pairwise runner, with the residual checked every
+    step; the pair field is (-1, -1) since all regions move per step.
     """
     def step(t: int, current: Partition):
         nxt = gp.lloyd_step(current, density, perf)
@@ -178,7 +178,7 @@ def run_lloyd(initial: Partition, density: Density,
 
     return _evolve(initial, density, perf, step,
                    lambda p: gp.fixed_point_residual(p, density, perf),
-                   budget=budget, stop_tol=stop_tol, check_every=check_every,
+                   budget=budget, stop_tol=stop_tol, check_every=1,
                    snapshot_steps=snapshot_steps)
 
 

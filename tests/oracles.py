@@ -275,6 +275,41 @@ def cut_areas_exact(v: np.ndarray, normal, offset) -> tuple[Fraction, Fraction]:
     return inside, _shoelace_exact(pts) - inside
 
 
+def bisector_trade(partition, i: int, j: int, ci, cj) -> float:
+    """Area that splitting regions i and j along the bisector of ci and
+    cj trades: the full exchange's split at those points."""
+    hp = geo.bisector_halfplane(ci, cj)
+    return pt.pair_split(partition, i, j, hp, hp)[2]
+
+
+def slab_split_ref(partition, i: int, j: int, ci, cj,
+                   beta: float) -> tuple[list, list, float]:
+    """The distance-limited exchange's split as its own slab code.
+
+    Region i hands j its part beyond the line parallel to the bisector
+    of ci and cj at (1 - beta) of its far reach, its largest distance
+    past the bisector; likewise for region j. Returns the pieces of the
+    new regions i and j and the traded area.
+    """
+    env = partition.env
+    u = (cj - ci)
+    u = u / float(np.hypot(u[0], u[1]))
+    m = float(u @ (ci + cj)) / 2.0
+    vi, vj = partition.regions[i], partition.regions[j]
+
+    def far_reach(region: Region, sign: float) -> float:
+        # max signed distance past the bisector on the far side; 0 if none
+        s = sign * (region.vertices @ u - m)
+        return max(float(s.max()) if len(s) else 0.0, 0.0)
+
+    keep_i = geo.HalfPlane(u, m + (1.0 - beta) * far_reach(vi, +1.0))
+    keep_j = geo.HalfPlane(-u, -(m - (1.0 - beta) * far_reach(vj, -1.0)))
+    kept_i, give_i = geo.region_split(vi, keep_i, env.snap, env.sliver_area)
+    kept_j, give_j = geo.region_split(vj, keep_j, env.snap, env.sliver_area)
+    traded = sum(p.area for p in give_i) + sum(p.area for p in give_j)
+    return kept_i + give_j, kept_j + give_i, traded
+
+
 def is_mixed_centroidal_ref(partition, density, perf, tol=None) -> bool:
     """The pairwise-balance test as its own pair loop: every pair whose
     centroids lie more than tol_point apart moves at most tol (twice its
@@ -288,7 +323,7 @@ def is_mixed_centroidal_ref(partition, density, perf, tol=None) -> bool:
             gap = float(np.hypot(*(cs[i] - cs[j])))
             if gap <= env.tol_point:
                 continue
-            _, _, traded = pt.pair_split(partition, i, j, cs[i], cs[j])
+            traded = bisector_trade(partition, i, j, cs[i], cs[j])
             if 2.0 * traded > tol:
                 return False
     return True

@@ -59,7 +59,8 @@ FIXED = [(geometry.bisector_halfplane, "tol"),
          (geometry.hausdorff_distance, "samples_per_edge"),
          (partition.Partition.validate, "overlap_tol"),
          (netsim.random_destination, "max_attempts"),
-         (quadrature.triangle_rule, "degree")]
+         (quadrature.triangle_rule, "degree"),
+         (switching.run_lloyd, "check_every")]
 
 
 @pytest.mark.parametrize("fn, name", FIXED,
@@ -72,7 +73,10 @@ def test_fixed_settings_take_no_parameter(fn, name):
 GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (geometry, "_point_segment_distance"), (gossip, "_already_split"),
         (gossip, "_trade_below_tolerance"), (partition, "is_mixed_centroidal"),
-        (partition.Environment, "as_region")]
+        (partition.Environment, "as_region"),
+        # one exchange body: the full map is the distance-limited one at beta 1
+        (gossip, "_full_exchange"), (gossip, "_apply_pair"),
+        (gossip, "_slab_regions")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,

@@ -200,6 +200,46 @@ def test_run_thin_environment_without_generators_returns_2(tmp_path, capsys):
     assert err.startswith("error: initial") and "Traceback" not in err
 
 
+TWO_STRIPS = """\
+environment: {rectangle: [2, 1]}
+n: 2
+initial: {kind: strips, cuts: [0.5]}
+"""
+MALFORMED = [
+    pytest.param("rectangle: [2, 1]", "rectangle: [0, 1]",
+                 "environment.rectangle[0]", id="rectangle-zero"),
+    pytest.param("rectangle: [2, 1]", 'rectangle: ["a", 1]',
+                 "environment.rectangle[0]", id="rectangle-string"),
+    pytest.param("cuts: [0.5]", 'cuts: "abc"', "initial.cuts",
+                 id="cuts-string"),
+    pytest.param("{kind: strips, cuts: [0.5]}",
+                 "{kind: pieces, regions: [[[[0,0],[1,0],[1,1]]], 5]}",
+                 "initial.regions", id="regions-number"),
+    pytest.param("n: 2", "n: 2\nscheduler: {kind: periodic, "
+                 "sequence: [[0, 5]]}", "scheduler.sequence",
+                 id="sequence-out-of-range"),
+    pytest.param("n: 2", "n: 2\nscheduler: {kind: periodic, "
+                 "sequence: [[0, 0]]}", "scheduler.sequence",
+                 id="sequence-same-index"),
+    pytest.param("n: 2", 'n: 2\nsnapshots: ["x"]', "snapshots[0]",
+                 id="snapshots-string"),
+    pytest.param("n: 2", 'n: 2\nalgorithm: {kind: netsim, speeds: [1, "x"], '
+                 "horizon_legs: 2}", "algorithm.speeds[1]",
+                 id="speeds-string"),
+    pytest.param("n: 2", 'n: 2\nseed: "abc"', "seed", id="seed-string"),
+]
+
+
+@pytest.mark.parametrize("old, new, field", MALFORMED)
+def test_run_malformed_config_names_its_field(tmp_path, capsys, old, new,
+                                              field):
+    # one changed key of a working config: exit 2 on the key's path
+    cfg = write_cfg(tmp_path, TWO_STRIPS.replace(old, new))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("env", [pt.rectangle(2.0, 1.0),
                                  pt.rectangle(1.0, 0.01),
                                  pt.environment([[0, 0], [3, 0], [0.2, 1]])],

@@ -189,6 +189,11 @@ def test_partial_step_identity_for_far_pair():
     assert out.partition is part
 
 
+def vertex_bytes(partition) -> list:
+    return [[p.vertices.tobytes() for p in r.pieces]
+            for r in partition.regions]
+
+
 def test_partial_step_equals_full_when_saturated():
     env = pt.rectangle(2.0, 1.0)
     part = strips(env, [0.7])
@@ -196,8 +201,7 @@ def test_partial_step_equals_full_when_saturated():
     full = gp.gossip_step(part, 0, 1, DENS, QUAD)
     lim = gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD)
     assert lim.changed
-    assert pt.partition_distance(full.partition, lim.partition) <= \
-        2 * env.tol_area
+    assert vertex_bytes(lim.partition) == vertex_bytes(full.partition)
 
 
 def test_partial_step_trades_partial_slab():
@@ -246,7 +250,7 @@ def test_split_traded_area_is_half_the_symmetric_differences():
         pa, pb = rng.uniform([0, 0], [2, 1], size=(2, 2))
         if np.hypot(*(pa - pb)) < 1e-6:
             continue
-        _, _, traded = pt.pair_split(part, i, j, pa, pb)
+        traded = oracles.bisector_trade(part, i, j, pa, pb)
         rebalanced = pt.pair_rebalanced(part, i, j, pa, pb)
         assert traded == pytest.approx(
             half_symdiff(part, rebalanced, i, j), abs=env.tol_area)
@@ -260,10 +264,41 @@ def test_split_traded_area_is_half_the_symmetric_differences():
                 half_symdiff(part, after, i, j), abs=env.tol_area)
             slabs += out.changed and beta < 1.0
             # an exchange that trades within tolerance leaves the partition
-            if pt.pair_split(part, i, j, cs[i], cs[j])[2] <= env.tol_area:
+            if oracles.bisector_trade(part, i, j, cs[i],
+                                      cs[j]) <= env.tol_area:
                 full = gp.gossip_step(part, i, j, DENS, QUAD)
                 assert full.partition is part and not full.changed
     assert slabs > 0
+
+
+def test_partial_step_matches_slab_oracle():
+    # the distance-limited exchange cuts at the bisector moved by
+    # (1 - beta) of each region's far reach; its separate slab form in
+    # oracles trades the same area and builds the same regions
+    rng = np.random.default_rng(43)
+    env = pt.rectangle(2.0, 1.0)
+    delta = env.diameter / 10.0
+    slabs = no_ops = 0
+    for _ in range(20):
+        part = random_partition(rng, env, 6)
+        cs = pt.centroids(part, DENS, QUAD)
+        for i, j in sw.all_pairs(part.n):
+            beta = gp.trade_fraction(part, i, j, delta, DENS, QUAD)
+            if not 0.0 < beta < 1.0:
+                continue
+            pieces_i, pieces_j, traded = oracles.slab_split_ref(
+                part, i, j, cs[i], cs[j], beta)
+            out = gp.partial_gossip_step(part, i, j, delta, DENS, QUAD)
+            assert out.traded_area == pytest.approx(traded, abs=env.tol_area)
+            if traded <= env.tol_area:
+                no_ops += 1
+                assert out.partition is part and not out.changed
+                continue
+            slabs += 1
+            for k, pieces in ((i, pieces_i), (j, pieces_j)):
+                assert geo.symdiff_area(out.partition.regions[k],
+                                        env.region(pieces)) <= env.tol_area
+    assert slabs > 0 and no_ops > 0
 
 
 def test_hairline_trade_returns_same_partition():
@@ -274,7 +309,7 @@ def test_hairline_trade_returns_same_partition():
     cs = pt.centroids(part, DENS, QUAD)
     _, d0, d1 = gp._bisector_offsets(part, 0, 1, cs[0], cs[1])
     assert not gp._on_own_sides(d0, d1, env.snap)
-    _, _, traded = pt.pair_split(part, 0, 1, cs[0], cs[1])
+    traded = oracles.bisector_trade(part, 0, 1, cs[0], cs[1])
     assert 0.0 < traded <= env.tol_area
     for out in (gp.gossip_step(part, 0, 1, DENS, QUAD),
                 gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD)):

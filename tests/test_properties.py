@@ -1,10 +1,12 @@
 """Property tests (hypothesis) for the exchange's no-op tests.
 
-gossip._trade_bound lets a full exchange skip its split when the area
+gossip._trade_bound lets an exchange skip its split when the area
 beyond the bisector fits in a rectangle of at most tol_area. Whenever it
 skips, the split it replaces must trade at most tol_area, and the step
-must hand back the very same partition. A zero fixed-point residual
-holds exactly when the partition is pairwise balanced at tolerance 0.
+must hand back the very same partition. The distance-limited exchange
+never trades more than the full one on the same pair. A zero
+fixed-point residual holds exactly when the partition is pairwise
+balanced at tolerance 0.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -61,7 +63,7 @@ def check_bound(part, points, noise, scale):
             k += 2
             if trade_below_tolerance(part, i, j, ci, cj):
                 skipped += 1
-                assert pt.pair_split(part, i, j, ci, cj)[2] <= \
+                assert oracles.bisector_trade(part, i, j, ci, cj) <= \
                     part.env.tol_area
     return skipped
 
@@ -81,7 +83,7 @@ def test_bound_skips_only_no_op_splits_on_strips(cuts, cut_exp, noise,
     for i in range(n):
         for j in range(i + 1, n):
             if trade_below_tolerance(part, i, j, cs[i], cs[j]):
-                assert pt.pair_split(part, i, j, cs[i], cs[j])[2] <= \
+                assert oracles.bisector_trade(part, i, j, cs[i], cs[j]) <= \
                     env.tol_area
                 for out in (gp.gossip_step(part, i, j, DENS, QUAD),
                             gp.partial_gossip_step(part, i, j, 0.2, DENS,
@@ -114,8 +116,8 @@ def test_bound_skips_hairline_voronoi_pairs():
               and trade_below_tolerance(part, i, j, moved[i], moved[j])]
     assert len(caught) >= 2
     for i, j in caught:
-        assert 0.0 < pt.pair_split(part, i, j, moved[i], moved[j])[2] <= \
-            env.tol_area
+        traded = oracles.bisector_trade(part, i, j, moved[i], moved[j])
+        assert 0.0 < traded <= env.tol_area
 
 
 def test_bound_counts_the_snap_band():
@@ -132,8 +134,32 @@ def test_bound_counts_the_snap_band():
         region_of([[far, 0], [2, 0], [2, 1], [far, 1]])))
     ci, cj = np.array([0.5, 0.5]), np.array([1.5, 0.5])
     assert not already_split(part, 0, 1, ci, cj)
-    assert pt.pair_split(part, 0, 1, ci, cj)[2] > tol
+    assert oracles.bisector_trade(part, 0, 1, ci, cj) > tol
     assert not trade_below_tolerance(part, 0, 1, ci, cj)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cuts=st.lists(UNIT, min_size=1, max_size=3), cut_exp=EXPONENT,
+       seed=st.integers(0, 2 ** 16), scale=st.floats(0.05, 1.0))
+def test_partial_exchange_trades_within_the_full_split(cuts, cut_exp, seed,
+                                                       scale):
+    # on each pair the distance-limited exchange hands over part of what
+    # the full one would, and it is a no-op wherever the full one is
+    n = len(cuts) + 1
+    env = pt.rectangle(float(n), 1.0)
+    delta = scale * env.diameter / 10.0
+    points = np.random.default_rng(seed).uniform(
+        [0.05, 0.05], [n - 0.05, 0.95], size=(n + 1, 2))
+    for part in (strips(env, [k + 1.0 + c * 10.0 ** cut_exp
+                              for k, c in enumerate(cuts)]),
+                 pt.voronoi(env, points)):
+        for i in range(part.n):
+            for j in range(i + 1, part.n):
+                full = gp.gossip_step(part, i, j, DENS, QUAD)
+                lim = gp.partial_gossip_step(part, i, j, delta, DENS, QUAD)
+                assert lim.traded_area <= full.traded_area + env.tol_area
+                if full.partition is part:
+                    assert lim.partition is part
 
 
 @settings(max_examples=40, deadline=None)
