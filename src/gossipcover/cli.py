@@ -35,8 +35,6 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_BUDGET = 4
 
-MIXED_CHECK_TOL = 1e-4  # of the environment area, for netsim end states
-
 
 class ConfigError(Exception):
     """Config problem, message prefixed with the offending field path."""
@@ -80,6 +78,13 @@ def _checked(val, path, positive) -> float:
     if positive and val <= 0:
         raise ConfigError(f"{path}: must be positive")
     return float(val)
+
+
+def _seed(val, path) -> int:
+    if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+        raise ConfigError(f"{path}: expected a non-negative integer, "
+                          f"got {val!r}")
+    return val
 
 
 def preset_names() -> list:
@@ -196,10 +201,10 @@ def random_generators(env: Environment, n: int, seed: int) -> np.ndarray:
 def build_initial(cfg: dict, env: Environment, seed: int) -> Partition:
     kind = _get(cfg, "initial.kind", required=True)
     n = _get(cfg, "n")
+    init_seed = _seed(_get(cfg, "initial.seed", seed), "initial.seed")
     if kind == "random_voronoi":
         if not isinstance(n, int) or n < 1:
             raise ConfigError("n: needs a positive region count")
-        init_seed = int(_number(cfg, "initial.seed", seed))
         return pt.voronoi(env, random_generators(env, n, init_seed))
     if kind == "strips":
         part = strip_partition(env, _numbers(cfg, "initial.cuts",
@@ -251,12 +256,12 @@ def parse_snapshot_list(text: str) -> list:
 # ---------------------------------------------------------------------------
 # artifact writers
 
-def _ensure_out(out_dir: str) -> str:
+def _ensure_out(out_dir: str):
+    # runners call it after reading the config, so a rejected one leaves none
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"out: cannot create {out_dir!r} ({exc})") from exc
-    return out_dir
 
 
 def write_h_csv(trace: sw.EvolutionTrace, path: str):
@@ -365,6 +370,7 @@ def _run_pairwise(cfg, args, out_dir, seed, log) -> int:
                                 "algorithm", snaps)
     wall = time.perf_counter() - started
 
+    _ensure_out(out_dir)
     sw.write_trace(trace, os.path.join(out_dir, "trace.txt"))
     write_h_csv(trace, os.path.join(out_dir, "h_series.csv"))
     write_snapshots(trace.snapshots, out_dir, density, perf, log)
@@ -417,6 +423,7 @@ def _run_netsim(cfg, args, out_dir, seed, log) -> int:
         raise ConfigError(f"algorithm: {exc}") from exc
     wall = time.perf_counter() - started
 
+    _ensure_out(out_dir)
     ns.write_comm_log(trace, os.path.join(out_dir, "comm_log.txt"))
     with open(os.path.join(out_dir, "h_series.csv"), "w") as f:
         f.write("time,h\n")
@@ -427,7 +434,7 @@ def _run_netsim(cfg, args, out_dir, seed, log) -> int:
     mixed = False
     if trace.final is not None:
         mixed = gp.is_mixed_centroidal(trace.final, density, perf,
-                                       tol=MIXED_CHECK_TOL * env.area)
+                                       tol=env.end_state_tol)
     if code == EXIT_OK and not mixed:
         code = EXIT_BUDGET
     changed = sum(1 for e in trace.events if e.changed)
@@ -461,6 +468,7 @@ def _run_polar(cfg, args, out_dir, seed, log) -> int:
         trace = sw.run_polar(mode, steps, rho0, theta0)
     except ValueError as exc:
         raise ConfigError(f"algorithm.mode: {exc}") from exc
+    _ensure_out(out_dir)
     with open(os.path.join(out_dir, "polar_trace.csv"), "w") as f:
         f.write("t,rho,theta,map\n")
         labels = [""] + trace.labels
@@ -486,6 +494,7 @@ def _run_comb(cfg, args, out_dir, seed, log) -> int:
     levels = int(_number(cfg, "algorithm.levels", 12.0, positive=True))
     if levels > dy.MAX_LEVEL:
         raise ConfigError(f"algorithm.levels: above limit {dy.MAX_LEVEL}")
+    _ensure_out(out_dir)
     with open(os.path.join(out_dir, "comb_table.csv"), "w") as f:
         f.write("t,left_measure,left_cost_at_zero,pair_cost,"
                 "hausdorff_to_full,symdiff_to_full\n")
@@ -510,14 +519,13 @@ def run_once(cfg: dict, args, out_dir: str, seed: int, log) -> int:
     if algo not in _RUNNERS:
         raise ConfigError(f"algorithm.kind: unknown kind {algo!r} "
                           f"(choices: {', '.join(sorted(_RUNNERS))})")
-    _ensure_out(out_dir)
     return _RUNNERS[algo](cfg, args, out_dir, seed, log)
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else \
-        int(_number(cfg, "seed", 0))
+    seed = _seed(args.seed, "--seed") if args.seed is not None else \
+        _seed(_get(cfg, "seed", 0), "seed")
     out_dir = args.out or _get(cfg, "out", "runs/out")
     if args.batch is not None:
         if args.batch < 1:
@@ -554,9 +562,9 @@ def _algo_list(text: str):
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else \
-        int(_number(cfg, "seed", 0))
-    out_dir = _ensure_out(args.out or _get(cfg, "out", "runs/compare"))
+    seed = _seed(args.seed, "--seed") if args.seed is not None else \
+        _seed(_get(cfg, "seed", 0), "seed")
+    out_dir = args.out or _get(cfg, "out", "runs/compare")
     algos = _algo_list(args.algos)
     start = _build_start(cfg, seed)
 
@@ -576,6 +584,7 @@ def cmd_compare(args) -> int:
 
     labels = list(series)
     longest = max((len(t.steps) for t in series.values()), default=0)
+    _ensure_out(out_dir)
     with open(os.path.join(out_dir, "compare.csv"), "w") as f:
         f.write("t," + ",".join(f"h_{m}" for m in labels) + "\n")
         for t in range(longest):

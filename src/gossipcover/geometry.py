@@ -15,16 +15,11 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .quadrature import subdivide_triangle, triangle_rule
-
-# transient fragmentation near a slow fixed-point approach can stack
-# O(100) unmergeable shells before convergence cleans them up
-DEFAULT_PIECE_BUDGET = 256
-_DEDUPE_REL = 1e-12
 
 
 class GeometryError(Exception):
@@ -84,44 +79,30 @@ class ConvexPolygon:
 
     __slots__ = ("vertices", "_area", "_bbox", "_edges")
 
-    def __init__(self, vertices, check: bool = True):
+    def __init__(self, vertices):
         v = np.array(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must have shape (n, 2)")
         v = _dedupe_ring(v)
         if len(v) < 3:
             raise ValueError("polygon needs at least 3 distinct vertices")
-        if check:
-            a = _ring_area(v)
-            if a < 0.0:
-                v = v[::-1].copy()
-                a = -a
-            if a <= 0.0:
-                raise ValueError("polygon has no area")
-            scale = float(np.max(np.abs(v))) + 1.0
-            e = _cyclic_next(v) - v
-            en = _cyclic_next(e)
-            cross = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
-            if np.any(cross < -1e-9 * scale * scale):
-                raise ValueError("polygon is not convex")
+        a = _ring_area(v)
+        if a < 0.0:
+            v = v[::-1].copy()
+            a = -a
+        if a <= 0.0:
+            raise ValueError("polygon has no area")
+        scale = float(np.max(np.abs(v))) + 1.0
+        e = _cyclic_next(v) - v
+        en = _cyclic_next(e)
+        cross = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
+        if np.any(cross < -1e-9 * scale * scale):
+            raise ValueError("polygon is not convex")
         v.setflags(write=False)
         self.vertices = v
         self._area = None
         self._bbox = None
         self._edges = None
-
-    @classmethod
-    def _of_ring(cls, v: np.ndarray, area: float) -> "ConvexPolygon":
-        """The polygon on a ring _dedupe_ring has already been through,
-        counterclockwise, with its area: takes v as its own and measures
-        nothing again."""
-        poly = cls.__new__(cls)
-        v.setflags(write=False)
-        poly.vertices = v
-        poly._area = area
-        poly._bbox = None
-        poly._edges = None
-        return poly
 
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()!r})"
@@ -170,9 +151,19 @@ def _cyclic_next(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[1:], a[:1]))
 
 
+def _vertex_cell(max_abs: float) -> float:
+    """The cell of the one vertex grid, for coordinates up to max_abs."""
+    return 1e-12 * (max_abs + 1.0)
+
+
+def _vertex_keys(vertices: np.ndarray, inv_eps: float) -> set:
+    """The vertices' grid cells, at 1/inv_eps per cell."""
+    keys = np.rint(vertices * inv_eps).astype(np.int64)
+    return set(map(tuple, keys.tolist()))
+
+
 def _dedupe_ring(v: np.ndarray) -> np.ndarray:
-    scale = float(np.abs(v).max()) + 1.0
-    eps = _DEDUPE_REL * scale
+    eps = _vertex_cell(float(np.abs(v).max()))
     # every gap, the closing one included, above eps: the loop keeps all
     gap = _cyclic_next(v) - v
     if (np.hypot(gap[:, 0], gap[:, 1]) > eps).all():
@@ -219,17 +210,6 @@ class Region:
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
         compare=False)
 
-    @staticmethod
-    def from_pieces(pieces: Iterable, budget: int = DEFAULT_PIECE_BUDGET,
-                    min_area: float = 0.0,
-                    merge_tol: float = 1e-12) -> "Region":
-        kept = [p for p in pieces if p is not None and p.area > min_area]
-        if len(kept) > 1:
-            kept = merge_pieces(kept, merge_tol)
-        if len(kept) > budget:
-            raise PieceBudgetExceeded(f"{len(kept)} pieces exceed budget {budget}")
-        return Region(tuple(kept))
-
     @cached_property
     def area(self) -> float:
         return sum(p.area for p in self.pieces)
@@ -258,11 +238,9 @@ class Region:
             mask |= p.contains(pts, tol)
         return mask
 
-    def validate(self, overlap_tol: float = 1e-9):
+    def validate(self, overlap_tol: float):
         """Check pairwise interior-disjointness; raises on violation."""
         for k, p in enumerate(self.pieces):
-            if p.area <= 0.0:
-                raise VanishedRegion(f"piece {k} has no area")
             for q in self.pieces[k + 1:]:
                 inter = convex_intersect(p, q)
                 if inter is not None and inter.area > overlap_tol:
@@ -291,16 +269,19 @@ def bisector_halfplane(p, q) -> HalfPlane:
     return HalfPlane(n, float(n @ (p + q)) / 2.0)
 
 
-def _ring_polygon(points: list, min_area: float) -> ConvexPolygon | None:
-    if len(points) < 3:
-        return None
+def _ring_polygon(points, min_area: float) -> ConvexPolygon | None:
+    """The polygon on the deduplicated ring, with the area measured here;
+    None below three vertices or at most min_area."""
     arr = _dedupe_ring(np.array(points))
     if len(arr) < 3:
         return None
     area = _ring_area(arr)
     if area <= min_area:
         return None
-    return ConvexPolygon._of_ring(arr, area)
+    poly = ConvexPolygon.__new__(ConvexPolygon)
+    arr.setflags(write=False)
+    poly.vertices, poly._area, poly._bbox, poly._edges = arr, area, None, None
+    return poly
 
 
 def split_convex(poly: ConvexPolygon, hp: HalfPlane, snap: float = 0.0,
@@ -354,11 +335,8 @@ def region_split(region: Region, hp: HalfPlane, snap: float = 0.0,
     return ins, outs
 
 
-def convex_intersect(a: ConvexPolygon | None,
-                     b: ConvexPolygon | None) -> ConvexPolygon | None:
+def convex_intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     """Intersection of two convex polygons: a cut by each edge line of b."""
-    if a is None or b is None:
-        return None
     v = b.vertices
     scale = max(float(np.abs(v).max()), float(np.abs(a.vertices).max()), 1e-300)
     out = a
@@ -448,12 +426,7 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=float).reshape(-1, 2)
 
 
-def _vertex_keys(p: ConvexPolygon, inv_eps: float) -> set:
-    v = np.rint(p.vertices * inv_eps).astype(np.int64)
-    return set(map(tuple, v.tolist()))
-
-
-def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float = 1e-12) -> list:
+def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
     """Greedily fuse piece pairs whose union is convex (within area tol).
 
     A convex union needs a fully shared edge; splits hand both sides the
@@ -466,15 +439,12 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float = 1e-12) -> list:
     if len(work) < 2:
         return work
     if len(work) > 2:
-        allv = np.vstack([p.vertices for p in work])
-        hull = _convex_hull(allv)
-        if len(hull) >= 3:
-            s = sum(p.area for p in work)
-            if _ring_area(hull) <= s + tol:
-                return [ConvexPolygon(hull, check=False)]
-    scale = max(float(np.abs(p.vertices).max()) for p in work) + 1.0
-    inv_eps = 1.0 / (1e-12 * scale)
-    keys = [_vertex_keys(p, inv_eps) for p in work]
+        hull = _convex_hull(np.vstack([p.vertices for p in work]))
+        if _ring_area(hull) <= sum(p.area for p in work) + tol:
+            return [_ring_polygon(hull, 0.0)]
+    inv_eps = 1.0 / _vertex_cell(max(float(np.abs(p.vertices).max())
+                                     for p in work))
+    keys = [_vertex_keys(p.vertices, inv_eps) for p in work]
     changed = True
     while changed and len(work) > 1:
         changed = False
@@ -483,20 +453,15 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float = 1e-12) -> list:
             j = i + 1
             while j < len(work):
                 a, b = work[i], work[j]
-                if len(keys[i] & keys[j]) < 2 or \
-                        _bbox_disjoint(_pad_bbox(_poly_bbox(a), tol),
-                                       _poly_bbox(b)):
+                if len(keys[i] & keys[j]) < 2:
                     j += 1
                     continue
                 hull = _convex_hull(np.vstack([a.vertices, b.vertices]))
-                if len(hull) < 3:
-                    j += 1
-                    continue
                 s = a.area + b.area
                 if _ring_area(hull) <= s + max(tol, 1e-12 * s):
                     # keep scanning the grown piece against the remainder
-                    work[i] = ConvexPolygon(hull, check=False)
-                    keys[i] = _vertex_keys(work[i], inv_eps)
+                    work[i] = _ring_polygon(hull, 0.0)
+                    keys[i] = _vertex_keys(work[i].vertices, inv_eps)
                     del work[j]
                     del keys[j]
                     changed = True
@@ -504,10 +469,6 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float = 1e-12) -> list:
                     j += 1
             i += 1
     return work
-
-
-def _pad_bbox(bb, pad):
-    return bb[0] - pad, bb[1] - pad, bb[2] + pad, bb[3] + pad
 
 
 # ---------------------------------------------------------------------------
@@ -579,24 +540,21 @@ def regions_within(a: Region, b: Region, delta: float) -> bool:
     return _distance_below(a, b, delta) < delta
 
 
-def _seam_scale(a: Region, b: Region) -> float:
-    """Max |coordinate| over both regions, plus one; a seam key cell is
-    1e-12 of it."""
-    return max(map(abs, a.bbox + b.bbox)) + 1.0
+# Bounding boxes farther apart than this many vertex-grid cells share no
+# key: a shared key needs every axis gap within one cell plus rounding,
+# so a box gap above 3 cells rules one out.
+_SEAM_KEY_REACH = 3.0
 
 
 def _share_seam_vertex(a: Region, b: Region) -> bool:
-    # regions meeting along a shared seam carry identical vertex floats
-    inv_eps = 1.0 / (1e-12 * _seam_scale(a, b))
-    keys_a = set(map(tuple, np.rint(a.vertices * inv_eps).astype(np.int64).tolist()))
-    keys_b = map(tuple, np.rint(b.vertices * inv_eps).astype(np.int64).tolist())
-    return not keys_a.isdisjoint(keys_b)
-
-
-# Bounding boxes farther apart than this many seam-key cells (1e-12 of
-# the scale each) share no key: a shared key needs every axis gap within
-# one cell plus rounding, so a box gap above 3 cells rules one out.
-_SEAM_KEY_REACH = 3.0
+    """True when a vertex of a and one of b fall in one vertex-grid cell;
+    regions meeting along a shared seam carry identical vertex floats."""
+    cell = _vertex_cell(max(map(abs, a.bbox + b.bbox)))
+    if _bbox_gap(a.bbox, b.bbox) > _SEAM_KEY_REACH * cell:
+        return False
+    inv_eps = 1.0 / cell
+    return not _vertex_keys(a.vertices, inv_eps).isdisjoint(
+        _vertex_keys(b.vertices, inv_eps))
 
 
 def _distance_below(a: Region, b: Region, below: float) -> float:
@@ -614,11 +572,9 @@ def _distance_below(a: Region, b: Region, below: float) -> float:
     hit = a.distance_cache.get(b)
     if hit is not None and (hit[1] or hit[0] >= below):
         return hit[0]
-    gap = _bbox_gap(a.bbox, b.bbox)
-    if gap <= _SEAM_KEY_REACH * 1e-12 * _seam_scale(a, b) and \
-            _share_seam_vertex(a, b):
+    if _share_seam_vertex(a, b):
         value = 0.0
-    elif gap >= below:
+    elif _bbox_gap(a.bbox, b.bbox) >= below:
         value = float(below)
     else:
         value = _pieces_below(a, b, below)

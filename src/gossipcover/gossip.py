@@ -214,12 +214,12 @@ def is_mixed_centroidal(partition: Partition, density: Density,
                         perf: PerformanceFunction,
                         tol: float | None = None) -> bool:
     """True when every region pair is pairwise balanced: the full-mode
-    fixed_point_residual is at most tol (default 1e-5 of the area).
+    fixed_point_residual is at most tol (default env.balance_tol).
 
     A pair passes when its centroids coincide, or when splitting the
     pair's union by the centroid bisector moves at most tol, that is
     twice the traded area.
     """
     if tol is None:
-        tol = 1e-5 * partition.env.area
+        tol = partition.env.balance_tol
     return fixed_point_residual(partition, density, perf) <= tol

@@ -133,7 +133,7 @@ def internal_boundary_segments(region: Region, env: Environment):
     Returns (starts, ends) arrays; empty when the region has no
     internal boundary (it covers the whole environment).
     """
-    tol = 10.0 * env.tol_point
+    tol = env.wall_tol
     wall = env.polygon.vertices
     wall_next = geo._cyclic_next(wall)
     starts, ends = [], []

@@ -37,7 +37,8 @@ class DegenerateEvolution(GeometryError):
 
 @dataclass(frozen=True)
 class Environment:
-    """Convex polygon to cover, with size-scaled tolerances."""
+    """Convex polygon to cover: owns every size-scaled threshold and
+    the policy that builds regions from pieces."""
 
     polygon: ConvexPolygon
 
@@ -67,10 +68,42 @@ class Environment:
     def snap(self) -> float:
         return 1e-12 * self.diameter
 
+    # distance below which a vertex counts as on the environment's wall
+    @property
+    def wall_tol(self) -> float:
+        return 10 * self.tol_point
+
+    # pair-balance threshold of is_mixed_centroidal and is_centroidal_voronoi
+    @property
+    def balance_tol(self) -> float:
+        return 1e-5 * self.area
+
+    # residual at which an evolution run stops
+    @property
+    def stop_tol(self) -> float:
+        return 1e-6 * self.area
+
+    # balance threshold for the end state of a network simulation
+    @property
+    def end_state_tol(self) -> float:
+        return 1e-4 * self.area
+
+    # transient fragmentation near a slow fixed-point approach can stack
+    # O(100) unmergeable shells before convergence cleans them up
+    @property
+    def piece_budget(self) -> int:
+        return 256
+
     def region(self, pieces) -> Region:
-        """Region of the given pieces: slivers dropped, neighbours merged."""
-        return Region.from_pieces(pieces, min_area=self.sliver_area,
-                                  merge_tol=self.tol_area)
+        """Region of the given pieces: slivers dropped, neighbours merged
+        within tol_area; PieceBudgetExceeded past piece_budget pieces."""
+        kept = [p for p in pieces if p.area > self.sliver_area]
+        if len(kept) > 1:
+            kept = geo.merge_pieces(kept, self.tol_area)
+        if len(kept) > self.piece_budget:
+            raise geo.PieceBudgetExceeded(
+                f"{len(kept)} pieces exceed budget {self.piece_budget}")
+        return Region(tuple(kept))
 
 
 def environment(vertices) -> Environment:
@@ -117,11 +150,10 @@ class Partition:
         """Full check: pieces inside the environment, pairwise overlaps
         within tol_area."""
         tol = self.env.tol_area
-        eps = self.env.tol_point
         for k, r in enumerate(self.regions):
-            r.validate(overlap_tol=tol)
-            verts = r.vertices
-            if len(verts) and not np.all(self.env.polygon.contains(verts, tol=10 * eps)):
+            r.validate(tol)
+            if not np.all(self.env.polygon.contains(r.vertices,
+                                                    tol=self.env.wall_tol)):
                 raise GeometryError(f"region {k} leaves the environment")
         for i in range(self.n):
             for j in range(i + 1, self.n):
@@ -132,7 +164,7 @@ class Partition:
         return self
 
 
-def check_points(env: Environment, points, distinct: bool = True) -> np.ndarray:
+def check_points(env: Environment, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:
         raise DimensionMismatch("points must have shape (n, 2)")
@@ -140,10 +172,9 @@ def check_points(env: Environment, points, distinct: bool = True) -> np.ndarray:
     if not np.all(inside):
         bad = int(np.argmin(inside))
         raise GeometryError(f"point {bad} at {pts[bad]} lies outside the environment")
-    if distinct:
-        gap, i, j = _min_gap(pts)
-        if gap <= env.tol_point:
-            raise CoincidentGenerators(f"points {i} and {j} coincide")
+    gap, i, j = _min_gap(pts)
+    if gap <= env.tol_point:
+        raise CoincidentGenerators(f"points {i} and {j} coincide")
     return pts
 
 
@@ -160,7 +191,7 @@ def _min_gap(pts: np.ndarray) -> tuple[float, int, int]:
 
 def voronoi(env: Environment, points) -> Partition:
     """Nearest-point partition of the environment for the given generators."""
-    pts = check_points(env, points, distinct=True)
+    pts = check_points(env, points)
     n = len(pts)
     regions = []
     for i in range(n):
@@ -276,10 +307,11 @@ def pair_rebalanced(partition: Partition, i: int, j: int, ci, cj) -> tuple[Regio
 def is_centroidal_voronoi(partition: Partition, density: Density,
                           perf: PerformanceFunction,
                           tol: float | None = None) -> bool:
-    """True when the partition equals the nearest-point partition of its centroids."""
+    """True when the partition equals the nearest-point partition of its
+    centroids, within tol (default env.balance_tol)."""
     env = partition.env
     if tol is None:
-        tol = 1e-5 * env.area
+        tol = env.balance_tol
     cs = centroids(partition, density, perf)
     if _min_gap(cs)[0] <= env.tol_point:
         return False

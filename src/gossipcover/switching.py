@@ -125,8 +125,8 @@ def run_evolution(initial: Partition, density: Density,
     map_kind "gossip" applies the full exchange; "partial" the
     distance-limited one (needs delta). The fixed-point residual is
     evaluated every check_every steps and for the final partition; the
-    run stops once it reaches stop_tol, which defaults to 1e-6 times the
-    environment area, or when the scheduler returns None. Residual
+    run stops once it reaches stop_tol, which defaults to the
+    environment's stop_tol, or when the scheduler returns None. Residual
     entries between evaluations repeat the most recent value. A
     geometry failure inside a step aborts the run with
     DegenerateEvolution carrying the partial trace.
@@ -193,7 +193,7 @@ def _evolve(initial: Partition, density: Density, perf: PerformanceFunction,
     snapshot and failure rules this loop applies.
     """
     if stop_tol is None:
-        stop_tol = 1e-6 * initial.env.area
+        stop_tol = initial.env.stop_tol
     trace = EvolutionTrace(stop_tol=stop_tol)
     current = initial
     snaps = sorted(set(int(s) for s in snapshot_steps))

@@ -118,14 +118,14 @@ def test_criterion_03():
 
 def _quadrant_pair(w: float, h: float):
     env = pt.rectangle(w, h)
-    a = geo.Region.from_pieces([
+    a = geo.Region((
         geo.ConvexPolygon([[0, 0], [w / 2, 0], [w / 2, h / 2], [0, h / 2]]),
         geo.ConvexPolygon([[w / 2, h / 2], [w, h / 2], [w, h], [w / 2, h]]),
-    ])
-    b = geo.Region.from_pieces([
+    ))
+    b = geo.Region((
         geo.ConvexPolygon([[w / 2, 0], [w, 0], [w, h / 2], [w / 2, h / 2]]),
         geo.ConvexPolygon([[0, h / 2], [w / 2, h / 2], [w / 2, h], [0, h]]),
-    ])
+    ))
     return pt.Partition(env, (a, b))
 
 

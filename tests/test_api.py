@@ -55,9 +55,10 @@ def test_layer_functions_take_no_quadrature_knobs(mod):
 
 FIXED = [(geometry.bisector_halfplane, "tol"),
          (geometry.convex_intersect, "min_area"),
-         (geometry.Region.from_pieces, "merge"),
+         (geometry.ConvexPolygon.__init__, "check"),
          (geometry.hausdorff_distance, "samples_per_edge"),
          (partition.Partition.validate, "overlap_tol"),
+         (partition.check_points, "distinct"),
          (netsim.random_destination, "max_attempts"),
          (quadrature.triangle_rule, "degree"),
          (switching.run_lloyd, "check_every")]
@@ -76,7 +77,11 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (partition.Environment, "as_region"),
         # one exchange body: the full map is the distance-limited one at beta 1
         (gossip, "_full_exchange"), (gossip, "_apply_pair"),
-        (gossip, "_slab_regions")]
+        (gossip, "_slab_regions"),
+        # one owner of the region-building policy and its piece budget,
+        # one vertex grid in geometry
+        (geometry.Region, "from_pieces"), (geometry, "DEFAULT_PIECE_BUDGET"),
+        (geometry, "_DEDUPE_REL"), (geometry, "_seam_scale")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,

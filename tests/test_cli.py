@@ -227,6 +227,15 @@ MALFORMED = [
                  "horizon_legs: 2}", "algorithm.speeds[1]",
                  id="speeds-string"),
     pytest.param("n: 2", 'n: 2\nseed: "abc"', "seed", id="seed-string"),
+    pytest.param("n: 2", "n: 2\nseed: -1", "seed", id="seed-negative"),
+    pytest.param("{kind: strips, cuts: [0.5]}",
+                 "{kind: random_voronoi}\nseed: -1", "seed",
+                 id="seed-negative-voronoi"),
+    pytest.param("cuts: [0.5]}", "cuts: [0.5], seed: -1}", "initial.seed",
+                 id="initial-seed-negative"),
+    pytest.param("{kind: strips, cuts: [0.5]}",
+                 "{kind: random_voronoi, seed: -1}", "initial.seed",
+                 id="initial-seed-negative-voronoi"),
 ]
 
 
@@ -238,6 +247,37 @@ def test_run_malformed_config_names_its_field(tmp_path, capsys, old, new,
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("initial", ["{kind: strips, cuts: [0.5]}",
+                                     "{kind: random_voronoi}"],
+                         ids=["strips", "voronoi"])
+@pytest.mark.parametrize("command", [["run"], ["compare", "--algos", "gossip"]],
+                         ids=["run", "compare"])
+def test_negative_seed_flag_returns_2(tmp_path, capsys, command, initial):
+    cfg = write_cfg(tmp_path, TWO_STRIPS.replace(
+        "{kind: strips, cuts: [0.5]}", initial))
+    assert cli.main([command[0], cfg, *command[1:], "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, old, new", [
+    (["run"], "rectangle: [2, 1]", "rectangle: [0, 1]"),
+    (["run"], "n: 2", "n: 2\nseed: -1"),
+    (["compare", "--algos", "gossip"], "rectangle: [2, 1]",
+     "rectangle: [0, 1]"),
+    (["compare", "--algos", "gossip"], "n: 2", "n: 2\nseed: -1"),
+    (["compare", "--algos", "quantum"], "n: 2", "n: 2"),
+], ids=["run-rectangle", "run-seed", "compare-rectangle", "compare-seed",
+        "compare-algos"])
+def test_rejected_config_leaves_no_output_directory(tmp_path, command, old,
+                                                    new):
+    cfg = write_cfg(tmp_path, TWO_STRIPS.replace(old, new))
+    out = tmp_path / "out-bad"
+    assert cli.main([command[0], cfg, *command[1:], "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("env", [pt.rectangle(2.0, 1.0),

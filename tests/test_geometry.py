@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from gossipcover import geometry as geo
-from gossipcover.partition import environment
+from gossipcover.partition import environment, rectangle
 from gossipcover.geometry import (ConvexPolygon, HalfPlane, Region,
                                   bisector_halfplane, convex_intersect, interior_distance,
                                   intersection_area, merge_pieces, region_of,
@@ -133,10 +133,11 @@ def test_split_shares_seam_vertices():
 
 
 def test_cut_pieces_keep_their_measured_ring():
-    # a split hands its polygons the deduplicated ring and the area it
-    # measured; neither may differ from measuring the polygon afresh
+    # a split or a merge hands its polygons the deduplicated ring and the
+    # area it measured; neither may differ from measuring the polygon
+    # afresh
     rng = np.random.default_rng(5)
-    pieces = []
+    pieces, merged = [], []
     for _ in range(150):
         poly = oracles.random_convex_polygon(rng, 9, scale=2.0)
         n = rng.normal(size=2)
@@ -145,14 +146,22 @@ def test_cut_pieces_keep_their_measured_ring():
         anchor = poly.vertices[rng.integers(len(poly.vertices))] \
             if rng.random() < 0.5 else rng.random(2) - 0.5
         hp = HalfPlane(n, float(n @ anchor) + 1e-14 * rng.normal())
-        pieces += [p for p in split_convex(poly, hp, snap=1e-15)
-                   if p is not None]
-    assert len(pieces) > 200
-    for p in pieces:
+        halves = [p for p in split_convex(poly, hp, snap=1e-15)
+                  if p is not None]
+        pieces += halves
+        if len(halves) == 2:
+            # two pieces fuse pairwise, three through the whole-set hull
+            thirds = [p for p in split_convex(halves[0], HalfPlane(
+                rng.normal(size=2), 0.0), snap=1e-15) if p is not None]
+            for group in (halves, thirds + halves[1:]):
+                merged += [m for m in merge_pieces(group, 1e-9)
+                           if all(m is not p for p in group)]
+    assert len(pieces) > 200 and len(merged) > 100
+    for p in pieces + merged:
         assert not p.vertices.flags.writeable
         assert np.array_equal(geo._dedupe_ring(p.vertices), p.vertices)
         assert p.area == geo._ring_area(p.vertices)
-        fresh = ConvexPolygon(p.vertices, check=False)
+        fresh = ConvexPolygon(p.vertices)
         assert fresh.vertices.tobytes() == p.vertices.tobytes()
         assert fresh.area == p.area
 
@@ -248,16 +257,21 @@ def _is_convex(poly):
 
 
 def test_piece_budget_enforced():
-    pieces = [square(2.5 * i, 0, 1) for i in range(5)]
+    env = rectangle(600.0, 1.0)
+    # unit squares one apart: neither a pair nor the whole set is convex
+    pieces = [square(2.0 * i, 0, 1) for i in range(env.piece_budget + 1)]
     with pytest.raises(geo.PieceBudgetExceeded):
-        Region.from_pieces(pieces, budget=3)
-    region = Region.from_pieces(pieces, budget=5)
-    assert len(region.pieces) == 5
+        env.region(pieces)
+    region = env.region(pieces[:-1])
+    assert len(region.pieces) == env.piece_budget
 
 
-def test_from_pieces_drops_slivers():
-    sliver = ConvexPolygon([[0, 2], [1, 2], [1, 2 + 1e-7]], check=False)
-    region = Region.from_pieces([square(0, 0, 1), sliver], min_area=1e-6)
+def test_environment_region_drops_slivers():
+    env = rectangle(10.0, 10.0)
+    # area 5e-12, below the sliver area 1e-11
+    sliver = ConvexPolygon([[0, 2], [1, 2], [1, 2 + 1e-11]])
+    assert sliver.area < env.sliver_area
+    region = env.region([square(0, 0, 1), sliver])
     assert len(region.pieces) == 1
 
 

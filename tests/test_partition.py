@@ -50,6 +50,37 @@ def test_environment_tolerances_scale():
     assert env.tol_area == pytest.approx(1e-9 * env.area)
 
 
+def test_environment_owns_the_scaled_thresholds():
+    small, large = pt.rectangle(2.0, 1.0), pt.rectangle(2e3, 1e3)
+    for env in (small, large):
+        assert env.balance_tol == pytest.approx(1e-5 * env.area)
+        assert env.stop_tol == pytest.approx(1e-6 * env.area)
+        assert env.end_state_tol == pytest.approx(1e-4 * env.area)
+        assert env.wall_tol == pytest.approx(1e-8 * env.diameter)
+    for name in ("balance_tol", "stop_tol", "end_state_tol"):
+        assert getattr(large, name) == pytest.approx(1e6 * getattr(small, name))
+    assert large.wall_tol == pytest.approx(1e3 * small.wall_tol)
+    assert large.piece_budget == small.piece_budget == 256
+    # the predicates' and the runner's defaults are these properties
+    rng = np.random.default_rng(3)
+    part = pt.voronoi(small, rng.uniform([0.1, 0.1], [1.9, 0.9], (4, 2)))
+    runs = [sw.run_evolution(part, DENS, QUAD, sw.RoundRobin(4), budget=400,
+                             check_every=1, **kw)
+            for kw in ({}, {"stop_tol": small.stop_tol})]
+    assert runs[0].stop_tol == runs[1].stop_tol == small.stop_tol
+    assert runs[0].termination == runs[1].termination == "converged"
+    assert [s.h for s in runs[0].steps] == [s.h for s in runs[1].steps]
+    assert runs[0].final_residual == runs[1].final_residual
+    mixed = []
+    for p in (part, runs[0].final):
+        mixed.append(gp.is_mixed_centroidal(p, DENS, QUAD))
+        assert mixed[-1] == gp.is_mixed_centroidal(p, DENS, QUAD,
+                                                   tol=small.balance_tol)
+        assert pt.is_centroidal_voronoi(p, DENS, QUAD) == \
+            pt.is_centroidal_voronoi(p, DENS, QUAD, tol=small.balance_tol)
+    assert mixed == [False, True]
+
+
 def test_partition_rejects_uncovered():
     env = strip_env()
     # region missing a quarter of the environment
