@@ -542,19 +542,20 @@ def cmd_run(args) -> int:
 
 
 def _algo_list(text: str):
+    """(name, parameter or None) per --algos entry, every name checked
+    before any algorithm runs."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        if ":" in tok:
-            name, val = tok.split(":", 1)
-            try:
-                out.append((name, float(val)))
-            except ValueError as exc:
-                raise ConfigError(f"algos: bad parameter in {tok!r}") from exc
-        else:
-            out.append((tok, None))
+        name, sep, val = tok.partition(":")
+        if name not in ("gossip", "partial", "lloyd"):
+            raise ConfigError(f"algos: {name!r} not comparable by step")
+        try:
+            out.append((name, float(val) if sep else None))
+        except ValueError as exc:
+            raise ConfigError(f"algos: bad parameter in {tok!r}") from exc
     if not out:
         raise ConfigError("algos: empty algorithm list")
     return out
@@ -571,8 +572,6 @@ def cmd_compare(args) -> int:
     series = {}
     codes = []
     for name, param in algos:
-        if name not in ("gossip", "partial", "lloyd"):
-            raise ConfigError(f"algos: {name!r} not comparable by step")
         label = name if param is None else f"{name}_{param:g}"
         trace, code = _run_stepwise(cfg, name, param, start, seed,
                                     lambda msg: print(f"{label}: {msg}"),

@@ -132,14 +132,35 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
               density: Density, perf: PerformanceFunction) -> StepOutcome:
     """The pairwise exchange behind both maps; delta None is the full one.
 
+    The exchange is a map of the partition, so a no-op found once is
+    remembered in the partition's exchange_cache and a repeat returns
+    before any centroid or split. Only the cost before is stored, a
+    float: an outcome would refer back to its own partition, and a
+    changed one would chain each successor to its predecessor.
+    """
+    if i == j:
+        raise ValueError("pair indices must differ")
+    key = (i, j, delta, density, perf)
+    h_before = partition.exchange_cache.get(key)
+    if h_before is not None:
+        return _unchanged(partition, i, j, h_before)
+    out = _exchange_once(partition, i, j, delta, density, perf)
+    if not out.changed:
+        partition.exchange_cache[key] = out.h_before
+    return out
+
+
+def _exchange_once(partition: Partition, i: int, j: int,
+                   delta: float | None, density: Density,
+                   perf: PerformanceFunction) -> StepOutcome:
+    """The exchange computed afresh.
+
     Both cut lines start at the centroid bisector. At a trade fraction
     beta < 1 each moves (1 - beta) of its region's far reach, the
     region's largest offset past the bisector, into that far side. The
     partition comes back unchanged when beta is 0 or the split trades,
     or provably would trade, at most tol_area.
     """
-    if i == j:
-        raise ValueError("pair indices must differ")
     env = partition.env
     cs = pt.centroids(partition, density, perf)
     h_before = pt.centroid_cost(partition, density, perf)

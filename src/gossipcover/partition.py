@@ -7,7 +7,7 @@ a Region; the regions tile the environment up to tolerance.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -116,10 +116,17 @@ def rectangle(width: float, height: float) -> Environment:
 
 @dataclass(frozen=True)
 class Partition:
-    """Regions tiling the environment, one per agent."""
+    """Regions tiling the environment, one per agent.
+
+    A partition never changes, so exchange_cache holds the cost before
+    each pairwise exchange found to be a no-op on it (filled by
+    gossip's exchange, keyed by (i, j, delta, density, perf)).
+    """
 
     env: Environment
     regions: tuple
+    exchange_cache: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.regions) == 0:
@@ -228,8 +235,8 @@ def _centroid_entry(region: Region, env: Environment, density: Density,
     key = (density, perf, env.polygon)
     entry = region.centroid_cache.get(key)
     if entry is None:
-        c = geo.centroid(region, density, perf, within=env.polygon,
-                         min_area=env.tol_area)
+        # Partition already refuses a region at or below tol_area
+        c = geo.centroid(region, density, perf, within=env.polygon)
         entry = region.centroid_cache[key] = (c, None)
     return entry
 

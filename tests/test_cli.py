@@ -403,3 +403,16 @@ def test_compare_rejects_unknown_algo(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
     assert cli.main(["compare", cfg, "--algos", "partial:zilch",
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def test_compare_rejects_unknown_algo_before_running(tmp_path, capsys):
+    # gossip and lloyd come first in the list but must not run
+    cfg = write_cfg(tmp_path, QUICK_PAIRWISE)
+    out = tmp_path / "o"
+    assert cli.main(["compare", cfg, "--algos", "gossip,lloyd,quantum",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: algos: 'quantum'")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()

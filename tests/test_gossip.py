@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -316,6 +318,86 @@ def test_hairline_trade_returns_same_partition():
         assert out.partition is part
         assert not out.changed
         assert out.traded_area == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the no-op memo on the partition
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def hairline_pair():
+    # the bisector lands 5e-10 past the seam: the split runs, trades
+    # at most tol_area, and the exchange is a no-op
+    env = pt.rectangle(2.0, 1.0)
+    return strips(env, [1.0 - 1e-9])
+
+
+def test_repeated_noop_skips_centroids_and_split(monkeypatch):
+    part = hairline_pair()
+    for step in (lambda: gp.gossip_step(part, 0, 1, DENS, QUAD),
+                 lambda: gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD)):
+        first = step()
+        centroids = count_calls(monkeypatch, pt, "centroids")
+        splits = count_calls(monkeypatch, pt, "pair_split")
+        again = step()
+        monkeypatch.undo()
+        assert not first.changed and first.partition is part
+        assert again == first
+        assert again.h_before == pt.centroid_cost(part, DENS, QUAD)
+        assert centroids == [] and splits == []
+
+
+def test_noop_memo_keys_on_delta_and_perf(monkeypatch):
+    part = hairline_pair()
+    offsets = count_calls(monkeypatch, gp, "_bisector_offsets")
+    outs = [gp.gossip_step(part, 0, 1, DENS, QUAD),
+            gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD),
+            gp.partial_gossip_step(part, 0, 1, 0.1, DENS, QUAD),
+            gp.gossip_step(part, 0, 1, DENS, LIN),
+            gp.gossip_step(part, 1, 0, DENS, QUAD)]
+    assert not any(out.changed for out in outs)
+    assert len(offsets) == 5
+    assert len(part.exchange_cache) == 5
+    gp.partial_gossip_step(part, 0, 1, 0.1, DENS, QUAD)
+    assert len(offsets) == 5
+
+
+def test_changed_exchange_is_not_memoized(monkeypatch):
+    env = pt.rectangle(2.0, 1.0)
+    part = strips(env, [0.7])
+    splits = count_calls(monkeypatch, pt, "pair_split")
+    first = gp.gossip_step(part, 0, 1, DENS, QUAD)
+    again = gp.gossip_step(part, 0, 1, DENS, QUAD)
+    assert first.changed and again.changed
+    assert len(splits) == 2
+    assert part.exchange_cache == {}
+    assert vertex_bytes(again.partition) == vertex_bytes(first.partition)
+
+
+def test_memoized_partition_is_freed_without_gc():
+    # the memo holds floats, never an outcome that refers back to the
+    # partition, so reference counting alone frees a dropped partition
+    gc.disable()
+    try:
+        part = hairline_pair()
+        out = gp.gossip_step(part, 0, 1, DENS, QUAD)
+        gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD)
+        assert len(part.exchange_cache) == 2
+        ref = weakref.ref(part)
+        del part, out
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_vanished_region_raises_not_clamps():

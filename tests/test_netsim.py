@@ -317,6 +317,37 @@ def test_windowed_loop_degenerates_like_reference(monkeypatch):
     assert_same_trace(got, want)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_exchange_memo_keeps_netsim_strip_bit_identical(monkeypatch, seed):
+    # simulate_ref goes through the same memoized exchange, so the memo
+    # is checked against every exchange run on a fresh copy of its
+    # partition, which has nothing memoized
+    env = strip_env()
+    init = strip_partition(env, cuts=(0.6, 1.9))  # the netsim-strip preset
+    cfg = ns.NetConfig(seed=seed)
+    duration = 500.0 * ns.leg_time(env, cfg)  # the bench horizon
+    computed = []
+    exchange_once = gp._exchange_once
+
+    def counted(*args):
+        computed.append(args[1:3])
+        return exchange_once(*args)
+
+    monkeypatch.setattr(gp, "_exchange_once", counted)
+    memo = ns.simulate(cfg, init, DENS, QUAD, duration)
+    assert 0 < len(computed) < len(memo.events) // 10
+    original = gp.partial_gossip_step
+
+    def fresh(p, *args):
+        return original(pt.Partition(p.env, p.regions), *args)
+
+    monkeypatch.setattr(gp, "partial_gossip_step", fresh)
+    computed.clear()
+    bypassed = ns.simulate(cfg, init, DENS, QUAD, duration)
+    assert len(computed) == len(bypassed.events)
+    assert_same_trace(memo, bypassed)
+
+
 def test_in_range_decides_as_math_hypot():
     rng = np.random.default_rng(21)
     for radius in (1.0, 0.7, 2.5):
