@@ -315,11 +315,23 @@ def _snapshots(cfg: dict, args) -> list:
     return _numbers(cfg, "snapshots", [])
 
 
+def _partial_delta(cfg: dict, delta, env: Environment, where: str) -> float:
+    """The distance-limited exchange's delta, given or else the config's
+    algorithm.delta, checked against env; a rejected one becomes a
+    ConfigError on the `where` field."""
+    if delta is None:
+        delta = _number(cfg, "algorithm.delta", required=True, positive=True)
+    try:
+        return gp.check_delta(env, delta)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _run_stepwise(cfg: dict, algo: str, delta, start: tuple, seed: int,
                   log, where: str, snapshot_steps) -> tuple:
     """Run a stepwise algorithm ("gossip", "partial" or "lloyd") from
     start with the config's budget, stop_tol, check_every and scheduler;
-    delta, when given, replaces algorithm.delta.
+    for "partial", delta, when given, replaces algorithm.delta.
 
     Returns the trace and its exit code. A rejected setting becomes a
     ConfigError on the `where` field.
@@ -334,14 +346,13 @@ def _run_stepwise(cfg: dict, algo: str, delta, start: tuple, seed: int,
                                  stop_tol=stop_tol,
                                  snapshot_steps=snapshot_steps)
         else:
-            if delta is None:
-                delta = _number(cfg, "algorithm.delta",
-                                required=(algo == "partial"), positive=True)
+            delta = _partial_delta(cfg, delta, initial.env, where) \
+                if algo == "partial" else None
             scheduler = build_scheduler(cfg, initial.n, seed)
             trace = sw.run_evolution(
-                initial, density, perf, scheduler, map_kind=algo,
-                delta=delta, budget=budget, stop_tol=stop_tol,
-                check_every=check_every, snapshot_steps=snapshot_steps)
+                initial, density, perf, scheduler, delta=delta,
+                budget=budget, stop_tol=stop_tol, check_every=check_every,
+                snapshot_steps=snapshot_steps)
     except DegenerateEvolution as exc:
         log(f"degenerate evolution at step {exc.step}: {exc}")
         return exc.trace, EXIT_DEGENERATE
@@ -543,7 +554,7 @@ def cmd_run(args) -> int:
 
 def _algo_list(text: str):
     """(name, parameter or None) per --algos entry, every name checked
-    before any algorithm runs."""
+    before any algorithm runs; only partial takes a parameter."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -552,6 +563,9 @@ def _algo_list(text: str):
         name, sep, val = tok.partition(":")
         if name not in ("gossip", "partial", "lloyd"):
             raise ConfigError(f"algos: {name!r} not comparable by step")
+        if sep and name != "partial":
+            raise ConfigError(f"algos: {name!r} takes no parameter, "
+                              f"got {tok!r}")
         try:
             out.append((name, float(val) if sep else None))
         except ValueError as exc:
@@ -568,6 +582,9 @@ def cmd_compare(args) -> int:
     out_dir = args.out or _get(cfg, "out", "runs/compare")
     algos = _algo_list(args.algos)
     start = _build_start(cfg, seed)
+    for name, param in algos:  # every delta, before the first run
+        if name == "partial":
+            _partial_delta(cfg, param, start[2].env, "algos")
 
     series = {}
     codes = []

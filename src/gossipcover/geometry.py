@@ -6,13 +6,14 @@ A Region is a finite union of convex polygons with pairwise disjoint
 interiors; most set operations (clipping, intersection, symmetric
 difference) stay inside that class.
 
-Areas and distances are Euclidean. Tolerances are absolute and default
-to values suitable for unit-scale coordinates; callers working on a
-fixed environment should pass tolerances scaled to it.
+Areas and distances are Euclidean. A tolerance argument is absolute;
+partition.Environment owns the thresholds scaled to an environment and
+passes them in. The thresholds fixed in this module, such as the vertex
+grid cell and the centroid descent's stopping step, scale with the
+coordinates they act on.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -197,18 +198,15 @@ def _ring_moment(v: np.ndarray) -> np.ndarray:
 class Region:
     """Union of convex polygons with pairwise disjoint interiors.
 
-    A region never changes, so it caches maps of itself: centroid_cache
-    (filled by partition.centroids and partition.centroid_cost) and
-    distance_cache ((value, exact) from the bounded distance search,
-    keyed weakly by the partner).
+    A region never changes, so it caches one map of itself:
+    centroid_cache, the (centroid, cost) pair per density, performance
+    and environment, filled by partition.centroids and
+    partition.centroid_cost.
     """
 
     pieces: tuple
     centroid_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
-    distance_cache: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
-        compare=False)
 
     @cached_property
     def area(self) -> float:
@@ -563,23 +561,15 @@ def _distance_below(a: Region, b: Region, below: float) -> float:
 
     A shared seam vertex answers 0 at once; it is sought only when the
     regions' bounding boxes nearly touch. Boxes at least `below` apart
-    answer `below`, as the piece scan would. The answer is cached on both
-    regions as (value, exact), each holding the other weakly; a cached
-    bound answers only thresholds up to itself.
+    answer `below`, as the piece scan would.
     """
     if a.is_empty or b.is_empty:
         raise EmptyRegion("interior distance needs nonempty regions")
-    hit = a.distance_cache.get(b)
-    if hit is not None and (hit[1] or hit[0] >= below):
-        return hit[0]
     if _share_seam_vertex(a, b):
-        value = 0.0
-    elif _bbox_gap(a.bbox, b.bbox) >= below:
-        value = float(below)
-    else:
-        value = _pieces_below(a, b, below)
-    a.distance_cache[b] = b.distance_cache[a] = (value, value < below)
-    return value
+        return 0.0
+    if _bbox_gap(a.bbox, b.bbox) >= below:
+        return float(below)
+    return _pieces_below(a, b, below)
 
 
 def _pieces_below(a: Region, b: Region, best: float) -> float:

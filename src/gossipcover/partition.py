@@ -230,24 +230,15 @@ def multicenter_cost(partition: Partition, points, density: Density,
 
 def _centroid_entry(region: Region, env: Environment, density: Density,
                     perf: PerformanceFunction) -> tuple:
-    """The region's cached (centroid, cost or None); the centroid is
-    computed on first use."""
+    """The region's cached (centroid, cost), both computed on first use."""
     key = (density, perf, env.polygon)
     entry = region.centroid_cache.get(key)
     if entry is None:
         # Partition already refuses a region at or below tol_area
         c = geo.centroid(region, density, perf, within=env.polygon)
-        entry = region.centroid_cache[key] = (c, None)
+        entry = region.centroid_cache[key] = (
+            c, geo.one_center_cost(c, region, density, perf))
     return entry
-
-
-def _centroid_cost(region: Region, env: Environment, density: Density,
-                   perf: PerformanceFunction) -> float:
-    c, cost = _centroid_entry(region, env, density, perf)
-    if cost is None:
-        cost = geo.one_center_cost(c, region, density, perf)
-        region.centroid_cache[(density, perf, env.polygon)] = (c, cost)
-    return cost
 
 
 def centroids(partition: Partition, density: Density,
@@ -260,7 +251,7 @@ def centroids(partition: Partition, density: Density,
 def centroid_cost(partition: Partition, density: Density,
                   perf: PerformanceFunction) -> float:
     """Multicenter cost with every region served from its own centroid."""
-    return sum(_centroid_cost(r, partition.env, density, perf)
+    return sum(_centroid_entry(r, partition.env, density, perf)[1]
                for r in partition.regions)
 
 

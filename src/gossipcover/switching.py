@@ -116,14 +116,13 @@ class EvolutionTrace:
 
 def run_evolution(initial: Partition, density: Density,
                   perf: PerformanceFunction, scheduler, *,
-                  map_kind: str = "gossip", delta: float | None = None,
-                  budget: int = 5000, stop_tol: float | None = None,
-                  check_every: int = 5,
+                  delta: float | None = None, budget: int = 5000,
+                  stop_tol: float | None = None, check_every: int = 5,
                   snapshot_steps=()) -> EvolutionTrace:
     """Evolve a partition by scheduled pairwise exchanges.
 
-    map_kind "gossip" applies the full exchange; "partial" the
-    distance-limited one (needs delta). The fixed-point residual is
+    Without delta each step applies the full exchange; with one, the
+    distance-limited exchange at that delta. The fixed-point residual is
     evaluated every check_every steps and for the final partition; the
     run stops once it reaches stop_tol, which defaults to the
     environment's stop_tol, or when the scheduler returns None. Residual
@@ -134,12 +133,8 @@ def run_evolution(initial: Partition, density: Density,
     snapshot_steps; steps past the end of the run record the final
     state.
     """
-    if map_kind == "partial":
-        if delta is None:
-            raise ValueError("partial map needs delta")
+    if delta is not None:
         delta = gp.check_delta(initial.env, delta)
-    elif map_kind != "gossip":
-        raise ValueError(f"unknown map kind {map_kind!r}")
     mode = "adjacent" if isinstance(scheduler, AdjacentRandom) else "full"
     near = scheduler.delta if mode == "adjacent" else None
 
@@ -151,7 +146,7 @@ def run_evolution(initial: Partition, density: Density,
         if choice is None:
             return None
         i, j = choice
-        if map_kind == "gossip":
+        if delta is None:
             out = gp.gossip_step(current, i, j, density, perf)
         else:
             out = gp.partial_gossip_step(current, i, j, delta, density, perf)

@@ -5,6 +5,7 @@ rule's degree is fixed, so no public callable and no function of the
 layers above geometry takes a quadrature or centroid knob. Parameters
 that no caller ever set are fixed in the code and stay out too.
 """
+import dataclasses
 import inspect
 
 import pytest
@@ -61,7 +62,9 @@ FIXED = [(geometry.bisector_halfplane, "tol"),
          (partition.check_points, "distinct"),
          (netsim.random_destination, "max_attempts"),
          (quadrature.triangle_rule, "degree"),
-         (switching.run_lloyd, "check_every")]
+         (switching.run_lloyd, "check_every"),
+         # one setting picks the exchange: a delta, or none for the full map
+         (switching.run_evolution, "map_kind")]
 
 
 @pytest.mark.parametrize("fn, name", FIXED,
@@ -81,13 +84,21 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         # one owner of the region-building policy and its piece budget,
         # one vertex grid in geometry
         (geometry.Region, "from_pieces"), (geometry, "DEFAULT_PIECE_BUDGET"),
-        (geometry, "_DEDUPE_REL"), (geometry, "_seam_scale")]
+        (geometry, "_DEDUPE_REL"), (geometry, "_seam_scale"),
+        # one centroid memo entry, filled whole
+        (partition, "_centroid_cost")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,
                          ids=[name for _, name in GONE])
 def test_second_copies_stay_deleted(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_region_caches_one_map():
+    # hasattr cannot see a default_factory field, so read the fields
+    assert [f.name for f in dataclasses.fields(geometry.Region)] == \
+        ["pieces", "centroid_cache"]
 
 
 def test_balance_test_lives_beside_the_residual():

@@ -416,3 +416,35 @@ def test_compare_rejects_unknown_algo_before_running(tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algos, field", [
+    ("gossip,lloyd:7", "'lloyd' takes no parameter"),
+    ("gossip:0.3,lloyd", "'gossip' takes no parameter"),
+    ("gossip,partial:-1", "delta must lie in"),
+    ("lloyd,partial:0.3", "delta must lie in"),
+], ids=["lloyd-parameter", "gossip-parameter", "partial-negative",
+        "partial-too-far"])
+def test_compare_rejects_bad_parameter_before_running(tmp_path, capsys,
+                                                      algos, field):
+    # the 2x1 rectangle's delta bound is diameter/10, about 0.224
+    cfg = write_cfg(tmp_path, QUICK_PAIRWISE)
+    out = tmp_path / "o"
+    assert cli.main(["compare", cfg, "--algos", algos,
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: algos: {field}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_gossip_config_delta_keeps_the_full_exchange(tmp_path, monkeypatch):
+    # algorithm.delta is read only by the partial algorithm
+    def refuse(*args, **kwargs):
+        raise AssertionError("distance-limited exchange ran")
+
+    monkeypatch.setattr(gp, "partial_gossip_step", refuse)
+    cfg = write_cfg(tmp_path, QUICK_PAIRWISE.replace(
+        "kind: gossip", "kind: gossip\n  delta: 0.1"))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0

@@ -298,7 +298,6 @@ def test_interior_distance_holds_partner_weakly():
     del b
     gc.collect()
     assert gone() is None
-    assert len(a.distance_cache) == 0
 
 
 def test_regions_within_t_junction():
@@ -349,40 +348,38 @@ def test_regions_within_answers_from_exact_distance(monkeypatch):
     a = Region((square(0, 0, 1),))
     c = Region((square(1.5, 0, 1),))
     assert interior_distance(a, c) == 0.5
-    assert a.distance_cache[c] == c.distance_cache[a] == (0.5, True)
-    monkeypatch.setattr(geo, "_convex_distance", None)
+    assert interior_distance(c, a) == 0.5
     assert geo.regions_within(a, c, 0.75)
+    assert not geo.regions_within(c, a, 0.5)
+    # boxes at least the threshold apart answer without a piece distance
+    monkeypatch.setattr(geo, "_convex_distance", None)
     assert not geo.regions_within(c, a, 0.25)
-    assert a.distance_cache[c] == (0.5, True)
 
 
 def test_regions_within_holds_partner_weakly():
     a = Region((square(0, 0, 1),))
     b = Region((square(2, 0, 1),))
     assert not geo.regions_within(a, b, 0.5)
-    assert a.distance_cache[b] == b.distance_cache[a] == (0.5, False)
     assert geo.regions_within(b, a, 1.5)
-    assert a.distance_cache[b] == (1.0, True)
     gone = weakref.ref(b)
     del b
     gc.collect()
     assert gone() is None
-    assert len(a.distance_cache) == 0
 
 
 def test_regions_within_keys_answers_by_delta(monkeypatch):
     a = Region((square(0, 0, 1),))
     c = Region((square(1.5, 0, 1),))
-    assert not geo.regions_within(a, c, 0.25)
-    assert a.distance_cache[c] == (0.25, False)
-    # the cached bound answers thresholds up to itself without a search
+    assert geo._distance_below(a, c, 0.25) == 0.25
+    # a gap at or above the threshold answers the threshold from the
+    # bounding boxes, without a piece search
     with monkeypatch.context() as m:
         m.setattr(geo, "_pieces_below", None)
+        assert not geo.regions_within(a, c, 0.25)
         assert not geo.regions_within(c, a, 0.1)
-        assert not geo.regions_within(c, a, 0.25)
-    # but never a larger threshold
+    # a larger threshold searches the pieces, whatever was asked before
     assert geo.regions_within(c, a, 1.0)
-    assert a.distance_cache[c] == (0.5, True)
+    assert geo._distance_below(a, c, 1.0) == 0.5
     assert not geo.regions_within(a, c, 0.5)
 
 
@@ -390,7 +387,6 @@ def test_interior_distance_never_returns_a_cached_bound():
     a = Region((square(0, 0, 1),))
     c = Region((square(1.5, 0, 1),))
     assert not geo.regions_within(a, c, 0.25)
-    assert a.distance_cache[c] == (0.25, False)
     assert interior_distance(a, c) == 0.5
     assert interior_distance(c, a) == 0.5
 

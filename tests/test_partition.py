@@ -264,6 +264,25 @@ def test_region_keeps_centroid_and_cost_per_performance():
     assert not np.array_equal(cached["quadratic"][0], cached["linear"][0])
 
 
+def test_centroids_fill_whole_entries(monkeypatch):
+    # the cost is computed with the centroid, so a later centroid_cost
+    # reads the entry and computes nothing
+    rng = np.random.default_rng(41)
+    env = strip_env()
+    part = pt.voronoi(env, rng.uniform([0.1, 0.1], [1.9, 0.9], size=(4, 2)))
+    for perf in (QUAD, geo.linear_performance()):
+        cs = pt.centroids(part, DENS, perf)
+        entries = [r.centroid_cache[(DENS, perf, env.polygon)]
+                   for r in part.regions]
+        for k, (c, cost) in enumerate(entries):
+            assert isinstance(c, np.ndarray) and type(cost) is float
+            assert np.array_equal(c, cs[k])
+        with monkeypatch.context() as m:
+            m.setattr(geo, "one_center_cost", None)
+            assert pt.centroid_cost(part, DENS, perf) == \
+                sum(cost for _, cost in entries)
+
+
 def test_voronoi_cost_not_above_given_partition():
     rng = np.random.default_rng(31)
     env = strip_env()

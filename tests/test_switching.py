@@ -97,13 +97,13 @@ def test_run_evolution_converges_to_centroidal_voronoi():
 
 
 def test_run_evolution_partial_map_needs_delta():
+    # a delta picks the distance-limited exchange; one outside
+    # (0, diameter/10] is refused before any step
     init = three_region_start()
-    with pytest.raises(ValueError):
-        sw.run_evolution(init, DENS, QUAD, sw.RoundRobin(3),
-                         map_kind="partial", budget=10)
-    with pytest.raises(ValueError):
-        sw.run_evolution(init, DENS, QUAD, sw.RoundRobin(3),
-                         map_kind="other", budget=10)
+    for delta in (0.0, -1.0, 1.1 * init.env.diameter / 10.0, math.nan):
+        with pytest.raises(ValueError):
+            sw.run_evolution(init, DENS, QUAD, sw.RoundRobin(3),
+                             delta=delta, budget=10)
 
 
 def test_run_evolution_stops_when_schedule_runs_out():
