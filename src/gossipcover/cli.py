@@ -402,18 +402,16 @@ def _run_pairwise(cfg, args, out_dir, seed, log) -> int:
 def _run_netsim(cfg, args, out_dir, seed, log) -> int:
     density, perf, initial = _build_start(cfg, seed)
     env = initial.env
+    speeds = tuple(_numbers(cfg, "algorithm.speeds", [1.0] * initial.n))
+    # NetConfig owns the defaults: pass only the fields the config sets
+    given = {name: _number(cfg, f"algorithm.{name}", positive=True)
+             for name in ("comm_radius", "comm_rate", "waypoint_margin",
+                          "delta")}
+    given["time_step"] = _number(cfg, "algorithm.time_step")
     try:
         config = ns.NetConfig(
-            speeds=tuple(_numbers(cfg, "algorithm.speeds",
-                                  [1.0] * initial.n)),
-            comm_radius=_number(cfg, "algorithm.comm_radius", 1.0,
-                                positive=True),
-            comm_rate=_number(cfg, "algorithm.comm_rate", 2.0, positive=True),
-            waypoint_margin=_number(cfg, "algorithm.waypoint_margin", 0.2,
-                                    positive=True),
-            delta=_number(cfg, "algorithm.delta", 0.2, positive=True),
-            time_step=_number(cfg, "algorithm.time_step"),
-            seed=seed)
+            speeds=speeds, seed=seed,
+            **{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise ConfigError(f"algorithm: {exc}") from exc
     horizon_legs = _number(cfg, "algorithm.horizon_legs", 500.0, positive=True)

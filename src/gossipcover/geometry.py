@@ -369,7 +369,7 @@ def intersection_area(a: Region, b: Region) -> float:
     for p in rest_a:
         bb = _poly_bbox(p)
         for q in rest_b:
-            if _bbox_disjoint(bb, _poly_bbox(q)):
+            if _bbox_gap(bb, _poly_bbox(q)) > 0.0:
                 continue
             c = convex_intersect(p, q)
             if c is not None:
@@ -386,10 +386,6 @@ def _poly_bbox(p: ConvexPolygon):
     if p._bbox is None:
         p._bbox = _bbox(p.vertices)
     return p._bbox
-
-
-def _bbox_disjoint(a, b) -> bool:
-    return a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1]
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -509,8 +505,8 @@ def _convex_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
     va, vb = a.vertices, b.vertices
     if _contains_point(b, *va[0].tolist()) or _contains_point(a, *vb[0].tolist()):
         return 0.0
-    ea1, ea2 = va, np.roll(va, -1, axis=0)
-    eb1, eb2 = vb, np.roll(vb, -1, axis=0)
+    ea1, ea2 = va, _cyclic_next(va)
+    eb1, eb2 = vb, _cyclic_next(vb)
     best = min(float(_points_segments_distance(va, eb1, eb2).min()),
                float(_points_segments_distance(vb, ea1, ea2).min()))
     if best > 0.0 and _any_segments_cross(ea1, ea2, eb1, eb2):
@@ -598,7 +594,7 @@ def _boundary_candidates(region: Region) -> np.ndarray:
     ts = np.arange(1, _HAUSDORFF_SAMPLES + 1) / (_HAUSDORFF_SAMPLES + 1)
     for piece in region.pieces:
         v = piece.vertices
-        nxt = np.roll(v, -1, axis=0)
+        nxt = _cyclic_next(v)
         seg = v[:, None, :] + ts[None, :, None] * (nxt - v)[:, None, :]
         pts.append(seg.reshape(-1, 2))
     return np.vstack(pts)
@@ -633,24 +629,6 @@ def diameter(obj) -> float:
         raise EmptyRegion("diameter of an empty region")
     d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
     return float(np.sqrt(d2.max()))
-
-
-def project_to_convex(p, poly: ConvexPolygon):
-    p = np.asarray(p, dtype=float)
-    if _contains_point(poly, *p.tolist()):
-        return p
-    v = poly.vertices
-    best, best_d = p, np.inf
-    for k in range(len(v)):
-        a, b = v[k], v[(k + 1) % len(v)]
-        ab = b - a
-        t = float((p - a) @ ab) / float(ab @ ab)
-        t = min(1.0, max(0.0, t))
-        q = a + t * ab
-        d = float(np.hypot(*(p - q)))
-        if d < best_d:
-            best, best_d = q, d
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +725,7 @@ def linear_performance() -> PerformanceFunction:
 # integration and generalized centroids
 
 # the descent for non-quadratic centroids stops once a step moves less
-# than this fraction of the region's (or domain's) diameter
+# than this fraction of its scale (the region's or environment's diameter)
 _DESCENT_TOL = 1e-10
 _DESCENT_MAX_ITER = 500
 
@@ -856,25 +834,24 @@ def one_center_cost(p, region: Region, density: Density,
 
 
 def centroid(region: Region, density: Density, perf: PerformanceFunction,
-             within: ConvexPolygon | None = None,
-             min_area: float = 0.0) -> np.ndarray:
+             scale: float | None = None) -> np.ndarray:
     """Point minimizing the one-center cost of the region.
 
     Quadratic cost has the closed-form mass centroid; other costs run
-    projected gradient descent with backtracking from that start, every
-    iterate evaluated on one quadrature point set built up front.
+    gradient descent with backtracking from that start, every iterate
+    evaluated on one quadrature point set built up front. scale sets the
+    first step and the stopping length; it defaults to the region's
+    diameter. The minimizer of a convex increasing cost lies in the
+    region's convex hull, so no iterate needs projecting.
     """
     if region.is_empty:
         raise EmptyRegion("centroid of an empty region")
-    if region.area <= min_area:
-        raise VanishedRegion(f"region area {region.area:.3e} below tolerance")
     start = _mass_centroid(region, density, perf.refine)
     if perf.kind == "quadratic":
         return start
     quad = _quadrature(region, density, perf.refine)
-    scale = diameter(region)
-    if within is not None:
-        scale = max(scale, diameter(within))
+    if scale is None:
+        scale = diameter(region)
     tol = _DESCENT_TOL * max(scale, 1e-12)
     x = start
     fx = _quad_sum(quad, _cost_integrand(x, perf))
@@ -888,8 +865,6 @@ def centroid(region: Region, density: Density, perf: PerformanceFunction,
         alpha = step
         for _bt in range(60):
             cand = x - alpha * g
-            if within is not None:
-                cand = project_to_convex(cand, within)
             d = cand - x
             dn = float(np.hypot(d[0], d[1]))
             if dn < tol:

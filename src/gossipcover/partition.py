@@ -234,8 +234,7 @@ def _centroid_entry(region: Region, env: Environment, density: Density,
     key = (density, perf, env.polygon)
     entry = region.centroid_cache.get(key)
     if entry is None:
-        # Partition already refuses a region at or below tol_area
-        c = geo.centroid(region, density, perf, within=env.polygon)
+        c = geo.centroid(region, density, perf, scale=env.diameter)
         entry = region.centroid_cache[key] = (
             c, geo.one_center_cost(c, region, density, perf))
     return entry

@@ -361,6 +361,11 @@ def contains_point_ref(v: np.ndarray, point, tol: float = 0.0) -> bool:
     return bool(np.all(cr >= lim, axis=1)[0])
 
 
+def in_convex_hull(point, region: Region, tol: float) -> bool:
+    """True when point lies within tol of the convex hull of the region."""
+    return contains_point_ref(convex_hull_ref(region.vertices), point, tol)
+
+
 def ring_moment_ref(v: np.ndarray) -> np.ndarray:
     x, y = v[:, 0], v[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)

@@ -64,7 +64,10 @@ FIXED = [(geometry.bisector_halfplane, "tol"),
          (quadrature.triangle_rule, "degree"),
          (switching.run_lloyd, "check_every"),
          # one setting picks the exchange: a delta, or none for the full map
-         (switching.run_evolution, "map_kind")]
+         (switching.run_evolution, "map_kind"),
+         # the descent's one length is its scale; a region's minimizer lies
+         # in its hull, and Partition refuses vanished regions
+         (geometry.centroid, "within"), (geometry.centroid, "min_area")]
 
 
 @pytest.mark.parametrize("fn, name", FIXED,
@@ -86,7 +89,9 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (geometry.Region, "from_pieces"), (geometry, "DEFAULT_PIECE_BUDGET"),
         (geometry, "_DEDUPE_REL"), (geometry, "_seam_scale"),
         # one centroid memo entry, filled whole
-        (partition, "_centroid_cost")]
+        (partition, "_centroid_cost"),
+        # a centroid lies in its region's hull, so nothing projects
+        (geometry, "project_to_convex")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,

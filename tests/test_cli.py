@@ -8,6 +8,7 @@ import oracles
 from gossipcover import cli
 from gossipcover import geometry as geo
 from gossipcover import gossip as gp
+from gossipcover import netsim as ns
 from gossipcover import partition as pt
 from gossipcover import switching as sw
 from gossipcover.partition import DegenerateEvolution
@@ -330,6 +331,30 @@ def test_run_netsim_region_mismatch_returns_2(tmp_path, capsys, text, named):
     err = capsys.readouterr().err
     assert err.startswith("error: algorithm: ") and named in err
     assert "Traceback" not in err
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_run_netsim_leaves_defaults_to_netconfig(tmp_path, monkeypatch):
+    # a config that sets no motion or radio field runs NetConfig's own
+    # defaults, with one unit speed per region
+    seen = []
+
+    def stop(config, *args, **kwargs):
+        seen.append(config)
+        raise _Stop
+
+    monkeypatch.setattr(ns, "simulate", stop)
+    text = "".join(line for line in NETSIM_SHORT.splitlines(keepends=True)
+                   if line.split(":")[0].strip() not in {
+                       "speeds", "comm_radius", "comm_rate",
+                       "waypoint_margin", "delta", "time_step"})
+    cfg = write_cfg(tmp_path, text.replace("seed: 0", "seed: 4"))
+    with pytest.raises(_Stop):
+        cli.main(["run", cfg, "--out", str(tmp_path / "o")])
+    assert seen == [ns.NetConfig(speeds=(1.0,) * 3, seed=4)]
 
 
 def test_run_polar(tmp_path):

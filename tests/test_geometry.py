@@ -496,7 +496,8 @@ def test_quadratic_centroid_is_mass_centroid():
     perf = geo.quadratic_performance()
     for _ in range(10):
         region = Region((oracles.random_convex_polygon(rng, 8, scale=1.5),))
-        c = geo.centroid(region, dens, perf, UNIT_SQUARE)
+        c = geo.centroid(region, dens, perf,
+                         scale=geo.diameter(UNIT_SQUARE))
         assert np.allclose(c, geo.mass_centroid(region, dens), atol=1e-9)
 
 
@@ -508,7 +509,7 @@ def test_linear_centroid_minimizes():
     domain = ConvexPolygon([[-2, -2], [3, -2], [3, 3], [-2, 3]])
     for _ in range(5):
         region = Region((oracles.random_convex_polygon(rng, 7, scale=1.8),))
-        c = geo.centroid(region, dens, perf, domain)
+        c = geo.centroid(region, dens, perf, scale=geo.diameter(domain))
         base = geo.one_center_cost(c, region, dens, perf)
         for _ in range(12):
             q = c + 0.05 * rng.normal(size=2)
@@ -542,20 +543,52 @@ MULTI_GRID = geo.GridDensity(0.0, 0.0, 2.0, 1.5,
 def test_linear_centroid_of_multi_piece_region_is_pinned(dens, expected):
     # recorded values: reusing one point set must not move a single digit
     c = geo.centroid(MULTI_PIECE, dens, geo.linear_performance(),
-                     MULTI_WITHIN)
+                     scale=geo.diameter(MULTI_WITHIN))
     assert c == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("dens", [geo.UniformDensity(), MULTI_GRID])
 def test_linear_centroid_beats_nearby_points(dens):
     perf = geo.linear_performance()
-    c = geo.centroid(MULTI_PIECE, dens, perf, MULTI_WITHIN)
+    c = geo.centroid(MULTI_PIECE, dens, perf,
+                     scale=geo.diameter(MULTI_WITHIN))
     base = geo.one_center_cost(c, MULTI_PIECE, dens, perf)
     for angle in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
         for radius in (1e-3, 1e-2):
             q = c + radius * np.array([math.cos(angle), math.sin(angle)])
             assert bool(MULTI_WITHIN.contains(q)[0])
             assert geo.one_center_cost(q, MULTI_PIECE, dens, perf) >= base
+
+
+def seeded_multi_piece_regions(seed, count):
+    """Some of the cells three random cuts make of a random convex
+    polygon: unions that may be nonconvex or disconnected."""
+    rng = np.random.default_rng(seed)
+    while count:
+        cells = [oracles.random_convex_polygon(rng, 8, scale=1.5)]
+        for _ in range(3):
+            hp = HalfPlane(rng.normal(size=2), 0.3 * rng.normal())
+            cells = [c for cell in cells for c in split_convex(cell, hp)
+                     if c is not None]
+        if len(cells) < 3:
+            continue
+        keep = rng.choice(len(cells), size=len(cells) - 1, replace=False)
+        yield Region(tuple(cells[k] for k in sorted(keep)))
+        count -= 1
+
+
+@pytest.mark.parametrize("dens", [
+    geo.UniformDensity(),
+    geo.GridDensity(-1.0, -1.0, 1.0, 1.0, [[1.0, 5.0], [0.2, 2.0]])])
+def test_linear_centroid_lies_in_the_region_hull(dens):
+    # a convex increasing cost keeps its minimizer in the hull of the
+    # region, whatever the descent's scale
+    perf = geo.linear_performance()
+    for region in seeded_multi_piece_regions(103, 12):
+        diam = geo.diameter(region)
+        for scale in (None, 4.0 * diam):
+            c = geo.centroid(region, dens, perf, scale=scale)
+            assert oracles.in_convex_hull(c, region, 1e-9 * diam)
 
 
 def test_contains_with_cached_edges_matches_fresh_polygons():

@@ -402,16 +402,12 @@ def test_memoized_partition_is_freed_without_gc():
 
 def test_vanished_region_raises_not_clamps():
     # a region at or below the area tolerance is an error, never clamped:
-    # partition assembly refuses it and the center solver refuses to place
-    # a center in it
+    # partition assembly refuses it
     env = pt.rectangle(2.0, 1.0)
     dead = region_of([[0, 0], [1e-9, 0], [1e-9, 1], [0, 1]])
     rest = region_of([[1e-9, 0], [2, 0], [2, 1], [1e-9, 1]])
     with pytest.raises(VanishedRegion):
         Partition(env, (dead, rest))
-    square = region_of([[0, 0], [1, 0], [1, 1], [0, 1]])
-    with pytest.raises(VanishedRegion):
-        geo.centroid(square, DENS, QUAD, min_area=5.0)
 
 
 # ---------------------------------------------------------------------------

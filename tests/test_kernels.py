@@ -300,14 +300,6 @@ def test_inside_test_matches_array_form_on_seeded_polygons():
                 check_inside(poly, q, tol)
 
 
-def test_project_to_convex_returns_exactly_the_inside_points():
-    square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
-    for q in edge_points(square):
-        # an inside point comes back as the very same array
-        returned = geo.project_to_convex(q, square) is q
-        assert returned == oracles.contains_point_ref(square.vertices, q)
-
-
 # ---------------------------------------------------------------------------
 # first moment
 

@@ -253,8 +253,8 @@ def test_region_keeps_centroid_and_cost_per_performance():
                              pt.centroid_cost(part, DENS, perf))
     for perf in (QUAD, lin):
         cs, h = cached[perf.kind]
-        fresh = [geo.centroid(Region(r.pieces), DENS, perf, within=env.polygon,
-                              min_area=env.tol_area) for r in part.regions]
+        fresh = [geo.centroid(Region(r.pieces), DENS, perf,
+                              scale=env.diameter) for r in part.regions]
         assert np.array_equal(cs, np.array(fresh))
         assert h == sum(geo.one_center_cost(c, Region(r.pieces), DENS, perf)
                         for c, r in zip(fresh, part.regions))
@@ -422,6 +422,47 @@ def test_snapshot_roundtrip():
     assert step == 137
     assert loaded.n == part.n
     assert pt.partition_distance(part, loaded) <= part.n * env.tol_area
+
+
+def rect6_run(perf, scheduler, steps, seed=0):
+    """The trace of a rect6 start (six seeded Voronoi cells of a 2x1
+    rectangle) over the given number of full exchanges, with every
+    partition it passed through as a snapshot."""
+    rng = np.random.default_rng(seed)
+    initial = pt.voronoi(pt.rectangle(2.0, 1.0),
+                         rng.uniform([0.1, 0.1], [1.9, 0.9], (6, 2)))
+    trace = sw.run_evolution(initial, DENS, perf, scheduler, budget=steps,
+                             stop_tol=0.0, check_every=steps,
+                             snapshot_steps=range(steps + 1))
+    assert len(trace.steps) == steps
+    return trace
+
+
+def test_snapshot_roundtrip_is_exact_on_multi_piece_regions():
+    for seed in range(4):
+        part = rect6_run(QUAD, sw.AdjacentRandom(seed=seed, delta=1e-9),
+                         150, seed).final
+        assert max(len(r.pieces) for r in part.regions) > 1
+        buf = io.StringIO()
+        pt.write_snapshot(part, buf)
+        buf.seek(0)
+        loaded, _ = pt.read_snapshot(buf)
+        assert [len(r.pieces) for r in loaded.regions] == \
+            [len(r.pieces) for r in part.regions]
+        for r, back in zip(part.regions, loaded.regions):
+            for p, q in zip(r.pieces, back.pieces):
+                assert q.vertices.tobytes() == p.vertices.tobytes()
+
+
+def test_memoized_linear_centroids_lie_in_their_region_hulls():
+    # every region the run passed through holds its centroid, found at
+    # the environment's scale
+    trace = rect6_run(geo.linear_performance(), sw.RoundRobin(6), 60)
+    regions = {id(r): r for _, p in trace.snapshots for r in p.regions}
+    for r in regions.values():
+        (c, _), = r.centroid_cache.values()
+        assert oracles.in_convex_hull(c, r, 1e-9 * geo.diameter(r))
+    assert max(len(r.pieces) for r in regions.values()) > 1
 
 
 def test_snapshot_string_stable():
