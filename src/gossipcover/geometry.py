@@ -219,10 +219,20 @@ class Region:
     @cached_property
     def vertices(self) -> np.ndarray:
         """Every piece's vertices stacked, read-only."""
+        if len(self.pieces) == 1:
+            return self.pieces[0].vertices
         v = np.vstack([p.vertices for p in self.pieces]) if self.pieces \
             else np.zeros((0, 2))
         v.setflags(write=False)
         return v
+
+    @cached_property
+    def piece_starts(self) -> np.ndarray:
+        """Row in vertices of each piece's first vertex."""
+        starts = [0]
+        for p in self.pieces[:-1]:
+            starts.append(starts[-1] + len(p.vertices))
+        return np.array(starts, dtype=np.intp)
 
     @cached_property
     def bbox(self) -> tuple:
@@ -293,19 +303,30 @@ def split_convex(poly: ConvexPolygon, hp: HalfPlane, snap: float = 0.0,
     seam vertices, which keeps the split area-conserving. A clip to the
     half-plane is the inside part, split_convex(...)[0].
     """
-    v = poly.vertices
-    d = v @ hp.normal - hp.offset
-    if snap > 0.0:
-        d = np.where(np.abs(d) <= snap, 0.0, d)
+    d = _snapped_offsets(poly.vertices, hp, snap)
     if (d <= 0.0).all():
         if (d == 0.0).all():
             return None, None  # hairline lying on the boundary
         return poly, None
     if (d >= 0.0).all():
         return None, poly
+    return _cut(poly.vertices, d.tolist(), min_area)
+
+
+def _snapped_offsets(v: np.ndarray, hp: HalfPlane, snap: float) -> np.ndarray:
+    """Each vertex's signed offset past hp's line, 0 within snap of it."""
+    d = v @ hp.normal - hp.offset
+    if snap > 0.0:
+        d = np.where(np.abs(d) <= snap, 0.0, d)
+    return d
+
+
+def _cut(v: np.ndarray, dl: list, min_area: float):
+    """(inside, outside) of a polygon whose vertex offsets dl past the
+    line have both signs."""
     ins: list = []
     outs: list = []
-    vl, dl = v.tolist(), d.tolist()
+    vl = v.tolist()
     for a, da, b, db in zip(vl, dl, vl[1:] + vl[:1], dl[1:] + dl[:1]):
         if da <= 0.0:
             ins.append(a)
@@ -321,15 +342,35 @@ def split_convex(poly: ConvexPolygon, hp: HalfPlane, snap: float = 0.0,
 
 def region_split(region: Region, hp: HalfPlane, snap: float = 0.0,
                  min_area: float = 0.0) -> tuple[list, list]:
-    """Two-sided split of every piece; returns (inside, outside) piece lists."""
+    """Two-sided split of every piece; returns (inside, outside) piece lists.
+
+    One projection of the stacked vertices, snapped as split_convex
+    snaps, gives each piece's offset range: a piece wholly on one side
+    is handed over as it is, a hairline one lying on the line is
+    dropped, and only pieces that straddle the line are cut, at the
+    same offsets.
+    """
+    if region.is_empty:
+        return [], []
+    d = _snapped_offsets(region.vertices, hp, snap)
+    starts = region.piece_starts
     ins: list = []
     outs: list = []
-    for p in region.pieces:
-        a, b = split_convex(p, hp, snap, min_area)
-        if a is not None:
-            ins.append(a)
-        if b is not None:
-            outs.append(b)
+    for p, start, hi, lo in zip(region.pieces, starts.tolist(),
+                                np.maximum.reduceat(d, starts).tolist(),
+                                np.minimum.reduceat(d, starts).tolist()):
+        if hi <= 0.0:
+            if lo < 0.0:
+                ins.append(p)
+        elif lo >= 0.0:
+            outs.append(p)
+        else:
+            a, b = _cut(p.vertices, d[start:start + len(p.vertices)].tolist(),
+                        min_area)
+            if a is not None:
+                ins.append(a)
+            if b is not None:
+                outs.append(b)
     return ins, outs
 
 
@@ -531,7 +572,7 @@ def interior_distance(a: Region, b: Region) -> float:
 def regions_within(a: Region, b: Region, delta: float) -> bool:
     """interior_distance(a, b) < delta, decided without the exact distance
     when the regions lie at least delta apart."""
-    return _distance_below(a, b, delta) < delta
+    return bool(_distance_below(a, b, delta) < delta)
 
 
 # Bounding boxes farther apart than this many vertex-grid cells share no

@@ -69,7 +69,8 @@ def _trade_bound(partition: Partition, i: int, j: int, hp, di, dj) -> float:
     which the split treats a vertex as on the line, and within region
     i's vertex span along the line; likewise for region j on the other
     side. The bound is the two rectangles' area. It bounds the
-    distance-limited exchange too, which hands over part of that.
+    distance-limited exchange too, which hands over part of that, and
+    orders and stops the fixed-point residual's splits.
     """
     env = partition.env
     line = np.array([-hp.normal[1], hp.normal[0]])
@@ -204,6 +205,10 @@ def fixed_point_residual(partition: Partition, density: Density,
     checks every pair; "adjacent" only pairs whose interiors come within
     delta. is_mixed_centroidal is this residual, in mode "full", held to
     a threshold.
+
+    Pairs are split in decreasing order of their trade bound, and the
+    visit stops once twice the bound cannot beat the largest movement
+    found: the result is the maximum over the same exact splits.
     """
     env = partition.env
     if mode == "adjacent":
@@ -216,7 +221,7 @@ def fixed_point_residual(partition: Partition, density: Density,
     else:
         raise ValueError(f"unknown residual mode {mode!r}")
     cs = pt.centroids(partition, density, perf)
-    worst = 0.0
+    bounded = []
     for i, j in pairs:
         gap = float(np.hypot(*(cs[i] - cs[j])))
         if gap <= env.tol_point:
@@ -224,10 +229,14 @@ def fixed_point_residual(partition: Partition, density: Density,
         hp, di, dj = _bisector_offsets(partition, i, j, cs[i], cs[j])
         if _on_own_sides(di, dj, env.snap):
             continue
+        bounded.append((_trade_bound(partition, i, j, hp, di, dj), i, j, hp))
+    bounded.sort(key=lambda b: b[0], reverse=True)
+    worst = 0.0
+    for bound, i, j, hp in bounded:
+        if 2.0 * bound <= worst:
+            break
         _, _, traded = pt.pair_split(partition, i, j, hp, hp)
-        moved = 2.0 * traded
-        if moved > worst:
-            worst = moved
+        worst = max(worst, 2.0 * traded)
     return worst
 
 

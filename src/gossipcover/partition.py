@@ -118,15 +118,21 @@ def rectangle(width: float, height: float) -> Environment:
 class Partition:
     """Regions tiling the environment, one per agent.
 
-    A partition never changes, so exchange_cache holds the cost before
-    each pairwise exchange found to be a no-op on it (filled by
-    gossip's exchange, keyed by (i, j, delta, density, perf)).
+    A partition never changes, so it keeps two plain memos of itself.
+    exchange_cache holds the cost before each pairwise exchange found
+    to be a no-op on it (filled by gossip's exchange, keyed by
+    (i, j, delta, density, perf)). adjacency_cache maps delta to
+    {(i, j): bool}, whether regions i and j come within delta (filled
+    by adjacency_pairs); replace(i, j, ...) hands the successor a copy
+    of the entries whose pair involves neither i nor j.
     """
 
     env: Environment
     regions: tuple
     exchange_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
+    adjacency_cache: dict = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.regions) == 0:
@@ -151,7 +157,12 @@ class Partition:
     def replace(self, i: int, j: int, ri: Region, rj: Region) -> "Partition":
         regs = list(self.regions)
         regs[i], regs[j] = ri, rj
-        return Partition(self.env, tuple(regs))
+        new = Partition(self.env, tuple(regs))
+        for delta, near in self.adjacency_cache.items():
+            new.adjacency_cache[delta] = {
+                pair: v for pair, v in near.items()
+                if i not in pair and j not in pair}
+        return new
 
     def validate(self) -> "Partition":
         """Full check: pieces inside the environment, pairwise overlaps
@@ -320,12 +331,21 @@ def is_centroidal_voronoi(partition: Partition, density: Density,
 
 
 def adjacency_pairs(partition: Partition, delta: float) -> list[tuple[int, int]]:
-    """Region pairs whose interiors come within delta of each other."""
+    """Region pairs whose interiors come within delta of each other.
+
+    Each pair is tested once per partition and delta; the answers are
+    kept in the partition's adjacency_cache.
+    """
+    near = partition.adjacency_cache.setdefault(delta, {})
+    regions = partition.regions
     out = []
     for i in range(partition.n):
         for j in range(i + 1, partition.n):
-            if geo.regions_within(partition.regions[i],
-                                  partition.regions[j], delta):
+            within = near.get((i, j))
+            if within is None:
+                within = near[i, j] = geo.regions_within(regions[i],
+                                                         regions[j], delta)
+            if within:
                 out.append((i, j))
     return out
 

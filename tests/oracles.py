@@ -275,6 +275,48 @@ def cut_areas_exact(v: np.ndarray, normal, offset) -> tuple[Fraction, Fraction]:
     return inside, _shoelace_exact(pts) - inside
 
 
+def region_split_ref(region: Region, hp, snap: float = 0.0,
+                     min_area: float = 0.0) -> tuple[list, list]:
+    """Two-sided split of a region as one split_convex call per piece;
+    returns (inside, outside) piece lists."""
+    ins: list = []
+    outs: list = []
+    for p in region.pieces:
+        a, b = geo.split_convex(p, hp, snap, min_area)
+        if a is not None:
+            ins.append(a)
+        if b is not None:
+            outs.append(b)
+    return ins, outs
+
+
+def fixed_point_residual_ref(partition, density, perf, mode: str = "full",
+                             delta=None) -> float:
+    """The fixed-point residual as its own all-pairs loop: twice the
+    largest area a bisector split of a pair trades, over every pair
+    (mode "full") or every pair whose interiors come within delta
+    ("adjacent"), skipping pairs whose centroids coincide."""
+    env = partition.env
+    cs = pt.centroids(partition, density, perf)
+    regions = partition.regions
+    worst = 0.0
+    for i in range(partition.n):
+        for j in range(i + 1, partition.n):
+            if mode == "adjacent" and not geo.regions_within(
+                    regions[i], regions[j], delta):
+                continue
+            if float(np.hypot(*(cs[i] - cs[j]))) <= env.tol_point:
+                continue
+            hp = geo.bisector_halfplane(cs[i], cs[j])
+            give_i = region_split_ref(regions[i], hp, env.snap,
+                                      env.sliver_area)[1]
+            give_j = region_split_ref(regions[j], hp, env.snap,
+                                      env.sliver_area)[0]
+            traded = sum(p.area for p in give_i) + sum(p.area for p in give_j)
+            worst = max(worst, 2.0 * traded)
+    return worst
+
+
 def bisector_trade(partition, i: int, j: int, ci, cj) -> float:
     """Area that splitting regions i and j along the bisector of ci and
     cj trades: the full exchange's split at those points."""
@@ -304,8 +346,8 @@ def slab_split_ref(partition, i: int, j: int, ci, cj,
 
     keep_i = geo.HalfPlane(u, m + (1.0 - beta) * far_reach(vi, +1.0))
     keep_j = geo.HalfPlane(-u, -(m - (1.0 - beta) * far_reach(vj, -1.0)))
-    kept_i, give_i = geo.region_split(vi, keep_i, env.snap, env.sliver_area)
-    kept_j, give_j = geo.region_split(vj, keep_j, env.snap, env.sliver_area)
+    kept_i, give_i = region_split_ref(vi, keep_i, env.snap, env.sliver_area)
+    kept_j, give_j = region_split_ref(vj, keep_j, env.snap, env.sliver_area)
     traded = sum(p.area for p in give_i) + sum(p.area for p in give_j)
     return kept_i + give_j, kept_j + give_i, traded
 

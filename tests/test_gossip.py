@@ -462,6 +462,54 @@ def test_residual_matches_direct_symdiff():
         worst, rel=1e-12)
 
 
+def fragmented_partitions(seed):
+    """A Voronoi start and its successors after 50 and 150 steps of a
+    seeded AdjacentRandom full-exchange run."""
+    env = pt.rectangle(2.0, 1.0)
+    start = random_partition(np.random.default_rng(seed), env, 6)
+    trace = sw.run_evolution(start, DENS, QUAD,
+                             sw.AdjacentRandom(seed=seed, delta=1e-9),
+                             budget=151, stop_tol=0.0, check_every=1000,
+                             snapshot_steps=(50, 150))
+    return [start] + [p for _, p in trace.snapshots]
+
+
+@pytest.mark.parametrize("seed", [23, 24])
+def test_residual_by_bound_matches_all_pairs_loop(seed, monkeypatch):
+    parts = fragmented_partitions(seed)
+    assert max(len(r.pieces) for r in parts[-1].regions) > 5
+    splits = []
+    pair_split = pt.pair_split
+    monkeypatch.setattr(pt, "pair_split",
+                        lambda *a: splits.append(a[1:3]) or pair_split(*a))
+    full_splits = candidates = 0
+    for part in parts:
+        env = part.env
+        for perf in (QUAD, LIN):
+            for mode, delta in (("full", None), ("adjacent", 1e-9),
+                                ("adjacent", 0.5)):
+                splits.clear()
+                assert gp.fixed_point_residual(part, DENS, perf, mode, delta) \
+                    == oracles.fixed_point_residual_ref(part, DENS, perf,
+                                                        mode, delta)
+                if mode == "full":
+                    full_splits += len(splits)
+            # the early stop's soundness: no split trades more than its bound
+            cs = pt.centroids(part, DENS, perf)
+            for i, j in sw.all_pairs(part.n):
+                if float(np.hypot(*(cs[i] - cs[j]))) <= env.tol_point:
+                    continue
+                hp, di, dj = gp._bisector_offsets(part, i, j, cs[i], cs[j])
+                if gp._on_own_sides(di, dj, env.snap):
+                    continue
+                candidates += 1
+                traded = pair_split(part, i, j, hp, hp)[2]
+                assert traded <= gp._trade_bound(part, i, j, hp, di, dj)
+    # split in index order, the full-mode residual would cut every
+    # candidate pair; the bound skipped some of those splits
+    assert 0 < full_splits < candidates
+
+
 def test_mixed_centroidal_is_the_residual_threshold():
     # the predicate thresholds the full residual; the pair loop it
     # replaced must give the same answer at every tolerance: on Voronoi
@@ -470,12 +518,7 @@ def test_mixed_centroidal_is_the_residual_threshold():
     env = pt.rectangle(2.0, 1.0)
     parts = [strips(env, [1.0]), strips(env, [1.0 - 1e-9])]
     for seed in (21, 22):
-        start = random_partition(np.random.default_rng(seed), env, 6)
-        trace = sw.run_evolution(start, DENS, QUAD,
-                                 sw.AdjacentRandom(seed=seed, delta=1e-9),
-                                 budget=151, stop_tol=0.0, check_every=1000,
-                                 snapshot_steps=(50, 150))
-        parts += [start] + [p for _, p in trace.snapshots]
+        parts += fragmented_partitions(seed)
     assert max(len(r.pieces) for p in parts for r in p.regions) > 1
     answers = set()
     for part in parts:

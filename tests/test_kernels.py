@@ -8,6 +8,7 @@ also measured against its cut done in exact rational arithmetic.
 """
 import math
 import struct
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -166,6 +167,104 @@ def test_split_matches_array_form_and_exact_areas_on_seeded_polygons():
     # the sweep reaches crossings that land on an edge end; a clip that
     # dropped them lost real area on 56 of these cuts
     assert sum(rounds_a_crossing(*cut) for cut in cuts) >= 50
+
+
+# ---------------------------------------------------------------------------
+# whole-piece region split
+
+def check_stacked_projection(region, hp):
+    """The region's stacked projection holds each piece's own projection
+    row for row, to the bit."""
+    d = region.vertices @ hp.normal - hp.offset
+    ends = region.piece_starts.tolist() + [len(d)]
+    for p, a, b in zip(region.pieces, ends, ends[1:]):
+        assert same(d[a:b], p.vertices @ hp.normal - hp.offset)
+
+
+def check_region_split(region, hp, snap, min_area=0.0) -> Counter:
+    """region_split against the per-piece loop: whole pieces come back as
+    the same objects, cut ones with identical vertex arrays. Counts the
+    pieces handed over whole, cut, and dropped as hairlines."""
+    got = geo.region_split(region, hp, snap, min_area)
+    want = oracles.region_split_ref(region, hp, snap, min_area)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        for a, b in zip(g, w):
+            if any(b is p for p in region.pieces):
+                assert a is b
+            else:
+                assert same(a, b.vertices)
+    kinds = Counter()
+    for p in region.pieces:
+        d = oracles.signed_offsets_ref(p.vertices, hp.normal, hp.offset, snap)
+        kinds["hairline" if (d == 0.0).all() else
+              "whole" if (d <= 0.0).all() or (d >= 0.0).all() else "cut"] += 1
+    return kinds
+
+
+def hairline(hp, at, length, lift) -> ConvexPolygon:
+    """A thin triangle: its base on hp's line near the point at, its apex
+    lift past the line."""
+    n = hp.normal
+    t = np.array([-n[1], n[0]])
+    base = at + (hp.offset - float(at @ n)) * n
+    return ConvexPolygon([base - length * t, base + length * t,
+                          base + lift * n])
+
+
+def seeded_regions(seed, count):
+    """Regions of 1 to 12 seeded pieces; a split never reads whether the
+    pieces overlap, so they need not tile anything."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        yield Region(tuple(seeded_polygons(int(rng.integers(1 << 30)),
+                                           1 + k % 12)))
+
+
+def test_region_split_hands_over_the_per_piece_loops_pieces():
+    rng = np.random.default_rng(20)
+    kinds = Counter()
+    for k, region in enumerate(seeded_regions(21, 12)):
+        scale = float(np.abs(region.vertices).max()) + 1.0
+        piece = region.pieces[k % len(region.pieces)]
+        angle = rng.uniform(0, 2 * math.pi)
+        for snap in (0.0, 1e-12 * scale, 1e-3 * scale):
+            for hp in cuts_through(piece, angle, snap):
+                check_stacked_projection(region, hp)
+                kinds += check_region_split(region, hp, snap)
+                if snap == 0.0:
+                    continue
+                at = piece.vertices[0]
+                thin = Region(region.pieces + (
+                    hairline(hp, at, 0.1 * scale, 0.5 * snap),
+                    hairline(hp, at, 0.1 * scale, -0.5 * snap)))
+                check_stacked_projection(thin, hp)
+                kinds += check_region_split(thin, hp, snap, 1e-6 * scale)
+    assert min(kinds[k] for k in ("whole", "cut", "hairline")) > 100
+
+
+def test_region_split_matches_per_piece_loop_on_fragmented_regions():
+    # the exchange's own cuts: every pair's centroid bisector, whose line
+    # often runs through seam vertices an earlier cut left on it
+    env = pt.rectangle(2.0, 1.0)
+    rng = np.random.default_rng(22)
+    part = pt.voronoi(env, rng.uniform([0.05, 0.05], [1.95, 0.95], (6, 2)))
+    sched = sw.AdjacentRandom(22, 1e-9)
+    dens, quad = geo.UniformDensity(), geo.quadratic_performance()
+    kinds = Counter()
+    for t in range(150):
+        i, j = sched.select(t, part)
+        part = gp.gossip_step(part, i, j, dens, quad).partition
+        if t % 30:
+            continue
+        cs = pt.centroids(part, dens, quad)
+        for i, j in sw.all_pairs(part.n):
+            hp = geo.bisector_halfplane(cs[i], cs[j])
+            for r in (part.regions[i], part.regions[j]):
+                check_stacked_projection(r, hp)
+                kinds += check_region_split(r, hp, env.snap, env.sliver_area)
+    assert max(len(r.pieces) for r in part.regions) > 5
+    assert kinds["whole"] > kinds["cut"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,44 @@ def _adjacent_gossip_partitions(seed, steps, every):
     return out
 
 
+ADJACENCY_DELTAS = (1e-9, 1e-3, 0.5)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_adjacency_memo_carries_only_untouched_pairs(seed):
+    env = pt.rectangle(2.0, 1.0)
+    rng = np.random.default_rng(seed)
+    part = pt.voronoi(env, rng.uniform([0.05, 0.05], [1.95, 0.95], (6, 2)))
+    sched = sw.AdjacentRandom(seed, 1e-9)
+    changed = 0
+    for t in range(150):
+        for delta in ADJACENCY_DELTAS:
+            pt.adjacency_pairs(part, delta)
+        i, j = sched.select(t, part)
+        nxt = gp.gossip_step(part, i, j, DENS, QUAD).partition
+        if nxt is part:
+            continue
+        changed += 1
+        assert nxt.adjacency_cache is not part.adjacency_cache
+        for delta in ADJACENCY_DELTAS:
+            carried = nxt.adjacency_cache[delta]
+            assert carried is not part.adjacency_cache[delta]
+            assert carried == {pair: v for pair, v
+                               in part.adjacency_cache[delta].items()
+                               if i not in pair and j not in pair}
+        # a fresh partition of fresh regions: nothing comes from a memo
+        fresh = Partition(env, tuple(Region(r.pieces) for r in nxt.regions))
+        for delta in ADJACENCY_DELTAS:
+            assert pt.adjacency_pairs(nxt, delta) == \
+                pt.adjacency_pairs(fresh, delta)
+            near = nxt.adjacency_cache[delta]
+            assert len(near) == nxt.n * (nxt.n - 1) // 2
+            assert all(type(v) is bool for v in near.values())
+        part = nxt
+    assert changed > 100
+    assert max(len(r.pieces) for r in part.regions) > 5
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_regions_within_equals_interior_distance_below_delta(seed):
     parts = _adjacent_gossip_partitions(seed, 300, 100)

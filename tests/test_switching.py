@@ -152,6 +152,23 @@ def test_run_evolution_snapshots():
     assert taken[10 ** 6] is trace.final
 
 
+def test_adjacency_tests_per_step_grow_like_n(monkeypatch):
+    # an exchange changes two regions, so each step retests at most the
+    # 2n - 3 pairs that involve them; the start tests all n(n-1)/2 once
+    n, steps = 24, 100
+    env = pt.rectangle(4.0, 2.0)
+    rng = np.random.default_rng(n)
+    start = pt.voronoi(env, rng.uniform([0.05, 0.05], [3.95, 1.95], (n, 2)))
+    calls = []
+    within = geo.regions_within
+    monkeypatch.setattr(geo, "regions_within",
+                        lambda a, b, d: calls.append(d) or within(a, b, d))
+    trace = sw.run_evolution(start, DENS, QUAD, sw.AdjacentRandom(0, 1e-9),
+                             budget=steps, check_every=5)
+    assert len(trace.steps) == steps
+    assert 0 < len(calls) <= n * (n - 1) // 2 + steps * (2 * n - 3)
+
+
 def test_run_lloyd_converges_faster_than_gossip():
     init = three_region_start()
     gossip = sw.run_evolution(init, DENS, QUAD, sw.RoundRobin(3),
