@@ -268,8 +268,8 @@ def write_h_csv(trace: sw.EvolutionTrace, path: str):
     with open(path, "w") as f:
         f.write("t,h,residual\n")
         for s in trace.steps:
-            res = "" if math.isnan(s.residual) else repr(s.residual)
-            f.write(f"{s.t},{s.h!r},{res}\n")
+            res = "" if math.isnan(s.residual) else repr(float(s.residual))
+            f.write(f"{s.t},{float(s.h)!r},{res}\n")
 
 
 def write_snapshots(snapshots, out_dir: str, density, perf, log):

@@ -235,6 +235,14 @@ class Region:
         return np.array(starts, dtype=np.intp)
 
     @cached_property
+    def next_vertex(self) -> np.ndarray:
+        """Row in vertices of each vertex's successor around its piece."""
+        starts = self.piece_starts
+        nxt = np.arange(1, len(self.vertices) + 1)
+        nxt[np.append(starts[1:], len(nxt)) - 1] = starts
+        return nxt
+
+    @cached_property
     def bbox(self) -> tuple:
         """(xmin, ymin, xmax, ymax) of a nonempty region."""
         return _bbox(self.vertices)
@@ -303,7 +311,7 @@ def split_convex(poly: ConvexPolygon, hp: HalfPlane, snap: float = 0.0,
     seam vertices, which keeps the split area-conserving. A clip to the
     half-plane is the inside part, split_convex(...)[0].
     """
-    d = _snapped_offsets(poly.vertices, hp, snap)
+    d = _snap(poly.vertices @ hp.normal - hp.offset, snap)
     if (d <= 0.0).all():
         if (d == 0.0).all():
             return None, None  # hairline lying on the boundary
@@ -313,9 +321,8 @@ def split_convex(poly: ConvexPolygon, hp: HalfPlane, snap: float = 0.0,
     return _cut(poly.vertices, d.tolist(), min_area)
 
 
-def _snapped_offsets(v: np.ndarray, hp: HalfPlane, snap: float) -> np.ndarray:
-    """Each vertex's signed offset past hp's line, 0 within snap of it."""
-    d = v @ hp.normal - hp.offset
+def _snap(d: np.ndarray, snap: float) -> np.ndarray:
+    """Signed offsets past a line, with those within snap of it set to 0."""
     if snap > 0.0:
         d = np.where(np.abs(d) <= snap, 0.0, d)
     return d
@@ -341,18 +348,23 @@ def _cut(v: np.ndarray, dl: list, min_area: float):
 
 
 def region_split(region: Region, hp: HalfPlane, snap: float = 0.0,
-                 min_area: float = 0.0) -> tuple[list, list]:
+                 min_area: float = 0.0,
+                 offsets: np.ndarray | None = None) -> tuple[list, list]:
     """Two-sided split of every piece; returns (inside, outside) piece lists.
 
     One projection of the stacked vertices, snapped as split_convex
     snaps, gives each piece's offset range: a piece wholly on one side
     is handed over as it is, a hairline one lying on the line is
     dropped, and only pieces that straddle the line are cut, at the
-    same offsets.
+    same offsets. A caller that has already projected the vertices
+    passes offsets, region.vertices @ hp.normal - hp.offset, to skip
+    the projection here.
     """
     if region.is_empty:
         return [], []
-    d = _snapped_offsets(region.vertices, hp, snap)
+    if offsets is None:
+        offsets = region.vertices @ hp.normal - hp.offset
+    d = _snap(offsets, snap)
     starts = region.piece_starts
     ins: list = []
     outs: list = []
@@ -869,9 +881,39 @@ def _gradient_integrand(p, perf: PerformanceFunction) -> Callable:
 
 def one_center_cost(p, region: Region, density: Density,
                     perf: PerformanceFunction) -> float:
-    """Expected cost of serving the region from point p."""
+    """Expected cost of serving the region from point p.
+
+    Quadratic cost under uniform density is exact: the polar second
+    moment of the region about p. Every other cost integrates the
+    quadrature.
+    """
+    if perf.kind == "quadratic" and isinstance(density, UniformDensity):
+        if region.is_empty:
+            return 0.0
+        return density.value * _polar_moment_about(p, region)
     return _quad_sum(_quadrature(region, density, perf.refine),
                      _cost_integrand(p, perf))
+
+
+def _polar_moment_about(p, region: Region) -> float:
+    """Integral of |q - p|^2 over the region, from one shoelace pass over
+    every piece's edges about the vertex mean o (Steger 1996).
+
+    The pass gives area A, first moment M and polar second moment J
+    about o; then the integral is J - M.M/A + A |p - o - M/A|^2.
+    """
+    v = region.vertices
+    o = v.mean(axis=0)
+    x, y = (v - o).T
+    nxt = region.next_vertex
+    xn, yn = x[nxt], y[nxt]
+    cr = x * yn - xn * y
+    a = float(cr.sum()) / 2.0
+    m = np.array([(x + xn) @ cr, (y + yn) @ cr]) / 6.0
+    j = float((x * (x + xn) + xn * xn + y * (y + yn) + yn * yn) @ cr) / 12.0
+    c = m / a
+    d = np.asarray(p, dtype=float) - o - c
+    return float(j - c @ m + a * (d @ d))
 
 
 def centroid(region: Region, density: Density, perf: PerformanceFunction,

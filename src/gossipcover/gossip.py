@@ -178,7 +178,9 @@ def _exchange_once(partition: Partition, i: int, j: int,
                          + (1.0 - beta) * max(float(di.max()), 0.0))
         hp_j = HalfPlane(hp.normal, hp.offset
                          - (1.0 - beta) * max(float((-dj).max()), 0.0))
-    pieces_i, pieces_j, traded = pt.pair_split(partition, i, j, hp_i, hp_j)
+        di = dj = None  # the cut lines left the bisector: project anew
+    pieces_i, pieces_j, traded = pt.pair_split(partition, i, j, hp_i, hp_j,
+                                               di, dj)
     if traded <= env.tol_area:
         return _unchanged(partition, i, j, h_before)
     new = partition.replace(i, j, env.region(pieces_i), env.region(pieces_j))
@@ -229,13 +231,14 @@ def fixed_point_residual(partition: Partition, density: Density,
         hp, di, dj = _bisector_offsets(partition, i, j, cs[i], cs[j])
         if _on_own_sides(di, dj, env.snap):
             continue
-        bounded.append((_trade_bound(partition, i, j, hp, di, dj), i, j, hp))
+        bounded.append((_trade_bound(partition, i, j, hp, di, dj), i, j,
+                        hp, di, dj))
     bounded.sort(key=lambda b: b[0], reverse=True)
     worst = 0.0
-    for bound, i, j, hp in bounded:
+    for bound, i, j, hp, di, dj in bounded:
         if 2.0 * bound <= worst:
             break
-        _, _, traded = pt.pair_split(partition, i, j, hp, hp)
+        _, _, traded = pt.pair_split(partition, i, j, hp, hp, di, dj)
         worst = max(worst, 2.0 * traded)
     return worst
 

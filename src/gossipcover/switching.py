@@ -229,15 +229,19 @@ def _evolve(initial: Partition, density: Density, perf: PerformanceFunction,
 # trace serialization
 
 def write_trace(trace: EvolutionTrace, path_or_file):
-    """Line format: t i j h residual min_gap min_area max_pieces."""
+    """Line format: t i j h residual min_gap min_area max_pieces.
+
+    Every float is written as the repr of a Python float, so a numpy
+    scalar in a step reads back as the number, not as np.float64(...).
+    """
     with pt._opened(path_or_file, "w") as f:
         f.write("# t i j h residual min_centroid_gap min_region_area max_pieces\n")
         for s in trace.steps:
-            f.write(f"{s.t} {s.pair[0]} {s.pair[1]} {s.h!r} {s.residual!r} "
-                    f"{s.min_centroid_gap!r} {s.min_region_area!r} "
-                    f"{s.max_piece_count}\n")
+            f.write(f"{s.t} {s.pair[0]} {s.pair[1]} {float(s.h)!r} "
+                    f"{float(s.residual)!r} {float(s.min_centroid_gap)!r} "
+                    f"{float(s.min_region_area)!r} {s.max_piece_count}\n")
         f.write(f"# termination {trace.termination} "
-                f"residual {trace.final_residual!r}\n")
+                f"residual {float(trace.final_residual)!r}\n")
         if trace.final is not None:
             pt.write_snapshot(trace.final, f,
                               step=trace.steps[-1].t if trace.steps else 0)

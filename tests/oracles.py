@@ -149,6 +149,23 @@ def random_convex_polygon(rng, n_pts: int = 8, center=(0.0, 0.0),
             continue
 
 
+def seeded_multi_piece_regions(seed, count):
+    """Some of the cells three random cuts make of a random convex
+    polygon: unions that may be nonconvex or disconnected."""
+    rng = np.random.default_rng(seed)
+    while count:
+        cells = [random_convex_polygon(rng, 8, scale=1.5)]
+        for _ in range(3):
+            hp = geo.HalfPlane(rng.normal(size=2), 0.3 * rng.normal())
+            cells = [c for cell in cells for c in geo.split_convex(cell, hp)
+                     if c is not None]
+        if len(cells) < 3:
+            continue
+        keep = rng.choice(len(cells), size=len(cells) - 1, replace=False)
+        yield Region(tuple(cells[k] for k in sorted(keep)))
+        count -= 1
+
+
 # ---------------------------------------------------------------------------
 # Array forms of the per-vertex geometry kernels, as they were before the
 # kernels moved to Python floats. The kernels must answer exactly as these
@@ -273,6 +290,42 @@ def cut_areas_exact(v: np.ndarray, normal, offset) -> tuple[Fraction, Fraction]:
             ins.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
     inside = _shoelace_exact(ins) if len(ins) >= 3 else Fraction(0)
     return inside, _shoelace_exact(pts) - inside
+
+
+def moments_exact(region: Region) -> tuple:
+    """Area A, first moment (Mx, My) and polar second moment J of the
+    region about the origin, in rationals on its float vertices, for
+    uniform unit density."""
+    a = mx = my = j = Fraction(0)
+    for piece in region.pieces:
+        pts = [(Fraction(x), Fraction(y)) for x, y in piece.vertices.tolist()]
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+            cr = x0 * y1 - x1 * y0
+            a += cr
+            mx += (x0 + x1) * cr
+            my += (y0 + y1) * cr
+            j += (x0 * (x0 + x1) + x1 * x1 + y0 * (y0 + y1) + y1 * y1) * cr
+    return a / 2, mx / 6, my / 6, j / 12
+
+
+def cost_exact(p, region: Region, value=1) -> Fraction:
+    """value times the integral of |q - p|^2 over the region, in
+    rationals: J - 2 M.p + A |p|^2."""
+    a, mx, my, j = moments_exact(region)
+    px, py = (Fraction(c) for c in np.asarray(p, dtype=float).tolist())
+    return Fraction(value) * (j - 2 * (mx * px + my * py)
+                              + a * (px * px + py * py))
+
+
+def h_exact(partition, value=1) -> Fraction:
+    """The multicenter cost under quadratic cost and uniform density
+    value, each region served from its exact mass centroid M/A:
+    the sum of value * (J - M.M / A), in rationals."""
+    total = Fraction(0)
+    for region in partition.regions:
+        a, mx, my, j = moments_exact(region)
+        total += j - (mx * mx + my * my) / a
+    return Fraction(value) * total
 
 
 def region_split_ref(region: Region, hp, snap: float = 0.0,

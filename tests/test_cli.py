@@ -2,6 +2,7 @@ import os
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -63,6 +64,17 @@ def write_cfg(tmp_path, text, name="cfg.yaml"):
 
 # ---------------------------------------------------------------------------
 # config loading
+
+def test_h_series_reads_back_numpy_scalars(tmp_path):
+    # numpy scalars in a step are written as their numbers, so the file
+    # parses back to the same floats
+    h, res = np.float64(0.1) / 3, np.float64(2e-7)
+    trace = sw.EvolutionTrace(steps=[sw.TraceStep(
+        np.int64(0), (0, 1), h, res, np.float64(0.5), np.float64(0.25), 1)])
+    cli.write_h_csv(trace, str(tmp_path / "h.csv"))
+    row = (tmp_path / "h.csv").read_text().splitlines()[1].split(",")
+    assert row == ["0", repr(float(h)), repr(float(res))]
+
 
 def test_preset_names_ship_with_package():
     assert cli.preset_names() == ["interval-comb", "netsim-strip",

@@ -1,12 +1,16 @@
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
 from gossipcover import geometry as geo
+from gossipcover import gossip as gp
+from gossipcover import partition as pt
+from gossipcover import switching as sw
 from gossipcover.partition import environment, rectangle
 from gossipcover.geometry import (ConvexPolygon, HalfPlane, Region,
                                   bisector_halfplane, convex_intersect, interior_distance,
@@ -560,23 +564,6 @@ def test_linear_centroid_beats_nearby_points(dens):
             assert geo.one_center_cost(q, MULTI_PIECE, dens, perf) >= base
 
 
-def seeded_multi_piece_regions(seed, count):
-    """Some of the cells three random cuts make of a random convex
-    polygon: unions that may be nonconvex or disconnected."""
-    rng = np.random.default_rng(seed)
-    while count:
-        cells = [oracles.random_convex_polygon(rng, 8, scale=1.5)]
-        for _ in range(3):
-            hp = HalfPlane(rng.normal(size=2), 0.3 * rng.normal())
-            cells = [c for cell in cells for c in split_convex(cell, hp)
-                     if c is not None]
-        if len(cells) < 3:
-            continue
-        keep = rng.choice(len(cells), size=len(cells) - 1, replace=False)
-        yield Region(tuple(cells[k] for k in sorted(keep)))
-        count -= 1
-
-
 @pytest.mark.parametrize("dens", [
     geo.UniformDensity(),
     geo.GridDensity(-1.0, -1.0, 1.0, 1.0, [[1.0, 5.0], [0.2, 2.0]])])
@@ -584,11 +571,47 @@ def test_linear_centroid_lies_in_the_region_hull(dens):
     # a convex increasing cost keeps its minimizer in the hull of the
     # region, whatever the descent's scale
     perf = geo.linear_performance()
-    for region in seeded_multi_piece_regions(103, 12):
+    for region in oracles.seeded_multi_piece_regions(103, 12):
         diam = geo.diameter(region)
         for scale in (None, 4.0 * diam):
             c = geo.centroid(region, dens, perf, scale=scale)
             assert oracles.in_convex_hull(c, region, 1e-9 * diam)
+
+
+@pytest.mark.parametrize("value", [1.0, 2.5])
+def test_quadratic_cost_matches_exact_moments(value):
+    # the closed form against rational moments of the same float
+    # vertices: at the centroid, near it and far from it
+    dens = geo.UniformDensity(value)
+    perf = geo.quadratic_performance()
+    rng = np.random.default_rng(107)
+    for region in oracles.seeded_multi_piece_regions(107, 12):
+        c = geo.mass_centroid(region, dens)
+        diam = geo.diameter(region)
+        for p in (c, c + 0.1 * diam * rng.normal(size=2),
+                  c + 10.0 * diam * rng.normal(size=2)):
+            got = geo.one_center_cost(p, region, dens, perf)
+            want = oracles.cost_exact(p, region, value)
+            assert type(got) is float
+            assert abs(Fraction(got) - want) <= 1e-13 * want
+
+
+def test_quadratic_centroid_cost_matches_exact_h():
+    # H of fragmented partitions, every region served from its centroid
+    env = rectangle(2.0, 1.0)
+    rng = np.random.default_rng(109)
+    part = pt.voronoi(env, rng.uniform([0.1, 0.1], [1.9, 0.9], (6, 2)))
+    dens = geo.UniformDensity(2.5)
+    perf = geo.quadratic_performance()
+    sched = sw.AdjacentRandom(109, 1e-9)
+    for t in range(120):
+        if t % 40 == 0:
+            want = oracles.h_exact(part, 2.5)
+            got = pt.centroid_cost(part, dens, perf)
+            assert abs(Fraction(got) - want) <= 1e-13 * want
+        part = gp.gossip_step(part, *sched.select(t, part), dens,
+                              perf).partition
+    assert max(len(r.pieces) for r in part.regions) > 3
 
 
 def test_contains_with_cached_edges_matches_fresh_polygons():

@@ -6,17 +6,22 @@ skips, the split it replaces must trade at most tol_area, and the step
 must hand back the very same partition. The distance-limited exchange
 never trades more than the full one on the same pair. A zero
 fixed-point residual holds exactly when the partition is pairwise
-balanced at tolerance 0.
+balanced at tolerance 0. The closed-form quadratic cost equals the
+rational moments of the same float vertices after translation and
+scaling.
 """
+import math
+from fractions import Fraction
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from gossipcover import geometry as geo
 from gossipcover import gossip as gp
 from gossipcover import partition as pt
-from gossipcover.geometry import region_of
+from gossipcover.geometry import ConvexPolygon, Region, region_of
 from gossipcover.partition import Partition
 
 DENS = geo.UniformDensity()
@@ -180,3 +185,27 @@ def test_zero_residual_iff_mixed_centroidal_at_zero_tolerance(cuts, cut_exp,
         assert zero == gp.is_mixed_centroidal(part, DENS, QUAD, tol=0.0)
         assert zero == oracles.is_mixed_centroidal_ref(part, DENS, QUAD,
                                                        tol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), offset_exp=st.floats(0.0, 6.0),
+       angle=st.floats(0.0, 2.0 * math.pi), scale_exp=st.floats(-2.0, 4.0))
+def test_quadratic_cost_is_exact_when_translated_and_scaled(seed, offset_exp,
+                                                            angle, scale_exp):
+    # the one moment pass works about the vertex mean, so moving the
+    # region by up to 1e6 or scaling it by 1e-2 to 1e4 costs no digits
+    base = next(oracles.seeded_multi_piece_regions(seed, 1))
+    offset = 10.0 ** offset_exp * np.array([math.cos(angle), math.sin(angle)])
+    scale = 10.0 ** scale_exp
+    try:
+        region = Region(tuple(ConvexPolygon(p.vertices * scale + offset)
+                              for p in base.pieces))
+    except ValueError:
+        assume(False)
+    # the base's centroid moved along: far out, the float mass centroid
+    # of the moved region is itself off (ROADMAP item 3)
+    c = geo.mass_centroid(base, DENS) * scale + offset
+    for p in (c, c + scale * np.array([2.0, -1.0])):
+        got = geo.one_center_cost(p, region, DENS, QUAD)
+        want = oracles.cost_exact(p, region)
+        assert abs(Fraction(got) - want) <= 1e-12 * abs(want)

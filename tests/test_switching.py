@@ -203,6 +203,28 @@ def test_trace_serialization():
         2 * trace.final.env.tol_area
 
 
+def test_trace_reads_back_numpy_scalar_fields():
+    # a numpy scalar reaching a step is written as its number, not as
+    # np.float64(...), so every field parses back to the same float
+    init = three_region_start()
+    step = sw.TraceStep(t=np.int64(3), pair=(np.int64(0), np.int64(2)),
+                        h=np.float64(0.1) / 3, residual=np.float64(2e-7),
+                        min_centroid_gap=np.float32(0.25),
+                        min_region_area=np.float64(1e-3) / 7,
+                        max_piece_count=np.int64(4))
+    trace = sw.EvolutionTrace(steps=[step], final=init,
+                              final_residual=np.float64(1.0) / 3)
+    buf = io.StringIO()
+    sw.write_trace(trace, buf)
+    lines = buf.getvalue().splitlines()
+    row = lines[1].split()
+    assert [int(x) for x in row[:3]] == [3, 0, 2] and int(row[7]) == 4
+    assert [float(x) for x in row[3:7]] == [
+        float(step.h), float(step.residual), float(step.min_centroid_gap),
+        float(step.min_region_area)]
+    assert lines[2] == f"# termination step_budget residual {1.0 / 3!r}"
+
+
 # ---------------------------------------------------------------------------
 # persistency
 
