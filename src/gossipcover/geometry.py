@@ -78,7 +78,8 @@ class HalfPlane:
 class ConvexPolygon:
     """Convex polygon with counterclockwise vertices and positive area."""
 
-    __slots__ = ("vertices", "_area", "_bbox", "_edges")
+    __slots__ = ("vertices", "_area", "_moment", "_bbox", "_edges",
+                 "_extremes")
 
     def __init__(self, vertices):
         v = np.array(vertices, dtype=float)
@@ -102,8 +103,10 @@ class ConvexPolygon:
         v.setflags(write=False)
         self.vertices = v
         self._area = None
+        self._moment = None
         self._bbox = None
         self._edges = None
+        self._extremes = None
 
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()!r})"
@@ -113,6 +116,15 @@ class ConvexPolygon:
         if self._area is None:
             self._area = _ring_area(self.vertices)
         return self._area
+
+    @property
+    def moment(self) -> np.ndarray:
+        """Integral of (x, y) over the polygon, read-only; computed once."""
+        if self._moment is None:
+            m = _ring_moment(self.vertices)
+            m.setflags(write=False)
+            self._moment = m
+        return self._moment
 
     def _edge_data(self):
         """Edge vectors, their lengths, and one row (vx, vy, ex, ey, length)
@@ -296,7 +308,8 @@ def _ring_polygon(points, min_area: float) -> ConvexPolygon | None:
         return None
     poly = ConvexPolygon.__new__(ConvexPolygon)
     arr.setflags(write=False)
-    poly.vertices, poly._area, poly._bbox, poly._edges = arr, area, None, None
+    poly.vertices, poly._area = arr, area
+    poly._moment = poly._bbox = poly._edges = poly._extremes = None
     return poly
 
 
@@ -473,6 +486,57 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=float).reshape(-1, 2)
 
 
+# The fan of directions on which merge_pieces finds a point set's
+# extreme points; in fan order they span a polygon inscribed in its hull.
+_FAN_INDEX = np.arange(16)
+_FAN = np.array([np.cos(_FAN_INDEX * (2.0 * np.pi / _FAN_INDEX.size)),
+                 np.sin(_FAN_INDEX * (2.0 * np.pi / _FAN_INDEX.size))])
+
+
+def _extremes(v: np.ndarray) -> np.ndarray:
+    """One row (h, x, y) per fan direction: the largest projection h of
+    the points v on it, and the first point (x, y) attaining it."""
+    proj = v @ _FAN
+    k = proj.argmax(axis=0)
+    return np.column_stack((proj[k, _FAN_INDEX], v[k]))
+
+
+def _piece_extremes(p: ConvexPolygon) -> np.ndarray:
+    if p._extremes is None:
+        p._extremes = _extremes(p.vertices)
+    return p._extremes
+
+
+def _inscribed_area(extremes) -> float:
+    """Shoelace area of the union's extreme points, in fan order, given
+    the _extremes of each point set. The polygon they span lies in the
+    union's hull, so up to rounding its area is at most the hull's."""
+    e = np.array(extremes)
+    return _ring_area(e[e[:, :, 0].argmax(axis=0), _FAN_INDEX, 1:])
+
+
+def _area_rounding(n_points: int, max_abs: float) -> float:
+    """Margin for rounding when the shoelace area of a polygon inscribed
+    in a hull is compared with the hull's, over n_points points with
+    coordinates up to max_abs: per point, one vertex-grid cell times
+    max_abs + 1, far above the rounding either area shows."""
+    return n_points * _vertex_cell(max_abs) * (max_abs + 1.0)
+
+
+def _fused_hull(pieces, limit: float, max_abs: float):
+    """The pieces' hull when its area is at most limit, else None.
+
+    The hull is built only when the polygon inscribed in it by the
+    pieces' extreme points leaves that possible: an inscribed area past
+    limit by more than _area_rounding puts the hull's past limit too.
+    """
+    slack = _area_rounding(sum(len(p.vertices) for p in pieces), max_abs)
+    if _inscribed_area([_piece_extremes(p) for p in pieces]) > limit + slack:
+        return None
+    hull = _convex_hull(np.vstack([p.vertices for p in pieces]))
+    return hull if _ring_area(hull) <= limit else None
+
+
 def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
     """Greedily fuse piece pairs whose union is convex (within area tol).
 
@@ -481,17 +545,22 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
     the quick grid-key test below prunes everything else. A whole-set hull
     pre-pass catches the common end state where the union is convex but no
     single pair is (misaligned historical seams).
+
+    _fused_hull skips the hulls that cannot fuse, and a pair that failed
+    is not tested again on a rescan. Neither changes the result: a
+    failing test fuses nothing, so the greedy order stays the same.
     """
     work = list(pieces)
     if len(work) < 2:
         return work
+    max_abs = max(float(np.abs(p.vertices).max()) for p in work)
     if len(work) > 2:
-        hull = _convex_hull(np.vstack([p.vertices for p in work]))
-        if _ring_area(hull) <= sum(p.area for p in work) + tol:
+        hull = _fused_hull(work, sum(p.area for p in work) + tol, max_abs)
+        if hull is not None:
             return [_ring_polygon(hull, 0.0)]
-    inv_eps = 1.0 / _vertex_cell(max(float(np.abs(p.vertices).max())
-                                     for p in work))
+    inv_eps = 1.0 / _vertex_cell(max_abs)
     keys = [_vertex_keys(p.vertices, inv_eps) for p in work]
+    rejected = set()  # of piece pairs; holding them keeps their ids unique
     changed = True
     while changed and len(work) > 1:
         changed = False
@@ -500,12 +569,12 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
             j = i + 1
             while j < len(work):
                 a, b = work[i], work[j]
-                if len(keys[i] & keys[j]) < 2:
+                if len(keys[i] & keys[j]) < 2 or (a, b) in rejected:
                     j += 1
                     continue
-                hull = _convex_hull(np.vstack([a.vertices, b.vertices]))
                 s = a.area + b.area
-                if _ring_area(hull) <= s + max(tol, 1e-12 * s):
+                hull = _fused_hull((a, b), s + max(tol, 1e-12 * s), max_abs)
+                if hull is not None:
                     # keep scanning the grown piece against the remainder
                     work[i] = _ring_polygon(hull, 0.0)
                     keys[i] = _vertex_keys(work[i].vertices, inv_eps)
@@ -513,6 +582,7 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
                     del keys[j]
                     changed = True
                 else:
+                    rejected.add((a, b))
                     j += 1
             i += 1
     return work
@@ -845,8 +915,7 @@ def _mass_centroid(region: Region, density: Density, refine: int) -> np.ndarray:
         raise EmptyRegion("centroid of an empty region")
     if isinstance(density, UniformDensity):
         m0 = region.area
-        m1 = sum((_ring_moment(p.vertices) for p in region.pieces),
-                 np.zeros(2))
+        m1 = sum((p.moment for p in region.pieces), np.zeros(2))
         if m0 <= 0.0:
             raise VanishedRegion("region has no area")
         return m1 / m0

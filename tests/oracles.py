@@ -343,6 +343,45 @@ def region_split_ref(region: Region, hp, snap: float = 0.0,
     return ins, outs
 
 
+def merge_pieces_ref(pieces, tol: float) -> list:
+    """merge_pieces as the loop that builds the hull of every piece pair
+    sharing two vertex keys, and of the whole set first, with no guard
+    and no memory of rejected pairs."""
+    work = list(pieces)
+    if len(work) < 2:
+        return work
+    if len(work) > 2:
+        hull = geo._convex_hull(np.vstack([p.vertices for p in work]))
+        if geo._ring_area(hull) <= sum(p.area for p in work) + tol:
+            return [geo._ring_polygon(hull, 0.0)]
+    inv_eps = 1.0 / geo._vertex_cell(max(float(np.abs(p.vertices).max())
+                                         for p in work))
+    keys = [geo._vertex_keys(p.vertices, inv_eps) for p in work]
+    changed = True
+    while changed and len(work) > 1:
+        changed = False
+        i = 0
+        while i < len(work):
+            j = i + 1
+            while j < len(work):
+                a, b = work[i], work[j]
+                if len(keys[i] & keys[j]) < 2:
+                    j += 1
+                    continue
+                hull = geo._convex_hull(np.vstack([a.vertices, b.vertices]))
+                s = a.area + b.area
+                if geo._ring_area(hull) <= s + max(tol, 1e-12 * s):
+                    work[i] = geo._ring_polygon(hull, 0.0)
+                    keys[i] = geo._vertex_keys(work[i].vertices, inv_eps)
+                    del work[j]
+                    del keys[j]
+                    changed = True
+                else:
+                    j += 1
+            i += 1
+    return work
+
+
 def fixed_point_residual_ref(partition, density, perf, mode: str = "full",
                              delta=None) -> float:
     """The fixed-point residual as its own all-pairs loop: twice the

@@ -4,7 +4,9 @@ on seeded and hypothesis inputs that reach their edge cases:
 near-duplicate vertices at the dedupe threshold, collinear runs,
 vertices within snap of a cut, points exactly on an edge, nonzero
 tolerances, and boxes that touch at a corner. The split's pieces are
-also measured against its cut done in exact rational arithmetic.
+also measured against its cut done in exact rational arithmetic. The
+guarded merge must fuse exactly as the loop that builds every hull, and
+the cached piece moments must sum to the moments computed afresh.
 """
 import math
 import struct
@@ -12,6 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -446,6 +449,132 @@ def test_ring_moment_matches_array_form():
     for poly in seeded_polygons(18, 60):
         v = poly.vertices
         assert same(geo._ring_moment(v), oracles.ring_moment_ref(v))
+
+
+def test_mass_centroid_sums_the_cached_piece_moments():
+    # pieces cut by split_convex come from _ring_polygon; the same rings
+    # rebuilt through ConvexPolygon take the constructor's path
+    dens = geo.UniformDensity()
+    for region in oracles.seeded_multi_piece_regions(27, 20):
+        rebuilt = Region(tuple(ConvexPolygon(p.vertices)
+                               for p in region.pieces))
+        for r in (region, rebuilt):
+            want = sum((oracles.ring_moment_ref(p.vertices)
+                        for p in r.pieces), np.zeros(2)) / r.area
+            # the first call fills each piece's moment, the second reads it
+            assert same(geo._mass_centroid(r, dens, 1), want)
+            assert same(geo.mass_centroid(r, dens), want)
+            for p in r.pieces:
+                assert same(p.moment, oracles.ring_moment_ref(p.vertices))
+                with pytest.raises(ValueError):
+                    p.moment[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# guarded merge
+
+def check_merge(pieces, tol, hulls: Counter):
+    """merge_pieces against the loop that builds every candidate hull:
+    the same pieces in the same order, a piece left as it was being the
+    same object and a fused one having identical vertex bytes. Adds each
+    side's _convex_hull calls to hulls; returns the merged piece count."""
+    before = hulls["calls"]
+    got = geo.merge_pieces(pieces, tol)
+    hulls["guarded"] += hulls["calls"] - before
+    before = hulls["calls"]
+    want = oracles.merge_pieces_ref(pieces, tol)
+    hulls["ref"] += hulls["calls"] - before
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if any(w is p for p in pieces):
+            assert g is w
+        else:
+            assert same(g, w.vertices)
+    return len(want)
+
+
+def count_hulls(monkeypatch) -> Counter:
+    hulls = Counter()
+    hull = geo._convex_hull
+
+    def counted(points):
+        hulls["calls"] += 1
+        return hull(points)
+
+    monkeypatch.setattr(geo, "_convex_hull", counted)
+    return hulls
+
+
+def test_merge_fuses_as_the_unguarded_loop_along_exchanges(monkeypatch):
+    # every piece list Environment.region hands the merge on seeded rect6
+    # AdjacentRandom runs, where most candidate hulls fuse nothing
+    inputs = []
+    merge = geo.merge_pieces
+
+    def recorded(pieces, tol):
+        inputs.append((list(pieces), tol))
+        return merge(pieces, tol)
+
+    monkeypatch.setattr(geo, "merge_pieces", recorded)
+    dens, quad = geo.UniformDensity(), geo.quadratic_performance()
+    for seed in (0, 1):
+        env = pt.rectangle(2.0, 1.0)
+        rng = np.random.default_rng(seed)
+        part = pt.voronoi(env, rng.uniform([0.1, 0.1], [1.9, 0.9], (6, 2)))
+        sched = sw.AdjacentRandom(seed, 1e-9)
+        for t in range(150):
+            i, j = sched.select(t, part)
+            part = gp.gossip_step(part, i, j, dens, quad).partition
+    monkeypatch.setattr(geo, "merge_pieces", merge)
+    hulls = count_hulls(monkeypatch)
+    fused = whole = 0
+    for pieces, tol in inputs:
+        n = check_merge(pieces, tol, hulls)
+        fused += n < len(pieces)
+        whole += n == 1 and len(pieces) > 2
+    assert len(inputs) > 500 and fused > 50 and whole > 0
+    # the guard skips most hulls
+    assert 0 < 4 * hulls["guarded"] < hulls["ref"]
+
+
+def split_groups(seed, count):
+    """Pieces of seeded polygons cut by one to three lines, each through a
+    vertex of the pieces so far but moved off it by 1e-15 to 1e-12 of
+    the polygon's scale, in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    while count:
+        scale = 10.0 ** rng.uniform(-2, 2)
+        pieces = [oracles.random_convex_polygon(
+            rng, 9, center=rng.uniform(-5, 5, 2) * scale, scale=scale)]
+        for _ in range(rng.integers(1, 4)):
+            at = np.vstack([p.vertices for p in pieces])
+            at = at[rng.integers(len(at))]
+            n = rng.normal(size=2)
+            nudge = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, -12)
+            hp = HalfPlane(n, float(n @ at) + nudge * scale)
+            pieces = [c for p in pieces for c in geo.split_convex(p, hp)
+                      if c is not None]
+        if len(pieces) < 2:
+            continue
+        yield [pieces[k] for k in rng.permutation(len(pieces))]
+        count -= 1
+
+
+def test_merge_fuses_as_the_unguarded_loop_after_near_vertex_cuts(
+        monkeypatch):
+    hulls = count_hulls(monkeypatch)
+    outcomes = Counter()
+    for pieces in split_groups(28, 300):
+        area = sum(p.area for p in pieces)
+        # a whole polygon fuses back; with a piece left out the union may
+        # be nonconvex and fuse in part or not at all
+        for group in [pieces] + [pieces[1:]] * (len(pieces) > 2):
+            for tol in (0.0, 1e-9 * area):
+                n = check_merge(group, tol, hulls)
+                outcomes["one" if n == 1 else
+                         "some" if n < len(group) else "none"] += 1
+    assert min(outcomes.values()) > 20
+    assert hulls["guarded"] < hulls["ref"]
 
 
 # ---------------------------------------------------------------------------
