@@ -76,10 +76,11 @@ class HalfPlane:
 
 
 class ConvexPolygon:
-    """Convex polygon with counterclockwise vertices and positive area."""
+    """Convex polygon with counterclockwise vertices and positive area.
 
-    __slots__ = ("vertices", "_area", "_moment", "_bbox", "_edges",
-                 "_extremes")
+    The vertices and area are set on construction; every other property
+    is computed on first use and kept, since a polygon never changes.
+    """
 
     def __init__(self, vertices):
         v = np.array(vertices, dtype=float)
@@ -88,10 +89,12 @@ class ConvexPolygon:
         v = _dedupe_ring(v)
         if len(v) < 3:
             raise ValueError("polygon needs at least 3 distinct vertices")
-        a = _ring_area(v)
+        a = area = _ring_area(v)
         if a < 0.0:
             v = v[::-1].copy()
             a = -a
+            # the stored ring's own sum, which may round apart from -a
+            area = _ring_area(v)
         if a <= 0.0:
             raise ValueError("polygon has no area")
         scale = float(np.max(np.abs(v))) + 1.0
@@ -102,46 +105,45 @@ class ConvexPolygon:
             raise ValueError("polygon is not convex")
         v.setflags(write=False)
         self.vertices = v
-        self._area = None
-        self._moment = None
-        self._bbox = None
-        self._edges = None
-        self._extremes = None
+        self.area = area
 
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()!r})"
 
-    @property
-    def area(self) -> float:
-        if self._area is None:
-            self._area = _ring_area(self.vertices)
-        return self._area
-
-    @property
+    @cached_property
     def moment(self) -> np.ndarray:
-        """Integral of (x, y) over the polygon, read-only; computed once."""
-        if self._moment is None:
-            m = _ring_moment(self.vertices)
-            m.setflags(write=False)
-            self._moment = m
-        return self._moment
+        """Integral of (x, y) over the polygon, read-only."""
+        m = _ring_moment(self.vertices)
+        m.setflags(write=False)
+        return m
 
-    def _edge_data(self):
-        """Edge vectors, their lengths, and one row (vx, vy, ex, ey, length)
-        of Python floats per edge; computed once."""
-        if self._edges is None:
-            v = self.vertices
-            e = _cyclic_next(v) - v
-            length = np.hypot(e[:, 0], e[:, 1])
-            rows = list(zip(*v.T.tolist(), *e.T.tolist(), length.tolist()))
-            self._edges = (e, length, rows)
-        return self._edges
+    @cached_property
+    def bbox(self) -> tuple:
+        """(xmin, ymin, xmax, ymax) as Python floats."""
+        return _bbox(self.vertices)
+
+    @cached_property
+    def extremes(self) -> np.ndarray:
+        """The vertices' _extremes on the merge fan, read-only."""
+        x = _extremes(self.vertices)
+        x.setflags(write=False)
+        return x
+
+    @cached_property
+    def edges(self) -> list:
+        """One row (vx, vy, ex, ey, length) of Python floats per edge:
+        its start vertex, its vector and its length."""
+        v = self.vertices
+        e = _cyclic_next(v) - v
+        length = np.hypot(e[:, 0], e[:, 1])
+        return list(zip(*v.T.tolist(), *e.T.tolist(), length.tolist()))
 
     def contains(self, points, tol: float = 0.0):
         """Boolean mask of points inside (boundary counts, up to tol)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         v = self.vertices
-        e, length, _ = self._edge_data()
+        e = _cyclic_next(v) - v
+        length = np.hypot(e[:, 0], e[:, 1])
         # cross(edge, point - vertex) >= -tol*|edge| for all edges
         rel = pts[:, None, :] - v[None, :, :]
         cr = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
@@ -153,7 +155,7 @@ def _contains_point(poly: ConvexPolygon, x: float, y: float,
                     tol: float = 0.0) -> bool:
     """poly.contains for the one point (x, y), on Python floats: the same
     cross products against the same limits, so the same answer."""
-    for vx, vy, ex, ey, length in poly._edge_data()[2]:
+    for vx, vy, ex, ey, length in poly.edges:
         if ex * (y - vy) - ey * (x - vx) < -tol * length:
             return False
     return True
@@ -239,6 +241,11 @@ class Region:
         return v
 
     @cached_property
+    def vertex_set(self) -> frozenset:
+        """Every vertex as an (x, y) tuple of floats."""
+        return frozenset(map(tuple, self.vertices.tolist()))
+
+    @cached_property
     def piece_starts(self) -> np.ndarray:
         """Row in vertices of each piece's first vertex."""
         starts = [0]
@@ -308,8 +315,7 @@ def _ring_polygon(points, min_area: float) -> ConvexPolygon | None:
         return None
     poly = ConvexPolygon.__new__(ConvexPolygon)
     arr.setflags(write=False)
-    poly.vertices, poly._area = arr, area
-    poly._moment = poly._bbox = poly._edges = poly._extremes = None
+    poly.vertices, poly.area = arr, area
     return poly
 
 
@@ -423,19 +429,17 @@ def intersection_area(a: Region, b: Region) -> float:
     # pieces shared by identity intersect in exactly themselves and touch
     # the rest of the other region only along boundaries
     total = 0.0
-    unmatched = {id(q): q for q in b.pieces}
+    unmatched = dict.fromkeys(b.pieces)
     rest_a = []
     for p in a.pieces:
-        if id(p) in unmatched:
+        if p in unmatched:
             total += p.area
-            del unmatched[id(p)]
+            del unmatched[p]
         else:
             rest_a.append(p)
-    rest_b = list(unmatched.values())
     for p in rest_a:
-        bb = _poly_bbox(p)
-        for q in rest_b:
-            if _bbox_gap(bb, _poly_bbox(q)) > 0.0:
+        for q in unmatched:
+            if _bbox_gap(p.bbox, q.bbox) > 0.0:
                 continue
             c = convex_intersect(p, q)
             if c is not None:
@@ -446,12 +450,6 @@ def intersection_area(a: Region, b: Region) -> float:
 def _bbox(v: np.ndarray):
     (x0, y0), (x1, y1) = v.min(axis=0).tolist(), v.max(axis=0).tolist()
     return x0, y0, x1, y1
-
-
-def _poly_bbox(p: ConvexPolygon):
-    if p._bbox is None:
-        p._bbox = _bbox(p.vertices)
-    return p._bbox
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -501,12 +499,6 @@ def _extremes(v: np.ndarray) -> np.ndarray:
     return np.column_stack((proj[k, _FAN_INDEX], v[k]))
 
 
-def _piece_extremes(p: ConvexPolygon) -> np.ndarray:
-    if p._extremes is None:
-        p._extremes = _extremes(p.vertices)
-    return p._extremes
-
-
 def _inscribed_area(extremes) -> float:
     """Shoelace area of the union's extreme points, in fan order, given
     the _extremes of each point set. The polygon they span lies in the
@@ -531,7 +523,7 @@ def _fused_hull(pieces, limit: float, max_abs: float):
     limit by more than _area_rounding puts the hull's past limit too.
     """
     slack = _area_rounding(sum(len(p.vertices) for p in pieces), max_abs)
-    if _inscribed_area([_piece_extremes(p) for p in pieces]) > limit + slack:
+    if _inscribed_area([p.extremes for p in pieces]) > limit + slack:
         return None
     hull = _convex_hull(np.vstack([p.vertices for p in pieces]))
     return hull if _ring_area(hull) <= limit else None
@@ -553,7 +545,8 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
     work = list(pieces)
     if len(work) < 2:
         return work
-    max_abs = max(float(np.abs(p.vertices).max()) for p in work)
+    # the largest |coordinate| lies at an extreme of x or y
+    max_abs = max(max(map(abs, p.bbox)) for p in work)
     if len(work) > 2:
         hull = _fused_hull(work, sum(p.area for p in work) + tol, max_abs)
         if hull is not None:
@@ -657,30 +650,19 @@ def regions_within(a: Region, b: Region, delta: float) -> bool:
     return bool(_distance_below(a, b, delta) < delta)
 
 
-# Bounding boxes farther apart than this many vertex-grid cells share no
-# key: a shared key needs every axis gap within one cell plus rounding,
-# so a box gap above 3 cells rules one out.
-_SEAM_KEY_REACH = 3.0
-
-
 def _share_seam_vertex(a: Region, b: Region) -> bool:
-    """True when a vertex of a and one of b fall in one vertex-grid cell;
-    regions meeting along a shared seam carry identical vertex floats."""
-    cell = _vertex_cell(max(map(abs, a.bbox + b.bbox)))
-    if _bbox_gap(a.bbox, b.bbox) > _SEAM_KEY_REACH * cell:
-        return False
-    inv_eps = 1.0 / cell
-    return not _vertex_keys(a.vertices, inv_eps).isdisjoint(
-        _vertex_keys(b.vertices, inv_eps))
+    """True when a and b have a vertex in common, coordinate for
+    coordinate; regions meeting along a shared seam carry identical
+    vertex floats, and a common point means their closures touch."""
+    return not a.vertex_set.isdisjoint(b.vertex_set)
 
 
 def _distance_below(a: Region, b: Region, below: float) -> float:
     """The interior distance when it is below `below`, else a lower bound
     that is at least `below`.
 
-    A shared seam vertex answers 0 at once; it is sought only when the
-    regions' bounding boxes nearly touch. Boxes at least `below` apart
-    answer `below`, as the piece scan would.
+    A vertex the regions share answers 0 at once. Boxes at least
+    `below` apart answer `below`, as the piece scan would.
     """
     if a.is_empty or b.is_empty:
         raise EmptyRegion("interior distance needs nonempty regions")
@@ -696,9 +678,8 @@ def _pieces_below(a: Region, b: Region, best: float) -> float:
     pairs whose bounding boxes lie at least the best so far apart are
     skipped."""
     for p in a.pieces:
-        bb = _poly_bbox(p)
         for q in b.pieces:
-            if _bbox_gap(bb, _poly_bbox(q)) >= best:
+            if _bbox_gap(p.bbox, q.bbox) >= best:
                 continue
             d = _convex_distance(p, q)
             if d < best:

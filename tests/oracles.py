@@ -103,8 +103,19 @@ def hausdorff_by_sampling(a: Region, b: Region, per_edge: int = 16) -> float:
 
 
 def share_seam_vertex_by_pieces(a: Region, b: Region) -> bool:
-    """Piece-by-piece form of the seam-vertex test: any vertex of a and
-    any vertex of b on the same 1e-12 * (max |coordinate| + 1) grid key."""
+    """Piece-by-piece form of the seam-vertex test: some vertex of a
+    equal to some vertex of b, coordinate for coordinate."""
+    def points(p):
+        return set(map(tuple, p.vertices.tolist()))
+
+    points_a = set().union(*map(points, a.pieces))
+    return any(points_a & points(q) for q in b.pieces)
+
+
+def share_seam_cell_ref(a: Region, b: Region) -> bool:
+    """The seam-vertex test as it was before it compared vertices
+    exactly: any vertex of a and any vertex of b on the same
+    1e-12 * (max |coordinate| + 1) grid key."""
     scale = max(float(np.abs(p.vertices).max())
                 for r in (a, b) for p in r.pieces) + 1.0
     inv_eps = 1.0 / (1e-12 * scale)

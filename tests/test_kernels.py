@@ -471,6 +471,37 @@ def test_mass_centroid_sums_the_cached_piece_moments():
 
 
 # ---------------------------------------------------------------------------
+# cached piece properties
+
+def test_piece_properties_are_the_kernels_computed_once():
+    # pieces from each constructor path: ConvexPolygon on counterclockwise
+    # and on clockwise rings, and _ring_polygon
+    rings = [p.vertices for p in seeded_polygons(31, 40)]
+    pieces = [make(r) for r in rings for make in (
+        ConvexPolygon, lambda r: ConvexPolygon(r[::-1]),
+        lambda r: geo._ring_polygon(r, 0.0))]
+    flipped = 0
+    for p in pieces:
+        v = p.vertices
+        assert bits(p.area) == bits(geo._ring_area(v))
+        flipped += bits(p.area) != bits(-geo._ring_area(v[::-1]))
+        e = np.roll(v, -1, axis=0) - v
+        rows = [tuple(map(float, (*a, *b, c)))
+                for a, b, c in zip(v, e, np.hypot(e[:, 0], e[:, 1]))]
+        want = {"moment": geo._ring_moment(v), "extremes": geo._extremes(v)}
+        for name, w in want.items():
+            got = getattr(p, name)
+            assert same(got, w)
+            assert getattr(p, name) is got
+            assert not got.flags.writeable
+        for name, w in (("bbox", geo._bbox(v)), ("edges", rows)):
+            got = getattr(p, name)
+            assert same(np.array(got), np.array(w))
+            assert getattr(p, name) is got
+    assert flipped > 0  # some clockwise ring's area rounds apart from -a
+
+
+# ---------------------------------------------------------------------------
 # guarded merge
 
 def check_merge(pieces, tol, hulls: Counter):
@@ -581,14 +612,14 @@ def test_merge_fuses_as_the_unguarded_loop_after_near_vertex_cuts(
 # seam test after the bounding boxes
 
 def test_distance_below_matches_seam_test_then_piece_scan():
-    # the answer before the box shortcuts: a shared seam vertex gives 0,
-    # else the piece scan below the threshold
+    # the answer before the box shortcut: a vertex both regions share
+    # gives 0, else the piece scan below the threshold
     env = pt.rectangle(2.0, 1.0)
     rng = np.random.default_rng(19)
     part = pt.voronoi(env, rng.uniform([0.05, 0.05], [1.95, 0.95], (6, 2)))
     sched = sw.AdjacentRandom(19, 1e-9)
     dens, quad = geo.UniformDensity(), geo.quadratic_performance()
-    apart = 0
+    apart = cell_only = 0
     for t in range(120):
         i, j = sched.select(t, part)
         part = gp.gossip_step(part, i, j, dens, quad).partition
@@ -597,6 +628,14 @@ def test_distance_below_matches_seam_test_then_piece_scan():
         for i in range(part.n):
             for j in range(i + 1, part.n):
                 pieces = part.regions[i].pieces, part.regions[j].pieces
+                a, b = (Region(p) for p in pieces)
+                if oracles.share_seam_cell_ref(a, b) and \
+                        not oracles.share_seam_vertex_by_pieces(a, b):
+                    # a grid cell shared without an exact vertex, which the
+                    # old test answered 0: the regions are that close
+                    cell = geo._vertex_cell(max(map(abs, a.bbox + b.bbox)))
+                    assert geo._pieces_below(a, b, math.inf) <= cell
+                    cell_only += 1
                 for below in (1e-9, 1e-3, 0.5, math.inf):
                     a, b = (Region(p) for p in pieces)
                     want = 0.0 if oracles.share_seam_vertex_by_pieces(a, b) \
@@ -605,3 +644,4 @@ def test_distance_below_matches_seam_test_then_piece_scan():
                     assert bits(got) == bits(want)
                     apart += geo._bbox_gap(a.bbox, b.bbox) >= below
     assert apart > 0  # the shortcut that answers `below` was taken
+    assert cell_only > 0  # and pairs the two seam tests tell apart
