@@ -80,6 +80,20 @@ def _checked(val, path, positive) -> float:
     return float(val)
 
 
+def _count(cfg, path, default=None, required=False):
+    """The positive whole number at path as an int; a bool or a
+    fraction is a ConfigError on path, not a count."""
+    val = _get(cfg, path, default, required)
+    if val is None:
+        return None
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or \
+            isinstance(val, float) and not val.is_integer():
+        raise ConfigError(f"{path}: expected a whole number, got {val!r}")
+    if val <= 0:
+        raise ConfigError(f"{path}: must be positive")
+    return int(val)
+
+
 def _seed(val, path) -> int:
     if isinstance(val, bool) or not isinstance(val, int) or val < 0:
         raise ConfigError(f"{path}: expected a non-negative integer, "
@@ -200,11 +214,9 @@ def random_generators(env: Environment, n: int, seed: int) -> np.ndarray:
 
 def build_initial(cfg: dict, env: Environment, seed: int) -> Partition:
     kind = _get(cfg, "initial.kind", required=True)
-    n = _get(cfg, "n")
+    n = _count(cfg, "n", required=kind == "random_voronoi")
     init_seed = _seed(_get(cfg, "initial.seed", seed), "initial.seed")
     if kind == "random_voronoi":
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError("n: needs a positive region count")
         return pt.voronoi(env, random_generators(env, n, init_seed))
     if kind == "strips":
         part = strip_partition(env, _numbers(cfg, "initial.cuts",
@@ -337,9 +349,9 @@ def _run_stepwise(cfg: dict, algo: str, delta, start: tuple, seed: int,
     ConfigError on the `where` field.
     """
     density, perf, initial = start
-    budget = int(_number(cfg, "budget", 5000, positive=True))
+    budget = _count(cfg, "budget", 5000)
     stop_tol = _number(cfg, "stop_tol")
-    check_every = int(_number(cfg, "check_every", 5, positive=True))
+    check_every = _count(cfg, "check_every", 5)
     try:
         if algo == "lloyd":
             trace = sw.run_lloyd(initial, density, perf, budget=budget,
@@ -470,7 +482,7 @@ NEAR_CIRCLE_BAND = 0.05
 
 def _run_polar(cfg, args, out_dir, seed, log) -> int:
     mode = _get(cfg, "algorithm.mode", required=True)
-    steps = int(_number(cfg, "algorithm.steps", required=True, positive=True))
+    steps = _count(cfg, "algorithm.steps", required=True)
     rho0 = _number(cfg, "algorithm.rho0", required=True, positive=True)
     theta0 = _number(cfg, "algorithm.theta0", 0.0)
     try:
@@ -500,7 +512,7 @@ def _run_polar(cfg, args, out_dir, seed, log) -> int:
 
 
 def _run_comb(cfg, args, out_dir, seed, log) -> int:
-    levels = int(_number(cfg, "algorithm.levels", 12.0, positive=True))
+    levels = _count(cfg, "algorithm.levels", 12)
     if levels > dy.MAX_LEVEL:
         raise ConfigError(f"algorithm.levels: above limit {dy.MAX_LEVEL}")
     _ensure_out(out_dir)
@@ -608,7 +620,7 @@ def cmd_compare(args) -> int:
                 row.append(repr(steps[t].h) if t < len(steps) else "")
             f.write(",".join(row) + "\n")
     entries = {"seed": seed,
-               "budget": int(_number(cfg, "budget", 5000, positive=True))}
+               "budget": _count(cfg, "budget", 5000)}
     for m in labels:
         tr = series[m]
         entries[m] = (f"termination {tr.termination} steps {len(tr.steps)} "

@@ -367,23 +367,18 @@ def _cut(v: np.ndarray, dl: list, min_area: float):
 
 
 def region_split(region: Region, hp: HalfPlane, snap: float = 0.0,
-                 min_area: float = 0.0,
-                 offsets: np.ndarray | None = None) -> tuple[list, list]:
+                 min_area: float = 0.0) -> tuple[list, list]:
     """Two-sided split of every piece; returns (inside, outside) piece lists.
 
     One projection of the stacked vertices, snapped as split_convex
     snaps, gives each piece's offset range: a piece wholly on one side
     is handed over as it is, a hairline one lying on the line is
     dropped, and only pieces that straddle the line are cut, at the
-    same offsets. A caller that has already projected the vertices
-    passes offsets, region.vertices @ hp.normal - hp.offset, to skip
-    the projection here.
+    same offsets.
     """
     if region.is_empty:
         return [], []
-    if offsets is None:
-        offsets = region.vertices @ hp.normal - hp.offset
-    d = _snap(offsets, snap)
+    d = _snap(region.vertices @ hp.normal - hp.offset, snap)
     starts = region.piece_starts
     ins: list = []
     outs: list = []

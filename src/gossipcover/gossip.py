@@ -45,38 +45,23 @@ def _unchanged(partition, i, j, h) -> StepOutcome:
     return StepOutcome(partition, False, (i, j), h, h, 0.0)
 
 
-def _bisector_offsets(partition: Partition, i: int, j: int, ci, cj):
-    """The bisector of ci and cj, and each vertex's signed offset past it
-    for regions i and j: one half-plane and one projection per region
-    for every no-op test and cut line of the pair."""
-    hp = geo.bisector_halfplane(ci, cj)
-    regions = partition.regions
-    return (hp, regions[i].vertices @ hp.normal - hp.offset,
-            regions[j].vertices @ hp.normal - hp.offset)
-
-
-def _on_own_sides(di, dj, eps: float) -> bool:
-    """True when region i's offsets are all at most eps and region j's
-    all at least -eps."""
-    return float(di.max()) <= eps and float(dj.min()) >= -eps
-
-
-def _trade_bound(partition: Partition, i: int, j: int, hp, di, dj) -> float:
-    """Upper bound on the area the pair's split can trade.
+def _trade_bound(partition: Partition, i: int, j: int, hp) -> float:
+    """Upper bound on the area the pair's split at hp can trade.
 
     What the split hands from region i to j lies between the bisector
     and region i's farthest vertex past it, widened by the snap within
     which the split treats a vertex as on the line, and within region
     i's vertex span along the line; likewise for region j on the other
-    side. The bound is the two rectangles' area. It bounds the
-    distance-limited exchange too, which hands over part of that, and
-    orders and stops the fixed-point residual's splits.
+    side. The bound is the two rectangles' area. It orders and stops
+    the fixed-point residual's splits.
     """
     env = partition.env
     line = np.array([-hp.normal[1], hp.normal[0]])
     bound = 0.0
-    for k, over in ((i, float(di.max())), (j, float((-dj).max()))):
-        along = partition.regions[k].vertices @ line
+    for k, sign in ((i, 1.0), (j, -1.0)):
+        v = partition.regions[k].vertices
+        over = float((sign * (v @ hp.normal - hp.offset)).max())
+        along = v @ line
         bound += (max(over, 0.0) + env.snap) * float(along.max() - along.min())
     return bound
 
@@ -133,6 +118,12 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
               density: Density, perf: PerformanceFunction) -> StepOutcome:
     """The pairwise exchange behind both maps; delta None is the full one.
 
+    Both cut lines start at the centroid bisector. At a trade fraction
+    beta < 1 each moves (1 - beta) of its region's far reach, the
+    region's largest offset past the bisector, into that far side. The
+    partition comes back unchanged exactly when beta is 0 or the split
+    trades at most tol_area.
+
     The exchange is a map of the partition, so a no-op found once is
     remembered in the partition's exchange_cache and a repeat returns
     before any centroid or split. Only the cost before is stored, a
@@ -145,47 +136,28 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
     h_before = partition.exchange_cache.get(key)
     if h_before is not None:
         return _unchanged(partition, i, j, h_before)
-    out = _exchange_once(partition, i, j, delta, density, perf)
-    if not out.changed:
-        partition.exchange_cache[key] = out.h_before
-    return out
-
-
-def _exchange_once(partition: Partition, i: int, j: int,
-                   delta: float | None, density: Density,
-                   perf: PerformanceFunction) -> StepOutcome:
-    """The exchange computed afresh.
-
-    Both cut lines start at the centroid bisector. At a trade fraction
-    beta < 1 each moves (1 - beta) of its region's far reach, the
-    region's largest offset past the bisector, into that far side. The
-    partition comes back unchanged when beta is 0 or the split trades,
-    or provably would trade, at most tol_area.
-    """
     env = partition.env
     cs = pt.centroids(partition, density, perf)
     h_before = pt.centroid_cost(partition, density, perf)
     beta = _fraction(partition, i, j, delta, cs)
-    if beta <= 0.0:
-        return _unchanged(partition, i, j, h_before)
-    hp, di, dj = _bisector_offsets(partition, i, j, cs[i], cs[j])
-    if _on_own_sides(di, dj, env.snap) or \
-            _trade_bound(partition, i, j, hp, di, dj) <= env.tol_area:
-        return _unchanged(partition, i, j, h_before)
-    hp_i = hp_j = hp
-    if beta < 1.0:
-        hp_i = HalfPlane(hp.normal, hp.offset
-                         + (1.0 - beta) * max(float(di.max()), 0.0))
-        hp_j = HalfPlane(hp.normal, hp.offset
-                         - (1.0 - beta) * max(float((-dj).max()), 0.0))
-        di = dj = None  # the cut lines left the bisector: project anew
-    pieces_i, pieces_j, traded = pt.pair_split(partition, i, j, hp_i, hp_j,
-                                               di, dj)
-    if traded <= env.tol_area:
-        return _unchanged(partition, i, j, h_before)
-    new = partition.replace(i, j, env.region(pieces_i), env.region(pieces_j))
-    return StepOutcome(new, True, (i, j), h_before,
-                       pt.centroid_cost(new, density, perf), traded)
+    if beta > 0.0:
+        hp_i = hp_j = hp = geo.bisector_halfplane(cs[i], cs[j])
+        if beta < 1.0:
+            di = partition.regions[i].vertices @ hp.normal - hp.offset
+            dj = partition.regions[j].vertices @ hp.normal - hp.offset
+            hp_i = HalfPlane(hp.normal, hp.offset
+                             + (1.0 - beta) * max(float(di.max()), 0.0))
+            hp_j = HalfPlane(hp.normal, hp.offset
+                             - (1.0 - beta) * max(float((-dj).max()), 0.0))
+        pieces_i, pieces_j, traded = pt.pair_split(partition, i, j, hp_i,
+                                                   hp_j)
+        if traded > env.tol_area:
+            new = partition.replace(i, j, env.region(pieces_i),
+                                    env.region(pieces_j))
+            return StepOutcome(new, True, (i, j), h_before,
+                               pt.centroid_cost(new, density, perf), traded)
+    partition.exchange_cache[key] = h_before
+    return _unchanged(partition, i, j, h_before)
 
 
 def lloyd_step(partition: Partition, density: Density,
@@ -202,15 +174,18 @@ def fixed_point_residual(partition: Partition, density: Density,
 
     A pair's movement is the sum of its two regions' symmetric
     differences to their split by the centroid bisector, which is
-    exactly twice the area the split trades; the bisector built for the
-    no-op test is the split's cut line for both regions. mode "full"
-    checks every pair; "adjacent" only pairs whose interiors come within
-    delta. is_mixed_centroidal is this residual, in mode "full", held to
-    a threshold.
+    exactly twice the area the split trades. mode "full" checks every
+    pair; "adjacent" only pairs whose interiors come within delta. Pairs
+    whose centroids coincide within tol_point have no bisector and are
+    skipped. is_mixed_centroidal is this residual, in mode "full", held
+    to a threshold.
 
     Pairs are split in decreasing order of their trade bound, and the
     visit stops once twice the bound cannot beat the largest movement
-    found: the result is the maximum over the same exact splits.
+    found: the result is the maximum over the same exact splits. A pair
+    with each region on its own side of its bisector has a bound of only
+    snap times the regions' spans along it, so the stop drops it once any
+    pair has moved more; split anyway, it trades exactly 0.
     """
     env = partition.env
     if mode == "adjacent":
@@ -225,20 +200,16 @@ def fixed_point_residual(partition: Partition, density: Density,
     cs = pt.centroids(partition, density, perf)
     bounded = []
     for i, j in pairs:
-        gap = float(np.hypot(*(cs[i] - cs[j])))
-        if gap <= env.tol_point:
+        if float(np.hypot(*(cs[i] - cs[j]))) <= env.tol_point:
             continue
-        hp, di, dj = _bisector_offsets(partition, i, j, cs[i], cs[j])
-        if _on_own_sides(di, dj, env.snap):
-            continue
-        bounded.append((_trade_bound(partition, i, j, hp, di, dj), i, j,
-                        hp, di, dj))
+        hp = geo.bisector_halfplane(cs[i], cs[j])
+        bounded.append((_trade_bound(partition, i, j, hp), i, j, hp))
     bounded.sort(key=lambda b: b[0], reverse=True)
     worst = 0.0
-    for bound, i, j, hp, di, dj in bounded:
+    for bound, i, j, hp in bounded:
         if 2.0 * bound <= worst:
             break
-        _, _, traded = pt.pair_split(partition, i, j, hp, hp, di, dj)
+        _, _, traded = pt.pair_split(partition, i, j, hp, hp)
         worst = max(worst, 2.0 * traded)
     return worst
 

@@ -282,8 +282,7 @@ def partition_distance(u: Partition, v: Partition) -> float:
 
 
 def pair_split(partition: Partition, i: int, j: int, hp_i: HalfPlane,
-               hp_j: HalfPlane, di: np.ndarray | None = None,
-               dj: np.ndarray | None = None) -> tuple[list, list, float]:
+               hp_j: HalfPlane) -> tuple[list, list, float]:
     """Reassign the union of regions i and j along two cut lines.
 
     Region i keeps its part inside hp_i and hands the rest to j; region
@@ -294,14 +293,13 @@ def pair_split(partition: Partition, i: int, j: int, hp_i: HalfPlane,
     its region's far side. Each piece is split two-sided so both halves
     share their seam vertices, which conserves area; the environment's
     snap absorbs cuts that nearly coincide with an existing edge instead
-    of shaving hairline slivers off it. di and dj, when given, are the
-    regions' vertex offsets past hp_i and hp_j, already projected.
+    of shaving hairline slivers off it.
     """
     env = partition.env
     keep_i, give_i = geo.region_split(partition.regions[i], hp_i, env.snap,
-                                      env.sliver_area, di)
+                                      env.sliver_area)
     give_j, keep_j = geo.region_split(partition.regions[j], hp_j, env.snap,
-                                      env.sliver_area, dj)
+                                      env.sliver_area)
     traded = sum(p.area for p in give_i) + sum(p.area for p in give_j)
     return keep_i + give_j, give_i + keep_j, traded
 

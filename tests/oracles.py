@@ -455,6 +455,58 @@ def slab_split_ref(partition, i: int, j: int, ci, cj,
     return kept_i + give_j, kept_j + give_i, traded
 
 
+def on_own_sides(partition, i: int, j: int, ci, cj) -> bool:
+    """Region i's vertices at most snap past the bisector of ci and cj,
+    and region j's at most snap short of it."""
+    hp = geo.bisector_halfplane(ci, cj)
+    di = partition.regions[i].vertices @ hp.normal - hp.offset
+    dj = partition.regions[j].vertices @ hp.normal - hp.offset
+    snap = partition.env.snap
+    return float(di.max()) <= snap and float(dj.min()) >= -snap
+
+
+def exchange_ref(partition, i: int, j: int, delta, density,
+                 perf) -> tuple[gp.StepOutcome, str]:
+    """The pairwise exchange as it was before the split alone decided a
+    no-op, with no memo: it came back unchanged at trade fraction 0
+    ("fraction"), with each region on its own side of the bisector
+    within snap ("own sides"), when the rectangles past the bisector
+    bound the trade by tol_area ("bound"), or when the split traded at
+    most tol_area ("split"). Returns the outcome and the exit taken,
+    "changed" when the partition changed."""
+    env = partition.env
+    cs = pt.centroids(partition, density, perf)
+    h_before = pt.centroid_cost(partition, density, perf)
+
+    def unchanged(exit_):
+        return gp.StepOutcome(partition, False, (i, j), h_before, h_before,
+                              0.0), exit_
+
+    beta = gp._fraction(partition, i, j, delta, cs)
+    if beta <= 0.0:
+        return unchanged("fraction")
+    if on_own_sides(partition, i, j, cs[i], cs[j]):
+        return unchanged("own sides")
+    hp = geo.bisector_halfplane(cs[i], cs[j])
+    if gp._trade_bound(partition, i, j, hp) <= env.tol_area:
+        return unchanged("bound")
+    hp_i = hp_j = hp
+    if beta < 1.0:
+        di = partition.regions[i].vertices @ hp.normal - hp.offset
+        dj = partition.regions[j].vertices @ hp.normal - hp.offset
+        hp_i = geo.HalfPlane(hp.normal, hp.offset
+                             + (1.0 - beta) * max(float(di.max()), 0.0))
+        hp_j = geo.HalfPlane(hp.normal, hp.offset
+                             - (1.0 - beta) * max(float((-dj).max()), 0.0))
+    pieces_i, pieces_j, traded = pt.pair_split(partition, i, j, hp_i, hp_j)
+    if traded <= env.tol_area:
+        return unchanged("split")
+    new = partition.replace(i, j, env.region(pieces_i), env.region(pieces_j))
+    return gp.StepOutcome(new, True, (i, j), h_before,
+                          pt.centroid_cost(new, density, perf),
+                          traded), "changed"
+
+
 def is_mixed_centroidal_ref(partition, density, perf, tol=None) -> bool:
     """The pairwise-balance test as its own pair loop: every pair whose
     centroids lie more than tol_point apart moves at most tol (twice its

@@ -67,7 +67,10 @@ FIXED = [(geometry.bisector_halfplane, "tol"),
          (switching.run_evolution, "map_kind"),
          # the descent's one length is its scale; a region's minimizer lies
          # in its hull, and Partition refuses vanished regions
-         (geometry.centroid, "within"), (geometry.centroid, "min_area")]
+         (geometry.centroid, "within"), (geometry.centroid, "min_area"),
+         # a split projects the region onto its cut line itself
+         (geometry.region_split, "offsets"), (partition.pair_split, "di"),
+         (partition.pair_split, "dj")]
 
 
 @pytest.mark.parametrize("fn, name", FIXED,
@@ -95,7 +98,10 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         # a piece's derived data are its cached properties, and the seam
         # test compares vertices exactly
         (geometry, "_poly_bbox"), (geometry, "_piece_extremes"),
-        (geometry.ConvexPolygon, "_edge_data"), (geometry, "_SEAM_KEY_REACH")]
+        (geometry.ConvexPolygon, "_edge_data"), (geometry, "_SEAM_KEY_REACH"),
+        # the split alone decides a no-op, and projects for itself
+        (gossip, "_bisector_offsets"), (gossip, "_on_own_sides"),
+        (gossip, "_exchange_once")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,

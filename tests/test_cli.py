@@ -249,6 +249,22 @@ MALFORMED = [
     pytest.param("{kind: strips, cuts: [0.5]}",
                  "{kind: random_voronoi, seed: -1}", "initial.seed",
                  id="initial-seed-negative-voronoi"),
+    # counts are whole numbers: no bool, no fraction, no truncation
+    pytest.param("n: 2\ninitial: {kind: strips, cuts: [0.5]}",
+                 "n: true\ninitial: {kind: random_voronoi}", "n",
+                 id="n-bool-voronoi"),
+    pytest.param("n: 2", "n: 2.5", "n", id="n-fraction"),
+    pytest.param("n: 2", "n: 2\nbudget: 2.5", "budget", id="budget-fraction"),
+    pytest.param("n: 2", "n: 2\nbudget: 0.5", "budget",
+                 id="budget-below-one"),
+    pytest.param("n: 2", "n: 2\nbudget: true", "budget", id="budget-bool"),
+    pytest.param("n: 2", "n: 2\ncheck_every: 1.5", "check_every",
+                 id="check-every-fraction"),
+    pytest.param("n: 2", "n: 2\nalgorithm: {kind: polar, mode: alternating, "
+                 "steps: 2.5, rho0: 1.5}", "algorithm.steps",
+                 id="polar-steps-fraction"),
+    pytest.param("n: 2", "n: 2\nalgorithm: {kind: comb, levels: true}",
+                 "algorithm.levels", id="comb-levels-bool"),
 ]
 
 
@@ -260,6 +276,7 @@ def test_run_malformed_config_names_its_field(tmp_path, capsys, old, new,
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("initial", ["{kind: strips, cuts: [0.5]}",

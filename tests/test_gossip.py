@@ -309,8 +309,7 @@ def test_hairline_trade_returns_same_partition():
     env = pt.rectangle(2.0, 1.0)
     part = strips(env, [1.0 - 1e-9])
     cs = pt.centroids(part, DENS, QUAD)
-    _, d0, d1 = gp._bisector_offsets(part, 0, 1, cs[0], cs[1])
-    assert not gp._on_own_sides(d0, d1, env.snap)
+    assert not oracles.on_own_sides(part, 0, 1, cs[0], cs[1])
     traded = oracles.bisector_trade(part, 0, 1, cs[0], cs[1])
     assert 0.0 < traded <= env.tol_area
     for out in (gp.gossip_step(part, 0, 1, DENS, QUAD),
@@ -318,6 +317,72 @@ def test_hairline_trade_returns_same_partition():
         assert out.partition is part
         assert not out.changed
         assert out.traded_area == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the one no-op rule against the old form with its four exits
+
+def check_against_exchange_ref(part, i, j, delta, perf, exits):
+    """One exchange of part against oracles.exchange_ref: the same
+    partition object on a no-op, else the same vertices and cost and
+    area bits. Counts the old form's exit in exits; returns the
+    exchange's partition."""
+    if delta is None:
+        got = gp.gossip_step(part, i, j, DENS, perf)
+    else:
+        got = gp.partial_gossip_step(part, i, j, delta, DENS, perf)
+    want, exit_ = oracles.exchange_ref(part, i, j, delta, DENS, perf)
+    exits[exit_] += 1
+    assert got.changed == want.changed, exit_
+    assert got.pair == want.pair
+    for a, b in ((got.h_before, want.h_before), (got.h_after, want.h_after),
+                 (got.traded_area, want.traded_area)):
+        assert float(a).hex() == float(b).hex()
+    if want.changed:
+        assert vertex_bytes(got.partition) == vertex_bytes(want.partition)
+    else:
+        assert got.partition is part and want.partition is part
+    return got.partition
+
+
+def test_no_op_rule_matches_the_old_exits():
+    exits = dict.fromkeys(("fraction", "own sides", "bound", "split",
+                           "changed"), 0)
+    env = pt.rectangle(2.0, 1.0)
+    # linear cost under RoundRobin: non-adjacent pairs on their own sides
+    part = pt.voronoi(env, np.random.default_rng(0).uniform(
+        [0.1, 0.1], [1.9, 0.9], (6, 2)))
+    sched = sw.RoundRobin(part.n)
+    for t in range(90):
+        i, j = sched.select(t, part)
+        part = check_against_exchange_ref(part, i, j, None, LIN, exits)
+    # strips balanced exactly, within snap, to a hairline and off it
+    wide = pt.rectangle(3.0, 1.0)
+    for cuts in ([1.0, 2.0], [1.0 + 1e-13, 2.0 - 1e-13],
+                 [1.0 - 1e-9, 2.0 + 5e-10], [1.0 + 3e-9, 2.0 - 1e-8],
+                 [0.9, 2.0 - 1e-9]):
+        part = strips(wide, cuts)
+        for i, j in sw.all_pairs(part.n):
+            for delta in (None, 0.2):
+                for a, b in ((i, j), (j, i)):
+                    check_against_exchange_ref(part, a, b, delta, QUAD,
+                                               exits)
+    # a seam turned about its middle: the bisector crosses it there and
+    # the two corners it trades fall below, at, or past tol_area
+    for e in (1e-9, 3e-9, 1e-8):
+        part = Partition(env, (
+            region_of([[0, 0], [1 + e, 0], [1 - e, 1], [0, 1]]),
+            region_of([[1 + e, 0], [2, 0], [2, 1], [1 - e, 1]])))
+        for delta in (None, 0.2):
+            check_against_exchange_ref(part, 0, 1, delta, QUAD, exits)
+    # seeded Voronoi starts under the distance-limited map
+    for seed in (1, 2):
+        part = random_partition(np.random.default_rng(seed), env, 6)
+        sched = sw.UniformRandom(part.n, seed)
+        for t in range(150):
+            i, j = sched.select(t, part)
+            part = check_against_exchange_ref(part, i, j, 0.2, QUAD, exits)
+    assert min(exits.values()) > 0, exits
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +424,17 @@ def test_repeated_noop_skips_centroids_and_split(monkeypatch):
 
 def test_noop_memo_keys_on_delta_and_perf(monkeypatch):
     part = hairline_pair()
-    offsets = count_calls(monkeypatch, gp, "_bisector_offsets")
+    splits = count_calls(monkeypatch, pt, "pair_split")
     outs = [gp.gossip_step(part, 0, 1, DENS, QUAD),
             gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD),
             gp.partial_gossip_step(part, 0, 1, 0.1, DENS, QUAD),
             gp.gossip_step(part, 0, 1, DENS, LIN),
             gp.gossip_step(part, 1, 0, DENS, QUAD)]
     assert not any(out.changed for out in outs)
-    assert len(offsets) == 5
+    assert len(splits) == 5
     assert len(part.exchange_cache) == 5
     gp.partial_gossip_step(part, 0, 1, 0.1, DENS, QUAD)
-    assert len(offsets) == 5
+    assert len(splits) == 5
 
 
 def test_changed_exchange_is_not_memoized(monkeypatch):
@@ -499,14 +564,15 @@ def test_residual_by_bound_matches_all_pairs_loop(seed, monkeypatch):
             for i, j in sw.all_pairs(part.n):
                 if float(np.hypot(*(cs[i] - cs[j]))) <= env.tol_point:
                     continue
-                hp, di, dj = gp._bisector_offsets(part, i, j, cs[i], cs[j])
-                if gp._on_own_sides(di, dj, env.snap):
-                    continue
-                candidates += 1
+                hp = geo.bisector_halfplane(cs[i], cs[j])
                 traded = pair_split(part, i, j, hp, hp)[2]
-                assert traded <= gp._trade_bound(part, i, j, hp, di, dj)
-    # split in index order, the full-mode residual would cut every
-    # candidate pair; the bound skipped some of those splits
+                assert traded <= gp._trade_bound(part, i, j, hp)
+                if oracles.on_own_sides(part, i, j, cs[i], cs[j]):
+                    assert traded == 0.0
+                else:
+                    candidates += 1
+    # split in index order, the full-mode residual would cut every pair;
+    # the bound skipped more splits than there are pairs on own sides
     assert 0 < full_splits < candidates
 
 

@@ -270,46 +270,6 @@ def test_region_split_matches_per_piece_loop_on_fragmented_regions():
     assert kinds["whole"] > kinds["cut"] > 0
 
 
-def check_same_split(got, want):
-    """Two (inside, outside) piece lists of one region's split: the same
-    objects where whole, identical vertex arrays where cut."""
-    for g, w in zip(got, want):
-        assert len(g) == len(w)
-        for a, b in zip(g, w):
-            assert a is b or same(a, b.vertices)
-
-
-def test_region_split_takes_the_bisector_offsets():
-    # offsets passed in, as the exchange and the residual pass them, cut
-    # exactly as the split's own projection does
-    for k, region in enumerate(seeded_regions(25, 12)):
-        scale = float(np.abs(region.vertices).max()) + 1.0
-        piece = region.pieces[k % len(region.pieces)]
-        for snap in (0.0, 1e-12 * scale, 1e-3 * scale):
-            for hp in cuts_through(piece, 0.3 + k, snap):
-                d = region.vertices @ hp.normal - hp.offset
-                check_same_split(geo.region_split(region, hp, snap, 0.0, d),
-                                 geo.region_split(region, hp, snap))
-    env = pt.rectangle(2.0, 1.0)
-    rng = np.random.default_rng(26)
-    part = pt.voronoi(env, rng.uniform([0.05, 0.05], [1.95, 0.95], (6, 2)))
-    sched = sw.AdjacentRandom(26, 1e-9)
-    dens, quad = geo.UniformDensity(), geo.quadratic_performance()
-    for t in range(120):
-        i, j = sched.select(t, part)
-        part = gp.gossip_step(part, i, j, dens, quad).partition
-        if t % 30:
-            continue
-        cs = pt.centroids(part, dens, quad)
-        for i, j in sw.all_pairs(part.n):
-            hp, di, dj = gp._bisector_offsets(part, i, j, cs[i], cs[j])
-            ki, kj, traded = pt.pair_split(part, i, j, hp, hp, di, dj)
-            wi, wj, want = pt.pair_split(part, i, j, hp, hp)
-            assert bits(traded) == bits(want)
-            check_same_split((ki, kj), (wi, wj))
-    assert max(len(r.pieces) for r in part.regions) > 5
-
-
 # ---------------------------------------------------------------------------
 # dedupe
 

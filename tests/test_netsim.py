@@ -326,14 +326,15 @@ def test_exchange_memo_keeps_netsim_strip_bit_identical(monkeypatch, seed):
     init = strip_partition(env, cuts=(0.6, 1.9))  # the netsim-strip preset
     cfg = ns.NetConfig(seed=seed)
     duration = 500.0 * ns.leg_time(env, cfg)  # the bench horizon
+    # an exchange the memo does not answer looks up the centroids once
     computed = []
-    exchange_once = gp._exchange_once
+    centroids = pt.centroids
 
     def counted(*args):
-        computed.append(args[1:3])
-        return exchange_once(*args)
+        computed.append(args)
+        return centroids(*args)
 
-    monkeypatch.setattr(gp, "_exchange_once", counted)
+    monkeypatch.setattr(pt, "centroids", counted)
     memo = ns.simulate(cfg, init, DENS, QUAD, duration)
     assert 0 < len(computed) < len(memo.events) // 10
     original = gp.partial_gossip_step

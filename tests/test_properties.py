@@ -1,10 +1,10 @@
-"""Property tests (hypothesis) for the exchange's no-op tests.
+"""Property tests (hypothesis) for the exchange's no-op rule and bound.
 
-gossip._trade_bound lets an exchange skip its split when the area
-beyond the bisector fits in a rectangle of at most tol_area. Whenever it
-skips, the split it replaces must trade at most tol_area, and the step
-must hand back the very same partition. The distance-limited exchange
-never trades more than the full one on the same pair. A zero
+An exchange leaves the partition unchanged exactly when its split
+trades at most tol_area, and then hands back the very same partition.
+gossip._trade_bound orders and stops the fixed-point residual's splits,
+so no split may trade more than its bound. The distance-limited
+exchange never trades more than the full one on the same pair. A zero
 fixed-point residual holds exactly when the partition is pairwise
 balanced at tolerance 0. The closed-form quadratic cost equals the
 rational moments of the same float vertices after translation and
@@ -35,17 +35,8 @@ UNIT = st.floats(-1.0, 1.0)
 NOISE = st.lists(st.tuples(UNIT, UNIT), min_size=10, max_size=10)
 
 
-def already_split(part, i, j, ci, cj) -> bool:
-    """The exact no-op test, as the full exchange makes it."""
-    _, di, dj = gp._bisector_offsets(part, i, j, ci, cj)
-    return gp._on_own_sides(di, dj, part.env.snap)
-
-
-def trade_below_tolerance(part, i, j, ci, cj) -> bool:
-    """The no-op bound, as the full exchange makes it."""
-    bound = gp._trade_bound(part, i, j,
-                            *gp._bisector_offsets(part, i, j, ci, cj))
-    return bound <= part.env.tol_area
+def trade_bound(part, i, j, ci, cj) -> float:
+    return gp._trade_bound(part, i, j, geo.bisector_halfplane(ci, cj))
 
 
 def strips(env, cuts):
@@ -58,20 +49,17 @@ def strips(env, cuts):
 
 
 def check_bound(part, points, noise, scale):
-    """Every pair at its points moved by noise * scale: a skip trades
-    nothing; returns how many pairs the bound skipped."""
-    skipped = 0
+    """Every pair at its points moved by noise * scale: the split trades
+    at most the bound, so a split the bound lets the residual skip is a
+    no-op."""
     k = 0
     for i in range(part.n):
         for j in range(i + 1, part.n):
             ci = points[i] + scale * np.array(noise[k % len(noise)])
             cj = points[j] + scale * np.array(noise[(k + 1) % len(noise)])
             k += 2
-            if trade_below_tolerance(part, i, j, ci, cj):
-                skipped += 1
-                assert oracles.bisector_trade(part, i, j, ci, cj) <= \
-                    part.env.tol_area
-    return skipped
+            assert oracles.bisector_trade(part, i, j, ci, cj) <= \
+                trade_bound(part, i, j, ci, cj)
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,9 +76,8 @@ def test_bound_skips_only_no_op_splits_on_strips(cuts, cut_exp, noise,
     check_bound(part, cs, noise, 10.0 ** noise_exp)
     for i in range(n):
         for j in range(i + 1, n):
-            if trade_below_tolerance(part, i, j, cs[i], cs[j]):
-                assert oracles.bisector_trade(part, i, j, cs[i], cs[j]) <= \
-                    env.tol_area
+            if oracles.bisector_trade(part, i, j, cs[i], cs[j]) <= \
+                    env.tol_area:
                 for out in (gp.gossip_step(part, i, j, DENS, QUAD),
                             gp.partial_gossip_step(part, i, j, 0.2, DENS,
                                                    QUAD)):
@@ -111,15 +98,16 @@ def test_bound_skips_only_no_op_splits_on_voronoi(seed, n, noise, noise_exp):
 
 def test_bound_skips_hairline_voronoi_pairs():
     # the sweeps above are not vacuous: at 1e-10 noise the exact split
-    # test fails on adjacent Voronoi pairs and the bound skips them
+    # test fails on adjacent Voronoi pairs, the bound holds them to
+    # tol_area, and the split they make trades a hairline
     env = pt.rectangle(2.0, 1.0)
     rng = np.random.default_rng(5)
     points = rng.uniform([0.05, 0.05], [1.95, 0.95], size=(5, 2))
     part = pt.voronoi(env, points)
     moved = points + 1e-10 * rng.uniform(-1.0, 1.0, size=points.shape)
     caught = [(i, j) for i in range(part.n) for j in range(i + 1, part.n)
-              if not already_split(part, i, j, moved[i], moved[j])
-              and trade_below_tolerance(part, i, j, moved[i], moved[j])]
+              if not oracles.on_own_sides(part, i, j, moved[i], moved[j])
+              and trade_bound(part, i, j, moved[i], moved[j]) <= env.tol_area]
     assert len(caught) >= 2
     for i, j in caught:
         traded = oracles.bisector_trade(part, i, j, moved[i], moved[j])
@@ -130,7 +118,7 @@ def test_bound_counts_the_snap_band():
     # a thin piece of region 0 reaches from snap/2 before the bisector
     # x = 1 to tol_area - snap/4 past it; the split snaps its near side
     # onto the line and hands over the whole piece, which is more than
-    # tol_area, so the bound must not skip it
+    # tol_area, so the bound must count the snap band to hold
     env = pt.rectangle(2.0, 1.0)
     snap, tol = env.snap, env.tol_area
     near, far = 1.0 - snap / 2.0, 1.0 + tol - snap / 4.0
@@ -139,9 +127,9 @@ def test_bound_counts_the_snap_band():
                   [[near, 0], [far, 0], [far, 1], [near, 1]]),
         region_of([[far, 0], [2, 0], [2, 1], [far, 1]])))
     ci, cj = np.array([0.5, 0.5]), np.array([1.5, 0.5])
-    assert not already_split(part, 0, 1, ci, cj)
-    assert oracles.bisector_trade(part, 0, 1, ci, cj) > tol
-    assert not trade_below_tolerance(part, 0, 1, ci, cj)
+    assert not oracles.on_own_sides(part, 0, 1, ci, cj)
+    traded = oracles.bisector_trade(part, 0, 1, ci, cj)
+    assert tol < traded <= trade_bound(part, 0, 1, ci, cj)
 
 
 @settings(max_examples=30, deadline=None)
