@@ -75,6 +75,9 @@ def _numbers(cfg, path, default=None, required=False, positive=False,
 def _checked(val, path, positive) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {val!r}")
+    # false for NaN, infinities and ints beyond the largest float
+    if not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
     if positive and val <= 0:
         raise ConfigError(f"{path}: must be positive")
     return float(val)
@@ -228,7 +231,7 @@ def build_initial(cfg: dict, env: Environment, seed: int) -> Partition:
         entries = _get(cfg, "initial.regions", required=True)
         try:
             regions = tuple(geo.region_of(*rings) for rings in entries)
-            return Partition(env, regions)
+            return Partition(env, regions).validate()
         except (TypeError, ValueError, geo.GeometryError) as exc:
             raise ConfigError(f"initial.regions: {exc}") from exc
     raise ConfigError(f"initial.kind: unknown kind {kind!r}")

@@ -737,6 +737,8 @@ class UniformDensity:
     """Constant positive density."""
 
     def __init__(self, value: float = 1.0):
+        if not np.isfinite(value):
+            raise ValueError("density must be finite")
         if value <= 0.0:
             raise ValueError("density must be positive")
         self.value = float(value)
@@ -754,8 +756,12 @@ class GridDensity:
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] < 2 or vals.shape[1] < 2:
             raise ValueError("grid needs at least 2x2 samples")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("density samples must be finite")
         if np.any(vals <= 0.0):
             raise ValueError("density samples must be positive")
+        if not np.all(np.isfinite([x0, y0, x1, y1])):
+            raise ValueError("grid extent must be finite")
         if not (x1 > x0 and y1 > y0):
             raise ValueError("empty grid extent")
         self.x0, self.y0, self.x1, self.y1 = map(float, (x0, y0, x1, y1))
@@ -856,21 +862,26 @@ def _quadrature(region: Region, density: Density, refine: int):
     return pts, w, density(pts)
 
 
-def _quad_sum(quad, fn: Callable) -> float:
-    """Integral of fn(q) * density(q) over a quadrature point set."""
-    pts, w, dens = quad
-    if len(pts) == 0:
-        return 0.0
-    return float(np.sum(w * np.asarray(fn(pts), dtype=float) * dens))
+def _quad_sum(quad, values) -> float:
+    """Integral over a quadrature point set of the values given at its
+    points times the density; 0.0 over no points."""
+    _, w, dens = quad
+    return float(np.sum(w * np.asarray(values, dtype=float) * dens))
 
 
-def _quad_sum_vec(quad, fn: Callable) -> np.ndarray:
-    """Integral of a 2-vector fn(q) * density(q) over a quadrature point set."""
-    pts, w, dens = quad
-    if len(pts) == 0:
-        return np.zeros(2)
-    vals = np.asarray(fn(pts), dtype=float)  # (n, 2)
-    return np.sum((w * dens)[:, None] * vals, axis=0)
+def _offsets(quad, p):
+    """Each quadrature point's offset d = p - q and its length r."""
+    d = np.asarray(p, dtype=float) - quad[0]
+    return d, np.hypot(d[:, 0], d[:, 1])
+
+
+def _cost_gradient(quad, d, r, perf: PerformanceFunction) -> np.ndarray:
+    """Gradient in p of the one-center cost, from the offsets of p; a point
+    coinciding with p contributes zero."""
+    _, w, dens = quad
+    scale = np.asarray(perf.dfn(r), dtype=float) / np.maximum(r, 1e-300)
+    scale[r < 1e-14] = 0.0
+    return np.sum((w * dens)[:, None] * (d * scale[:, None]), axis=0)
 
 
 def integrate(region: Region, density: Density, fn: Callable) -> float:
@@ -878,7 +889,8 @@ def integrate(region: Region, density: Density, fn: Callable) -> float:
 
     fn maps an (n, 2) array of points to n scalar values.
     """
-    return _quad_sum(_quadrature(region, density, 1), fn)
+    quad = _quadrature(region, density, 1)
+    return _quad_sum(quad, fn(quad[0]))
 
 
 def mass_centroid(region: Region, density: Density) -> np.ndarray:
@@ -896,32 +908,11 @@ def _mass_centroid(region: Region, density: Density, refine: int) -> np.ndarray:
             raise VanishedRegion("region has no area")
         return m1 / m0
     quad = _quadrature(region, density, refine)
-    m0 = _quad_sum(quad, lambda q: np.ones(len(q)))
+    pts, w, dens = quad
+    m0 = _quad_sum(quad, 1.0)
     if m0 <= 0.0:
         raise VanishedRegion("region has no mass")
-    return _quad_sum_vec(quad, lambda q: q) / m0
-
-
-def _cost_integrand(p, perf: PerformanceFunction) -> Callable:
-    """q -> perf(|q - p|), the one-center cost density at p."""
-    p = np.asarray(p, dtype=float)
-    return lambda q: np.asarray(perf.fn(np.hypot(q[:, 0] - p[0],
-                                                 q[:, 1] - p[1])))
-
-
-def _gradient_integrand(p, perf: PerformanceFunction) -> Callable:
-    """q -> gradient in p of perf(|q - p|), zero where q coincides with p."""
-    p = np.asarray(p, dtype=float)
-
-    def g(q):
-        d = p[None, :] - q
-        r = np.hypot(d[:, 0], d[:, 1])
-        safe = np.maximum(r, 1e-300)
-        scale = np.asarray(perf.dfn(r), dtype=float) / safe
-        scale[r < 1e-14] = 0.0
-        return d * scale[:, None]
-
-    return g
+    return np.sum((w * dens)[:, None] * pts, axis=0) / m0
 
 
 def one_center_cost(p, region: Region, density: Density,
@@ -936,8 +927,8 @@ def one_center_cost(p, region: Region, density: Density,
         if region.is_empty:
             return 0.0
         return density.value * _polar_moment_about(p, region)
-    return _quad_sum(_quadrature(region, density, perf.refine),
-                     _cost_integrand(p, perf))
+    quad = _quadrature(region, density, perf.refine)
+    return _quad_sum(quad, perf.fn(_offsets(quad, p)[1]))
 
 
 def _polar_moment_about(p, region: Region) -> float:
@@ -967,9 +958,10 @@ def centroid(region: Region, density: Density, perf: PerformanceFunction,
 
     Quadratic cost has the closed-form mass centroid; other costs run
     gradient descent with backtracking from that start, every iterate
-    evaluated on one quadrature point set built up front. scale sets the
-    first step and the stopping length; it defaults to the region's
-    diameter. The minimizer of a convex increasing cost lies in the
+    evaluated on one quadrature point set built up front; an accepted
+    iterate's offsets to those points serve its next gradient. scale
+    sets the first step and the stopping length; it defaults to the
+    region's diameter. The minimizer of a convex increasing cost lies in the
     region's convex hull, so no iterate needs projecting.
     """
     if region.is_empty:
@@ -982,10 +974,11 @@ def centroid(region: Region, density: Density, perf: PerformanceFunction,
         scale = diameter(region)
     tol = _DESCENT_TOL * max(scale, 1e-12)
     x = start
-    fx = _quad_sum(quad, _cost_integrand(x, perf))
+    d, r = _offsets(quad, x)
+    fx = _quad_sum(quad, perf.fn(r))
     step = max(scale, 1e-12)
     for _ in range(_DESCENT_MAX_ITER):
-        g = _quad_sum_vec(quad, _gradient_integrand(x, perf))
+        g = _cost_gradient(quad, d, r, perf)
         gnorm = float(np.hypot(g[0], g[1]))
         if gnorm * step < tol * 1e-3:
             break
@@ -993,13 +986,13 @@ def centroid(region: Region, density: Density, perf: PerformanceFunction,
         alpha = step
         for _bt in range(60):
             cand = x - alpha * g
-            d = cand - x
-            dn = float(np.hypot(d[0], d[1]))
-            if dn < tol:
+            move = cand - x
+            if float(np.hypot(move[0], move[1])) < tol:
                 break
-            fc = _quad_sum(quad, _cost_integrand(cand, perf))
-            if fc <= fx + 1e-4 * float(g @ d):
-                x, fx = cand, fc
+            dc, rc = _offsets(quad, cand)
+            fc = _quad_sum(quad, perf.fn(rc))
+            if fc <= fx + 1e-4 * float(g @ move):
+                x, fx, d, r = cand, fc, dc, rc
                 moved = True
                 step = alpha * 2.0
                 break

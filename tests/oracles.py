@@ -573,6 +573,103 @@ def ring_moment_ref(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The one-center integrals as they were when each quadrature sum took an
+# integrand callable and the descent measured an accepted point's
+# distances again for its gradient. integrate, mass_centroid,
+# one_center_cost and centroid must answer exactly as these do, to the
+# bit (tests/test_kernels.py). The closed-form quadratic cost under
+# uniform density never reaches the quadrature, so it has no form here.
+
+def _quad_sum_ref(quad, fn) -> float:
+    pts, w, dens = quad
+    if len(pts) == 0:
+        return 0.0
+    return float(np.sum(w * np.asarray(fn(pts), dtype=float) * dens))
+
+
+def _quad_sum_vec_ref(quad, fn) -> np.ndarray:
+    pts, w, dens = quad
+    if len(pts) == 0:
+        return np.zeros(2)
+    vals = np.asarray(fn(pts), dtype=float)
+    return np.sum((w * dens)[:, None] * vals, axis=0)
+
+
+def _cost_integrand_ref(p, perf):
+    p = np.asarray(p, dtype=float)
+    return lambda q: np.asarray(perf.fn(np.hypot(q[:, 0] - p[0],
+                                                 q[:, 1] - p[1])))
+
+
+def _gradient_integrand_ref(p, perf):
+    p = np.asarray(p, dtype=float)
+
+    def g(q):
+        d = p[None, :] - q
+        r = np.hypot(d[:, 0], d[:, 1])
+        safe = np.maximum(r, 1e-300)
+        scale = np.asarray(perf.dfn(r), dtype=float) / safe
+        scale[r < 1e-14] = 0.0
+        return d * scale[:, None]
+
+    return g
+
+
+def integrate_ref(region: Region, density, fn) -> float:
+    return _quad_sum_ref(geo._quadrature(region, density, 1), fn)
+
+
+def mass_centroid_ref(region: Region, density, refine: int = 1) -> np.ndarray:
+    if isinstance(density, geo.UniformDensity):
+        m1 = sum((p.moment for p in region.pieces), np.zeros(2))
+        return m1 / region.area
+    quad = geo._quadrature(region, density, refine)
+    m0 = _quad_sum_ref(quad, lambda q: np.ones(len(q)))
+    return _quad_sum_vec_ref(quad, lambda q: q) / m0
+
+
+def one_center_cost_ref(p, region: Region, density, perf) -> float:
+    return _quad_sum_ref(geo._quadrature(region, density, perf.refine),
+                         _cost_integrand_ref(p, perf))
+
+
+def centroid_ref(region: Region, density, perf, scale=None) -> np.ndarray:
+    start = mass_centroid_ref(region, density, perf.refine)
+    if perf.kind == "quadratic":
+        return start
+    quad = geo._quadrature(region, density, perf.refine)
+    if scale is None:
+        scale = geo.diameter(region)
+    tol = 1e-10 * max(scale, 1e-12)
+    x = start
+    fx = _quad_sum_ref(quad, _cost_integrand_ref(x, perf))
+    step = max(scale, 1e-12)
+    for _ in range(500):
+        g = _quad_sum_vec_ref(quad, _gradient_integrand_ref(x, perf))
+        gnorm = float(np.hypot(g[0], g[1]))
+        if gnorm * step < tol * 1e-3:
+            break
+        moved = False
+        alpha = step
+        for _bt in range(60):
+            cand = x - alpha * g
+            d = cand - x
+            dn = float(np.hypot(d[0], d[1]))
+            if dn < tol:
+                break
+            fc = _quad_sum_ref(quad, _cost_integrand_ref(cand, perf))
+            if fc <= fx + 1e-4 * float(g @ d):
+                x, fx = cand, fc
+                moved = True
+                step = alpha * 2.0
+                break
+            alpha *= 0.5
+        if not moved:
+            break
+    return x
+
+
+# ---------------------------------------------------------------------------
 # The network simulation loop one step at a time, as it was before it
 # went a quiet window at a time. netsim.simulate must give the same
 # events, transitions, snapshots and final partition, to the bit

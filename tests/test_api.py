@@ -101,7 +101,10 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (geometry.ConvexPolygon, "_edge_data"), (geometry, "_SEAM_KEY_REACH"),
         # the split alone decides a no-op, and projects for itself
         (gossip, "_bisector_offsets"), (gossip, "_on_own_sides"),
-        (gossip, "_exchange_once")]
+        (gossip, "_exchange_once"),
+        # the integrals take values at the quadrature points, not callables
+        (geometry, "_cost_integrand"), (geometry, "_gradient_integrand"),
+        (geometry, "_quad_sum_vec")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,

@@ -265,6 +265,28 @@ MALFORMED = [
                  id="polar-steps-fraction"),
     pytest.param("n: 2", "n: 2\nalgorithm: {kind: comb, levels: true}",
                  "algorithm.levels", id="comb-levels-bool"),
+    # numbers are finite, and a pieces start tiles the environment
+    pytest.param("rectangle: [2, 1]", "rectangle: [.inf, 1]",
+                 "environment.rectangle[0]", id="rectangle-inf"),
+    pytest.param("cuts: [0.5]", "cuts: [.nan]", "initial.cuts[0]",
+                 id="cuts-nan"),
+    pytest.param("n: 2", "n: 2\nscheduler: {kind: adjacent_random, "
+                 f"delta: {10 ** 400}}}", "scheduler.delta",
+                 id="delta-int-beyond-float"),
+    pytest.param("n: 2", "n: 2\nscheduler: {kind: adjacent_random, "
+                 "delta: .nan}", "scheduler.delta", id="delta-nan"),
+    pytest.param("n: 2", "n: 2\ndensity: {kind: uniform, value: .nan}",
+                 "density.value", id="density-value-nan"),
+    pytest.param("n: 2", "n: 2\ndensity: {kind: grid, extent: [0, 0, 2, 1], "
+                 "values: [[1, .nan], [1, 1]]}", "density",
+                 id="grid-values-nan"),
+    pytest.param("n: 2", "n: 2\ndensity: {kind: grid, "
+                 "extent: [0, 0, .inf, 1], values: [[1, 1], [1, 1]]}",
+                 "density", id="grid-extent-inf"),
+    pytest.param("{kind: strips, cuts: [0.5]}",
+                 "{kind: pieces, regions: [[[[0, 0], [1.2, 0], [1.2, 1], "
+                 "[0, 1]]], [[[1, 0], [1.8, 0], [1.8, 1], [1, 1]]]]}",
+                 "initial.regions", id="pieces-overlap"),
 ]
 
 

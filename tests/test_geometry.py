@@ -467,6 +467,19 @@ def test_grid_density_interpolates():
         geo.GridDensity(0, 0, 1, 1, [[1.0, -2.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_densities_refuse_non_finite_numbers(bad):
+    with pytest.raises(ValueError, match="finite"):
+        geo.UniformDensity(bad)
+    with pytest.raises(ValueError, match="finite"):
+        geo.GridDensity(0, 0, 1, 1, [[1.0, bad], [1.0, 1.0]])
+    for k in range(4):
+        extent = [0.0, 0.0, 1.0, 1.0]
+        extent[k] = bad
+        with pytest.raises(ValueError, match="finite"):
+            geo.GridDensity(*extent, [[1.0, 1.0], [1.0, 1.0]])
+
+
 def test_quadrature_matches_analytic_moments():
     region = Region((UNIT_SQUARE,))
     dens = geo.UniformDensity()

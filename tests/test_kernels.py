@@ -6,8 +6,11 @@ vertices within snap of a cut, points exactly on an edge, nonzero
 tolerances, and boxes that touch at a corner. The split's pieces are
 also measured against its cut done in exact rational arithmetic. The
 guarded merge must fuse exactly as the loop that builds every hull, and
-the cached piece moments must sum to the moments computed afresh.
+the cached piece moments must sum to the moments computed afresh. The
+one-center integrals over plain arrays must give the same bits as the
+integrand callables they replaced.
 """
+import dataclasses
 import math
 import struct
 from collections import Counter
@@ -428,6 +431,61 @@ def test_mass_centroid_sums_the_cached_piece_moments():
                 assert same(p.moment, oracles.ring_moment_ref(p.vertices))
                 with pytest.raises(ValueError):
                     p.moment[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# one-center integrals over plain arrays
+
+# a bilinear density with four cells under the seeded regions, so its
+# slope changes inside them
+GRID = geo.GridDensity(-1.0, -1.0, 1.0, 1.0,
+                       [[1.0, 5.0, 0.5], [0.2, 2.0, 3.0], [1.5, 0.7, 4.0]])
+DENSITIES = pytest.mark.parametrize("dens", [geo.UniformDensity(2.5), GRID],
+                                    ids=["uniform", "grid"])
+
+
+@pytest.mark.parametrize("refine", [1, 3])
+@DENSITIES
+def test_one_center_integrals_match_the_integrand_forms(dens, refine):
+    # the descent on fragmented regions at the default and a wide scale,
+    # the cost at, near and far from the centroid, and the quadrature
+    # mass centroid that starts the descent
+    lin = dataclasses.replace(geo.linear_performance(), refine=refine)
+    quad = dataclasses.replace(geo.quadratic_performance(), refine=refine)
+    rng = np.random.default_rng(37)
+    for region in oracles.seeded_multi_piece_regions(37, 8):
+        diam = geo.diameter(region)
+        for scale in (None, 4.0 * diam):
+            c = geo.centroid(region, dens, lin, scale)
+            assert same(c, oracles.centroid_ref(region, dens, lin, scale))
+        start = oracles.mass_centroid_ref(region, dens, refine)
+        assert not same(c, start)  # the descent moved
+        assert same(geo._mass_centroid(region, dens, refine), start)
+        assert same(geo.centroid(region, dens, quad), start)
+        for p in (c, c + 0.1 * diam * rng.normal(size=2),
+                  c + 10.0 * diam * rng.normal(size=2)):
+            got = geo.one_center_cost(p, region, dens, lin)
+            assert bits(got) == bits(oracles.one_center_cost_ref(
+                p, region, dens, lin))
+            if dens is GRID:  # quadratic cost integrates only off uniform
+                got = geo.one_center_cost(p, region, dens, quad)
+                assert bits(got) == bits(oracles.one_center_cost_ref(
+                    p, region, dens, quad))
+
+
+@DENSITIES
+def test_integrate_and_mass_centroid_match_the_integrand_forms(dens):
+    # fn may return a list; an empty region integrates to 0.0
+    fns = [lambda q: q[:, 0] ** 2 * q[:, 1], lambda q: np.ones(len(q)),
+           lambda q: np.hypot(q[:, 0], q[:, 1]).tolist()]
+    for region in [*oracles.seeded_multi_piece_regions(41, 8), Region(())]:
+        for fn in fns:
+            got = geo.integrate(region, dens, fn)
+            assert type(got) is float
+            assert bits(got) == bits(oracles.integrate_ref(region, dens, fn))
+        if not region.is_empty:
+            assert same(geo.mass_centroid(region, dens),
+                        oracles.mass_centroid_ref(region, dens))
 
 
 # ---------------------------------------------------------------------------
