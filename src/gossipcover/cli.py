@@ -44,9 +44,15 @@ class ConfigError(Exception):
 # config loading
 
 def _get(cfg: dict, path: str, default=None, required: bool = False):
+    """The value at the dotted path; a null section is absent, and any
+    other section that is not a mapping is a ConfigError naming it."""
     node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+    parts = path.split(".")
+    for depth, part in enumerate(parts):
+        if node is not None and not isinstance(node, dict):
+            raise ConfigError(f"{'.'.join(parts[:depth])}: expected a "
+                              f"mapping, got {node!r}")
+        if node is None or part not in node:
             if required:
                 raise ConfigError(f"{path}: missing required field")
             return default
@@ -152,11 +158,20 @@ def build_density(cfg: dict):
         return geo.UniformDensity(_number(cfg, "density.value", 1.0,
                                           positive=True))
     if kind == "grid":
-        extent = _get(cfg, "density.extent", required=True)
-        values = _get(cfg, "density.values", required=True)
+        # every grid error names its field within the density section
+        grid = cfg["density"]
         try:
+            extent = _numbers(grid, "extent", required=True, length=4)
+            rows = _get(grid, "values", required=True)
+            if not (isinstance(rows, list)
+                    and all(isinstance(row, list) for row in rows)):
+                raise ConfigError(f"values: expected a list of rows, "
+                                  f"got {rows!r}")
+            values = [[_checked(x, f"values[{r}][{c}]", True)
+                       for c, x in enumerate(row)]
+                      for r, row in enumerate(rows)]
             return geo.GridDensity(*extent, values)
-        except (TypeError, ValueError) as exc:
+        except (ConfigError, ValueError) as exc:
             raise ConfigError(f"density: {exc}") from exc
     raise ConfigError(f"density.kind: unknown kind {kind!r}")
 
@@ -261,11 +276,22 @@ def build_scheduler(cfg: dict, n: int, seed: int):
     raise ConfigError(f"scheduler.kind: unknown kind {kind!r}")
 
 
+def _snapshot_time(val, path, whole=False) -> float:
+    """A snapshot time: finite and >= 0, and a whole step when whole."""
+    t = _checked(val, path, False)
+    if t < 0 or whole and not t.is_integer():
+        kind = "whole number" if whole else "number"
+        raise ConfigError(f"{path}: expected a {kind} >= 0, got {val!r}")
+    return t + 0.0  # -0.0 becomes 0.0
+
+
 def parse_snapshot_list(text: str) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        times = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"snapshots: {exc}") from exc
+        raise ConfigError(f"--snapshots: {exc}") from exc
+    return [_snapshot_time(t, f"--snapshots[{k}]")
+            for k, t in enumerate(times)]
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +350,15 @@ def _build_start(cfg: dict, seed: int) -> tuple:
         build_initial(cfg, env, seed)
 
 
-def _snapshots(cfg: dict, args) -> list:
+def _snapshots(cfg: dict, args, whole: bool) -> list:
+    """The times of --snapshots, else of the config's snapshots, each
+    checked by _snapshot_time; whole for a stepwise run."""
     if args.snapshot_list is not None:
-        return args.snapshot_list
-    return _numbers(cfg, "snapshots", [])
+        where, times = "--snapshots", args.snapshot_list
+    else:
+        where, times = "snapshots", _numbers(cfg, "snapshots", [])
+    return [_snapshot_time(t, f"{where}[{k}]", whole)
+            for k, t in enumerate(times)]
 
 
 def _partial_delta(cfg: dict, delta, env: Environment, where: str) -> float:
@@ -389,7 +420,7 @@ def _run_pairwise(cfg, args, out_dir, seed, log) -> int:
     start = _build_start(cfg, seed)
     density, perf, _ = start
     algo = _get(cfg, "algorithm.kind", "gossip")
-    snaps = [int(s) for s in _snapshots(cfg, args)]
+    snaps = [int(s) for s in _snapshots(cfg, args, whole=True)]
 
     started = time.perf_counter()
     trace, code = _run_stepwise(cfg, algo, None, start, seed, log,
@@ -431,7 +462,7 @@ def _run_netsim(cfg, args, out_dir, seed, log) -> int:
         raise ConfigError(f"algorithm: {exc}") from exc
     horizon_legs = _number(cfg, "algorithm.horizon_legs", 500.0, positive=True)
     leg = ns.leg_time(env, config)
-    snaps = _snapshots(cfg, args)
+    snaps = _snapshots(cfg, args, whole=False)
 
     started = time.perf_counter()
     code = EXIT_OK

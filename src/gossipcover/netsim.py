@@ -14,10 +14,10 @@ probability 1 - exp(-rate * dt). Each trade applies the
 distance-limited pairwise map to the shared partition, so the coverage
 cost never increases and far-apart regions are left alone.
 
-Motion between phase ends depends on the step alone, so the simulation
-computes a whole quiet window of positions, pair distances and coins
-with array operations, and runs only the steps that end a phase one at
-a time (see simulate).
+Motion depends on the step alone, so the simulation goes a window at
+a time: the steps up to and including the next one that ends a phase,
+with positions, pair distances and coins from array operations (see
+simulate).
 """
 from __future__ import annotations
 
@@ -241,11 +241,12 @@ def _in_range(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
 def _window_positions(width: int, per_leg: int, phase: list, left: list,
                       pos: list, start: list, dest: list):
     """(xs, ys): every agent's position over the next width steps, rows
-    steps and columns agents, when no agent's phase ends in them.
+    steps and columns agents, when no agent's phase ends before the
+    last of them.
 
     A traveling agent at step r of the window has left[a] - r - 1 steps
-    to go and sits at start + frac * (dest - start), with the same
-    elementwise operations as the step that ends its leg.
+    to go and sits at start + frac * (dest - start), the one-step
+    formula; at the step that ends its leg frac is 1.0.
     """
     n = len(phase)
     steps = np.arange(1, width + 1)
@@ -273,16 +274,18 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     flips a coin per in-range pair for a trade. A vanished region
     aborts the run with the partial trace attached.
 
-    The loop goes a quiet window at a time: the run of steps before the
-    next one in which some agent's phase ends. Motion there depends on
-    the step alone, so the window's positions, pair distances and coins
-    come from a few array operations; one rng.random(m) call draws the
-    m coins of its in-range (step, pair) entries, the same stream as m
-    single draws. A step that ends a phase runs on its own: motion, then
-    the transition and waypoint draws in agent order, then its coins.
-    Every trade is one gp.partial_gossip_step call, in (step, pair)
-    order, and a snapshot is taken before the first trade at or after
-    its step.
+    The loop goes a window at a time: the steps up to and including the
+    next one in which some agent's phase ends (or the horizon). Motion
+    before a step's transitions depends on the step alone, so one
+    _window_positions call gives the window's positions and one
+    _in_range call its in-range (step, pair) entries. Then, as one step
+    at a time would: one rng.random call draws the coins of the entries
+    before the last step (rng.random(m) is the same stream as m single
+    draws) and their trades run; the agents whose phase ends at the
+    last step make their transition and waypoint draws in agent order;
+    a second call draws the last step's coins and its trades run. Every
+    trade is one gp.partial_gossip_step call, in (step, pair) order,
+    and a snapshot is taken before the first trade at or after its step.
     """
     env = initial.env
     n = initial.n
@@ -323,62 +326,57 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     total_steps = max(0, round(duration / dt))
     k = 0
     while k < total_steps:
-        width = min(min(left) - 1, total_steps - k)
-        if width > 0:
-            xs, ys = _window_positions(width, per_leg, phase, left, pos,
-                                       start, dest)
-            # a traveler's position is recomputed from its leg every
-            # step, so only the clocks move on
-            left = [s - width for s in left]
-        else:
-            width = 1
-            for a in range(n):
-                left[a] -= 1
-                if phase[a] == TRAVEL:
-                    frac = (per_leg - left[a]) / per_leg
-                    (sx, sy), (ex, ey) = start[a], dest[a]
-                    pos[a] = (sx + frac * (ex - sx), sy + frac * (ey - sy))
-                if left[a] == 0:
-                    if held[a]:
-                        held[a] = False
-                        nxt = TRAVEL
-                    else:
-                        nxt = epoch_transition(phase[a], rng)
-                        key = (phase[a], nxt)
-                        counts[key] = counts.get(key, 0) + 1
-                    if nxt == TRAVEL:
-                        start[a] = pos[a]
-                        dest[a] = tuple(random_destination(
-                            current.regions[a], env,
-                            config.waypoint_margin, rng).tolist())
-                    phase[a] = nxt
-                    left[a] = per_leg
-            xs, ys = np.array(pos).T[:, None]
+        width = min(min(left), total_steps - k)
+        xs, ys = _window_positions(width, per_leg, phase, left, pos, start,
+                                   dest)
+        pos = list(zip(xs[-1].tolist(), ys[-1].tolist()))
+        left = [s - width for s in left]
         rows, cols = np.nonzero(_in_range(xs[:, first] - xs[:, second],
                                           ys[:, first] - ys[:, second],
                                           config.comm_radius))
-        trade = rng.random(len(rows)) < p_comm
-        for r, c in zip(rows[trade].tolist(), cols[trade].tolist()):
-            step = k + r
-            while (snap_idx < len(snap_times)
-                   and snap_times[snap_idx] <= step * dt + 0.5 * dt):
-                trace.snapshots.append((snap_times[snap_idx], current))
-                snap_idx += 1
-            t = (step + 1) * dt
-            i, j = pairs[c]
-            try:
-                out = gp.partial_gossip_step(current, i, j, config.delta,
-                                             density, perf)
-            except GeometryError as exc:
-                trace.final = current
-                trace.termination = "degenerate"
-                trace.elapsed = t
-                raise DegenerateEvolution(str(exc), step=step,
-                                          trace=trace) from exc
-            current = out.partition
-            trace.events.append(CommEvent(
-                time=t, pair=(i, j), changed=out.changed,
-                traded_area=out.traded_area, h=out.h_after))
+        # coins before the last step, the phases that end at it, then its
+        # coins: the order of one step at a time
+        last = int(np.searchsorted(rows, width - 1))
+        ending = [a for a in range(n) if left[a] == 0]
+        for movers, lo, hi in (((), 0, last), (ending, last, len(rows))):
+            for a in movers:
+                if held[a]:
+                    held[a] = False
+                    nxt = TRAVEL
+                else:
+                    nxt = epoch_transition(phase[a], rng)
+                    key = (phase[a], nxt)
+                    counts[key] = counts.get(key, 0) + 1
+                if nxt == TRAVEL:
+                    start[a] = pos[a]
+                    dest[a] = tuple(random_destination(
+                        current.regions[a], env, config.waypoint_margin,
+                        rng).tolist())
+                phase[a] = nxt
+                left[a] = per_leg
+            trade = rng.random(hi - lo) < p_comm
+            for r, c in zip(rows[lo:hi][trade].tolist(),
+                            cols[lo:hi][trade].tolist()):
+                step = k + r
+                while (snap_idx < len(snap_times)
+                       and snap_times[snap_idx] <= step * dt + 0.5 * dt):
+                    trace.snapshots.append((snap_times[snap_idx], current))
+                    snap_idx += 1
+                t = (step + 1) * dt
+                i, j = pairs[c]
+                try:
+                    out = gp.partial_gossip_step(current, i, j, config.delta,
+                                                 density, perf)
+                except GeometryError as exc:
+                    trace.final = current
+                    trace.termination = "degenerate"
+                    trace.elapsed = t
+                    raise DegenerateEvolution(str(exc), step=step,
+                                              trace=trace) from exc
+                current = out.partition
+                trace.events.append(CommEvent(
+                    time=t, pair=(i, j), changed=out.changed,
+                    traded_area=out.traded_area, h=out.h_after))
         k += width
     while snap_idx < len(snap_times):
         trace.snapshots.append((snap_times[snap_idx], current))

@@ -287,6 +287,36 @@ MALFORMED = [
                  "{kind: pieces, regions: [[[[0, 0], [1.2, 0], [1.2, 1], "
                  "[0, 1]]], [[[1, 0], [1.8, 0], [1.8, 1], [1, 1]]]]}",
                  "initial.regions", id="pieces-overlap"),
+    # a section given as a scalar is refused, not read as absent
+    pytest.param("n: 2", "n: 2\nperformance: linear", "performance",
+                 id="performance-scalar"),
+    pytest.param("n: 2", "n: 2\nalgorithm: netsim", "algorithm",
+                 id="algorithm-scalar"),
+    pytest.param("n: 2", "n: 2\nscheduler: round_robin", "scheduler",
+                 id="scheduler-scalar"),
+    pytest.param("n: 2", "n: 2\ndensity: grid", "density",
+                 id="density-scalar"),
+    # grid fields are numbers like every other; errors name the entry
+    pytest.param("n: 2", "n: 2\ndensity: {kind: grid, extent: [0, 0, 2, 1], "
+                 "values: [[true, 1], [1, 1]]}", "density: values[0][0]",
+                 id="grid-values-bool"),
+    pytest.param("n: 2", "n: 2\ndensity: {kind: grid, "
+                 "extent: [0, 0, true, 1], values: [[1, 1], [1, 1]]}",
+                 "density: extent[2]", id="grid-extent-bool"),
+    pytest.param("n: 2", "n: 2\ndensity: {kind: grid, extent: [0, 0, 2], "
+                 "values: [[1, 1], [1, 1]]}", "density: extent",
+                 id="grid-extent-short"),
+    # snapshot times are finite and >= 0, whole steps when stepwise
+    pytest.param("n: 2", "n: 2\nsnapshots: [2.5]", "snapshots[0]",
+                 id="snapshots-fraction"),
+    pytest.param("n: 2", "n: 2\nsnapshots: [0, -3]", "snapshots[1]",
+                 id="snapshots-negative"),
+    pytest.param("n: 2", "n: 2\nalgorithm: {kind: netsim, horizon_legs: 2}"
+                 "\nsnapshots: [.inf]", "snapshots[0]",
+                 id="netsim-snapshots-inf"),
+    pytest.param("n: 2", "n: 2\nalgorithm: {kind: netsim, horizon_legs: 2}"
+                 "\nsnapshots: [-1]", "snapshots[0]",
+                 id="netsim-snapshots-negative"),
 ]
 
 
@@ -299,6 +329,25 @@ def test_run_malformed_config_names_its_field(tmp_path, capsys, old, new,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("algorithm, flag", [
+    *(("gossip", f) for f in ("inf", "nan", "-3", "0,1.7")),
+    *(("netsim", f) for f in ("inf", "nan", "-3")),
+])
+def test_run_snapshot_flag_names_its_entry(tmp_path, capsys, algorithm,
+                                           flag):
+    # stepwise snapshots are whole steps; netsim ones may fall mid-leg
+    cfg = write_cfg(tmp_path, TWO_STRIPS + f"algorithm: {{kind: {algorithm}, "
+                    "horizon_legs: 2}\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", cfg, "--out", str(out),
+                     f"--snapshots={flag}"]) == 2
+    err = capsys.readouterr().err
+    entry = 1 if "," in flag else 0
+    assert err.startswith(f"error: --snapshots[{entry}]: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("initial", ["{kind: strips, cuts: [0.5]}",

@@ -288,6 +288,33 @@ def test_windowed_loop_matches_reference_at_any_horizon(steps):
     assert_same_trace(got, want)
 
 
+@pytest.mark.parametrize("per_leg", [1, 2, 3])
+def test_windowed_loop_matches_reference_where_phases_meet(monkeypatch,
+                                                           per_leg):
+    # one to three steps per leg: most windows end on a step where
+    # several phases end, and a snapshot falls on every step
+    env = strip_env()
+    init = strip_partition(env, cuts=(0.7, 1.5, 2.2))
+    leg = ns.leg_time(env, ns.NetConfig(speeds=(1.0,) * 4))
+    cfg = ns.NetConfig(speeds=(1.0,) * 4, comm_rate=40.0, seed=per_leg,
+                       time_step=leg / per_leg)
+    steps = 30 * per_leg
+    widths, ends = [], []
+    original = ns._window_positions
+
+    def recording(width, per_leg, phase, left, *rest):
+        widths.append(width)
+        ends.append(left.count(width))
+        return original(width, per_leg, phase, left, *rest)
+
+    monkeypatch.setattr(ns, "_window_positions", recording)
+    got, want = both_loops(cfg, init, 30 * leg, snapshot_times=[
+        s * leg / per_leg for s in range(steps + 1)])
+    assert sum(widths) == steps and 1 in widths and max(ends) >= 2
+    assert any(e.changed for e in want.events)
+    assert_same_trace(got, want)
+
+
 def test_windowed_loop_degenerates_like_reference(monkeypatch):
     env = strip_env()
     init = strip_partition(env, cuts=(0.6, 1.9))
