@@ -361,6 +361,14 @@ def _snapshots(cfg: dict, args, whole: bool) -> list:
             for k, t in enumerate(times)]
 
 
+def _no_snapshots(cfg: dict, args, algo: str):
+    """Refuse snapshots to a run that has no partition to draw."""
+    for where, times in (("--snapshots", args.snapshot_list),
+                         ("snapshots", _get(cfg, "snapshots"))):
+        if times is not None:
+            raise ConfigError(f"{where}: {algo} runs take no snapshots")
+
+
 def _partial_delta(cfg: dict, delta, env: Environment, where: str) -> float:
     """The distance-limited exchange's delta, given or else the config's
     algorithm.delta, checked against env; a rejected one becomes a
@@ -515,6 +523,7 @@ NEAR_CIRCLE_BAND = 0.05
 
 
 def _run_polar(cfg, args, out_dir, seed, log) -> int:
+    _no_snapshots(cfg, args, "polar")
     mode = _get(cfg, "algorithm.mode", required=True)
     steps = _count(cfg, "algorithm.steps", required=True)
     rho0 = _number(cfg, "algorithm.rho0", required=True, positive=True)
@@ -546,6 +555,7 @@ def _run_polar(cfg, args, out_dir, seed, log) -> int:
 
 
 def _run_comb(cfg, args, out_dir, seed, log) -> int:
+    _no_snapshots(cfg, args, "comb")
     levels = _count(cfg, "algorithm.levels", 12)
     if levels > dy.MAX_LEVEL:
         raise ConfigError(f"algorithm.levels: above limit {dy.MAX_LEVEL}")

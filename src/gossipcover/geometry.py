@@ -123,13 +123,6 @@ class ConvexPolygon:
         return _bbox(self.vertices)
 
     @cached_property
-    def extremes(self) -> np.ndarray:
-        """The vertices' _extremes on the merge fan, read-only."""
-        x = _extremes(self.vertices)
-        x.setflags(write=False)
-        return x
-
-    @cached_property
     def edges(self) -> list:
         """One row (vx, vy, ex, ey, length) of Python floats per edge:
         its start vertex, its vector and its length."""
@@ -479,51 +472,6 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=float).reshape(-1, 2)
 
 
-# The fan of directions on which merge_pieces finds a point set's
-# extreme points; in fan order they span a polygon inscribed in its hull.
-_FAN_INDEX = np.arange(16)
-_FAN = np.array([np.cos(_FAN_INDEX * (2.0 * np.pi / _FAN_INDEX.size)),
-                 np.sin(_FAN_INDEX * (2.0 * np.pi / _FAN_INDEX.size))])
-
-
-def _extremes(v: np.ndarray) -> np.ndarray:
-    """One row (h, x, y) per fan direction: the largest projection h of
-    the points v on it, and the first point (x, y) attaining it."""
-    proj = v @ _FAN
-    k = proj.argmax(axis=0)
-    return np.column_stack((proj[k, _FAN_INDEX], v[k]))
-
-
-def _inscribed_area(extremes) -> float:
-    """Shoelace area of the union's extreme points, in fan order, given
-    the _extremes of each point set. The polygon they span lies in the
-    union's hull, so up to rounding its area is at most the hull's."""
-    e = np.array(extremes)
-    return _ring_area(e[e[:, :, 0].argmax(axis=0), _FAN_INDEX, 1:])
-
-
-def _area_rounding(n_points: int, max_abs: float) -> float:
-    """Margin for rounding when the shoelace area of a polygon inscribed
-    in a hull is compared with the hull's, over n_points points with
-    coordinates up to max_abs: per point, one vertex-grid cell times
-    max_abs + 1, far above the rounding either area shows."""
-    return n_points * _vertex_cell(max_abs) * (max_abs + 1.0)
-
-
-def _fused_hull(pieces, limit: float, max_abs: float):
-    """The pieces' hull when its area is at most limit, else None.
-
-    The hull is built only when the polygon inscribed in it by the
-    pieces' extreme points leaves that possible: an inscribed area past
-    limit by more than _area_rounding puts the hull's past limit too.
-    """
-    slack = _area_rounding(sum(len(p.vertices) for p in pieces), max_abs)
-    if _inscribed_area([p.extremes for p in pieces]) > limit + slack:
-        return None
-    hull = _convex_hull(np.vstack([p.vertices for p in pieces]))
-    return hull if _ring_area(hull) <= limit else None
-
-
 def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
     """Greedily fuse piece pairs whose union is convex (within area tol).
 
@@ -532,23 +480,21 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
     the quick grid-key test below prunes everything else. A whole-set hull
     pre-pass catches the common end state where the union is convex but no
     single pair is (misaligned historical seams).
-
-    _fused_hull skips the hulls that cannot fuse, and a pair that failed
-    is not tested again on a rescan. Neither changes the result: a
-    failing test fuses nothing, so the greedy order stays the same.
     """
     work = list(pieces)
     if len(work) < 2:
         return work
-    # the largest |coordinate| lies at an extreme of x or y
-    max_abs = max(max(map(abs, p.bbox)) for p in work)
     if len(work) > 2:
-        hull = _fused_hull(work, sum(p.area for p in work) + tol, max_abs)
-        if hull is not None:
+        hull = _convex_hull(np.vstack([p.vertices for p in work]))
+        if _ring_area(hull) <= sum(p.area for p in work) + tol:
             return [_ring_polygon(hull, 0.0)]
-    inv_eps = 1.0 / _vertex_cell(max_abs)
+    # the largest |coordinate| lies at an extreme of x or y
+    inv_eps = 1.0 / _vertex_cell(max(max(map(abs, p.bbox)) for p in work))
     keys = [_vertex_keys(p.vertices, inv_eps) for p in work]
-    rejected = set()  # of piece pairs; holding them keeps their ids unique
+    # piece pairs whose hull failed, not tested again on a rescan: a
+    # failing test fuses nothing, so the greedy order stays the same;
+    # holding the pieces keeps their ids unique
+    rejected = set()
     changed = True
     while changed and len(work) > 1:
         changed = False
@@ -560,9 +506,9 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
                 if len(keys[i] & keys[j]) < 2 or (a, b) in rejected:
                     j += 1
                     continue
+                hull = _convex_hull(np.vstack((a.vertices, b.vertices)))
                 s = a.area + b.area
-                hull = _fused_hull((a, b), s + max(tol, 1e-12 * s), max_abs)
-                if hull is not None:
+                if _ring_area(hull) <= s + max(tol, 1e-12 * s):
                     # keep scanning the grown piece against the remainder
                     work[i] = _ring_polygon(hull, 0.0)
                     keys[i] = _vertex_keys(work[i].vertices, inv_eps)

@@ -252,6 +252,8 @@ def write_trace(trace: EvolutionTrace, path_or_file):
 
 def check_uniform_persistency(pair_sequence, pairs, window: int) -> bool:
     """True when every pair occurs in every window of the given length."""
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     seq = [tuple(sorted(p)) for p in pair_sequence]
     if len(seq) < 2 * window:
         raise ValueError("sequence too short to judge the window")
@@ -284,6 +286,8 @@ def empirical_persistency(scheduler, partition: Partition, pairs,
     The scheduler runs against the fixed partition; selections that
     return None count as idle steps.
     """
+    if not 1 <= window <= n_steps:
+        raise ValueError(f"window must be 1 to n_steps {n_steps}, got {window}")
     seq = []
     for t in range(n_steps):
         choice = scheduler.select(t, partition)

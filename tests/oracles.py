@@ -356,8 +356,8 @@ def region_split_ref(region: Region, hp, snap: float = 0.0,
 
 def merge_pieces_ref(pieces, tol: float) -> list:
     """merge_pieces as the loop that builds the hull of every piece pair
-    sharing two vertex keys, and of the whole set first, with no guard
-    and no memory of rejected pairs."""
+    sharing two vertex keys, and of the whole set first, with no memory
+    of rejected pairs."""
     work = list(pieces)
     if len(work) < 2:
         return work

@@ -99,6 +99,10 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         # test compares vertices exactly
         (geometry, "_poly_bbox"), (geometry, "_piece_extremes"),
         (geometry.ConvexPolygon, "_edge_data"), (geometry, "_SEAM_KEY_REACH"),
+        # merge_pieces builds every candidate hull: no inscribed-polygon guard
+        (geometry, "_FAN_INDEX"), (geometry, "_FAN"), (geometry, "_extremes"),
+        (geometry, "_inscribed_area"), (geometry, "_area_rounding"),
+        (geometry, "_fused_hull"), (geometry.ConvexPolygon, "extremes"),
         # the split alone decides a no-op, and projects for itself
         (gossip, "_bisector_offsets"), (gossip, "_on_own_sides"),
         (gossip, "_exchange_once"),

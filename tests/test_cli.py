@@ -317,6 +317,12 @@ MALFORMED = [
     pytest.param("n: 2", "n: 2\nalgorithm: {kind: netsim, horizon_legs: 2}"
                  "\nsnapshots: [-1]", "snapshots[0]",
                  id="netsim-snapshots-negative"),
+    # polar and comb runs draw no partition, so they take no snapshots
+    pytest.param("n: 2", "n: 2\nalgorithm: {kind: polar, mode: alternating, "
+                 "steps: 3, rho0: 1.5}\nsnapshots: [1]", "snapshots",
+                 id="polar-snapshots"),
+    pytest.param("n: 2", "n: 2\nalgorithm: {kind: comb, levels: 2}"
+                 "\nsnapshots: [3, 1.5]", "snapshots", id="comb-snapshots"),
 ]
 
 
@@ -334,6 +340,7 @@ def test_run_malformed_config_names_its_field(tmp_path, capsys, old, new,
 @pytest.mark.parametrize("algorithm, flag", [
     *(("gossip", f) for f in ("inf", "nan", "-3", "0,1.7")),
     *(("netsim", f) for f in ("inf", "nan", "-3")),
+    *((a, f) for a in ("polar", "comb") for f in ("3,1.5", "1", "")),
 ])
 def test_run_snapshot_flag_names_its_entry(tmp_path, capsys, algorithm,
                                            flag):
@@ -344,8 +351,12 @@ def test_run_snapshot_flag_names_its_entry(tmp_path, capsys, algorithm,
     assert cli.main(["run", cfg, "--out", str(out),
                      f"--snapshots={flag}"]) == 2
     err = capsys.readouterr().err
-    entry = 1 if "," in flag else 0
-    assert err.startswith(f"error: --snapshots[{entry}]: ")
+    if algorithm in ("polar", "comb"):
+        # no partition to draw: any list is refused, not dropped
+        assert err.startswith("error: --snapshots: ")
+    else:
+        entry = 1 if "," in flag else 0
+        assert err.startswith(f"error: --snapshots[{entry}]: ")
     assert "Traceback" not in err
     assert not out.exists()
 

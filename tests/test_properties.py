@@ -8,8 +8,7 @@ exchange never trades more than the full one on the same pair. A zero
 fixed-point residual holds exactly when the partition is pairwise
 balanced at tolerance 0. The closed-form quadratic cost equals the
 rational moments of the same float vertices after translation and
-scaling. The polygon merge_pieces inscribes in a hull never outgrows
-the hull by more than the rounding margin its guard allows.
+scaling.
 """
 import math
 from fractions import Fraction
@@ -199,30 +198,3 @@ def test_quadratic_cost_is_exact_when_translated_and_scaled(seed, offset_exp,
         want = oracles.cost_exact(p, region)
         assert abs(Fraction(got) - want) <= 1e-12 * abs(want)
 
-
-# coordinates that make repeated points, collinear runs and near-ties:
-# small integers, the same moved by a few units of 2**-50, and floats
-HULL_COORD = st.one_of(
-    st.integers(-3, 3).map(float),
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
-        lambda t: t[0] + t[1] * 2.0 ** -50),
-    st.floats(-3.0, 3.0, allow_nan=False))
-SHIFT = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
-
-
-@settings(max_examples=300, deadline=None)
-@given(points=st.lists(st.tuples(HULL_COORD, HULL_COORD), min_size=1,
-                       max_size=24),
-       scale_exp=st.floats(-4.0, 4.0), shift=st.tuples(SHIFT, SHIFT))
-def test_inscribed_area_stays_within_the_hull(points, scale_exp, shift):
-    # merge_pieces skips a hull whose inscribed polygon passes the area
-    # limit by more than _area_rounding, as failing; that is sound only
-    # while the inscribed area stays within that margin of the hull's,
-    # exact and as the merge measures it
-    pts = np.array(points) * 10.0 ** scale_exp + np.array(shift)
-    inscribed = Fraction(geo._inscribed_area([geo._extremes(pts)]))
-    margin = Fraction(geo._area_rounding(len(pts), float(np.abs(pts).max())))
-    assert inscribed <= oracles.area_exact(oracles.convex_hull_ref(pts)) \
-        + margin
-    assert inscribed <= Fraction(geo._ring_area(geo._convex_hull(pts))) \
-        + margin

@@ -237,6 +237,9 @@ def test_check_uniform_persistency():
     assert not sw.check_uniform_persistency(gappy, pairs, window=4)
     with pytest.raises(ValueError):
         sw.check_uniform_persistency([(0, 1)] * 3, pairs, window=2)
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            sw.check_uniform_persistency(good, pairs, window=window)
 
 
 def test_empirical_persistency_adjacent_pairs():
@@ -252,6 +255,11 @@ def test_empirical_persistency_adjacent_pairs():
         assert abs(s["p"] - 0.9375) < 0.05
     assert stats[(0, 2)]["hits"] == 0
     assert stats[(0, 2)]["ci_high"] < 0.05
+    # no window, or fewer steps than one window, is refused
+    for n_steps, window in ((20, 0), (20, -2), (3, 5)):
+        with pytest.raises(ValueError, match=f"window must be 1 to n_steps "
+                           f"{n_steps}, got {window}"):
+            sw.empirical_persistency(sched, part, [(0, 1)], n_steps, window)
 
 
 # ---------------------------------------------------------------------------
