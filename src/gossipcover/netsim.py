@@ -18,6 +18,13 @@ Motion depends on the step alone, so the simulation goes a window at
 a time: the steps up to and including the next one that ends a phase,
 with positions, pair distances and coins from array operations (see
 simulate).
+
+A waypoint is drawn from its region's waypoint table: the internal
+boundary's segments and their running lengths (waypoint_table). The
+table depends on the region alone, and a region outlives most of its
+agent's legs, so simulate keeps each agent's last region and table and
+builds a new table only when the agent draws in a region it does not
+hold.
 """
 from __future__ import annotations
 
@@ -126,10 +133,52 @@ def _steps_per_leg(env: Environment, config: NetConfig) -> int:
 _MAX_WAYPOINT_DRAWS = 10_000
 
 
+def _covered_span(poly, a: tuple, b: tuple, tol: float):
+    """(lo, hi): the parameters of the segment a + t (b - a), 0 <= t <= 1,
+    that lie in the convex piece grown by tol; hi <= lo when the two
+    meet at most in a point."""
+    (ax, ay), (bx, by) = a, b
+    lo, hi = 0.0, 1.0
+    for vx, vy, ex, ey, length in poly.edges:
+        # signed distances of a and b from the edge's line, inside >= 0
+        fa = (ex * (ay - vy) - ey * (ax - vx)) / length
+        fb = (ex * (by - vy) - ey * (bx - vx)) / length
+        if fa >= -tol and fb >= -tol:
+            continue
+        if fa < -tol and fb < -tol:
+            return 0.0, 0.0
+        cross = fa / (fa - fb)  # where the segment meets the line
+        if fa < -tol:
+            lo = max(lo, cross)
+        else:
+            hi = min(hi, cross)
+    return lo, hi
+
+
+def _uncovered_spans(a: tuple, b: tuple, others, tol: float) -> list:
+    """The parameter spans of the segment a -> b that no other piece
+    covers: [(0.0, 1.0)] when none covers more than tol of it, and no
+    span of tol or less otherwise."""
+    length = math.hypot(b[0] - a[0], b[1] - a[1])
+    spans = [(lo, hi) for lo, hi in (_covered_span(other, a, b, tol)
+                                     for other in others)
+             if (hi - lo) * length > tol]
+    if not spans:
+        return [(0.0, 1.0)]
+    free, t = [], 0.0
+    for lo, hi in sorted(spans) + [(1.0, 1.0)]:
+        if (lo - t) * length > tol:
+            free.append((t, lo))
+        t = max(t, hi)
+    return free
+
+
 def internal_boundary_segments(region: Region, env: Environment):
     """Edges of the region's pieces that lie neither on the environment
     wall nor on a seam between two pieces of the same region.
 
+    An edge that another piece of the region covers in part, where a
+    seam meets it at a T-junction, keeps only its uncovered parts.
     Returns (starts, ends) arrays; empty when the region has no
     internal boundary (it covers the whole environment).
     """
@@ -146,32 +195,39 @@ def internal_boundary_segments(region: Region, env: Environment):
                                           wall, wall_next)
         inner = ~(d.reshape(3, -1) <= tol).all(axis=0)
         others = region.pieces[:k] + region.pieces[k + 1:]
-        for a, b, (mx, my) in zip(v[inner], nxt[inner], mid[inner].tolist()):
-            if not any(geo._contains_point(other, mx, my, tol)
-                       for other in others):
-                starts.append(a)
-                ends.append(b)
+        for a, b in zip(v[inner], nxt[inner]):
+            for lo, hi in _uncovered_spans(tuple(a.tolist()),
+                                           tuple(b.tolist()), others, tol):
+                starts.append(a if lo == 0.0 else a + lo * (b - a))
+                ends.append(b if hi == 1.0 else a + hi * (b - a))
     if not starts:
         return np.zeros((0, 2)), np.zeros((0, 2))
     return np.array(starts), np.array(ends)
 
 
-def random_destination(region: Region, env: Environment, margin: float,
-                       rng) -> np.ndarray:
-    """Uniform sample near the region's internal boundary.
+def waypoint_table(region: Region, env: Environment) -> tuple:
+    """(starts, ends, cum): the region's internal boundary segments and
+    the running sum of their lengths, what random_destination draws
+    from. It depends on the region alone."""
+    starts, ends = internal_boundary_segments(region, env)
+    if len(starts) == 0:
+        raise SamplingExhausted("region has no internal boundary")
+    cum = np.cumsum(np.hypot(*(ends - starts).T))
+    if cum[-1] <= 0.0:
+        raise SamplingExhausted("internal boundary has zero length")
+    return starts, ends, cum
+
+
+def random_destination(table: tuple, margin: float, rng) -> np.ndarray:
+    """Uniform sample near a region's internal boundary, from its
+    waypoint table.
 
     Draws an arc-length-uniform boundary point, offsets it uniformly in
     a disk of the given radius, and rejects draws that fall farther
     than the margin from the internal boundary.
     """
-    starts, ends = internal_boundary_segments(region, env)
-    if len(starts) == 0:
-        raise SamplingExhausted("region has no internal boundary")
-    lengths = np.hypot(*(ends - starts).T)
-    cum = np.cumsum(lengths)
+    starts, ends, cum = table
     total = cum[-1]
-    if total <= 0.0:
-        raise SamplingExhausted("internal boundary has zero length")
     for _ in range(_MAX_WAYPOINT_DRAWS):
         k = int(np.searchsorted(cum, rng.random() * total))
         base = starts[k] + rng.random() * (ends[k] - starts[k])
@@ -309,12 +365,21 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
         hold = int(rng.integers(per_leg))
         phase.append(WAIT_1 if hold > 0 else TRAVEL)
         left.append(hold if hold > 0 else per_leg)
+    # each agent's last region and its waypoint table; the table is
+    # rebuilt only when the agent draws in a region it does not hold
+    slots = [(None, None)] * n
+
+    def waypoint(a):
+        region = current.regions[a]
+        if slots[a][0] is not region:
+            slots[a] = (region, waypoint_table(region, env))
+        return tuple(random_destination(slots[a][1], config.waypoint_margin,
+                                        rng).tolist())
+
     start, dest = list(pos), list(pos)
     for a in range(n):
         if phase[a] == TRAVEL:
-            dest[a] = tuple(random_destination(
-                current.regions[a], env, config.waypoint_margin,
-                rng).tolist())
+            dest[a] = waypoint(a)
     # the initial hold is not an epoch phase: it only desynchronizes
     # clocks, so it is excluded from the transition counts
     held = [p == WAIT_1 for p in phase]
@@ -349,9 +414,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
                     counts[key] = counts.get(key, 0) + 1
                 if nxt == TRAVEL:
                     start[a] = pos[a]
-                    dest[a] = tuple(random_destination(
-                        current.regions[a], env, config.waypoint_margin,
-                        rng).tolist())
+                    dest[a] = waypoint(a)
                 phase[a] = nxt
                 left[a] = per_leg
             trade = rng.random(hi - lo) < p_comm

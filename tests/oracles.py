@@ -689,7 +689,8 @@ class _AgentRef:
 def simulate_ref(config, initial, density, perf, duration, *,
                  snapshot_times=()):
     """netsim.simulate one step at a time: motion, then one math.hypot
-    range test and one rng.random() coin per in-range pair."""
+    range test and one rng.random() coin per in-range pair. Every
+    waypoint draw builds its region's table afresh."""
     env = initial.env
     n = initial.n
     if n < 2:
@@ -717,7 +718,7 @@ def simulate_ref(config, initial, density, perf, duration, *,
     for a in agents:
         if a.phase == ns.TRAVEL:
             a.destination = ns.random_destination(
-                current.regions[a.region_index], env,
+                ns.waypoint_table(current.regions[a.region_index], env),
                 config.waypoint_margin, rng)
     # the initial hold is not an epoch phase: it only desynchronizes
     # clocks, so it is excluded from the transition counts
@@ -748,7 +749,8 @@ def simulate_ref(config, initial, density, perf, duration, *,
                 if nxt == ns.TRAVEL:
                     a.leg_start = a.position.copy()
                     a.destination = ns.random_destination(
-                        current.regions[a.region_index], env,
+                        ns.waypoint_table(current.regions[a.region_index],
+                                          env),
                         config.waypoint_margin, rng)
                 a.phase = nxt
                 a.steps_left = per_leg

@@ -111,23 +111,62 @@ def test_internal_boundary_empty_for_full_cover():
     starts, _ends = ns.internal_boundary_segments(region, env)
     assert len(starts) == 0
     with pytest.raises(ns.SamplingExhausted):
-        ns.random_destination(region, env, 0.1, np.random.default_rng(0))
+        ns.waypoint_table(region, env)
+
+
+def segment_set(starts, ends):
+    """The segments as sorted (x0, y0, x1, y1) rows, each from its
+    smaller end."""
+    rows = [tuple(min(tuple(a), tuple(b))) + tuple(max(tuple(a), tuple(b)))
+            for a, b in zip(starts.tolist(), ends.tolist())]
+    return np.array(sorted(rows))
+
+
+# seams on x = 1 that meet the right edge of A = [0, 1]^2 at y = 0.5 or
+# 0.4, or run along its middle: only the uncovered parts of that edge
+# border another region
+T_JUNCTIONS = [
+    ([[1, 0], [2, 0], [2, 0.5], [1, 0.5]],
+     [[1.0, 0.5, 1.0, 1.0], [1.0, 0.5, 2.0, 0.5]]),
+    ([[1, 0], [2, 0], [2, 0.4], [1, 0.4]],
+     [[1.0, 0.4, 1.0, 1.0], [1.0, 0.4, 2.0, 0.4]]),
+    ([[1, 0.3], [2, 0.3], [2, 0.6], [1, 0.6]],
+     [[1.0, 0.0, 1.0, 0.3], [1.0, 0.3, 2.0, 0.3],
+      [1.0, 0.6, 1.0, 1.0], [1.0, 0.6, 2.0, 0.6]]),
+]
+
+
+@pytest.mark.parametrize("b, want", T_JUNCTIONS)
+def test_internal_boundary_clips_edges_at_t_junctions(b, want):
+    env = pt.rectangle(2.0, 1.0)
+    a = geo.ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    b = geo.ConvexPolygon(b)
+    want = np.array(want)
+    for region in (geo.Region((a, b)), geo.Region((b, a))):
+        got = segment_set(*ns.internal_boundary_segments(region, env))
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        _starts, _ends, cum = ns.waypoint_table(region, env)
+        assert cum[-1] == pytest.approx(
+            np.hypot(*(want[:, 2:] - want[:, :2]).T).sum(), abs=1e-12)
 
 
 def test_random_destination_hugs_internal_boundary():
     env, region = half_square()
+    table = ns.waypoint_table(region, env)
     rng = np.random.default_rng(7)
     for margin in (0.1, 1e-6):
         for _ in range(50):
-            q = ns.random_destination(region, env, margin, rng)
+            q = ns.random_destination(table, margin, rng)
             assert abs(q[0] - 0.5) <= margin + 1e-12
             assert -margin <= q[1] <= 1.0 + margin
 
 
 def test_random_destination_uniform_along_boundary():
     env, region = half_square()
+    table = ns.waypoint_table(region, env)
     rng = np.random.default_rng(13)
-    ys = np.array([ns.random_destination(region, env, 0.01, rng)[1]
+    ys = np.array([ns.random_destination(table, 0.01, rng)[1]
                    for _ in range(2000)])
     counts = np.bincount(np.clip((ys * 10).astype(int), 0, 9), minlength=10)
     expected = len(ys) / 10.0
@@ -374,6 +413,82 @@ def test_exchange_memo_keeps_netsim_strip_bit_identical(monkeypatch, seed):
     bypassed = ns.simulate(cfg, init, DENS, QUAD, duration)
     assert len(computed) == len(bypassed.events)
     assert_same_trace(memo, bypassed)
+
+
+def reference_draws(monkeypatch, cfg, init, duration):
+    """simulate_ref's trace and the (agent, region) of each of its
+    waypoint draws; the agent is found in the partition the last trade
+    left, the one the draw is made on."""
+    table_of, partition_of = ns.waypoint_table, gp.partial_gossip_step
+    state = {"current": init}
+    draws = []
+
+    def recording_table(region, env):
+        agent, = [i for i, r in enumerate(state["current"].regions)
+                  if r is region]
+        draws.append((agent, region))
+        return table_of(region, env)
+
+    def tracking(*args, **kwargs):
+        out = partition_of(*args, **kwargs)
+        state["current"] = out.partition
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(ns, "waypoint_table", recording_table)
+        m.setattr(gp, "partial_gossip_step", tracking)
+        want = oracles.simulate_ref(cfg, init, DENS, QUAD, duration)
+    return want, draws
+
+
+def counted_simulate(monkeypatch, cfg, init, duration):
+    """simulate's trace and the number of waypoint tables it built."""
+    table_of = ns.waypoint_table
+    built = []
+
+    def counting(region, env):
+        built.append(region)
+        return table_of(region, env)
+
+    with monkeypatch.context() as m:
+        m.setattr(ns, "waypoint_table", counting)
+        got = ns.simulate(cfg, init, DENS, QUAD, duration)
+    return got, len(built)
+
+
+def distinct_holdings(draws):
+    # the draws keep their regions alive, so ids are not reused
+    return len({(agent, id(region)) for agent, region in draws})
+
+
+def test_simulate_builds_a_table_once_per_region_held(monkeypatch):
+    env = strip_env()
+    init = strip_partition(env, cuts=(0.6, 1.9))  # the netsim-strip preset
+    cfg = ns.NetConfig(seed=0)
+    duration = 80.0 * ns.leg_time(env, cfg)
+    want, draws = reference_draws(monkeypatch, cfg, init, duration)
+    got, built = counted_simulate(monkeypatch, cfg, init, duration)
+    assert built == distinct_holdings(draws)
+    assert 4 * built < len(draws)
+    assert_same_trace(got, want)
+
+
+def test_simulate_rebuilds_a_table_when_the_region_changes(monkeypatch):
+    env = strip_env()
+    init = strip_partition(env, cuts=(0.6, 1.9))
+    leg = ns.leg_time(env, ns.NetConfig())
+    cfg = ns.NetConfig(comm_rate=40.0, seed=5, time_step=leg / 20.0)
+    want, draws = reference_draws(monkeypatch, cfg, init, 30.0 * leg)
+    got, built = counted_simulate(monkeypatch, cfg, init, 30.0 * leg)
+    # some agent's region changes between two of its own draws
+    held = {}
+    changed = 0
+    for agent, region in draws:
+        changed += agent in held and held[agent] is not region
+        held[agent] = region
+    assert changed > 0
+    assert built == distinct_holdings(draws) == len(held) + changed
+    assert_same_trace(got, want)
 
 
 def test_in_range_decides_as_math_hypot():
