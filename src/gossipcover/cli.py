@@ -178,11 +178,10 @@ def build_density(cfg: dict):
 
 def build_performance(cfg: dict):
     kind = _get(cfg, "performance.kind", "quadratic")
-    if kind == "quadratic":
-        return geo.quadratic_performance()
-    if kind == "linear":
-        return geo.linear_performance()
-    raise ConfigError(f"performance.kind: unknown kind {kind!r}")
+    try:
+        return geo.PerformanceFunction(kind)
+    except ValueError as exc:
+        raise ConfigError(f"performance.kind: {exc}") from exc
 
 
 def strip_partition(env: Environment, cuts) -> Partition:
@@ -276,8 +275,8 @@ def build_scheduler(cfg: dict, n: int, seed: int):
     raise ConfigError(f"scheduler.kind: unknown kind {kind!r}")
 
 
-def _snapshot_time(val, path, whole=False) -> float:
-    """A snapshot time: finite and >= 0, and a whole step when whole."""
+def _nonnegative(val, path, whole=False) -> float:
+    """A finite number >= 0, and a whole number when whole."""
     t = _checked(val, path, False)
     if t < 0 or whole and not t.is_integer():
         kind = "whole number" if whole else "number"
@@ -290,7 +289,7 @@ def parse_snapshot_list(text: str) -> list:
         times = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--snapshots: {exc}") from exc
-    return [_snapshot_time(t, f"--snapshots[{k}]")
+    return [_nonnegative(t, f"--snapshots[{k}]")
             for k, t in enumerate(times)]
 
 
@@ -352,12 +351,12 @@ def _build_start(cfg: dict, seed: int) -> tuple:
 
 def _snapshots(cfg: dict, args, whole: bool) -> list:
     """The times of --snapshots, else of the config's snapshots, each
-    checked by _snapshot_time; whole for a stepwise run."""
+    checked by _nonnegative; whole for a stepwise run."""
     if args.snapshot_list is not None:
         where, times = "--snapshots", args.snapshot_list
     else:
         where, times = "snapshots", _numbers(cfg, "snapshots", [])
-    return [_snapshot_time(t, f"{where}[{k}]", whole)
+    return [_nonnegative(t, f"{where}[{k}]", whole)
             for k, t in enumerate(times)]
 
 
@@ -392,7 +391,8 @@ def _run_stepwise(cfg: dict, algo: str, delta, start: tuple, seed: int,
     """
     density, perf, initial = start
     budget = _count(cfg, "budget", 5000)
-    stop_tol = _number(cfg, "stop_tol")
+    stop_tol = _get(cfg, "stop_tol")
+    stop_tol = None if stop_tol is None else _nonnegative(stop_tol, "stop_tol")
     check_every = _count(cfg, "check_every", 5)
     try:
         if algo == "lloyd":

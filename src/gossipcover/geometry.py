@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -144,12 +144,11 @@ class ConvexPolygon:
         return np.all(cr >= lim, axis=1)
 
 
-def _contains_point(poly: ConvexPolygon, x: float, y: float,
-                    tol: float = 0.0) -> bool:
-    """poly.contains for the one point (x, y), on Python floats: the same
-    cross products against the same limits, so the same answer."""
-    for vx, vy, ex, ey, length in poly.edges:
-        if ex * (y - vy) - ey * (x - vx) < -tol * length:
+def _contains_point(poly: ConvexPolygon, x: float, y: float) -> bool:
+    """poly.contains at tolerance 0 for the one point (x, y), on Python
+    floats: the same cross products, so the same answer."""
+    for vx, vy, ex, ey, _ in poly.edges:
+        if ex * (y - vy) - ey * (x - vx) < 0.0:
             return False
     return True
 
@@ -735,7 +734,10 @@ Density = UniformDensity | GridDensity
 
 @dataclass(frozen=True)
 class PerformanceFunction:
-    """Increasing convex cost of distance, with derivative and Lipschitz data.
+    """Increasing convex cost f of distance, given by its kind: f(r) = r^2
+    for "quadratic", f(r) = r for "linear"; a new cost is a new kind.
+    Equal costs share memo entries. fn, dfn and lipschitz_on give f, f'
+    and a Lipschitz constant of f on [0, upper].
 
     refine splits every quadrature triangle into refine**2 children when
     integrating this cost; a cost kinked at the center, like the linear
@@ -743,33 +745,32 @@ class PerformanceFunction:
     """
 
     kind: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    dfn: Callable[[np.ndarray], np.ndarray]
-    lipschitz_on: Callable[[float], float]
     refine: int = 1
 
-    def validate(self, upper: float, tol: float = 1e-9):
-        """Spot-check monotonicity and convexity on [0, upper]."""
-        xs = np.linspace(0.0, upper, 65)
-        ys = np.asarray(self.fn(xs), dtype=float)
-        scale = float(np.max(np.abs(ys))) + 1.0
-        d1 = np.diff(ys)
-        if np.any(d1 < -tol * scale):
-            raise ValueError("performance function is not increasing")
-        if np.any(np.diff(d1) < -tol * scale):
-            raise ValueError("performance function is not convex")
-        return self
+    def __post_init__(self):
+        if self.kind not in ("quadratic", "linear"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if type(self.refine) is not int or self.refine < 1:
+            raise ValueError(f"refine: need an int >= 1, got {self.refine!r}")
+
+    def fn(self, r):
+        return np.square(r) if self.kind == "quadratic" else \
+            np.asarray(r, dtype=float)
+
+    def dfn(self, r):
+        return 2.0 * r if self.kind == "quadratic" else \
+            np.ones_like(np.asarray(r, dtype=float))
+
+    def lipschitz_on(self, upper: float) -> float:
+        return 2.0 * upper if self.kind == "quadratic" else 1.0
 
 
 def quadratic_performance() -> PerformanceFunction:
-    return PerformanceFunction("quadratic", lambda x: np.square(x),
-                               lambda x: 2.0 * x, lambda upper: 2.0 * upper)
+    return PerformanceFunction("quadratic")
 
 
 def linear_performance() -> PerformanceFunction:
-    return PerformanceFunction("linear", lambda x: np.asarray(x, dtype=float),
-                               lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                               lambda upper: 1.0)
+    return PerformanceFunction("linear")
 
 
 # ---------------------------------------------------------------------------
@@ -825,12 +826,12 @@ def _cost_gradient(quad, d, r, perf: PerformanceFunction) -> np.ndarray:
     """Gradient in p of the one-center cost, from the offsets of p; a point
     coinciding with p contributes zero."""
     _, w, dens = quad
-    scale = np.asarray(perf.dfn(r), dtype=float) / np.maximum(r, 1e-300)
+    scale = perf.dfn(r) / np.maximum(r, 1e-300)
     scale[r < 1e-14] = 0.0
     return np.sum((w * dens)[:, None] * (d * scale[:, None]), axis=0)
 
 
-def integrate(region: Region, density: Density, fn: Callable) -> float:
+def integrate(region: Region, density: Density, fn) -> float:
     """Integral of fn(q) * density(q) over the region, by the degree-6 rule.
 
     fn maps an (n, 2) array of points to n scalar values.
@@ -910,16 +911,13 @@ def centroid(region: Region, density: Density, perf: PerformanceFunction,
     region's diameter. The minimizer of a convex increasing cost lies in the
     region's convex hull, so no iterate needs projecting.
     """
-    if region.is_empty:
-        raise EmptyRegion("centroid of an empty region")
-    start = _mass_centroid(region, density, perf.refine)
+    x = _mass_centroid(region, density, perf.refine)
     if perf.kind == "quadratic":
-        return start
+        return x
     quad = _quadrature(region, density, perf.refine)
     if scale is None:
         scale = diameter(region)
     tol = _DESCENT_TOL * max(scale, 1e-12)
-    x = start
     d, r = _offsets(quad, x)
     fx = _quad_sum(quad, perf.fn(r))
     step = max(scale, 1e-12)

@@ -189,8 +189,8 @@ def fixed_point_residual(partition: Partition, density: Density,
     """
     env = partition.env
     if mode == "adjacent":
-        if delta is None:
-            raise ValueError("adjacent mode needs delta")
+        if delta is None or not delta > 0.0:  # NaN too
+            raise ValueError(f"adjacent mode needs delta > 0, got {delta!r}")
         pairs = pt.adjacency_pairs(partition, delta)
     elif mode == "full":
         pairs = [(i, j) for i in range(partition.n)

@@ -78,7 +78,7 @@ class AdjacentRandom:
     """Uniform over pairs currently within delta of each other."""
 
     def __init__(self, seed: int, delta: float):
-        if delta <= 0.0:
+        if not delta > 0.0:  # NaN too
             raise ValueError("adjacency threshold must be positive")
         self.delta = float(delta)
         self.rng = np.random.default_rng(seed)
@@ -124,7 +124,7 @@ def run_evolution(initial: Partition, density: Density,
     Without delta each step applies the full exchange; with one, the
     distance-limited exchange at that delta. The fixed-point residual is
     evaluated every check_every steps and for the final partition; the
-    run stops once it reaches stop_tol, which defaults to the
+    run stops once it reaches stop_tol (>= 0), which defaults to the
     environment's stop_tol, or when the scheduler returns None. Residual
     entries between evaluations repeat the most recent value. A
     geometry failure inside a step aborts the run with
@@ -187,8 +187,9 @@ def _evolve(initial: Partition, density: Density, perf: PerformanceFunction,
     fixed-point residual. Both runners document the cadence, stop,
     snapshot and failure rules this loop applies.
     """
-    if stop_tol is None:
-        stop_tol = initial.env.stop_tol
+    stop_tol = initial.env.stop_tol if stop_tol is None else stop_tol
+    if not stop_tol >= 0.0:  # NaN too
+        raise ValueError(f"stop_tol must be >= 0, got {stop_tol!r}")
     trace = EvolutionTrace(stop_tol=stop_tol)
     current = initial
     snaps = sorted(set(int(s) for s in snapshot_steps))

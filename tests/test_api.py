@@ -108,7 +108,9 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (gossip, "_exchange_once"),
         # the integrals take values at the quadrature points, not callables
         (geometry, "_cost_integrand"), (geometry, "_gradient_integrand"),
-        (geometry, "_quad_sum_vec")]
+        (geometry, "_quad_sum_vec"),
+        # a cost is its kind: no user-supplied callable to spot-check
+        (geometry.PerformanceFunction, "validate")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,
@@ -121,6 +123,11 @@ def test_region_caches_one_map():
     # hasattr cannot see a default_factory field, so read the fields
     assert [f.name for f in dataclasses.fields(geometry.Region)] == \
         ["pieces", "centroid_cache"]
+
+
+def test_performance_is_a_kind_and_a_refine_level():
+    assert [f.name for f in dataclasses.fields(geometry.PerformanceFunction)] \
+        == ["kind", "refine"]
 
 
 def test_balance_test_lives_beside_the_residual():

@@ -260,6 +260,9 @@ MALFORMED = [
     pytest.param("n: 2", "n: 2\nbudget: true", "budget", id="budget-bool"),
     pytest.param("n: 2", "n: 2\ncheck_every: 1.5", "check_every",
                  id="check-every-fraction"),
+    # no residual reaches a negative tolerance; checked before the run
+    pytest.param("n: 2", "n: 2\nstop_tol: -1\nbudget: 5", "stop_tol",
+                 id="stop-tol-negative"),
     pytest.param("n: 2", "n: 2\nalgorithm: {kind: polar, mode: alternating, "
                  "steps: 2.5, rho0: 1.5}", "algorithm.steps",
                  id="polar-steps-fraction"),
@@ -290,6 +293,8 @@ MALFORMED = [
     # a section given as a scalar is refused, not read as absent
     pytest.param("n: 2", "n: 2\nperformance: linear", "performance",
                  id="performance-scalar"),
+    pytest.param("n: 2", "n: 2\nperformance: {kind: cubic}",
+                 "performance.kind", id="performance-unknown-kind"),
     pytest.param("n: 2", "n: 2\nalgorithm: netsim", "algorithm",
                  id="algorithm-scalar"),
     pytest.param("n: 2", "n: 2\nscheduler: round_robin", "scheduler",

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -533,12 +534,21 @@ def test_linear_centroid_minimizes():
             assert geo.one_center_cost(q, region, dens, perf) >= base - 1e-7
 
 
-def test_performance_validate_rejects_bad():
-    bad = geo.PerformanceFunction(
-        kind="custom", fn=lambda x: -np.asarray(x),
-        dfn=lambda x: -np.ones_like(x), lipschitz_on=lambda d: 1.0)
+@pytest.mark.parametrize("kind, refine", [
+    ("cubic", 1), ("Quadratic", 1), ("linear", 0), ("linear", 2.5),
+    ("quadratic", True), ("linear", -1)])
+def test_performance_refuses_unknown_kind_and_bad_refine(kind, refine):
     with pytest.raises(ValueError):
-        bad.validate(1.0)
+        geo.PerformanceFunction(kind, refine)
+
+
+def test_equal_performances_compare_and_hash_equal():
+    a, b = geo.quadratic_performance(), geo.quadratic_performance()
+    assert a == b and hash(a) == hash(b)
+    assert a != geo.linear_performance()
+    finer = dataclasses.replace(geo.linear_performance(), refine=3)
+    assert finer == geo.PerformanceFunction("linear", 3) != \
+        geo.linear_performance()
 
 
 # ---------------------------------------------------------------------------

@@ -511,6 +511,15 @@ def test_residual_modes_agree_on_adjacent_partition():
     assert adj == pytest.approx(full, rel=1e-9)
 
 
+@pytest.mark.parametrize("delta", [None, 0.0, -0.1, float("nan")])
+def test_adjacent_residual_refuses_a_bad_delta(delta):
+    # no pair is within such a delta: a residual of 0 would claim balance
+    part = strips(pt.rectangle(3.0, 1.0), [0.8, 2.1])
+    with pytest.raises(ValueError):
+        gp.fixed_point_residual(part, DENS, QUAD, mode="adjacent",
+                                delta=delta)
+
+
 def test_residual_matches_direct_symdiff():
     rng = np.random.default_rng(13)
     env = pt.rectangle(2.0, 1.0)

@@ -283,6 +283,21 @@ def test_centroids_fill_whole_entries(monkeypatch):
                 sum(cost for _, cost in entries)
 
 
+def test_equal_costs_share_centroid_entries(monkeypatch):
+    # a cost is its kind and refine level, so a second call with a fresh
+    # but equal cost reads the entries the first call filled
+    env = strip_env()
+    part = pt.voronoi(env, [[0.3, 0.4], [1.1, 0.6], [1.7, 0.2]])
+    calls = []
+    mass_centroid = geo._mass_centroid
+    monkeypatch.setattr(geo, "_mass_centroid",
+                        lambda *a: calls.append(1) or mass_centroid(*a))
+    first = pt.centroids(part, DENS, geo.quadratic_performance())
+    assert len(calls) == part.n
+    again = pt.centroids(part, DENS, geo.quadratic_performance())
+    assert len(calls) == part.n and np.array_equal(again, first)
+
+
 def test_voronoi_cost_not_above_given_partition():
     rng = np.random.default_rng(31)
     env = strip_env()

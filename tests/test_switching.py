@@ -69,8 +69,9 @@ def test_uniform_random_seeded_and_valid():
 
 
 def test_adjacent_random_sees_only_touching_pairs():
-    with pytest.raises(ValueError):
-        sw.AdjacentRandom(seed=0, delta=0.0)
+    for delta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            sw.AdjacentRandom(seed=0, delta=delta)
     part = strip_partition()
     sched = sw.AdjacentRandom(seed=3, delta=1e-6)
     picks = {sched.select(t, part) for t in range(200)}
@@ -104,6 +105,17 @@ def test_run_evolution_partial_map_needs_delta():
         with pytest.raises(ValueError):
             sw.run_evolution(init, DENS, QUAD, sw.RoundRobin(3),
                              delta=delta, budget=10)
+
+
+@pytest.mark.parametrize("stop_tol", [-1.0, -1e-300, math.nan])
+def test_runners_refuse_a_negative_stop_tolerance(stop_tol):
+    # no residual can reach it, so the run could only end on the budget
+    init = three_region_start()
+    with pytest.raises(ValueError, match="stop_tol"):
+        sw.run_evolution(init, DENS, QUAD, sw.RoundRobin(3), budget=10,
+                         stop_tol=stop_tol)
+    with pytest.raises(ValueError, match="stop_tol"):
+        sw.run_lloyd(init, DENS, QUAD, budget=10, stop_tol=stop_tol)
 
 
 def test_run_evolution_stops_when_schedule_runs_out():
