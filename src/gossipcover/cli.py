@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from importlib import resources
 
 import numpy as np
@@ -41,73 +42,144 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config loading
+# config loading and parsing
 
-def _get(cfg: dict, path: str, default=None, required: bool = False):
-    """The value at the dotted path; a null section is absent, and any
-    other section that is not a mapping is a ConfigError naming it."""
-    node = cfg
-    parts = path.split(".")
-    for depth, part in enumerate(parts):
-        if node is not None and not isinstance(node, dict):
-            raise ConfigError(f"{'.'.join(parts[:depth])}: expected a "
-                              f"mapping, got {node!r}")
-        if node is None or part not in node:
-            if required:
-                raise ConfigError(f"{path}: missing required field")
-            return default
-        node = node[part]
-    return node
+# Every key a config may hold, by section ("" is the top level), as (kind,
+# default): _check reads the value as its kind. A section's keys are the
+# union over its kinds, and a kind ignores the keys it does not use.
+KEYS = {
+    "": {"description": ("text", ""), "out": ("text", None),
+         "seed": ("whole", 0), "n": ("count", None),
+         "budget": ("count", 5000), "stop_tol": ("nonneg", None),
+         "check_every": ("count", 5), "snapshots": ("any", None),
+         **dict.fromkeys(("environment", "initial", "density", "performance",
+                          "algorithm", "scheduler"), ("section", None))},
+    "environment": {"rectangle": (["pos", 2], None),
+                    "vertices": ("any", None)},
+    "initial": {"kind": ("any", None), "seed": ("whole", None),
+                "cuts": (["number"], None), "regions": ("any", None)},
+    # a grid's fields are checked within the section, as "density: values"
+    "density": {"kind": ("any", "uniform"), "value": ("pos", 1.0),
+                "extent": ("any", None), "values": ("any", None)},
+    "performance": {"kind": ("any", "quadratic")},
+    "algorithm": {"kind": ("any", "gossip"), "delta": ("pos", None),
+                  "horizon_legs": ("pos", 500.0),
+                  "speeds": (["number"], None), "comm_radius": ("pos", None),
+                  "comm_rate": ("pos", None), "waypoint_margin": ("pos", None),
+                  "time_step": ("number", None), "mode": ("any", None),
+                  "steps": ("count", None), "rho0": ("pos", None),
+                  "theta0": ("number", 0.0), "levels": ("count", 12)},
+    "scheduler": {"kind": ("any", "adjacent_random"), "delta": ("pos", 1e-9),
+                  "sequence": ([["whole", 2]], None)},
+}
+# the parsed settings: read-only, one field per key of their section;
+# environment, density and performance parse to the library's objects,
+# and start is the initial partition, None for polar and comb runs
+Settings = namedtuple("Settings", [*KEYS[""], "start"])
+Initial = namedtuple("Initial", KEYS["initial"])
+Algorithm = namedtuple("Algorithm", KEYS["algorithm"])
+Scheduler = namedtuple("Scheduler", KEYS["scheduler"])
+# the algorithm keys netsim passes to NetConfig, which owns their defaults
+_NET_KEYS = ("speeds", "comm_radius", "comm_rate", "waypoint_margin",
+             "delta", "time_step")
 
 
-def _number(cfg, path, default=None, required=False, positive=False):
-    val = _get(cfg, path, default, required)
-    return None if val is None else _checked(val, path, positive)
-
-
-def _numbers(cfg, path, default=None, required=False, positive=False,
-             length=None):
-    """The list at path with each entry checked as _number checks one;
-    length, when given, is the entry count it must have."""
-    val = _get(cfg, path, default, required)
-    if val is None:
-        return None
-    if not isinstance(val, list) or length not in (None, len(val)):
-        raise ConfigError(f"{path}: expected {length or 'a list of'} numbers, "
-                          f"got {val!r}")
-    return [_checked(x, f"{path}[{k}]", positive) for k, x in enumerate(val)]
-
-
-def _checked(val, path, positive) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {val!r}")
+def _check(val, path: str, kind):
+    """val read as a KEYS kind, or a ConfigError on path. A list kind
+    [k] takes a list of k, and [k, m] exactly m of them, as a tuple."""
+    if isinstance(kind, list):
+        each, *size = kind
+        if not isinstance(val, list) or size not in ([], [len(val)]):
+            count = size[0] if size else "a list of"
+            what = "lists" if isinstance(each, list) else "numbers"
+            raise ConfigError(f"{path}: expected {count} {what}, got {val!r}")
+        return tuple(_check(x, f"{path}[{k}]", each)
+                     for k, x in enumerate(val))
+    if kind == "any" or kind == "text" and isinstance(val, str) and \
+            "\n" not in val:  # a summary line holds it
+        return val
+    if kind == "text":
+        raise ConfigError(f"{path}: expected one line of text, got {val!r}")
+    # a count is a whole number > 0; whole and nonneg take 0 too
+    whole, nonneg = kind in ("count", "whole"), kind in ("whole", "nonneg")
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or \
+            whole and isinstance(val, float) and not val.is_integer() or \
+            nonneg and val < 0:
+        raise ConfigError(f"{path}: expected a {'whole ' * whole}number"
+                          f"{' >= 0' * nonneg}, got {val!r}")
     # false for NaN, infinities and ints beyond the largest float
     if not abs(val) <= sys.float_info.max:
         raise ConfigError(f"{path}: expected a finite number, got {val!r}")
-    if positive and val <= 0:
+    if kind in ("pos", "count") and val <= 0:
         raise ConfigError(f"{path}: must be positive")
-    return float(val)
+    return int(val) if whole else float(val) + 0.0  # -0.0 becomes 0.0
 
 
-def _count(cfg, path, default=None, required=False):
-    """The positive whole number at path as an int; a bool or a
-    fraction is a ConfigError on path, not a count."""
-    val = _get(cfg, path, default, required)
+def _section(cfg: dict, name: str) -> dict:
+    """Every key of the section: its checked value, else its default. A
+    null section or value is absent, and an unknown key is refused."""
+    node = cfg.get(name) if name else cfg
+    if node is None:
+        node = {}
+    if not isinstance(node, dict):
+        raise ConfigError(f"{name}: expected a mapping, got {node!r}")
+    known, prefix = KEYS[name], f"{name}." if name else ""
+    for key in node:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: unknown key (known: "
+                              f"{', '.join(known)})")
+    return {key: default if node.get(key) is None or kind == "section"
+            else _check(node[key], prefix + key, kind)
+            for key, (kind, default) in known.items()}
+
+
+def _need(val, path: str):
+    """The value of a required key, which an absent one leaves None."""
     if val is None:
-        return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or \
-            isinstance(val, float) and not val.is_integer():
-        raise ConfigError(f"{path}: expected a whole number, got {val!r}")
-    if val <= 0:
-        raise ConfigError(f"{path}: must be positive")
-    return int(val)
-
-
-def _seed(val, path) -> int:
-    if isinstance(val, bool) or not isinstance(val, int) or val < 0:
-        raise ConfigError(f"{path}: expected a non-negative integer, "
-                          f"got {val!r}")
+        raise ConfigError(f"{path}: missing required field")
     return val
+
+
+def parse(cfg: dict, seed=None, snapshots=None, out=None) -> Settings:
+    """The settings of a config from load_config. seed, snapshots and out
+    are the --seed, --snapshots (its text) and --out flags: given, they
+    replace the config's values, and seed and snapshots are checked
+    before any section. Snapshot times are whole steps for a stepwise
+    run and legs for netsim; polar and comb runs take none."""
+    node = cfg.get("algorithm")
+    kind = (node if isinstance(node, dict) else {}).get("kind", "gossip")
+    if seed is not None:
+        _check(seed, "--seed", "whole")
+    where, times = "snapshots", cfg.get("snapshots")
+    if snapshots is not None:
+        try:
+            where, times = "--snapshots", [
+                float(tok) for tok in snapshots.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"--snapshots: {exc}") from exc
+    if kind in ("polar", "comb") and times is not None:
+        raise ConfigError(f"{where}: {kind} runs take no snapshots")
+    snapshots = _check([] if times is None else times, where,
+                       ["nonneg" if kind == "netsim" else "whole"])
+    sec = {name: _section(cfg, name) for name in KEYS}
+    top = sec[""]
+    top.update(snapshots=snapshots, out=out or top["out"],
+               seed=top["seed"] if seed is None else seed)
+    if kind not in ("polar", "comb"):  # the runs that draw a partition
+        env = top["environment"] = _environment(sec["environment"])
+        top["initial"], start = _initial(sec["initial"], env, top["n"],
+                                         top["seed"])
+        top.update(start=start, n=start.n)
+        top["density"] = _density(sec["density"])
+        try:
+            top["performance"] = geo.PerformanceFunction(**sec["performance"])
+        except ValueError as exc:
+            raise ConfigError(f"performance.kind: {exc}") from exc
+        top["scheduler"] = Scheduler(**sec["scheduler"])
+        build_scheduler(top["scheduler"], top["n"], top["seed"])
+    top["algorithm"] = _algorithm(sec["algorithm"], top["environment"],
+                                  top["n"], top["seed"])
+    return Settings(**{"start": None, **top})
 
 
 def preset_names() -> list:
@@ -139,49 +211,28 @@ def load_config(path_or_name: str) -> dict:
 # ---------------------------------------------------------------------------
 # building blocks from config sections
 
-def build_environment(cfg: dict) -> Environment:
-    rect = _numbers(cfg, "environment.rectangle", positive=True, length=2)
-    verts = _get(cfg, "environment.vertices")
-    if rect is not None:
-        return pt.rectangle(*rect)
-    if verts is not None:
+def _environment(sec: dict) -> Environment:
+    if sec["rectangle"] is not None:
+        return pt.rectangle(*sec["rectangle"])
+    if sec["vertices"] is not None:
         try:
-            return pt.environment(verts)
+            return pt.environment(sec["vertices"])
         except (ValueError, geo.GeometryError) as exc:
             raise ConfigError(f"environment.vertices: {exc}") from exc
     raise ConfigError("environment: needs rectangle or vertices")
 
 
-def build_density(cfg: dict):
-    kind = _get(cfg, "density.kind", "uniform")
-    if kind == "uniform":
-        return geo.UniformDensity(_number(cfg, "density.value", 1.0,
-                                          positive=True))
-    if kind == "grid":
-        # every grid error names its field within the density section
-        grid = cfg["density"]
+def _density(sec: dict):
+    if sec["kind"] == "uniform":
+        return geo.UniformDensity(sec["value"])
+    if sec["kind"] == "grid":
         try:
-            extent = _numbers(grid, "extent", required=True, length=4)
-            rows = _get(grid, "values", required=True)
-            if not (isinstance(rows, list)
-                    and all(isinstance(row, list) for row in rows)):
-                raise ConfigError(f"values: expected a list of rows, "
-                                  f"got {rows!r}")
-            values = [[_checked(x, f"values[{r}][{c}]", True)
-                       for c, x in enumerate(row)]
-                      for r, row in enumerate(rows)]
+            extent = _check(sec["extent"], "extent", ["number", 4])
+            values = _check(sec["values"], "values", [["pos"]])
             return geo.GridDensity(*extent, values)
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"density: {exc}") from exc
-    raise ConfigError(f"density.kind: unknown kind {kind!r}")
-
-
-def build_performance(cfg: dict):
-    kind = _get(cfg, "performance.kind", "quadratic")
-    try:
-        return geo.PerformanceFunction(kind)
-    except ValueError as exc:
-        raise ConfigError(f"performance.kind: {exc}") from exc
+    raise ConfigError(f"density.kind: unknown kind {sec['kind']!r}")
 
 
 def strip_partition(env: Environment, cuts) -> Partition:
@@ -229,68 +280,89 @@ def random_generators(env: Environment, n: int, seed: int) -> np.ndarray:
     return np.array(out)
 
 
-def build_initial(cfg: dict, env: Environment, seed: int) -> Partition:
-    kind = _get(cfg, "initial.kind", required=True)
-    n = _count(cfg, "n", required=kind == "random_voronoi")
-    init_seed = _seed(_get(cfg, "initial.seed", seed), "initial.seed")
-    if kind == "random_voronoi":
-        return pt.voronoi(env, random_generators(env, n, init_seed))
-    if kind == "strips":
-        part = strip_partition(env, _numbers(cfg, "initial.cuts",
-                                             required=True))
-        if n is not None and part.n != n:
-            raise ConfigError(f"initial.cuts: {part.n} strips but n={n}")
-        return part
-    if kind == "pieces":
-        entries = _get(cfg, "initial.regions", required=True)
+def _initial(sec: dict, env: Environment, n, seed: int) -> tuple:
+    """The start's settings and the partition they draw; n, when given,
+    must be its region count."""
+    init = Initial(**{**sec, "seed": seed if sec["seed"] is None
+                      else sec["seed"]})
+    if _need(init.kind, "initial.kind") == "random_voronoi":
+        generators = random_generators(env, _need(n, "n"), init.seed)
+        return init, pt.voronoi(env, generators)
+    if init.kind == "strips":
+        start = strip_partition(env, _need(init.cuts, "initial.cuts"))
+        where, what = "initial.cuts", "strips"
+    elif init.kind == "pieces":
         try:
-            regions = tuple(geo.region_of(*rings) for rings in entries)
-            return Partition(env, regions).validate()
+            regions = tuple(geo.region_of(*rings) for rings in
+                            _need(init.regions, "initial.regions"))
+            start = Partition(env, regions).validate()
         except (TypeError, ValueError, geo.GeometryError) as exc:
             raise ConfigError(f"initial.regions: {exc}") from exc
-    raise ConfigError(f"initial.kind: unknown kind {kind!r}")
+        init = init._replace(regions=regions)
+        where, what = "initial.regions", "regions"
+    else:
+        raise ConfigError(f"initial.kind: unknown kind {init.kind!r}")
+    if n is not None and start.n != n:
+        raise ConfigError(f"{where}: {start.n} {what} but n={n}")
+    return init, start
 
 
-def build_scheduler(cfg: dict, n: int, seed: int):
-    kind = _get(cfg, "scheduler.kind", "adjacent_random")
-    if kind == "round_robin":
+def build_scheduler(sched: Scheduler, n: int, seed: int):
+    """A fresh pair scheduler: each run draws its own pairs."""
+    if sched.kind == "round_robin":
         return sw.RoundRobin(n)
-    if kind == "uniform_random":
+    if sched.kind == "uniform_random":
         return sw.UniformRandom(n, seed)
-    if kind == "adjacent_random":
-        delta = _number(cfg, "scheduler.delta", 1e-9, positive=True)
-        return sw.AdjacentRandom(seed=seed, delta=delta)
-    if kind == "periodic":
-        seq = _get(cfg, "scheduler.sequence", required=True)
+    if sched.kind == "adjacent_random":
+        return sw.AdjacentRandom(seed=seed, delta=sched.delta)
+    if sched.kind == "periodic":
         try:
-            sched = sw.Periodic(seq)
-        except (TypeError, ValueError) as exc:
+            periodic = sw.Periodic(_need(sched.sequence,
+                                         "scheduler.sequence"))
+        except ValueError as exc:
             raise ConfigError(f"scheduler.sequence: {exc}") from exc
-        for pair in sched.sequence:
-            if not (len(pair) == 2 and all(type(k) is int for k in pair)
-                    and 0 <= pair[0] < pair[1] < n):
-                raise ConfigError(f"scheduler.sequence: {list(pair)} is not "
+        for i, j in periodic.sequence:
+            if not i < j < n:
+                raise ConfigError(f"scheduler.sequence: {[i, j]} is not "
                                   f"two distinct region indices below {n}")
-        return sched
-    raise ConfigError(f"scheduler.kind: unknown kind {kind!r}")
+        return periodic
+    raise ConfigError(f"scheduler.kind: unknown kind {sched.kind!r}")
 
 
-def _nonnegative(val, path, whole=False) -> float:
-    """A finite number >= 0, and a whole number when whole."""
-    t = _checked(val, path, False)
-    if t < 0 or whole and not t.is_integer():
-        kind = "whole number" if whole else "number"
-        raise ConfigError(f"{path}: expected a {kind} >= 0, got {val!r}")
-    return t + 0.0  # -0.0 becomes 0.0
-
-
-def parse_snapshot_list(text: str) -> list:
+def _partial_delta(env: Environment, delta, where: str) -> float:
+    """The distance-limited exchange's delta checked against env; a
+    rejected one is a ConfigError on the `where` field."""
     try:
-        times = [float(tok) for tok in text.split(",") if tok.strip()]
+        return gp.check_delta(env, _need(delta, "algorithm.delta"))
     except ValueError as exc:
-        raise ConfigError(f"--snapshots: {exc}") from exc
-    return [_nonnegative(t, f"--snapshots[{k}]")
-            for k, t in enumerate(times)]
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _algorithm(sec: dict, env, n, seed: int) -> Algorithm:
+    """The algorithm section; a netsim one takes NetConfig's defaults."""
+    algo, choices = Algorithm(**sec), sorted(_RUNNERS)
+    if algo.kind not in choices:  # a list, not a dict: any value compares
+        raise ConfigError(f"algorithm.kind: unknown kind {algo.kind!r} "
+                          f"(choices: {', '.join(choices)})")
+    if algo.kind == "partial":
+        _partial_delta(env, algo.delta, "algorithm")
+    if algo.kind == "netsim":
+        given = {"speeds": (1.0,) * n,
+                 **{k: sec[k] for k in _NET_KEYS if sec[k] is not None}}
+        try:
+            net = ns.NetConfig(seed=seed, **given)
+            ns.check_fleet(net, n)
+        except ValueError as exc:
+            raise ConfigError(f"algorithm: {exc}") from exc
+        algo = algo._replace(**{k: getattr(net, k) for k in _NET_KEYS})
+    if algo.kind == "polar":
+        for key in ("mode", "steps", "rho0"):
+            _need(getattr(algo, key), f"algorithm.{key}")
+        if algo.mode not in sw.POLAR_MODES:
+            raise ConfigError(f"algorithm.mode: unknown mode {algo.mode!r}")
+    if algo.levels > dy.MAX_LEVEL:
+        raise ConfigError(f"algorithm.levels: above limit {dy.MAX_LEVEL}")
+    return algo
 
 
 # ---------------------------------------------------------------------------
@@ -333,85 +405,50 @@ def _trace_minima(trace: sw.EvolutionTrace) -> dict:
     }
 
 
-def write_summary(path: str, entries: dict):
-    with open(path, "w") as f:
-        for k, v in entries.items():
+def _echo(section, path: str):
+    """(path.<key>, value) for every key of a settings section, the
+    sections within it expanded in turn."""
+    for key, val in section._asdict().items():
+        if key == "start":  # drawn from the initial settings
+            continue
+        if isinstance(val, (Initial, Algorithm, Scheduler)):
+            yield from _echo(val, f"{path}.{key}")
+        else:
+            yield f"{path}.{key}", val
+
+
+def write_summary(out_dir: str, entries: dict, s: Settings):
+    """summary.txt: the run's entries, then one config.<path> line per
+    setting it ran with, defaults included."""
+    with open(os.path.join(out_dir, "summary.txt"), "w") as f:
+        for k, v in [*entries.items(), *_echo(s, "config")]:
             f.write(f"{k} {v}\n")
 
 
 # ---------------------------------------------------------------------------
 # run modes
 
-def _build_start(cfg: dict, seed: int) -> tuple:
-    """The config's (density, performance, initial partition)."""
-    env = build_environment(cfg)
-    return build_density(cfg), build_performance(cfg), \
-        build_initial(cfg, env, seed)
-
-
-def _snapshots(cfg: dict, args, whole: bool) -> list:
-    """The times of --snapshots, else of the config's snapshots, each
-    checked by _nonnegative; whole for a stepwise run."""
-    if args.snapshot_list is not None:
-        where, times = "--snapshots", args.snapshot_list
-    else:
-        where, times = "snapshots", _numbers(cfg, "snapshots", [])
-    return [_nonnegative(t, f"{where}[{k}]", whole)
-            for k, t in enumerate(times)]
-
-
-def _no_snapshots(cfg: dict, args, algo: str):
-    """Refuse snapshots to a run that has no partition to draw."""
-    for where, times in (("--snapshots", args.snapshot_list),
-                         ("snapshots", _get(cfg, "snapshots"))):
-        if times is not None:
-            raise ConfigError(f"{where}: {algo} runs take no snapshots")
-
-
-def _partial_delta(cfg: dict, delta, env: Environment, where: str) -> float:
-    """The distance-limited exchange's delta, given or else the config's
-    algorithm.delta, checked against env; a rejected one becomes a
-    ConfigError on the `where` field."""
-    if delta is None:
-        delta = _number(cfg, "algorithm.delta", required=True, positive=True)
-    try:
-        return gp.check_delta(env, delta)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _run_stepwise(cfg: dict, algo: str, delta, start: tuple, seed: int,
-                  log, where: str, snapshot_steps) -> tuple:
-    """Run a stepwise algorithm ("gossip", "partial" or "lloyd") from
-    start with the config's budget, stop_tol, check_every and scheduler;
-    for "partial", delta, when given, replaces algorithm.delta.
-
-    Returns the trace and its exit code. A rejected setting becomes a
-    ConfigError on the `where` field.
-    """
-    density, perf, initial = start
-    budget = _count(cfg, "budget", 5000)
-    stop_tol = _get(cfg, "stop_tol")
-    stop_tol = None if stop_tol is None else _nonnegative(stop_tol, "stop_tol")
-    check_every = _count(cfg, "check_every", 5)
+def _run_stepwise(s: Settings, algo: str, delta, log, snapshot_steps):
+    """Run a stepwise algorithm ("gossip", "partial" or "lloyd") from the
+    settings' start with their budget, stop_tol, check_every and
+    scheduler; partial trades within delta. Returns the trace and its
+    exit code."""
+    density, perf = s.density, s.performance
     try:
         if algo == "lloyd":
-            trace = sw.run_lloyd(initial, density, perf, budget=budget,
-                                 stop_tol=stop_tol,
+            trace = sw.run_lloyd(s.start, density, perf, budget=s.budget,
+                                 stop_tol=s.stop_tol,
                                  snapshot_steps=snapshot_steps)
         else:
-            delta = _partial_delta(cfg, delta, initial.env, where) \
-                if algo == "partial" else None
-            scheduler = build_scheduler(cfg, initial.n, seed)
+            scheduler = build_scheduler(s.scheduler, s.n, s.seed)
             trace = sw.run_evolution(
-                initial, density, perf, scheduler, delta=delta,
-                budget=budget, stop_tol=stop_tol, check_every=check_every,
+                s.start, density, perf, scheduler,
+                delta=delta if algo == "partial" else None, budget=s.budget,
+                stop_tol=s.stop_tol, check_every=s.check_every,
                 snapshot_steps=snapshot_steps)
     except DegenerateEvolution as exc:
         log(f"degenerate evolution at step {exc.step}: {exc}")
         return exc.trace, EXIT_DEGENERATE
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
     return trace, EXIT_BUDGET if trace.termination == "step_budget" \
         else EXIT_OK
 
@@ -424,66 +461,48 @@ def _worst(codes) -> int:
     return EXIT_OK
 
 
-def _run_pairwise(cfg, args, out_dir, seed, log) -> int:
-    start = _build_start(cfg, seed)
-    density, perf, _ = start
-    algo = _get(cfg, "algorithm.kind", "gossip")
-    snaps = [int(s) for s in _snapshots(cfg, args, whole=True)]
-
+def _run_pairwise(s: Settings, out_dir: str, log) -> int:
+    algo = s.algorithm.kind
     started = time.perf_counter()
-    trace, code = _run_stepwise(cfg, algo, None, start, seed, log,
-                                "algorithm", snaps)
+    trace, code = _run_stepwise(s, algo, s.algorithm.delta, log,
+                                s.snapshots)
     wall = time.perf_counter() - started
 
     _ensure_out(out_dir)
     sw.write_trace(trace, os.path.join(out_dir, "trace.txt"))
     write_h_csv(trace, os.path.join(out_dir, "h_series.csv"))
-    write_snapshots(trace.snapshots, out_dir, density, perf, log)
+    write_snapshots(trace.snapshots, out_dir, s.density, s.performance, log)
     entries = {
-        "algorithm": algo, "seed": seed, "steps": len(trace.steps),
+        "algorithm": algo, "seed": s.seed, "steps": len(trace.steps),
         "termination": trace.termination,
         "converged": trace.termination == "converged",
         "final_residual": repr(trace.final_residual),
         "stop_tol": repr(trace.stop_tol), "wall_time": f"{wall:.3f}",
     }
     entries.update(_trace_minima(trace))
-    write_summary(os.path.join(out_dir, "summary.txt"), entries)
+    write_summary(out_dir, entries, s)
     log(f"{algo}: {trace.termination} after {len(trace.steps)} steps, "
         f"residual {trace.final_residual:.3e}, {wall:.1f}s")
     return code
 
 
-def _run_netsim(cfg, args, out_dir, seed, log) -> int:
-    density, perf, initial = _build_start(cfg, seed)
-    env = initial.env
-    speeds = tuple(_numbers(cfg, "algorithm.speeds", [1.0] * initial.n))
-    # NetConfig owns the defaults: pass only the fields the config sets
-    given = {name: _number(cfg, f"algorithm.{name}", positive=True)
-             for name in ("comm_radius", "comm_rate", "waypoint_margin",
-                          "delta")}
-    given["time_step"] = _number(cfg, "algorithm.time_step")
-    try:
-        config = ns.NetConfig(
-            speeds=speeds, seed=seed,
-            **{k: v for k, v in given.items() if v is not None})
-    except ValueError as exc:
-        raise ConfigError(f"algorithm: {exc}") from exc
-    horizon_legs = _number(cfg, "algorithm.horizon_legs", 500.0, positive=True)
+def _run_netsim(s: Settings, out_dir: str, log) -> int:
+    density, perf, initial = s.density, s.performance, s.start
+    config = ns.NetConfig(seed=s.seed, **{k: getattr(s.algorithm, k)
+                                          for k in _NET_KEYS})
+    env, horizon_legs = initial.env, s.algorithm.horizon_legs
     leg = ns.leg_time(env, config)
-    snaps = _snapshots(cfg, args, whole=False)
 
     started = time.perf_counter()
     code = EXIT_OK
     try:
         trace = ns.simulate(config, initial, density, perf,
                             horizon_legs * leg,
-                            snapshot_times=[s * leg for s in snaps])
+                            snapshot_times=[t * leg for t in s.snapshots])
     except DegenerateEvolution as exc:
         trace = exc.trace
         code = EXIT_DEGENERATE
         log(f"degenerate evolution: {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"algorithm: {exc}") from exc
     wall = time.perf_counter() - started
 
     _ensure_out(out_dir)
@@ -504,16 +523,17 @@ def _run_netsim(cfg, args, out_dir, seed, log) -> int:
     stats = ns.analyze_log(trace.events, trace.elapsed or horizon_legs * leg,
                            5.0 * leg, pt.adjacency_pairs(initial, config.delta))
     entries = {
-        "algorithm": "netsim", "seed": seed, "leg_time": repr(leg),
+        "algorithm": "netsim", "seed": s.seed, "leg_time": repr(leg),
         "events": len(trace.events), "effective_trades": changed,
         "termination": trace.termination, "mixed_centroidal": mixed,
         "wall_time": f"{wall:.3f}",
     }
-    for pair, s in sorted(stats.items()):
+    for pair, st in sorted(stats.items()):
         entries[f"pair_{pair[0]}_{pair[1]}"] = (
-            f"count {s['count']} max_gap {s['max_gap']:.3f} "
-            f"hit_p {s['p']:.3f} ci [{s['ci_low']:.3f}, {s['ci_high']:.3f}]")
-    write_summary(os.path.join(out_dir, "summary.txt"), entries)
+            f"count {st['count']} max_gap {st['max_gap']:.3f} "
+            f"hit_p {st['p']:.3f} "
+            f"ci [{st['ci_low']:.3f}, {st['ci_high']:.3f}]")
+    write_summary(out_dir, entries, s)
     log(f"netsim: {len(trace.events)} contacts ({changed} effective), "
         f"mixed centroidal: {mixed}, {wall:.1f}s")
     return code
@@ -522,16 +542,9 @@ def _run_netsim(cfg, args, out_dir, seed, log) -> int:
 NEAR_CIRCLE_BAND = 0.05
 
 
-def _run_polar(cfg, args, out_dir, seed, log) -> int:
-    _no_snapshots(cfg, args, "polar")
-    mode = _get(cfg, "algorithm.mode", required=True)
-    steps = _count(cfg, "algorithm.steps", required=True)
-    rho0 = _number(cfg, "algorithm.rho0", required=True, positive=True)
-    theta0 = _number(cfg, "algorithm.theta0", 0.0)
-    try:
-        trace = sw.run_polar(mode, steps, rho0, theta0)
-    except ValueError as exc:
-        raise ConfigError(f"algorithm.mode: {exc}") from exc
+def _run_polar(s: Settings, out_dir: str, log) -> int:
+    a = s.algorithm
+    trace = sw.run_polar(a.mode, a.steps, a.rho0, a.theta0)
     _ensure_out(out_dir)
     with open(os.path.join(out_dir, "polar_trace.csv"), "w") as f:
         f.write("t,rho,theta,map\n")
@@ -542,23 +555,20 @@ def _run_polar(cfg, args, out_dir, seed, log) -> int:
     near = trace.states[np.abs(trace.states[:, 0] - 1.0) <= NEAR_CIRCLE_BAND]
     spread = sw.circular_spread(near[:, 1]) if len(near) else 0.0
     entries = {
-        "algorithm": "polar", "mode": mode, "steps": steps,
+        "algorithm": "polar", "mode": a.mode, "steps": a.steps,
         "final_rho": repr(float(rho_f)), "final_theta": repr(float(theta_f)),
         "limit_set_distance": repr(
             sw.distance_to_polar_limit_set(float(rho_f), float(theta_f))),
         "near_circle_angle_spread": repr(float(spread)),
     }
-    write_summary(os.path.join(out_dir, "summary.txt"), entries)
-    log(f"polar {mode}: final radius {rho_f:.4f}, "
+    write_summary(out_dir, entries, s)
+    log(f"polar {a.mode}: final radius {rho_f:.4f}, "
         f"near-circle angle spread {spread:.4f}")
     return EXIT_OK
 
 
-def _run_comb(cfg, args, out_dir, seed, log) -> int:
-    _no_snapshots(cfg, args, "comb")
-    levels = _count(cfg, "algorithm.levels", 12)
-    if levels > dy.MAX_LEVEL:
-        raise ConfigError(f"algorithm.levels: above limit {dy.MAX_LEVEL}")
+def _run_comb(s: Settings, out_dir: str, log) -> int:
+    levels = s.algorithm.levels
     _ensure_out(out_dir)
     with open(os.path.join(out_dir, "comb_table.csv"), "w") as f:
         f.write("t,left_measure,left_cost_at_zero,pair_cost,"
@@ -569,8 +579,7 @@ def _run_comb(cfg, args, out_dir, seed, log) -> int:
                     f"{rec.pair_cost},{rec.hausdorff_to_full},"
                     f"{rec.symdiff_to_full}\n")
     log(f"comb family table for t=0..{levels} written")
-    write_summary(os.path.join(out_dir, "summary.txt"),
-                  {"algorithm": "comb", "levels": levels})
+    write_summary(out_dir, {"algorithm": "comb", "levels": levels}, s)
     return EXIT_OK
 
 
@@ -579,31 +588,24 @@ _RUNNERS = {"gossip": _run_pairwise, "partial": _run_pairwise,
             "polar": _run_polar, "comb": _run_comb}
 
 
-def run_once(cfg: dict, args, out_dir: str, seed: int, log) -> int:
-    algo = _get(cfg, "algorithm.kind", "gossip")
-    if algo not in _RUNNERS:
-        raise ConfigError(f"algorithm.kind: unknown kind {algo!r} "
-                          f"(choices: {', '.join(sorted(_RUNNERS))})")
-    return _RUNNERS[algo](cfg, args, out_dir, seed, log)
-
-
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    seed = _seed(args.seed, "--seed") if args.seed is not None else \
-        _seed(_get(cfg, "seed", 0), "seed")
-    out_dir = args.out or _get(cfg, "out", "runs/out")
-    if args.batch is not None:
-        if args.batch < 1:
-            raise ConfigError("batch: needs at least one run")
-        seeds = list(range(seed, seed + args.batch))
-        codes = {}
-        for s in seeds:
-            codes[s] = run_once(cfg, args, os.path.join(out_dir, f"seed-{s}"),
-                                s, lambda msg: print(f"[seed {s}] {msg}"))
-        for s in seeds:
-            print(f"seed {s}: exit {codes[s]}")
-        return _worst(codes.values())
-    return run_once(cfg, args, out_dir, seed, print)
+    s = parse(cfg, args.seed, args.snapshots, args.out)
+    out_dir = s.out or "runs/out"
+    if args.batch is None:
+        return _RUNNERS[s.algorithm.kind](s, out_dir, print)
+    if args.batch < 1:
+        raise ConfigError("batch: needs at least one run")
+    codes = {}
+    for k in range(s.seed, s.seed + args.batch):
+        # each run's own settings, its seed's draws included
+        codes[k] = _RUNNERS[s.algorithm.kind](
+            parse(cfg, k, args.snapshots, args.out),
+            os.path.join(out_dir, f"seed-{k}"),
+            lambda msg: print(f"[seed {k}] {msg}"))
+    for k, code in codes.items():
+        print(f"seed {k}: exit {code}")
+    return _worst(codes.values())
 
 
 def _algo_list(text: str):
@@ -630,23 +632,26 @@ def _algo_list(text: str):
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    seed = _seed(args.seed, "--seed") if args.seed is not None else \
-        _seed(_get(cfg, "seed", 0), "seed")
-    out_dir = args.out or _get(cfg, "out", "runs/compare")
     algos = _algo_list(args.algos)
-    start = _build_start(cfg, seed)
-    for name, param in algos:  # every delta, before the first run
+    s = parse(load_config(args.config), args.seed, out=args.out)
+    if s.start is None:
+        raise ConfigError(f"algorithm.kind: {s.algorithm.kind} runs draw no "
+                          f"partition to compare from")
+    out_dir = s.out or "runs/compare"
+    # partial:<delta> replaces algorithm.delta; every delta is checked
+    # before the first run
+    deltas = [s.algorithm.delta if param is None else param
+              for _, param in algos]
+    for (name, _), delta in zip(algos, deltas):
         if name == "partial":
-            _partial_delta(cfg, param, start[2].env, "algos")
+            _partial_delta(s.environment, delta, "algos")
 
     series = {}
     codes = []
-    for name, param in algos:
+    for (name, param), delta in zip(algos, deltas):
         label = name if param is None else f"{name}_{param:g}"
-        trace, code = _run_stepwise(cfg, name, param, start, seed,
-                                    lambda msg: print(f"{label}: {msg}"),
-                                    "algos", ())
+        trace, code = _run_stepwise(s, name, delta,
+                                    lambda msg: print(f"{label}: {msg}"), ())
         series[label] = trace
         codes.append(code)
         print(f"{label}: {trace.termination} after {len(trace.steps)} steps, "
@@ -663,21 +668,19 @@ def cmd_compare(args) -> int:
                 steps = series[m].steps
                 row.append(repr(steps[t].h) if t < len(steps) else "")
             f.write(",".join(row) + "\n")
-    entries = {"seed": seed,
-               "budget": _count(cfg, "budget", 5000)}
+    entries = {"seed": s.seed, "budget": s.budget}
     for m in labels:
         tr = series[m]
         entries[m] = (f"termination {tr.termination} steps {len(tr.steps)} "
                       f"residual {tr.final_residual!r}")
-    write_summary(os.path.join(out_dir, "summary.txt"), entries)
+    write_summary(out_dir, entries, s)
     return _worst(codes)
 
 
 def cmd_presets(args) -> int:
     for name in preset_names():
-        cfg = load_config(name)
-        kind = _get(cfg, "algorithm.kind", "gossip")
-        print(f"{name}: {kind} — {_get(cfg, 'description', '')}")
+        s = parse(load_config(name))
+        print(f"{name}: {s.algorithm.kind} — {s.description}")
     return EXIT_OK
 
 
@@ -717,14 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "snapshots", None) is not None:
-        try:
-            args.snapshot_list = parse_snapshot_list(args.snapshots)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        args.snapshot_list = None
     try:
         return args.fn(args)
     except ConfigError as exc:

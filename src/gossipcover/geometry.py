@@ -678,44 +678,64 @@ def diameter(obj) -> float:
 # ---------------------------------------------------------------------------
 # densities and performance functions
 
+@dataclass(frozen=True)
 class UniformDensity:
-    """Constant positive density."""
+    """Constant positive density; equal densities share memo entries."""
 
-    def __init__(self, value: float = 1.0):
-        if not np.isfinite(value):
+    value: float = 1.0
+
+    def __post_init__(self):
+        if not np.isfinite(self.value):
             raise ValueError("density must be finite")
-        if value <= 0.0:
+        if self.value <= 0.0:
             raise ValueError("density must be positive")
-        self.value = float(value)
-        self.sup_norm = float(value)
+        object.__setattr__(self, "value", float(self.value))
+
+    @property
+    def sup_norm(self) -> float:
+        return self.value
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.full(len(pts), self.value)
 
 
+@dataclass(frozen=True)
 class GridDensity:
-    """Bilinear interpolation of positive samples on a regular grid."""
+    """Bilinear interpolation of positive samples on a regular grid over
+    [x0, x1] x [y0, y1]; values keeps the sample rows as a tuple."""
 
-    def __init__(self, x0, y0, x1, y1, values):
-        vals = np.asarray(values, dtype=float)
+    x0: float
+    y0: float
+    x1: float
+    y1: float
+    values: tuple
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] < 2 or vals.shape[1] < 2:
             raise ValueError("grid needs at least 2x2 samples")
         if not np.all(np.isfinite(vals)):
             raise ValueError("density samples must be finite")
         if np.any(vals <= 0.0):
             raise ValueError("density samples must be positive")
-        if not np.all(np.isfinite([x0, y0, x1, y1])):
+        if not np.all(np.isfinite([self.x0, self.y0, self.x1, self.y1])):
             raise ValueError("grid extent must be finite")
-        if not (x1 > x0 and y1 > y0):
+        if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("empty grid extent")
-        self.x0, self.y0, self.x1, self.y1 = map(float, (x0, y0, x1, y1))
-        self.values = vals
-        self.sup_norm = float(vals.max())
+        object.__setattr__(self, "values", tuple(map(tuple, vals.tolist())))
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return np.array(self.values)
+
+    @property
+    def sup_norm(self) -> float:
+        return max(map(max, self.values))
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ny, nx = self.values.shape
+        ny, nx = self.grid.shape
         fx = (pts[:, 0] - self.x0) / (self.x1 - self.x0) * (nx - 1)
         fy = (pts[:, 1] - self.y0) / (self.y1 - self.y0) * (ny - 1)
         fx = np.clip(fx, 0.0, nx - 1 - 1e-12)
@@ -724,7 +744,7 @@ class GridDensity:
         iy = fy.astype(int)
         tx = fx - ix
         ty = fy - iy
-        v = self.values
+        v = self.grid
         return ((1 - tx) * (1 - ty) * v[iy, ix] + tx * (1 - ty) * v[iy, ix + 1]
                 + (1 - tx) * ty * v[iy + 1, ix] + tx * ty * v[iy + 1, ix + 1])
 

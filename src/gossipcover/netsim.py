@@ -114,6 +114,14 @@ class NetConfig:
             raise ValueError("time step must be positive")
 
 
+def check_fleet(config: NetConfig, n: int):
+    """Refuse fewer than two agents, or speeds not one per agent."""
+    if n < 2:
+        raise ValueError(f"netsim needs at least two regions, got n = {n}")
+    if len(config.speeds) != n:
+        raise ValueError(f"{len(config.speeds)} speeds for {n} regions")
+
+
 def leg_time(env: Environment, config: NetConfig) -> float:
     """Duration of every phase: the environment diameter at the slowest
     agent's speed, so any travel leg can finish in time."""
@@ -345,10 +353,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     """
     env = initial.env
     n = initial.n
-    if n < 2:
-        raise ValueError(f"netsim needs at least two regions, got n = {n}")
-    if len(config.speeds) != n:
-        raise ValueError(f"{len(config.speeds)} speeds for {n} regions")
+    check_fleet(config, n)
     leg = leg_time(env, config)
     per_leg = _steps_per_leg(env, config)
     dt = leg / per_leg

@@ -309,6 +309,7 @@ def empirical_persistency(scheduler, partition: Partition, pairs,
 # radial counterexample maps (polar coordinates, angle kept in [0, 2*pi))
 
 TWO_PI = 2.0 * math.pi
+POLAR_MODES = ("alternating", "adversarial")
 
 
 def polar_spiral(rho: float, theta: float) -> tuple[float, float]:
@@ -341,6 +342,8 @@ def run_polar(mode: str, steps: int, rho0: float,
     identity, so the radius still only decreases through the spiral, and
     the state keeps circling instead of converging.
     """
+    if mode not in POLAR_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     rho, theta = float(rho0), float(theta0) % TWO_PI
     states = [(rho, theta)]
     labels = []
@@ -348,10 +351,8 @@ def run_polar(mode: str, steps: int, rho0: float,
     for t in range(steps):
         if mode == "alternating":
             use_damp = (t % 2 == 1)
-        elif mode == "adversarial":
-            use_damp = (math.pi <= theta <= TWO_PI) and last_was_spiral
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            use_damp = (math.pi <= theta <= TWO_PI) and last_was_spiral
         if use_damp:
             rho, theta = polar_damp(rho, theta)
             last_was_spiral = False

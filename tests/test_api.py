@@ -11,8 +11,8 @@ import inspect
 import pytest
 
 import gossipcover
-from gossipcover import (geometry, gossip, netsim, partition, quadrature,
-                         switching)
+from gossipcover import (cli, geometry, gossip, netsim, partition,
+                         quadrature, switching)
 
 KNOBS = {"order", "refine", "precomputed_centroids"}
 
@@ -110,7 +110,10 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (geometry, "_cost_integrand"), (geometry, "_gradient_integrand"),
         (geometry, "_quad_sum_vec"),
         # a cost is its kind: no user-supplied callable to spot-check
-        (geometry.PerformanceFunction, "validate")]
+        (geometry.PerformanceFunction, "validate"),
+        # the config is parsed once, from one key table: no field readers
+        (cli, "_get"), (cli, "_number"), (cli, "_numbers"), (cli, "_count"),
+        (cli, "_seed"), (cli, "_nonnegative")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,

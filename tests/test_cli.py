@@ -84,6 +84,16 @@ def test_preset_names_ship_with_package():
         assert isinstance(cfg, dict)
 
 
+def test_presets_parse_with_known_keys_only():
+    # parse refuses an unknown key, so every shipped preset names only
+    # keys of the table
+    for name in cli.preset_names():
+        cfg = cli.load_config(name)
+        settings = cli.parse(cfg)
+        assert settings.algorithm.kind == cfg["algorithm"]["kind"]
+        assert settings.description == cfg["description"]
+
+
 def test_load_config_rejections(tmp_path):
     with pytest.raises(cli.ConfigError):
         cli.load_config("no-such-preset")
@@ -158,6 +168,30 @@ def test_run_batch_fans_out_seeds(tmp_path):
     assert (out / "seed-1" / "summary.txt").is_file()
 
 
+def test_summary_states_the_settings_it_ran(tmp_path):
+    # run and compare keep their summary lines and then list every
+    # setting, defaults included, as config.<path> <value>
+    cfg = write_cfg(tmp_path, QUICK_PAIRWISE)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert cli.main(["compare", cfg, "--algos", "gossip",
+                     "--out", str(tmp_path / "cmp")]) == 0
+    for out, head in (("run", "algorithm gossip"), ("cmp", "seed 0")):
+        lines = (tmp_path / out / "summary.txt").read_text().splitlines()
+        assert lines[0] == head
+        settings = lines[[line.startswith("config.")
+                          for line in lines].index(True):]
+        for line in ("config.budget 200", "config.check_every 1",
+                     "config.stop_tol None", "config.n 2",
+                     "config.scheduler.kind round_robin",
+                     "config.algorithm.levels 12",
+                     "config.density UniformDensity(value=1.0)",
+                     "config.performance PerformanceFunction("
+                     "kind='quadratic', refine=1)"):
+            assert line in settings
+        assert f"config.out {tmp_path / out}" in settings  # the flag's
+        assert all(line.startswith("config.") for line in settings)
+
+
 def test_run_budget_exhaustion_returns_4(tmp_path):
     cfg = write_cfg(tmp_path, QUICK_PAIRWISE.replace("budget: 200",
                                                      "budget: 1"))
@@ -200,6 +234,18 @@ def test_run_unknown_algorithm_returns_2(tmp_path):
     cfg = write_cfg(tmp_path, QUICK_PAIRWISE.replace("kind: gossip",
                                                      "kind: quantum"))
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_run_fault_is_not_a_config_error(tmp_path, monkeypatch):
+    # a ValueError inside a run is a fault of the program: it leaves
+    # main as itself, not as exit 2 blaming the algorithm section
+    def broken(*args, **kwargs):
+        raise ValueError("fault inside the run")
+
+    monkeypatch.setattr(sw, "run_evolution", broken)
+    cfg = write_cfg(tmp_path, QUICK_PAIRWISE)
+    with pytest.raises(ValueError, match="fault inside the run"):
+        cli.main(["run", cfg, "--out", str(tmp_path / "o")])
 
 
 def test_run_thin_environment_without_generators_returns_2(tmp_path, capsys):
@@ -328,6 +374,21 @@ MALFORMED = [
                  id="polar-snapshots"),
     pytest.param("n: 2", "n: 2\nalgorithm: {kind: comb, levels: 2}"
                  "\nsnapshots: [3, 1.5]", "snapshots", id="comb-snapshots"),
+    # an unknown key, at the top level or in a section, is refused, not
+    # ignored in favour of its default
+    pytest.param("n: 2", "n: 2\nbudjet: 5", "budjet", id="unknown-top-key"),
+    pytest.param("n: 2", "n: 2\nscheduler: {kind: round_robin, dleta: 1}",
+                 "scheduler.dleta", id="unknown-section-key"),
+    pytest.param("n: 2", "n: 2\nperformance: {kind: linear, refine: 3}",
+                 "performance.refine", id="performance-refine"),
+    # text is one line, as the summary echoes it
+    pytest.param("n: 2", 'n: 2\ndescription: "two\\nlines"', "description",
+                 id="description-two-lines"),
+    # a pieces start has the region count n names, as strips do
+    pytest.param("n: 2\ninitial: {kind: strips, cuts: [0.5]}",
+                 "n: 5\ninitial: {kind: pieces, regions: [[[[0, 0], [1, 0], "
+                 "[1, 1], [0, 1]]], [[[1, 0], [2, 0], [2, 1], [1, 1]]]]}",
+                 "initial.regions", id="pieces-count"),
 ]
 
 

@@ -468,6 +468,19 @@ def test_grid_density_interpolates():
         geo.GridDensity(0, 0, 1, 1, [[1.0, -2.0], [1.0, 1.0]])
 
 
+def test_equal_densities_compare_and_hash_equal():
+    # densities are values: equal ones are one memo key, whatever number
+    # types built them, and the grid keeps its samples as given
+    assert geo.UniformDensity() == geo.UniformDensity(1)
+    assert hash(geo.UniformDensity()) == hash(geo.UniformDensity(1))
+    assert geo.UniformDensity(2.0) != geo.UniformDensity()
+    a = geo.GridDensity(0, 0, 2, 1, [[1, 3], [2, 0.5]])
+    b = geo.GridDensity(0.0, 0.0, 2.0, 1.0, ((1.0, 3.0), (2.0, 0.5)))
+    assert a == b and hash(a) == hash(b)
+    assert a.values == ((1.0, 3.0), (2.0, 0.5)) and a.sup_norm == 3.0
+    assert a != geo.GridDensity(0, 0, 2, 1, [[1, 3], [2, 0.25]])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_densities_refuse_non_finite_numbers(bad):
     with pytest.raises(ValueError, match="finite"):

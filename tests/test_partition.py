@@ -298,6 +298,25 @@ def test_equal_costs_share_centroid_entries(monkeypatch):
     assert len(calls) == part.n and np.array_equal(again, first)
 
 
+@pytest.mark.parametrize("density", [
+    lambda: geo.UniformDensity(),
+    lambda: geo.GridDensity(0, 0, 2, 1, [[1.0, 3.0], [2.0, 0.5]])],
+    ids=["uniform", "grid"])
+def test_equal_densities_share_centroid_entries(monkeypatch, density):
+    # a density is a value, so a second call with a fresh but equal one
+    # reads the entries the first call filled
+    env = strip_env()
+    part = pt.voronoi(env, [[0.3, 0.4], [1.1, 0.6], [1.7, 0.2]])
+    calls = []
+    mass_centroid = geo._mass_centroid
+    monkeypatch.setattr(geo, "_mass_centroid",
+                        lambda *a: calls.append(1) or mass_centroid(*a))
+    first = pt.centroids(part, density(), QUAD)
+    assert len(calls) == part.n
+    again = pt.centroids(part, density(), QUAD)
+    assert len(calls) == part.n and np.array_equal(again, first)
+
+
 def test_voronoi_cost_not_above_given_partition():
     rng = np.random.default_rng(31)
     env = strip_env()
