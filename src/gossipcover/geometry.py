@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -163,10 +164,10 @@ def _vertex_cell(max_abs: float) -> float:
     return 1e-12 * (max_abs + 1.0)
 
 
-def _vertex_keys(vertices: np.ndarray, inv_eps: float) -> set:
-    """The vertices' grid cells, at 1/inv_eps per cell."""
-    keys = np.rint(vertices * inv_eps).astype(np.int64)
-    return set(map(tuple, keys.tolist()))
+def _vertex_keys(vertices: np.ndarray, inv_eps: float) -> list:
+    """Each vertex's grid cell as an (i, j) tuple, at 1/inv_eps per cell."""
+    return list(map(tuple, np.rint(vertices * inv_eps).astype(np.int64)
+                    .tolist()))
 
 
 def _dedupe_ring(v: np.ndarray) -> np.ndarray:
@@ -339,9 +340,10 @@ def _snap(d: np.ndarray, snap: float) -> np.ndarray:
     return d
 
 
-def _cut(v: np.ndarray, dl: list, min_area: float):
+def _cut(v: np.ndarray, dl: list, min_area: float, sides=(True, True)):
     """(inside, outside) of a polygon whose vertex offsets dl past the
-    line have both signs."""
+    line have both signs; a side that sides marks False is not built
+    and comes back None."""
     ins: list = []
     outs: list = []
     vl = v.tolist()
@@ -355,18 +357,21 @@ def _cut(v: np.ndarray, dl: list, min_area: float):
             x = [a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]
             ins.append(x)
             outs.append(x)
-    return _ring_polygon(ins, min_area), _ring_polygon(outs, min_area)
+    return (_ring_polygon(ins, min_area) if sides[0] else None,
+            _ring_polygon(outs, min_area) if sides[1] else None)
 
 
 def region_split(region: Region, hp: HalfPlane, snap: float = 0.0,
-                 min_area: float = 0.0) -> tuple[list, list]:
+                 min_area: float = 0.0,
+                 sides=(True, True)) -> tuple[list, list]:
     """Two-sided split of every piece; returns (inside, outside) piece lists.
 
     One projection of the stacked vertices, snapped as split_convex
     snaps, gives each piece's offset range: a piece wholly on one side
     is handed over as it is, a hairline one lying on the line is
     dropped, and only pieces that straddle the line are cut, at the
-    same offsets.
+    same offsets. A side that sides marks False is not built and comes
+    back empty; the other side's pieces are the same.
     """
     if region.is_empty:
         return [], []
@@ -384,12 +389,12 @@ def region_split(region: Region, hp: HalfPlane, snap: float = 0.0,
             outs.append(p)
         else:
             a, b = _cut(p.vertices, d[start:start + len(p.vertices)].tolist(),
-                        min_area)
+                        min_area, sides)
             if a is not None:
                 ins.append(a)
             if b is not None:
                 outs.append(b)
-    return ins, outs
+    return ins if sides[0] else [], outs if sides[1] else []
 
 
 def convex_intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
@@ -478,18 +483,22 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
     same seam coordinates, so candidate pairs must share two vertices and
     the quick grid-key test below prunes everything else. A whole-set hull
     pre-pass catches the common end state where the union is convex but no
-    single pair is (misaligned historical seams).
+    single pair is (misaligned historical seams). Both read one stack of
+    every piece's vertices: the hull takes it whole, and the keys come
+    from one rounding of it, sliced per piece.
     """
     work = list(pieces)
     if len(work) < 2:
         return work
+    stacked = np.vstack([p.vertices for p in work])
     if len(work) > 2:
-        hull = _convex_hull(np.vstack([p.vertices for p in work]))
+        hull = _convex_hull(stacked)
         if _ring_area(hull) <= sum(p.area for p in work) + tol:
             return [_ring_polygon(hull, 0.0)]
-    # the largest |coordinate| lies at an extreme of x or y
-    inv_eps = 1.0 / _vertex_cell(max(max(map(abs, p.bbox)) for p in work))
-    keys = [_vertex_keys(p.vertices, inv_eps) for p in work]
+    inv_eps = 1.0 / _vertex_cell(float(np.abs(stacked).max()))
+    cells = _vertex_keys(stacked, inv_eps)
+    bounds = [0, *accumulate(len(p.vertices) for p in work)]
+    keys = [set(cells[a:b]) for a, b in zip(bounds, bounds[1:])]
     # piece pairs whose hull failed, not tested again on a rescan: a
     # failing test fuses nothing, so the greedy order stays the same;
     # holding the pieces keeps their ids unique
@@ -510,7 +519,7 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
                 if _ring_area(hull) <= s + max(tol, 1e-12 * s):
                     # keep scanning the grown piece against the remainder
                     work[i] = _ring_polygon(hull, 0.0)
-                    keys[i] = _vertex_keys(work[i].vertices, inv_eps)
+                    keys[i] = set(_vertex_keys(work[i].vertices, inv_eps))
                     del work[j]
                     del keys[j]
                     changed = True
@@ -585,9 +594,21 @@ def interior_distance(a: Region, b: Region) -> float:
 
 
 def regions_within(a: Region, b: Region, delta: float) -> bool:
-    """interior_distance(a, b) < delta, decided without the exact distance
-    when the regions lie at least delta apart."""
-    return bool(_distance_below(a, b, delta) < delta)
+    """interior_distance(a, b) < delta, for delta > 0.
+
+    After the shortcuts of the bounded search, a vertex of one region
+    nearer than delta to an edge of the other answers True: that
+    distance bounds the regions' distance from above. Only the pairs it
+    leaves run the piece scan, which stops at delta.
+    """
+    if not delta > 0.0:  # NaN too
+        raise ValueError(f"adjacency delta must be > 0, got {delta!r}")
+    d = _distance_shortcut(a, b, delta)
+    if d is None:
+        if _vertex_edge_distance(a, b) < delta:
+            return True
+        d = _pieces_below(a, b, delta)
+    return bool(d < delta)
 
 
 def _share_seam_vertex(a: Region, b: Region) -> bool:
@@ -599,18 +620,30 @@ def _share_seam_vertex(a: Region, b: Region) -> bool:
 
 def _distance_below(a: Region, b: Region, below: float) -> float:
     """The interior distance when it is below `below`, else a lower bound
-    that is at least `below`.
+    that is at least `below`: a shortcut's answer, else the piece scan's."""
+    d = _distance_shortcut(a, b, below)
+    return _pieces_below(a, b, below) if d is None else d
 
-    A vertex the regions share answers 0 at once. Boxes at least
-    `below` apart answer `below`, as the piece scan would.
-    """
+
+def _distance_shortcut(a: Region, b: Region, below: float) -> float | None:
+    """0 for a vertex the regions share; `below` for boxes at least
+    `below` apart, as the piece scan would answer; else None."""
     if a.is_empty or b.is_empty:
         raise EmptyRegion("interior distance needs nonempty regions")
     if _share_seam_vertex(a, b):
         return 0.0
     if _bbox_gap(a.bbox, b.bbox) >= below:
         return float(below)
-    return _pieces_below(a, b, below)
+    return None
+
+
+def _vertex_edge_distance(a: Region, b: Region) -> float:
+    """Smallest distance from a vertex of either region to an edge of the
+    other, in one pass each way over the stacked vertices."""
+    va, vb = a.vertices, b.vertices
+    return min(
+        float(_points_segments_distance(va, vb, vb[b.next_vertex]).min()),
+        float(_points_segments_distance(vb, va, va[a.next_vertex]).min()))
 
 
 def _pieces_below(a: Region, b: Region, best: float) -> float:

@@ -174,11 +174,12 @@ def fixed_point_residual(partition: Partition, density: Density,
 
     A pair's movement is the sum of its two regions' symmetric
     differences to their split by the centroid bisector, which is
-    exactly twice the area the split trades. mode "full" checks every
-    pair; "adjacent" only pairs whose interiors come within delta. Pairs
-    whose centroids coincide within tol_point have no bisector and are
-    skipped. is_mixed_centroidal is this residual, in mode "full", held
-    to a threshold.
+    exactly twice the area the split trades; only the handed-over parts
+    are built to measure it. mode "full" checks every pair; "adjacent"
+    only pairs whose interiors come within delta. Pairs whose centroids
+    coincide within tol_point have no bisector and are skipped.
+    is_mixed_centroidal is this residual, in mode "full", held to a
+    threshold.
 
     Pairs are split in decreasing order of their trade bound, and the
     visit stops once twice the bound cannot beat the largest movement
@@ -209,8 +210,7 @@ def fixed_point_residual(partition: Partition, density: Density,
     for bound, i, j, hp in bounded:
         if 2.0 * bound <= worst:
             break
-        _, _, traded = pt.pair_split(partition, i, j, hp, hp)
-        worst = max(worst, 2.0 * traded)
+        worst = max(worst, 2.0 * pt.traded_area(partition, i, j, hp, hp))
     return worst
 
 

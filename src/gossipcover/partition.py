@@ -295,11 +295,23 @@ def pair_split(partition: Partition, i: int, j: int, hp_i: HalfPlane,
     snap absorbs cuts that nearly coincide with an existing edge instead
     of shaving hairline slivers off it.
     """
+    return _pair_split(partition, i, j, hp_i, hp_j, True)
+
+
+def traded_area(partition: Partition, i: int, j: int, hp_i: HalfPlane,
+                hp_j: HalfPlane) -> float:
+    """pair_split(partition, i, j, hp_i, hp_j)'s traded area, with only
+    the handed-over parts built."""
+    return _pair_split(partition, i, j, hp_i, hp_j, False)[2]
+
+
+def _pair_split(partition, i, j, hp_i, hp_j, kept: bool):
+    """pair_split, with the kept parts left unbuilt when kept is False."""
     env = partition.env
     keep_i, give_i = geo.region_split(partition.regions[i], hp_i, env.snap,
-                                      env.sliver_area)
+                                      env.sliver_area, (kept, True))
     give_j, keep_j = geo.region_split(partition.regions[j], hp_j, env.snap,
-                                      env.sliver_area)
+                                      env.sliver_area, (True, kept))
     traded = sum(p.area for p in give_i) + sum(p.area for p in give_j)
     return keep_i + give_j, give_i + keep_j, traded
 
@@ -334,8 +346,10 @@ def adjacency_pairs(partition: Partition, delta: float) -> list[tuple[int, int]]
     """Region pairs whose interiors come within delta of each other.
 
     Each pair is tested once per partition and delta; the answers are
-    kept in the partition's adjacency_cache.
+    kept in the partition's adjacency_cache. delta must be > 0.
     """
+    if not delta > 0.0:  # NaN too, which would key a fresh entry each call
+        raise ValueError(f"adjacency delta must be > 0, got {delta!r}")
     near = partition.adjacency_cache.setdefault(delta, {})
     regions = partition.regions
     out = []

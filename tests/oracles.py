@@ -130,6 +130,13 @@ def share_seam_cell_ref(a: Region, b: Region) -> bool:
     return any(keys_a & keys(q) for q in b.pieces)
 
 
+def interior_distance_ref(a: Region, b: Region) -> float:
+    """interior_distance as the minimum piece distance over every piece
+    pair, with no shortcut and no early stop."""
+    return min(geo._convex_distance(p, q) for p in a.pieces
+               for q in b.pieces)
+
+
 def interior_distance_by_sampling(a: Region, b: Region,
                                   per_edge: int = 24) -> float:
     pa = boundary_samples(a, per_edge)
@@ -367,7 +374,7 @@ def merge_pieces_ref(pieces, tol: float) -> list:
             return [geo._ring_polygon(hull, 0.0)]
     inv_eps = 1.0 / geo._vertex_cell(max(float(np.abs(p.vertices).max())
                                          for p in work))
-    keys = [geo._vertex_keys(p.vertices, inv_eps) for p in work]
+    keys = [set(geo._vertex_keys(p.vertices, inv_eps)) for p in work]
     changed = True
     while changed and len(work) > 1:
         changed = False
@@ -383,7 +390,8 @@ def merge_pieces_ref(pieces, tol: float) -> list:
                 s = a.area + b.area
                 if geo._ring_area(hull) <= s + max(tol, 1e-12 * s):
                     work[i] = geo._ring_polygon(hull, 0.0)
-                    keys[i] = geo._vertex_keys(work[i].vertices, inv_eps)
+                    keys[i] = set(geo._vertex_keys(work[i].vertices,
+                                                   inv_eps))
                     del work[j]
                     del keys[j]
                     changed = True

@@ -361,6 +361,14 @@ def test_regions_within_answers_from_exact_distance(monkeypatch):
     assert not geo.regions_within(c, a, 0.25)
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+def test_regions_within_refuses_a_bad_delta(delta):
+    # touching squares: no answer to such a delta would be True
+    a, b = Region((square(0, 0, 1),)), Region((square(1, 0, 1),))
+    with pytest.raises(ValueError):
+        geo.regions_within(a, b, delta)
+
+
 def test_regions_within_holds_partner_weakly():
     a = Region((square(0, 0, 1),))
     b = Region((square(2, 0, 1),))

@@ -553,9 +553,9 @@ def test_residual_by_bound_matches_all_pairs_loop(seed, monkeypatch):
     parts = fragmented_partitions(seed)
     assert max(len(r.pieces) for r in parts[-1].regions) > 5
     splits = []
-    pair_split = pt.pair_split
-    monkeypatch.setattr(pt, "pair_split",
-                        lambda *a: splits.append(a[1:3]) or pair_split(*a))
+    traded_area = pt.traded_area
+    monkeypatch.setattr(pt, "traded_area",
+                        lambda *a: splits.append(a[1:3]) or traded_area(*a))
     full_splits = candidates = 0
     for part in parts:
         env = part.env
@@ -574,7 +574,10 @@ def test_residual_by_bound_matches_all_pairs_loop(seed, monkeypatch):
                 if float(np.hypot(*(cs[i] - cs[j]))) <= env.tol_point:
                     continue
                 hp = geo.bisector_halfplane(cs[i], cs[j])
-                traded = pair_split(part, i, j, hp, hp)[2]
+                traded = pt.pair_split(part, i, j, hp, hp)[2]
+                # the residual's one-sided split sums the same parts
+                assert float(traded_area(part, i, j, hp, hp)).hex() == \
+                    float(traded).hex()
                 assert traded <= gp._trade_bound(part, i, j, hp)
                 if oracles.on_own_sides(part, i, j, cs[i], cs[j]):
                     assert traded == 0.0

@@ -448,27 +448,85 @@ def test_adjacency_memo_carries_only_untouched_pairs(seed):
     assert max(len(r.pieces) for r in part.regions) > 5
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_regions_within_equals_interior_distance_below_delta(seed):
+def _near_pairs():
+    """Region pairs built to sit near delta: a T-junction (b's two pieces
+    meet in the middle of a's edge, sharing no vertex with it), the same
+    pair pulled apart by gaps inside (0, 0.5), two squares a diagonal
+    apart whose boxes come nearer than the squares, and two bars that
+    cross with every vertex far from the other's edges."""
+    def t_junction(gap):
+        return (region_of([[0, -1], [2, -1], [2, 3], [0, 3]]),
+                region_of([[2 + gap, 0], [3, 0], [3, 1], [2 + gap, 1]],
+                          [[2 + gap, 1], [3, 1], [3, 2], [2 + gap, 2]]))
+
+    pairs = [t_junction(gap) for gap in (0.0, 1e-12, 1e-4, 0.25)]
+    pairs.append((region_of([[0, 0], [1, 0], [1, 1], [0, 1]]),
+                  region_of([[1.2, 1.6], [1.8, 1.0], [1.8, 1.6]])))
+    pairs.append((region_of([[0, 0], [10, 0], [10, 1], [0, 1]]),
+                  region_of([[4.5, -5], [5.5, -5], [5.5, 6], [4.5, 6]])))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_regions_within_equals_interior_distance_below_delta(seed,
+                                                            monkeypatch):
+    # which branch answered: the vertex-to-edge pass (its last value) and
+    # the piece scan (called or not) are recorded per regions_within call
+    passes, scans = [], []
+    edge_pass, scan = geo._vertex_edge_distance, geo._pieces_below
+    monkeypatch.setattr(geo, "_vertex_edge_distance",
+                        lambda a, b: passes.append(edge_pass(a, b))
+                        or passes[-1])
+    monkeypatch.setattr(geo, "_pieces_below",
+                        lambda *a: scans.append(a) or scan(*a))
+    by_pass = by_scan = 0
+
+    def check(a, b, delta):
+        nonlocal by_pass, by_scan
+        # fresh regions: neither answer comes from a cache
+        exact = geo.interior_distance(Region(a.pieces), Region(b.pieces))
+        # the exact distance is the plain piece-pair minimum, bit for bit
+        assert exact.hex() == oracles.interior_distance_ref(a, b).hex()
+        passes.clear()
+        scans.clear()
+        assert geo.regions_within(Region(a.pieces), Region(b.pieces),
+                                  delta) == (exact < delta)
+        if passes and passes[-1] < delta:
+            assert not scans  # the pass answered True alone
+            by_pass += 1
+        by_scan += bool(scans)
+
     parts = _adjacent_gossip_partitions(seed, 300, 100)
     assert max(len(r.pieces) for p in parts for r in p.regions) > 5
     for part in parts:
         for delta in (1e-9, 1e-3, 0.5):
             for i in range(part.n):
                 for j in range(i + 1, part.n):
-                    # fresh regions: neither answer comes from a cache
-                    a, b = (Region(part.regions[k].pieces) for k in (i, j))
+                    a, b = part.regions[i], part.regions[j]
                     assert geo._share_seam_vertex(a, b) == \
                         oracles.share_seam_vertex_by_pieces(a, b)
-                    exact = geo.interior_distance(
-                        Region(a.pieces), Region(b.pieces))
-                    assert geo.regions_within(a, b, delta) == (exact < delta)
+                    check(a, b, delta)
             fresh = Partition(part.env, tuple(Region(r.pieces)
                                               for r in part.regions))
             assert pt.adjacency_pairs(fresh, delta) == [
                 (i, j) for i in range(part.n) for j in range(i + 1, part.n)
                 if geo.interior_distance(part.regions[i],
                                          part.regions[j]) < delta]
+    for a, b in _near_pairs():
+        for delta in (1e-9, 1e-3, 0.5, 1.0):
+            check(a, b, delta)
+            check(b, a, delta)
+    assert by_pass > 0 and by_scan > 0
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-9, math.nan])
+def test_adjacency_pairs_refuses_a_bad_delta(delta):
+    # no pair lies within such a delta, and a NaN key never matches, so
+    # each call would store a fresh cache entry and answer no pairs
+    part = pt.voronoi(pt.rectangle(2.0, 1.0), [[0.5, 0.5], [1.5, 0.5]])
+    with pytest.raises(ValueError):
+        pt.adjacency_pairs(part, delta)
+    assert part.adjacency_cache == {}
 
 
 def test_degeneracy_report_fields():
