@@ -789,8 +789,8 @@ Density = UniformDensity | GridDensity
 class PerformanceFunction:
     """Increasing convex cost f of distance, given by its kind: f(r) = r^2
     for "quadratic", f(r) = r for "linear"; a new cost is a new kind.
-    Equal costs share memo entries. fn, dfn and lipschitz_on give f, f'
-    and a Lipschitz constant of f on [0, upper].
+    Equal costs share memo entries. fn and lipschitz_on give f and a
+    Lipschitz constant of f on [0, upper].
 
     refine splits every quadrature triangle into refine**2 children when
     integrating this cost; a cost kinked at the center, like the linear
@@ -809,10 +809,6 @@ class PerformanceFunction:
     def fn(self, r):
         return np.square(r) if self.kind == "quadratic" else \
             np.asarray(r, dtype=float)
-
-    def dfn(self, r):
-        return 2.0 * r if self.kind == "quadratic" else \
-            np.ones_like(np.asarray(r, dtype=float))
 
     def lipschitz_on(self, upper: float) -> float:
         return 2.0 * upper if self.kind == "quadratic" else 1.0
@@ -869,21 +865,6 @@ def _quad_sum(quad, values) -> float:
     return float(np.sum(w * np.asarray(values, dtype=float) * dens))
 
 
-def _offsets(quad, p):
-    """Each quadrature point's offset d = p - q and its length r."""
-    d = np.asarray(p, dtype=float) - quad[0]
-    return d, np.hypot(d[:, 0], d[:, 1])
-
-
-def _cost_gradient(quad, d, r, perf: PerformanceFunction) -> np.ndarray:
-    """Gradient in p of the one-center cost, from the offsets of p; a point
-    coinciding with p contributes zero."""
-    _, w, dens = quad
-    scale = perf.dfn(r) / np.maximum(r, 1e-300)
-    scale[r < 1e-14] = 0.0
-    return np.sum((w * dens)[:, None] * (d * scale[:, None]), axis=0)
-
-
 def integrate(region: Region, density: Density, fn) -> float:
     """Integral of fn(q) * density(q) over the region, by the degree-6 rule.
 
@@ -928,7 +909,8 @@ def one_center_cost(p, region: Region, density: Density,
             return 0.0
         return density.value * _polar_moment_about(p, region)
     quad = _quadrature(region, density, perf.refine)
-    return _quad_sum(quad, perf.fn(_offsets(quad, p)[1]))
+    d = np.asarray(p, dtype=float) - quad[0]
+    return _quad_sum(quad, perf.fn(np.hypot(d[:, 0], d[:, 1])))
 
 
 def _polar_moment_about(p, region: Region) -> float:
@@ -956,26 +938,40 @@ def centroid(region: Region, density: Density, perf: PerformanceFunction,
              scale: float | None = None) -> np.ndarray:
     """Point minimizing the one-center cost of the region.
 
-    Quadratic cost has the closed-form mass centroid; other costs run
-    gradient descent with backtracking from that start, every iterate
-    evaluated on one quadrature point set built up front; an accepted
-    iterate's offsets to those points serve its next gradient. scale
-    sets the first step and the stopping length; it defaults to the
-    region's diameter. The minimizer of a convex increasing cost lies in the
-    region's convex hull, so no iterate needs projecting.
+    Quadratic cost has the closed-form mass centroid; the linear cost
+    (f(r) = r, f'(r) = 1) runs gradient descent with backtracking from
+    that start, every iterate evaluated on one quadrature point set
+    built up front; an accepted iterate's offsets to those points serve
+    its next gradient. It stops after
+    _DESCENT_MAX_ITER iterations at the latest. scale sets the first
+    step and the stopping length; it defaults to the region's diameter.
+    The minimizer of a convex increasing cost lies in the region's
+    convex hull, so no iterate needs projecting.
     """
+    return _centroid_and_cost(region, density, perf, scale)[0]
+
+
+def _centroid_and_cost(region: Region, density: Density,
+                       perf: PerformanceFunction, scale: float | None):
+    """centroid's point and the one-center cost there: the descent's last
+    accepted cost, the sum one_center_cost makes at that point."""
     x = _mass_centroid(region, density, perf.refine)
     if perf.kind == "quadratic":
-        return x
-    quad = _quadrature(region, density, perf.refine)
+        return x, one_center_cost(x, region, density, perf)
+    pts, w, dens = _quadrature(region, density, perf.refine)
+    wd = (w * dens)[:, None]
     if scale is None:
         scale = diameter(region)
     tol = _DESCENT_TOL * max(scale, 1e-12)
-    d, r = _offsets(quad, x)
-    fx = _quad_sum(quad, perf.fn(r))
+    d = x - pts
+    r = np.hypot(d[:, 0], d[:, 1])
+    fx = float(np.add.reduce(w * r * dens))
     step = max(scale, 1e-12)
     for _ in range(_DESCENT_MAX_ITER):
-        g = _cost_gradient(quad, d, r, perf)
+        # f'(r) = 1: each point pulls along its unit offset, none at p
+        s = 1.0 / np.maximum(r, 1e-300)
+        s[r < 1e-14] = 0.0
+        g = np.add.reduce(wd * (d * s[:, None]), axis=0)
         gnorm = float(np.hypot(g[0], g[1]))
         if gnorm * step < tol * 1e-3:
             break
@@ -986,8 +982,9 @@ def centroid(region: Region, density: Density, perf: PerformanceFunction,
             move = cand - x
             if float(np.hypot(move[0], move[1])) < tol:
                 break
-            dc, rc = _offsets(quad, cand)
-            fc = _quad_sum(quad, perf.fn(rc))
+            dc = cand - pts
+            rc = np.hypot(dc[:, 0], dc[:, 1])
+            fc = float(np.add.reduce(w * rc * dens))
             if fc <= fx + 1e-4 * float(g @ move):
                 x, fx, d, r = cand, fc, dc, rc
                 moved = True
@@ -996,4 +993,4 @@ def centroid(region: Region, density: Density, perf: PerformanceFunction,
             alpha *= 0.5
         if not moved:
             break
-    return x
+    return x, fx

@@ -245,9 +245,8 @@ def _centroid_entry(region: Region, env: Environment, density: Density,
     key = (density, perf, env.polygon)
     entry = region.centroid_cache.get(key)
     if entry is None:
-        c = geo.centroid(region, density, perf, scale=env.diameter)
-        entry = region.centroid_cache[key] = (
-            c, geo.one_center_cost(c, region, density, perf))
+        entry = region.centroid_cache[key] = geo._centroid_and_cost(
+            region, density, perf, env.diameter)
     return entry
 
 

@@ -616,7 +616,8 @@ def _gradient_integrand_ref(p, perf):
         d = p[None, :] - q
         r = np.hypot(d[:, 0], d[:, 1])
         safe = np.maximum(r, 1e-300)
-        scale = np.asarray(perf.dfn(r), dtype=float) / safe
+        dfn = 2.0 * r if perf.kind == "quadratic" else np.ones_like(r)
+        scale = dfn / safe
         scale[r < 1e-14] = 0.0
         return d * scale[:, None]
 

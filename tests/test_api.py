@@ -109,6 +109,10 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         # the integrals take values at the quadrature points, not callables
         (geometry, "_cost_integrand"), (geometry, "_gradient_integrand"),
         (geometry, "_quad_sum_vec"),
+        # the descent measures offsets and sums its gradient inline
+        (geometry, "_cost_gradient"), (geometry, "_offsets"),
+        # the descent is the linear kind's, so f' has no reader
+        (geometry.PerformanceFunction, "dfn"),
         # a cost is its kind: no user-supplied callable to spot-check
         (geometry.PerformanceFunction, "validate"),
         # the config is parsed once, from one key table: no field readers

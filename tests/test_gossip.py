@@ -142,7 +142,7 @@ def test_trading_step_with_warm_caches_computes_two_regions(monkeypatch):
     env = pt.rectangle(2.0, 1.0)
     part = random_partition(rng, env, 6)
     pt.centroid_cost(part, DENS, QUAD)
-    calls = {"centroid": 0, "one_center_cost": 0}
+    calls = {"_centroid_and_cost": 0, "one_center_cost": 0}
 
     def count(name):
         original = getattr(geo, name)
@@ -158,7 +158,7 @@ def test_trading_step_with_warm_caches_computes_two_regions(monkeypatch):
     i, j = pt.adjacency_pairs(part, 1e-9)[0]
     out = gp.gossip_step(part, i, j, DENS, QUAD)
     assert out.changed and out.traded_area > 0.0
-    assert calls == {"centroid": 2, "one_center_cost": 2}
+    assert calls == {"_centroid_and_cost": 2, "one_center_cost": 2}
 
 
 # ---------------------------------------------------------------------------

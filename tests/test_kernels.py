@@ -446,24 +446,55 @@ DENSITIES = pytest.mark.parametrize("dens", [geo.UniformDensity(2.5), GRID],
                                     ids=["uniform", "grid"])
 
 
+def capped_regions() -> list:
+    """Regions of seeded rect6 runs whose linear descent runs to
+    _DESCENT_MAX_ITER under DENSITIES: criterion 01's seed-0 start, cell
+    1 (uniform, refine 1), and seed 2's cell 2 after two round-robin
+    linear-cost exchanges at density 1 (the other three)."""
+    out = []
+    for seed, steps, k in ((0, 0, 1), (2, 2, 2)):
+        rng = np.random.default_rng(seed)
+        part = pt.voronoi(pt.rectangle(2.0, 1.0),
+                          rng.uniform([0.1, 0.1], [1.9, 0.9], (6, 2)))
+        for i, j in sw.all_pairs(6)[:steps]:
+            part = gp.gossip_step(part, i, j, geo.UniformDensity(),
+                                  geo.linear_performance()).partition
+        out.append(Region(part.regions[k].pieces))
+    return out
+
+
 @pytest.mark.parametrize("refine", [1, 3])
 @DENSITIES
-def test_one_center_integrals_match_the_integrand_forms(dens, refine):
+def test_one_center_integrals_match_the_integrand_forms(dens, refine,
+                                                        monkeypatch):
     # the descent on fragmented regions at the default and a wide scale,
-    # the cost at, near and far from the centroid, and the quadrature
-    # mass centroid that starts the descent
+    # and on regions where it stops at its iteration cap; the cost handed
+    # back with each centroid; the cost at, near and far from the
+    # centroid; and the quadrature mass centroid that starts the descent
     lin = dataclasses.replace(geo.linear_performance(), refine=refine)
     quad = dataclasses.replace(geo.quadratic_performance(), refine=refine)
     rng = np.random.default_rng(37)
-    for region in oracles.seeded_multi_piece_regions(37, 8):
+    capped = 0
+    for region in [*oracles.seeded_multi_piece_regions(37, 8),
+                   *capped_regions()]:
         diam = geo.diameter(region)
         for scale in (None, 4.0 * diam):
-            c = geo.centroid(region, dens, lin, scale)
+            c, cost = geo._centroid_and_cost(region, dens, lin, scale)
             assert same(c, oracles.centroid_ref(region, dens, lin, scale))
+            assert same(geo.centroid(region, dens, lin, scale), c)
+            assert bits(cost) == bits(oracles.one_center_cost_ref(
+                c, region, dens, lin))
+            with monkeypatch.context() as m:
+                # a descent that stopped by itself ends where it did
+                m.setattr(geo, "_DESCENT_MAX_ITER",
+                          2 * geo._DESCENT_MAX_ITER)
+                capped += not same(geo.centroid(region, dens, lin, scale), c)
         start = oracles.mass_centroid_ref(region, dens, refine)
         assert not same(c, start)  # the descent moved
         assert same(geo._mass_centroid(region, dens, refine), start)
-        assert same(geo.centroid(region, dens, quad), start)
+        cq, cost = geo._centroid_and_cost(region, dens, quad, None)
+        assert same(cq, start) and same(geo.centroid(region, dens, quad), cq)
+        assert bits(cost) == bits(geo.one_center_cost(cq, region, dens, quad))
         for p in (c, c + 0.1 * diam * rng.normal(size=2),
                   c + 10.0 * diam * rng.normal(size=2)):
             got = geo.one_center_cost(p, region, dens, lin)
@@ -473,6 +504,7 @@ def test_one_center_integrals_match_the_integrand_forms(dens, refine):
                 got = geo.one_center_cost(p, region, dens, quad)
                 assert bits(got) == bits(oracles.one_center_cost_ref(
                     p, region, dens, quad))
+    assert capped  # one of capped_regions() at both scales
 
 
 @DENSITIES

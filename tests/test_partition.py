@@ -242,26 +242,33 @@ def test_centroid_cost_not_above_any_other_choice():
 
 
 def test_region_keeps_centroid_and_cost_per_performance():
-    # one region evaluated under two costs holds both answers side by side
+    # one region evaluated under two costs holds both answers side by side;
+    # each cost is the one one_center_cost sums afresh at its centroid, to
+    # the bit, which only a density other than 1 can tell from a cost
+    # summed in another order
     rng = np.random.default_rng(37)
     env = strip_env()
-    part = pt.voronoi(env, rng.uniform([0.1, 0.1], [1.9, 0.9], size=(4, 2)))
     lin = geo.linear_performance()
-    cached = {}
-    for perf in (QUAD, lin, QUAD, lin):
-        cached[perf.kind] = (pt.centroids(part, DENS, perf),
-                             pt.centroid_cost(part, DENS, perf))
-    for perf in (QUAD, lin):
-        cs, h = cached[perf.kind]
-        fresh = [geo.centroid(Region(r.pieces), DENS, perf,
-                              scale=env.diameter) for r in part.regions]
-        assert np.array_equal(cs, np.array(fresh))
-        assert h == sum(geo.one_center_cost(c, Region(r.pieces), DENS, perf)
-                        for c, r in zip(fresh, part.regions))
-        for k, r in enumerate(part.regions):
-            c, cost = r.centroid_cache[(DENS, perf, env.polygon)]
-            assert np.array_equal(c, cs[k]) and cost is not None
-    assert not np.array_equal(cached["quadratic"][0], cached["linear"][0])
+    for dens in (DENS, geo.UniformDensity(2.5),
+                 geo.GridDensity(0, 0, 2, 1, [[1, 3], [2, 0.5]])):
+        part = pt.voronoi(env, rng.uniform([0.1, 0.1], [1.9, 0.9], (4, 2)))
+        cached = {}
+        for perf in (QUAD, lin, QUAD, lin):
+            cached[perf.kind] = (pt.centroids(part, dens, perf),
+                                 pt.centroid_cost(part, dens, perf))
+        for perf in (QUAD, lin):
+            cs, h = cached[perf.kind]
+            fresh = [geo.centroid(Region(r.pieces), dens, perf,
+                                  scale=env.diameter) for r in part.regions]
+            assert np.array_equal(cs, np.array(fresh))
+            assert h.hex() == sum(
+                geo.one_center_cost(c, Region(r.pieces), dens, perf)
+                for c, r in zip(fresh, part.regions)).hex()
+            for k, r in enumerate(part.regions):
+                c, cost = r.centroid_cache[(dens, perf, env.polygon)]
+                assert np.array_equal(c, cs[k]) and cost is not None
+        assert not np.array_equal(cached["quadratic"][0],
+                                  cached["linear"][0])
 
 
 def test_centroids_fill_whole_entries(monkeypatch):
