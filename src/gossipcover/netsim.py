@@ -24,11 +24,15 @@ boundary's segments and their running lengths (waypoint_table). The
 table depends on the region alone, and a region outlives most of its
 agent's legs, so simulate keeps each agent's last region and table and
 builds a new table only when the agent draws in a region it does not
-hold.
+hold. A draw takes four random numbers and a few float operations; only
+one whose offset comes within rounding of the margin runs a distance
+test (random_destination).
 """
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +95,10 @@ class NetConfig:
     agents are not guaranteed to hear each other across a shared edge.
     time_step defaults to 1/200 of the leg time; an explicit value is
     snapped so that a leg is a whole number of steps.
+
+    Every field is a number, never NaN. comm_radius and comm_rate may be
+    infinite, the limits in which every pair is always in range and an
+    in-range pair trades at every step; every other field is finite.
     """
 
     speeds: tuple = (1.0, 1.0, 1.0)
@@ -102,16 +110,27 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.speeds) == 0 or min(self.speeds) <= 0.0:
-            raise ValueError("speeds must be positive")
-        if self.comm_radius <= 0.0 or self.comm_rate < 0.0:
-            raise ValueError("communication parameters must be positive")
+        if len(self.speeds) == 0 or not all(0.0 < s < math.inf
+                                            for s in self.speeds):
+            raise ValueError(f"speeds must be finite and positive, "
+                             f"got {self.speeds!r}")
+        if not 0.0 < self.comm_radius <= math.inf:
+            raise ValueError(f"comm_radius must be positive, "
+                             f"got {self.comm_radius!r}")
+        if not 0.0 <= self.comm_rate <= math.inf:
+            raise ValueError(f"comm_rate must be non-negative, "
+                             f"got {self.comm_rate!r}")
+        # NaN fails these too, and so does infinity: it is not below
+        # a quarter of any radius, infinite or not
         if not 0.0 < self.waypoint_margin < 0.25 * self.comm_radius:
-            raise ValueError("waypoint margin must sit in (0, comm_radius/4)")
+            raise ValueError(f"waypoint_margin must sit in (0, comm_radius/4),"
+                             f" got {self.waypoint_margin!r}")
         if not 0.0 < self.delta < 0.25 * self.comm_radius:
-            raise ValueError("trade range must sit in (0, comm_radius/4)")
-        if self.time_step is not None and self.time_step <= 0.0:
-            raise ValueError("time step must be positive")
+            raise ValueError(f"delta must sit in (0, comm_radius/4), "
+                             f"got {self.delta!r}")
+        if self.time_step is not None and not 0.0 < self.time_step < math.inf:
+            raise ValueError(f"time_step must be finite and positive, "
+                             f"got {self.time_step!r}")
 
 
 def check_fleet(config: NetConfig, n: int):
@@ -213,37 +232,94 @@ def internal_boundary_segments(region: Region, env: Environment):
     return np.array(starts), np.array(ends)
 
 
-def waypoint_table(region: Region, env: Environment) -> tuple:
-    """(starts, ends, cum): the region's internal boundary segments and
-    the running sum of their lengths, what random_destination draws
-    from. It depends on the region alone."""
-    starts, ends = internal_boundary_segments(region, env)
-    if len(starts) == 0:
-        raise SamplingExhausted("region has no internal boundary")
+# random_destination accepts a draw whose offset is at most
+# margin - _SLACK * (scale + margin) without a distance test; its
+# docstring derives the bound
+_SLACK = 64 * sys.float_info.epsilon
+
+
+@dataclass(frozen=True)
+class WaypointTable:
+    """A region's internal boundary as random_destination reads it.
+
+    starts, ends: the segments as (m, 2) arrays, for the distance test;
+    segments: the same as (sx, sy, ex, ey) rows of Python floats; cum:
+    the running sum of their lengths as Python floats; scale: the
+    largest coordinate magnitude of any segment end.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    segments: list
+    cum: list
+    scale: float
+
+
+def _segment_table(starts: np.ndarray, ends: np.ndarray) -> WaypointTable:
+    """The waypoint table of the segments (starts[k], ends[k])."""
     cum = np.cumsum(np.hypot(*(ends - starts).T))
     if cum[-1] <= 0.0:
         raise SamplingExhausted("internal boundary has zero length")
-    return starts, ends, cum
+    return WaypointTable(starts, ends, np.hstack((starts, ends)).tolist(),
+                         cum.tolist(),
+                         float(np.abs(np.vstack((starts, ends))).max()))
 
 
-def random_destination(table: tuple, margin: float, rng) -> np.ndarray:
+def waypoint_table(region: Region, env: Environment) -> WaypointTable:
+    """The region's internal boundary segments and the running sum of
+    their lengths, what random_destination draws from. It depends on
+    the region alone."""
+    starts, ends = internal_boundary_segments(region, env)
+    if len(starts) == 0:
+        raise SamplingExhausted("region has no internal boundary")
+    return _segment_table(starts, ends)
+
+
+def random_destination(table: WaypointTable, margin: float,
+                       rng) -> tuple[float, float]:
     """Uniform sample near a region's internal boundary, from its
-    waypoint table.
+    waypoint table, as an (x, y) pair of floats.
 
-    Draws an arc-length-uniform boundary point, offsets it uniformly in
-    a disk of the given radius, and rejects draws that fall farther
-    than the margin from the internal boundary.
+    Draws an arc-length-uniform boundary point b on segment k, offsets
+    it by r = margin * sqrt(v), v uniform, in a uniform direction to q,
+    and rejects draws that fall farther than the margin from the
+    internal boundary.
+
+    The segment is the first whose running length reaches the first
+    draw times the total (bisect_left, the index np.searchsorted gives),
+    and b and q take the IEEE operations of the array form that tests
+    keep as an oracle, so each draw equals it to the bit.
+
+    The accept bound. The exact q lies within r of segment k, and
+    rounding moves the computed q and its computed distance by a few
+    units u = eps / 2 of the magnitudes they meet. With S the table's
+    scale and m the margin:
+    - b = s + t (e - s) is off the segment by at most 5 u S a coordinate;
+    - |r (cos, sin)| <= r (1 + 3 u) with a faithful cos and sin, and
+      the sum b + r (cos, sin) adds u (S + m) a coordinate, so q is
+      within r + 9 u (S + m) of the segment;
+    - geometry._points_segments_distance rounds q - s, the projection
+      parameter, the foot point and the root, which adds at most
+      38 u S + 8 u m.
+    So the computed distance to segment k, and with it the minimum over
+    all segments, is at most r + 48 u (S + m) = r + 24 eps (S + m). A
+    draw with r <= m - _SLACK (S + m), _SLACK = 64 eps, is accepted
+    with no distance test, and its cost does not depend on the number
+    of segments. Only a draw in the band above that bound runs the
+    distance test, and only there can the loop reject and draw again.
     """
-    starts, ends, cum = table
+    segments, cum = table.segments, table.cum
     total = cum[-1]
+    sure = margin - _SLACK * (table.scale + margin)
     for _ in range(_MAX_WAYPOINT_DRAWS):
-        k = int(np.searchsorted(cum, rng.random() * total))
-        base = starts[k] + rng.random() * (ends[k] - starts[k])
+        sx, sy, ex, ey = segments[bisect_left(cum, rng.random() * total)]
+        t = rng.random()
+        bx, by = sx + t * (ex - sx), sy + t * (ey - sy)
         r = margin * math.sqrt(rng.random())
         ang = 2.0 * math.pi * rng.random()
-        q = base + r * np.array([math.cos(ang), math.sin(ang)])
-        if float(geo._points_segments_distance(q[None, :], starts,
-                                               ends)[0]) <= margin:
+        q = (bx + r * math.cos(ang), by + r * math.sin(ang))
+        if r <= sure or float(geo._points_segments_distance(
+                np.array([q]), table.starts, table.ends)[0]) <= margin:
             return q
     raise SamplingExhausted(f"no valid waypoint in {_MAX_WAYPOINT_DRAWS} draws")
 
@@ -378,8 +454,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
         region = current.regions[a]
         if slots[a][0] is not region:
             slots[a] = (region, waypoint_table(region, env))
-        return tuple(random_destination(slots[a][1], config.waypoint_margin,
-                                        rng).tolist())
+        return random_destination(slots[a][1], config.waypoint_margin, rng)
 
     start, dest = list(pos), list(pos)
     for a in range(n):
@@ -462,7 +537,9 @@ def analyze_log(events, duration: float, window: float, pairs) -> dict:
 
     For each pair: event count, largest gap between consecutive
     contacts (run boundaries included), and the fraction of disjoint
-    windows containing at least one contact, with a 95% score CI.
+    windows containing at least one contact, with a 95% score CI. A run
+    shorter than one window has no window to count: its fraction is NaN
+    and its CI [0, 1], whatever the count.
     """
     if window <= 0.0 or duration <= 0.0:
         raise ValueError("duration and window must be positive")

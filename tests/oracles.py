@@ -679,6 +679,52 @@ def centroid_ref(region: Region, density, perf, scale=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The waypoint draw in array form, as it was before it went to Python
+# floats: every attempt runs the distance test. netsim.random_destination
+# must give the same point and leave the generator in the same state.
+
+class ScriptedDraws:
+    """A stand-in generator for the waypoint draw: the n-th random()
+    hands out script[n] where the script gives a value, and a seeded
+    generator's n-th draw where it gives None or has run out. state()
+    is all that a draw can have moved."""
+
+    def __init__(self, script, seed: int):
+        self.script = list(script)
+        self.rng = np.random.default_rng(seed)
+        self.drawn = 0
+
+    def random(self) -> float:
+        u = self.rng.random()
+        v = self.script[self.drawn] if self.drawn < len(self.script) else None
+        self.drawn += 1
+        return u if v is None else v
+
+    def state(self):
+        return self.drawn, self.rng.bit_generator.state
+
+
+def waypoint_accepted_ref(q, table, margin: float) -> bool:
+    return float(geo._points_segments_distance(
+        np.asarray(q, dtype=float)[None, :], table.starts,
+        table.ends)[0]) <= margin
+
+
+def random_destination_ref(table, margin: float, rng) -> np.ndarray:
+    starts, ends, cum = table.starts, table.ends, np.asarray(table.cum)
+    total = cum[-1]
+    for _ in range(ns._MAX_WAYPOINT_DRAWS):
+        k = int(np.searchsorted(cum, rng.random() * total))
+        base = starts[k] + rng.random() * (ends[k] - starts[k])
+        r = margin * math.sqrt(rng.random())
+        ang = 2.0 * math.pi * rng.random()
+        q = base + r * np.array([math.cos(ang), math.sin(ang)])
+        if waypoint_accepted_ref(q, table, margin):
+            return q
+    raise ns.SamplingExhausted("no valid waypoint")
+
+
+# ---------------------------------------------------------------------------
 # The network simulation loop one step at a time, as it was before it
 # went a quiet window at a time. netsim.simulate must give the same
 # events, transitions, snapshots and final partition, to the bit
@@ -699,7 +745,8 @@ def simulate_ref(config, initial, density, perf, duration, *,
                  snapshot_times=()):
     """netsim.simulate one step at a time: motion, then one math.hypot
     range test and one rng.random() coin per in-range pair. Every
-    waypoint draw builds its region's table afresh."""
+    waypoint draw builds its region's table afresh and draws in array
+    form (random_destination_ref)."""
     env = initial.env
     n = initial.n
     if n < 2:
@@ -726,7 +773,7 @@ def simulate_ref(config, initial, density, perf, duration, *,
             leg_start=pos, destination=pos))
     for a in agents:
         if a.phase == ns.TRAVEL:
-            a.destination = ns.random_destination(
+            a.destination = random_destination_ref(
                 ns.waypoint_table(current.regions[a.region_index], env),
                 config.waypoint_margin, rng)
     # the initial hold is not an epoch phase: it only desynchronizes
@@ -757,7 +804,7 @@ def simulate_ref(config, initial, density, perf, duration, *,
                     counts[key] = counts.get(key, 0) + 1
                 if nxt == ns.TRAVEL:
                     a.leg_start = a.position.copy()
-                    a.destination = ns.random_destination(
+                    a.destination = random_destination_ref(
                         ns.waypoint_table(current.regions[a.region_index],
                                           env),
                         config.waypoint_margin, rng)

@@ -485,6 +485,11 @@ def test_run_netsim_short(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert "mixed_centroidal True" in summary
     assert "pair_0_1" in summary
+    # 3 legs are shorter than the 5-leg window: no pair gets an estimate
+    pairs = [ln for ln in summary.splitlines() if ln.startswith("pair_")]
+    assert pairs and all(ln.endswith("hit_p nan ci [0.000, 1.000]")
+                         for ln in pairs)
+    assert any(" count 0 " not in ln for ln in pairs)
 
 
 def test_run_netsim_bad_delta_returns_2(tmp_path):

@@ -52,6 +52,36 @@ def test_netconfig_gates():
         ns.NetConfig(time_step=0.0)
 
 
+NON_FINITE = [
+    ("speeds", (math.nan, 1.0, 1.0)), ("speeds", (1.0, math.nan, 1.0)),
+    ("speeds", (1.0, math.inf, 1.0)), ("comm_radius", math.nan),
+    ("comm_rate", math.nan), ("waypoint_margin", math.nan),
+    ("waypoint_margin", math.inf), ("delta", math.nan),
+    ("delta", math.inf), ("time_step", math.nan), ("time_step", math.inf),
+]
+
+
+@pytest.mark.parametrize("name, value", NON_FINITE)
+def test_netconfig_refuses_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        ns.NetConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["comm_radius", "comm_rate"])
+def test_netconfig_keeps_infinite_range_and_rate(name):
+    # the limits of an always-in-range pair and of a trade at every
+    # in-range step: both run to the horizon with more contacts than the
+    # default range and rate make on the same seed
+    env = strip_env()
+    init = strip_partition(env, cuts=(0.6, 1.9))
+    leg = ns.leg_time(env, ns.NetConfig())
+    base = ns.simulate(ns.NetConfig(seed=3), init, DENS, QUAD, 3.0 * leg)
+    trace = ns.simulate(ns.NetConfig(seed=3, **{name: math.inf}), init, DENS,
+                        QUAD, 3.0 * leg)
+    assert trace.termination == "horizon"
+    assert len(trace.events) > len(base.events)
+
+
 def test_epoch_transition_chain():
     rng = np.random.default_rng(0)
     assert ns.epoch_transition(ns.TRAVEL, rng) == ns.WAIT_1
@@ -146,7 +176,7 @@ def test_internal_boundary_clips_edges_at_t_junctions(b, want):
         got = segment_set(*ns.internal_boundary_segments(region, env))
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-        _starts, _ends, cum = ns.waypoint_table(region, env)
+        cum = ns.waypoint_table(region, env).cum
         assert cum[-1] == pytest.approx(
             np.hypot(*(want[:, 2:] - want[:, :2]).T).sum(), abs=1e-12)
 
@@ -173,6 +203,68 @@ def test_random_destination_uniform_along_boundary():
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     # 0.999 quantile of chi-square with 9 degrees of freedom
     assert chi2 < 27.88
+
+
+def translated(vertices, offset):
+    return np.asarray(vertices, dtype=float) + offset
+
+
+def strip_tables(offset=0.0):
+    env = pt.environment(translated(strip_env().polygon.vertices, offset))
+    regions = strip_partition(strip_env(), cuts=(0.6, 1.9)).regions
+    return [ns.waypoint_table(geo.region_of(translated(r.vertices, offset)),
+                              env) for r in regions]
+
+
+def t_junction_tables():
+    env = pt.rectangle(2.0, 1.0)
+    a = geo.ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    tables = []
+    for b, _want in T_JUNCTIONS:
+        b = geo.ConvexPolygon(b)
+        tables += [ns.waypoint_table(geo.Region(pieces), env)
+                   for pieces in ((a, b), (b, a))]
+    return tables
+
+
+DRAW_TABLES = {"netsim-strip": strip_tables,
+               "t-junctions": t_junction_tables,
+               "netsim-strip+1e6": lambda: strip_tables(1e6)}
+# the largest float below 1: as the third draw it puts the offset r
+# within an ulp of the margin, inside the band that runs the distance test
+NEAR_ONE = 1.0 - 2.0 ** -53
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_TABLES))
+def test_random_destination_is_the_array_draw(monkeypatch, name):
+    distance = geo._points_segments_distance
+    tested = []
+
+    def counting(*args):
+        tested.append(args)
+        return distance(*args)
+
+    bound = band = 0
+    for table in DRAW_TABLES[name]():
+        assert len(table.segments) == len(table.cum) == len(table.starts)
+        for margin in (0.2, 1e-3):
+            for seed in range(20):
+                for script in ((), (None, None, NEAR_ONE)):
+                    got_rng = oracles.ScriptedDraws(script, seed)
+                    want_rng = oracles.ScriptedDraws(script, seed)
+                    want = oracles.random_destination_ref(table, margin,
+                                                          want_rng)
+                    tested.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(geo, "_points_segments_distance", counting)
+                        got = ns.random_destination(table, margin, got_rng)
+                    assert got == tuple(want.tolist())
+                    assert got_rng.state() == want_rng.state()
+                    if script:
+                        assert tested  # the scripted offset is in the band
+                    band += bool(tested)
+                    bound += not tested
+    assert bound and band
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +642,19 @@ def test_analyze_log_counts_and_gaps():
     assert empty["p"] == 0.0
     with pytest.raises(ValueError):
         ns.analyze_log(events, duration=10.0, window=0.0, pairs=[(0, 1)])
+
+
+def test_analyze_log_gives_no_estimate_without_a_window():
+    # 21 contacts in a run shorter than its window: counts and gaps, but
+    # no hit rate and no narrower interval than [0, 1]
+    events = synthetic_events(np.linspace(0.1, 2.9, 21))
+    stats = ns.analyze_log(events, duration=3.0, window=5.0,
+                           pairs=[(0, 1), (1, 2)])
+    for pair, count in (((0, 1), 21), ((1, 2), 0)):
+        s = stats[pair]
+        assert (s["count"], s["windows"], s["hits"]) == (count, 0, 0)
+        assert math.isnan(s["p"])
+        assert (s["ci_low"], s["ci_high"]) == (0.0, 1.0)
 
 
 def test_analyze_log_periodic_gap_equals_period():

@@ -8,7 +8,9 @@ exchange never trades more than the full one on the same pair. A zero
 fixed-point residual holds exactly when the partition is pairwise
 balanced at tolerance 0. The closed-form quadratic cost equals the
 rational moments of the same float vertices after translation and
-scaling.
+scaling. A waypoint draw that netsim.random_destination accepts by its
+offset bound, with no distance test, is one the array-form draw's
+distance test accepts too.
 """
 import math
 from fractions import Fraction
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 import oracles
 from gossipcover import geometry as geo
 from gossipcover import gossip as gp
+from gossipcover import netsim as ns
 from gossipcover import partition as pt
 from gossipcover.geometry import ConvexPolygon, Region, region_of
 from gossipcover.partition import Partition
@@ -32,6 +35,7 @@ QUAD = geo.quadratic_performance()
 EXPONENT = st.floats(-13.0, -6.0)
 UNIT = st.floats(-1.0, 1.0)
 NOISE = st.lists(st.tuples(UNIT, UNIT), min_size=10, max_size=10)
+DRAW = st.floats(0.0, 1.0, exclude_max=True)
 
 
 def trade_bound(part, i, j, ci, cj) -> float:
@@ -198,3 +202,43 @@ def test_quadratic_cost_is_exact_when_translated_and_scaled(seed, offset_exp,
         want = oracles.cost_exact(p, region)
         assert abs(Fraction(got) - want) <= 1e-12 * abs(want)
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(ends=st.lists(st.tuples(UNIT, UNIT, UNIT, UNIT), min_size=1,
+                     max_size=6),
+       offset_exp=st.floats(0.0, 6.0), angle=st.floats(0.0, 2.0 * math.pi),
+       margin_exp=st.floats(-6.0, math.log10(0.2)),
+       draws=st.tuples(DRAW, DRAW, DRAW, DRAW),
+       below=st.one_of(st.none(), st.integers(0, 4)))
+def test_waypoint_bound_accepts_only_draws_within_the_margin(
+        ends, offset_exp, angle, margin_exp, draws, below):
+    # the accept bound is sound where rounding is largest: tables moved
+    # by up to 1e6, margins down to 1e-6, and the offset r at the bound
+    # itself or a few ulps below it (below is None: any offset)
+    offset = 10.0 ** offset_exp * np.array([math.cos(angle), math.sin(angle)])
+    ends = np.array(ends)
+    try:
+        table = ns._segment_table(ends[:, :2] + offset, ends[:, 2:] + offset)
+    except ns.SamplingExhausted:
+        assume(False)
+    margin = min(10.0 ** margin_exp, 0.2)
+    script = list(draws)
+    if below is not None:
+        sure = margin - ns._SLACK * (table.scale + margin)
+        v = (sure / margin) ** 2
+        while margin * math.sqrt(v) > sure:
+            v = math.nextafter(v, 0.0)
+        for _ in range(below):
+            v = math.nextafter(v, 0.0)
+        script[2] = v
+    rng = oracles.ScriptedDraws(script, 0)
+    q = ns.random_destination(table, margin, rng)
+    want = oracles.random_destination_ref(table, margin,
+                                          oracles.ScriptedDraws(script, 0))
+    assert q == tuple(want.tolist())
+    if margin * math.sqrt(script[2]) <= margin - ns._SLACK * (table.scale
+                                                              + margin):
+        # accepted by the bound, on the first attempt
+        assert rng.drawn == 4
+        assert oracles.waypoint_accepted_ref(q, table, margin)

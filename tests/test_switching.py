@@ -267,11 +267,19 @@ def test_empirical_persistency_adjacent_pairs():
         assert abs(s["p"] - 0.9375) < 0.05
     assert stats[(0, 2)]["hits"] == 0
     assert stats[(0, 2)]["ci_high"] < 0.05
-    # no window, or fewer steps than one window, is refused
+    # no window, or fewer steps than one window, is refused, so every
+    # pair has a window to count and an estimate
     for n_steps, window in ((20, 0), (20, -2), (3, 5)):
         with pytest.raises(ValueError, match=f"window must be 1 to n_steps "
                            f"{n_steps}, got {window}"):
             sw.empirical_persistency(sched, part, [(0, 1)], n_steps, window)
+
+
+def test_wilson_without_trials_gives_no_estimate():
+    p, lo, hi = sw._wilson(0, 0)
+    assert math.isnan(p) and (lo, hi) == (0.0, 1.0)
+    assert sw._wilson(0, 4)[0] == 0.0 and sw._wilson(0, 4)[1] == 0.0
+    assert sw._wilson(4, 4)[0] == 1.0 and sw._wilson(4, 4)[2] == 1.0
 
 
 # ---------------------------------------------------------------------------
