@@ -1,10 +1,11 @@
 """Experiment runner: config parsing, orchestration, artifact emission.
 
 Configs are single YAML files (see the shipped presets). The `run`
-command executes one experiment and writes a step trace, a coverage
-cost CSV, SVG snapshots, and a plain-text summary into the output
-directory. `compare` runs several exchange algorithms from the same
-start and emits their cost series side by side.
+command executes one experiment: its mode's runner computes and returns
+a Run record, and _finish alone writes the record's files, SVG
+snapshots and plain-text summary into the output directory and prints
+its lines. `compare` runs several exchange algorithms from the same
+start and emits their cost series side by side through _finish.
 
 Exit codes: 0 success, 2 bad config, 3 degenerate evolution, 4 budget
 or horizon exhausted without convergence.
@@ -12,12 +13,15 @@ or horizon exhausted without convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 import time
 from collections import namedtuple
+from functools import partial
 from importlib import resources
+from itertools import chain, zip_longest
 
 import numpy as np
 import yaml
@@ -366,43 +370,31 @@ def _algorithm(sec: dict, env, n, seed: int) -> Algorithm:
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
+# output: runners return a Run, and _finish emits it
 
-def _ensure_out(out_dir: str):
-    # runners call it after reading the config, so a rejected one leaves none
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"out: cannot create {out_dir!r} ({exc})") from exc
+# what a run mode ran: its exit code, the notes printed before its files,
+# its summary entries in order, its files as name -> writer(path), its
+# (time, partition) snapshots and its closing line (None for none)
+Run = namedtuple("Run", "code notes entries files snapshots closing")
+
+
+def _cell(x) -> str:
+    """One CSV cell: a float as the repr of a Python float, so a numpy
+    float64 reads back as its number, and NaN or None as an empty cell."""
+    if isinstance(x, float):
+        return "" if math.isnan(x) else repr(float(x))
+    return "" if x is None else str(x)
+
+
+def _write_csv(header, rows, path: str):
+    with open(path, "w") as f:
+        f.writelines(",".join(map(_cell, row)) + "\n"
+                     for row in chain([header], rows))
 
 
 def write_h_csv(trace: sw.EvolutionTrace, path: str):
-    with open(path, "w") as f:
-        f.write("t,h,residual\n")
-        for s in trace.steps:
-            res = "" if math.isnan(s.residual) else repr(float(s.residual))
-            f.write(f"{s.t},{float(s.h)!r},{res}\n")
-
-
-def write_snapshots(snapshots, out_dir: str, density, perf, log):
-    for tag, part in snapshots:
-        name = f"snapshot-{tag:g}.svg"
-        cs = pt.centroids(part, density, perf)
-        residue = svg.write_svg(part, os.path.join(out_dir, name), points=cs,
-                                label=f"t={tag:g}")
-        log(f"{name}: area residue {residue:.3e} "
-            f"(budget {part.n * part.env.tol_area:.3e})")
-
-
-def _trace_minima(trace: sw.EvolutionTrace) -> dict:
-    if not trace.steps:
-        return {"min_region_area": math.nan, "min_centroid_gap": math.nan,
-                "max_piece_count": 0}
-    return {
-        "min_region_area": min(s.min_region_area for s in trace.steps),
-        "min_centroid_gap": min(s.min_centroid_gap for s in trace.steps),
-        "max_piece_count": max(s.max_piece_count for s in trace.steps),
-    }
+    _write_csv(("t", "h", "residual"),
+               [(s.t, s.h, s.residual) for s in trace.steps], path)
 
 
 def _echo(section, path: str):
@@ -417,40 +409,70 @@ def _echo(section, path: str):
             yield f"{path}.{key}", val
 
 
-def write_summary(out_dir: str, entries: dict, s: Settings):
-    """summary.txt: the run's entries, then one config.<path> line per
-    setting it ran with, defaults included."""
+def _finish(run: Run, s: Settings, out_dir: str, prefix: str) -> int:
+    """Emit a run into out_dir and return its exit code. Prints its
+    notes; writes its files, an SVG per snapshot (printing its area
+    residue) and summary.txt: the entries, then one config.<path> line
+    per setting the run ran with, defaults included; then prints the
+    closing line. Every printed line starts with prefix."""
+    for note in run.notes:
+        print(prefix + note)
+    # called after the config is read, so a rejected one leaves no directory
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create {out_dir!r} ({exc})") from exc
+    for name, write in run.files.items():
+        write(os.path.join(out_dir, name))
+    for tag, part in run.snapshots:
+        name = f"snapshot-{tag:g}.svg"
+        residue = svg.write_svg(
+            part, os.path.join(out_dir, name), label=f"t={tag:g}",
+            points=pt.centroids(part, s.density, s.performance))
+        print(f"{prefix}{name}: area residue {residue:.3e} "
+              f"(budget {part.n * part.env.tol_area:.3e})")
     with open(os.path.join(out_dir, "summary.txt"), "w") as f:
-        for k, v in [*entries.items(), *_echo(s, "config")]:
+        for k, v in [*run.entries.items(), *_echo(s, "config")]:
             f.write(f"{k} {v}\n")
+    if run.closing is not None:
+        print(prefix + run.closing)
+    return run.code
 
 
 # ---------------------------------------------------------------------------
 # run modes
 
-def _run_stepwise(s: Settings, algo: str, delta, log, snapshot_steps):
+def _timed(run, *args, **kwargs) -> tuple:
+    """(trace, exit code, notes, wall seconds) of one run call; a
+    degenerate evolution gives its partial trace, exit 3 and a note."""
+    started = time.perf_counter()
+    try:
+        trace, code, notes = run(*args, **kwargs), EXIT_OK, []
+    except DegenerateEvolution as exc:
+        trace, code = exc.trace, EXIT_DEGENERATE
+        notes = [f"degenerate evolution at step {exc.step}: {exc}"]
+    return trace, code, notes, time.perf_counter() - started
+
+
+def _run_stepwise(s: Settings, algo: str, delta, snapshot_steps) -> tuple:
     """Run a stepwise algorithm ("gossip", "partial" or "lloyd") from the
     settings' start with their budget, stop_tol, check_every and
-    scheduler; partial trades within delta. Returns the trace and its
-    exit code."""
-    density, perf = s.density, s.performance
-    try:
-        if algo == "lloyd":
-            trace = sw.run_lloyd(s.start, density, perf, budget=s.budget,
-                                 stop_tol=s.stop_tol,
-                                 snapshot_steps=snapshot_steps)
-        else:
-            scheduler = build_scheduler(s.scheduler, s.n, s.seed)
-            trace = sw.run_evolution(
-                s.start, density, perf, scheduler,
-                delta=delta if algo == "partial" else None, budget=s.budget,
-                stop_tol=s.stop_tol, check_every=s.check_every,
-                snapshot_steps=snapshot_steps)
-    except DegenerateEvolution as exc:
-        log(f"degenerate evolution at step {exc.step}: {exc}")
-        return exc.trace, EXIT_DEGENERATE
-    return trace, EXIT_BUDGET if trace.termination == "step_budget" \
-        else EXIT_OK
+    scheduler; partial trades within delta. Returns _timed's tuple, a
+    run that ends on its step budget with exit 4."""
+    given = dict(budget=s.budget, stop_tol=s.stop_tol,
+                 snapshot_steps=snapshot_steps)
+    if algo == "lloyd":
+        trace, code, notes, wall = _timed(sw.run_lloyd, s.start, s.density,
+                                          s.performance, **given)
+    else:
+        trace, code, notes, wall = _timed(
+            sw.run_evolution, s.start, s.density, s.performance,
+            build_scheduler(s.scheduler, s.n, s.seed), **given,
+            delta=delta if algo == "partial" else None,
+            check_every=s.check_every)
+    if code == EXIT_OK and trace.termination == "step_budget":
+        code = EXIT_BUDGET
+    return trace, code, notes, wall
 
 
 def _worst(codes) -> int:
@@ -461,126 +483,99 @@ def _worst(codes) -> int:
     return EXIT_OK
 
 
-def _run_pairwise(s: Settings, out_dir: str, log) -> int:
+def _run_pairwise(s: Settings) -> Run:
     algo = s.algorithm.kind
-    started = time.perf_counter()
-    trace, code = _run_stepwise(s, algo, s.algorithm.delta, log,
-                                s.snapshots)
-    wall = time.perf_counter() - started
-
-    _ensure_out(out_dir)
-    sw.write_trace(trace, os.path.join(out_dir, "trace.txt"))
-    write_h_csv(trace, os.path.join(out_dir, "h_series.csv"))
-    write_snapshots(trace.snapshots, out_dir, s.density, s.performance, log)
+    trace, code, notes, wall = _run_stepwise(s, algo, s.algorithm.delta,
+                                             s.snapshots)
+    steps = trace.steps
     entries = {
-        "algorithm": algo, "seed": s.seed, "steps": len(trace.steps),
+        "algorithm": algo, "seed": s.seed, "steps": len(steps),
         "termination": trace.termination,
         "converged": trace.termination == "converged",
         "final_residual": repr(trace.final_residual),
         "stop_tol": repr(trace.stop_tol), "wall_time": f"{wall:.3f}",
+        "min_region_area": min((x.min_region_area for x in steps),
+                               default=math.nan),
+        "min_centroid_gap": min((x.min_centroid_gap for x in steps),
+                                default=math.nan),
+        "max_piece_count": max((x.max_piece_count for x in steps), default=0),
     }
-    entries.update(_trace_minima(trace))
-    write_summary(out_dir, entries, s)
-    log(f"{algo}: {trace.termination} after {len(trace.steps)} steps, "
-        f"residual {trace.final_residual:.3e}, {wall:.1f}s")
-    return code
+    files = {"trace.txt": partial(sw.write_trace, trace),
+             "h_series.csv": partial(write_h_csv, trace)}
+    return Run(code, notes, entries, files, trace.snapshots,
+               f"{algo}: {trace.termination} after {len(steps)} steps, "
+               f"residual {trace.final_residual:.3e}, {wall:.1f}s")
 
 
-def _run_netsim(s: Settings, out_dir: str, log) -> int:
-    density, perf, initial = s.density, s.performance, s.start
+def _run_netsim(s: Settings) -> Run:
     config = ns.NetConfig(seed=s.seed, **{k: getattr(s.algorithm, k)
                                           for k in _NET_KEYS})
-    env, horizon_legs = initial.env, s.algorithm.horizon_legs
+    env, horizon_legs = s.start.env, s.algorithm.horizon_legs
     leg = ns.leg_time(env, config)
-
-    started = time.perf_counter()
-    code = EXIT_OK
-    try:
-        trace = ns.simulate(config, initial, density, perf,
-                            horizon_legs * leg,
-                            snapshot_times=[t * leg for t in s.snapshots])
-    except DegenerateEvolution as exc:
-        trace = exc.trace
-        code = EXIT_DEGENERATE
-        log(f"degenerate evolution: {exc}")
-    wall = time.perf_counter() - started
-
-    _ensure_out(out_dir)
-    ns.write_comm_log(trace, os.path.join(out_dir, "comm_log.txt"))
-    with open(os.path.join(out_dir, "h_series.csv"), "w") as f:
-        f.write("time,h\n")
-        for e in trace.events:
-            f.write(f"{e.time!r},{e.h!r}\n")
-    write_snapshots([(t / leg, p) for t, p in trace.snapshots], out_dir,
-                    density, perf, log)
-    mixed = False
-    if trace.final is not None:
-        mixed = gp.is_mixed_centroidal(trace.final, density, perf,
-                                       tol=env.end_state_tol)
+    trace, code, notes, wall = _timed(
+        ns.simulate, config, s.start, s.density, s.performance,
+        horizon_legs * leg, snapshot_times=[t * leg for t in s.snapshots])
+    mixed = trace.final is not None and gp.is_mixed_centroidal(
+        trace.final, s.density, s.performance, tol=env.end_state_tol)
     if code == EXIT_OK and not mixed:
         code = EXIT_BUDGET
     changed = sum(1 for e in trace.events if e.changed)
     stats = ns.analyze_log(trace.events, trace.elapsed or horizon_legs * leg,
-                           5.0 * leg, pt.adjacency_pairs(initial, config.delta))
+                           5.0 * leg, pt.adjacency_pairs(s.start, config.delta))
     entries = {
         "algorithm": "netsim", "seed": s.seed, "leg_time": repr(leg),
         "events": len(trace.events), "effective_trades": changed,
         "termination": trace.termination, "mixed_centroidal": mixed,
         "wall_time": f"{wall:.3f}",
     }
-    for pair, st in sorted(stats.items()):
-        entries[f"pair_{pair[0]}_{pair[1]}"] = (
+    for (i, j), st in sorted(stats.items()):
+        entries[f"pair_{i}_{j}"] = (
             f"count {st['count']} max_gap {st['max_gap']:.3f} "
             f"hit_p {st['p']:.3f} "
             f"ci [{st['ci_low']:.3f}, {st['ci_high']:.3f}]")
-    write_summary(out_dir, entries, s)
-    log(f"netsim: {len(trace.events)} contacts ({changed} effective), "
-        f"mixed centroidal: {mixed}, {wall:.1f}s")
-    return code
+    files = {"comm_log.txt": partial(ns.write_comm_log, trace),
+             "h_series.csv": partial(_write_csv, ("time", "h"),
+                                     [(e.time, e.h) for e in trace.events])}
+    return Run(code, notes, entries, files,
+               [(t / leg, p) for t, p in trace.snapshots],
+               f"netsim: {len(trace.events)} contacts ({changed} effective), "
+               f"mixed centroidal: {mixed}, {wall:.1f}s")
 
 
 NEAR_CIRCLE_BAND = 0.05
 
 
-def _run_polar(s: Settings, out_dir: str, log) -> int:
+def _run_polar(s: Settings) -> Run:
     a = s.algorithm
     trace = sw.run_polar(a.mode, a.steps, a.rho0, a.theta0)
-    _ensure_out(out_dir)
-    with open(os.path.join(out_dir, "polar_trace.csv"), "w") as f:
-        f.write("t,rho,theta,map\n")
-        labels = [""] + trace.labels
-        for t, (rho, theta) in enumerate(trace.states):
-            f.write(f"{t},{rho!r},{theta!r},{labels[t]}\n")
-    rho_f, theta_f = trace.states[-1]
+    rho_f, theta_f = map(float, trace.states[-1])
     near = trace.states[np.abs(trace.states[:, 0] - 1.0) <= NEAR_CIRCLE_BAND]
-    spread = sw.circular_spread(near[:, 1]) if len(near) else 0.0
+    spread = float(sw.circular_spread(near[:, 1])) if len(near) else 0.0
     entries = {
         "algorithm": "polar", "mode": a.mode, "steps": a.steps,
-        "final_rho": repr(float(rho_f)), "final_theta": repr(float(theta_f)),
+        "final_rho": repr(rho_f), "final_theta": repr(theta_f),
         "limit_set_distance": repr(
-            sw.distance_to_polar_limit_set(float(rho_f), float(theta_f))),
-        "near_circle_angle_spread": repr(float(spread)),
+            sw.distance_to_polar_limit_set(rho_f, theta_f)),
+        "near_circle_angle_spread": repr(spread),
     }
-    write_summary(out_dir, entries, s)
-    log(f"polar {a.mode}: final radius {rho_f:.4f}, "
-        f"near-circle angle spread {spread:.4f}")
-    return EXIT_OK
+    # state 0 precedes any applied map; the rows are made as they are
+    # written, one pass over the states
+    rows = ((t, rho, theta, label) for t, ((rho, theta), label) in
+            enumerate(zip(trace.states, ["", *trace.labels])))
+    files = {"polar_trace.csv": partial(_write_csv, ("t", "rho", "theta",
+                                                     "map"), rows)}
+    return Run(EXIT_OK, [], entries, files, [],
+               f"polar {a.mode}: final radius {rho_f:.4f}, "
+               f"near-circle angle spread {spread:.4f}")
 
 
-def _run_comb(s: Settings, out_dir: str, log) -> int:
+def _run_comb(s: Settings) -> Run:
     levels = s.algorithm.levels
-    _ensure_out(out_dir)
-    with open(os.path.join(out_dir, "comb_table.csv"), "w") as f:
-        f.write("t,left_measure,left_cost_at_zero,pair_cost,"
-                "hausdorff_to_full,symdiff_to_full\n")
-        for t in range(levels + 1):
-            rec = dy.comb_family(t)
-            f.write(f"{t},{rec.left_measure},{rec.left_cost_at_zero},"
-                    f"{rec.pair_cost},{rec.hausdorff_to_full},"
-                    f"{rec.symdiff_to_full}\n")
-    log(f"comb family table for t=0..{levels} written")
-    write_summary(out_dir, {"algorithm": "comb", "levels": levels}, s)
-    return EXIT_OK
+    header = [f.name for f in dataclasses.fields(dy.CombRecord)]
+    rows = [dataclasses.astuple(dy.comb_family(t)) for t in range(levels + 1)]
+    return Run(EXIT_OK, [], {"algorithm": "comb", "levels": levels},
+               {"comb_table.csv": partial(_write_csv, header, rows)}, [],
+               f"comb family table for t=0..{levels} written")
 
 
 _RUNNERS = {"gossip": _run_pairwise, "partial": _run_pairwise,
@@ -593,16 +588,15 @@ def cmd_run(args) -> int:
     s = parse(cfg, args.seed, args.snapshots, args.out)
     out_dir = s.out or "runs/out"
     if args.batch is None:
-        return _RUNNERS[s.algorithm.kind](s, out_dir, print)
+        return _finish(_RUNNERS[s.algorithm.kind](s), s, out_dir, "")
     if args.batch < 1:
         raise ConfigError("batch: needs at least one run")
     codes = {}
     for k in range(s.seed, s.seed + args.batch):
         # each run's own settings, its seed's draws included
-        codes[k] = _RUNNERS[s.algorithm.kind](
-            parse(cfg, k, args.snapshots, args.out),
-            os.path.join(out_dir, f"seed-{k}"),
-            lambda msg: print(f"[seed {k}] {msg}"))
+        sk = parse(cfg, k, args.snapshots, args.out)
+        codes[k] = _finish(_RUNNERS[sk.algorithm.kind](sk), sk,
+                           os.path.join(out_dir, f"seed-{k}"), f"[seed {k}] ")
     for k, code in codes.items():
         print(f"seed {k}: exit {code}")
     return _worst(codes.values())
@@ -637,7 +631,6 @@ def cmd_compare(args) -> int:
     if s.start is None:
         raise ConfigError(f"algorithm.kind: {s.algorithm.kind} runs draw no "
                           f"partition to compare from")
-    out_dir = s.out or "runs/compare"
     # partial:<delta> replaces algorithm.delta; every delta is checked
     # before the first run
     deltas = [s.algorithm.delta if param is None else param
@@ -646,35 +639,28 @@ def cmd_compare(args) -> int:
         if name == "partial":
             _partial_delta(s.environment, delta, "algos")
 
-    series = {}
-    codes = []
+    series, codes = {}, []
     for (name, param), delta in zip(algos, deltas):
         label = name if param is None else f"{name}_{param:g}"
-        trace, code = _run_stepwise(s, name, delta,
-                                    lambda msg: print(f"{label}: {msg}"), ())
+        trace, code, notes, _ = _run_stepwise(s, name, delta, ())
         series[label] = trace
         codes.append(code)
-        print(f"{label}: {trace.termination} after {len(trace.steps)} steps, "
-              f"residual {trace.final_residual:.3e}")
+        # each algorithm's lines as its run ends
+        for line in (*notes, f"{trace.termination} after {len(trace.steps)} "
+                     f"steps, residual {trace.final_residual:.3e}"):
+            print(f"{label}: {line}")
 
-    labels = list(series)
-    longest = max((len(t.steps) for t in series.values()), default=0)
-    _ensure_out(out_dir)
-    with open(os.path.join(out_dir, "compare.csv"), "w") as f:
-        f.write("t," + ",".join(f"h_{m}" for m in labels) + "\n")
-        for t in range(longest):
-            row = [str(t)]
-            for m in labels:
-                steps = series[m].steps
-                row.append(repr(steps[t].h) if t < len(steps) else "")
-            f.write(",".join(row) + "\n")
+    # a run that ended early leaves its later cells empty
+    rows = [(t, *hs) for t, hs in enumerate(zip_longest(
+        *([x.h for x in tr.steps] for tr in series.values())))]
     entries = {"seed": s.seed, "budget": s.budget}
-    for m in labels:
-        tr = series[m]
+    for m, tr in series.items():
         entries[m] = (f"termination {tr.termination} steps {len(tr.steps)} "
                       f"residual {tr.final_residual!r}")
-    write_summary(out_dir, entries, s)
-    return _worst(codes)
+    header = ["t", *(f"h_{m}" for m in series)]
+    return _finish(Run(_worst(codes), [], entries,
+                       {"compare.csv": partial(_write_csv, header, rows)},
+                       [], None), s, s.out or "runs/compare", "")
 
 
 def cmd_presets(args) -> int:

@@ -42,7 +42,7 @@ from . import gossip as gp
 from . import partition as pt
 from .geometry import Density, GeometryError, PerformanceFunction, Region
 from .partition import DegenerateEvolution, Environment, Partition
-from .switching import _wilson
+from .switching import window_statistics
 
 
 class SamplingExhausted(GeometryError):
@@ -368,10 +368,14 @@ def _in_range(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
 
     np.hypot decides every entry at once; the few within _HYPOT_ULPS
     ulps of the radius are decided again by math.hypot, so the mask is
-    the one-pair-at-a-time test to the bit.
+    the one-pair-at-a-time test to the bit. An infinite radius has no
+    such band, as its ulp is infinite: both forms put every offset but
+    a NaN one within it.
     """
     d = np.hypot(dx, dy)
     mask = d <= radius
+    if radius == math.inf:
+        return mask
     near = np.abs(d - radius) <= _HYPOT_ULPS * math.ulp(radius)
     for idx in zip(*np.nonzero(near)):
         mask[idx] = math.hypot(float(dx[idx]), float(dy[idx])) <= radius
@@ -533,14 +537,8 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
 # log analysis
 
 def analyze_log(events, duration: float, window: float, pairs) -> dict:
-    """Per-pair contact statistics over a finished run.
-
-    For each pair: event count, largest gap between consecutive
-    contacts (run boundaries included), and the fraction of disjoint
-    windows containing at least one contact, with a 95% score CI. A run
-    shorter than one window has no window to count: its fraction is NaN
-    and its CI [0, 1], whatever the count.
-    """
+    """switching.window_statistics of each pair's contacts over a
+    finished run."""
     if window <= 0.0 or duration <= 0.0:
         raise ValueError("duration and window must be positive")
     times = {tuple(sorted(p)): [] for p in pairs}
@@ -548,20 +546,8 @@ def analyze_log(events, duration: float, window: float, pairs) -> dict:
         key = tuple(sorted(e.pair))
         if key in times:
             times[key].append(e.time)
-    n_windows = int(duration / window)
-    stats = {}
-    for key, ts in times.items():
-        if ts:
-            bounds = [0.0] + ts + [duration]
-            max_gap = float(max(b - a for a, b in zip(bounds, bounds[1:])))
-        else:
-            max_gap = float(duration)
-        hits = len({int(x / window) for x in ts if x < n_windows * window})
-        p, lo, hi = _wilson(hits, n_windows)
-        stats[key] = {"count": len(ts), "max_gap": max_gap, "p": p,
-                      "ci_low": lo, "ci_high": hi, "windows": n_windows,
-                      "hits": hits}
-    return stats
+    return {key: window_statistics(ts, duration, window)
+            for key, ts in times.items()}
 
 
 def write_comm_log(trace: NetTrace, path_or_file):

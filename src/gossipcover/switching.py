@@ -283,9 +283,27 @@ def _wilson(k: int, n: int, z: float = 1.959963984540054):
     return p, max(center - half, 0.0), min(center + half, 1.0)
 
 
+def window_statistics(times, duration: float, window: float) -> dict:
+    """One pair's contact statistics over a run of the given duration,
+    its contacts at the sorted times: their count, the largest gap
+    between consecutive contacts (run boundaries included), and the
+    share of the int(duration / window) disjoint windows holding one
+    (p) with its 95 % Wilson interval. A run shorter than one window has
+    no window to count: p is NaN and the interval [0, 1]."""
+    n_windows = int(duration / window)
+    bounds = [0.0, *times, duration]
+    hits = len({int(x / window) for x in times if x < n_windows * window})
+    p, lo, hi = _wilson(hits, n_windows)
+    return {"count": len(times),
+            "max_gap": float(max(b - a for a, b in zip(bounds, bounds[1:]))),
+            "p": p, "ci_low": lo, "ci_high": hi, "windows": n_windows,
+            "hits": hits}
+
+
 def empirical_persistency(scheduler, partition: Partition, pairs,
                           n_steps: int, window: int) -> dict:
-    """Per-pair hit probability over disjoint windows, with 95% Wilson CI.
+    """Per-pair window_statistics of the scheduler's selections, step t
+    at time t, over n_steps steps and windows of window steps.
 
     The scheduler runs against the fixed partition; selections that
     return None count as idle steps.
@@ -296,16 +314,9 @@ def empirical_persistency(scheduler, partition: Partition, pairs,
     for t in range(n_steps):
         choice = scheduler.select(t, partition)
         seq.append(tuple(sorted(choice)) if choice is not None else None)
-    n_windows = len(seq) // window
-    stats = {}
-    for pair in pairs:
-        pair = tuple(sorted(pair))
-        k = sum(1 for w in range(n_windows)
-                if pair in seq[w * window:(w + 1) * window])
-        p, lo, hi = _wilson(k, n_windows)
-        stats[pair] = {"p": p, "ci_low": lo, "ci_high": hi,
-                       "windows": n_windows, "hits": k}
-    return stats
+    return {pair: window_statistics(
+        [t for t, chosen in enumerate(seq) if chosen == pair], n_steps, window)
+        for pair in (tuple(sorted(p)) for p in pairs)}
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,12 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (geometry.PerformanceFunction, "validate"),
         # the config is parsed once, from one key table: no field readers
         (cli, "_get"), (cli, "_number"), (cli, "_numbers"), (cli, "_count"),
-        (cli, "_seed"), (cli, "_nonnegative")]
+        (cli, "_seed"), (cli, "_nonnegative"),
+        # one writer emits a run's files, snapshots and summary
+        (cli, "write_summary"), (cli, "write_snapshots"),
+        (cli, "_trace_minima"), (cli, "_ensure_out"),
+        # one per-pair window statistic, in switching
+        (netsim, "_wilson")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,

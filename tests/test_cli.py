@@ -1,9 +1,12 @@
+import builtins
 import os
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import oracles
 from gossipcover import cli
@@ -558,6 +561,17 @@ algorithm:
     assert "limit_set_distance" in summary
 
 
+def test_polar_trace_reads_back_the_states(tmp_path):
+    # every rho and theta cell is a plain float, not a numpy repr
+    cfg = write_cfg(tmp_path, "algorithm: {kind: polar, mode: adversarial, "
+                    "steps: 50, rho0: 1.7, theta0: 0.3}\n")
+    out = tmp_path / "polar"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    rows = (out / "polar_trace.csv").read_text().splitlines()[1:]
+    got = [[float(x) for x in row.split(",")[1:3]] for row in rows]
+    assert got == sw.run_polar("adversarial", 50, 1.7, 0.3).states.tolist()
+
+
 def test_run_comb_exact_table(tmp_path):
     cfg = write_cfg(tmp_path, """\
 algorithm:
@@ -655,3 +669,120 @@ def test_gossip_config_delta_keeps_the_full_exchange(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, QUICK_PAIRWISE.replace(
         "kind: gossip", "kind: gossip\n  delta: 0.1"))
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# one output path: runners return a record, _finish writes and prints it
+
+MODES = {
+    "gossip": QUICK_PAIRWISE,
+    "partial": QUICK_PAIRWISE.replace("kind: gossip",
+                                      "kind: partial\n  delta: 0.1"),
+    "lloyd": QUICK_PAIRWISE.replace("kind: gossip", "kind: lloyd"),
+    "netsim": NETSIM_SHORT,
+    "polar": "algorithm: {kind: polar, mode: alternating, steps: 20, "
+             "rho0: 1.7}\n",
+    "comb": "algorithm: {kind: comb, levels: 3}\n",
+}
+FILES = {"gossip": ["trace.txt", "h_series.csv"],
+         "netsim": ["comm_log.txt", "h_series.csv"],
+         "polar": ["polar_trace.csv"], "comb": ["comb_table.csv"]}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_runners_write_nothing(monkeypatch, mode):
+    # a runner opens no file and makes no directory: it returns its record
+    settings = cli.parse(yaml.safe_load(MODES[mode]), snapshots="0"
+                         if mode not in ("polar", "comb") else None)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a runner wrote")
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(os, "makedirs", refuse)
+    run = cli._RUNNERS[mode](settings)
+    monkeypatch.undo()
+    assert isinstance(run, cli.Run) and run.code == 0
+    assert list(run.files) == FILES.get(mode, FILES["gossip"])
+    assert len(run.snapshots) == (mode not in ("polar", "comb"))
+    assert run.notes == [] and run.closing and run.entries["algorithm"] == mode
+
+
+@pytest.mark.parametrize("batch", [None, 2], ids=["single", "batch"])
+def test_printed_lines_keep_their_order(tmp_path, monkeypatch, capsys, batch):
+    # the degenerate note, then the snapshot lines, then the closing line,
+    # each with its seed's prefix in a batch
+    real = gp.gossip_step
+    calls = []
+
+    def failing(*args, **kwargs):
+        if len(calls) == 3:  # the fourth exchange of each run
+            calls.clear()
+            raise geo.PieceBudgetExceeded("257 pieces exceed budget 256")
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "gossip_step", failing)
+    cfg = write_cfg(tmp_path, QUICK_PAIRWISE)
+    argv = ["run", cfg, "--out", str(tmp_path / "o"), "--snapshots", "0,2"]
+    seeds = [None] if batch is None else range(batch)
+    assert cli.main(argv + ([] if batch is None else
+                            ["--batch", str(batch)])) == 3
+    lines = capsys.readouterr().out.splitlines()
+    want = []
+    for k in seeds:
+        prefix = "" if k is None else re.escape(f"[seed {k}] ")
+        want += [prefix + "degenerate evolution at step 3: 257 pieces "
+                 "exceed budget 256",
+                 prefix + r"snapshot-0\.svg: area residue \S+ \(budget \S+\)",
+                 prefix + r"snapshot-2\.svg: area residue \S+ \(budget \S+\)",
+                 prefix + r"gossip: degenerate after 3 steps, residual nan, "
+                 r"\d+\.\ds"]
+    want += [f"seed {k}: exit 3" for k in seeds if k is not None]
+    assert len(lines) == len(want)
+    for line, pattern in zip(lines, want):
+        assert re.fullmatch(pattern, line), (line, pattern)
+
+
+def test_netsim_degenerate_note_names_its_step(tmp_path, monkeypatch,
+                                              capsys):
+    # netsim's note reads as the stepwise one, and comes first
+    real = gp.partial_gossip_step
+    calls = []
+
+    def failing(*args, **kwargs):
+        if len(calls) == 2:
+            raise geo.PieceBudgetExceeded("257 pieces exceed budget 256")
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "partial_gossip_step", failing)
+    out = tmp_path / "net"
+    assert cli.main(["run", write_cfg(tmp_path, NETSIM_SHORT), "--out",
+                     str(out), "--snapshots", "0"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"degenerate evolution at step \d+: 257 pieces "
+                        r"exceed budget 256", lines[0])
+    assert lines[1].startswith("snapshot-0.svg: area residue ")
+    assert lines[2].startswith("netsim: 2 contacts (")
+    assert len(lines) == 3
+    assert "termination degenerate" in (out / "summary.txt").read_text()
+
+
+def test_netsim_h_series_reads_back_the_events(tmp_path, monkeypatch):
+    runs = []
+    real = ns.simulate
+
+    def keep(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(ns, "simulate", keep)
+    out = tmp_path / "net"
+    assert cli.main(["run", write_cfg(tmp_path, NETSIM_SHORT),
+                     "--out", str(out)]) == 0
+    rows = (out / "h_series.csv").read_text().splitlines()
+    assert rows[0] == "time,h"
+    assert [tuple(map(float, row.split(","))) for row in rows[1:]] == \
+        [(e.time, e.h) for e in runs[0].events]
+    assert len(rows) > 1

@@ -605,6 +605,26 @@ def test_in_range_decides_as_math_hypot():
             for x, y in zip(down.tolist(), dy.tolist())]
 
 
+def test_in_range_infinite_radius_skips_math_hypot(monkeypatch):
+    # every finite offset is within an infinite radius under both hypot
+    # forms, so no entry is decided again one at a time
+    rng = np.random.default_rng(5)
+    dx = np.concatenate([rng.normal(0.0, 1e3, 40), [0.0, 1e308, -1e308,
+                                                    math.inf, math.nan]])
+    dy = np.concatenate([rng.normal(0.0, 1e3, 40), [0.0, 1e308, 0.0, 1.0,
+                                                    0.0]])
+    want = [math.hypot(x, y) <= math.inf
+            for x, y in zip(dx.tolist(), dy.tolist())]
+
+    def refuse(*args):
+        raise AssertionError("math.hypot called")
+
+    monkeypatch.setattr(math, "hypot", refuse)
+    assert ns._in_range(dx, dy, math.inf).tolist() == want
+    assert ns._in_range(dx.reshape(5, 9), dy.reshape(5, 9),
+                        math.inf).ravel().tolist() == want
+
+
 def test_generator_block_draw_is_single_draws():
     # the windowed loop draws a window's coins with one random(m) call
     a = np.random.default_rng(99)

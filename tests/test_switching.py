@@ -275,6 +275,19 @@ def test_empirical_persistency_adjacent_pairs():
             sw.empirical_persistency(sched, part, [(0, 1)], n_steps, window)
 
 
+def test_window_statistics_of_one_pair():
+    # contacts at 1 and 3 of a 10-long run: two whole 4-long windows, the
+    # first holding both contacts; the last gap runs to the end
+    s = sw.window_statistics([1, 3], 10, 4)
+    assert (s["count"], s["windows"], s["hits"]) == (2, 2, 1)
+    assert s["max_gap"] == 7.0 and s["p"] == 0.5
+    assert (s["ci_low"], s["ci_high"]) == sw._wilson(1, 2)[1:]
+    # the scheduler's steps and the network's contact times are read alike
+    sched = sw.Periodic([(0, 1), (1, 2), (0, 1)])
+    stats = sw.empirical_persistency(sched, strip_partition(), [(1, 0)], 9, 2)
+    assert stats == {(0, 1): sw.window_statistics([0, 2, 3, 5, 6, 8], 9, 2)}
+
+
 def test_wilson_without_trials_gives_no_estimate():
     p, lo, hi = sw._wilson(0, 0)
     assert math.isnan(p) and (lo, hi) == (0.0, 1.0)
