@@ -156,8 +156,3 @@ def comb_family(t: int) -> CombRecord:
         hausdorff_to_full=hausdorff_1d(left, full),
         symdiff_to_full=symdiff_measure(left, full),
     )
-
-
-def full_interval_cost() -> Fraction:
-    """Cost of serving all of [-1, 1] from zero (f(s) = s, unit density)."""
-    return abs_moment([(Fraction(-1), Fraction(1))])

@@ -14,7 +14,7 @@ coordinates they act on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
@@ -711,11 +711,38 @@ def diameter(obj) -> float:
 # ---------------------------------------------------------------------------
 # densities and performance functions
 
+class _MemoKey:
+    """Base of the frozen dataclasses that key the memo tables.
+
+    __post_init__ ends with _seal, which stores the hash the dataclass
+    would generate, that of the field tuple, so a memo lookup does not
+    hash the fields again (a grid's every sample). A dataclass writes
+    its own __hash__ unless the class body names one, so each subclass
+    sets __hash__ = _MemoKey.__hash__. Pickling rebuilds the object
+    through its constructor, because str hashes are salted per process
+    and a stored hash must not travel.
+    """
+
+    def _field_values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def _seal(self):
+        object.__setattr__(self, "_hash", hash(self._field_values()))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), self._field_values()
+
+
 @dataclass(frozen=True)
-class UniformDensity:
+class UniformDensity(_MemoKey):
     """Constant positive density; equal densities share memo entries."""
 
     value: float = 1.0
+
+    __hash__ = _MemoKey.__hash__
 
     def __post_init__(self):
         if not np.isfinite(self.value):
@@ -723,6 +750,7 @@ class UniformDensity:
         if self.value <= 0.0:
             raise ValueError("density must be positive")
         object.__setattr__(self, "value", float(self.value))
+        self._seal()
 
     @property
     def sup_norm(self) -> float:
@@ -734,7 +762,7 @@ class UniformDensity:
 
 
 @dataclass(frozen=True)
-class GridDensity:
+class GridDensity(_MemoKey):
     """Bilinear interpolation of positive samples on a regular grid over
     [x0, x1] x [y0, y1]; values keeps the sample rows as a tuple."""
 
@@ -743,6 +771,8 @@ class GridDensity:
     x1: float
     y1: float
     values: tuple
+
+    __hash__ = _MemoKey.__hash__
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -757,6 +787,7 @@ class GridDensity:
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("empty grid extent")
         object.__setattr__(self, "values", tuple(map(tuple, vals.tolist())))
+        self._seal()
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -786,7 +817,7 @@ Density = UniformDensity | GridDensity
 
 
 @dataclass(frozen=True)
-class PerformanceFunction:
+class PerformanceFunction(_MemoKey):
     """Increasing convex cost f of distance, given by its kind: f(r) = r^2
     for "quadratic", f(r) = r for "linear"; a new cost is a new kind.
     Equal costs share memo entries. fn and lipschitz_on give f and a
@@ -800,11 +831,14 @@ class PerformanceFunction:
     kind: str
     refine: int = 1
 
+    __hash__ = _MemoKey.__hash__
+
     def __post_init__(self):
         if self.kind not in ("quadratic", "linear"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if type(self.refine) is not int or self.refine < 1:
             raise ValueError(f"refine: need an int >= 1, got {self.refine!r}")
+        self._seal()
 
     def fn(self, r):
         return np.square(r) if self.kind == "quadratic" else \

@@ -8,7 +8,7 @@ toward its far boundary, so only a boundary slab changes owner.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,12 +18,12 @@ from .geometry import Density, HalfPlane, PerformanceFunction
 from .partition import Partition
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """Result of one pairwise exchange.
 
     traded_area is the area that changed owner: the pieces the split
-    moved across its cut line, from region i to j and from j to i.
+    moved across its cut line, from region i to j and from j to i. A
+    named tuple, as a memoized no-op builds one per contact.
     """
 
     partition: Partition
@@ -39,10 +39,6 @@ def check_delta(env: pt.Environment, delta: float) -> float:
         raise ValueError(
             f"delta must lie in (0, diameter/10 = {env.diameter / 10.0:.6g}]")
     return float(delta)
-
-
-def _unchanged(partition, i, j, h) -> StepOutcome:
-    return StepOutcome(partition, False, (i, j), h, h, 0.0)
 
 
 def _trade_bound(partition: Partition, i: int, j: int, hp) -> float:
@@ -135,7 +131,7 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
     key = (i, j, delta, density, perf)
     h_before = partition.exchange_cache.get(key)
     if h_before is not None:
-        return _unchanged(partition, i, j, h_before)
+        return StepOutcome(partition, False, (i, j), h_before, h_before, 0.0)
     env = partition.env
     cs = pt.centroids(partition, density, perf)
     h_before = pt.centroid_cost(partition, density, perf)
@@ -157,7 +153,7 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
             return StepOutcome(new, True, (i, j), h_before,
                                pt.centroid_cost(new, density, perf), traded)
     partition.exchange_cache[key] = h_before
-    return _unchanged(partition, i, j, h_before)
+    return StepOutcome(partition, False, (i, j), h_before, h_before, 0.0)
 
 
 def lloyd_step(partition: Partition, density: Density,

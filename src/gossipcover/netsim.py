@@ -34,6 +34,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -327,8 +328,7 @@ def random_destination(table: WaypointTable, margin: float,
 # ---------------------------------------------------------------------------
 # agents and the simulation loop
 
-@dataclass(frozen=True)
-class CommEvent:
+class CommEvent(NamedTuple):
     time: float
     pair: tuple[int, int]
     changed: bool
@@ -521,9 +521,8 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
                     raise DegenerateEvolution(str(exc), step=step,
                                               trace=trace) from exc
                 current = out.partition
-                trace.events.append(CommEvent(
-                    time=t, pair=(i, j), changed=out.changed,
-                    traded_area=out.traded_area, h=out.h_after))
+                trace.events.append(CommEvent(t, (i, j), out.changed,
+                                              out.traded_area, out.h_after))
         k += width
     while snap_idx < len(snap_times):
         trace.snapshots.append((snap_times[snap_idx], current))

@@ -9,6 +9,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -264,12 +265,6 @@ def centroid_cost(partition: Partition, density: Density,
                for r in partition.regions)
 
 
-def voronoi_cost(env: Environment, points, density: Density,
-                 perf: PerformanceFunction) -> float:
-    """Multicenter cost of the nearest-point partition of the given points."""
-    return multicenter_cost(voronoi(env, points), points, density, perf)
-
-
 # ---------------------------------------------------------------------------
 # distances, predicates, diagnostics
 
@@ -363,8 +358,7 @@ def adjacency_pairs(partition: Partition, delta: float) -> list[tuple[int, int]]
     return out
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     min_centroid_gap: float
     min_region_area: float
     max_piece_count: int

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +91,7 @@ class AdjacentRandom:
         return pairs[int(self.rng.integers(len(pairs)))]
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     t: int
     pair: tuple[int, int]
     h: float
@@ -210,12 +210,9 @@ def _evolve(initial: Partition, density: Density, perf: PerformanceFunction,
         if moved is None:
             break
         pair, current, h = moved
-        report = pt.degeneracy_report(current, density, perf)
         trace.steps.append(TraceStep(
-            t=t, pair=pair, h=h, residual=residual,
-            min_centroid_gap=report.min_centroid_gap,
-            min_region_area=report.min_region_area,
-            max_piece_count=report.max_piece_count))
+            t, pair, h, residual,
+            *pt.degeneracy_report(current, density, perf)))
     if checked is not current:
         residual = residual_of(current)
     trace.termination = "converged" if residual <= stop_tol else "step_budget"

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from gossipcover import dyadic as dy
 from gossipcover import geometry as geo
 from gossipcover import gossip as gp
 from gossipcover import netsim as ns
@@ -153,6 +154,16 @@ def cost_by_grid(p, region: Region, density, perf, n_pts: int, rng) -> float:
     pts = pts[region.contains(pts)]
     r = np.hypot(*(pts - np.asarray(p, dtype=float)).T)
     return float(np.sum(perf.fn(r) * density(pts)) * w)
+
+
+def voronoi_cost(env, points, density, perf) -> float:
+    """Multicenter cost of the nearest-point partition of the given points."""
+    return pt.multicenter_cost(pt.voronoi(env, points), points, density, perf)
+
+
+def full_interval_cost() -> Fraction:
+    """Cost of serving all of [-1, 1] from zero (f(s) = s, unit density)."""
+    return dy.abs_moment([(Fraction(-1), Fraction(1))])
 
 
 def random_convex_polygon(rng, n_pts: int = 8, center=(0.0, 0.0),

@@ -75,7 +75,7 @@ def test_criterion_02():
         p = rng.uniform(0.02, 0.98, (n, 2))
         h_vp = pt.multicenter_cost(v, p, DENS, QUAD)
         h_vc = pt.centroid_cost(v, DENS, QUAD)
-        h_voro = pt.voronoi_cost(env, p, DENS, QUAD)
+        h_voro = orc.voronoi_cost(env, p, DENS, QUAD)
         if h_vp < h_vc - 1e-9 or h_vp < h_voro - 1e-9:
             bad += 1
         cs = pt.centroids(v, DENS, QUAD)

@@ -11,7 +11,7 @@ import inspect
 import pytest
 
 import gossipcover
-from gossipcover import (cli, geometry, gossip, netsim, partition,
+from gossipcover import (cli, dyadic, geometry, gossip, netsim, partition,
                          quadrature, switching)
 
 KNOBS = {"order", "refine", "precomputed_centroids"}
@@ -121,6 +121,8 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         # one writer emits a run's files, snapshots and summary
         (cli, "write_summary"), (cli, "write_snapshots"),
         (cli, "_trace_minima"), (cli, "_ensure_out"),
+        # reference forms that only tests call live in tests/oracles.py
+        (partition, "voronoi_cost"), (dyadic, "full_interval_cost"),
         # one per-pair window statistic, in switching
         (netsim, "_wilson")]
 
@@ -140,6 +142,30 @@ def test_region_caches_one_map():
 def test_performance_is_a_kind_and_a_refine_level():
     assert [f.name for f in dataclasses.fields(geometry.PerformanceFunction)] \
         == ["kind", "refine"]
+
+
+# the exchange, contact, step and degeneracy records are named tuples:
+# their fields, in order, are their interface
+RECORDS = {
+    gossip.StepOutcome: ("partition", "changed", "pair", "h_before",
+                         "h_after", "traded_area"),
+    netsim.CommEvent: ("time", "pair", "changed", "traded_area", "h"),
+    switching.TraceStep: ("t", "pair", "h", "residual", "min_centroid_gap",
+                          "min_region_area", "max_piece_count"),
+    partition.DegeneracyReport: ("min_centroid_gap", "min_region_area",
+                                 "max_piece_count"),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
+def test_records_keep_their_fields_and_stay_immutable(record):
+    names = RECORDS[record]
+    assert record._fields == names
+    rec = record(*range(len(names)))
+    assert [getattr(rec, name) for name in names] == list(range(len(names)))
+    for name in names + ("note",):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, -1)
 
 
 def test_balance_test_lives_beside_the_residual():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from gossipcover import dyadic as dy
 
 F = Fraction
@@ -80,7 +81,7 @@ def test_comb_family_exact_values():
         assert rec.hausdorff_to_full == F(1, 2 ** (t + 1))
         assert rec.left_cost_at_zero == (F(3, 4) if t == 0 else F(1, 2))
         # splitting never beats serving the whole interval from zero
-        assert rec.pair_cost == F(1) == dy.full_interval_cost()
+        assert rec.pair_cost == F(1) == oracles.full_interval_cost()
 
 
 def test_comb_hausdorff_halves_monotonically():

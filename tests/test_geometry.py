@@ -1,8 +1,12 @@
 import dataclasses
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,6 +574,60 @@ def test_equal_performances_compare_and_hash_equal():
     finer = dataclasses.replace(geo.linear_performance(), refine=3)
     assert finer == geo.PerformanceFunction("linear", 3) != \
         geo.linear_performance()
+
+
+def test_grid_hash_does_not_read_the_samples():
+    # the hash is computed once, at construction, so a memo lookup does
+    # not walk every sample: swapping in an unhashable list leaves it
+    grid = geo.GridDensity(0, 0, 2, 1, [[1, 3], [2, 0.5]])
+    h = hash(grid)
+    object.__setattr__(grid, "values", [[1.0, 3.0], [2.0, 0.5]])
+    assert hash(grid) == h
+
+
+def test_replaced_performance_hashes_as_a_fresh_one():
+    finer = dataclasses.replace(geo.linear_performance(), refine=3)
+    assert hash(finer) == hash(geo.PerformanceFunction("linear", 3))
+
+
+_MEMO_KEYS = ("(geo.quadratic_performance(), geo.UniformDensity(2.5), "
+              "geo.GridDensity(0, 0, 2, 1, [[1, 3], [2, 0.5]]))")
+_DUMP = f"""
+import pickle, sys
+from gossipcover import geometry as geo
+with open(sys.argv[1], "wb") as f:
+    pickle.dump({_MEMO_KEYS}, f)
+"""
+_LOAD = f"""
+import pickle, sys
+from gossipcover import geometry as geo, partition as pt
+with open(sys.argv[1], "rb") as f:
+    loaded = pickle.load(f)
+fresh = {_MEMO_KEYS}
+for got, want in zip(loaded, fresh):
+    assert got == want and hash(got) == hash(want), got
+perf, uniform, grid = loaded
+part = pt.voronoi(pt.rectangle(2.0, 1.0), [[0.5, 0.5], [1.5, 0.5]])
+pt.centroids(part, fresh[1], fresh[0])
+pt.centroids(part, fresh[2], fresh[0])
+cache, poly = part.regions[0].centroid_cache, part.env.polygon
+assert (uniform, perf, poly) in cache and (grid, perf, poly) in cache
+print("ok")
+"""
+
+
+def test_memo_keys_hash_alike_across_processes(tmp_path):
+    # str hashes are salted per process: a density or cost pickled in one
+    # process must hash, in another, as that process's own copy does, or
+    # it misses every memo entry keyed on that copy
+    src = str(Path(geo.__file__).resolve().parents[1])
+    path = str(tmp_path / "keys.pickle")
+    for seed, code in ((1, _DUMP), (2, _LOAD)):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code, path], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+    assert run.stdout == "ok\n"
 
 
 # ---------------------------------------------------------------------------

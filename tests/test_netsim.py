@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -699,3 +700,19 @@ def test_write_comm_log_roundtrip():
     assert len([ln for ln in lines[1:k]]) == len(trace.events)
     part, _ = pt.read_snapshot(io.StringIO("\n".join(lines[k + 1:])))
     assert pt.partition_distance(part, trace.final) <= 2 * env.tol_area
+
+
+def test_comm_log_bytes_are_pinned():
+    # 20 legs of the netsim-strip preset (243 contacts, 127 trades): a
+    # change to the contact record or the writer that moves one byte of
+    # the log shows here
+    env = strip_env()
+    cfg = ns.NetConfig(seed=0)
+    trace = ns.simulate(cfg, strip_partition(env, (0.6, 1.9)), DENS, QUAD,
+                        20 * ns.leg_time(env, cfg))
+    buf = io.StringIO()
+    ns.write_comm_log(trace, buf)
+    assert (len(trace.events), sum(e.changed for e in trace.events)) == \
+        (243, 127)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        "950cf503816ee42424c927e112b110d9f66734e8f53bf6e7a1e1f11a984d22f4"

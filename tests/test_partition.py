@@ -329,7 +329,7 @@ def test_voronoi_cost_not_above_given_partition():
     env = strip_env()
     part = strips(env, [0.4, 1.1])
     pts = rng.uniform([0.1, 0.1], [1.9, 0.9], size=(3, 2))
-    better = pt.voronoi_cost(env, pts, DENS, QUAD)
+    better = oracles.voronoi_cost(env, pts, DENS, QUAD)
     assert better <= pt.multicenter_cost(part, pts, DENS, QUAD) + 1e-12
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -235,6 +236,22 @@ def test_trace_reads_back_numpy_scalar_fields():
         float(step.h), float(step.residual), float(step.min_centroid_gap),
         float(step.min_region_area)]
     assert lines[2] == f"# termination step_budget residual {1.0 / 3!r}"
+
+
+def test_trace_bytes_are_pinned():
+    # 30 AdjacentRandom steps from criterion 01's seeded six-region start:
+    # a change to the step record or the writer that moves one byte of
+    # the trace shows here
+    env = pt.rectangle(2.0, 1.0)
+    rng = np.random.default_rng(0)
+    init = pt.voronoi(env, rng.uniform([0.1, 0.1], [1.9, 0.9], (6, 2)))
+    trace = sw.run_evolution(init, DENS, QUAD,
+                             sw.AdjacentRandom(seed=0, delta=1e-9), budget=30)
+    buf = io.StringIO()
+    sw.write_trace(trace, buf)
+    assert len(trace.steps) == 30
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        "a1f01444e85eddbbcc98302a9a677b53428b2a6591b507d9195750959858853b"
 
 
 # ---------------------------------------------------------------------------
