@@ -62,6 +62,17 @@ def _trade_bound(partition: Partition, i: int, j: int, hp) -> float:
     return bound
 
 
+_new_tuple = tuple.__new__
+
+
+def _unchanged(partition: Partition, i: int, j: int,
+               h: float) -> StepOutcome:
+    """The no-op outcome at cost h, built by tuple.__new__: the named
+    tuple's own __new__ is a Python-level call, and a memoized contact
+    pays for little else."""
+    return _new_tuple(StepOutcome, (partition, False, (i, j), h, h, 0.0))
+
+
 def gossip_step(partition: Partition, i: int, j: int, density: Density,
                 perf: PerformanceFunction) -> StepOutcome:
     """Full pairwise exchange: split the union by the centroid bisector."""
@@ -105,7 +116,15 @@ def partial_gossip_step(partition: Partition, i: int, j: int, delta: float,
     """Distance-limited exchange: the full one with each region's cut
     line moved (1 - beta) of its far reach into its far side, beta the
     trade fraction; equal to it when the regions touch and the centroid
-    gap reaches delta."""
+    gap reaches delta.
+
+    The memo is looked up first, so a repeated no-op costs one lookup:
+    only a checked delta is ever stored in a key, so a hit proves this
+    one valid, and NaN, a str or an out-of-range delta never hits.
+    """
+    h = partition.exchange_cache.get((i, j, delta, density, perf))
+    if h is not None:
+        return _unchanged(partition, i, j, h)
     return _exchange(partition, i, j, check_delta(partition.env, delta),
                      density, perf)
 
@@ -124,14 +143,17 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
     remembered in the partition's exchange_cache and a repeat returns
     before any centroid or split. Only the cost before is stored, a
     float: an outcome would refer back to its own partition, and a
-    changed one would chain each successor to its predecessor.
+    changed one would chain each successor to its predecessor. The full
+    exchange's key has no delta slot, so no partial_gossip_step lookup,
+    whatever its delta, can meet it.
     """
     if i == j:
         raise ValueError("pair indices must differ")
-    key = (i, j, delta, density, perf)
+    key = ((i, j, density, perf) if delta is None
+           else (i, j, delta, density, perf))
     h_before = partition.exchange_cache.get(key)
     if h_before is not None:
-        return StepOutcome(partition, False, (i, j), h_before, h_before, 0.0)
+        return _unchanged(partition, i, j, h_before)
     env = partition.env
     cs = pt.centroids(partition, density, perf)
     h_before = pt.centroid_cost(partition, density, perf)
@@ -153,7 +175,7 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
             return StepOutcome(new, True, (i, j), h_before,
                                pt.centroid_cost(new, density, perf), traded)
     partition.exchange_cache[key] = h_before
-    return StepOutcome(partition, False, (i, j), h_before, h_before, 0.0)
+    return _unchanged(partition, i, j, h_before)
 
 
 def lloyd_step(partition: Partition, density: Density,

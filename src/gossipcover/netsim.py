@@ -14,10 +14,10 @@ probability 1 - exp(-rate * dt). Each trade applies the
 distance-limited pairwise map to the shared partition, so the coverage
 cost never increases and far-apart regions are left alone.
 
-Motion depends on the step alone, so the simulation goes a window at
-a time: the steps up to and including the next one that ends a phase,
-with positions, pair distances and coins from array operations (see
-simulate).
+Motion depends on the step alone until an agent starts a leg, so the
+simulation goes a window at a time: the steps up to and including the
+next leg start, with positions, pair distances and coins from array
+operations (see simulate).
 
 A waypoint is drawn from its region's waypoint table: the internal
 boundary's segments and their running lengths (waypoint_table). The
@@ -55,6 +55,9 @@ TRAVEL = "travel"
 WAIT_1 = "wait1"
 WAIT_2 = "wait2"
 PHASES = (TRAVEL, WAIT_1, WAIT_2)
+# the most phase ends, its current one included, that an agent in each
+# phase can reach before it starts a leg
+_PHASES_TO_LEG = {TRAVEL: 3, WAIT_1: 2, WAIT_2: 1}
 
 
 def epoch_transition(phase: str, rng) -> str:
@@ -385,12 +388,13 @@ def _in_range(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
 def _window_positions(width: int, per_leg: int, phase: list, left: list,
                       pos: list, start: list, dest: list):
     """(xs, ys): every agent's position over the next width steps, rows
-    steps and columns agents, when no agent's phase ends before the
-    last of them.
+    steps and columns agents, up to and including the first step at
+    which an agent starts a leg; the rows past it are not positions.
 
     A traveling agent at step r of the window has left[a] - r - 1 steps
     to go and sits at start + frac * (dest - start), the one-step
-    formula; at the step that ends its leg frac is 1.0.
+    formula; at the step that ends its leg frac is 1.0, and it stays
+    1.0 past it, where the agent waits at the end of the leg.
     """
     n = len(phase)
     steps = np.arange(1, width + 1)
@@ -398,7 +402,7 @@ def _window_positions(width: int, per_leg: int, phase: list, left: list,
     ys = np.empty((width, n))
     for a in range(n):
         if phase[a] == TRAVEL:
-            frac = (per_leg - left[a] + steps) / per_leg
+            frac = np.minimum((per_leg - left[a] + steps) / per_leg, 1.0)
             (sx, sy), (ex, ey) = start[a], dest[a]
             xs[:, a] = sx + frac * (ex - sx)
             ys[:, a] = sy + frac * (ey - sy)
@@ -419,17 +423,23 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     aborts the run with the partial trace attached.
 
     The loop goes a window at a time: the steps up to and including the
-    next one in which some agent's phase ends (or the horizon). Motion
-    before a step's transitions depends on the step alone, so one
-    _window_positions call gives the window's positions and one
-    _in_range call its in-range (step, pair) entries. Then, as one step
-    at a time would: one rng.random call draws the coins of the entries
-    before the last step (rng.random(m) is the same stream as m single
-    draws) and their trades run; the agents whose phase ends at the
-    last step make their transition and waypoint draws in agent order;
-    a second call draws the last step's coins and its trades run. Every
+    next one at which an agent starts a leg (or the horizon). Until
+    then motion depends on the step alone, and no agent starts a leg
+    later than the end of its hold, of its WAIT_2, or of the WAIT_1
+    that may end in one. So one _window_positions call gives the
+    positions up to the first such step and one _in_range call their
+    in-range (step, pair) entries. The phase ends inside go in step
+    order, then agent order, as one step at a time would: one
+    rng.random call draws the coins of the entries before the step
+    (rng.random(m) is the same stream as m single draws) and their
+    trades run, then the step's transitions are made. A TRAVEL end
+    draws nothing and a WAIT_1 end draws its coin, and the window goes
+    on past both unless the coin starts a leg. A leg start draws its
+    waypoint and cuts the window at its step; the rows past it go
+    unused. A last call draws the coins up to the window's end. Every
     trade is one gp.partial_gossip_step call, in (step, pair) order,
-    and a snapshot is taken before the first trade at or after its step.
+    and a snapshot is taken before the first trade at or after its
+    step.
     """
     env = initial.env
     n = initial.n
@@ -473,56 +483,72 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     snap_times = sorted(float(t) for t in snapshot_times)
     snap_idx = 0
     total_steps = max(0, round(duration / dt))
+    new_event = tuple.__new__  # CommEvent's own __new__ is a Python call
+
+    def contacts(lo, hi):
+        """Draw the coins of the window's in-range entries lo:hi and
+        run their trades."""
+        nonlocal current, snap_idx
+        trade = rng.random(hi - lo) < p_comm
+        for r, c in zip(rows[lo:hi][trade].tolist(),
+                        cols[lo:hi][trade].tolist()):
+            step = k + r
+            while (snap_idx < len(snap_times)
+                   and snap_times[snap_idx] <= step * dt + 0.5 * dt):
+                trace.snapshots.append((snap_times[snap_idx], current))
+                snap_idx += 1
+            t = (step + 1) * dt
+            i, j = pairs[c]
+            try:
+                out = gp.partial_gossip_step(current, i, j, config.delta,
+                                             density, perf)
+            except GeometryError as exc:
+                trace.final = current
+                trace.termination = "degenerate"
+                trace.elapsed = t
+                raise DegenerateEvolution(str(exc), step=step,
+                                          trace=trace) from exc
+            current = out.partition
+            trace.events.append(new_event(CommEvent, (
+                t, (i, j), out.changed, out.traded_area, out.h_after)))
+        return hi
+
     k = 0
     while k < total_steps:
-        width = min(min(left), total_steps - k)
+        # the (step, agent) phase ends up to each agent's latest leg
+        # start: after its travel and both waits, or at the end of a hold
+        ends, width = [], total_steps - k
+        for a in range(n):
+            count = 1 if held[a] else _PHASES_TO_LEG[phase[a]]
+            ends += [(left[a] - 1 + q * per_leg, a) for q in range(count)]
+            width = min(width, left[a] + (count - 1) * per_leg)
+        ends = sorted(e for e in ends if e[0] < width)
         xs, ys = _window_positions(width, per_leg, phase, left, pos, start,
                                    dest)
-        pos = list(zip(xs[-1].tolist(), ys[-1].tolist()))
-        left = [s - width for s in left]
         rows, cols = np.nonzero(_in_range(xs[:, first] - xs[:, second],
                                           ys[:, first] - ys[:, second],
                                           config.comm_radius))
-        # coins before the last step, the phases that end at it, then its
-        # coins: the order of one step at a time
-        last = int(np.searchsorted(rows, width - 1))
-        ending = [a for a in range(n) if left[a] == 0]
-        for movers, lo, hi in (((), 0, last), (ending, last, len(rows))):
-            for a in movers:
-                if held[a]:
-                    held[a] = False
-                    nxt = TRAVEL
-                else:
-                    nxt = epoch_transition(phase[a], rng)
-                    key = (phase[a], nxt)
-                    counts[key] = counts.get(key, 0) + 1
-                if nxt == TRAVEL:
-                    start[a] = pos[a]
-                    dest[a] = waypoint(a)
-                phase[a] = nxt
-                left[a] = per_leg
-            trade = rng.random(hi - lo) < p_comm
-            for r, c in zip(rows[lo:hi][trade].tolist(),
-                            cols[lo:hi][trade].tolist()):
-                step = k + r
-                while (snap_idx < len(snap_times)
-                       and snap_times[snap_idx] <= step * dt + 0.5 * dt):
-                    trace.snapshots.append((snap_times[snap_idx], current))
-                    snap_idx += 1
-                t = (step + 1) * dt
-                i, j = pairs[c]
-                try:
-                    out = gp.partial_gossip_step(current, i, j, config.delta,
-                                                 density, perf)
-                except GeometryError as exc:
-                    trace.final = current
-                    trace.termination = "degenerate"
-                    trace.elapsed = t
-                    raise DegenerateEvolution(str(exc), step=step,
-                                              trace=trace) from exc
-                current = out.partition
-                trace.events.append(CommEvent(t, (i, j), out.changed,
-                                              out.traded_area, out.h_after))
+        drawn = 0
+        for r, a in ends:
+            if r >= width:  # past the step a leg start cut the window at
+                break
+            drawn = contacts(drawn, int(np.searchsorted(rows, r)))
+            if held[a]:
+                held[a] = False
+                nxt = TRAVEL
+            else:
+                nxt = epoch_transition(phase[a], rng)
+                key = (phase[a], nxt)
+                counts[key] = counts.get(key, 0) + 1
+            if nxt == TRAVEL:
+                start[a] = (float(xs[r, a]), float(ys[r, a]))
+                dest[a] = waypoint(a)
+                width = r + 1
+            phase[a] = nxt
+            left[a] = r + 1 + per_leg  # counted from the window's start
+        contacts(drawn, int(np.searchsorted(rows, width)))
+        pos = list(zip(xs[width - 1].tolist(), ys[width - 1].tolist()))
+        left = [s - width for s in left]
         k += width
     while snap_idx < len(snap_times):
         trace.snapshots.append((snap_times[snap_idx], current))

@@ -122,7 +122,8 @@ class Partition:
     A partition never changes, so it keeps two plain memos of itself.
     exchange_cache holds the cost before each pairwise exchange found
     to be a no-op on it (filled by gossip's exchange, keyed by
-    (i, j, delta, density, perf)). adjacency_cache maps delta to
+    (i, j, delta, density, perf), or (i, j, density, perf) for the full
+    exchange). adjacency_cache maps delta to
     {(i, j): bool}, whether regions i and j come within delta (filled
     by adjacency_pairs); replace(i, j, ...) hands the successor a copy
     of the entries whose pair involves neither i nor j.

@@ -449,6 +449,37 @@ def test_changed_exchange_is_not_memoized(monkeypatch):
     assert vertex_bytes(again.partition) == vertex_bytes(first.partition)
 
 
+def test_memo_hit_skips_the_delta_check_and_the_exchange(monkeypatch):
+    part = hairline_pair()
+    miss = gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD)
+    checks = count_calls(monkeypatch, gp, "check_delta")
+    exchanges = count_calls(monkeypatch, gp, "_exchange")
+    hit = gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD)
+    assert checks == [] and exchanges == []
+    # equal, field for field, to the miss that stored it
+    assert type(hit) is gp.StepOutcome and hit._fields == miss._fields
+    assert hit._asdict() == miss._asdict()
+    assert hit.partition is miss.partition is part
+
+
+@pytest.mark.parametrize("bad", [
+    lambda top: float("nan"), lambda top: 0.0, lambda top: top * 1.01,
+    lambda top: "0.2", lambda top: None],
+    ids=["nan", "zero", "over", "str", "none"])
+def test_memo_hit_never_takes_a_bad_delta(bad):
+    # the memo holds valid entries of both maps, up to delta's upper end
+    # diameter/10, and a bad delta still raises: only a checked delta
+    # is ever a key of the distance-limited map
+    part = hairline_pair()
+    top = part.env.diameter / 10.0
+    gp.gossip_step(part, 0, 1, DENS, QUAD)
+    for delta in (0.2, top):
+        gp.partial_gossip_step(part, 0, 1, delta, DENS, QUAD)
+    assert len(part.exchange_cache) == 3
+    with pytest.raises((ValueError, TypeError)):
+        gp.partial_gossip_step(part, 0, 1, bad(top), DENS, QUAD)
+
+
 def test_memoized_partition_is_freed_without_gc():
     # the memo holds floats, never an outcome that refers back to the
     # partition, so reference counting alone frees a dropped partition

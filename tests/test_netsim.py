@@ -1,9 +1,12 @@
 import hashlib
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gossipcover import geometry as geo
@@ -356,10 +359,11 @@ def _partition_bytes(part):
 
 
 def assert_same_trace(got, want):
-    """Events, transitions, snapshots, final partition and elapsed time
-    equal to the bit; repr also pins every time to a Python float."""
+    """Events, transitions (in the order they were first made),
+    snapshots, final partition and elapsed time equal to the bit; repr
+    also pins every time to a Python float."""
     assert [repr(e) for e in got.events] == [repr(e) for e in want.events]
-    assert got.transitions == want.transitions
+    assert list(got.transitions.items()) == list(want.transitions.items())
     assert [repr(t) for t, _ in got.snapshots] == \
         [repr(t) for t, _ in want.snapshots]
     assert [_partition_bytes(p) for _, p in got.snapshots] == \
@@ -420,30 +424,114 @@ def test_windowed_loop_matches_reference_at_any_horizon(steps):
     assert_same_trace(got, want)
 
 
+def phase_ends(starts, final_phase, steps, per_leg):
+    """Every phase end as (step, agent, from, to), rebuilt from the
+    loop's state at the start of each window and the phases it ends
+    with: an agent's phase ends at the window's start step plus
+    left - 1, and again every per_leg steps up to the next window. A
+    WAIT_1 end with another end of the same agent after it in the
+    window went on to WAIT_2; the last end of an agent in a window went
+    to the phase the agent starts the next window in. An agent's first
+    end is the end of its hold when it starts in WAIT_1."""
+    nexts = {ns.TRAVEL: ns.WAIT_1, ns.WAIT_2: ns.TRAVEL}
+    bounds = [k for k, _, _ in starts[1:]] + [steps]
+    afters = [phase for _, phase, _ in starts[1:]] + [final_phase]
+    ends, seen = [], set()
+    for (k, phase, left), k_end, after in zip(starts, bounds, afters):
+        for a, (p, s) in enumerate(zip(phase, left)):
+            step = k + s - 1
+            while step < k_end:
+                last = step + per_leg >= k_end
+                nxt = after[a] if last else nexts.get(p, ns.WAIT_2)
+                hold = a not in seen and k == 0 and p == ns.WAIT_1
+                seen.add(a)
+                ends.append((step, a, "hold" if hold else p, nxt))
+                p, step = nxt, step + per_leg
+    return sorted(ends)
+
+
 @pytest.mark.parametrize("per_leg", [1, 2, 3])
 def test_windowed_loop_matches_reference_where_phases_meet(monkeypatch,
                                                            per_leg):
-    # one to three steps per leg: most windows end on a step where
-    # several phases end, and a snapshot falls on every step
+    # one to three steps per leg: windows are short, several phases
+    # often end at one step, and a snapshot falls on every step
     env = strip_env()
     init = strip_partition(env, cuts=(0.7, 1.5, 2.2))
     leg = ns.leg_time(env, ns.NetConfig(speeds=(1.0,) * 4))
     cfg = ns.NetConfig(speeds=(1.0,) * 4, comm_rate=40.0, seed=per_leg,
                        time_step=leg / per_leg)
     steps = 30 * per_leg
-    widths, ends = [], []
+    starts = []  # (k, phase, left) at each window's start
+    live = []  # simulate's phase list, which it updates in place
     original = ns._window_positions
 
     def recording(width, per_leg, phase, left, *rest):
-        widths.append(width)
-        ends.append(left.count(width))
+        # the loop's step counter, read from simulate's frame
+        starts.append((sys._getframe(1).f_locals["k"], list(phase),
+                       list(left)))
+        live[:] = [phase]
         return original(width, per_leg, phase, left, *rest)
 
     monkeypatch.setattr(ns, "_window_positions", recording)
     got, want = both_loops(cfg, init, 30 * leg, snapshot_times=[
         s * leg / per_leg for s in range(steps + 1)])
-    assert sum(widths) == steps and 1 in widths and max(ends) >= 2
     assert any(e.changed for e in want.events)
+    assert_same_trace(got, want)
+
+    # the windows cover every step, and some has width 1
+    bounds = [k for k, _, _ in starts] + [steps]
+    widths = np.diff(bounds)
+    assert bounds[0] == 0 and (widths > 0).all() and 1 in widths
+    ends = phase_ends(starts, live[0], steps, per_leg)
+    counts = {}
+    for _, _, p, nxt in ends:
+        if p != "hold":
+            counts[(p, nxt)] = counts.get((p, nxt), 0) + 1
+    assert counts == got.transitions
+    last_steps = {k - 1 for k in bounds[1:]}
+    starts_leg = {step for step, _, _, nxt in ends if nxt == ns.TRAVEL}
+    # every window but one the horizon cuts ends on a leg start, and
+    # some ends where several phases end
+    assert last_steps - {steps - 1} <= starts_leg
+    assert max(sum(step == e for e, _, _, _ in ends)
+               for step in last_steps) >= 2
+    # a TRAVEL end and a WAIT_1 -> WAIT_2 end never end a window: both
+    # fall strictly inside one
+    for kind in ((ns.TRAVEL, ns.WAIT_1), (ns.WAIT_1, ns.WAIT_2)):
+        assert any(step not in last_steps for step, _, p, nxt in ends
+                   if (p, nxt) == kind)
+    # a WAIT_1 -> TRAVEL end cuts one: it is its window's last step
+    cuts = [step for step, _, p, nxt in ends if (p, nxt) == (ns.WAIT_1,
+                                                            ns.TRAVEL)]
+    assert cuts and set(cuts) <= last_steps
+
+
+STRIP_WEIGHTS = st.lists(st.integers(1, 4), min_size=2, max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), weights=STRIP_WEIGHTS,
+       speeds=st.lists(st.sampled_from([0.5, 0.8, 1.0, 1.3, 2.0]),
+                       min_size=5, max_size=5),
+       per_leg=st.sampled_from([1, 2, 3, 7, 40, 200]),
+       radius=st.sampled_from([1.0, 2.0, math.inf]),
+       rate=st.sampled_from([0.5, 20.0, math.inf]),
+       legs=st.integers(1, 6),
+       snaps=st.lists(st.floats(0.0, 1.2), max_size=4))
+def test_windowed_loop_matches_reference_property(seed, weights, speeds,
+                                                  per_leg, radius, rate,
+                                                  legs, snaps):
+    # 2 to 5 strips of the 3x1 rectangle, widths in proportion to weights
+    env = strip_env()
+    cuts = 3.0 * np.cumsum(weights)[:-1] / sum(weights)
+    init = strip_partition(env, cuts=cuts.tolist())
+    speeds = tuple(speeds[:len(weights)])
+    leg = ns.leg_time(env, ns.NetConfig(speeds=speeds))
+    cfg = ns.NetConfig(speeds=speeds, comm_radius=radius, comm_rate=rate,
+                       seed=seed, time_step=leg / per_leg)
+    duration = legs * leg
+    got, want = both_loops(cfg, init, duration,
+                           snapshot_times=[f * duration for f in snaps])
     assert_same_trace(got, want)
 
 
