@@ -289,13 +289,20 @@ def _initial(sec: dict, env: Environment, n, seed: int) -> tuple:
     must be its region count."""
     init = Initial(**{**sec, "seed": seed if sec["seed"] is None
                       else sec["seed"]})
-    if _need(init.kind, "initial.kind") == "random_voronoi":
-        generators = random_generators(env, _need(n, "n"), init.seed)
-        return init, pt.voronoi(env, generators)
-    if init.kind == "strips":
-        start = strip_partition(env, _need(init.cuts, "initial.cuts"))
+    kind = _need(init.kind, "initial.kind")
+    if kind in ("random_voronoi", "strips"):
+        # far from the origin, rounding can leave a drawn start short of
+        # tiling the environment
+        try:
+            if kind == "random_voronoi":
+                start = pt.voronoi(env, random_generators(
+                    env, _need(n, "n"), init.seed))
+            else:
+                start = strip_partition(env, _need(init.cuts, "initial.cuts"))
+        except geo.GeometryError as exc:
+            raise ConfigError(f"initial: {exc}") from exc
         where, what = "initial.cuts", "strips"
-    elif init.kind == "pieces":
+    elif kind == "pieces":
         try:
             regions = tuple(geo.region_of(*rings) for rings in
                             _need(init.regions, "initial.regions"))
@@ -305,7 +312,7 @@ def _initial(sec: dict, env: Environment, n, seed: int) -> tuple:
         init = init._replace(regions=regions)
         where, what = "initial.regions", "regions"
     else:
-        raise ConfigError(f"initial.kind: unknown kind {init.kind!r}")
+        raise ConfigError(f"initial.kind: unknown kind {kind!r}")
     if n is not None and start.n != n:
         raise ConfigError(f"{where}: {start.n} {what} but n={n}")
     return init, start
@@ -358,6 +365,7 @@ def _algorithm(sec: dict, env, n, seed: int) -> Algorithm:
             ns.check_fleet(net, n)
         except ValueError as exc:
             raise ConfigError(f"algorithm: {exc}") from exc
+        _partial_delta(env, net.delta, "algorithm")
         algo = algo._replace(**{k: getattr(net, k) for k in _NET_KEYS})
     if algo.kind == "polar":
         for key in ("mode", "steps", "rho0"):

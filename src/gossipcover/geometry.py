@@ -72,9 +72,6 @@ class HalfPlane:
     def contains(self, point, tol: float = 0.0) -> bool:
         return float(self.signed(point)[0]) <= tol
 
-    def flipped(self) -> "HalfPlane":
-        return HalfPlane(-self.normal, -self.offset)
-
 
 class ConvexPolygon:
     """Convex polygon with counterclockwise vertices and positive area.
@@ -667,14 +664,12 @@ _HAUSDORFF_SAMPLES = 8
 
 
 def _boundary_candidates(region: Region) -> np.ndarray:
-    pts = [region.vertices]
+    """Every vertex, then each edge's interior samples in vertex order."""
     ts = np.arange(1, _HAUSDORFF_SAMPLES + 1) / (_HAUSDORFF_SAMPLES + 1)
-    for piece in region.pieces:
-        v = piece.vertices
-        nxt = _cyclic_next(v)
-        seg = v[:, None, :] + ts[None, :, None] * (nxt - v)[:, None, :]
-        pts.append(seg.reshape(-1, 2))
-    return np.vstack(pts)
+    v = region.vertices
+    seg = v[:, None, :] + ts[None, :, None] * (v[region.next_vertex]
+                                               - v)[:, None, :]
+    return np.vstack((v, seg.reshape(-1, 2)))
 
 
 def hausdorff_distance(a: Region, b: Region) -> float:
@@ -692,9 +687,9 @@ def hausdorff_distance(a: Region, b: Region) -> float:
         outside = cand[~dst.contains(cand)]
         if len(outside) == 0:
             return 0.0
-        ends = np.vstack([_cyclic_next(p.vertices) for p in dst.pieces])
-        return float(_points_segments_distance(outside, dst.vertices,
-                                               ends).max())
+        v = dst.vertices
+        return float(_points_segments_distance(outside, v,
+                                               v[dst.next_vertex]).max())
 
     return max(directed(a, b), directed(b, a))
 
@@ -752,10 +747,6 @@ class UniformDensity(_MemoKey):
         object.__setattr__(self, "value", float(self.value))
         self._seal()
 
-    @property
-    def sup_norm(self) -> float:
-        return self.value
-
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.full(len(pts), self.value)
@@ -793,10 +784,6 @@ class GridDensity(_MemoKey):
     def grid(self) -> np.ndarray:
         return np.array(self.values)
 
-    @property
-    def sup_norm(self) -> float:
-        return max(map(max, self.values))
-
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ny, nx = self.grid.shape
@@ -820,8 +807,7 @@ Density = UniformDensity | GridDensity
 class PerformanceFunction(_MemoKey):
     """Increasing convex cost f of distance, given by its kind: f(r) = r^2
     for "quadratic", f(r) = r for "linear"; a new cost is a new kind.
-    Equal costs share memo entries. fn and lipschitz_on give f and a
-    Lipschitz constant of f on [0, upper].
+    Equal costs share memo entries. fn gives f.
 
     refine splits every quadrature triangle into refine**2 children when
     integrating this cost; a cost kinked at the center, like the linear
@@ -843,9 +829,6 @@ class PerformanceFunction(_MemoKey):
     def fn(self, r):
         return np.square(r) if self.kind == "quadratic" else \
             np.asarray(r, dtype=float)
-
-    def lipschitz_on(self, upper: float) -> float:
-        return 2.0 * upper if self.kind == "quadratic" else 1.0
 
 
 def quadratic_performance() -> PerformanceFunction:

@@ -75,7 +75,13 @@ def _unchanged(partition: Partition, i: int, j: int,
 
 def gossip_step(partition: Partition, i: int, j: int, density: Density,
                 perf: PerformanceFunction) -> StepOutcome:
-    """Full pairwise exchange: split the union by the centroid bisector."""
+    """Full pairwise exchange: split the union by the centroid bisector.
+
+    A no-op found before on this partition returns from its memo entry.
+    """
+    h = partition.exchange_cache.get((i, j, density, perf))
+    if h is not None:
+        return _unchanged(partition, i, j, h)
     return _exchange(partition, i, j, None, density, perf)
 
 
@@ -140,20 +146,16 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
     trades at most tol_area.
 
     The exchange is a map of the partition, so a no-op found once is
-    remembered in the partition's exchange_cache and a repeat returns
-    before any centroid or split. Only the cost before is stored, a
-    float: an outcome would refer back to its own partition, and a
-    changed one would chain each successor to its predecessor. The full
-    exchange's key has no delta slot, so no partial_gossip_step lookup,
-    whatever its delta, can meet it.
+    stored in the partition's exchange_cache; both maps look their key
+    up before they call here, so a repeat returns before any centroid
+    or split. Only the cost before is stored, a float: an outcome would
+    refer back to its own partition, and a changed one would chain each
+    successor to its predecessor. The full exchange's key has no delta
+    slot, so no partial_gossip_step lookup, whatever its delta, can
+    meet it.
     """
     if i == j:
         raise ValueError("pair indices must differ")
-    key = ((i, j, density, perf) if delta is None
-           else (i, j, delta, density, perf))
-    h_before = partition.exchange_cache.get(key)
-    if h_before is not None:
-        return _unchanged(partition, i, j, h_before)
     env = partition.env
     cs = pt.centroids(partition, density, perf)
     h_before = pt.centroid_cost(partition, density, perf)
@@ -174,6 +176,8 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
                                     env.region(pieces_j))
             return StepOutcome(new, True, (i, j), h_before,
                                pt.centroid_cost(new, density, perf), traded)
+    key = ((i, j, density, perf) if delta is None
+           else (i, j, delta, density, perf))
     partition.exchange_cache[key] = h_before
     return _unchanged(partition, i, j, h_before)
 
@@ -212,8 +216,7 @@ def fixed_point_residual(partition: Partition, density: Density,
             raise ValueError(f"adjacent mode needs delta > 0, got {delta!r}")
         pairs = pt.adjacency_pairs(partition, delta)
     elif mode == "full":
-        pairs = [(i, j) for i in range(partition.n)
-                 for j in range(i + 1, partition.n)]
+        pairs = pt.all_pairs(partition.n)
     else:
         raise ValueError(f"unknown residual mode {mode!r}")
     cs = pt.centroids(partition, density, perf)

@@ -54,7 +54,6 @@ class SamplingExhausted(GeometryError):
 TRAVEL = "travel"
 WAIT_1 = "wait1"
 WAIT_2 = "wait2"
-PHASES = (TRAVEL, WAIT_1, WAIT_2)
 # the most phase ends, its current one included, that an agent in each
 # phase can reach before it starts a leg
 _PHASES_TO_LEG = {TRAVEL: 3, WAIT_1: 2, WAIT_2: 1}
@@ -74,19 +73,6 @@ def epoch_transition(phase: str, rng) -> str:
     if phase == WAIT_2:
         return TRAVEL
     raise ValueError(f"unknown phase {phase!r}")
-
-
-def phase_frequencies(start: str, n_transitions: int, trials: int,
-                      rng) -> dict:
-    """Empirical end-phase distribution after a fixed number of
-    transitions from a common start phase."""
-    counts = dict.fromkeys(PHASES, 0)
-    for _ in range(trials):
-        phase = start
-        for _ in range(n_transitions):
-            phase = epoch_transition(phase, rng)
-        counts[phase] += 1
-    return {k: v / trials for k, v in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -420,7 +406,8 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     their clock offset (uniform over one leg), then loop through the
     epoch machine. Each simulation step advances motion first and then
     flips a coin per in-range pair for a trade. A vanished region
-    aborts the run with the partial trace attached.
+    aborts the run with the partial trace attached. A delta beyond the
+    environment's diameter/10 raises ValueError before the first draw.
 
     The loop goes a window at a time: the steps up to and including the
     next one at which an agent starts a leg (or the horizon). Until
@@ -444,6 +431,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     env = initial.env
     n = initial.n
     check_fleet(config, n)
+    gp.check_delta(env, config.delta)
     leg = leg_time(env, config)
     per_leg = _steps_per_leg(env, config)
     dt = leg / per_leg
@@ -478,7 +466,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     # clocks, so it is excluded from the transition counts
     held = [p == WAIT_1 for p in phase]
 
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = pt.all_pairs(n)
     first, second = np.array(pairs).T
     snap_times = sorted(float(t) for t in snapshot_times)
     snap_idx = 0

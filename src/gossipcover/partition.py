@@ -9,6 +9,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -107,6 +108,12 @@ class Environment:
         return Region(tuple(kept))
 
 
+def all_pairs(n: int) -> list[tuple[int, int]]:
+    """Every region pair (i, j), i < j, in lexicographic order: the one
+    pair order, in which AdjacentRandom indexes its draws."""
+    return list(combinations(range(n), 2))
+
+
 def environment(vertices) -> Environment:
     return Environment(ConvexPolygon(vertices))
 
@@ -175,12 +182,11 @@ class Partition:
             if not np.all(self.env.polygon.contains(r.vertices,
                                                     tol=self.env.wall_tol)):
                 raise GeometryError(f"region {k} leaves the environment")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                ov = geo.intersection_area(self.regions[i], self.regions[j])
-                if ov > tol:
-                    raise GeometryError(
-                        f"regions {i} and {j} overlap with area {ov:.3e}")
+        for i, j in all_pairs(self.n):
+            ov = geo.intersection_area(self.regions[i], self.regions[j])
+            if ov > tol:
+                raise GeometryError(
+                    f"regions {i} and {j} overlap with area {ov:.3e}")
         return self
 
 
@@ -348,14 +354,14 @@ def adjacency_pairs(partition: Partition, delta: float) -> list[tuple[int, int]]
     near = partition.adjacency_cache.setdefault(delta, {})
     regions = partition.regions
     out = []
-    for i in range(partition.n):
-        for j in range(i + 1, partition.n):
-            within = near.get((i, j))
-            if within is None:
-                within = near[i, j] = geo.regions_within(regions[i],
-                                                         regions[j], delta)
-            if within:
-                out.append((i, j))
+    for pair in all_pairs(partition.n):
+        within = near.get(pair)
+        if within is None:
+            i, j = pair
+            within = near[pair] = geo.regions_within(regions[i], regions[j],
+                                                     delta)
+        if within:
+            out.append(pair)
     return out
 
 

@@ -6,8 +6,8 @@ applies the chosen exchange map, records the coverage cost and
 degeneracy monitors, and stops on convergence (small fixed-point
 residual), on budget exhaustion, or when a region degenerates.
 
-Also included: empirical persistency checks for schedulers, and a pair
-of radial maps on the plane whose switched iterations show why
+Also included: per-pair window statistics of contact times, and a
+pair of radial maps on the plane whose switched iterations show why
 convergence needs persistent switching. The radius never increases
 under either map, yet an adversarial schedule keeps the state circling
 the unit circle forever instead of settling.
@@ -23,11 +23,7 @@ import numpy as np
 from . import gossip as gp
 from . import partition as pt
 from .geometry import Density, GeometryError, PerformanceFunction
-from .partition import DegenerateEvolution, Partition
-
-
-def all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+from .partition import DegenerateEvolution, Partition, all_pairs
 
 
 class RoundRobin:
@@ -246,26 +242,7 @@ def write_trace(trace: EvolutionTrace, path_or_file):
 
 
 # ---------------------------------------------------------------------------
-# persistency checks
-
-def check_uniform_persistency(pair_sequence, pairs, window: int) -> bool:
-    """True when every pair occurs in every window of the given length."""
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    seq = [tuple(sorted(p)) for p in pair_sequence]
-    if len(seq) < 2 * window:
-        raise ValueError("sequence too short to judge the window")
-    for pair in pairs:
-        pair = tuple(sorted(pair))
-        hits = [t for t, p in enumerate(seq) if p == pair]
-        if not hits:
-            return False
-        if hits[0] >= window or (len(seq) - 1 - hits[-1]) >= window:
-            return False
-        if any(b - a > window for a, b in zip(hits, hits[1:])):
-            return False
-    return True
-
+# per-pair window statistics
 
 def _wilson(k: int, n: int, z: float = 1.959963984540054):
     """(p, low, high): the hit rate k / n with its Wilson score interval.
@@ -295,25 +272,6 @@ def window_statistics(times, duration: float, window: float) -> dict:
             "max_gap": float(max(b - a for a, b in zip(bounds, bounds[1:]))),
             "p": p, "ci_low": lo, "ci_high": hi, "windows": n_windows,
             "hits": hits}
-
-
-def empirical_persistency(scheduler, partition: Partition, pairs,
-                          n_steps: int, window: int) -> dict:
-    """Per-pair window_statistics of the scheduler's selections, step t
-    at time t, over n_steps steps and windows of window steps.
-
-    The scheduler runs against the fixed partition; selections that
-    return None count as idle steps.
-    """
-    if not 1 <= window <= n_steps:
-        raise ValueError(f"window must be 1 to n_steps {n_steps}, got {window}")
-    seq = []
-    for t in range(n_steps):
-        choice = scheduler.select(t, partition)
-        seq.append(tuple(sorted(choice)) if choice is not None else None)
-    return {pair: window_statistics(
-        [t for t, chosen in enumerate(seq) if chosen == pair], n_steps, window)
-        for pair in (tuple(sorted(p)) for p in pairs)}
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +332,6 @@ def run_polar(mode: str, steps: int, rho0: float,
             labels.append("spiral")
         states.append((rho, theta))
     return PolarTrace(states=np.array(states), labels=labels)
-
-
-def spiral_radius_offsets(rho0: float, n: int) -> np.ndarray:
-    """rho - 1 along pure spiral iterations from rho0 > 1.
-
-    Iterates the offset x -> x / (1 + x), which is the spiral map in
-    shifted coordinates and numerically stable near the unit circle.
-    """
-    if rho0 <= 1.0:
-        raise ValueError("needs a start outside the unit circle")
-    x = rho0 - 1.0
-    out = np.empty(n)
-    for i in range(n):
-        x = x / (1.0 + x)
-        out[i] = x
-    return out
 
 
 def circular_spread(angles) -> float:

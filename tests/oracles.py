@@ -13,7 +13,8 @@ from gossipcover import geometry as geo
 from gossipcover import gossip as gp
 from gossipcover import netsim as ns
 from gossipcover import partition as pt
-from gossipcover.geometry import ConvexPolygon, Region
+from gossipcover import switching as sw
+from gossipcover.geometry import ConvexPolygon, HalfPlane, Region
 
 
 def jittered_grid(bbox, n_target: int, rng) -> tuple[np.ndarray, float]:
@@ -164,6 +165,91 @@ def voronoi_cost(env, points, density, perf) -> float:
 def full_interval_cost() -> Fraction:
     """Cost of serving all of [-1, 1] from zero (f(s) = s, unit density)."""
     return dy.abs_moment([(Fraction(-1), Fraction(1))])
+
+
+def flipped(hp: HalfPlane) -> HalfPlane:
+    """The closure of the half-plane's complement."""
+    return HalfPlane(-hp.normal, -hp.offset)
+
+
+def sup_norm(density) -> float:
+    """The density's largest value: a uniform one's value, or a grid's
+    largest sample, which bilinear interpolation never exceeds."""
+    if isinstance(density, geo.UniformDensity):
+        return density.value
+    return max(map(max, density.values))
+
+
+def lipschitz_on(perf, upper: float) -> float:
+    """A Lipschitz constant of the cost's f on [0, upper]."""
+    return 2.0 * upper if perf.kind == "quadratic" else 1.0
+
+
+def phase_frequencies(start: str, n_transitions: int, trials: int,
+                      rng) -> dict:
+    """Empirical end-phase distribution after a fixed number of
+    transitions from a common start phase."""
+    counts = dict.fromkeys((ns.TRAVEL, ns.WAIT_1, ns.WAIT_2), 0)
+    for _ in range(trials):
+        phase = start
+        for _ in range(n_transitions):
+            phase = ns.epoch_transition(phase, rng)
+        counts[phase] += 1
+    return {k: v / trials for k, v in counts.items()}
+
+
+def check_uniform_persistency(pair_sequence, pairs, window: int) -> bool:
+    """True when every pair occurs in every window of the given length."""
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    seq = [tuple(sorted(p)) for p in pair_sequence]
+    if len(seq) < 2 * window:
+        raise ValueError("sequence too short to judge the window")
+    for pair in pairs:
+        pair = tuple(sorted(pair))
+        hits = [t for t, p in enumerate(seq) if p == pair]
+        if not hits:
+            return False
+        if hits[0] >= window or (len(seq) - 1 - hits[-1]) >= window:
+            return False
+        if any(b - a > window for a, b in zip(hits, hits[1:])):
+            return False
+    return True
+
+
+def empirical_persistency(scheduler, partition, pairs, n_steps: int,
+                          window: int) -> dict:
+    """Per-pair window_statistics of the scheduler's selections, step t
+    at time t, over n_steps steps and windows of window steps.
+
+    The scheduler runs against the fixed partition; selections that
+    return None count as idle steps.
+    """
+    if not 1 <= window <= n_steps:
+        raise ValueError(f"window must be 1 to n_steps {n_steps}, got {window}")
+    seq = []
+    for t in range(n_steps):
+        choice = scheduler.select(t, partition)
+        seq.append(tuple(sorted(choice)) if choice is not None else None)
+    return {pair: sw.window_statistics(
+        [t for t, chosen in enumerate(seq) if chosen == pair], n_steps, window)
+        for pair in (tuple(sorted(p)) for p in pairs)}
+
+
+def spiral_radius_offsets(rho0: float, n: int) -> np.ndarray:
+    """rho - 1 along pure spiral iterations from rho0 > 1.
+
+    Iterates the offset x -> x / (1 + x), which is the spiral map in
+    shifted coordinates and numerically stable near the unit circle.
+    """
+    if rho0 <= 1.0:
+        raise ValueError("needs a start outside the unit circle")
+    x = rho0 - 1.0
+    out = np.empty(n)
+    for i in range(n):
+        x = x / (1.0 + x)
+        out[i] = x
+    return out
 
 
 def random_convex_polygon(rng, n_pts: int = 8, center=(0.0, 0.0),

@@ -179,7 +179,7 @@ def test_criterion_04():
 def test_criterion_05():
     started = time.perf_counter()
     # closed form of the spiral's radius offsets
-    offs = sw.spiral_radius_offsets(1.7, 10_000)
+    offs = orc.spiral_radius_offsets(1.7, 10_000)
     i = np.arange(1, 10_001)
     err = float(np.max(np.abs(offs - 1.0 / (1.0 / offs[0] + i - 1))))
     # alternating schedule settles onto the limit set
@@ -235,7 +235,7 @@ def test_criterion_07():
         p, q = rng.uniform(0.0, 1.0, (2, 2))
         lhs = abs(geo.one_center_cost(p, A, dens, QUAD)
                   - geo.one_center_cost(q, A, dens, QUAD))
-        bound = QUAD.lipschitz_on(diam) * dens.sup_norm * A.area \
+        bound = orc.lipschitz_on(QUAD, diam) * orc.sup_norm(dens) * A.area \
             * float(np.hypot(*(p - q)))
         if lhs > bound + 1e-9:
             bad_p += 1
@@ -250,7 +250,7 @@ def test_criterion_07():
         p = rng.uniform(0.0, 1.0, 2)
         lhs = abs(geo.one_center_cost(p, A, dens, QUAD)
                   - geo.one_center_cost(p, B, dens, QUAD))
-        bound = float(QUAD.fn(diam)) * dens.sup_norm * geo.symdiff_area(A, B)
+        bound = float(QUAD.fn(diam)) * orc.sup_norm(dens) * geo.symdiff_area(A, B)
         if lhs > bound + 1e-9:
             bad_a += 1
 
@@ -328,8 +328,8 @@ def test_criterion_09():
         if any(stats[pair]["ci_low"] <= 0.0 for pair in stats):
             ci_ok = False
     rng = np.random.default_rng(123)
-    f3 = ns.phase_frequencies(ns.TRAVEL, 3, 100_000, rng)
-    f5 = ns.phase_frequencies(ns.TRAVEL, 5, 100_000, rng)
+    f3 = orc.phase_frequencies(ns.TRAVEL, 3, 100_000, rng)
+    f5 = orc.phase_frequencies(ns.TRAVEL, 5, 100_000, rng)
     m3 = abs(f3[ns.TRAVEL] - 0.5) <= 3.0 * math.sqrt(0.25 / 100_000)
     m5 = abs(f5[ns.WAIT_2] - 0.25) <= 3.0 * math.sqrt(0.1875 / 100_000)
     elapsed = time.perf_counter() - started

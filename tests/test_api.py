@@ -5,8 +5,11 @@ rule's degree is fixed, so no public callable and no function of the
 layers above geometry takes a quadrature or centroid knob. Parameters
 that no caller ever set are fixed in the code and stay out too.
 """
+import ast
 import dataclasses
+import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +126,13 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (cli, "_trace_minima"), (cli, "_ensure_out"),
         # reference forms that only tests call live in tests/oracles.py
         (partition, "voronoi_cost"), (dyadic, "full_interval_cost"),
+        (geometry.HalfPlane, "flipped"), (geometry.UniformDensity, "sup_norm"),
+        (geometry.GridDensity, "sup_norm"),
+        (geometry.PerformanceFunction, "lipschitz_on"),
+        (netsim, "phase_frequencies"),
+        (switching, "check_uniform_persistency"),
+        (switching, "empirical_persistency"),
+        (switching, "spiral_radius_offsets"),
         # one per-pair window statistic, in switching
         (netsim, "_wilson")]
 
@@ -170,3 +180,81 @@ def test_records_keep_their_fields_and_stay_immutable(record):
 
 def test_balance_test_lives_beside_the_residual():
     assert gossipcover.is_mixed_centroidal is gossip.is_mixed_centroidal
+
+
+SRC = Path(gossipcover.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# members that only the benchmark reads; moving one is a benchmark change
+BENCH_READS = {
+    "geometry.integrate": "bench/tracer.py times it by name",
+    "partition.pair_rebalanced": "bench/tracer.py times it by name, and "
+                                 "bench/workloads.py calls it",
+    "switching.EvolutionTrace.h_series": "bench/workloads.py reads a "
+                                         "run's H series",
+    "netsim.NetTrace.h_series": "bench/workloads.py reads a run's H series",
+}
+
+
+def _members(tree: ast.Module):
+    """(name, owner, node) of each module-level function and each
+    non-dunder member of a module-level class; owner is the class name,
+    or None."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, None, node
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    names = [member.name]
+                elif isinstance(member, ast.AnnAssign):
+                    names = [member.target.id]
+                elif isinstance(member, ast.Assign):
+                    names = [t.id for t in member.targets
+                             if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if not (name.startswith("__") and name.endswith("__")):
+                        yield name, node.name, member
+
+
+def _references(tree: ast.Module):
+    """(name, line) of each name, attribute and keyword argument read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.value.lineno
+
+
+def test_src_holds_only_what_the_package_calls():
+    # a member nothing in src/ refers to outside its own body is dead
+    # unless it is public API or the benchmark reads it by name
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    refs = {stem: list(_references(tree)) for stem, tree in trees.items()}
+    unread = set()
+    for stem, tree in trees.items():
+        for name, owner, node in _members(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if name in gossipcover.__all__ or any(
+                    ref == name and (where != stem or line not in own)
+                    for where, found in refs.items() for ref, line in found):
+                continue
+            unread.add(".".join(filter(None, (stem, owner, name))))
+    assert unread == set(BENCH_READS)
+
+
+def test_bench_targets_resolve_in_the_package():
+    # the tracer looks its targets up by name, so a rename in src/ must
+    # fail here rather than time nothing; bench/ itself is not imported
+    tree = ast.parse((BENCH / "tracer.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    assert targets
+    missing = [f"{mod}.{name}" for mod, name in targets if not callable(
+        getattr(importlib.import_module(f"gossipcover.{mod}"), name, None))]
+    assert missing == []

@@ -495,10 +495,36 @@ def test_run_netsim_short(tmp_path):
     assert any(" count 0 " not in ln for ln in pairs)
 
 
-def test_run_netsim_bad_delta_returns_2(tmp_path):
-    cfg = write_cfg(tmp_path, NETSIM_SHORT.replace("delta: 0.2",
-                                                   "delta: 0.5"))
+def test_run_netsim_bad_delta_returns_2(tmp_path, capsys):
+    # 0.5 reaches comm_radius/4; 0.4 with comm_radius 2.0 stays below it
+    # but passes the 3x1 strip's diameter/10 (0.316): both are refused at
+    # the parse, before any output
+    for radius, delta, why in (("1.0", "0.5", "comm_radius/4"),
+                               ("2.0", "0.4", "diameter/10")):
+        cfg = write_cfg(tmp_path, NETSIM_SHORT.replace(
+            "comm_radius: 1.0", f"comm_radius: {radius}").replace(
+            "delta: 0.2", f"delta: {delta}"))
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: algorithm: ") and why in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+FAR = "vertices: [[1e6, 1e6], [1000002.0, 1e6], [1000002.0, 1000001.0], " \
+      "[1e6, 1000001.0]]"
+
+
+@pytest.mark.parametrize("initial", [
+    "n: 6\ninitial: {kind: random_voronoi}",
+    "initial: {kind: strips, cuts: [1000000.1]}"], ids=["voronoi", "strips"])
+def test_run_start_that_does_not_tile_returns_2(tmp_path, capsys, initial):
+    # a million units from the origin the cells' areas round past the
+    # cover check: the start is a config error, not a traceback
+    cfg = write_cfg(tmp_path, f"environment: {{{FAR}}}\n{initial}\n")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial: regions cover ")
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 NETSIM_TWO_SPEEDS = NETSIM_SHORT.replace("speeds: [1.0, 1.0, 1.0]",

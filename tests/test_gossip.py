@@ -462,6 +462,34 @@ def test_memo_hit_skips_the_delta_check_and_the_exchange(monkeypatch):
     assert hit.partition is miss.partition is part
 
 
+class CountingMemo(dict):
+    """An exchange_cache that counts its lookups."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("step", [
+    lambda part: gp.gossip_step(part, 0, 1, DENS, QUAD),
+    lambda part: gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD)],
+    ids=["full", "partial"])
+@pytest.mark.parametrize("cuts", [[1.0 - 1e-9], [0.7]],
+                         ids=["noop", "changed"])
+def test_each_exchange_call_looks_the_memo_up_once(step, cuts):
+    # a miss is looked up by the map and only stored by the exchange;
+    # a hit returns from the one lookup
+    part = strips(pt.rectangle(2.0, 1.0), cuts)
+    memo = CountingMemo()
+    object.__setattr__(part, "exchange_cache", memo)
+    for calls in (1, 2):
+        step(part)
+        assert memo.gets == calls
+    assert len(memo) == (cuts == [1.0 - 1e-9])
+
+
 @pytest.mark.parametrize("bad", [
     lambda top: float("nan"), lambda top: 0.0, lambda top: top * 1.01,
     lambda top: "0.2", lambda top: None],

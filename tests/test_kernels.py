@@ -166,7 +166,7 @@ def test_split_matches_array_form_and_exact_areas_on_seeded_polygons():
     for hp in (HalfPlane((1.0, 0.0), 1.0), HalfPlane((1.0, -1.0), 0.0),
                HalfPlane((0.0, 1.0), 0.5)):
         for snap in (0.0, 1e-12):
-            cuts += [(square, hp, snap), (square, hp.flipped(), snap)]
+            cuts += [(square, hp, snap), (square, oracles.flipped(hp), snap)]
     for poly, hp, snap in cuts:
         check_cut(poly, hp, snap)
         check_exact_areas(poly, hp, snap)

@@ -101,11 +101,11 @@ def test_epoch_transition_chain():
 def test_phase_frequencies_markov():
     rng = np.random.default_rng(1)
     trials = 20000
-    after3 = ns.phase_frequencies(ns.TRAVEL, 3, trials, rng)
+    after3 = oracles.phase_frequencies(ns.TRAVEL, 3, trials, rng)
     # both three-transition paths from travel land on travel or wait1
     assert after3[ns.WAIT_2] == 0.0
     assert abs(after3[ns.TRAVEL] - 0.5) < 3.0 * math.sqrt(0.25 / trials)
-    after5 = ns.phase_frequencies(ns.TRAVEL, 5, trials, rng)
+    after5 = oracles.phase_frequencies(ns.TRAVEL, 5, trials, rng)
     assert abs(after5[ns.WAIT_2] - 0.25) < 3.0 * math.sqrt(0.1875 / trials)
 
 
@@ -338,6 +338,20 @@ def test_simulate_speed_count_gate():
     with pytest.raises(ValueError):
         ns.simulate(ns.NetConfig(speeds=(1.0, 1.0)), init, DENS, QUAD,
                     duration=1.0)
+
+
+def test_simulate_refuses_a_delta_beyond_the_environment(monkeypatch):
+    # 0.4 sits below comm_radius/4 but above the 3x1 strip's diameter/10
+    # (0.316): the run refuses it before its first draw, not at its
+    # first contact
+    init = strip_partition(strip_env())
+    config = ns.NetConfig(comm_radius=2.0, delta=0.4)
+    rngs = []
+    monkeypatch.setattr(ns.np.random, "default_rng",
+                        lambda *args: rngs.append(args))
+    with pytest.raises(ValueError, match="diameter/10"):
+        ns.simulate(config, init, DENS, QUAD, duration=1.0)
+    assert rngs == []
 
 
 def test_simulate_deterministic_per_seed():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from gossipcover import geometry as geo
 from gossipcover import gossip as gp
 from gossipcover import partition as pt
@@ -33,6 +34,8 @@ def strip_partition():
 def test_all_pairs():
     assert sw.all_pairs(3) == [(0, 1), (0, 2), (1, 2)]
     assert sw.all_pairs(1) == []
+    # one pair order: the schedulers take partition's
+    assert sw.all_pairs is pt.all_pairs
 
 
 def test_round_robin_cycles():
@@ -260,21 +263,21 @@ def test_trace_bytes_are_pinned():
 def test_check_uniform_persistency():
     pairs = [(0, 1), (1, 2)]
     good = [(0, 1), (1, 2)] * 10
-    assert sw.check_uniform_persistency(good, pairs, window=2)
-    assert not sw.check_uniform_persistency(good, pairs + [(0, 2)], window=2)
+    assert oracles.check_uniform_persistency(good, pairs, window=2)
+    assert not oracles.check_uniform_persistency(good, pairs + [(0, 2)], window=2)
     gappy = [(0, 1)] * 8 + [(1, 2)] + [(0, 1)] * 8
-    assert not sw.check_uniform_persistency(gappy, pairs, window=4)
+    assert not oracles.check_uniform_persistency(gappy, pairs, window=4)
     with pytest.raises(ValueError):
-        sw.check_uniform_persistency([(0, 1)] * 3, pairs, window=2)
+        oracles.check_uniform_persistency([(0, 1)] * 3, pairs, window=2)
     for window in (0, -1):
         with pytest.raises(ValueError, match="window must be at least 1"):
-            sw.check_uniform_persistency(good, pairs, window=window)
+            oracles.check_uniform_persistency(good, pairs, window=window)
 
 
 def test_empirical_persistency_adjacent_pairs():
     part = strip_partition()
     sched = sw.AdjacentRandom(seed=11, delta=1e-6)
-    stats = sw.empirical_persistency(sched, part, [(0, 1), (1, 2), (0, 2)],
+    stats = oracles.empirical_persistency(sched, part, [(0, 1), (1, 2), (0, 2)],
                                      n_steps=2000, window=4)
     for pair in [(0, 1), (1, 2)]:
         s = stats[pair]
@@ -289,7 +292,7 @@ def test_empirical_persistency_adjacent_pairs():
     for n_steps, window in ((20, 0), (20, -2), (3, 5)):
         with pytest.raises(ValueError, match=f"window must be 1 to n_steps "
                            f"{n_steps}, got {window}"):
-            sw.empirical_persistency(sched, part, [(0, 1)], n_steps, window)
+            oracles.empirical_persistency(sched, part, [(0, 1)], n_steps, window)
 
 
 def test_window_statistics_of_one_pair():
@@ -301,7 +304,7 @@ def test_window_statistics_of_one_pair():
     assert (s["ci_low"], s["ci_high"]) == sw._wilson(1, 2)[1:]
     # the scheduler's steps and the network's contact times are read alike
     sched = sw.Periodic([(0, 1), (1, 2), (0, 1)])
-    stats = sw.empirical_persistency(sched, strip_partition(), [(1, 0)], 9, 2)
+    stats = oracles.empirical_persistency(sched, strip_partition(), [(1, 0)], 9, 2)
     assert stats == {(0, 1): sw.window_statistics([0, 2, 3, 5, 6, 8], 9, 2)}
 
 
@@ -337,12 +340,12 @@ def test_polar_damp_map():
 
 
 def test_spiral_radius_offsets_identity():
-    offs = sw.spiral_radius_offsets(1.7, 200)
+    offs = oracles.spiral_radius_offsets(1.7, 200)
     x0 = 0.7
     ref = np.array([1.0 / (1.0 / x0 + k) for k in range(1, 201)])
     assert np.max(np.abs(offs - ref)) <= 1e-14
     with pytest.raises(ValueError):
-        sw.spiral_radius_offsets(1.0, 5)
+        oracles.spiral_radius_offsets(1.0, 5)
 
 
 def test_run_polar_alternating_reaches_limit_set():
