@@ -473,6 +473,17 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=float).reshape(-1, 2)
 
 
+def _fused(hull) -> ConvexPolygon:
+    """The polygon on an accepted fused hull. Far from the origin, the
+    hull of slivers can round to no positive area, and _ring_polygon
+    refuses it: a GeometryError, not a None piece."""
+    poly = _ring_polygon(hull, 0.0)
+    if poly is None:
+        raise GeometryError(f"fused hull of {len(hull)} vertices has area "
+                            f"{_ring_area(hull):.3e}")
+    return poly
+
+
 def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
     """Greedily fuse piece pairs whose union is convex (within area tol).
 
@@ -491,7 +502,7 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
     if len(work) > 2:
         hull = _convex_hull(stacked)
         if _ring_area(hull) <= sum(p.area for p in work) + tol:
-            return [_ring_polygon(hull, 0.0)]
+            return [_fused(hull)]
     inv_eps = 1.0 / _vertex_cell(float(np.abs(stacked).max()))
     cells = _vertex_keys(stacked, inv_eps)
     bounds = [0, *accumulate(len(p.vertices) for p in work)]
@@ -515,7 +526,7 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
                 s = a.area + b.area
                 if _ring_area(hull) <= s + max(tol, 1e-12 * s):
                     # keep scanning the grown piece against the remainder
-                    work[i] = _ring_polygon(hull, 0.0)
+                    work[i] = _fused(hull)
                     keys[i] = set(_vertex_keys(work[i].vertices, inv_eps))
                     del work[j]
                     del keys[j]

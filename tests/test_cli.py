@@ -1,7 +1,10 @@
 import builtins
+import csv
+import math
 import os
 import re
 import shlex
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +69,228 @@ def write_cfg(tmp_path, text, name="cfg.yaml"):
 
 
 # ---------------------------------------------------------------------------
+# CLI contracts, one row per command line. This module imports whichever
+# gossipcover is on the path: src/ under tier-1's PYTHONPATH, and the
+# installed package in CI's package job.
+
+Contract = namedtuple("Contract", "config argv code expect files checks")
+
+
+def contract(name, config, argv, code, expect=None, files=(), checks=()):
+    """A row: the config text (None when argv names no file) and the argv
+    after `gossipcover`, {cfg} standing for the config's path and --out
+    appended for run and compare; the exit code; regexes, one or a tuple
+    of them, that "stdout", "stderr" or an output file must match; the
+    files the output directory must hold, none meaning that no output
+    directory exists; and checks called with the output directory."""
+    return pytest.param(Contract(config, argv, code, expect or {}, files,
+                                 checks), id=name)
+
+
+def _h(out) -> list:
+    with open(out / "h_series.csv") as f:
+        return [float(row["h"]) for row in csv.DictReader(f)]
+
+
+def h_series(rows=None, rise=None):
+    """A check: h_series.csv holds `rows` finite H values (more than one
+    when None), and none is more than `rise` above the one before it."""
+    def check(out):
+        h = _h(out)
+        assert len(h) == rows if rows else len(h) > 1, h
+        assert all(map(math.isfinite, h)), h
+        if rise is not None:
+            assert max(b - a for a, b in zip(h, h[1:])) <= rise, h
+    return check
+
+
+def contact_log(out):
+    """comm_log.txt holds one "time i j changed h" row per contact, as
+    many as the summary's events, the last h that of h_series.csv."""
+    lines = (out / "comm_log.txt").read_text().splitlines()
+    end = next(k for k, ln in enumerate(lines)
+               if ln.startswith("# termination"))
+    rows = [ln.split() for ln in lines[1:end]]
+    events = re.search(r"^events (\d+)$", (out / "summary.txt").read_text(),
+                       re.M)
+    assert len(rows) == int(events[1])
+    for row in rows:
+        assert len(row) == 5 and row[3] in ("0", "1"), row
+        float(row[0]), int(row[1]), int(row[2]), float(row[4])
+    assert float(rows[-1][4]) == _h(out)[-1]
+
+
+def no_pair_estimate(out):
+    """A netsim run shorter than the 5-leg window gives no pair an
+    estimate (hit_p nan, ci [0.000, 1.000]), and some pair made a
+    contact."""
+    pairs = [ln for ln in (out / "summary.txt").read_text().splitlines()
+             if ln.startswith("pair_")]
+    assert pairs and all(ln.endswith(" hit_p nan ci [0.000, 1.000]")
+                         for ln in pairs), pairs
+    assert any(" count 0 " not in ln for ln in pairs), pairs
+
+
+def no_numpy_repr(out):
+    """No cell of polar_trace.csv is a numpy repr."""
+    assert "np." not in (out / "polar_trace.csv").read_text()
+
+
+STRIP3 = """\
+environment: {rectangle: [3, 1]}
+initial: {kind: strips, cuts: [0.6, 1.9]}
+"""
+VORONOI4 = """\
+environment: {rectangle: [2, 1]}
+n: 4
+initial: {kind: random_voronoi}
+"""
+VORONOI6 = VORONOI4.replace("n: 4", "n: 6")
+# three steps per leg and four strips: travel ends and first waits fall
+# inside the motion windows
+FOUR_AGENTS = """\
+environment: {rectangle: [3, 1]}
+n: 4
+initial: {kind: strips, cuts: [0.7, 1.5, 2.2]}
+algorithm: {kind: netsim, speeds: [1, 1, 1, 1], comm_rate: 40,
+            time_step: 1.0540925533894598, horizon_legs: 30}
+"""
+LINEAR_RR = VORONOI4 + """\
+performance: {kind: linear}
+scheduler: {kind: round_robin}
+budget: 20
+"""
+# the rect6 setup a thousand units from the origin: at step 774 of seed
+# 3 the hull of two slivers rounds to no positive area
+FAR_RECT6 = """\
+environment: {vertices: [[1000, 1000], [1002, 1000], [1002, 1001],
+                        [1000, 1001]]}
+n: 6
+initial: {kind: random_voronoi}
+scheduler: {kind: adjacent_random, delta: 1.0e-9}
+check_every: 5
+seed: 3
+"""
+PAIRWISE_FILES = ("trace.txt", "h_series.csv", "summary.txt")
+NETSIM_FILES = ("comm_log.txt", "h_series.csv", "summary.txt")
+COMPARE_FILES = ("compare.csv", "summary.txt")
+HORIZON_MIXED = ("^termination horizon$", "^mixed_centroidal True$")
+
+CONTRACTS = [
+    # exit 0: the bundled presets, each mode's files and end state
+    contract("presets", None, "presets", cli.EXIT_OK, {"stdout": (
+        "^interval-comb: ", "^netsim-strip: ", "^polar-switching: ",
+        "^rect6: ")}),
+    contract("preset-interval-comb", None, "run interval-comb", cli.EXIT_OK,
+             files=("comb_table.csv", "summary.txt")),
+    contract("preset-polar-switching", None, "run polar-switching",
+             cli.EXIT_OK, files=("polar_trace.csv", "summary.txt"),
+             checks=[no_numpy_repr]),
+    contract("pairwise-converges", QUICK_PAIRWISE, "run {cfg} --snapshots 0",
+             cli.EXIT_OK, {"summary.txt": "^termination converged$",
+                           "h_series.csv": r"\At,h,residual\n."},
+             files=(*PAIRWISE_FILES, "snapshot-0.svg")),
+    contract("compare-converges", QUICK_PAIRWISE,
+             "compare {cfg} --algos gossip,lloyd", cli.EXIT_OK,
+             {"compare.csv": r"\At,h_gossip,h_lloyd\n.", "summary.txt": (
+                 "^gossip termination converged ",
+                 "^lloyd termination converged ")}, files=COMPARE_FILES),
+    # the strip start is already pairwise balanced, so the mixed check holds
+    contract("netsim-short", NETSIM_SHORT, "run {cfg}", cli.EXIT_OK,
+             {"summary.txt": ("^mixed_centroidal True$", "^pair_0_1 ")},
+             files=NETSIM_FILES, checks=[no_pair_estimate]),
+    contract("netsim-strip-20-legs",
+             STRIP3 + "algorithm: {kind: netsim, horizon_legs: 20}\n",
+             "run {cfg} --snapshots 0,10,20", cli.EXIT_OK,
+             {"summary.txt": HORIZON_MIXED},
+             files=(*NETSIM_FILES, "snapshot-0.svg", "snapshot-10.svg",
+                    "snapshot-20.svg"),
+             checks=[h_series(rise=1e-9), contact_log]),
+    contract("netsim-four-agents", FOUR_AGENTS, "run {cfg}", cli.EXIT_OK,
+             {"summary.txt": HORIZON_MIXED}, files=NETSIM_FILES,
+             checks=[h_series(rise=1e-9), contact_log]),
+    # exit 2: refused before anything runs or any directory is made; the
+    # MALFORMED table below holds the config faults
+    contract("polar-preset-snapshots", None,
+             "run polar-switching --snapshots 1", cli.EXIT_CONFIG,
+             {"stderr": "^error: --snapshots: polar runs take no snapshots"}),
+    # exit 3: a refused fused hull ends the run with its partial trace
+    contract("refused-fused-hull", FAR_RECT6, "run {cfg}",
+             cli.EXIT_DEGENERATE,
+             {"stdout": "^degenerate evolution at step 774: fused hull ",
+              "summary.txt": ("^termination degenerate$", "^steps 774$")},
+             files=PAIRWISE_FILES),
+    # exit 4: the step budget or the horizon ends the run
+    contract("budget-exhausted", QUICK_PAIRWISE.replace("budget: 200",
+                                                        "budget: 1"),
+             "run {cfg}", cli.EXIT_BUDGET,
+             {"summary.txt": "^termination step_budget$"},
+             files=PAIRWISE_FILES),
+    contract("compare-budget", VORONOI4 + "budget: 40\n",
+             "compare {cfg} --algos gossip,lloyd", cli.EXIT_BUDGET,
+             {"compare.csv": r"\At,h_gossip,h_lloyd$", "summary.txt": (
+                 "^gossip termination ", "^lloyd termination ")},
+             files=COMPARE_FILES),
+    contract("linear-round-robin", LINEAR_RR, "run {cfg}", cli.EXIT_BUDGET,
+             {"summary.txt": "^steps 20$"}, files=PAIRWISE_FILES),
+    # H never rises by more than the 1e-9 that criterion 01 allows
+    contract("adjacent-random", VORONOI6 + "scheduler: {kind: adjacent_random"
+             ", delta: 1.0e-9}\nbudget: 30\n", "run {cfg}", cli.EXIT_BUDGET,
+             {"summary.txt": "^steps 30$"}, files=PAIRWISE_FILES,
+             checks=[h_series(30, rise=1e-9)]),
+    contract("distance-limited", VORONOI6 + "algorithm: {kind: partial, "
+             "delta: 0.2}\nscheduler: {kind: uniform_random}\nbudget: 30\n",
+             "run {cfg}", cli.EXIT_BUDGET, {"summary.txt": "^steps 30$"},
+             files=PAIRWISE_FILES, checks=[h_series(30, rise=1e-9)]),
+    # a grid density can raise H, so only its finiteness is checked
+    contract("grid-density-linear", LINEAR_RR + "density: {kind: grid, "
+             "extent: [0, 0, 2, 1], values: [[1, 3], [2, 0.5]]}\n",
+             "run {cfg}", cli.EXIT_BUDGET, {"summary.txt": "^steps 20$"},
+             files=PAIRWISE_FILES, checks=[h_series(20)]),
+    # 3 legs are shorter than the 5-leg window of the pair statistics
+    contract("netsim-horizon-short",
+             STRIP3 + "algorithm: {kind: netsim, horizon_legs: 3}\n",
+             "run {cfg}", cli.EXIT_BUDGET, {"summary.txt": (
+                 "^termination horizon$", "^mixed_centroidal False$")},
+             files=NETSIM_FILES, checks=[no_pair_estimate]),
+]
+
+
+@pytest.mark.parametrize("c", CONTRACTS)
+def test_contract(tmp_path, capsys, c):
+    out = tmp_path / "out"
+    cfg = None if c.config is None else write_cfg(tmp_path, c.config)
+    argv = shlex.split(c.argv.format(cfg=cfg))
+    if argv[0] != "presets":
+        argv += ["--out", str(out)]
+    # main returns the code: a traceback would fail the row here
+    assert cli.main(argv) == c.code
+    std = capsys.readouterr()
+    streams = {"stdout": std.out, "stderr": std.err}
+    for where, patterns in c.expect.items():
+        text = streams[where] if where in streams else \
+            (out / where).read_text()
+        for pattern in [patterns] if isinstance(patterns, str) else patterns:
+            assert re.search(pattern, text, re.M), (where, pattern, text)
+    if c.code == cli.EXIT_CONFIG:
+        assert std.out == ""  # nothing ran
+    for name in c.files:
+        assert (out / name).is_file(), name
+    assert c.files or not out.exists()
+    for check in c.checks:
+        check(out)
+
+
+def test_contracts_cover_every_exit_code_and_command():
+    rows = [param.values[0] for param in CONTRACTS]
+    assert {c.code for c in rows} >= {cli.EXIT_OK, cli.EXIT_CONFIG,
+                                      cli.EXIT_DEGENERATE, cli.EXIT_BUDGET}
+    assert {c.argv.split()[0] for c in rows} >= {"run", "compare", "presets"}
+    # a row that lists no files checks that no output directory exists
+    assert not any(c.files for c in rows if c.code == cli.EXIT_CONFIG)
+
+
+# ---------------------------------------------------------------------------
 # config loading
 
 def test_h_series_reads_back_numpy_scalars(tmp_path):
@@ -110,13 +335,6 @@ def test_load_config_rejections(tmp_path):
         cli.load_config(str(listy))
 
 
-def test_presets_command_lists_names(capsys):
-    assert cli.main(["presets"]) == 0
-    out = capsys.readouterr().out
-    for name in cli.preset_names():
-        assert name in out
-
-
 def test_readme_command_lines_parse():
     # every example of the README's "Command line" block must parse
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -135,20 +353,6 @@ def test_readme_command_lines_parse():
 
 # ---------------------------------------------------------------------------
 # run command
-
-def test_run_pairwise_converges(tmp_path):
-    cfg = write_cfg(tmp_path, QUICK_PAIRWISE)
-    out = tmp_path / "out"
-    code = cli.main(["run", cfg, "--out", str(out), "--snapshots", "0"])
-    assert code == 0
-    for fn in ("trace.txt", "h_series.csv", "summary.txt", "snapshot-0.svg"):
-        assert (out / fn).is_file()
-    summary = (out / "summary.txt").read_text()
-    assert "termination converged" in summary
-    head = (out / "h_series.csv").read_text().splitlines()
-    assert head[0] == "t,h,residual"
-    assert len(head) >= 2
-
 
 def test_run_seed_override_and_reproducibility(tmp_path):
     cfg = write_cfg(tmp_path, QUICK_PAIRWISE)
@@ -193,14 +397,6 @@ def test_summary_states_the_settings_it_ran(tmp_path):
             assert line in settings
         assert f"config.out {tmp_path / out}" in settings  # the flag's
         assert all(line.startswith("config.") for line in settings)
-
-
-def test_run_budget_exhaustion_returns_4(tmp_path):
-    cfg = write_cfg(tmp_path, QUICK_PAIRWISE.replace("budget: 200",
-                                                     "budget: 1"))
-    out = tmp_path / "out"
-    assert cli.main(["run", cfg, "--out", str(out)]) == 4
-    assert "termination step_budget" in (out / "summary.txt").read_text()
 
 
 def test_step_geometry_failure_is_degenerate(tmp_path, monkeypatch):
@@ -312,6 +508,11 @@ MALFORMED = [
     # no residual reaches a negative tolerance; checked before the run
     pytest.param("n: 2", "n: 2\nstop_tol: -1\nbudget: 5", "stop_tol",
                  id="stop-tol-negative"),
+    # so a one-region round robin, which has no pair, never starts
+    pytest.param("n: 2\ninitial: {kind: strips, cuts: [0.5]}",
+                 "n: 1\ninitial: {kind: random_voronoi}\nstop_tol: -1\n"
+                 "scheduler: {kind: round_robin}", "stop_tol",
+                 id="stop-tol-negative-one-region"),
     pytest.param("n: 2", "n: 2\nalgorithm: {kind: polar, mode: alternating, "
                  "steps: 2.5, rho0: 1.5}", "algorithm.steps",
                  id="polar-steps-fraction"),
@@ -477,24 +678,6 @@ def test_run_missing_config_returns_2(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
-def test_run_netsim_short(tmp_path):
-    cfg = write_cfg(tmp_path, NETSIM_SHORT)
-    out = tmp_path / "net"
-    code = cli.main(["run", cfg, "--out", str(out)])
-    # the strip start is already pairwise balanced, so the mixed check holds
-    assert code == 0
-    for fn in ("comm_log.txt", "h_series.csv", "summary.txt"):
-        assert (out / fn).is_file()
-    summary = (out / "summary.txt").read_text()
-    assert "mixed_centroidal True" in summary
-    assert "pair_0_1" in summary
-    # 3 legs are shorter than the 5-leg window: no pair gets an estimate
-    pairs = [ln for ln in summary.splitlines() if ln.startswith("pair_")]
-    assert pairs and all(ln.endswith("hit_p nan ci [0.000, 1.000]")
-                         for ln in pairs)
-    assert any(" count 0 " not in ln for ln in pairs)
-
-
 def test_run_netsim_bad_delta_returns_2(tmp_path, capsys):
     # 0.5 reaches comm_radius/4; 0.4 with comm_radius 2.0 stays below it
     # but passes the 3x1 strip's diameter/10 (0.316): both are refused at
@@ -616,20 +799,6 @@ algorithm:
 
 # ---------------------------------------------------------------------------
 # compare command
-
-def test_compare_two_algorithms(tmp_path):
-    cfg = write_cfg(tmp_path, QUICK_PAIRWISE)
-    out = tmp_path / "cmp"
-    code = cli.main(["compare", cfg, "--algos", "gossip,lloyd",
-                     "--out", str(out)])
-    assert code == 0
-    rows = (out / "compare.csv").read_text().splitlines()
-    assert rows[0] == "t,h_gossip,h_lloyd"
-    assert len(rows) >= 2
-    summary = (out / "summary.txt").read_text()
-    assert "gossip termination converged" in summary
-    assert "lloyd termination converged" in summary
-
 
 def test_compare_series_matches_run(tmp_path):
     # compare reads the same config keys as run, check_every included

@@ -258,6 +258,26 @@ def test_merge_keeps_genuinely_separate():
     assert all(_is_convex(p) for p in merged)
 
 
+def test_merge_refuses_a_hull_with_no_area():
+    # a region's pieces a thousand units from the origin: the hull of the
+    # two slivers rounds to area 0, which passes the area test but makes
+    # no polygon, so the merge raises instead of keeping a None piece
+    pieces = [ConvexPolygon(v) for v in (
+        [[1000.0, 1000.0], [1000.640417919185, 1000.0],
+         [1000.6405000982655, 1000.4800271391169],
+         [1000.6404996646729, 1000.4800304886321],
+         [1000.0, 1000.5243139316643]],
+        [[1000.6405000988339, 1000.4800304586147],
+         [1000.6405000979361, 1000.4800252145794],
+         [1000.6405041342254, 1000.4800301796122]],
+        [[1000.6405041342252, 1000.4800301796122],
+         [1000.6405000979361, 1000.4800252145794],
+         [1000.6405000958341, 1000.4800129365958],
+         [1000.6405135820177, 1000.4800295264022]])]
+    with pytest.raises(geo.GeometryError, match="fused hull"):
+        merge_pieces(pieces, 2e-09)
+
+
 def _is_convex(poly):
     v = poly.vertices
     e = np.roll(v, -1, axis=0) - v
