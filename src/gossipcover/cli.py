@@ -247,11 +247,9 @@ def strip_partition(env: Environment, cuts) -> Partition:
     bounds = [lo] + xs + [hi]
     regions = []
     for a, b in zip(bounds, bounds[1:]):
-        piece = geo.split_convex(env.polygon, geo.HalfPlane((1.0, 0.0), b),
-                                 0.0, env.sliver_area)[0]
-        if piece is not None:
-            piece = geo.split_convex(piece, geo.HalfPlane((-1.0, 0.0), -a),
-                                     0.0, env.sliver_area)[0]
+        piece = geo.clip(env.polygon, (geo.HalfPlane((1.0, 0.0), b),
+                                       geo.HalfPlane((-1.0, 0.0), -a)),
+                         0.0, env.sliver_area)
         if piece is None:
             raise ConfigError(f"initial.cuts: empty strip [{a}, {b}]")
         regions.append(geo.Region((piece,)))
@@ -437,8 +435,9 @@ def _finish(run: Run, s: Settings, out_dir: str, prefix: str) -> int:
         residue = svg.write_svg(
             part, os.path.join(out_dir, name), label=f"t={tag:g}",
             points=pt.centroids(part, s.density, s.performance))
+        short, over = part.cover_slack
         print(f"{prefix}{name}: area residue {residue:.3e} "
-              f"(budget {part.n * part.env.tol_area:.3e})")
+              f"(budget -{short:.3e}/+{over:.3e})")
     with open(os.path.join(out_dir, "summary.txt"), "w") as f:
         for k, v in [*run.entries.items(), *_echo(s, "config")]:
             f.write(f"{k} {v}\n")

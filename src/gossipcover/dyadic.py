@@ -148,11 +148,12 @@ def comb_family(t: int) -> CombRecord:
     left = comb_teeth(t)
     right = complement_within(left, -1, 1)
     full = [(Fraction(-1), Fraction(1))]
+    left_cost = abs_moment(left)
     return CombRecord(
         t=t,
         left_measure=measure(left),
-        left_cost_at_zero=abs_moment(left),
-        pair_cost=abs_moment(left) + abs_moment(right),
+        left_cost_at_zero=left_cost,
+        pair_cost=left_cost + abs_moment(right),
         hausdorff_to_full=hausdorff_1d(left, full),
         symdiff_to_full=symdiff_measure(left, full),
     )

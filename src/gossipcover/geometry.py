@@ -309,35 +309,7 @@ def _ring_polygon(points, min_area: float) -> ConvexPolygon | None:
     return poly
 
 
-def split_convex(poly: ConvexPolygon, hp: HalfPlane, snap: float = 0.0,
-                 min_area: float = 0.0):
-    """Split a convex polygon by a half-plane boundary in one pass.
-
-    Returns (inside, outside); either may be None. Vertices within snap
-    of the boundary line are treated as lying on it, so a cut almost
-    parallel to an existing edge reassigns the piece cleanly instead of
-    shaving off a hairline sliver. Both outputs share the interpolated
-    seam vertices, which keeps the split area-conserving. A clip to the
-    half-plane is the inside part, split_convex(...)[0].
-    """
-    d = _snap(poly.vertices @ hp.normal - hp.offset, snap)
-    if (d <= 0.0).all():
-        if (d == 0.0).all():
-            return None, None  # hairline lying on the boundary
-        return poly, None
-    if (d >= 0.0).all():
-        return None, poly
-    return _cut(poly.vertices, d.tolist(), min_area)
-
-
-def _snap(d: np.ndarray, snap: float) -> np.ndarray:
-    """Signed offsets past a line, with those within snap of it set to 0."""
-    if snap > 0.0:
-        d = np.where(np.abs(d) <= snap, 0.0, d)
-    return d
-
-
-def _cut(v: np.ndarray, dl: list, min_area: float, sides=(True, True)):
+def _cut(v: np.ndarray, dl: list, min_area: float, sides):
     """(inside, outside) of a polygon whose vertex offsets dl past the
     line have both signs; a side that sides marks False is not built
     and comes back None."""
@@ -363,16 +335,23 @@ def region_split(region: Region, hp: HalfPlane, snap: float = 0.0,
                  sides=(True, True)) -> tuple[list, list]:
     """Two-sided split of every piece; returns (inside, outside) piece lists.
 
-    One projection of the stacked vertices, snapped as split_convex
-    snaps, gives each piece's offset range: a piece wholly on one side
-    is handed over as it is, a hairline one lying on the line is
-    dropped, and only pieces that straddle the line are cut, at the
-    same offsets. A side that sides marks False is not built and comes
-    back empty; the other side's pieces are the same.
+    This is the package's one sort of pieces against a line. One
+    projection of the stacked vertices gives each piece's offset range;
+    vertices within snap of the line are taken to lie on it, so a cut
+    almost parallel to an existing edge reassigns the piece cleanly
+    instead of shaving off a hairline sliver. A piece wholly on one
+    side is handed over as the same object, a hairline one lying on the
+    line is dropped, and only pieces that straddle the line are cut, at
+    the same offsets; both sides of a cut share the interpolated seam
+    vertices, which keeps the split area-conserving. A side that sides
+    marks False is not built and comes back empty; the other side's
+    pieces are the same.
     """
     if region.is_empty:
         return [], []
-    d = _snap(region.vertices @ hp.normal - hp.offset, snap)
+    d = region.vertices @ hp.normal - hp.offset
+    if snap > 0.0:
+        d = np.where(np.abs(d) <= snap, 0.0, d)
     starts = region.piece_starts
     ins: list = []
     outs: list = []
@@ -394,24 +373,30 @@ def region_split(region: Region, hp: HalfPlane, snap: float = 0.0,
     return ins if sides[0] else [], outs if sides[1] else []
 
 
-def convex_intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
-    """Intersection of two convex polygons: a cut by each edge line of b."""
-    v = b.vertices
-    scale = max(float(np.abs(v).max()), float(np.abs(a.vertices).max()), 1e-300)
-    out = a
-    for k in range(len(v)):
-        p0, p1 = v[k], v[(k + 1) % len(v)]
-        e = p1 - p0
-        # edges shorter than coordinate noise have unreliable normals; the
-        # half-plane they would add is redundant up to that noise anyway
-        if float(np.hypot(e[0], e[1])) < 1e-12 * scale:
-            continue
-        # inward normal of a CCW edge is (-ey, ex); inside means cross >= 0
-        hp = HalfPlane(np.array([e[1], -e[0]]), float(e[1] * p0[0] - e[0] * p0[1]))
-        out = split_convex(out, hp, 1e-12 * scale)[0]
-        if out is None:
+def clip(poly: ConvexPolygon, halfplanes, snap: float = 0.0,
+         min_area: float = 0.0) -> ConvexPolygon | None:
+    """The part of poly inside every half-plane, taken in turn as the
+    inside side of a one-piece region_split; None as soon as nothing is
+    left, before the remaining half-planes are drawn."""
+    for hp in halfplanes:
+        ins, _ = region_split(Region((poly,)), hp, snap, min_area,
+                              (True, False))
+        if not ins:
             return None
-    return out
+        poly = ins[0]
+    return poly
+
+
+def convex_intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
+    """Intersection of two convex polygons: a clipped by each edge line of b."""
+    scale = max(float(np.abs(b.vertices).max()),
+                float(np.abs(a.vertices).max()), 1e-300)
+    # the inward normal of a CCW edge is (-ey, ex): inside means cross
+    # >= 0. Edges shorter than coordinate noise have unreliable normals;
+    # the half-plane they would add is redundant up to that noise anyway
+    return clip(a, (HalfPlane(np.array([ey, -ex]), ey * x - ex * y)
+                    for x, y, ex, ey, length in b.edges
+                    if length >= 1e-12 * scale), 1e-12 * scale)
 
 
 def intersection_area(a: Region, b: Region) -> float:

@@ -147,17 +147,23 @@ class Partition:
         if len(self.regions) == 0:
             raise EmptyRegion("partition needs at least one region")
         tol = self.env.tol_area
-        n = len(self.regions)
         for k, r in enumerate(self.regions):
             if r.area <= tol:
                 raise VanishedRegion(
                     f"region {k} area {r.area:.3e} at or below tolerance {tol:.3e}")
         total = sum(r.area for r in self.regions)
-        # cover may fall short by dropped slivers or exceed by merge slack;
-        # both stay within the per-region tolerance scale
-        if total < self.env.area - n * tol or total > self.env.area + n * n * tol:
+        short, over = self.cover_slack
+        if total < self.env.area - short or total > self.env.area + over:
             raise GeometryError(
                 f"regions cover {total!r}, environment area {self.env.area!r}")
+
+    @property
+    def cover_slack(self) -> tuple[float, float]:
+        """How far the summed region areas may fall short of the
+        environment area (dropped slivers) and exceed it (merge slack):
+        n and n² times tol_area. Construction is the one cover check."""
+        n, tol = self.n, self.env.tol_area
+        return n * tol, n * n * tol
 
     @property
     def n(self) -> int:
@@ -221,12 +227,9 @@ def voronoi(env: Environment, points) -> Partition:
     n = len(pts)
     regions = []
     for i in range(n):
-        piece = env.polygon
-        for j in range(n):
-            if j == i or piece is None:
-                continue
-            piece = geo.split_convex(piece, bisector_halfplane(pts[i], pts[j]),
-                                     0.0, env.sliver_area)[0]
+        piece = geo.clip(env.polygon, (bisector_halfplane(pts[i], pts[j])
+                                       for j in range(n) if j != i),
+                         0.0, env.sliver_area)
         if piece is None:
             raise VanishedRegion(f"generator {i} has an empty cell")
         regions.append(Region((piece,)))

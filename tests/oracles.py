@@ -264,6 +264,14 @@ def random_convex_polygon(rng, n_pts: int = 8, center=(0.0, 0.0),
             continue
 
 
+def split_piece(poly: ConvexPolygon, hp, snap: float = 0.0,
+                min_area: float = 0.0) -> tuple:
+    """(inside, outside) of one convex polygon as a one-piece
+    region_split cuts it; None for an absent side."""
+    ins, outs = geo.region_split(Region((poly,)), hp, snap, min_area)
+    return ins[0] if ins else None, outs[0] if outs else None
+
+
 def seeded_multi_piece_regions(seed, count):
     """Some of the cells three random cuts make of a random convex
     polygon: unions that may be nonconvex or disconnected."""
@@ -272,7 +280,7 @@ def seeded_multi_piece_regions(seed, count):
         cells = [random_convex_polygon(rng, 8, scale=1.5)]
         for _ in range(3):
             hp = geo.HalfPlane(rng.normal(size=2), 0.3 * rng.normal())
-            cells = [c for cell in cells for c in geo.split_convex(cell, hp)
+            cells = [c for cell in cells for c in split_piece(cell, hp)
                      if c is not None]
         if len(cells) < 3:
             continue
@@ -349,8 +357,9 @@ def signed_offsets_ref(v, normal, offset, snap):
 
 
 def split_convex_ref(v: np.ndarray, normal, offset, snap=0.0, min_area=0.0):
-    """(inside, outside) vertex arrays of split_convex; None for an absent
-    side, and v itself for a side that is the whole polygon."""
+    """(inside, outside) vertex arrays of a one-piece region_split; None
+    for an absent side, and v itself for a side that is the whole
+    polygon."""
     d = signed_offsets_ref(v, normal, offset, snap)
     if np.all(d <= 0.0):
         if np.all(d == 0.0):
@@ -445,16 +454,17 @@ def h_exact(partition, value=1) -> Fraction:
 
 def region_split_ref(region: Region, hp, snap: float = 0.0,
                      min_area: float = 0.0) -> tuple[list, list]:
-    """Two-sided split of a region as one split_convex call per piece;
-    returns (inside, outside) piece lists."""
+    """Two-sided split of a region as one split_convex_ref call per piece;
+    returns (inside, outside) piece lists: a piece itself on the side it
+    lies wholly on, and a polygon on the vertices of each cut side."""
     ins: list = []
     outs: list = []
     for p in region.pieces:
-        a, b = geo.split_convex(p, hp, snap, min_area)
-        if a is not None:
-            ins.append(a)
-        if b is not None:
-            outs.append(b)
+        cut = split_convex_ref(p.vertices, hp.normal, hp.offset, snap,
+                               min_area)
+        for side, v in zip((ins, outs), cut):
+            if v is not None:
+                side.append(p if v is p.vertices else ConvexPolygon(v))
     return ins, outs
 
 

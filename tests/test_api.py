@@ -134,7 +134,10 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (switching, "empirical_persistency"),
         (switching, "spiral_radius_offsets"),
         # one per-pair window statistic, in switching
-        (netsim, "_wilson")]
+        (netsim, "_wilson"),
+        # one sort of pieces against a line: a clip is region_split's
+        # inside side, and the snap lives in region_split
+        (geometry, "split_convex"), (geometry, "_snap")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,
@@ -245,6 +248,38 @@ def test_src_holds_only_what_the_package_calls():
                 continue
             unread.add(".".join(filter(None, (stem, owner, name))))
     assert unread == set(BENCH_READS)
+
+
+def _imports(tree: ast.Module):
+    """Each name an import binds, __future__ features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _exports(tree: ast.Module) -> list:
+    """The names a module lists in __all__, read as they are written."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets] == ["__all__"]
+            for name in ast.literal_eval(node.value)]
+
+
+def test_src_reads_every_name_it_imports():
+    # a deletion can leave behind an import that nothing reads; a name
+    # that __all__ lists is read as a re-export
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)} | set(_exports(tree))
+        unread |= {f"{path.stem}.{name}" for name in _imports(tree)
+                   if name not in read}
+    assert unread == set()
 
 
 def test_bench_targets_resolve_in_the_package():

@@ -1,5 +1,6 @@
 import builtins
 import csv
+import hashlib
 import math
 import os
 import re
@@ -131,6 +132,14 @@ def no_pair_estimate(out):
     assert any(" count 0 " not in ln for ln in pairs), pairs
 
 
+def sha256(name, digest):
+    """A check: the output file's bytes have this SHA-256 digest."""
+    def check(out):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+            digest, name
+    return check
+
+
 def no_numpy_repr(out):
     """No cell of polar_trace.csv is a numpy repr."""
     assert "np." not in (out / "polar_trace.csv").read_text()
@@ -182,7 +191,9 @@ CONTRACTS = [
         "^interval-comb: ", "^netsim-strip: ", "^polar-switching: ",
         "^rect6: ")}),
     contract("preset-interval-comb", None, "run interval-comb", cli.EXIT_OK,
-             files=("comb_table.csv", "summary.txt")),
+             files=("comb_table.csv", "summary.txt"), checks=[sha256(
+                 "comb_table.csv", "fbbeab14cb497ecbbf6f02201557930243f9e2"
+                                   "924f3454f584ae79a7ab25c617")]),
     contract("preset-polar-switching", None, "run polar-switching",
              cli.EXIT_OK, files=("polar_trace.csv", "summary.txt"),
              checks=[no_numpy_repr]),

@@ -20,7 +20,7 @@ from gossipcover.partition import environment, rectangle
 from gossipcover.geometry import (ConvexPolygon, HalfPlane, Region,
                                   bisector_halfplane, convex_intersect, interior_distance,
                                   intersection_area, merge_pieces, region_of,
-                                  split_convex, symdiff_area)
+                                  symdiff_area)
 
 UNIT_SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
 
@@ -86,7 +86,7 @@ def test_polygon_contains_boundary_tol():
 
 def clip(poly, hp, snap=0.0):
     """The part of poly inside hp, as every clip in the package takes it."""
-    return split_convex(poly, hp, snap)[0]
+    return geo.clip(poly, [hp], snap)
 
 
 def test_clip_square_halves():
@@ -101,6 +101,19 @@ def test_clip_miss_and_cover():
     assert clip(UNIT_SQUARE, HalfPlane((1.0, 0.0), -0.2)) is None
     full = clip(UNIT_SQUARE, HalfPlane((1.0, 0.0), 4.0))
     assert full.area == pytest.approx(1.0)
+    assert full is UNIT_SQUARE
+
+
+def test_clip_takes_half_planes_in_turn_and_stops_when_empty():
+    hps = [HalfPlane((1.0, 0.0), 0.5), HalfPlane((0.0, 1.0), 0.25)]
+    assert geo.clip(UNIT_SQUARE, hps).area == pytest.approx(0.125)
+    assert geo.clip(UNIT_SQUARE, []) is UNIT_SQUARE
+
+    def drawn():
+        yield HalfPlane((1.0, 0.0), -0.2)
+        raise AssertionError("a half-plane was drawn past an empty clip")
+
+    assert geo.clip(UNIT_SQUARE, drawn()) is None
 
 
 def test_clip_own_edge_is_identity():
@@ -124,7 +137,7 @@ def test_split_conserves_area_random():
         poly = oracles.random_convex_polygon(rng, 10, scale=2.0)
         n = rng.normal(size=2)
         hp = HalfPlane(n, float(n @ (rng.random(2) - 0.5)))
-        ins, outs = split_convex(poly, hp, snap=1e-12 * 2.0)
+        ins, outs = oracles.split_piece(poly, hp, snap=1e-12 * 2.0)
         total = (ins.area if ins else 0.0) + (outs.area if outs else 0.0)
         assert total == pytest.approx(poly.area, rel=1e-12, abs=1e-14)
         if ins is not None:
@@ -135,7 +148,7 @@ def test_split_conserves_area_random():
 
 def test_split_shares_seam_vertices():
     hp = HalfPlane((1.0, 0.0), 0.4)
-    ins, outs = split_convex(UNIT_SQUARE, hp)
+    ins, outs = oracles.split_piece(UNIT_SQUARE, hp)
     seam_in = {tuple(v) for v in ins.vertices if abs(v[0] - 0.4) < 1e-12}
     seam_out = {tuple(v) for v in outs.vertices if abs(v[0] - 0.4) < 1e-12}
     assert seam_in == seam_out and len(seam_in) == 2
@@ -155,12 +168,12 @@ def test_cut_pieces_keep_their_measured_ring():
         anchor = poly.vertices[rng.integers(len(poly.vertices))] \
             if rng.random() < 0.5 else rng.random(2) - 0.5
         hp = HalfPlane(n, float(n @ anchor) + 1e-14 * rng.normal())
-        halves = [p for p in split_convex(poly, hp, snap=1e-15)
+        halves = [p for p in oracles.split_piece(poly, hp, snap=1e-15)
                   if p is not None]
         pieces += halves
         if len(halves) == 2:
             # two pieces fuse pairwise, three through the whole-set hull
-            thirds = [p for p in split_convex(halves[0], HalfPlane(
+            thirds = [p for p in oracles.split_piece(halves[0], HalfPlane(
                 rng.normal(size=2), 0.0), snap=1e-15) if p is not None]
             for group in (halves, thirds + halves[1:]):
                 merged += [m for m in merge_pieces(group, 1e-9)
@@ -204,7 +217,7 @@ def test_intersection_area_self_is_area():
     for _ in range(30):
         poly = oracles.random_convex_polygon(rng, 9, scale=2.0)
         hp = HalfPlane(rng.normal(size=2), 0.1)
-        ins, outs = split_convex(poly, hp)
+        ins, outs = oracles.split_piece(poly, hp)
         pieces = tuple(p for p in (ins, outs) if p is not None)
         region = Region(pieces)
         assert intersection_area(region, region) == pytest.approx(
@@ -240,7 +253,7 @@ def test_merge_pieces_rejoins_split():
         poly = oracles.random_convex_polygon(rng, 9, scale=2.0)
         n = rng.normal(size=2)
         hp = HalfPlane(n, float(n @ (rng.random(2) - 0.5)))
-        ins, outs = split_convex(poly, hp, snap=2e-12)
+        ins, outs = oracles.split_piece(poly, hp, snap=2e-12)
         if ins is None or outs is None:
             continue
         merged = merge_pieces([ins, outs], tol=1e-9)

@@ -11,6 +11,7 @@ The one-center integrals over plain arrays must give the same bits as
 the integrand callables they replaced.
 """
 import dataclasses
+import hashlib
 import math
 import struct
 from collections import Counter
@@ -96,9 +97,11 @@ def test_hull_matches_array_form_on_collinear_runs_and_seeds():
 
 def check_cut(poly, hp, snap, min_area=0.0):
     v, n, c = poly.vertices, hp.normal, hp.offset
-    ins, outs = geo.split_convex(poly, hp, snap, min_area)
+    ins, outs = oracles.split_piece(poly, hp, snap, min_area)
     want_ins, want_outs = oracles.split_convex_ref(v, n, c, snap, min_area)
     assert same(ins, want_ins) and same(outs, want_outs)
+    # a side that is the whole polygon is handed over as the polygon
+    assert (ins is poly, outs is poly) == (want_ins is v, want_outs is v)
 
 
 def exact_area(piece) -> Fraction:
@@ -109,7 +112,7 @@ def check_exact_areas(poly, hp, snap):
     """The split's pieces, measured exactly, hold the polygon's exact parts
     on either side of the line: to 1e-9 of its area, plus the band within
     snap of the line, which the split may hand either way."""
-    ins, outs = geo.split_convex(poly, hp, snap)
+    ins, outs = oracles.split_piece(poly, hp, snap)
     want_ins, want_outs = oracles.cut_areas_exact(poly.vertices, hp.normal,
                                                   hp.offset)
     along = poly.vertices @ np.array([-hp.normal[1], hp.normal[0]])
@@ -173,6 +176,18 @@ def test_split_matches_array_form_and_exact_areas_on_seeded_polygons():
     # the sweep reaches crossings that land on an edge end; a clip that
     # dropped them lost real area on 56 of these cuts
     assert sum(rounds_a_crossing(*cut) for cut in cuts) >= 50
+
+
+def test_voronoi_cells_are_pinned():
+    # every cell is the environment clipped by its bisectors in turn: the
+    # clip's vertex bytes on criterion 01's starts of seeds 0 to 31
+    digest = hashlib.sha256()
+    for seed in range(32):
+        for region in rect6_start(seed).regions:
+            for piece in region.pieces:
+                digest.update(piece.vertices.tobytes())
+    assert digest.hexdigest() == \
+        "b218ccaf983374a6b061481d2f218254c73ada23b06c2470cf71a040fb2aa7f8"
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +432,7 @@ def test_ring_moment_matches_array_form():
 
 
 def test_mass_centroid_sums_the_cached_piece_moments():
-    # pieces cut by split_convex come from _ring_polygon; the same rings
+    # pieces cut by region_split come from _ring_polygon; the same rings
     # rebuilt through ConvexPolygon take the constructor's path
     dens = geo.UniformDensity()
     for region in oracles.seeded_multi_piece_regions(27, 20):
@@ -648,7 +663,7 @@ def split_groups(seed, count):
             n = rng.normal(size=2)
             nudge = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, -12)
             hp = HalfPlane(n, float(n @ at) + nudge * scale)
-            pieces = [c for p in pieces for c in geo.split_convex(p, hp)
+            pieces = [c for p in pieces for c in oracles.split_piece(p, hp)
                       if c is not None]
         if len(pieces) < 2:
             continue

@@ -8,6 +8,7 @@ import oracles
 from gossipcover import geometry as geo
 from gossipcover import gossip as gp
 from gossipcover import partition as pt
+from gossipcover import svg
 from gossipcover import switching as sw
 from gossipcover.geometry import Region, region_of
 from gossipcover.partition import Partition
@@ -88,6 +89,20 @@ def test_partition_rejects_uncovered():
            region_of([[1, 0], [1.5, 0], [1.5, 1], [1, 1]]))
     with pytest.raises(geo.GeometryError):
         Partition(env, bad)
+
+
+def test_an_accepted_cover_renders():
+    # merge slack may lift the cover above the area by up to n² tol_area;
+    # any partition that was built renders, its residue in a comment
+    env = pt.rectangle(2.0, 1.0)
+    part = Partition(env, (
+        region_of([[0, 0], [1 + 6e-9, 0], [1 + 6e-9, 1], [0, 1]]),
+        region_of([[1, 0], [2, 0], [2, 1], [1, 1]])))
+    text = svg.render_svg(part)
+    gap = svg.audit_cover(part)
+    assert f"<!-- area audit: residue {gap!r} of {env.area!r} -->" in text
+    short, over = part.cover_slack
+    assert short < gap <= over
 
 
 def test_partition_rejects_overlap():
