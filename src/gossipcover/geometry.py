@@ -972,38 +972,83 @@ def _centroid_and_cost(region: Region, density: Density,
     if perf.kind == "quadratic":
         return x, one_center_cost(x, region, density, perf)
     pts, w, dens = _quadrature(region, density, perf.refine)
-    wd = (w * dens)[:, None]
+    wd = w * dens
+    # offsets are kept as (2, N): one broadcast subtract per trial and
+    # contiguous rows for the hypot
+    pts = np.ascontiguousarray(pts.T)
     if scale is None:
         scale = diameter(region)
     tol = _DESCENT_TOL * max(scale, 1e-12)
-    d = x - pts
-    r = np.hypot(d[:, 0], d[:, 1])
+    cbuf = np.empty((2, 1))
+    d = x[:, None] - pts
+    r = np.hypot(d[0], d[1])
     fx = float(np.add.reduce(w * r * dens))
     step = max(scale, 1e-12)
+    # the iterate, gradient, trial point and move are Python floats: the
+    # same IEEE operations numpy's elementwise ops make on 2-vectors
+    x0, x1 = x.tolist()
     for _ in range(_DESCENT_MAX_ITER):
         # f'(r) = 1: each point pulls along its unit offset, none at p
         s = 1.0 / np.maximum(r, 1e-300)
         s[r < 1e-14] = 0.0
-        g = np.add.reduce(wd * (d * s[:, None]), axis=0)
-        gnorm = float(np.hypot(g[0], g[1]))
-        if gnorm * step < tol * 1e-3:
+        # each coordinate's terms summed in point order: accumulate runs
+        # sequentially, where a reduce along a contiguous row would pair
+        g0, g1 = np.add.accumulate(wd * (d * s), axis=1)[:, -1].tolist()
+        if _hypot_below(g0, g1, tol * 1e-3, step):
             break
         moved = False
         alpha = step
         for _bt in range(60):
-            cand = x - alpha * g
-            move = cand - x
-            if float(np.hypot(move[0], move[1])) < tol:
+            c0, c1 = x0 - alpha * g0, x1 - alpha * g1
+            m0, m1 = c0 - x0, c1 - x1
+            if _hypot_below(m0, m1, tol):
                 break
-            dc = cand - pts
-            rc = np.hypot(dc[:, 0], dc[:, 1])
+            cbuf[0, 0], cbuf[1, 0] = c0, c1
+            dc = cbuf - pts
+            rc = np.hypot(dc[0], dc[1])
             fc = float(np.add.reduce(w * rc * dens))
-            if fc <= fx + 1e-4 * float(g @ move):
-                x, fx, d, r = cand, fc, dc, rc
+            if _armijo(fc, fx, g0, g1, m0, m1):
+                x0, x1, fx, d, r = c0, c1, fc, dc, rc
                 moved = True
                 step = alpha * 2.0
                 break
             alpha *= 0.5
         if not moved:
             break
-    return x, fx
+    return np.array((x0, x1)), fx
+
+
+def _hypot_below(a: float, b: float, t: float, k: float = 1.0) -> bool:
+    """float(np.hypot(a, b)) * k < t, for k > 0, with np.hypot run only
+    when the legs cannot decide. A computed hypot is never below its
+    larger leg and rounding is monotone, so a leg with abs(leg) * k >= t
+    already says no (a NaN leg fails the filter and reaches np.hypot)."""
+    return (abs(a) * k < t and abs(b) * k < t
+            and float(np.hypot(a, b)) * k < t)
+
+
+def _armijo(fc: float, fx: float, g0: float, g1: float, m0: float,
+            m1: float) -> bool:
+    """The sufficient-decrease test fc <= fx + 1e-4 * (g @ move) for the
+    gradient g = (g0, g1) and the move (m0, m1), decided on the plain sum
+    p = g0 * m0 + g1 * m1 where that proves it.
+
+    g @ move runs through BLAS, which may fuse a multiply into the add, so
+    its bits can differ from p. Every rounded two-term dot lies within
+    gamma_2 * S of the exact one, S = |g0 * m0| + |g1 * m1| and gamma_2 =
+    2u / (1 - 2u) about one epsilon, so the two differ by about 2 eps * S
+    at most; e = 8 eps * S + 1e-300 covers that four times over, and the
+    1e-300 covers underflow. With the dot in [p - e, p + e], and every
+    rounding monotone, the test holds if it holds at p - e and fails if
+    it fails at p + e; only a tie within e (or a NaN) runs np.dot, which
+    gives g @ move's bits. Everything else stays on Python floats (eps
+    is 2.0 ** -52), which raise no numpy warnings.
+    """
+    a, b = g0 * m0, g1 * m1
+    p = a + b
+    e = 8.0 * 2.0 ** -52 * (abs(a) + abs(b)) + 1e-300
+    if fc <= fx + 1e-4 * (p - e):
+        return True
+    if fc > fx + 1e-4 * (p + e):
+        return False
+    return fc <= fx + 1e-4 * float(np.dot((g0, g1), (m0, m1)))

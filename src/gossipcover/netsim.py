@@ -405,9 +405,12 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     Agents start at their region's reference point, hold still for
     their clock offset (uniform over one leg), then loop through the
     epoch machine. Each simulation step advances motion first and then
-    flips a coin per in-range pair for a trade. A vanished region
-    aborts the run with the partial trace attached. A delta beyond the
-    environment's diameter/10 raises ValueError before the first draw.
+    flips a coin per in-range pair for a trade. A geometry failure, in
+    a trade (a vanished region) or in a waypoint draw (a region with no
+    internal boundary to draw near), aborts the run with
+    DegenerateEvolution at its step, the partial trace attached. A delta
+    beyond the environment's diameter/10 raises ValueError before the
+    first draw.
 
     The loop goes a window at a time: the steps up to and including the
     next one at which an agent starts a leg (or the horizon). Until
@@ -452,16 +455,27 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     # rebuilt only when the agent draws in a region it does not hold
     slots = [(None, None)] * n
 
-    def waypoint(a):
+    def degenerate(exc, step, t):
+        """The abort of a geometry failure at the step, at time t."""
+        trace.final = current
+        trace.termination = "degenerate"
+        trace.elapsed = t
+        return DegenerateEvolution(str(exc), step=step, trace=trace)
+
+    def waypoint(a, step, t):
         region = current.regions[a]
-        if slots[a][0] is not region:
-            slots[a] = (region, waypoint_table(region, env))
-        return random_destination(slots[a][1], config.waypoint_margin, rng)
+        try:
+            if slots[a][0] is not region:
+                slots[a] = (region, waypoint_table(region, env))
+            return random_destination(slots[a][1], config.waypoint_margin,
+                                      rng)
+        except GeometryError as exc:
+            raise degenerate(exc, step, t) from exc
 
     start, dest = list(pos), list(pos)
     for a in range(n):
         if phase[a] == TRAVEL:
-            dest[a] = waypoint(a)
+            dest[a] = waypoint(a, 0, 0.0)
     # the initial hold is not an epoch phase: it only desynchronizes
     # clocks, so it is excluded from the transition counts
     held = [p == WAIT_1 for p in phase]
@@ -491,11 +505,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
                 out = gp.partial_gossip_step(current, i, j, config.delta,
                                              density, perf)
             except GeometryError as exc:
-                trace.final = current
-                trace.termination = "degenerate"
-                trace.elapsed = t
-                raise DegenerateEvolution(str(exc), step=step,
-                                          trace=trace) from exc
+                raise degenerate(exc, step, t) from exc
             current = out.partition
             trace.events.append(new_event(CommEvent, (
                 t, (i, j), out.changed, out.traded_area, out.h_after)))
@@ -530,7 +540,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
                 counts[key] = counts.get(key, 0) + 1
             if nxt == TRAVEL:
                 start[a] = (float(xs[r, a]), float(ys[r, a]))
-                dest[a] = waypoint(a)
+                dest[a] = waypoint(a, k + r, (k + r + 1) * dt)
                 width = r + 1
             phase[a] = nxt
             left[a] = r + 1 + per_leg  # counted from the window's start

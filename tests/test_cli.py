@@ -180,6 +180,25 @@ scheduler: {kind: adjacent_random, delta: 1.0e-9}
 check_every: 5
 seed: 3
 """
+# a random six-gon far from unit size: at step 182 an agent starts a leg
+# in a region of two pieces, one a needle (area 0.006, 981 long) along
+# the other's edges, so every inner edge reads as a seam or a wall and no
+# waypoint can be drawn
+NEEDLE_NETSIM = """\
+environment: {vertices: [[2333.0826030037583, 1118.73464631604],
+                         [1010.7960523144022, 1176.5965362580173],
+                         [-2526.3884244193487, 1106.052071617124],
+                         [-4067.6878951087447, 958.1586521178565],
+                         [-3422.650540130155, -1031.1134723554337],
+                         [2958.9978625474873, -1073.345989085738]]}
+n: 5
+initial: {kind: random_voronoi, seed: 83}
+algorithm: {kind: netsim, horizon_legs: 3.0, comm_radius: 6863.692908515731,
+            waypoint_margin: 686.3692908515732, delta: 343.1846454257866}
+budget: 120
+check_every: 5
+seed: 78
+"""
 PAIRWISE_FILES = ("trace.txt", "h_series.csv", "summary.txt")
 NETSIM_FILES = ("comm_log.txt", "h_series.csv", "summary.txt")
 COMPARE_FILES = ("compare.csv", "summary.txt")
@@ -231,6 +250,13 @@ CONTRACTS = [
              {"stdout": "^degenerate evolution at step 774: fused hull ",
               "summary.txt": ("^termination degenerate$", "^steps 774$")},
              files=PAIRWISE_FILES),
+    # a waypoint draw that fails ends a netsim run with its partial trace
+    contract("netsim-waypoint-draw-fails", NEEDLE_NETSIM, "run {cfg}",
+             cli.EXIT_DEGENERATE,
+             {"stdout": "^degenerate evolution at step 182: region has no "
+                        "internal boundary$",
+              "summary.txt": ("^termination degenerate$", "^events 1820$")},
+             files=NETSIM_FILES, checks=[contact_log]),
     # exit 4: the step budget or the horizon ends the run
     contract("budget-exhausted", QUICK_PAIRWISE.replace("budget: 200",
                                                         "budget: 1"),

@@ -8,7 +8,9 @@ also measured against its cut done in exact rational arithmetic. The
 merge must fuse exactly as the loop that retests every rejected pair,
 and the cached piece moments must sum to the moments computed afresh.
 The one-center integrals over plain arrays must give the same bits as
-the integrand callables they replaced.
+the integrand callables they replaced, the linear descent on Python
+floats the same bits as the loop on numpy 2-vectors, and the descent's
+filters the same answers as the numpy calls they stand in for.
 """
 import dataclasses
 import hashlib
@@ -535,6 +537,124 @@ def test_integrate_and_mass_centroid_match_the_integrand_forms(dens):
         if not region.is_empty:
             assert same(geo.mass_centroid(region, dens),
                         oracles.mass_centroid_ref(region, dens))
+
+
+def test_descent_from_a_quadrature_point_matches_the_loop(monkeypatch):
+    # an iterate within 1e-14 of a quadrature point takes the masked unit
+    # offsets: one more point sits at (or 5e-15 from) the descent's start
+    dens, lin = geo.UniformDensity(2.5), geo.linear_performance()
+    quadrature = geo._quadrature
+    for region in oracles.seeded_multi_piece_regions(47, 4):
+        start = geo._mass_centroid(region, dens, 1)
+        for offset in (0.0, 5e-15):
+            extra = start + offset
+
+            def with_extra(region, density, refine):
+                pts, w, vals = quadrature(region, density, refine)
+                return (np.vstack([pts, extra]), np.append(w, w.mean()),
+                        np.append(vals, density(extra[None])))
+
+            monkeypatch.setattr(geo, "_quadrature", with_extra)
+            c, cost = geo._centroid_and_cost(region, dens, lin, None)
+            assert same(c, oracles.centroid_ref(region, dens, lin))
+            assert bits(cost) == bits(oracles.one_center_cost_ref(
+                c, region, dens, lin))
+            assert not same(c, start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([geo.UniformDensity(2.5), GRID]),
+       st.sampled_from([1, 3]), st.sampled_from([None, 4.0]))
+def test_descent_matches_the_loop_on_seeded_regions(seed, dens, refine,
+                                                    wide):
+    lin = dataclasses.replace(geo.linear_performance(), refine=refine)
+    region = next(oracles.seeded_multi_piece_regions(seed, 1))
+    scale = None if wide is None else wide * geo.diameter(region)
+    c, cost = geo._centroid_and_cost(region, dens, lin, scale)
+    assert same(c, oracles.centroid_ref(region, dens, lin, scale))
+    assert bits(cost) == bits(oracles.one_center_cost_ref(c, region, dens,
+                                                          lin))
+
+
+def test_linear_centroids_along_round_robin_runs_are_pinned(monkeypatch):
+    # every (centroid, cost) entry the linear descent hands the memo
+    # along 60 RoundRobin steps from three rect6 starts; the digest was
+    # taken on the descent that oracles.centroid_ref keeps
+    entries = []
+    descend = geo._centroid_and_cost
+
+    def recorded(*args):
+        c, cost = descend(*args)
+        entries.append(c.tobytes() + bits(cost))
+        return c, cost
+
+    monkeypatch.setattr(geo, "_centroid_and_cost", recorded)
+    for seed in range(3):
+        sw.run_evolution(rect6_start(seed), geo.UniformDensity(),
+                         geo.linear_performance(), sw.RoundRobin(6),
+                         budget=60, check_every=5)
+    assert len(entries) == 238
+    assert hashlib.sha256(b"".join(entries)).hexdigest() == (
+        "a3bcb28b0ffff2896cf02031766ffe25079ad73ef38764e418caeb221540a2f9")
+
+
+# ---------------------------------------------------------------------------
+# the descent's exact filters
+
+# every kind of float a filter can meet: zeros, subnormals, huge values,
+# infinities and NaN
+ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+     1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
+     math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT,
+       st.one_of(st.just(1.0), st.floats(min_value=0.0, exclude_min=True)))
+def test_hypot_filter_decides_as_hypot(a, b, t, k):
+    with np.errstate(over="ignore"):  # huge legs overflow, as they may
+        assert geo._hypot_below(a, b, t, k) == (float(np.hypot(a, b)) * k
+                                                < t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+def test_armijo_filter_decides_as_the_dot(fc, fx, g0, g1, m0, m1):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = fc <= fx + 1e-4 * float(np.array([g0, g1])
+                                       @ np.array([m0, m1]))
+        assert geo._armijo(fc, fx, g0, g1, m0, m1) == want
+
+
+def test_armijo_filter_falls_back_to_the_dot_on_near_ties(monkeypatch):
+    # fc at the threshold the dot sets or one ulp off it, with fx of the
+    # dot term's size, so that the bound cannot decide an exact tie: each
+    # tie runs the np.dot fallback, and every answer is g @ move's
+    dot, dots = np.dot, []
+
+    def counted(*args):
+        dots.append(args)
+        return dot(*args)
+
+    monkeypatch.setattr(np, "dot", counted)
+    rng = np.random.default_rng(43)
+    ties = fell_back = 0
+    for _ in range(400):
+        g0, g1 = rng.normal(size=2).tolist()
+        m0, m1 = (rng.normal(size=2) * 10.0 ** rng.uniform(-9, 0)).tolist()
+        term = 1e-4 * float(np.array([g0, g1]) @ np.array([m0, m1]))
+        for fx in (0.0, float(rng.uniform(-3, 3)) * abs(term)):
+            at = fx + term
+            for fc in (at, np.nextafter(at, -math.inf),
+                       np.nextafter(at, math.inf)):
+                fc = float(fc)
+                before = len(dots)
+                assert geo._armijo(fc, fx, g0, g1, m0, m1) == (fc <= at)
+                ties += fc == at
+                fell_back += fc == at and len(dots) > before
+    assert fell_back == ties == 800
 
 
 # ---------------------------------------------------------------------------
