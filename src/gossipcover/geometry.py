@@ -558,20 +558,6 @@ def _any_segments_cross(a1, a2, b1, b2) -> bool:
     return bool(np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))))
 
 
-def _convex_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
-    """Distance between two convex polygons (0 when they meet)."""
-    va, vb = a.vertices, b.vertices
-    if _contains_point(b, *va[0].tolist()) or _contains_point(a, *vb[0].tolist()):
-        return 0.0
-    ea1, ea2 = va, _cyclic_next(va)
-    eb1, eb2 = vb, _cyclic_next(vb)
-    best = min(float(_points_segments_distance(va, eb1, eb2).min()),
-               float(_points_segments_distance(vb, ea1, ea2).min()))
-    if best > 0.0 and _any_segments_cross(ea1, ea2, eb1, eb2):
-        return 0.0
-    return best
-
-
 def _bbox_gap(a, b) -> float:
     dx = max(0.0, a[0] - b[2], b[0] - a[2])
     dy = max(0.0, a[1] - b[3], b[1] - a[3])
@@ -590,17 +576,14 @@ def regions_within(a: Region, b: Region, delta: float) -> bool:
     """interior_distance(a, b) < delta, for delta > 0.
 
     After the shortcuts of the bounded search, a vertex of one region
-    nearer than delta to an edge of the other answers True: that
-    distance bounds the regions' distance from above. Only the pairs it
-    leaves run the piece scan, which stops at delta.
+    nearer than delta to an edge of the other answers True. Otherwise
+    the regions come within delta only if two of their pieces meet.
     """
     if not delta > 0.0:  # NaN too
         raise ValueError(f"adjacency delta must be > 0, got {delta!r}")
     d = _distance_shortcut(a, b, delta)
     if d is None:
-        if _vertex_edge_distance(a, b) < delta:
-            return True
-        d = _pieces_below(a, b, delta)
+        return _vertex_edge_distance(a, b) < delta or _pieces_meet(a, b)
     return bool(d < delta)
 
 
@@ -612,15 +595,24 @@ def _share_seam_vertex(a: Region, b: Region) -> bool:
 
 
 def _distance_below(a: Region, b: Region, below: float) -> float:
-    """The interior distance when it is below `below`, else a lower bound
-    that is at least `below`: a shortcut's answer, else the piece scan's."""
+    """The interior distance when it is below `below`, else `below`.
+
+    Two disjoint convex pieces are nearest at a vertex of one and an
+    edge of the other (Ericson, Real-Time Collision Detection, ch. 5),
+    so after the shortcuts the distance is the region-level vertex-to-
+    edge minimum, capped at `below`, and 0 when two pieces meet.
+    """
     d = _distance_shortcut(a, b, below)
-    return _pieces_below(a, b, below) if d is None else d
+    if d is None:
+        d = min(_vertex_edge_distance(a, b), float(below))
+        if d > 0.0 and _pieces_meet(a, b):
+            d = 0.0
+    return d
 
 
 def _distance_shortcut(a: Region, b: Region, below: float) -> float | None:
     """0 for a vertex the regions share; `below` for boxes at least
-    `below` apart, as the piece scan would answer; else None."""
+    `below` apart; else None."""
     if a.is_empty or b.is_empty:
         raise EmptyRegion("interior distance needs nonempty regions")
     if _share_seam_vertex(a, b):
@@ -639,20 +631,21 @@ def _vertex_edge_distance(a: Region, b: Region) -> float:
         float(_points_segments_distance(vb, va, va[a.next_vertex]).min()))
 
 
-def _pieces_below(a: Region, b: Region, best: float) -> float:
-    """Smallest piece-pair distance below best, else best itself; piece
-    pairs whose bounding boxes lie at least the best so far apart are
-    skipped."""
+def _pieces_meet(a: Region, b: Region) -> bool:
+    """True when a piece of a and a piece of b meet: one holds the
+    other's first vertex, or their edges cross. Pieces that meet have
+    touching boxes, so pairs whose boxes are apart are skipped."""
     for p in a.pieces:
         for q in b.pieces:
-            if _bbox_gap(p.bbox, q.bbox) >= best:
+            if _bbox_gap(p.bbox, q.bbox) > 0.0:
                 continue
-            d = _convex_distance(p, q)
-            if d < best:
-                best = d
-                if best == 0.0:
-                    return 0.0
-    return float(best)
+            vp, vq = p.vertices, q.vertices
+            if (_contains_point(q, *vp[0].tolist())
+                    or _contains_point(p, *vq[0].tolist())
+                    or _any_segments_cross(vp, _cyclic_next(vp),
+                                           vq, _cyclic_next(vq))):
+                return True
+    return False
 
 
 # interior points sampled per edge when a Hausdorff distance is bounded

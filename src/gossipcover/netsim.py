@@ -195,9 +195,11 @@ def internal_boundary_segments(region: Region, env: Environment):
     wall nor on a seam between two pieces of the same region.
 
     An edge that another piece of the region covers in part, where a
-    seam meets it at a T-junction, keeps only its uncovered parts.
-    Returns (starts, ends) arrays; empty when the region has no
-    internal boundary (it covers the whole environment).
+    seam meets it at a T-junction, keeps only its uncovered parts. A
+    needle, a piece whose width 2 * area / (longest edge) is at most
+    env.wall_tol, covers nothing. Returns (starts, ends) arrays; empty
+    when the region has no internal boundary (it covers the whole
+    environment).
     """
     tol = env.wall_tol
     wall = env.polygon.vertices
@@ -211,7 +213,8 @@ def internal_boundary_segments(region: Region, env: Environment):
         d = geo._points_segments_distance(np.concatenate((v, nxt, mid)),
                                           wall, wall_next)
         inner = ~(d.reshape(3, -1) <= tol).all(axis=0)
-        others = region.pieces[:k] + region.pieces[k + 1:]
+        others = [q for q in region.pieces[:k] + region.pieces[k + 1:]
+                  if 2.0 * q.area > tol * max(e[4] for e in q.edges)]
         for a, b in zip(v[inner], nxt[inner]):
             for lo, hi in _uncovered_spans(tuple(a.tolist()),
                                            tuple(b.tolist()), others, tol):

@@ -132,10 +132,27 @@ def share_seam_cell_ref(a: Region, b: Region) -> bool:
     return any(keys_a & keys(q) for q in b.pieces)
 
 
+def convex_distance_ref(a: ConvexPolygon, b: ConvexPolygon) -> float:
+    """Distance between two convex polygons (0 when they meet): 0 when
+    one holds the other's first vertex, else the smallest vertex-to-edge
+    distance either way, unless their edges cross."""
+    va, vb = a.vertices, b.vertices
+    if geo._contains_point(b, *va[0].tolist()) or \
+            geo._contains_point(a, *vb[0].tolist()):
+        return 0.0
+    ea1, ea2 = va, geo._cyclic_next(va)
+    eb1, eb2 = vb, geo._cyclic_next(vb)
+    best = min(float(geo._points_segments_distance(va, eb1, eb2).min()),
+               float(geo._points_segments_distance(vb, ea1, ea2).min()))
+    if best > 0.0 and geo._any_segments_cross(ea1, ea2, eb1, eb2):
+        return 0.0
+    return best
+
+
 def interior_distance_ref(a: Region, b: Region) -> float:
     """interior_distance as the minimum piece distance over every piece
     pair, with no shortcut and no early stop."""
-    return min(geo._convex_distance(p, q) for p in a.pieces
+    return min(convex_distance_ref(p, q) for p in a.pieces
                for q in b.pieces)
 
 
@@ -853,7 +870,8 @@ def simulate_ref(config, initial, density, perf, duration, *,
     """netsim.simulate one step at a time: motion, then one math.hypot
     range test and one rng.random() coin per in-range pair. Every
     waypoint draw builds its region's table afresh and draws in array
-    form (random_destination_ref)."""
+    form (random_destination_ref). A geometry failure in a draw or a
+    trade at step k, time t, aborts as simulate's does."""
     env = initial.env
     n = initial.n
     if n < 2:
@@ -869,6 +887,20 @@ def simulate_ref(config, initial, density, perf, duration, *,
     trace = ns.NetTrace(config=config, leg=leg, dt=dt)
     counts = trace.transitions
 
+    def abort(exc, k, t):
+        trace.final = current
+        trace.termination = "degenerate"
+        trace.elapsed = t
+        return pt.DegenerateEvolution(str(exc), step=k, trace=trace)
+
+    def draw(a, k, t):
+        try:
+            return random_destination_ref(
+                ns.waypoint_table(current.regions[a.region_index], env),
+                config.waypoint_margin, rng)
+        except geo.GeometryError as exc:
+            raise abort(exc, k, t) from exc
+
     agents = []
     for i in range(n):
         pos = ns._start_position(current.regions[i])
@@ -880,9 +912,7 @@ def simulate_ref(config, initial, density, perf, duration, *,
             leg_start=pos, destination=pos))
     for a in agents:
         if a.phase == ns.TRAVEL:
-            a.destination = random_destination_ref(
-                ns.waypoint_table(current.regions[a.region_index], env),
-                config.waypoint_margin, rng)
+            a.destination = draw(a, 0, 0.0)
     # the initial hold is not an epoch phase: it only desynchronizes
     # clocks, so it is excluded from the transition counts
     held = [a.phase == ns.WAIT_1 for a in agents]
@@ -911,10 +941,7 @@ def simulate_ref(config, initial, density, perf, duration, *,
                     counts[key] = counts.get(key, 0) + 1
                 if nxt == ns.TRAVEL:
                     a.leg_start = a.position.copy()
-                    a.destination = random_destination_ref(
-                        ns.waypoint_table(current.regions[a.region_index],
-                                          env),
-                        config.waypoint_margin, rng)
+                    a.destination = draw(a, k, (k + 1) * dt)
                 a.phase = nxt
                 a.steps_left = per_leg
         t = (k + 1) * dt
@@ -929,11 +956,7 @@ def simulate_ref(config, initial, density, perf, duration, *,
                 out = gp.partial_gossip_step(current, i, j, config.delta,
                                              density, perf)
             except geo.GeometryError as exc:
-                trace.final = current
-                trace.termination = "degenerate"
-                trace.elapsed = t
-                raise pt.DegenerateEvolution(str(exc), step=k,
-                                             trace=trace) from exc
+                raise abort(exc, k, t) from exc
             current = out.partition
             trace.events.append(ns.CommEvent(
                 time=t, pair=(i, j), changed=out.changed,

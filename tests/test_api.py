@@ -137,7 +137,10 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (netsim, "_wilson"),
         # one sort of pieces against a line: a clip is region_split's
         # inside side, and the snap lives in region_split
-        (geometry, "split_convex"), (geometry, "_snap")]
+        (geometry, "split_convex"), (geometry, "_snap"),
+        # one interior-distance rule: the vertex-to-edge pass gives the
+        # distance and a piece contact test the zero
+        (geometry, "_convex_distance"), (geometry, "_pieces_below")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,

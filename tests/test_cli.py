@@ -181,9 +181,10 @@ check_every: 5
 seed: 3
 """
 # a random six-gon far from unit size: at step 182 an agent starts a leg
-# in a region of two pieces, one a needle (area 0.006, 981 long) along
-# the other's edges, so every inner edge reads as a seam or a wall and no
-# waypoint can be drawn
+# in a region of two pieces, one a needle (area 0.006, 981 long, so
+# 1.29e-5 wide against a wall_tol of 7.31e-5) along the other's edges;
+# a needle covers no edge, so the other piece's inner edges stay
+# internal boundary and the waypoint is drawn there
 NEEDLE_NETSIM = """\
 environment: {vertices: [[2333.0826030037583, 1118.73464631604],
                          [1010.7960523144022, 1176.5965362580173],
@@ -250,12 +251,11 @@ CONTRACTS = [
              {"stdout": "^degenerate evolution at step 774: fused hull ",
               "summary.txt": ("^termination degenerate$", "^steps 774$")},
              files=PAIRWISE_FILES),
-    # a waypoint draw that fails ends a netsim run with its partial trace
-    contract("netsim-waypoint-draw-fails", NEEDLE_NETSIM, "run {cfg}",
-             cli.EXIT_DEGENERATE,
-             {"stdout": "^degenerate evolution at step 182: region has no "
-                        "internal boundary$",
-              "summary.txt": ("^termination degenerate$", "^events 1820$")},
+    # a region whose second piece is a needle still has a boundary to
+    # draw waypoints near, and the run reaches its horizon
+    contract("netsim-needle-draws-waypoints", NEEDLE_NETSIM, "run {cfg}",
+             cli.EXIT_OK,
+             {"summary.txt": HORIZON_MIXED + ("^events 6000$",)},
              files=NETSIM_FILES, checks=[contact_log]),
     # exit 4: the step budget or the horizon ends the run
     contract("budget-exhausted", QUICK_PAIRWISE.replace("budget: 200",
@@ -999,6 +999,30 @@ def test_netsim_degenerate_note_names_its_step(tmp_path, monkeypatch,
     assert lines[2].startswith("netsim: 2 contacts (")
     assert len(lines) == 3
     assert "termination degenerate" in (out / "summary.txt").read_text()
+
+
+def test_netsim_failed_waypoint_table_exits_degenerate(tmp_path, monkeypatch,
+                                                      capsys):
+    # a table that fails at a leg start in mid-run ends the run at exit 3
+    # with the partial trace, as a failed trade does
+    real = ns.waypoint_table
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 5:
+            raise ns.SamplingExhausted("region has no internal boundary")
+        return real(*args)
+
+    monkeypatch.setattr(ns, "waypoint_table", failing)
+    out = tmp_path / "net"
+    assert cli.main(["run", write_cfg(tmp_path, FOUR_AGENTS), "--out",
+                     str(out)]) == cli.EXIT_DEGENERATE
+    note = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"degenerate evolution at step [1-9]\d*: region has "
+                        r"no internal boundary", note), note
+    assert "termination degenerate" in (out / "summary.txt").read_text()
+    contact_log(out)
 
 
 def test_netsim_h_series_reads_back_the_events(tmp_path, monkeypatch):

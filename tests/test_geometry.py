@@ -376,10 +376,11 @@ def test_regions_within_gap_equal_to_delta():
 
 
 def test_regions_within_shared_vertex_skips_piece_distances(monkeypatch):
-    def refuse(p, q):
-        raise AssertionError("piece distance computed")
+    def refuse(a, b):
+        raise AssertionError("distance computed past the shared vertex")
 
-    monkeypatch.setattr(geo, "_convex_distance", refuse)
+    monkeypatch.setattr(geo, "_vertex_edge_distance", refuse)
+    monkeypatch.setattr(geo, "_pieces_meet", refuse)
     # corner contact only: one shared vertex
     a = Region((square(0, 0, 1),))
     b = Region((square(1, 1, 1),))
@@ -393,8 +394,10 @@ def test_regions_within_answers_from_exact_distance(monkeypatch):
     assert interior_distance(c, a) == 0.5
     assert geo.regions_within(a, c, 0.75)
     assert not geo.regions_within(c, a, 0.5)
-    # boxes at least the threshold apart answer without a piece distance
-    monkeypatch.setattr(geo, "_convex_distance", None)
+    # boxes at least the threshold apart answer without a distance pass
+    # or a contact test
+    monkeypatch.setattr(geo, "_vertex_edge_distance", None)
+    monkeypatch.setattr(geo, "_pieces_meet", None)
     assert not geo.regions_within(c, a, 0.25)
 
 
@@ -422,15 +425,41 @@ def test_regions_within_keys_answers_by_delta(monkeypatch):
     c = Region((square(1.5, 0, 1),))
     assert geo._distance_below(a, c, 0.25) == 0.25
     # a gap at or above the threshold answers the threshold from the
-    # bounding boxes, without a piece search
+    # bounding boxes, without a distance pass or a contact test
     with monkeypatch.context() as m:
-        m.setattr(geo, "_pieces_below", None)
+        m.setattr(geo, "_vertex_edge_distance", None)
+        m.setattr(geo, "_pieces_meet", None)
         assert not geo.regions_within(a, c, 0.25)
         assert not geo.regions_within(c, a, 0.1)
-    # a larger threshold searches the pieces, whatever was asked before
+    # a larger threshold runs the pass, whatever was asked before
     assert geo.regions_within(c, a, 1.0)
     assert geo._distance_below(a, c, 1.0) == 0.5
     assert not geo.regions_within(a, c, 0.5)
+
+
+@pytest.mark.parametrize("a, b", [
+    # two thin triangles crossing as an X: no vertex of one lies in the
+    # other, and every vertex is far from the other's edges
+    (region_of([[-5, -0.2], [5, 0], [-5, 0.2]]),
+     region_of([[-0.2, -5], [0.2, -5], [0, 5]])),
+    # a piece strictly inside another
+    (Region((square(0, 0, 4),)), Region((square(1, 1, 1),))),
+], ids=["crossing", "nested"])
+def test_pieces_that_meet_are_at_distance_zero(a, b, monkeypatch):
+    assert geo._vertex_edge_distance(a, b) > 0.5
+    assert not geo._share_seam_vertex(a, b)
+    assert oracles.interior_distance_ref(a, b) == 0.0
+    met = []
+    meet = geo._pieces_meet
+    monkeypatch.setattr(geo, "_pieces_meet",
+                        lambda *ab: met.append(ab) or meet(*ab))
+    for x, y in ((a, b), (b, a)):
+        assert interior_distance(x, y) == 0.0
+        for below in (1e-9, 1e-3, 0.5):
+            assert geo._distance_below(x, y, below) == 0.0
+            assert geo.regions_within(x, y, below)
+    # the contact test gave every zero
+    assert len(met) == 2 * (1 + 3 * 2)
 
 
 def test_interior_distance_never_returns_a_cached_bound():

@@ -813,7 +813,7 @@ def test_merge_fuses_as_the_unguarded_loop_after_near_vertex_cuts(
 
 def test_distance_below_matches_seam_test_then_piece_scan():
     # the answer before the box shortcut: a vertex both regions share
-    # gives 0, else the piece scan below the threshold
+    # gives 0, else the piece-pair minimum below the threshold
     env = pt.rectangle(2.0, 1.0)
     rng = np.random.default_rng(19)
     part = pt.voronoi(env, rng.uniform([0.05, 0.05], [1.95, 0.95], (6, 2)))
@@ -829,19 +829,64 @@ def test_distance_below_matches_seam_test_then_piece_scan():
             for j in range(i + 1, part.n):
                 pieces = part.regions[i].pieces, part.regions[j].pieces
                 a, b = (Region(p) for p in pieces)
+                exact = oracles.interior_distance_ref(a, b)
                 if oracles.share_seam_cell_ref(a, b) and \
                         not oracles.share_seam_vertex_by_pieces(a, b):
                     # a grid cell shared without an exact vertex, which the
                     # old test answered 0: the regions are that close
                     cell = geo._vertex_cell(max(map(abs, a.bbox + b.bbox)))
-                    assert geo._pieces_below(a, b, math.inf) <= cell
+                    assert exact <= cell
                     cell_only += 1
                 for below in (1e-9, 1e-3, 0.5, math.inf):
                     a, b = (Region(p) for p in pieces)
                     want = 0.0 if oracles.share_seam_vertex_by_pieces(a, b) \
-                        else geo._pieces_below(a, b, below)
+                        else min(exact, below)
                     got = geo._distance_below(a, b, below)
                     assert bits(got) == bits(want)
                     apart += geo._bbox_gap(a.bbox, b.bbox) >= below
     assert apart > 0  # the shortcut that answers `below` was taken
     assert cell_only > 0  # and pairs the two seam tests tell apart
+
+
+def _distance_pairs():
+    """Consecutive seeded multi-piece regions, then every ordered pair of
+    rect6 regions along AdjacentRandom and RoundRobin runs."""
+    for seed in (3, 5, 7):
+        regions = list(oracles.seeded_multi_piece_regions(seed, 25))
+        yield from zip(regions, regions[1:])
+    dens, quad = geo.UniformDensity(), geo.quadratic_performance()
+    for seed in (0, 1):
+        for sched in (sw.AdjacentRandom(seed, 1e-9), sw.RoundRobin(6)):
+            part = rect6_start(seed)
+            for t in range(120):
+                i, j = sched.select(t, part)
+                part = gp.gossip_step(part, i, j, dens, quad).partition
+                if t % 40 == 39:
+                    for a in part.regions:
+                        for b in part.regions:
+                            if a is not b:
+                                yield a, b
+
+
+def test_distance_answers_are_pinned():
+    # _distance_below at six thresholds, regions_within at the finite
+    # ones and interior_distance, on fresh regions so that no memo
+    # answers; the digest was taken on the piece-pair scan that
+    # oracles.interior_distance_ref keeps
+    answers = zeros = 0
+    digest = hashlib.sha256()
+    for a, b in _distance_pairs():
+        def fresh():
+            return Region(a.pieces), Region(b.pieces)
+
+        got = [geo.interior_distance(*fresh())]
+        for below in (math.inf, 1.0, 0.2, 0.05, 1e-3, 1e-9):
+            got.append(geo._distance_below(*fresh(), below))
+            if below < math.inf:
+                got.append(float(geo.regions_within(*fresh(), below)))
+        answers += len(got)
+        zeros += got.count(0.0)
+        digest.update(b"".join(map(bits, got)))
+    assert (answers, zeros) == (5184, 2568)
+    assert digest.hexdigest() == (
+        "152bfa022e03097eff658aabf9d34f268977d625dff518e8f8ed063640d91f61")

@@ -578,6 +578,44 @@ def test_windowed_loop_degenerates_like_reference(monkeypatch):
     assert_same_trace(got, want)
 
 
+def test_failed_waypoint_table_aborts_at_its_leg_start(monkeypatch):
+    # a table simulate builds in mid-run fails. simulate_ref builds a
+    # table on every draw and counts its steps one at a time, so failing
+    # its table at the same draw gives the step on its own
+    env = strip_env()
+    init = strip_partition(env, cuts=(0.6, 1.9))
+    leg = ns.leg_time(env, ns.NetConfig())
+    cfg = ns.NetConfig(comm_rate=40.0, seed=5, time_step=leg / 20.0)
+    table_of, draw = ns.waypoint_table, ns.random_destination
+    tables, draws = [], []
+
+    def table(region, env):
+        tables.append(region)
+        if len(tables) == fail_at:
+            raise ns.SamplingExhausted("forced table failure")
+        return table_of(region, env)
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(ns, "waypoint_table", table)
+    monkeypatch.setattr(ns, "random_destination", counted)
+    fail_at = 5
+    with pytest.raises(pt.DegenerateEvolution) as info:
+        ns.simulate(cfg, init, DENS, QUAD, 30.0 * leg)
+    got, s = info.value.trace, info.value.step
+    assert s > 0  # a leg start in mid-run, not a first draw
+    assert got.termination == "degenerate"
+    assert got.elapsed == (s + 1) * got.dt
+    assert got.events and all(e.time <= s * got.dt for e in got.events)
+    fail_at, tables = len(draws) + 1, []
+    with pytest.raises(pt.DegenerateEvolution) as ref:
+        oracles.simulate_ref(cfg, init, DENS, QUAD, 30.0 * leg)
+    assert ref.value.step == s
+    assert_same_trace(got, ref.value.trace)
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_exchange_memo_keeps_netsim_strip_bit_identical(monkeypatch, seed):
     # simulate_ref goes through the same memoized exchange, so the memo

@@ -493,30 +493,30 @@ def _near_pairs():
 def test_regions_within_equals_interior_distance_below_delta(seed,
                                                             monkeypatch):
     # which branch answered: the vertex-to-edge pass (its last value) and
-    # the piece scan (called or not) are recorded per regions_within call
-    passes, scans = [], []
-    edge_pass, scan = geo._vertex_edge_distance, geo._pieces_below
+    # the contact test (called or not) are recorded per regions_within call
+    passes, contacts = [], []
+    edge_pass, meet = geo._vertex_edge_distance, geo._pieces_meet
     monkeypatch.setattr(geo, "_vertex_edge_distance",
                         lambda a, b: passes.append(edge_pass(a, b))
                         or passes[-1])
-    monkeypatch.setattr(geo, "_pieces_below",
-                        lambda *a: scans.append(a) or scan(*a))
-    by_pass = by_scan = 0
+    monkeypatch.setattr(geo, "_pieces_meet",
+                        lambda *a: contacts.append(a) or meet(*a))
+    by_pass = by_contact = 0
 
     def check(a, b, delta):
-        nonlocal by_pass, by_scan
+        nonlocal by_pass, by_contact
         # fresh regions: neither answer comes from a cache
         exact = geo.interior_distance(Region(a.pieces), Region(b.pieces))
         # the exact distance is the plain piece-pair minimum, bit for bit
         assert exact.hex() == oracles.interior_distance_ref(a, b).hex()
         passes.clear()
-        scans.clear()
+        contacts.clear()
         assert geo.regions_within(Region(a.pieces), Region(b.pieces),
                                   delta) == (exact < delta)
         if passes and passes[-1] < delta:
-            assert not scans  # the pass answered True alone
+            assert not contacts  # the pass answered True alone
             by_pass += 1
-        by_scan += bool(scans)
+        by_contact += bool(contacts)
 
     parts = _adjacent_gossip_partitions(seed, 300, 100)
     assert max(len(r.pieces) for p in parts for r in p.regions) > 5
@@ -538,7 +538,7 @@ def test_regions_within_equals_interior_distance_below_delta(seed,
         for delta in (1e-9, 1e-3, 0.5, 1.0):
             check(a, b, delta)
             check(b, a, delta)
-    assert by_pass > 0 and by_scan > 0
+    assert by_pass > 0 and by_contact > 0
 
 
 @pytest.mark.parametrize("delta", [0.0, -1e-9, math.nan])
