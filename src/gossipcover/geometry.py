@@ -64,14 +64,6 @@ class HalfPlane:
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", float(self.offset) / norm)
 
-    def signed(self, points) -> np.ndarray:
-        """Signed distance to the boundary line; <= 0 means inside."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts @ self.normal - self.offset
-
-    def contains(self, point, tol: float = 0.0) -> bool:
-        return float(self.signed(point)[0]) <= tol
-
 
 class ConvexPolygon:
     """Convex polygon with counterclockwise vertices and positive area.
@@ -140,15 +132,6 @@ class ConvexPolygon:
         cr = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
         lim = -tol * length[None, :]
         return np.all(cr >= lim, axis=1)
-
-
-def _contains_point(poly: ConvexPolygon, x: float, y: float) -> bool:
-    """poly.contains at tolerance 0 for the one point (x, y), on Python
-    floats: the same cross products, so the same answer."""
-    for vx, vy, ex, ey, _ in poly.edges:
-        if ex * (y - vy) - ey * (x - vx) < 0.0:
-            return False
-    return True
 
 
 def _cyclic_next(a: np.ndarray) -> np.ndarray:
@@ -563,7 +546,6 @@ def _bbox_gap(a, b) -> float:
     dy = max(0.0, a[1] - b[3], b[1] - a[3])
     if dx == 0.0 or dy == 0.0:
         return dx + dy  # hypot is exact here
-    # np.hypot, not math.hypot: they differ in the last bit on some pairs
     return float(np.hypot(dx, dy))
 
 
@@ -640,8 +622,7 @@ def _pieces_meet(a: Region, b: Region) -> bool:
             if _bbox_gap(p.bbox, q.bbox) > 0.0:
                 continue
             vp, vq = p.vertices, q.vertices
-            if (_contains_point(q, *vp[0].tolist())
-                    or _contains_point(p, *vq[0].tolist())
+            if (q.contains(vp[:1])[0] or p.contains(vq[:1])[0]
                     or _any_segments_cross(vp, _cyclic_next(vp),
                                            vq, _cyclic_next(vq))):
                 return True

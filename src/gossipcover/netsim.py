@@ -172,11 +172,11 @@ def _covered_span(poly, a: tuple, b: tuple, tol: float):
     return lo, hi
 
 
-def _uncovered_spans(a: tuple, b: tuple, others, tol: float) -> list:
-    """The parameter spans of the segment a -> b that no other piece
-    covers: [(0.0, 1.0)] when none covers more than tol of it, and no
-    span of tol or less otherwise."""
-    length = math.hypot(b[0] - a[0], b[1] - a[1])
+def _uncovered_spans(a: tuple, b: tuple, length: float, others,
+                     tol: float) -> list:
+    """The parameter spans of the segment a -> b, of the given length,
+    that no other piece covers: [(0.0, 1.0)] when none covers more than
+    tol of it, and no span of tol or less otherwise."""
     spans = [(lo, hi) for lo, hi in (_covered_span(other, a, b, tol)
                                      for other in others)
              if (hi - lo) * length > tol]
@@ -215,9 +215,11 @@ def internal_boundary_segments(region: Region, env: Environment):
         inner = ~(d.reshape(3, -1) <= tol).all(axis=0)
         others = [q for q in region.pieces[:k] + region.pieces[k + 1:]
                   if 2.0 * q.area > tol * max(e[4] for e in q.edges)]
-        for a, b in zip(v[inner], nxt[inner]):
+        for j in np.flatnonzero(inner).tolist():
+            a, b = v[j], nxt[j]
             for lo, hi in _uncovered_spans(tuple(a.tolist()),
-                                           tuple(b.tolist()), others, tol):
+                                           tuple(b.tolist()),
+                                           piece.edges[j][4], others, tol):
                 starts.append(a if lo == 0.0 else a + lo * (b - a))
                 ends.append(b if hi == 1.0 else a + hi * (b - a))
     if not starts:
@@ -349,31 +351,6 @@ def _start_position(region: Region) -> np.ndarray:
     return geo.mass_centroid(Region((big,)), geo.UniformDensity())
 
 
-# np.hypot and math.hypot are each within an ulp of the true length, so
-# they can differ in the last bit; past this many ulps of the radius
-# both put a pair on the same side of it
-_HYPOT_ULPS = 8
-
-
-def _in_range(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
-    """Mask of the offsets (dx, dy) with math.hypot(dx, dy) <= radius.
-
-    np.hypot decides every entry at once; the few within _HYPOT_ULPS
-    ulps of the radius are decided again by math.hypot, so the mask is
-    the one-pair-at-a-time test to the bit. An infinite radius has no
-    such band, as its ulp is infinite: both forms put every offset but
-    a NaN one within it.
-    """
-    d = np.hypot(dx, dy)
-    mask = d <= radius
-    if radius == math.inf:
-        return mask
-    near = np.abs(d - radius) <= _HYPOT_ULPS * math.ulp(radius)
-    for idx in zip(*np.nonzero(near)):
-        mask[idx] = math.hypot(float(dx[idx]), float(dy[idx])) <= radius
-    return mask
-
-
 def _window_positions(width: int, per_leg: int, phase: list, left: list,
                       pos: list, start: list, dest: list):
     """(xs, ys): every agent's position over the next width steps, rows
@@ -420,7 +397,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     then motion depends on the step alone, and no agent starts a leg
     later than the end of its hold, of its WAIT_2, or of the WAIT_1
     that may end in one. So one _window_positions call gives the
-    positions up to the first such step and one _in_range call their
+    positions up to the first such step and one np.hypot test their
     in-range (step, pair) entries. The phase ends inside go in step
     order, then agent order, as one step at a time would: one
     rng.random call draws the coins of the entries before the step
@@ -526,9 +503,9 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
         ends = sorted(e for e in ends if e[0] < width)
         xs, ys = _window_positions(width, per_leg, phase, left, pos, start,
                                    dest)
-        rows, cols = np.nonzero(_in_range(xs[:, first] - xs[:, second],
-                                          ys[:, first] - ys[:, second],
-                                          config.comm_radius))
+        rows, cols = np.nonzero(np.hypot(xs[:, first] - xs[:, second],
+                                         ys[:, first] - ys[:, second])
+                                <= config.comm_radius)
         drawn = 0
         for r, a in ends:
             if r >= width:  # past the step a leg start cut the window at

@@ -38,13 +38,6 @@ def region_bbox(*regions) -> tuple:
     return (v.min(axis=0), v.max(axis=0))
 
 
-def area_by_grid(region: Region, n_pts: int, rng, bbox=None) -> float:
-    if bbox is None:
-        bbox = region_bbox(region)
-    pts, w = jittered_grid(bbox, n_pts, rng)
-    return float(np.count_nonzero(region.contains(pts)) * w)
-
-
 def symdiff_by_grid(a: Region, b: Region, n_pts: int, rng) -> float:
     pts, w = jittered_grid(region_bbox(a, b), n_pts, rng)
     ina = a.contains(pts)
@@ -137,8 +130,7 @@ def convex_distance_ref(a: ConvexPolygon, b: ConvexPolygon) -> float:
     one holds the other's first vertex, else the smallest vertex-to-edge
     distance either way, unless their edges cross."""
     va, vb = a.vertices, b.vertices
-    if geo._contains_point(b, *va[0].tolist()) or \
-            geo._contains_point(a, *vb[0].tolist()):
+    if contains_point_ref(vb, va[0]) or contains_point_ref(va, vb[0]):
         return 0.0
     ea1, ea2 = va, geo._cyclic_next(va)
     eb1, eb2 = vb, geo._cyclic_next(vb)
@@ -867,7 +859,7 @@ class _AgentRef:
 
 def simulate_ref(config, initial, density, perf, duration, *,
                  snapshot_times=()):
-    """netsim.simulate one step at a time: motion, then one math.hypot
+    """netsim.simulate one step at a time: motion, then one np.hypot
     range test and one rng.random() coin per in-range pair. Every
     waypoint draw builds its region's table afresh and draws in array
     form (random_destination_ref). A geometry failure in a draw or a
@@ -948,7 +940,7 @@ def simulate_ref(config, initial, density, perf, duration, *,
         for (i, j) in pairs:
             dx = agents[i].position[0] - agents[j].position[0]
             dy = agents[i].position[1] - agents[j].position[1]
-            if math.hypot(dx, dy) > config.comm_radius:
+            if np.hypot(dx, dy) > config.comm_radius:
                 continue
             if rng.random() >= p_comm:
                 continue

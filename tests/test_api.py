@@ -140,7 +140,13 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (geometry, "split_convex"), (geometry, "_snap"),
         # one interior-distance rule: the vertex-to-edge pass gives the
         # distance and a piece contact test the zero
-        (geometry, "_convex_distance"), (geometry, "_pieces_below")]
+        (geometry, "_convex_distance"), (geometry, "_pieces_below"),
+        # one rule per predicate: np.hypot decides netsim range,
+        # ConvexPolygon.contains a point in a piece, and region_split's
+        # projection the side of a half-plane
+        (netsim, "_in_range"), (netsim, "_HYPOT_ULPS"),
+        (geometry, "_contains_point"), (geometry.HalfPlane, "signed"),
+        (geometry.HalfPlane, "contains")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,
@@ -296,3 +302,39 @@ def test_bench_targets_resolve_in_the_package():
     missing = [f"{mod}.{name}" for mod, name in targets if not callable(
         getattr(importlib.import_module(f"gossipcover.{mod}"), name, None))]
     assert missing == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _oracle_reads(tree: ast.Module) -> set:
+    """The attributes a test module reads from oracles, imported under
+    any alias."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "oracles"}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in aliases}
+
+
+def test_every_oracle_has_a_test_reader():
+    # an oracle is live when a test module reads it, or a live oracle
+    # does; anything else is a dead helper
+    defined = {}
+    for node in ast.parse((TESTS / "oracles.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defined.update((t.id, node) for t in node.targets
+                           if isinstance(t, ast.Name))
+    live = set().union(*(_oracle_reads(ast.parse(path.read_text()))
+                         for path in sorted(TESTS.glob("test_*.py"))))
+    todo = sorted(live & set(defined))
+    while todo:
+        for node in ast.walk(defined[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id in defined \
+                    and node.id not in live:
+                live.add(node.id)
+                todo.append(node.id)
+    assert set(defined) - live == set()

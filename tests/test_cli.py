@@ -5,15 +5,19 @@ import math
 import os
 import re
 import shlex
+import tempfile
 from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gossipcover import cli
+from gossipcover import dyadic as dy
 from gossipcover import geometry as geo
 from gossipcover import gossip as gp
 from gossipcover import netsim as ns
@@ -325,6 +329,176 @@ def test_contracts_cover_every_exit_code_and_command():
     assert {c.argv.split()[0] for c in rows} >= {"run", "compare", "presets"}
     # a row that lists no files checks that no output directory exists
     assert not any(c.files for c in rows if c.code == cli.EXIT_CONFIG)
+
+
+# ---------------------------------------------------------------------------
+# drawn configs: every key of cli.KEYS, every algorithm and scheduler,
+# environments at any size, aspect and offset. A run exits 0, 2, 3 or 4
+# and never raises; a refused config leaves no output directory. Tier-1
+# draws a dozen; HYPOTHESIS_PROFILE=config-search (tests/conftest.py)
+# runs the long search:
+#   HYPOTHESIS_PROFILE=config-search PYTHONPATH=src timeout 600 \
+#       python -m pytest tests/test_cli.py -k drawn_config \
+#       --hypothesis-seed=N
+
+def _log_uniform(lo: float, hi: float):
+    """10**u for u uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda u: 10.0 ** u)
+
+
+@st.composite
+def _environment(draw):
+    """(environment section, vertices): a rectangle, or a convex 3- to
+    8-gon inscribed in an ellipse of aspect 1 to 100 and size 1e-4 to
+    1e4, turned and moved up to about 1e5 from the origin."""
+    size = draw(_log_uniform(-4.0, 4.0))
+    if draw(st.booleans()):
+        w, h = size, size / draw(_log_uniform(0.0, 2.0))
+        return {"rectangle": [w, h]}, np.array([[0, 0], [w, 0], [w, h],
+                                                [0, h]])
+    k = draw(st.integers(3, 8))
+    t = np.sort(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=k,
+                              max_size=k)))
+    aspect = draw(_log_uniform(0.0, 2.0))
+    turn = draw(st.floats(0.0, 2.0 * math.pi))
+    cos, sin = math.cos(turn), math.sin(turn)
+    x, y = size * np.cos(t), size / aspect * np.sin(t)
+    v = np.column_stack((cos * x - sin * y, sin * x + cos * y))
+    if draw(st.booleans()):
+        away = draw(_log_uniform(-4.0, 5.0))
+        at = draw(st.floats(0.0, 2.0 * math.pi))
+        v = v + away * np.array([math.cos(at), math.sin(at)])
+    return {"vertices": v.tolist()}, v
+
+
+@st.composite
+def drawn_runs(draw):
+    """(config, argv after `gossipcover`): {cfg} in argv stands for the
+    config's path, and {out} in argv or the config's out for the output
+    directory."""
+    env, v = draw(_environment())
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    diam = float(np.hypot(*(hi - lo)))  # of the bounding box
+    kind = draw(st.sampled_from(sorted(cli._RUNNERS)))
+    cfg = {"environment": env, "seed": draw(st.integers(0, 2**16)),
+           "budget": draw(st.integers(1, 30)),
+           "check_every": draw(st.integers(1, 5)),
+           "algorithm": {"kind": kind}}
+    start = draw(st.sampled_from(["random_voronoi", "strips", "pieces"]))
+    if start == "random_voronoi":
+        n = draw(st.integers(1, 8))
+        cfg.update(n=n, initial={"kind": start})
+    elif start == "strips":
+        fracs = draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=7,
+                              unique=True))
+        n = len(fracs) + 1
+        cfg["initial"] = {"kind": start, "cuts": sorted(
+            float(lo[0] + f * (hi[0] - lo[0])) for f in fracs)}
+    else:
+        # the environment as one region, or a rectangle cut in two
+        regions = [[v.tolist()]]
+        if "rectangle" in env and draw(st.booleans()):
+            (w, h), x = hi.tolist(), float(hi[0] * draw(st.floats(0.01,
+                                                                  0.99)))
+            regions = [[[[0, 0], [x, 0], [x, h], [0, h]]],
+                       [[[x, 0], [w, 0], [w, h], [x, h]]]]
+        n = len(regions)
+        cfg["initial"] = {"kind": start, "regions": regions}
+    if draw(st.booleans()):
+        cfg["initial"]["seed"] = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        cfg["stop_tol"] = draw(_log_uniform(-12.0, 0.0))
+    cfg["performance"] = {"kind": draw(st.sampled_from(["quadratic",
+                                                       "linear"]))}
+    if draw(st.booleans()):
+        cfg["density"] = {"kind": "uniform",
+                          "value": draw(_log_uniform(-3.0, 3.0))}
+    else:
+        rows, cols = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        cfg["density"] = {"kind": "grid", "extent": [*lo.tolist(),
+                                                     *hi.tolist()],
+                          "values": draw(st.lists(st.lists(
+                              _log_uniform(-2.0, 2.0), min_size=cols,
+                              max_size=cols), min_size=rows, max_size=rows))}
+    sched = draw(st.sampled_from(["round_robin", "uniform_random",
+                                  "adjacent_random", "periodic"]))
+    cfg["scheduler"] = {"kind": sched}
+    if sched == "adjacent_random" and draw(st.booleans()):
+        cfg["scheduler"]["delta"] = diam * draw(_log_uniform(-12.0, 0.0))
+    if sched == "periodic":
+        cfg["scheduler"]["sequence"] = draw(st.lists(st.lists(
+            st.integers(0, max(n - 1, 1)), min_size=2, max_size=2,
+            unique=True).map(
+                sorted), min_size=1, max_size=6))
+    algo = cfg["algorithm"]
+    if kind == "partial":
+        algo["delta"] = diam * draw(_log_uniform(-4.0, -0.5))
+    if kind == "netsim":
+        algo["horizon_legs"] = draw(st.floats(0.05, 2.0))
+        speeds = draw(st.lists(_log_uniform(-1.0, 1.0), min_size=n,
+                               max_size=n))
+        if draw(st.booleans()):
+            algo["speeds"] = speeds
+        # NetConfig's defaults fit a unit environment, so its lengths
+        # scale with the drawn one: a delta up to diameter/10, margin
+        # and delta below a quarter of the radius
+        radius = diam * draw(_log_uniform(-2.0, 1.0))
+        algo.update(comm_radius=radius, waypoint_margin=radius * draw(
+            st.floats(0.01, 0.24)), delta=min(radius / 4.0, diam / 10.0)
+            * draw(st.floats(0.01, 0.99)))
+        if draw(st.booleans()):
+            algo["comm_rate"] = draw(_log_uniform(-1.0, 2.0))
+        if draw(st.booleans()):
+            slowest = min(speeds) if "speeds" in algo else 1.0
+            algo["time_step"] = diam / slowest / draw(st.integers(1, 40))
+    if kind == "polar":
+        algo.update(mode=draw(st.sampled_from(sw.POLAR_MODES)),
+                    steps=draw(st.integers(1, 30)),
+                    rho0=draw(_log_uniform(-2.0, 1.0)),
+                    theta0=draw(st.floats(-10.0, 10.0)))
+    if kind == "comb":
+        # the table's cost doubles per level: 10 take 0.3 s; 11 stands
+        # for one above the limit
+        levels = draw(st.integers(1, 11))
+        algo["levels"] = levels if levels <= 10 else dy.MAX_LEVEL + 1
+    if kind not in ("polar", "comb"):  # which take no snapshots
+        if draw(st.booleans()):
+            cfg["snapshots"] = draw(st.lists(st.integers(0, 30), max_size=2))
+    if draw(st.booleans()):
+        cfg["description"] = draw(st.text(max_size=12))
+    argv = "run {cfg}"
+    if kind not in ("polar", "comb") and draw(st.integers(0, 3)) == 0:
+        argv = "compare {cfg} --algos " + ",".join(draw(st.lists(
+            st.sampled_from(["gossip", "lloyd", "partial",
+                             f"partial:{diam * 0.05!r}"]),
+            min_size=1, max_size=3)))
+    # the output directory comes from the config or from --out
+    if draw(st.booleans()):
+        cfg["out"] = "{out}"
+    else:
+        argv += " --out {out}"
+    return cfg, argv
+
+
+CONFIG_SEARCH = settings.get_current_profile_name() == "config-search"
+
+
+@settings(max_examples=settings.default.max_examples if CONFIG_SEARCH
+          else 12, deadline=None)
+@given(drawn_runs())
+def test_drawn_config_exits_with_a_code(run):
+    cfg, argv = run
+    for name, node in [("", cfg), *((k, cfg[k]) for k in cfg
+                                    if isinstance(cfg[k], dict))]:
+        assert set(node) <= set(cli.KEYS[name])
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.yaml"), os.path.join(tmp, "out")
+        with open(path, "w") as f:
+            yaml.safe_dump({**cfg, "out": out} if "out" in cfg else cfg, f)
+        code = cli.main(shlex.split(argv.format(cfg=path, out=out)))
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DEGENERATE,
+                        cli.EXIT_BUDGET)
+        assert code != cli.EXIT_CONFIG or not os.path.exists(out)
 
 
 # ---------------------------------------------------------------------------

@@ -384,9 +384,6 @@ def test_bbox_gap_matches_array_form_on_touching_boxes():
 def check_inside(poly, point, tol):
     got = bool(poly.contains(point, tol)[0])
     assert got == oracles.contains_point_ref(poly.vertices, point, tol)
-    if tol == 0.0:
-        assert got == geo._contains_point(poly, float(point[0]),
-                                          float(point[1]))
 
 
 def edge_points(poly):

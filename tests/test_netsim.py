@@ -724,46 +724,25 @@ def test_simulate_rebuilds_a_table_when_the_region_changes(monkeypatch):
     assert_same_trace(got, want)
 
 
-def test_in_range_decides_as_math_hypot():
-    rng = np.random.default_rng(21)
-    for radius in (1.0, 0.7, 2.5):
-        ang = rng.uniform(0.0, 2.0 * math.pi, 20000)
-        dx = radius * np.cos(ang)
-        dy = radius * np.sin(ang)
-        up = np.nextafter(dx, np.inf)
-        down = np.nextafter(dx, -np.inf)
-        axis = np.array([radius, math.nextafter(radius, math.inf),
-                         math.nextafter(radius, -math.inf)])
-        for xs, ys in ((dx, dy), (up, dy), (down, dy),
-                       (axis, np.zeros(3)), (np.zeros(3), -axis)):
-            want = [math.hypot(x, y) <= radius
-                    for x, y in zip(xs.tolist(), ys.tolist())]
-            assert ns._in_range(xs, ys, radius).tolist() == want
-        # the loop asks for a block of (step, pair) entries at once
-        block = ns._in_range(down.reshape(-1, 4), dy.reshape(-1, 4), radius)
-        assert block.ravel().tolist() == [
-            math.hypot(x, y) <= radius
-            for x, y in zip(down.tolist(), dy.tolist())]
-
-
-def test_in_range_infinite_radius_skips_math_hypot(monkeypatch):
-    # every finite offset is within an infinite radius under both hypot
-    # forms, so no entry is decided again one at a time
-    rng = np.random.default_rng(5)
-    dx = np.concatenate([rng.normal(0.0, 1e3, 40), [0.0, 1e308, -1e308,
-                                                    math.inf, math.nan]])
-    dy = np.concatenate([rng.normal(0.0, 1e3, 40), [0.0, 1e308, 0.0, 1.0,
-                                                    0.0]])
-    want = [math.hypot(x, y) <= math.inf
-            for x, y in zip(dx.tolist(), dy.tolist())]
-
-    def refuse(*args):
-        raise AssertionError("math.hypot called")
-
-    monkeypatch.setattr(math, "hypot", refuse)
-    assert ns._in_range(dx, dy, math.inf).tolist() == want
-    assert ns._in_range(dx.reshape(5, 9), dy.reshape(5, 9),
-                        math.inf).ravel().tolist() == want
+def test_windowed_loop_matches_reference_at_the_range_boundary():
+    # comm_radius is the np.hypot distance of two start positions, where
+    # both agents still hold at the first step: `<=` puts the pair in
+    # range, and one ulp less of radius puts it out
+    env = strip_env()
+    init = pt.Partition(env, (
+        geo.region_of([[0, 0], [1.2, 0], [0.7, 1], [0, 1]]),
+        geo.region_of([[1.2, 0], [2.1, 0], [2.4, 1], [0.7, 1]]),
+        geo.region_of([[2.1, 0], [3, 0], [3, 1], [2.4, 1]])))
+    p, q = (ns._start_position(r) for r in init.regions[:2])
+    radius = float(np.hypot(p[0] - q[0], p[1] - q[1]))
+    firsts = []
+    for r in (radius, math.nextafter(radius, 0.0)):
+        cfg = ns.NetConfig(comm_radius=r, comm_rate=math.inf, seed=0)
+        leg = ns.leg_time(env, cfg)
+        got, want = both_loops(cfg, init, 0.1 * leg)
+        assert_same_trace(got, want)
+        firsts.append({e.pair for e in got.events if e.time == got.dt})
+    assert firsts == [{(0, 1), (1, 2)}, {(1, 2)}]
 
 
 def test_generator_block_draw_is_single_draws():
