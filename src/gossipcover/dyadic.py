@@ -17,7 +17,9 @@ from typing import Sequence
 
 Interval = tuple[Fraction, Fraction]
 
-MAX_LEVEL = 20
+# each level costs about twice the last: the table for t = 0..16 takes
+# tens of seconds, and t = 0..20 did not finish in minutes
+MAX_LEVEL = 16
 
 
 def _normalize(intervals: Sequence[Interval]) -> list[Interval]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -176,8 +176,8 @@ def _ring_moment(v: np.ndarray) -> np.ndarray:
     x, y = v[:, 0], v[:, 1]
     xn, yn = _cyclic_next(x), _cyclic_next(y)
     cr = x * yn - xn * y
-    mx = float(np.sum((x + xn) * cr)) / 6.0
-    my = float(np.sum((y + yn) * cr)) / 6.0
+    mx = float(np.add.reduce((x + xn) * cr)) / 6.0
+    my = float(np.add.reduce((y + yn) * cr)) / 6.0
     return np.array([mx, my])
 
 
@@ -189,11 +189,18 @@ class Region:
     centroid_cache, the (centroid, cost) pair per density, performance
     and environment, filled by partition.centroids and
     partition.centroid_cost.
+
+    refused is (tol, pairs): the pairs (a, b) of its own pieces whose
+    fused hull merge_pieces refused at area tolerance tol. Only
+    partition.Environment.region fills it; a region built any other way
+    holds none.
     """
 
     pieces: tuple
     centroid_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
+    refused: tuple = field(default=(0.0, frozenset()), repr=False,
+                           compare=False)
 
     @cached_property
     def area(self) -> float:
@@ -208,8 +215,8 @@ class Region:
         """Every piece's vertices stacked, read-only."""
         if len(self.pieces) == 1:
             return self.pieces[0].vertices
-        v = np.vstack([p.vertices for p in self.pieces]) if self.pieces \
-            else np.zeros((0, 2))
+        v = np.concatenate([p.vertices for p in self.pieces]) \
+            if self.pieces else np.zeros((0, 2))
         v.setflags(write=False)
         return v
 
@@ -231,7 +238,8 @@ class Region:
         """Row in vertices of each vertex's successor around its piece."""
         starts = self.piece_starts
         nxt = np.arange(1, len(self.vertices) + 1)
-        nxt[np.append(starts[1:], len(nxt)) - 1] = starts
+        nxt[starts[1:] - 1] = starts[:-1]
+        nxt[-1] = starts[-1]
         return nxt
 
     @cached_property
@@ -277,10 +285,26 @@ def bisector_halfplane(p, q) -> HalfPlane:
     return HalfPlane(n, float(n @ (p + q)) / 2.0)
 
 
-def _ring_polygon(points, min_area: float) -> ConvexPolygon | None:
-    """The polygon on the deduplicated ring, with the area measured here;
+def _ring_array(points: list) -> np.ndarray:
+    """_dedupe_ring(np.array(points)) for a ring of Python float pairs,
+    decided on the floats where they can: when every cyclic gap has a leg
+    above the vertex cell, so is its computed np.hypot (a hypot is never
+    below its larger leg, and rounding is monotone), and _dedupe_ring
+    would keep every vertex. Any other ring, and one with a NaN, goes
+    through _dedupe_ring."""
+    eps = _vertex_cell(max(map(abs, chain.from_iterable(points))))
+    px, py = points[-1]
+    for x, y in points:
+        dx, dy = abs(x - px), abs(y - py)
+        if not ((dx > eps or dy > eps) and dx == dx and dy == dy):
+            return _dedupe_ring(np.array(points))
+        px, py = x, y
+    return np.array(points)
+
+
+def _ring_polygon(arr: np.ndarray, min_area: float) -> ConvexPolygon | None:
+    """The polygon on a deduplicated ring, with the area measured here;
     None below three vertices or at most min_area."""
-    arr = _dedupe_ring(np.array(points))
     if len(arr) < 3:
         return None
     area = _ring_area(arr)
@@ -309,8 +333,8 @@ def _cut(v: np.ndarray, dl: list, min_area: float, sides):
             x = [a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]
             ins.append(x)
             outs.append(x)
-    return (_ring_polygon(ins, min_area) if sides[0] else None,
-            _ring_polygon(outs, min_area) if sides[1] else None)
+    return (_ring_polygon(_ring_array(ins), min_area) if sides[0] else None,
+            _ring_polygon(_ring_array(outs), min_area) if sides[1] else None)
 
 
 def region_split(region: Region, hp: HalfPlane, snap: float = 0.0,
@@ -445,14 +469,15 @@ def _fused(hull) -> ConvexPolygon:
     """The polygon on an accepted fused hull. Far from the origin, the
     hull of slivers can round to no positive area, and _ring_polygon
     refuses it: a GeometryError, not a None piece."""
-    poly = _ring_polygon(hull, 0.0)
+    poly = _ring_polygon(_dedupe_ring(hull), 0.0)
     if poly is None:
         raise GeometryError(f"fused hull of {len(hull)} vertices has area "
                             f"{_ring_area(hull):.3e}")
     return poly
 
 
-def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
+def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float,
+                 rejected: set | None = None) -> list:
     """Greedily fuse piece pairs whose union is convex (within area tol).
 
     A convex union needs a fully shared edge; splits hand both sides the
@@ -462,11 +487,19 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
     single pair is (misaligned historical seams). Both read one stack of
     every piece's vertices: the hull takes it whole, and the keys come
     from one rounding of it, sliced per piece.
+
+    rejected holds piece pairs (a, b) whose hull is known to fail at
+    this tol or a larger one; they are not tested, and every pair that
+    fails here is added to it. A pair's verdict depends only on its two
+    pieces and the slack, so skipping the test leaves the result the
+    same to the bit.
     """
     work = list(pieces)
     if len(work) < 2:
         return work
-    stacked = np.vstack([p.vertices for p in work])
+    if rejected is None:
+        rejected = set()
+    stacked = np.concatenate([p.vertices for p in work])
     if len(work) > 2:
         hull = _convex_hull(stacked)
         if _ring_area(hull) <= sum(p.area for p in work) + tol:
@@ -475,10 +508,9 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
     cells = _vertex_keys(stacked, inv_eps)
     bounds = [0, *accumulate(len(p.vertices) for p in work)]
     keys = [set(cells[a:b]) for a, b in zip(bounds, bounds[1:])]
-    # piece pairs whose hull failed, not tested again on a rescan: a
+    # piece pairs whose hull failed are not tested again on a rescan: a
     # failing test fuses nothing, so the greedy order stays the same;
     # holding the pieces keeps their ids unique
-    rejected = set()
     changed = True
     while changed and len(work) > 1:
         changed = False
@@ -490,7 +522,7 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float) -> list:
                 if len(keys[i] & keys[j]) < 2 or (a, b) in rejected:
                     j += 1
                     continue
-                hull = _convex_hull(np.vstack((a.vertices, b.vertices)))
+                hull = _convex_hull(np.concatenate((a.vertices, b.vertices)))
                 s = a.area + b.area
                 if _ring_area(hull) <= s + max(tol, 1e-12 * s):
                     # keep scanning the grown piece against the remainder
@@ -908,7 +940,8 @@ def _polar_moment_about(p, region: Region) -> float:
     about o; then the integral is J - M.M/A + A |p - o - M/A|^2.
     """
     v = region.vertices
-    o = v.mean(axis=0)
+    # v.mean(axis=0) as numpy's own mean computes it, without its wrapper
+    o = np.add.reduce(v, axis=0) / len(v)
     x, y = (v - o).T
     nxt = region.next_vertex
     xn, yn = x[nxt], y[nxt]

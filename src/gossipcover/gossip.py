@@ -172,8 +172,10 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
         pieces_i, pieces_j, traded = pt.pair_split(partition, i, j, hp_i,
                                                    hp_j)
         if traded > env.tol_area:
-            new = partition.replace(i, j, env.region(pieces_i),
-                                    env.region(pieces_j))
+            # each new region reuses the merge verdicts of both old ones
+            parents = partition.regions[i], partition.regions[j]
+            new = partition.replace(i, j, env.region(pieces_i, parents),
+                                    env.region(pieces_j, parents))
             return StepOutcome(new, True, (i, j), h_before,
                                pt.centroid_cost(new, density, perf), traded)
     key = ((i, j, density, perf) if delta is None

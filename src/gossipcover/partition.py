@@ -96,16 +96,31 @@ class Environment:
     def piece_budget(self) -> int:
         return 256
 
-    def region(self, pieces) -> Region:
+    def region(self, pieces, parents=()) -> Region:
         """Region of the given pieces: slivers dropped, neighbours merged
-        within tol_area; PieceBudgetExceeded past piece_budget pieces."""
+        within tol_area; PieceBudgetExceeded past piece_budget pieces.
+
+        The merge skips the piece pairs that parents, the regions the
+        pieces were cut from, refused at a tol_area no smaller than
+        this one: a pair refused at one slack is refused at any smaller
+        one. The new region keeps the refused pairs whose two pieces
+        it holds, so they keep no other piece alive.
+        """
+        tol = self.tol_area
         kept = [p for p in pieces if p.area > self.sliver_area]
+        refused = set()
         if len(kept) > 1:
-            kept = geo.merge_pieces(kept, self.tol_area)
+            for parent in parents:
+                parent_tol, pairs = parent.refused
+                if parent_tol >= tol:
+                    refused |= pairs
+            kept = geo.merge_pieces(kept, tol, refused)
         if len(kept) > self.piece_budget:
             raise geo.PieceBudgetExceeded(
                 f"{len(kept)} pieces exceed budget {self.piece_budget}")
-        return Region(tuple(kept))
+        held = set(kept)
+        return Region(tuple(kept), refused=(tol, frozenset(
+            (a, b) for a, b in refused if a in held and b in held)))
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:

@@ -487,7 +487,7 @@ def merge_pieces_ref(pieces, tol: float) -> list:
     if len(work) > 2:
         hull = geo._convex_hull(np.vstack([p.vertices for p in work]))
         if geo._ring_area(hull) <= sum(p.area for p in work) + tol:
-            return [geo._ring_polygon(hull, 0.0)]
+            return [geo._ring_polygon(geo._dedupe_ring(hull), 0.0)]
     inv_eps = 1.0 / geo._vertex_cell(max(float(np.abs(p.vertices).max())
                                          for p in work))
     keys = [set(geo._vertex_keys(p.vertices, inv_eps)) for p in work]
@@ -505,7 +505,8 @@ def merge_pieces_ref(pieces, tol: float) -> list:
                 hull = geo._convex_hull(np.vstack([a.vertices, b.vertices]))
                 s = a.area + b.area
                 if geo._ring_area(hull) <= s + max(tol, 1e-12 * s):
-                    work[i] = geo._ring_polygon(hull, 0.0)
+                    work[i] = geo._ring_polygon(geo._dedupe_ring(hull),
+                                                0.0)
                     keys[i] = set(geo._vertex_keys(work[i].vertices,
                                                    inv_eps))
                     del work[j]

@@ -156,9 +156,11 @@ def test_second_copies_stay_deleted(owner, name):
 
 
 def test_region_caches_one_map():
-    # hasattr cannot see a default_factory field, so read the fields
+    # hasattr cannot see a default_factory field, so read the fields;
+    # refused is not a cache but the merge verdicts on the region's own
+    # pieces, which Environment.region carries to the regions cut from it
     assert [f.name for f in dataclasses.fields(geometry.Region)] == \
-        ["pieces", "centroid_cache"]
+        ["pieces", "centroid_cache", "refused"]
 
 
 def test_performance_is_a_kind_and_a_refine_level():

@@ -729,6 +729,9 @@ MALFORMED = [
                  id="polar-steps-fraction"),
     pytest.param("n: 2", "n: 2\nalgorithm: {kind: comb, levels: true}",
                  "algorithm.levels", id="comb-levels-bool"),
+    # each level of the comb table costs about twice the last
+    pytest.param("n: 2", "n: 2\nalgorithm: {kind: comb, levels: 17}",
+                 "algorithm.levels", id="comb-levels-above-limit"),
     # numbers are finite, and a pieces start tiles the environment
     pytest.param("rectangle: [2, 1]", "rectangle: [.inf, 1]",
                  "environment.rectangle[0]", id="rectangle-inf"),
@@ -816,6 +819,14 @@ def test_run_malformed_config_names_its_field(tmp_path, capsys, old, new,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_comb_levels_above_the_limit_name_it(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TWO_STRIPS.replace(
+        "n: 2", f"n: 2\nalgorithm: {{kind: comb, levels: {dy.MAX_LEVEL + 1}}}"))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: algorithm.levels: above limit {dy.MAX_LEVEL}\n"
 
 
 @pytest.mark.parametrize("algorithm, flag", [

@@ -295,7 +295,10 @@ def test_region_split_matches_per_piece_loop_on_fragmented_regions():
 
 def check_dedupe(ring):
     ring = np.array(ring, dtype=float)
-    assert same(geo._dedupe_ring(ring), oracles.dedupe_ring_ref(ring))
+    want = oracles.dedupe_ring_ref(ring)
+    assert same(geo._dedupe_ring(ring), want)
+    # a cut hands its ring over as Python floats
+    assert same(geo._ring_array(ring.tolist()), want)
 
 
 def near_copies(v, index, factors, angle):
@@ -335,6 +338,39 @@ def test_dedupe_matches_array_form_at_the_wrap_around():
         v = poly.vertices
         for k in range(len(v)):
             check_dedupe(near_copies(v, k, [1.0, 1.0 - 1e-9], 0.3))
+
+
+def test_cut_rings_fall_back_to_the_dedupe_only_where_floats_cannot_decide(
+        monkeypatch):
+    calls = Counter()
+    dedupe = geo._dedupe_ring
+
+    def counted(v):
+        calls["dedupe"] += 1
+        return dedupe(v)
+
+    monkeypatch.setattr(geo, "_dedupe_ring", counted)
+    eps = geo._vertex_cell(1.0)
+    above = math.nextafter(eps, math.inf)
+    # a gap of exactly one cell, whose hypot is not above it; one ulp
+    # more, where the leg alone decides; a NaN coordinate, whose two
+    # gaps each have a finite leg above the cell, and whose ring
+    # _dedupe_ring cuts to one vertex; and an infinite coordinate,
+    # whose cell is infinite
+    for ring, falls_back in (
+            ([[0.0, 0.0], [eps, 0.0], [1.0, 1.0]], True),
+            ([[0.0, 0.0], [0.0, eps], [-1.0, 1.0]], True),
+            ([[0.0, 0.0], [above, 0.0], [1.0, 1.0]], False),
+            ([[0.0, 0.0], [0.0, above], [-1.0, 1.0]], False),
+            ([[0.0, 0.0], [1.0, 0.0], [math.nan, 1.0], [0.0, 2.0]], True),
+            ([[0.0, 0.0], [1.0, 0.0], [math.inf, 1.0]], True)):
+        before = calls["dedupe"]
+        got = geo._ring_array(ring)
+        assert calls["dedupe"] - before == falls_back
+        assert same(got, dedupe(np.array(ring)))
+    # the one-cell gap is deduplicated, the one-ulp gap is kept
+    assert len(geo._ring_array([[0.0, 0.0], [eps, 0.0], [1.0, 1.0]])) == 2
+    assert len(geo._ring_array([[0.0, 0.0], [above, 0.0], [1.0, 1.0]])) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -686,23 +722,29 @@ def test_piece_properties_are_the_kernels_computed_once():
 # ---------------------------------------------------------------------------
 # merge against the loop that retests every pair
 
-def check_merge(pieces, tol, hulls: Counter):
+def check_merge(pieces, tol, hulls: Counter, carried=frozenset()):
     """merge_pieces against the loop that builds every candidate hull:
     the same pieces in the same order, a piece left as it was being the
-    same object and a fused one having identical vertex bytes. Adds each
-    side's _convex_hull calls to hulls; returns the merged piece count."""
+    same object and a fused one having identical vertex bytes. The merge
+    runs once with no known refused pairs and once seeded with the
+    carried ones, which the loop ignores. Adds each side's _convex_hull
+    calls to hulls; returns the merged piece count."""
     before = hulls["calls"]
     got = geo.merge_pieces(pieces, tol)
     hulls["guarded"] += hulls["calls"] - before
     before = hulls["calls"]
+    seeded = geo.merge_pieces(pieces, tol, set(carried))
+    hulls["carried"] += hulls["calls"] - before
+    before = hulls["calls"]
     want = oracles.merge_pieces_ref(pieces, tol)
     hulls["ref"] += hulls["calls"] - before
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        if any(w is p for p in pieces):
-            assert g is w
-        else:
-            assert same(g, w.vertices)
+    for out in (got, seeded):
+        assert len(out) == len(want)
+        for g, w in zip(out, want):
+            if any(w is p for p in pieces):
+                assert g is w
+            else:
+                assert same(g, w.vertices)
     return len(want)
 
 
@@ -726,19 +768,12 @@ def rect6_start(seed):
                       rng.uniform([0.1, 0.1], [1.9, 0.9], (6, 2)))
 
 
-def test_merge_fuses_as_the_unguarded_loop_along_exchanges(monkeypatch):
-    # every piece list Environment.region hands the merge on seeded rect6
-    # AdjacentRandom runs, where most candidate hulls fuse nothing, and
-    # on a UniformRandom run of the distance-limited exchange at delta
-    # 0.2, whose moved cut lines leave slabs as netsim-strip's do
-    inputs = []
-    merge = geo.merge_pieces
-
-    def recorded(pieces, tol):
-        inputs.append((list(pieces), tol))
-        return merge(pieces, tol)
-
-    monkeypatch.setattr(geo, "merge_pieces", recorded)
+def exchange_runs():
+    """The partitions along seeded rect6 AdjacentRandom runs of the full
+    exchange, where most candidate hulls fuse nothing, then along a
+    UniformRandom run of the distance-limited exchange at delta 0.2,
+    whose moved cut lines leave slabs as netsim-strip's do: yields
+    (full, partition) after each step."""
     dens, quad = geo.UniformDensity(), geo.quadratic_performance()
     for seed in (0, 1):
         part = rect6_start(seed)
@@ -746,23 +781,89 @@ def test_merge_fuses_as_the_unguarded_loop_along_exchanges(monkeypatch):
         for t in range(150):
             i, j = sched.select(t, part)
             part = gp.gossip_step(part, i, j, dens, quad).partition
-    full = len(inputs)
+            yield True, part
     part = rect6_start(0)
     sched = sw.UniformRandom(part.n, 0)
     for t in range(150):
         i, j = sched.select(t, part)
         part = gp.partial_gossip_step(part, i, j, 0.2, dens, quad).partition
+        yield False, part
+
+
+def test_merge_fuses_as_the_unguarded_loop_along_exchanges(monkeypatch):
+    # every piece list Environment.region hands the merge along
+    # exchange_runs, with the refused pairs it carries over from the
+    # regions the pieces were cut from
+    inputs = []
+    merge = geo.merge_pieces
+
+    def recorded(pieces, tol, rejected=None):
+        inputs.append((list(pieces), tol, frozenset(rejected or ())))
+        return merge(pieces, tol, rejected)
+
+    monkeypatch.setattr(geo, "merge_pieces", recorded)
+    full = 0
+    for in_full, _ in exchange_runs():
+        if in_full:
+            full = len(inputs)
     monkeypatch.setattr(geo, "merge_pieces", merge)
     hulls = count_hulls(monkeypatch)
-    fused = whole = 0
-    for pieces, tol in inputs:
-        n = check_merge(pieces, tol, hulls)
+    fused = whole = seeded = 0
+    for pieces, tol, carried in inputs:
+        n = check_merge(pieces, tol, hulls, carried)
         fused += n < len(pieces)
         whole += n == 1 and len(pieces) > 2
+        seeded += bool(carried)
     assert full > 500 and len(inputs) - full > 100
-    assert fused > 50 and whole > 0
-    # a rejected pair is not tested again on a rescan
+    assert fused > 50 and whole > 0 and seeded > 100
+    # a rejected pair is not tested again on a rescan, and a pair that
+    # an earlier exchange refused is not tested again either
     assert 0 < hulls["guarded"] < hulls["ref"]
+    assert 0 < hulls["carried"] < hulls["guarded"]
+
+
+def test_carried_pairs_are_refused_pairs_of_their_region():
+    # every pair a region carries holds two of its own pieces, and their
+    # hull fails the merge's test at the region's tolerance
+    carried = 0
+    for _, part in exchange_runs():
+        for r in part.regions:
+            tol, pairs = r.refused
+            assert not pairs or tol == part.env.tol_area
+            for a, b in pairs:
+                assert any(a is p for p in r.pieces)
+                assert any(b is p for p in r.pieces)
+                hull = geo._convex_hull(np.concatenate((a.vertices,
+                                                        b.vertices)))
+                s = a.area + b.area
+                assert geo._ring_area(hull) > s + max(tol, 1e-12 * s)
+                carried += 1
+    assert carried > 1000
+
+
+def test_carried_pairs_are_tested_again_under_a_larger_tolerance(
+        monkeypatch):
+    # a square and a quadrilateral on its right edge whose union misses
+    # its hull by a triangle of area 1e-9
+    a = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    b = ConvexPolygon([[1, 0], [2, 0], [2, 1 + 2e-9], [1, 1]])
+    small, large = pt.rectangle(1.0, 0.5), pt.rectangle(2.0, 2.0)
+    assert small.tol_area < 1e-9 < large.tol_area
+    hulls = count_hulls(monkeypatch)
+    refused = small.region([a, b])
+    assert refused.pieces == (a, b) and refused.refused[1] == {(a, b)}
+    assert hulls["calls"] == 1
+    # at the same tolerance, or a smaller one, the verdict carries over
+    for env in (small, pt.rectangle(0.5, 0.5)):
+        again = env.region([a, b], (refused,))
+        assert again.pieces == (a, b) and again.refused[1] == {(a, b)}
+        assert hulls["calls"] == 1
+    # at a larger tolerance the pair is tested again, and fuses
+    fused = large.region([a, b], (refused,))
+    assert hulls["calls"] == 2
+    assert len(fused.pieces) == 1 and fused.refused[1] == frozenset()
+    # the fused piece is the hull: the union and the missing triangle
+    assert fused.pieces[0].area == pytest.approx(2.0 + 2e-9, abs=1e-15)
 
 
 def split_groups(seed, count):
