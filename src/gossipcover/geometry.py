@@ -150,19 +150,33 @@ def _vertex_keys(vertices: np.ndarray, inv_eps: float) -> list:
                     .tolist()))
 
 
-def _dedupe_ring(v: np.ndarray) -> np.ndarray:
-    eps = _vertex_cell(float(np.abs(v).max()))
-    # every gap, the closing one included, above eps: the loop keeps all
-    gap = _cyclic_next(v) - v
-    if (np.hypot(gap[:, 0], gap[:, 1]) > eps).all():
+def _dedupe_ring(ring) -> np.ndarray:
+    """The ring, a list of float pairs or an (n, 2) array, as one array
+    with no vertex within one grid cell of the one kept before it, the
+    last checked against the first. When every cyclic gap has a leg above
+    the cell, every vertex stays: a computed np.hypot is never below its
+    larger leg, and rounding is monotone (Shewchuk's static filter). Any
+    other ring, and one with a NaN, walks the loop, with the cell taken
+    by numpy's max, NaN included."""
+    pts = ring.tolist() if isinstance(ring, np.ndarray) else ring
+    v = np.asarray(ring, dtype=float)
+    eps = _vertex_cell(max(map(abs, chain.from_iterable(pts))))
+    px, py = pts[-1]
+    for x, y in pts:
+        dx, dy = abs(x - px), abs(y - py)
+        if not ((dx > eps or dy > eps) and dx == dx and dy == dy):
+            break
+        px, py = x, y
+    else:
         return v
+    eps = _vertex_cell(float(np.abs(v).max()))
     keep = []
     for p in v:
         if not keep or np.hypot(*(p - keep[-1])) > eps:
             keep.append(p)
     while len(keep) > 1 and np.hypot(*(keep[-1] - keep[0])) <= eps:
         keep.pop()
-    return np.array(keep) if keep else v[:0]
+    return np.array(keep)
 
 
 def _ring_area(v: np.ndarray) -> float:
@@ -285,26 +299,10 @@ def bisector_halfplane(p, q) -> HalfPlane:
     return HalfPlane(n, float(n @ (p + q)) / 2.0)
 
 
-def _ring_array(points: list) -> np.ndarray:
-    """_dedupe_ring(np.array(points)) for a ring of Python float pairs,
-    decided on the floats where they can: when every cyclic gap has a leg
-    above the vertex cell, so is its computed np.hypot (a hypot is never
-    below its larger leg, and rounding is monotone), and _dedupe_ring
-    would keep every vertex. Any other ring, and one with a NaN, goes
-    through _dedupe_ring."""
-    eps = _vertex_cell(max(map(abs, chain.from_iterable(points))))
-    px, py = points[-1]
-    for x, y in points:
-        dx, dy = abs(x - px), abs(y - py)
-        if not ((dx > eps or dy > eps) and dx == dx and dy == dy):
-            return _dedupe_ring(np.array(points))
-        px, py = x, y
-    return np.array(points)
-
-
-def _ring_polygon(arr: np.ndarray, min_area: float) -> ConvexPolygon | None:
-    """The polygon on a deduplicated ring, with the area measured here;
+def _ring_polygon(ring, min_area: float) -> ConvexPolygon | None:
+    """The polygon on the deduplicated ring, with the area measured here;
     None below three vertices or at most min_area."""
+    arr = _dedupe_ring(ring)
     if len(arr) < 3:
         return None
     area = _ring_area(arr)
@@ -333,8 +331,8 @@ def _cut(v: np.ndarray, dl: list, min_area: float, sides):
             x = [a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]
             ins.append(x)
             outs.append(x)
-    return (_ring_polygon(_ring_array(ins), min_area) if sides[0] else None,
-            _ring_polygon(_ring_array(outs), min_area) if sides[1] else None)
+    return (_ring_polygon(ins, min_area) if sides[0] else None,
+            _ring_polygon(outs, min_area) if sides[1] else None)
 
 
 def region_split(region: Region, hp: HalfPlane, snap: float = 0.0,
@@ -469,7 +467,7 @@ def _fused(hull) -> ConvexPolygon:
     """The polygon on an accepted fused hull. Far from the origin, the
     hull of slivers can round to no positive area, and _ring_polygon
     refuses it: a GeometryError, not a None piece."""
-    poly = _ring_polygon(_dedupe_ring(hull), 0.0)
+    poly = _ring_polygon(hull, 0.0)
     if poly is None:
         raise GeometryError(f"fused hull of {len(hull)} vertices has area "
                             f"{_ring_area(hull):.3e}")
@@ -559,7 +557,12 @@ def _points_segments_distance(pts: np.ndarray, s1: np.ndarray,
 
 
 def _any_segments_cross(a1, a2, b1, b2) -> bool:
-    """True when any segment of the first set properly crosses any of the second."""
+    """True when any segment of the first set properly crosses any of the
+    second. A crossing lies in both segments' boxes, so a pair whose
+    boxes are apart is not counted: on far-apart segments of one line the
+    orientation signs are rounding noise."""
+    boxes = ((np.minimum(a1, a2)[:, None] <= np.maximum(b1, b2)[None])
+             & (np.minimum(b1, b2)[None] <= np.maximum(a1, a2)[:, None]))
     ea = a2 - a1
     r1 = b1[None, :, :] - a1[:, None, :]
     r2 = b2[None, :, :] - a1[:, None, :]
@@ -570,7 +573,8 @@ def _any_segments_cross(a1, a2, b1, b2) -> bool:
     r4 = a2[:, None, :] - b1[None, :, :]
     d3 = eb[None, :, 0] * r3[:, :, 1] - eb[None, :, 1] * r3[:, :, 0]
     d4 = eb[None, :, 0] * r4[:, :, 1] - eb[None, :, 1] * r4[:, :, 0]
-    return bool(np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))))
+    return bool(np.any(boxes.all(axis=2) & ((d1 > 0) != (d2 > 0))
+                       & ((d3 > 0) != (d4 > 0))))
 
 
 def _bbox_gap(a, b) -> float:
@@ -586,6 +590,12 @@ def interior_distance(a: Region, b: Region) -> float:
     return _distance_below(a, b, np.inf)
 
 
+def check_adjacency_delta(delta) -> None:
+    """Refuse an adjacency delta that is not > 0: NaN and None too."""
+    if delta is None or not delta > 0.0:
+        raise ValueError(f"adjacency delta must be > 0, got {delta!r}")
+
+
 def regions_within(a: Region, b: Region, delta: float) -> bool:
     """interior_distance(a, b) < delta, for delta > 0.
 
@@ -593,8 +603,7 @@ def regions_within(a: Region, b: Region, delta: float) -> bool:
     nearer than delta to an edge of the other answers True. Otherwise
     the regions come within delta only if two of their pieces meet.
     """
-    if not delta > 0.0:  # NaN too
-        raise ValueError(f"adjacency delta must be > 0, got {delta!r}")
+    check_adjacency_delta(delta)
     d = _distance_shortcut(a, b, delta)
     if d is None:
         return _vertex_edge_distance(a, b) < delta or _pieces_meet(a, b)
@@ -646,19 +655,14 @@ def _vertex_edge_distance(a: Region, b: Region) -> float:
 
 
 def _pieces_meet(a: Region, b: Region) -> bool:
-    """True when a piece of a and a piece of b meet: one holds the
-    other's first vertex, or their edges cross. Pieces that meet have
-    touching boxes, so pairs whose boxes are apart are skipped."""
-    for p in a.pieces:
-        for q in b.pieces:
-            if _bbox_gap(p.bbox, q.bbox) > 0.0:
-                continue
-            vp, vq = p.vertices, q.vertices
-            if (q.contains(vp[:1])[0] or p.contains(vq[:1])[0]
-                    or _any_segments_cross(vp, _cyclic_next(vp),
-                                           vq, _cyclic_next(vq))):
-                return True
-    return False
+    """True when a piece of a and a piece of b meet: one region holds a
+    first vertex of the other's pieces, or their edges cross. One pass
+    over the stacked arrays, like _vertex_edge_distance (Ericson, ch. 5)."""
+    va, vb = a.vertices, b.vertices
+    return bool(b.contains(va[a.piece_starts]).any()
+                or a.contains(vb[b.piece_starts]).any()
+                or _any_segments_cross(va, va[a.next_vertex],
+                                       vb, vb[b.next_vertex]))
 
 
 # interior points sampled per edge when a Hausdorff distance is bounded

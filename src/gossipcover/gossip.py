@@ -85,13 +85,9 @@ def gossip_step(partition: Partition, i: int, j: int, density: Density,
     return _exchange(partition, i, j, None, density, perf)
 
 
-def _sat(x: float) -> float:
-    return min(x, 1.0)
-
-
 def trade_fraction_from(gap: float, pair_distance: float, delta: float) -> float:
     """Exchange scaling in [0, 1] from centroid gap and region separation."""
-    return _sat(gap / delta) * (1.0 - _sat(pair_distance / delta))
+    return min(gap / delta, 1.0) * (1.0 - min(pair_distance / delta, 1.0))
 
 
 def _fraction(partition: Partition, i: int, j: int, delta: float | None,
@@ -214,8 +210,6 @@ def fixed_point_residual(partition: Partition, density: Density,
     """
     env = partition.env
     if mode == "adjacent":
-        if delta is None or not delta > 0.0:  # NaN too
-            raise ValueError(f"adjacent mode needs delta > 0, got {delta!r}")
         pairs = pt.adjacency_pairs(partition, delta)
     elif mode == "full":
         pairs = pt.all_pairs(partition.n)

@@ -50,13 +50,16 @@ class SamplingExhausted(GeometryError):
     """Waypoint rejection sampling ran out of attempts."""
 
 
-# phases of the epoch machine; every phase lasts exactly one leg time
+# phases of the epoch machine; every phase lasts exactly one leg time.
+# HOLD is the start offset, not an epoch phase: it lasts under one leg,
+# always ends in travel, draws nothing and is not counted
 TRAVEL = "travel"
 WAIT_1 = "wait1"
 WAIT_2 = "wait2"
+HOLD = "hold"
 # the most phase ends, its current one included, that an agent in each
 # phase can reach before it starts a leg
-_PHASES_TO_LEG = {TRAVEL: 3, WAIT_1: 2, WAIT_2: 1}
+_PHASES_TO_LEG = {TRAVEL: 3, WAIT_1: 2, WAIT_2: 1, HOLD: 1}
 
 
 def epoch_transition(phase: str, rng) -> str:
@@ -205,7 +208,9 @@ def internal_boundary_segments(region: Region, env: Environment):
     wall = env.polygon.vertices
     wall_next = geo._cyclic_next(wall)
     starts, ends = [], []
-    for k, piece in enumerate(region.pieces):
+    solid = [q for q in region.pieces
+             if 2.0 * q.area > tol * max(e[4] for e in q.edges)]
+    for piece in region.pieces:
         v = piece.vertices
         nxt = geo._cyclic_next(v)
         mid = 0.5 * (v + nxt)
@@ -213,8 +218,7 @@ def internal_boundary_segments(region: Region, env: Environment):
         d = geo._points_segments_distance(np.concatenate((v, nxt, mid)),
                                           wall, wall_next)
         inner = ~(d.reshape(3, -1) <= tol).all(axis=0)
-        others = [q for q in region.pieces[:k] + region.pieces[k + 1:]
-                  if 2.0 * q.area > tol * max(e[4] for e in q.edges)]
+        others = [q for q in solid if q is not piece]
         for j in np.flatnonzero(inner).tolist():
             a, b = v[j], nxt[j]
             for lo, hi in _uncovered_spans(tuple(a.tolist()),
@@ -382,8 +386,8 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
              snapshot_times=()) -> NetTrace:
     """Run the network for the given duration of simulated time.
 
-    Agents start at their region's reference point, hold still for
-    their clock offset (uniform over one leg), then loop through the
+    Agents start at their region's reference point, hold still (HOLD)
+    for their clock offset, uniform over one leg, then loop through the
     epoch machine. Each simulation step advances motion first and then
     flips a coin per in-range pair for a trade. A geometry failure, in
     a trade (a vanished region) or in a waypoint draw (a region with no
@@ -395,7 +399,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     The loop goes a window at a time: the steps up to and including the
     next one at which an agent starts a leg (or the horizon). Until
     then motion depends on the step alone, and no agent starts a leg
-    later than the end of its hold, of its WAIT_2, or of the WAIT_1
+    later than the end of its HOLD, of its WAIT_2, or of the WAIT_1
     that may end in one. So one _window_positions call gives the
     positions up to the first such step and one np.hypot test their
     in-range (step, pair) entries. The phase ends inside go in step
@@ -429,7 +433,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     for i in range(n):
         pos.append(tuple(_start_position(current.regions[i]).tolist()))
         hold = int(rng.integers(per_leg))
-        phase.append(WAIT_1 if hold > 0 else TRAVEL)
+        phase.append(HOLD if hold > 0 else TRAVEL)
         left.append(hold if hold > 0 else per_leg)
     # each agent's last region and its waypoint table; the table is
     # rebuilt only when the agent draws in a region it does not hold
@@ -456,9 +460,6 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     for a in range(n):
         if phase[a] == TRAVEL:
             dest[a] = waypoint(a, 0, 0.0)
-    # the initial hold is not an epoch phase: it only desynchronizes
-    # clocks, so it is excluded from the transition counts
-    held = [p == WAIT_1 for p in phase]
 
     pairs = pt.all_pairs(n)
     first, second = np.array(pairs).T
@@ -497,7 +498,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
         # start: after its travel and both waits, or at the end of a hold
         ends, width = [], total_steps - k
         for a in range(n):
-            count = 1 if held[a] else _PHASES_TO_LEG[phase[a]]
+            count = _PHASES_TO_LEG[phase[a]]
             ends += [(left[a] - 1 + q * per_leg, a) for q in range(count)]
             width = min(width, left[a] + (count - 1) * per_leg)
         ends = sorted(e for e in ends if e[0] < width)
@@ -511,8 +512,7 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
             if r >= width:  # past the step a leg start cut the window at
                 break
             drawn = contacts(drawn, int(np.searchsorted(rows, r)))
-            if held[a]:
-                held[a] = False
+            if phase[a] == HOLD:
                 nxt = TRAVEL
             else:
                 nxt = epoch_transition(phase[a], rng)

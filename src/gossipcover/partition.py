@@ -367,8 +367,8 @@ def adjacency_pairs(partition: Partition, delta: float) -> list[tuple[int, int]]
     Each pair is tested once per partition and delta; the answers are
     kept in the partition's adjacency_cache. delta must be > 0.
     """
-    if not delta > 0.0:  # NaN too, which would key a fresh entry each call
-        raise ValueError(f"adjacency delta must be > 0, got {delta!r}")
+    # before the memo: a NaN key would store a fresh entry each call
+    geo.check_adjacency_delta(delta)
     near = partition.adjacency_cache.setdefault(delta, {})
     regions = partition.regions
     out = []

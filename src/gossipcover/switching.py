@@ -22,7 +22,8 @@ import numpy as np
 
 from . import gossip as gp
 from . import partition as pt
-from .geometry import Density, GeometryError, PerformanceFunction
+from .geometry import (Density, GeometryError, PerformanceFunction,
+                       check_adjacency_delta)
 from .partition import DegenerateEvolution, Partition, all_pairs
 
 
@@ -75,8 +76,7 @@ class AdjacentRandom:
     """Uniform over pairs currently within delta of each other."""
 
     def __init__(self, seed: int, delta: float):
-        if not delta > 0.0:  # NaN too
-            raise ValueError("adjacency threshold must be positive")
+        check_adjacency_delta(delta)
         self.delta = float(delta)
         self.rng = np.random.default_rng(seed)
 

@@ -148,6 +148,38 @@ def interior_distance_ref(a: Region, b: Region) -> float:
                for q in b.pieces)
 
 
+def any_segments_cross_ref(a1, a2, b1, b2) -> bool:
+    """geometry._any_segments_cross with no segment-box test: the two
+    orientation tests on every pair of segments."""
+    ea = a2 - a1
+    r1 = b1[None, :, :] - a1[:, None, :]
+    r2 = b2[None, :, :] - a1[:, None, :]
+    d1 = ea[:, None, 0] * r1[:, :, 1] - ea[:, None, 1] * r1[:, :, 0]
+    d2 = ea[:, None, 0] * r2[:, :, 1] - ea[:, None, 1] * r2[:, :, 0]
+    eb = b2 - b1
+    r3 = a1[:, None, :] - b1[None, :, :]
+    r4 = a2[:, None, :] - b1[None, :, :]
+    d3 = eb[None, :, 0] * r3[:, :, 1] - eb[None, :, 1] * r3[:, :, 0]
+    d4 = eb[None, :, 0] * r4[:, :, 1] - eb[None, :, 1] * r4[:, :, 0]
+    return bool(np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))))
+
+
+def pieces_meet_ref(a: Region, b: Region) -> bool:
+    """geometry._pieces_meet as a loop over piece pairs: a pair meets
+    when one holds the other's first vertex or their edges cross, and
+    pairs whose boxes are apart are skipped."""
+    for p in a.pieces:
+        for q in b.pieces:
+            if geo._bbox_gap(p.bbox, q.bbox) > 0.0:
+                continue
+            vp, vq = p.vertices, q.vertices
+            if (q.contains(vp[:1])[0] or p.contains(vq[:1])[0]
+                    or any_segments_cross_ref(vp, geo._cyclic_next(vp),
+                                              vq, geo._cyclic_next(vq))):
+                return True
+    return False
+
+
 def interior_distance_by_sampling(a: Region, b: Region,
                                   per_edge: int = 24) -> float:
     pa = boundary_samples(a, per_edge)

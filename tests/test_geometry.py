@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -402,7 +403,7 @@ def test_regions_within_answers_from_exact_distance(monkeypatch):
     assert not geo.regions_within(c, a, 0.25)
 
 
-@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, None])
 def test_regions_within_refuses_a_bad_delta(delta):
     # touching squares: no answer to such a delta would be True
     a, b = Region((square(0, 0, 1),)), Region((square(1, 0, 1),))
@@ -461,6 +462,53 @@ def test_pieces_that_meet_are_at_distance_zero(a, b, monkeypatch):
             assert geo.regions_within(x, y, below)
     # the contact test gave every zero
     assert len(met) == 2 * (1 + 3 * 2)
+
+
+def contact_pairs(seed, count):
+    """Seeded multi-piece region pairs of four kinds: two random unions,
+    which mostly overlap; a union against two stacked rectangles whose
+    left edge holds the union's rightmost vertex, a T-junction, and the
+    same rectangles 1e-9 clear of it; the union's point reflection
+    through that vertex, which meets it there alone; and a copy moved
+    clear of its box."""
+    rng = np.random.default_rng(seed)
+    regions = oracles.seeded_multi_piece_regions(seed, 2 * count)
+    for a, b in zip(regions, regions):
+        yield "overlap", a, b
+        vx, vy = max(map(tuple, a.vertices.tolist()))
+        w, lo, hi = rng.uniform(0.2, 1.0, 3)
+        mid = vy + rng.uniform(-0.8, 0.8) * min(lo, hi)
+        for kind, x0 in (("t-junction", vx), ("gap", vx + 1e-9)):
+            x1 = x0 + w
+            yield kind, a, region_of(
+                [[x0, vy - lo], [x1, vy - lo], [x1, mid], [x0, mid]],
+                [[x0, mid], [x1, mid], [x1, vy + hi], [x0, vy + hi]])
+        yield "shared vertex", a, Region(tuple(
+            ConvexPolygon(2.0 * np.array([vx, vy]) - p.vertices)
+            for p in a.pieces))
+        x0, y0, x1, y1 = a.bbox
+        shift = (np.array([x1 - x0, y1 - y0]) * rng.uniform(1.01, 2.0, 2)
+                 * rng.choice([-1.0, 1.0], 2))
+        yield "box apart", a, Region(tuple(
+            ConvexPolygon(p.vertices + shift) for p in a.pieces))
+
+
+def test_stacked_contact_test_equals_the_piece_pair_loop():
+    # the contact test runs over both regions' stacked vertices and
+    # edges, with no piece box prune: it answers as the loop over piece
+    # pairs. A reflection's edges on a cut line through the vertex lie
+    # far apart on one line, where the orientation signs alone can round
+    # to a crossing; the segment boxes keep them apart
+    met = Counter()
+    for seed in range(4):
+        for kind, a, b in contact_pairs(seed, 10):
+            for x, y in ((a, b), (b, a)):
+                want = oracles.pieces_meet_ref(x, y)
+                assert geo._pieces_meet(x, y) is want
+                met[kind, want] += 1
+    assert met["overlap", True] and met["t-junction", True]
+    assert met["t-junction", False] and met["shared vertex", False]
+    assert met["gap", False] == met["box apart", False] == 80
 
 
 def test_interior_distance_never_returns_a_cached_bound():

@@ -294,11 +294,13 @@ def test_region_split_matches_per_piece_loop_on_fragmented_regions():
 # dedupe
 
 def check_dedupe(ring):
+    """The dedupe on the ring as an array, the form a polygon and a fused
+    hull hand over, and as Python floats, a cut's form, against the
+    loop it replaced."""
     ring = np.array(ring, dtype=float)
     want = oracles.dedupe_ring_ref(ring)
     assert same(geo._dedupe_ring(ring), want)
-    # a cut hands its ring over as Python floats
-    assert same(geo._ring_array(ring.tolist()), want)
+    assert same(geo._dedupe_ring(ring.tolist()), want)
 
 
 def near_copies(v, index, factors, angle):
@@ -342,35 +344,45 @@ def test_dedupe_matches_array_form_at_the_wrap_around():
 
 def test_cut_rings_fall_back_to_the_dedupe_only_where_floats_cannot_decide(
         monkeypatch):
+    # the loop takes the cell a second time, from numpy's max: a ring
+    # that reaches it asks _vertex_cell twice, one the legs decide once
     calls = Counter()
-    dedupe = geo._dedupe_ring
+    cell = geo._vertex_cell
 
-    def counted(v):
-        calls["dedupe"] += 1
-        return dedupe(v)
+    def counted(max_abs):
+        calls["cell"] += 1
+        return cell(max_abs)
 
-    monkeypatch.setattr(geo, "_dedupe_ring", counted)
-    eps = geo._vertex_cell(1.0)
+    monkeypatch.setattr(geo, "_vertex_cell", counted)
+    eps = cell(1.0)
     above = math.nextafter(eps, math.inf)
-    # a gap of exactly one cell, whose hypot is not above it; one ulp
-    # more, where the leg alone decides; a NaN coordinate, whose two
-    # gaps each have a finite leg above the cell, and whose ring
-    # _dedupe_ring cuts to one vertex; and an infinite coordinate,
-    # whose cell is infinite
+    below = math.nextafter(eps, 0.0)
+    # a gap of exactly one cell, whose hypot is not above it, and one ulp
+    # less; one ulp more, where the leg alone decides; a NaN coordinate,
+    # whose two gaps each have a finite leg above the cell, and whose
+    # ring the loop cuts to one vertex; an infinite coordinate, whose
+    # cell is infinite; and a closing gap of one cell
     for ring, falls_back in (
             ([[0.0, 0.0], [eps, 0.0], [1.0, 1.0]], True),
             ([[0.0, 0.0], [0.0, eps], [-1.0, 1.0]], True),
+            ([[0.0, 0.0], [below, 0.0], [1.0, 1.0]], True),
             ([[0.0, 0.0], [above, 0.0], [1.0, 1.0]], False),
             ([[0.0, 0.0], [0.0, above], [-1.0, 1.0]], False),
             ([[0.0, 0.0], [1.0, 0.0], [math.nan, 1.0], [0.0, 2.0]], True),
-            ([[0.0, 0.0], [1.0, 0.0], [math.inf, 1.0]], True)):
-        before = calls["dedupe"]
-        got = geo._ring_array(ring)
-        assert calls["dedupe"] - before == falls_back
-        assert same(got, dedupe(np.array(ring)))
-    # the one-cell gap is deduplicated, the one-ulp gap is kept
-    assert len(geo._ring_array([[0.0, 0.0], [eps, 0.0], [1.0, 1.0]])) == 2
-    assert len(geo._ring_array([[0.0, 0.0], [above, 0.0], [1.0, 1.0]])) == 3
+            ([[0.0, 0.0], [1.0, 0.0], [math.inf, 1.0]], True),
+            ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, eps]], True),
+            ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, above]], False)):
+        want = oracles.dedupe_ring_ref(np.array(ring))
+        for form in (ring, np.array(ring)):
+            before = calls["cell"]
+            got = geo._dedupe_ring(form)
+            assert calls["cell"] - before == 1 + falls_back
+            assert same(got, want)
+    # the one-cell gap and the one below it are deduplicated, the
+    # one-ulp gap above it is kept
+    assert len(geo._dedupe_ring([[0.0, 0.0], [eps, 0.0], [1.0, 1.0]])) == 2
+    assert len(geo._dedupe_ring([[0.0, 0.0], [below, 0.0], [1.0, 1.0]])) == 2
+    assert len(geo._dedupe_ring([[0.0, 0.0], [above, 0.0], [1.0, 1.0]])) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -445,21 +445,18 @@ def phase_ends(starts, final_phase, steps, per_leg):
     left - 1, and again every per_leg steps up to the next window. A
     WAIT_1 end with another end of the same agent after it in the
     window went on to WAIT_2; the last end of an agent in a window went
-    to the phase the agent starts the next window in. An agent's first
-    end is the end of its hold when it starts in WAIT_1."""
-    nexts = {ns.TRAVEL: ns.WAIT_1, ns.WAIT_2: ns.TRAVEL}
+    to the phase the agent starts the next window in."""
+    nexts = {ns.TRAVEL: ns.WAIT_1, ns.WAIT_2: ns.TRAVEL, ns.HOLD: ns.TRAVEL}
     bounds = [k for k, _, _ in starts[1:]] + [steps]
     afters = [phase for _, phase, _ in starts[1:]] + [final_phase]
-    ends, seen = [], set()
+    ends = []
     for (k, phase, left), k_end, after in zip(starts, bounds, afters):
         for a, (p, s) in enumerate(zip(phase, left)):
             step = k + s - 1
             while step < k_end:
                 last = step + per_leg >= k_end
                 nxt = after[a] if last else nexts.get(p, ns.WAIT_2)
-                hold = a not in seen and k == 0 and p == ns.WAIT_1
-                seen.add(a)
-                ends.append((step, a, "hold" if hold else p, nxt))
+                ends.append((step, a, p, nxt))
                 p, step = nxt, step + per_leg
     return sorted(ends)
 
@@ -499,7 +496,7 @@ def test_windowed_loop_matches_reference_where_phases_meet(monkeypatch,
     ends = phase_ends(starts, live[0], steps, per_leg)
     counts = {}
     for _, _, p, nxt in ends:
-        if p != "hold":
+        if p != ns.HOLD:
             counts[(p, nxt)] = counts.get((p, nxt), 0) + 1
     assert counts == got.transitions
     last_steps = {k - 1 for k in bounds[1:]}
@@ -518,6 +515,31 @@ def test_windowed_loop_matches_reference_where_phases_meet(monkeypatch,
     cuts = [step for step, _, p, nxt in ends if (p, nxt) == (ns.WAIT_1,
                                                             ns.TRAVEL)]
     assert cuts and set(cuts) <= last_steps
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_hold_is_not_an_epoch_phase(monkeypatch, seed):
+    # several agents start in the hold: it ends in travel, draws nothing
+    # and is counted nowhere, as the reference's held WAIT_1 has it
+    env = strip_env()
+    init = strip_partition(env, cuts=(0.7, 1.5, 2.2))
+    leg = ns.leg_time(env, ns.NetConfig(speeds=(1.0,) * 4))
+    cfg = ns.NetConfig(speeds=(1.0,) * 4, comm_rate=8.0, seed=seed,
+                       time_step=leg / 20.0)
+    first = []  # the phases simulate starts its first window with
+    original = ns._window_positions
+
+    def recording(width, per_leg, phase, *rest):
+        if not first:
+            first.append(list(phase))
+        return original(width, per_leg, phase, *rest)
+
+    monkeypatch.setattr(ns, "_window_positions", recording)
+    got, want = both_loops(cfg, init, 6.0 * leg)
+    assert first[0].count(ns.HOLD) >= 2
+    assert got.transitions
+    assert not any(ns.HOLD in key for key in got.transitions)
+    assert_same_trace(got, want)
 
 
 STRIP_WEIGHTS = st.lists(st.integers(1, 4), min_size=2, max_size=5)

@@ -541,7 +541,7 @@ def test_regions_within_equals_interior_distance_below_delta(seed,
     assert by_pass > 0 and by_contact > 0
 
 
-@pytest.mark.parametrize("delta", [0.0, -1e-9, math.nan])
+@pytest.mark.parametrize("delta", [0.0, -1e-9, math.nan, None])
 def test_adjacency_pairs_refuses_a_bad_delta(delta):
     # no pair lies within such a delta, and a NaN key never matches, so
     # each call would store a fresh cache entry and answer no pairs

@@ -73,7 +73,7 @@ def test_uniform_random_seeded_and_valid():
 
 
 def test_adjacent_random_sees_only_touching_pairs():
-    for delta in (0.0, -1.0, math.nan):
+    for delta in (0.0, -1.0, math.nan, None):
         with pytest.raises(ValueError):
             sw.AdjacentRandom(seed=0, delta=delta)
     part = strip_partition()
