@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, chain
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -195,6 +196,20 @@ def _ring_moment(v: np.ndarray) -> np.ndarray:
     return np.array([mx, my])
 
 
+def sum_left(values):
+    """0 + v0 + v1 + ..., added strictly left to right.
+
+    Every float sum in the package goes through it: from Python 3.12 the
+    builtin sum adds floats with compensated summation, which can change
+    the last bits. sum([1e16, 1.0, -1e16]) is 1.0 there; this gives 0.0,
+    as the builtin does on 3.11.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class Region:
     """Union of convex polygons with pairwise disjoint interiors.
@@ -218,7 +233,7 @@ class Region:
 
     @cached_property
     def area(self) -> float:
-        return sum(p.area for p in self.pieces)
+        return sum_left(p.area for p in self.pieces)
 
     @property
     def is_empty(self) -> bool:
@@ -500,7 +515,7 @@ def merge_pieces(pieces: Sequence[ConvexPolygon], tol: float,
     stacked = np.concatenate([p.vertices for p in work])
     if len(work) > 2:
         hull = _convex_hull(stacked)
-        if _ring_area(hull) <= sum(p.area for p in work) + tol:
+        if _ring_area(hull) <= sum_left(p.area for p in work) + tol:
             return [_fused(hull)]
     inv_eps = 1.0 / _vertex_cell(float(np.abs(stacked).max()))
     cells = _vertex_keys(stacked, inv_eps)
@@ -590,9 +605,15 @@ def interior_distance(a: Region, b: Region) -> float:
     return _distance_below(a, b, np.inf)
 
 
+def _number(x):
+    """x where it is a real number, else NaN, which fails every bound it
+    is tested against: a str or None is refused as NaN is."""
+    return x if type(x) is float or isinstance(x, Real) else np.nan
+
+
 def check_adjacency_delta(delta) -> None:
-    """Refuse an adjacency delta that is not > 0: NaN and None too."""
-    if delta is None or not delta > 0.0:
+    """Refuse an adjacency delta that is not > 0: NaN, None and a str too."""
+    if not _number(delta) > 0.0:
         raise ValueError(f"adjacency delta must be > 0, got {delta!r}")
 
 
@@ -856,28 +877,29 @@ _DESCENT_MAX_ITER = 500
 
 def _quadrature(region: Region, density: Density, refine: int):
     """Quadrature points, physical weights and density values of a region:
-    the degree-6 rule on refine**2 children of each piece's fan triangles.
+    the degree-6 rule on refine**2 children of each piece's fan triangles,
+    in piece, then fan triangle, then child, then rule point order.
 
     Building them is the costly part of an integral, so callers that
-    integrate several functions over one region build them once.
+    integrate several functions over one region build them once. Every
+    fan triangle of every piece is one stack, so each step below is one
+    numpy pass, with the float operations of a per-triangle build.
     """
-    bary, wts = triangle_rule()
-    pts_all, w_all = [], []
-    for piece in region.pieces:
-        v = piece.vertices
-        tris = np.concatenate([subdivide_triangle(v[0], v[k], v[k + 1], refine)
-                               for k in range(1, len(v) - 1)], axis=0)
-        e1 = tris[:, 1] - tris[:, 0]
-        e2 = tris[:, 2] - tris[:, 0]
-        areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        pts = np.einsum("rb,kbd->krd", bary, tris)  # (k, R, 2)
-        w = areas[:, None] * wts[None, :]
-        pts_all.append(pts.reshape(-1, 2))
-        w_all.append(w.reshape(-1))
-    if not pts_all:
+    if region.is_empty:
         pts, w = np.zeros((0, 2)), np.zeros(0)
-    else:
-        pts, w = np.vstack(pts_all), np.concatenate(w_all)
+        return pts, w, density(pts)
+    bary, wts = triangle_rule()
+    v = region.vertices
+    starts = region.piece_starts.tolist()
+    fan = [(s, k, k + 1) for s, e in zip(starts, starts[1:] + [len(v)])
+           for k in range(s + 1, e - 1)]
+    tris = v[fan]  # (K, 3, 2)
+    tris = subdivide_triangle(tris[:, 0], tris[:, 1], tris[:, 2], refine)
+    e1 = tris[:, 1] - tris[:, 0]
+    e2 = tris[:, 2] - tris[:, 0]
+    areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    pts = np.einsum("rb,kbd->krd", bary, tris).reshape(-1, 2)  # (k * R, 2)
+    w = (areas[:, None] * wts[None, :]).reshape(-1)
     return pts, w, density(pts)
 
 
@@ -911,7 +933,11 @@ def _mass_centroid(region: Region, density: Density, refine: int) -> np.ndarray:
         if m0 <= 0.0:
             raise VanishedRegion("region has no area")
         return m1 / m0
-    quad = _quadrature(region, density, refine)
+    return _quad_mass_centroid(_quadrature(region, density, refine))
+
+
+def _quad_mass_centroid(quad) -> np.ndarray:
+    """Density-weighted mean of a nonempty region's quadrature points."""
     pts, w, dens = quad
     m0 = _quad_sum(quad, 1.0)
     if m0 <= 0.0:
@@ -979,32 +1005,66 @@ def _centroid_and_cost(region: Region, density: Density,
                        perf: PerformanceFunction, scale: float | None):
     """centroid's point and the one-center cost there: the descent's last
     accepted cost, the sum one_center_cost makes at that point."""
-    x = _mass_centroid(region, density, perf.refine)
     if perf.kind == "quadratic":
+        x = _mass_centroid(region, density, perf.refine)
         return x, one_center_cost(x, region, density, perf)
-    pts, w, dens = _quadrature(region, density, perf.refine)
-    wd = w * dens
+    if region.is_empty:
+        raise EmptyRegion("centroid of an empty region")
+    quad = _quadrature(region, density, perf.refine)
+    # under a grid density the start reads the descent's own build
+    x = (_mass_centroid(region, density, perf.refine)
+         if isinstance(density, UniformDensity) else _quad_mass_centroid(quad))
+    pts, w, dens = quad
+    # a density of exactly 1.0 everywhere: x * 1.0 is x, bit for bit
+    unit = bool((dens == 1.0).all())
+    wd = w if unit else w * dens
     # offsets are kept as (2, N): one broadcast subtract per trial and
     # contiguous rows for the hypot
     pts = np.ascontiguousarray(pts.T)
     if scale is None:
         scale = diameter(region)
     tol = _DESCENT_TOL * max(scale, 1e-12)
+    # the accepted point's offsets, lengths and offset rows, and a
+    # trial's: the two trade places when a trial is accepted, and every
+    # pass writes into a buffer, so nothing is allocated per trial
+    n = len(w)
+    d, dc = np.empty((2, n)), np.empty((2, n))
+    here, there = (d, np.empty(n), tuple(d)), (dc, np.empty(n), tuple(dc))
+    terms, s, wr = np.empty((2, n)), np.empty(n), np.empty(n)
+    g_last = terms[:, -1]
     cbuf = np.empty((2, 1))
-    d = x[:, None] - pts
-    r = np.hypot(d[0], d[1])
-    fx = float(np.add.reduce(w * r * dens))
+
+    def cost_at(p, offsets, lengths, rows):
+        # w * |p - q| * dens summed over the points q, with the product
+        # by dens skipped where it is 1.0
+        np.subtract(p, pts, out=offsets)
+        np.hypot(*rows, out=lengths)
+        np.multiply(w, lengths, out=wr)
+        if not unit:
+            np.multiply(wr, dens, out=wr)
+        return float(np.add.reduce(wr))
+
+    fx = cost_at(x[:, None], *here)
     step = max(scale, 1e-12)
     # the iterate, gradient, trial point and move are Python floats: the
     # same IEEE operations numpy's elementwise ops make on 2-vectors
     x0, x1 = x.tolist()
     for _ in range(_DESCENT_MAX_ITER):
-        # f'(r) = 1: each point pulls along its unit offset, none at p
-        s = 1.0 / np.maximum(r, 1e-300)
-        s[r < 1e-14] = 0.0
+        d, r, _rows = here
+        # f'(r) = 1: each point pulls along its unit offset, none at p.
+        # With every length at or above 1e-14, np.maximum(r, 1e-300) is r
+        # and nothing is masked; a NaN length fails the test
+        if np.minimum.reduce(r) >= 1e-14:
+            np.divide(1.0, r, out=s)
+        else:
+            np.divide(1.0, np.maximum(r, 1e-300), out=s)
+            s[r < 1e-14] = 0.0
         # each coordinate's terms summed in point order: accumulate runs
         # sequentially, where a reduce along a contiguous row would pair
-        g0, g1 = np.add.accumulate(wd * (d * s), axis=1)[:, -1].tolist()
+        np.multiply(d, s, out=terms)
+        np.multiply(wd, terms, out=terms)
+        np.add.accumulate(terms, axis=1, out=terms)
+        g0, g1 = g_last.tolist()
         if _hypot_below(g0, g1, tol * 1e-3, step):
             break
         moved = False
@@ -1015,11 +1075,10 @@ def _centroid_and_cost(region: Region, density: Density,
             if _hypot_below(m0, m1, tol):
                 break
             cbuf[0, 0], cbuf[1, 0] = c0, c1
-            dc = cbuf - pts
-            rc = np.hypot(dc[0], dc[1])
-            fc = float(np.add.reduce(w * rc * dens))
+            fc = cost_at(cbuf, *there)
             if _armijo(fc, fx, g0, g1, m0, m1):
-                x0, x1, fx, d, r = c0, c1, fc, dc, rc
+                x0, x1, fx = c0, c1, fc
+                here, there = there, here
                 moved = True
                 step = alpha * 2.0
                 break

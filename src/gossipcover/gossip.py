@@ -35,7 +35,7 @@ class StepOutcome(NamedTuple):
 
 
 def check_delta(env: pt.Environment, delta: float) -> float:
-    if not (0.0 < delta <= env.diameter / 10.0):
+    if not 0.0 < geo._number(delta) <= env.diameter / 10.0:
         raise ValueError(
             f"delta must lie in (0, diameter/10 = {env.diameter / 10.0:.6g}]")
     return float(delta)

@@ -103,25 +103,27 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.speeds) == 0 or not all(0.0 < s < math.inf
+        num = geo._number  # a str or None fails each test as NaN does
+        if len(self.speeds) == 0 or not all(0.0 < num(s) < math.inf
                                             for s in self.speeds):
             raise ValueError(f"speeds must be finite and positive, "
                              f"got {self.speeds!r}")
-        if not 0.0 < self.comm_radius <= math.inf:
+        if not 0.0 < num(self.comm_radius) <= math.inf:
             raise ValueError(f"comm_radius must be positive, "
                              f"got {self.comm_radius!r}")
-        if not 0.0 <= self.comm_rate <= math.inf:
+        if not 0.0 <= num(self.comm_rate) <= math.inf:
             raise ValueError(f"comm_rate must be non-negative, "
                              f"got {self.comm_rate!r}")
         # NaN fails these too, and so does infinity: it is not below
         # a quarter of any radius, infinite or not
-        if not 0.0 < self.waypoint_margin < 0.25 * self.comm_radius:
+        if not 0.0 < num(self.waypoint_margin) < 0.25 * self.comm_radius:
             raise ValueError(f"waypoint_margin must sit in (0, comm_radius/4),"
                              f" got {self.waypoint_margin!r}")
-        if not 0.0 < self.delta < 0.25 * self.comm_radius:
+        if not 0.0 < num(self.delta) < 0.25 * self.comm_radius:
             raise ValueError(f"delta must sit in (0, comm_radius/4), "
                              f"got {self.delta!r}")
-        if self.time_step is not None and not 0.0 < self.time_step < math.inf:
+        if (self.time_step is not None
+                and not 0.0 < num(self.time_step) < math.inf):
             raise ValueError(f"time_step must be finite and positive, "
                              f"got {self.time_step!r}")
 

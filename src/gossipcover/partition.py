@@ -166,7 +166,7 @@ class Partition:
             if r.area <= tol:
                 raise VanishedRegion(
                     f"region {k} area {r.area:.3e} at or below tolerance {tol:.3e}")
-        total = sum(r.area for r in self.regions)
+        total = geo.sum_left(r.area for r in self.regions)
         short, over = self.cover_slack
         if total < self.env.area - short or total > self.env.area + over:
             raise GeometryError(
@@ -261,8 +261,9 @@ def multicenter_cost(partition: Partition, points, density: Density,
     if len(pts) != partition.n:
         raise DimensionMismatch(
             f"{len(pts)} points for {partition.n} regions")
-    return sum(geo.one_center_cost(pts[i], partition.regions[i], density, perf)
-               for i in range(partition.n))
+    return geo.sum_left(geo.one_center_cost(pts[i], partition.regions[i],
+                                            density, perf)
+                        for i in range(partition.n))
 
 
 def _centroid_entry(region: Region, env: Environment, density: Density,
@@ -286,8 +287,8 @@ def centroids(partition: Partition, density: Density,
 def centroid_cost(partition: Partition, density: Density,
                   perf: PerformanceFunction) -> float:
     """Multicenter cost with every region served from its own centroid."""
-    return sum(_centroid_entry(r, partition.env, density, perf)[1]
-               for r in partition.regions)
+    return geo.sum_left(_centroid_entry(r, partition.env, density, perf)[1]
+                        for r in partition.regions)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,8 @@ def partition_distance(u: Partition, v: Partition) -> float:
     """Sum over regions of symmetric-difference areas."""
     if u.n != v.n:
         raise DimensionMismatch(f"{u.n} regions vs {v.n}")
-    return sum(symdiff_area(u.regions[k], v.regions[k]) for k in range(u.n))
+    return geo.sum_left(symdiff_area(u.regions[k], v.regions[k])
+                        for k in range(u.n))
 
 
 def pair_split(partition: Partition, i: int, j: int, hp_i: HalfPlane,
@@ -331,7 +333,8 @@ def _pair_split(partition, i, j, hp_i, hp_j, kept: bool):
                                       env.sliver_area, (kept, True))
     give_j, keep_j = geo.region_split(partition.regions[j], hp_j, env.snap,
                                       env.sliver_area, (True, kept))
-    traded = sum(p.area for p in give_i) + sum(p.area for p in give_j)
+    traded = (geo.sum_left(p.area for p in give_i)
+              + geo.sum_left(p.area for p in give_j))
     return keep_i + give_j, give_i + keep_j, traded
 
 

@@ -43,17 +43,26 @@ def triangle_rule():
 
 
 def subdivide_triangle(a, b, c, level: int):
-    """Split a triangle into level**2 congruent children; returns (k, 3, 2)."""
+    """Split a triangle into level**2 congruent children; returns (k, 3, 2).
+
+    a, b and c may each be a (K, 2) stack of corners: then the children
+    of triangle 0 come first, then those of triangle 1, and so on, each
+    made with the float operations that one triangle's children are.
+    """
+    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
     if level <= 1:
-        return np.array([[a, b, c]], dtype=float)
-    a = np.asarray(a, dtype=float)
-    e1 = (np.asarray(b, dtype=float) - a) / level
-    e2 = (np.asarray(c, dtype=float) - a) / level
-    tris = []
-    for i in range(level):
-        for j in range(level - i):
-            p = a + i * e1 + j * e2
-            tris.append([p, p + e1, p + e2])
-            if j < level - i - 1:
-                tris.append([p + e1, p + e1 + e2, p + e2])
-    return np.array(tris)
+        return np.stack((a, b, c), axis=-2).reshape(-1, 3, 2)
+    a = a.reshape(-1, 1, 2)
+    e1 = (b.reshape(-1, 1, 2) - a) / level
+    e2 = (c.reshape(-1, 1, 2) - a) / level
+    anchors = [(i, j) for i in range(level) for j in range(level - i)]
+    # the children among the upright then the inverted ones: each
+    # anchor's upright child, then its inverted one where there is one
+    order = [k for m, (i, j) in enumerate(anchors)
+             for k in ((m, len(anchors) + m) if j < level - i - 1 else (m,))]
+    i, j = np.array(anchors, dtype=float).T[:, :, None]
+    p = a + i * e1 + j * e2
+    p1, p2 = p + e1, p + e2
+    up = np.stack((p, p1, p2), axis=2)
+    down = np.stack((p1, p1 + e2, p2), axis=2)
+    return np.concatenate((up, down), axis=1)[:, order].reshape(-1, 3, 2)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import sum_left
 from .partition import Partition
 
 # fills cycle through a fixed palette; outlines stay uniform
@@ -24,7 +25,8 @@ def audit_cover(partition: Partition) -> float:
     """Absolute gap between the summed region areas and the environment
     area. A partition cannot change, so its construction already held
     the gap to Partition.cover_slack."""
-    return abs(sum(r.area for r in partition.regions) - partition.env.area)
+    return abs(sum_left(r.area for r in partition.regions)
+               - partition.env.area)
 
 
 def render_svg(partition: Partition, *, width: int = 640, points=None,

@@ -13,6 +13,7 @@ from gossipcover import geometry as geo
 from gossipcover import gossip as gp
 from gossipcover import netsim as ns
 from gossipcover import partition as pt
+from gossipcover import quadrature
 from gossipcover import switching as sw
 from gossipcover.geometry import ConvexPolygon, HalfPlane, Region
 
@@ -737,6 +738,47 @@ def ring_moment_ref(v: np.ndarray) -> np.ndarray:
 # bit (tests/test_kernels.py). The closed-form quadratic cost under
 # uniform density never reaches the quadrature, so it has no form here.
 
+def subdivide_ref(a, b, c, level: int) -> np.ndarray:
+    """One triangle's level**2 children, one child at a time, in the order
+    and with the float operations quadrature.subdivide_triangle uses."""
+    if level <= 1:
+        return np.array([[a, b, c]], dtype=float)
+    a = np.asarray(a, dtype=float)
+    e1 = (np.asarray(b, dtype=float) - a) / level
+    e2 = (np.asarray(c, dtype=float) - a) / level
+    tris = []
+    for i in range(level):
+        for j in range(level - i):
+            p = a + i * e1 + j * e2
+            tris.append([p, p + e1, p + e2])
+            if j < level - i - 1:
+                tris.append([p + e1, p + e1 + e2, p + e2])
+    return np.array(tris)
+
+
+def quadrature_ref(region: Region, density, refine: int):
+    """geo._quadrature built piece by piece and fan triangle by fan
+    triangle: points, weights and density values, in the same order."""
+    bary, wts = quadrature.triangle_rule()
+    pts_all, w_all = [], []
+    for piece in region.pieces:
+        v = piece.vertices
+        tris = np.concatenate([subdivide_ref(v[0], v[k], v[k + 1], refine)
+                               for k in range(1, len(v) - 1)], axis=0)
+        e1 = tris[:, 1] - tris[:, 0]
+        e2 = tris[:, 2] - tris[:, 0]
+        areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        pts = np.einsum("rb,kbd->krd", bary, tris)  # (k, R, 2)
+        w = areas[:, None] * wts[None, :]
+        pts_all.append(pts.reshape(-1, 2))
+        w_all.append(w.reshape(-1))
+    if not pts_all:
+        pts, w = np.zeros((0, 2)), np.zeros(0)
+    else:
+        pts, w = np.vstack(pts_all), np.concatenate(w_all)
+    return pts, w, density(pts)
+
+
 def _quad_sum_ref(quad, fn) -> float:
     pts, w, dens = quad
     if len(pts) == 0:
@@ -774,20 +816,20 @@ def _gradient_integrand_ref(p, perf):
 
 
 def integrate_ref(region: Region, density, fn) -> float:
-    return _quad_sum_ref(geo._quadrature(region, density, 1), fn)
+    return _quad_sum_ref(quadrature_ref(region, density, 1), fn)
 
 
 def mass_centroid_ref(region: Region, density, refine: int = 1) -> np.ndarray:
     if isinstance(density, geo.UniformDensity):
         m1 = sum((p.moment for p in region.pieces), np.zeros(2))
         return m1 / region.area
-    quad = geo._quadrature(region, density, refine)
+    quad = quadrature_ref(region, density, refine)
     m0 = _quad_sum_ref(quad, lambda q: np.ones(len(q)))
     return _quad_sum_vec_ref(quad, lambda q: q) / m0
 
 
 def one_center_cost_ref(p, region: Region, density, perf) -> float:
-    return _quad_sum_ref(geo._quadrature(region, density, perf.refine),
+    return _quad_sum_ref(quadrature_ref(region, density, perf.refine),
                          _cost_integrand_ref(p, perf))
 
 
@@ -795,7 +837,7 @@ def centroid_ref(region: Region, density, perf, scale=None) -> np.ndarray:
     start = mass_centroid_ref(region, density, perf.refine)
     if perf.kind == "quadratic":
         return start
-    quad = geo._quadrature(region, density, perf.refine)
+    quad = quadrature_ref(region, density, perf.refine)
     if scale is None:
         scale = geo.diameter(region)
     tol = 1e-10 * max(scale, 1e-12)

@@ -343,3 +343,37 @@ def test_every_oracle_has_a_test_reader():
                 live.add(node.id)
                 todo.append(node.id)
     assert set(defined) - live == set()
+
+
+def test_sum_left_adds_left_to_right():
+    # the builtin sum of Python 3.12 and later compensates, giving 1.0
+    assert geometry.sum_left([1e16, 1.0, -1e16]) == 0.0
+    values = [0.1, 0.7, 1e-17, 0.2]
+    assert geometry.sum_left(values) == ((0.1 + 0.7) + 1e-17) + 0.2
+    assert geometry.sum_left(x for x in ()) == 0
+
+
+def _float_sums(tree: ast.Module):
+    """Lines of builtin sum calls that may add floats: every one but a
+    count of int constants or a sum from a start that is not a number."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"):
+            continue
+        first = node.args[0] if node.args else None
+        counts = (isinstance(first, ast.GeneratorExp)
+                  and isinstance(first.elt, ast.Constant)
+                  and type(first.elt.value) is int)
+        start = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "start"), None)
+        typed = start is not None and not isinstance(start, ast.Constant)
+        if not (counts or typed):
+            yield node.lineno
+
+
+def test_src_sums_floats_left_to_right():
+    # builtin sum changes its float bits from Python 3.12 on, so every
+    # float sum in src/ goes through geometry.sum_left
+    found = {f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _float_sums(ast.parse(path.read_text()))}
+    assert found == set()

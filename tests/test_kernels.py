@@ -14,6 +14,7 @@ filters the same answers as the numpy calls they stand in for.
 """
 import dataclasses
 import hashlib
+import itertools
 import math
 import struct
 from collections import Counter
@@ -584,22 +585,40 @@ def test_integrate_and_mass_centroid_match_the_integrand_forms(dens):
                         oracles.mass_centroid_ref(region, dens))
 
 
+@pytest.mark.parametrize("refine", [1, 3])
+@pytest.mark.parametrize("dens", [geo.UniformDensity(), geo.UniformDensity(2.5),
+                                  GRID], ids=["unit", "uniform", "grid"])
+def test_stacked_quadrature_matches_the_per_triangle_build(dens, refine):
+    # one stack of every piece's fan triangles gives the points, weights
+    # and density values of the piece-by-piece build, byte for byte
+    for region in [*oracles.seeded_multi_piece_regions(53, 12), Region(())]:
+        got = geo._quadrature(region, dens, refine)
+        want = oracles.quadrature_ref(region, dens, refine)
+        assert all(same(g, w) for g, w in zip(got, want, strict=True))
+
+
 def test_descent_from_a_quadrature_point_matches_the_loop(monkeypatch):
     # an iterate within 1e-14 of a quadrature point takes the masked unit
     # offsets: one more point sits at (or 5e-15 from) the descent's start
-    dens, lin = geo.UniformDensity(2.5), geo.linear_performance()
-    quadrature = geo._quadrature
-    for region in oracles.seeded_multi_piece_regions(47, 4):
+    # in the build under test and in the oracles' own build alike; a
+    # density of 1.0 takes the descent's cost without the density product
+    lin = geo.linear_performance()
+    builds = [(geo, "_quadrature"), (oracles, "quadrature_ref")]
+    builds = [(owner, name, getattr(owner, name)) for owner, name in builds]
+    for dens, region in itertools.product(
+            (geo.UniformDensity(2.5), geo.UniformDensity()),
+            oracles.seeded_multi_piece_regions(47, 4)):
         start = geo._mass_centroid(region, dens, 1)
         for offset in (0.0, 5e-15):
             extra = start + offset
+            for owner, name, quadrature in builds:
 
-            def with_extra(region, density, refine):
-                pts, w, vals = quadrature(region, density, refine)
-                return (np.vstack([pts, extra]), np.append(w, w.mean()),
-                        np.append(vals, density(extra[None])))
+                def with_extra(region, density, refine, quadrature=quadrature):
+                    pts, w, vals = quadrature(region, density, refine)
+                    return (np.vstack([pts, extra]), np.append(w, w.mean()),
+                            np.append(vals, density(extra[None])))
 
-            monkeypatch.setattr(geo, "_quadrature", with_extra)
+                monkeypatch.setattr(owner, name, with_extra)
             c, cost = geo._centroid_and_cost(region, dens, lin, None)
             assert same(c, oracles.centroid_ref(region, dens, lin))
             assert bits(cost) == bits(oracles.one_center_cost_ref(
@@ -609,7 +628,7 @@ def test_descent_from_a_quadrature_point_matches_the_loop(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1),
-       st.sampled_from([geo.UniformDensity(2.5), GRID]),
+       st.sampled_from([geo.UniformDensity(2.5), geo.UniformDensity(), GRID]),
        st.sampled_from([1, 3]), st.sampled_from([None, 4.0]))
 def test_descent_matches_the_loop_on_seeded_regions(seed, dens, refine,
                                                     wide):

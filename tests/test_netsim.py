@@ -62,6 +62,9 @@ NON_FINITE = [
     ("comm_rate", math.nan), ("waypoint_margin", math.nan),
     ("waypoint_margin", math.inf), ("delta", math.nan),
     ("delta", math.inf), ("time_step", math.nan), ("time_step", math.inf),
+    # a field that is not a number is refused as NaN is
+    ("delta", None), ("comm_radius", None), ("waypoint_margin", None),
+    ("comm_rate", "2.0"), ("time_step", "0.01"), ("speeds", (1.0, None, 1.0)),
 ]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from gossipcover import quadrature as quad
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -36,3 +37,17 @@ def test_subdivision_refines():
         e2 = t[2] - t[0]
         areas.append(0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0]))
     assert sum(areas) == pytest.approx(0.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 5])
+def test_stacked_subdivision_matches_one_triangle_at_a_time(level):
+    # a (K, 2) stack of each corner gives each triangle's children in
+    # turn, with the bits of one-triangle calls and of the child loop
+    rng = np.random.default_rng(level)
+    tris = rng.normal(size=(7, 3, 2)) * 10.0 ** rng.integers(-4, 5, (7, 1, 1))
+    tris[2, 1] = -0.0
+    got = quad.subdivide_triangle(tris[:, 0], tris[:, 1], tris[:, 2], level)
+    one = np.concatenate([quad.subdivide_triangle(*t, level) for t in tris])
+    ref = np.concatenate([oracles.subdivide_ref(*t, level) for t in tris])
+    assert got.shape == (7 * level**2, 3, 2)
+    assert got.tobytes() == one.tobytes() == ref.tobytes()
