@@ -1049,12 +1049,21 @@ def _centroid_and_cost(region: Region, density: Density,
     # the iterate, gradient, trial point and move are Python floats: the
     # same IEEE operations numpy's elementwise ops make on 2-vectors
     x0, x1 = x.tolist()
+    # near: a lower bound on the iterate's distance to every quadrature
+    # point, the least computed length when last measured less 1.001
+    # times the L1 length of each move accepted since (an L1 length is
+    # never below the L2 one, and the 0.1 % covers the moves' rounding)
+    near = 0.0
     for _ in range(_DESCENT_MAX_ITER):
         d, r, _rows = here
         # f'(r) = 1: each point pulls along its unit offset, none at p.
         # With every length at or above 1e-14, np.maximum(r, 1e-300) is r
-        # and nothing is masked; a NaN length fails the test
-        if np.minimum.reduce(r) >= 1e-14:
+        # and nothing is masked. near >= 2e-14 proves that with a factor
+        # 2 to spare for the lengths' rounding; below it the least length
+        # is measured again, and a NaN one fails the test
+        if near < 2e-14:
+            near = float(np.minimum.reduce(r))
+        if near >= 2e-14:
             np.divide(1.0, r, out=s)
         else:
             np.divide(1.0, np.maximum(r, 1e-300), out=s)
@@ -1079,6 +1088,7 @@ def _centroid_and_cost(region: Region, density: Density,
             if _armijo(fc, fx, g0, g1, m0, m1):
                 x0, x1, fx = c0, c1, fc
                 here, there = there, here
+                near -= 1.001 * (abs(m0) + abs(m1))
                 moved = True
                 step = alpha * 2.0
                 break

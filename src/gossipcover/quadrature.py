@@ -51,7 +51,7 @@ def subdivide_triangle(a, b, c, level: int):
     """
     a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
     if level <= 1:
-        return np.stack((a, b, c), axis=-2).reshape(-1, 3, 2)
+        return np.concatenate((a, b, c), axis=-1).reshape(-1, 3, 2)
     a = a.reshape(-1, 1, 2)
     e1 = (b.reshape(-1, 1, 2) - a) / level
     e2 = (c.reshape(-1, 1, 2) - a) / level

@@ -626,6 +626,47 @@ def test_descent_from_a_quadrature_point_matches_the_loop(monkeypatch):
             assert not same(c, start)
 
 
+@pytest.mark.parametrize("dens", [geo.UniformDensity(), geo.UniformDensity(2.5)],
+                         ids=["unit", "uniform"])
+def test_descent_onto_a_quadrature_point_takes_the_masked_offsets(
+        monkeypatch, dens):
+    # zero-weight points sit exactly at three iterates of a descent, so
+    # a later iterate lands at length 0 from one: the descent must see
+    # it there (a unit offset of 1 / 0 would fail), and the points must
+    # change neither its path nor its bits
+    lin = geo.linear_performance()
+    armijo = geo._armijo
+    builds = [(owner, name, getattr(owner, name)) for owner, name in
+              [(geo, "_quadrature"), (oracles, "quadrature_ref")]]
+    for region in oracles.seeded_multi_piece_regions(47, 4):
+        path = [tuple(geo._mass_centroid(region, dens, 1).tolist())]
+
+        def recorded(fc, fx, g0, g1, m0, m1):
+            accepted = armijo(fc, fx, g0, g1, m0, m1)
+            if accepted:
+                path.append((path[-1][0] + m0, path[-1][1] + m1))
+            return accepted
+
+        monkeypatch.setattr(geo, "_armijo", recorded)
+        c, cost = geo._centroid_and_cost(region, dens, lin, None)
+        monkeypatch.setattr(geo, "_armijo", armijo)
+        assert same(np.array(path[-1]), c)  # the path is the iterates
+        stops = np.array([path[1], path[len(path) // 2], path[-1]])
+        for owner, name, quadrature in builds:
+
+            def with_stops(region, density, refine, quadrature=quadrature):
+                pts, w, vals = quadrature(region, density, refine)
+                return (np.vstack([pts, stops]), np.append(w, [0.0] * 3),
+                        np.append(vals, density(stops)))
+
+            monkeypatch.setattr(owner, name, with_stops)
+        got, got_cost = geo._centroid_and_cost(region, dens, lin, None)
+        assert same(got, c) and bits(got_cost) == bits(cost)
+        assert same(got, oracles.centroid_ref(region, dens, lin))
+        for owner, name, quadrature in builds:
+            monkeypatch.setattr(owner, name, quadrature)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1),
        st.sampled_from([geo.UniformDensity(2.5), geo.UniformDensity(), GRID]),
