@@ -194,8 +194,12 @@ def preset_names() -> list:
 def load_config(path_or_name: str) -> dict:
     """Read a YAML config from a file path or a shipped preset name."""
     if os.path.exists(path_or_name):
-        with open(path_or_name) as f:
-            text = f.read()
+        try:
+            with open(path_or_name, encoding="utf-8") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(
+                f"config: cannot read {path_or_name!r} ({exc})") from exc
     else:
         res = resources.files("gossipcover") / "presets" / f"{path_or_name}.yaml"
         if not res.is_file():

@@ -14,6 +14,7 @@ coordinates they act on.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, chain
@@ -1047,7 +1048,9 @@ def _centroid_and_cost(region: Region, density: Density,
     fx = cost_at(x[:, None], *here)
     step = max(scale, 1e-12)
     # the iterate, gradient, trial point and move are Python floats: the
-    # same IEEE operations numpy's elementwise ops make on 2-vectors
+    # same IEEE operations numpy's elementwise ops make on 2-vectors. The
+    # stop and decrease tests take math.hypot and a two-term Python sum,
+    # so no decision depends on the BLAS kernel or the C library's hypot
     x0, x1 = x.tolist()
     # near: a lower bound on the iterate's distance to every quadrature
     # point, the least computed length when last measured less 1.001
@@ -1074,18 +1077,18 @@ def _centroid_and_cost(region: Region, density: Density,
         np.multiply(wd, terms, out=terms)
         np.add.accumulate(terms, axis=1, out=terms)
         g0, g1 = g_last.tolist()
-        if _hypot_below(g0, g1, tol * 1e-3, step):
+        if math.hypot(g0, g1) * step < tol * 1e-3:
             break
         moved = False
         alpha = step
         for _bt in range(60):
             c0, c1 = x0 - alpha * g0, x1 - alpha * g1
             m0, m1 = c0 - x0, c1 - x1
-            if _hypot_below(m0, m1, tol):
+            if math.hypot(m0, m1) < tol:
                 break
             cbuf[0, 0], cbuf[1, 0] = c0, c1
             fc = cost_at(cbuf, *there)
-            if _armijo(fc, fx, g0, g1, m0, m1):
+            if fc <= fx + 1e-4 * (g0 * m0 + g1 * m1):
                 x0, x1, fx = c0, c1, fc
                 here, there = there, here
                 near -= 1.001 * (abs(m0) + abs(m1))
@@ -1096,39 +1099,3 @@ def _centroid_and_cost(region: Region, density: Density,
         if not moved:
             break
     return np.array((x0, x1)), fx
-
-
-def _hypot_below(a: float, b: float, t: float, k: float = 1.0) -> bool:
-    """float(np.hypot(a, b)) * k < t, for k > 0, with np.hypot run only
-    when the legs cannot decide. A computed hypot is never below its
-    larger leg and rounding is monotone, so a leg with abs(leg) * k >= t
-    already says no (a NaN leg fails the filter and reaches np.hypot)."""
-    return (abs(a) * k < t and abs(b) * k < t
-            and float(np.hypot(a, b)) * k < t)
-
-
-def _armijo(fc: float, fx: float, g0: float, g1: float, m0: float,
-            m1: float) -> bool:
-    """The sufficient-decrease test fc <= fx + 1e-4 * (g @ move) for the
-    gradient g = (g0, g1) and the move (m0, m1), decided on the plain sum
-    p = g0 * m0 + g1 * m1 where that proves it.
-
-    g @ move runs through BLAS, which may fuse a multiply into the add, so
-    its bits can differ from p. Every rounded two-term dot lies within
-    gamma_2 * S of the exact one, S = |g0 * m0| + |g1 * m1| and gamma_2 =
-    2u / (1 - 2u) about one epsilon, so the two differ by about 2 eps * S
-    at most; e = 8 eps * S + 1e-300 covers that four times over, and the
-    1e-300 covers underflow. With the dot in [p - e, p + e], and every
-    rounding monotone, the test holds if it holds at p - e and fails if
-    it fails at p + e; only a tie within e (or a NaN) runs np.dot, which
-    gives g @ move's bits. Everything else stays on Python floats (eps
-    is 2.0 ** -52), which raise no numpy warnings.
-    """
-    a, b = g0 * m0, g1 * m1
-    p = a + b
-    e = 8.0 * 2.0 ** -52 * (abs(a) + abs(b)) + 1e-300
-    if fc <= fx + 1e-4 * (p - e):
-        return True
-    if fc > fx + 1e-4 * (p + e):
-        return False
-    return fc <= fx + 1e-4 * float(np.dot((g0, g1), (m0, m1)))

@@ -105,8 +105,19 @@ def _fraction(partition: Partition, i: int, j: int, delta: float | None,
     return trade_fraction_from(gap, pd, delta)
 
 
+def _check_pair(partition: Partition, i: int, j: int) -> None:
+    """Refuses a pair that is not two distinct regions of the partition:
+    a negative index would otherwise alias a region from the end."""
+    if i not in range(partition.n) or j not in range(partition.n):
+        raise ValueError(
+            f"pair ({i}, {j}) is not in range for {partition.n} regions")
+    if i == j:
+        raise ValueError("pair indices must differ")
+
+
 def trade_fraction(partition: Partition, i: int, j: int, delta: float,
                    density: Density, perf: PerformanceFunction) -> float:
+    _check_pair(partition, i, j)
     delta = check_delta(partition.env, delta)
     return _fraction(partition, i, j, delta,
                      pt.centroids(partition, density, perf))
@@ -121,8 +132,9 @@ def partial_gossip_step(partition: Partition, i: int, j: int, delta: float,
     gap reaches delta.
 
     The memo is looked up first, so a repeated no-op costs one lookup:
-    only a checked delta is ever stored in a key, so a hit proves this
-    one valid, and NaN, a str or an out-of-range delta never hits.
+    only a checked pair and delta are ever stored in a key, so a hit
+    proves them valid, and a bad index, NaN, a str or an out-of-range
+    delta never hits.
     """
     h = partition.exchange_cache.get((i, j, delta, density, perf))
     if h is not None:
@@ -150,8 +162,7 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
     slot, so no partial_gossip_step lookup, whatever its delta, can
     meet it.
     """
-    if i == j:
-        raise ValueError("pair indices must differ")
+    _check_pair(partition, i, j)
     env = partition.env
     cs = pt.centroids(partition, density, perf)
     h_before = pt.centroid_cost(partition, density, perf)

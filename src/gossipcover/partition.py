@@ -447,22 +447,33 @@ def _parse_ring(tokens) -> np.ndarray:
 
 
 def read_snapshot(path_or_file) -> tuple[Partition, int]:
+    """The partition and step write_snapshot wrote. A file that is not a
+    snapshot, or one cut short, raises ValueError naming what it lacks."""
     with _opened(path_or_file, "r") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or lines[0] != _MAGIC:
         raise ValueError("not a partition snapshot")
-    step = int(lines[1].split()[1])
-    n = int(lines[2].split()[1])
-    env = Environment(ConvexPolygon(_parse_ring(lines[3].split()[1:])))
-    regions = []
-    k = 4
-    for _ in range(n):
-        head = lines[k].split()
-        count = int(head[3])
-        k += 1
-        pieces = []
-        for _ in range(count):
-            pieces.append(ConvexPolygon(_parse_ring(lines[k].split()[1:])))
-            k += 1
-        regions.append(Region(tuple(pieces)))
+    rows = iter(lines[1:])
+
+    def row(what: str) -> list:
+        line = next(rows, None)
+        if line is None:
+            raise ValueError(f"snapshot ends before its {what} line")
+        return line.split()
+
+    def number(what: str, at: int) -> int:
+        tokens = row(what)
+        if len(tokens) <= at:
+            raise ValueError(f"snapshot {what} line lacks its number")
+        return int(tokens[at])
+
+    def ring(what: str) -> ConvexPolygon:
+        return ConvexPolygon(_parse_ring(row(what)[1:]))
+
+    step = number("step", 1)
+    n = number("regions", 1)
+    env = Environment(ring("environment"))
+    regions = [Region(tuple(ring(f"region {k} piece")
+                            for _ in range(number(f"region {k}", 3))))
+               for k in range(n)]
     return Partition(env, tuple(regions)), step

@@ -834,39 +834,44 @@ def one_center_cost_ref(p, region: Region, density, perf) -> float:
 
 
 def centroid_ref(region: Region, density, perf, scale=None) -> np.ndarray:
+    return centroid_path_ref(region, density, perf, scale)[-1]
+
+
+def centroid_path_ref(region: Region, density, perf, scale=None) -> list:
+    """The descent's start and every iterate it accepts, in order."""
     start = mass_centroid_ref(region, density, perf.refine)
     if perf.kind == "quadratic":
-        return start
+        return [start]
     quad = quadrature_ref(region, density, perf.refine)
     if scale is None:
         scale = geo.diameter(region)
     tol = 1e-10 * max(scale, 1e-12)
+    path = [start]
     x = start
     fx = _quad_sum_ref(quad, _cost_integrand_ref(x, perf))
     step = max(scale, 1e-12)
     for _ in range(500):
         g = _quad_sum_vec_ref(quad, _gradient_integrand_ref(x, perf))
-        gnorm = float(np.hypot(g[0], g[1]))
-        if gnorm * step < tol * 1e-3:
+        if math.hypot(g[0], g[1]) * step < tol * 1e-3:
             break
         moved = False
         alpha = step
         for _bt in range(60):
             cand = x - alpha * g
             d = cand - x
-            dn = float(np.hypot(d[0], d[1]))
-            if dn < tol:
+            if math.hypot(d[0], d[1]) < tol:
                 break
             fc = _quad_sum_ref(quad, _cost_integrand_ref(cand, perf))
-            if fc <= fx + 1e-4 * float(g @ d):
+            if fc <= fx + 1e-4 * (g[0] * d[0] + g[1] * d[1]):
                 x, fx = cand, fc
+                path.append(x)
                 moved = True
                 step = alpha * 2.0
                 break
             alpha *= 0.5
         if not moved:
             break
-    return x
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,8 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (geometry, "_quad_sum_vec"),
         # the descent measures offsets and sums its gradient inline
         (geometry, "_cost_gradient"), (geometry, "_offsets"),
+        # its stop and decrease tests are plain float expressions
+        (geometry, "_hypot_below"), (geometry, "_armijo"),
         # the descent is the linear kind's, so f' has no reader
         (geometry.PerformanceFunction, "dfn"),
         # a cost is its kind: no user-supplied callable to spot-check

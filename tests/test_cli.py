@@ -69,7 +69,10 @@ seed: 0
 
 def write_cfg(tmp_path, text, name="cfg.yaml"):
     p = tmp_path / name
-    p.write_text(text)
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
     return str(p)
 
 
@@ -82,9 +85,10 @@ Contract = namedtuple("Contract", "config argv code expect files checks")
 
 
 def contract(name, config, argv, code, expect=None, files=(), checks=()):
-    """A row: the config text (None when argv names no file) and the argv
-    after `gossipcover`, {cfg} standing for the config's path and --out
-    appended for run and compare; the exit code; regexes, one or a tuple
+    """A row: the config text or bytes (None when argv names no file) and
+    the argv after `gossipcover`, {cfg} standing for the config's path,
+    {tmp} for the row's own directory, and --out appended for run and
+    compare unless argv gives one; the exit code; regexes, one or a tuple
     of them, that "stdout", "stderr" or an output file must match; the
     files the output directory must hold, none meaning that no output
     directory exists; and checks called with the output directory."""
@@ -249,6 +253,54 @@ CONTRACTS = [
     contract("polar-preset-snapshots", None,
              "run polar-switching --snapshots 1", cli.EXIT_CONFIG,
              {"stderr": "^error: --snapshots: polar runs take no snapshots"}),
+    contract("snapshots-not-a-number", VORONOI4, "run {cfg} --snapshots x",
+             cli.EXIT_CONFIG, {"stderr": "^error: --snapshots: could not "
+                                         "convert string to float: 'x'$"}),
+    contract("config-is-a-directory", None, "run {tmp}", cli.EXIT_CONFIG,
+             {"stderr": "^error: config: cannot read .*Is a directory"}),
+    contract("config-not-utf8", b"n: 2\nseed: \xff\n", "run {cfg}",
+             cli.EXIT_CONFIG, {"stderr": "^error: config: cannot read .*"
+                                         "'utf-8' codec can't decode"}),
+    contract("environment-not-convex", VORONOI4.replace(
+        "{rectangle: [2, 1]}",
+        "{vertices: [[0, 0], [2, 0], [1, 0.2], [2, 1], [0, 1]]}"),
+        "run {cfg}", cli.EXIT_CONFIG,
+        {"stderr": "^error: environment.vertices: polygon is not convex$"}),
+    contract("environment-empty", "environment: {}\nn: 2\n", "run {cfg}",
+             cli.EXIT_CONFIG, {"stderr": "^error: environment: needs "
+                                         "rectangle or vertices$"}),
+    contract("density-kind-unknown", VORONOI4 + "density: {kind: bogus}\n",
+             "run {cfg}", cli.EXIT_CONFIG,
+             {"stderr": "^error: density.kind: unknown kind 'bogus'$"}),
+    contract("cuts-empty-strip", STRIP3.replace("[0.6, 1.9]", "[1, 1]"),
+             "run {cfg}", cli.EXIT_CONFIG,
+             {"stderr": r"^error: initial.cuts: empty strip \[1.0, 1.0\]$"}),
+    contract("initial-kind-unknown", VORONOI4.replace(
+        "random_voronoi", "bogus"), "run {cfg}", cli.EXIT_CONFIG,
+        {"stderr": "^error: initial.kind: unknown kind 'bogus'$"}),
+    contract("sequence-empty", VORONOI4 + "scheduler: {kind: periodic, "
+             "sequence: []}\n", "run {cfg}", cli.EXIT_CONFIG,
+             {"stderr": "^error: scheduler.sequence: periodic schedule "
+                        "needs at least one pair$"}),
+    contract("scheduler-kind-unknown", VORONOI4 + "scheduler: {kind: bogus}\n",
+             "run {cfg}", cli.EXIT_CONFIG,
+             {"stderr": "^error: scheduler.kind: unknown kind 'bogus'$"}),
+    contract("polar-mode-unknown", VORONOI4 + "algorithm: {kind: polar, "
+             "mode: bogus, steps: 2, rho0: 1.5}\n", "run {cfg}",
+             cli.EXIT_CONFIG,
+             {"stderr": "^error: algorithm.mode: unknown mode 'bogus'$"}),
+    # the run is made before its directory; a file stands in the way
+    contract("out-cannot-be-created", VORONOI4 + "budget: 1\n",
+             "run {cfg} --out {cfg}/sub", cli.EXIT_CONFIG,
+             {"stderr": "^error: out: cannot create .*Not a directory"}),
+    contract("batch-zero", VORONOI4, "run {cfg} --batch 0", cli.EXIT_CONFIG,
+             {"stderr": "^error: batch: needs at least one run$"}),
+    contract("compare-no-algos", VORONOI4, 'compare {cfg} --algos ","',
+             cli.EXIT_CONFIG,
+             {"stderr": "^error: algos: empty algorithm list$"}),
+    contract("compare-polar", None, "compare polar-switching --algos gossip",
+             cli.EXIT_CONFIG, {"stderr": "^error: algorithm.kind: polar runs "
+                                         "draw no partition to compare from$"}),
     # exit 3: a refused fused hull ends the run with its partial trace
     contract("refused-fused-hull", FAR_RECT6, "run {cfg}",
              cli.EXIT_DEGENERATE,
@@ -301,8 +353,8 @@ CONTRACTS = [
 def test_contract(tmp_path, capsys, c):
     out = tmp_path / "out"
     cfg = None if c.config is None else write_cfg(tmp_path, c.config)
-    argv = shlex.split(c.argv.format(cfg=cfg))
-    if argv[0] != "presets":
+    argv = shlex.split(c.argv.format(cfg=cfg, tmp=tmp_path))
+    if argv[0] != "presets" and "--out" not in argv:
         argv += ["--out", str(out)]
     # main returns the code: a traceback would fail the row here
     assert cli.main(argv) == c.code

@@ -841,3 +841,44 @@ def test_environment_diameter_matches_polygon_diameter():
     env = environment([[0, 0], [3, 0], [3.5, 1], [1, 2], [-0.5, 1]])
     for _ in range(2):  # computed once, then read back
         assert env.diameter == geo.diameter(env.polygon)
+
+
+# ---------------------------------------------------------------------------
+# refusals: degenerate input raises a typed error naming the fault
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: HalfPlane((0.0, 0.0), 1.0), ValueError,
+     "half-plane normal must be nonzero"),
+    (lambda: ConvexPolygon([[0, 0, 0], [1, 0, 0], [1, 1, 0]]), ValueError,
+     r"vertices must have shape \(n, 2\)"),
+    (lambda: ConvexPolygon([[0, 0], [1, 0], [2, 0]]), ValueError,
+     "polygon has no area"),
+    (lambda: geo.UniformDensity(0.0), ValueError, "density must be positive"),
+    (lambda: geo.GridDensity(0, 0, 1, 1, [[1, 2]]), ValueError,
+     "grid needs at least 2x2 samples"),
+    (lambda: geo.GridDensity(0, 0, 0, 1, [[1, 2], [3, 4]]), ValueError,
+     "empty grid extent"),
+    (lambda: interior_distance(Region(()), region_of(UNIT_SQUARE.vertices)),
+     geo.EmptyRegion, "interior distance needs nonempty regions"),
+    (lambda: geo.hausdorff_distance(Region(()),
+                                    region_of(UNIT_SQUARE.vertices)),
+     geo.EmptyRegion, "hausdorff distance needs nonempty regions"),
+    (lambda: geo.diameter(Region(())), geo.EmptyRegion,
+     "diameter of an empty region"),
+    (lambda: geo.centroid(Region(()), geo.UniformDensity(),
+                          geo.quadratic_performance()),
+     geo.EmptyRegion, "centroid of an empty region"),
+    (lambda: geo.centroid(Region(()), geo.UniformDensity(),
+                          geo.linear_performance()),
+     geo.EmptyRegion, "centroid of an empty region"),
+    (lambda: region_of(UNIT_SQUARE.vertices,
+                       square(0.5, 0.0, 1.0).vertices).validate(1e-12),
+     geo.GeometryError, "pieces overlap with area 5.000e-01"),
+], ids=["halfplane-zero-normal", "polygon-bad-shape", "polygon-no-area",
+        "uniform-density-zero", "grid-one-row", "grid-empty-extent",
+        "interior-distance-empty", "hausdorff-distance-empty",
+        "diameter-empty", "centroid-empty-quadratic", "centroid-empty-linear",
+        "region-pieces-overlap"])
+def test_geometry_refuses_degenerate_input(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()

@@ -82,6 +82,38 @@ def test_step_on_same_index_rejected():
         gp.gossip_step(part, 1, 1, DENS, QUAD)
 
 
+@pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "n"])
+@pytest.mark.parametrize("call", [
+    lambda p, i, j: gp.gossip_step(p, i, j, DENS, QUAD),
+    lambda p, i, j: gp.partial_gossip_step(p, i, j, 0.2, DENS, QUAD),
+    lambda p, i, j: gp.trade_fraction(p, i, j, 0.2, DENS, QUAD)],
+    ids=["full", "partial", "fraction"])
+def test_pair_index_outside_the_partition_is_refused(call, bad):
+    # index -1 would trade region 3 and report the pair as (0, -1); index
+    # n would raise numpy's IndexError from deep inside the exchange
+    part = strips(pt.rectangle(4.0, 1.0), [1.0, 2.0, 3.0])
+    for i, j in ((0, bad), (bad, 0)):
+        with pytest.raises(ValueError, match="not in range for 4 regions"):
+            call(part, i, j)
+    assert not part.exchange_cache
+
+
+def test_coincident_centroids_are_a_no_op():
+    # [0, 1] u [2, 3] against [1, 2]: both centroids are exactly (1.5,
+    # 0.5), so the pair has no bisector and neither map trades
+    env = pt.rectangle(3.0, 1.0)
+    part = Partition(env, (
+        region_of([[0, 0], [1, 0], [1, 1], [0, 1]],
+                  [[2, 0], [3, 0], [3, 1], [2, 1]]),
+        region_of([[1, 0], [2, 0], [2, 1], [1, 1]])))
+    cs = pt.centroids(part, DENS, QUAD)
+    assert cs[0].tolist() == cs[1].tolist() == [1.5, 0.5]
+    out = gp.gossip_step(part, 0, 1, DENS, QUAD)
+    assert not out.changed and out.partition is part
+    assert out.traded_area == 0.0 and out.h_after == out.h_before
+    assert gp.trade_fraction(part, 0, 1, 0.2, DENS, QUAD) == 0.0
+
+
 def test_monotone_cost_seeded_sweep():
     # quadratic kernel: the quadrature is exact, so monotonicity holds to
     # rounding and a strict drop must follow any non-trivial trade
@@ -577,6 +609,12 @@ def test_residual_modes_agree_on_adjacent_partition():
                                   delta=0.1)
     # non-adjacent pair (0, 2) cannot trade anyway in a strip layout
     assert adj == pytest.approx(full, rel=1e-9)
+
+
+def test_residual_refuses_an_unknown_mode():
+    part = strips(pt.rectangle(2.0, 1.0), [0.8])
+    with pytest.raises(ValueError, match="^unknown residual mode 'bogus'$"):
+        gp.fixed_point_residual(part, DENS, QUAD, mode="bogus")
 
 
 @pytest.mark.parametrize("delta", [None, 0.0, -0.1, float("nan")])

@@ -635,22 +635,12 @@ def test_descent_onto_a_quadrature_point_takes_the_masked_offsets(
     # it there (a unit offset of 1 / 0 would fail), and the points must
     # change neither its path nor its bits
     lin = geo.linear_performance()
-    armijo = geo._armijo
     builds = [(owner, name, getattr(owner, name)) for owner, name in
               [(geo, "_quadrature"), (oracles, "quadrature_ref")]]
     for region in oracles.seeded_multi_piece_regions(47, 4):
-        path = [tuple(geo._mass_centroid(region, dens, 1).tolist())]
-
-        def recorded(fc, fx, g0, g1, m0, m1):
-            accepted = armijo(fc, fx, g0, g1, m0, m1)
-            if accepted:
-                path.append((path[-1][0] + m0, path[-1][1] + m1))
-            return accepted
-
-        monkeypatch.setattr(geo, "_armijo", recorded)
+        path = oracles.centroid_path_ref(region, dens, lin)
         c, cost = geo._centroid_and_cost(region, dens, lin, None)
-        monkeypatch.setattr(geo, "_armijo", armijo)
-        assert same(np.array(path[-1]), c)  # the path is the iterates
+        assert same(path[-1], c)  # the reference ends where the descent does
         stops = np.array([path[1], path[len(path) // 2], path[-1]])
         for owner, name, quadrature in builds:
 
@@ -662,7 +652,8 @@ def test_descent_onto_a_quadrature_point_takes_the_masked_offsets(
             monkeypatch.setattr(owner, name, with_stops)
         got, got_cost = geo._centroid_and_cost(region, dens, lin, None)
         assert same(got, c) and bits(got_cost) == bits(cost)
-        assert same(got, oracles.centroid_ref(region, dens, lin))
+        stopped = oracles.centroid_path_ref(region, dens, lin)
+        assert all(same(a, b) for a, b in zip(stopped, path, strict=True))
         for owner, name, quadrature in builds:
             monkeypatch.setattr(owner, name, quadrature)
 
@@ -702,64 +693,6 @@ def test_linear_centroids_along_round_robin_runs_are_pinned(monkeypatch):
     assert len(entries) == 238
     assert hashlib.sha256(b"".join(entries)).hexdigest() == (
         "a3bcb28b0ffff2896cf02031766ffe25079ad73ef38764e418caeb221540a2f9")
-
-
-# ---------------------------------------------------------------------------
-# the descent's exact filters
-
-# every kind of float a filter can meet: zeros, subnormals, huge values,
-# infinities and NaN
-ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-     1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
-     math.nan]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT,
-       st.one_of(st.just(1.0), st.floats(min_value=0.0, exclude_min=True)))
-def test_hypot_filter_decides_as_hypot(a, b, t, k):
-    with np.errstate(over="ignore"):  # huge legs overflow, as they may
-        assert geo._hypot_below(a, b, t, k) == (float(np.hypot(a, b)) * k
-                                                < t)
-
-
-@settings(max_examples=300, deadline=None)
-@given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
-def test_armijo_filter_decides_as_the_dot(fc, fx, g0, g1, m0, m1):
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = fc <= fx + 1e-4 * float(np.array([g0, g1])
-                                       @ np.array([m0, m1]))
-        assert geo._armijo(fc, fx, g0, g1, m0, m1) == want
-
-
-def test_armijo_filter_falls_back_to_the_dot_on_near_ties(monkeypatch):
-    # fc at the threshold the dot sets or one ulp off it, with fx of the
-    # dot term's size, so that the bound cannot decide an exact tie: each
-    # tie runs the np.dot fallback, and every answer is g @ move's
-    dot, dots = np.dot, []
-
-    def counted(*args):
-        dots.append(args)
-        return dot(*args)
-
-    monkeypatch.setattr(np, "dot", counted)
-    rng = np.random.default_rng(43)
-    ties = fell_back = 0
-    for _ in range(400):
-        g0, g1 = rng.normal(size=2).tolist()
-        m0, m1 = (rng.normal(size=2) * 10.0 ** rng.uniform(-9, 0)).tolist()
-        term = 1e-4 * float(np.array([g0, g1]) @ np.array([m0, m1]))
-        for fx in (0.0, float(rng.uniform(-3, 3)) * abs(term)):
-            at = fx + term
-            for fc in (at, np.nextafter(at, -math.inf),
-                       np.nextafter(at, math.inf)):
-                fc = float(fc)
-                before = len(dots)
-                assert geo._armijo(fc, fx, g0, g1, m0, m1) == (fc <= at)
-                ties += fc == at
-                fell_back += fc == at and len(dots) > before
-    assert fell_back == ties == 800
 
 
 # ---------------------------------------------------------------------------

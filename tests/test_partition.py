@@ -561,6 +561,35 @@ def test_degeneracy_report_fields():
 
 
 # ---------------------------------------------------------------------------
+# refusals
+
+def two_cells():
+    return pt.voronoi(strip_env(), [[0.5, 0.5], [1.5, 0.5]])
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Partition(strip_env(), ()), geo.EmptyRegion,
+     "partition needs at least one region"),
+    (lambda: pt.check_points(strip_env(), np.zeros((2, 3))),
+     pt.DimensionMismatch, r"points must have shape \(n, 2\)"),
+    (lambda: pt.multicenter_cost(two_cells(), [[0.5, 0.5]], DENS, QUAD),
+     pt.DimensionMismatch, "1 points for 2 regions"),
+    (lambda: pt.partition_distance(two_cells(), pt.voronoi(
+        strip_env(), [[0.5, 0.5], [1.5, 0.5], [1.0, 0.2]])),
+     pt.DimensionMismatch, "2 regions vs 3"),
+    # the areas still add up to the environment's, so only validate sees it
+    (lambda: Partition(strip_env(), (
+        region_of([[-0.5, 0], [1, 0], [1, 1], [-0.5, 1]]),
+        region_of([[1, 0], [1.5, 0], [1.5, 1], [1, 1]]))).validate(),
+     geo.GeometryError, "region 0 leaves the environment"),
+], ids=["no-regions", "points-3d", "cost-count-mismatch",
+        "distance-count-mismatch", "region-leaves-environment"])
+def test_partition_refuses_degenerate_input(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
+
+
+# ---------------------------------------------------------------------------
 # snapshots
 
 def test_snapshot_roundtrip():
@@ -574,6 +603,39 @@ def test_snapshot_roundtrip():
     assert step == 137
     assert loaded.n == part.n
     assert pt.partition_distance(part, loaded) <= part.n * env.tol_area
+
+
+def two_region_snapshot() -> list:
+    buf = io.StringIO()
+    pt.write_snapshot(strips(strip_env(), [1.0]), buf, step=12)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def test_truncated_snapshot_names_what_it_lacks():
+    # every proper prefix of a written snapshot, line by line, from no
+    # line at all to the last piece missing
+    lines = two_region_snapshot()
+    assert len(lines) == 8
+    wants = ["not a partition snapshot", *(
+        f"snapshot ends before its {what} line" for what in
+        ("step", "regions", "environment", "region 0", "region 0 piece",
+         "region 1", "region 1 piece"))]
+    for k, want in enumerate(wants):
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            pt.read_snapshot(io.StringIO("".join(lines[:k])))
+    loaded, step = pt.read_snapshot(io.StringIO("".join(lines)))
+    assert (loaded.n, step) == (2, 12)
+
+
+@pytest.mark.parametrize("k, cut, what", [(1, "step", "step"),
+                                          (4, "region 0 pieces", "region 0"),
+                                          (6, "region 1", "region 1")])
+def test_snapshot_line_without_its_number_is_refused(k, cut, what):
+    lines = two_region_snapshot()
+    lines[k] = cut + "\n"
+    with pytest.raises(ValueError, match=f"^snapshot {what} line lacks its "
+                                         "number$"):
+        pt.read_snapshot(io.StringIO("".join(lines)))
 
 
 def rect6_run(perf, scheduler, steps, seed=0):
