@@ -8,6 +8,7 @@ toward its far boundary, so only a boundary slab changes owner.
 """
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -39,27 +40,6 @@ def check_delta(env: pt.Environment, delta: float) -> float:
         raise ValueError(
             f"delta must lie in (0, diameter/10 = {env.diameter / 10.0:.6g}]")
     return float(delta)
-
-
-def _trade_bound(partition: Partition, i: int, j: int, hp) -> float:
-    """Upper bound on the area the pair's split at hp can trade.
-
-    What the split hands from region i to j lies between the bisector
-    and region i's farthest vertex past it, widened by the snap within
-    which the split treats a vertex as on the line, and within region
-    i's vertex span along the line; likewise for region j on the other
-    side. The bound is the two rectangles' area. It orders and stops
-    the fixed-point residual's splits.
-    """
-    env = partition.env
-    line = np.array([-hp.normal[1], hp.normal[0]])
-    bound = 0.0
-    for k, sign in ((i, 1.0), (j, -1.0)):
-        v = partition.regions[k].vertices
-        over = float((sign * (v @ hp.normal - hp.offset)).max())
-        along = v @ line
-        bound += (max(over, 0.0) + env.snap) * float(along.max() - along.min())
-    return bound
 
 
 _new_tuple = tuple.__new__
@@ -107,10 +87,13 @@ def _fraction(partition: Partition, i: int, j: int, delta: float | None,
 
 def _check_pair(partition: Partition, i: int, j: int) -> None:
     """Refuses a pair that is not two distinct regions of the partition:
-    a negative index would otherwise alias a region from the end."""
-    if i not in range(partition.n) or j not in range(partition.n):
+    a negative index would otherwise alias a region from the end, and a
+    float one would pass the range test and fail in numpy's indexing,
+    so operator.index refuses every non-integer with TypeError."""
+    n = partition.n
+    if operator.index(i) not in range(n) or operator.index(j) not in range(n):
         raise ValueError(
-            f"pair ({i}, {j}) is not in range for {partition.n} regions")
+            f"pair ({i}, {j}) is not in range for {n} regions")
     if i == j:
         raise ValueError("pair indices must differ")
 
@@ -206,18 +189,15 @@ def fixed_point_residual(partition: Partition, density: Density,
     A pair's movement is the sum of its two regions' symmetric
     differences to their split by the centroid bisector, which is
     exactly twice the area the split trades; only the handed-over parts
-    are built to measure it. mode "full" checks every pair; "adjacent"
-    only pairs whose interiors come within delta. Pairs whose centroids
-    coincide within tol_point have no bisector and are skipped.
+    are built to measure it. A pair whose centroids coincide within
+    tol_point has no bisector and moves 0.0. mode "full" checks every
+    pair; "adjacent" only pairs whose interiors come within delta.
     is_mixed_centroidal is this residual, in mode "full", held to a
     threshold.
 
-    Pairs are split in decreasing order of their trade bound, and the
-    visit stops once twice the bound cannot beat the largest movement
-    found: the result is the maximum over the same exact splits. A pair
-    with each region on its own side of its bisector has a bound of only
-    snap times the regions' spans along it, so the stop drops it once any
-    pair has moved more; split anyway, it trades exactly 0.
+    Each pair's movement is kept in the partition's movement_cache, and
+    an exchange's successor keeps those of the pairs it left alone, so
+    only the pairs missing from the memo are split.
     """
     env = partition.env
     if mode == "adjacent":
@@ -227,18 +207,17 @@ def fixed_point_residual(partition: Partition, density: Density,
     else:
         raise ValueError(f"unknown residual mode {mode!r}")
     cs = pt.centroids(partition, density, perf)
-    bounded = []
-    for i, j in pairs:
-        if float(np.hypot(*(cs[i] - cs[j]))) <= env.tol_point:
-            continue
-        hp = geo.bisector_halfplane(cs[i], cs[j])
-        bounded.append((_trade_bound(partition, i, j, hp), i, j, hp))
-    bounded.sort(key=lambda b: b[0], reverse=True)
+    moved = partition.movement_cache.setdefault((density, perf), {})
     worst = 0.0
-    for bound, i, j, hp in bounded:
-        if 2.0 * bound <= worst:
-            break
-        worst = max(worst, 2.0 * pt.traded_area(partition, i, j, hp, hp))
+    for i, j in pairs:
+        movement = moved.get((i, j))
+        if movement is None:
+            movement = 0.0
+            if float(np.hypot(*(cs[i] - cs[j]))) > env.tol_point:
+                hp = geo.bisector_halfplane(cs[i], cs[j])
+                movement = 2.0 * pt.traded_area(partition, i, j, hp, hp)
+            moved[i, j] = movement
+        worst = max(worst, movement)
     return worst
 
 

@@ -141,14 +141,17 @@ def rectangle(width: float, height: float) -> Environment:
 class Partition:
     """Regions tiling the environment, one per agent.
 
-    A partition never changes, so it keeps two plain memos of itself.
+    A partition never changes, so it keeps three plain memos of itself.
     exchange_cache holds the cost before each pairwise exchange found
     to be a no-op on it (filled by gossip's exchange, keyed by
     (i, j, delta, density, perf), or (i, j, density, perf) for the full
-    exchange). adjacency_cache maps delta to
-    {(i, j): bool}, whether regions i and j come within delta (filled
-    by adjacency_pairs); replace(i, j, ...) hands the successor a copy
-    of the entries whose pair involves neither i nor j.
+    exchange). adjacency_cache maps delta to {(i, j): bool}, whether
+    regions i and j come within delta (filled by adjacency_pairs).
+    movement_cache maps (density, perf) to {(i, j): movement}, twice the
+    area the pair's centroid bisector split trades (filled by gossip's
+    fixed_point_residual). replace(i, j, ...) hands the successor a copy
+    of the adjacency and movement entries whose pair involves neither i
+    nor j.
     """
 
     env: Environment
@@ -157,6 +160,8 @@ class Partition:
                                  repr=False, compare=False)
     adjacency_cache: dict = field(default_factory=dict, init=False,
                                   repr=False, compare=False)
+    movement_cache: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.regions) == 0:
@@ -188,10 +193,11 @@ class Partition:
         regs = list(self.regions)
         regs[i], regs[j] = ri, rj
         new = Partition(self.env, tuple(regs))
-        for delta, near in self.adjacency_cache.items():
-            new.adjacency_cache[delta] = {
-                pair: v for pair, v in near.items()
-                if i not in pair and j not in pair}
+        for memo, carried in ((self.adjacency_cache, new.adjacency_cache),
+                              (self.movement_cache, new.movement_cache)):
+            for key, known in memo.items():
+                carried[key] = {pair: v for pair, v in known.items()
+                                if i not in pair and j not in pair}
         return new
 
     def validate(self) -> "Partition":
@@ -448,11 +454,16 @@ def _parse_ring(tokens) -> np.ndarray:
 
 def read_snapshot(path_or_file) -> tuple[Partition, int]:
     """The partition and step write_snapshot wrote. A file that is not a
-    snapshot, or one cut short, raises ValueError naming what it lacks."""
+    snapshot, or one cut short, raises ValueError naming what it lacks;
+    every line written ends in a newline, so text that does not was cut
+    inside its last line."""
     with _opened(path_or_file, "r") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+        text = f.read()
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
     if not lines or lines[0] != _MAGIC:
         raise ValueError("not a partition snapshot")
+    if not text.endswith("\n"):
+        raise ValueError("snapshot ends inside its last line")
     rows = iter(lines[1:])
 
     def row(what: str) -> list:

@@ -623,6 +623,22 @@ def on_own_sides(partition, i: int, j: int, ci, cj) -> bool:
     return float(di.max()) <= snap and float(dj.min()) >= -snap
 
 
+def _rectangle_bound(partition, i: int, j: int, hp) -> float:
+    """Upper bound on the area the pair's split at hp can trade: region
+    i's part past the line lies in a rectangle as deep as its farthest
+    vertex past it plus snap, and as long as its vertex span along it;
+    likewise region j's on the other side. The two rectangles' area."""
+    line = np.array([-hp.normal[1], hp.normal[0]])
+    bound = 0.0
+    for k, sign in ((i, 1.0), (j, -1.0)):
+        v = partition.regions[k].vertices
+        over = float((sign * (v @ hp.normal - hp.offset)).max())
+        along = v @ line
+        bound += ((max(over, 0.0) + partition.env.snap)
+                  * float(along.max() - along.min()))
+    return bound
+
+
 def exchange_ref(partition, i: int, j: int, delta, density,
                  perf) -> tuple[gp.StepOutcome, str]:
     """The pairwise exchange as it was before the split alone decided a
@@ -646,7 +662,7 @@ def exchange_ref(partition, i: int, j: int, delta, density,
     if on_own_sides(partition, i, j, cs[i], cs[j]):
         return unchanged("own sides")
     hp = geo.bisector_halfplane(cs[i], cs[j])
-    if gp._trade_bound(partition, i, j, hp) <= env.tol_area:
+    if _rectangle_bound(partition, i, j, hp) <= env.tol_area:
         return unchanged("bound")
     hp_i = hp_j = hp
     if beta < 1.0:

@@ -151,7 +151,10 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (geometry.HalfPlane, "contains"),
         # one ring dedupe, whatever form the ring comes in; a fraction
         # is clamped where it is computed
-        (geometry, "_ring_array"), (gossip, "_sat")]
+        (geometry, "_ring_array"), (gossip, "_sat"),
+        # the residual reads each pair's movement from the partition's
+        # memo: no bound orders or stops its splits
+        (gossip, "_trade_bound")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,

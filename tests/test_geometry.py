@@ -444,9 +444,12 @@ def test_regions_within_keys_answers_by_delta(monkeypatch):
     # other, and every vertex is far from the other's edges
     (region_of([[-5, -0.2], [5, 0], [-5, 0.2]]),
      region_of([[-0.2, -5], [0.2, -5], [0, 5]])),
+    # [0,3]x[1,2] across [1,2]x[0,3]: every vertex 1 from the other's edges
+    (region_of([[0, 1], [3, 1], [3, 2], [0, 2]]),
+     region_of([[1, 0], [2, 0], [2, 3], [1, 3]])),
     # a piece strictly inside another
     (Region((square(0, 0, 4),)), Region((square(1, 1, 1),))),
-], ids=["crossing", "nested"])
+], ids=["crossing", "crossing-rectangles", "nested"])
 def test_pieces_that_meet_are_at_distance_zero(a, b, monkeypatch):
     assert geo._vertex_edge_distance(a, b) > 0.5
     assert not geo._share_seam_vertex(a, b)

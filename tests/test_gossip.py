@@ -98,6 +98,26 @@ def test_pair_index_outside_the_partition_is_refused(call, bad):
     assert not part.exchange_cache
 
 
+@pytest.mark.parametrize("bad", [1.0, np.float64(1), "1"],
+                         ids=["float", "numpy-float", "str"])
+@pytest.mark.parametrize("call", [
+    lambda p, i, j: gp.gossip_step(p, i, j, DENS, QUAD),
+    lambda p, i, j: gp.partial_gossip_step(p, i, j, 0.2, DENS, QUAD),
+    lambda p, i, j: gp.trade_fraction(p, i, j, 0.2, DENS, QUAD)],
+    ids=["full", "partial", "fraction"])
+def test_non_integer_pair_index_is_refused(call, bad):
+    # 1.0 in range(4) holds, so a float index would pass the range test
+    # and fail in numpy's indexing; operator.index refuses it first
+    part = strips(pt.rectangle(4.0, 1.0), [1.0, 2.0, 3.0])
+    for i, j in ((0, bad), (bad, 0)):
+        with pytest.raises(TypeError):
+            call(part, i, j)
+    assert not part.exchange_cache
+    # numpy integers are indices
+    out = gp.gossip_step(part, np.int64(0), np.int64(1), DENS, QUAD)
+    assert out.pair == (0, 1) and out.partition is part
+
+
 def test_coincident_centroids_are_a_no_op():
     # [0, 1] u [2, 3] against [1, 2]: both centroids are exactly (1.5,
     # 0.5), so the pair has no bisector and neither map trades
@@ -662,19 +682,19 @@ def test_residual_by_bound_matches_all_pairs_loop(seed, monkeypatch):
     traded_area = pt.traded_area
     monkeypatch.setattr(pt, "traded_area",
                         lambda *a: splits.append(a[1:3]) or traded_area(*a))
-    full_splits = candidates = 0
+    modes = (("full", None), ("adjacent", 1e-9), ("adjacent", 0.5))
     for part in parts:
         env = part.env
         for perf in (QUAD, LIN):
-            for mode, delta in (("full", None), ("adjacent", 1e-9),
-                                ("adjacent", 0.5)):
-                splits.clear()
+            for mode, delta in modes:
                 assert gp.fixed_point_residual(part, DENS, perf, mode, delta) \
                     == oracles.fixed_point_residual_ref(part, DENS, perf,
                                                         mode, delta)
-                if mode == "full":
-                    full_splits += len(splits)
-            # the early stop's soundness: no split trades more than its bound
+            # every pair's movement is in the memo now
+            splits.clear()
+            for mode, delta in modes:
+                gp.fixed_point_residual(part, DENS, perf, mode, delta)
+            assert splits == []
             cs = pt.centroids(part, DENS, perf)
             for i, j in sw.all_pairs(part.n):
                 if float(np.hypot(*(cs[i] - cs[j]))) <= env.tol_point:
@@ -684,14 +704,19 @@ def test_residual_by_bound_matches_all_pairs_loop(seed, monkeypatch):
                 # the residual's one-sided split sums the same parts
                 assert float(traded_area(part, i, j, hp, hp)).hex() == \
                     float(traded).hex()
-                assert traded <= gp._trade_bound(part, i, j, hp)
                 if oracles.on_own_sides(part, i, j, cs[i], cs[j]):
                     assert traded == 0.0
-                else:
-                    candidates += 1
-    # split in index order, the full-mode residual would cut every pair;
-    # the bound skipped more splits than there are pairs on own sides
-    assert 0 < full_splits < candidates
+            # the pair that moves most changes the partition; its
+            # successor splits only the pairs of the two changed regions
+            moved = part.movement_cache[DENS, perf]
+            i, j = max(moved, key=moved.get)
+            nxt = gp.gossip_step(part, i, j, DENS, perf).partition
+            assert nxt is not part
+            splits.clear()
+            assert gp.fixed_point_residual(nxt, DENS, perf) == \
+                oracles.fixed_point_residual_ref(nxt, DENS, perf)
+            assert splits == [p for p in sw.all_pairs(nxt.n)
+                              if i in p or j in p]
 
 
 def test_mixed_centroidal_is_the_residual_threshold():

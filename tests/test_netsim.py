@@ -842,7 +842,8 @@ def test_write_comm_log_roundtrip():
     assert any(ln.startswith("# termination horizon") for ln in lines)
     k = next(i for i, ln in enumerate(lines) if ln.startswith("# termination"))
     assert len([ln for ln in lines[1:k]]) == len(trace.events)
-    part, _ = pt.read_snapshot(io.StringIO("\n".join(lines[k + 1:])))
+    part, _ = pt.read_snapshot(io.StringIO(
+        "".join(ln + "\n" for ln in lines[k + 1:])))
     assert pt.partition_distance(part, trace.final) <= 2 * env.tol_area
 
 

@@ -437,6 +437,7 @@ ADJACENCY_DELTAS = (1e-9, 1e-3, 0.5)
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_adjacency_memo_carries_only_untouched_pairs(seed):
+    # the residual's movement memo is carried by the same rule
     env = pt.rectangle(2.0, 1.0)
     rng = np.random.default_rng(seed)
     part = pt.voronoi(env, rng.uniform([0.05, 0.05], [1.95, 0.95], (6, 2)))
@@ -445,17 +446,19 @@ def test_adjacency_memo_carries_only_untouched_pairs(seed):
     for t in range(150):
         for delta in ADJACENCY_DELTAS:
             pt.adjacency_pairs(part, delta)
+        gp.fixed_point_residual(part, DENS, QUAD)
         i, j = sched.select(t, part)
         nxt = gp.gossip_step(part, i, j, DENS, QUAD).partition
         if nxt is part:
             continue
         changed += 1
         assert nxt.adjacency_cache is not part.adjacency_cache
-        for delta in ADJACENCY_DELTAS:
-            carried = nxt.adjacency_cache[delta]
-            assert carried is not part.adjacency_cache[delta]
+        for memo, key in [*(("adjacency_cache", d) for d in ADJACENCY_DELTAS),
+                          ("movement_cache", (DENS, QUAD))]:
+            carried = getattr(nxt, memo)[key]
+            assert carried is not getattr(part, memo)[key]
             assert carried == {pair: v for pair, v
-                               in part.adjacency_cache[delta].items()
+                               in getattr(part, memo)[key].items()
                                if i not in pair and j not in pair}
         # a fresh partition of fresh regions: nothing comes from a memo
         fresh = Partition(env, tuple(Region(r.pieces) for r in nxt.regions))
@@ -465,6 +468,9 @@ def test_adjacency_memo_carries_only_untouched_pairs(seed):
             near = nxt.adjacency_cache[delta]
             assert len(near) == nxt.n * (nxt.n - 1) // 2
             assert all(type(v) is bool for v in near.values())
+        assert gp.fixed_point_residual(nxt, DENS, QUAD) == \
+            gp.fixed_point_residual(fresh, DENS, QUAD)
+        assert len(nxt.movement_cache[DENS, QUAD]) == nxt.n * (nxt.n - 1) // 2
         part = nxt
     assert changed > 100
     assert max(len(r.pieces) for r in part.regions) > 5
@@ -625,6 +631,15 @@ def test_truncated_snapshot_names_what_it_lacks():
             pt.read_snapshot(io.StringIO("".join(lines[:k])))
     loaded, step = pt.read_snapshot(io.StringIO("".join(lines)))
     assert (loaded.n, step) == (2, 12)
+
+
+def test_snapshot_cut_inside_a_line_is_refused():
+    # write_snapshot ends every line in a newline, so no proper prefix of
+    # its text, cut anywhere, loads or fails in the geometry
+    text = "".join(two_region_snapshot())
+    for k in range(len(text)):
+        with pytest.raises(ValueError):
+            pt.read_snapshot(io.StringIO(text[:k]))
 
 
 @pytest.mark.parametrize("k, cut, what", [(1, "step", "step"),

@@ -1,16 +1,16 @@
-"""Property tests (hypothesis) for the exchange's no-op rule and bound.
+"""Property tests (hypothesis) for the exchange's no-op rule and the residual.
 
 An exchange leaves the partition unchanged exactly when its split
 trades at most tol_area, and then hands back the very same partition.
-gossip._trade_bound orders and stops the fixed-point residual's splits,
-so no split may trade more than its bound. The distance-limited
-exchange never trades more than the full one on the same pair. A zero
-fixed-point residual holds exactly when the partition is pairwise
-balanced at tolerance 0. The closed-form quadratic cost equals the
-rational moments of the same float vertices after translation and
-scaling. A waypoint draw that netsim.random_destination accepts by its
-offset bound, with no distance test, is one the array-form draw's
-distance test accepts too.
+The fixed-point residual reads each pair's movement from a memo that an
+exchange carries to its successor, and stays the all-pairs loop's float
+along any run of both maps. The distance-limited exchange never trades
+more than the full one on the same pair. A zero fixed-point residual
+holds exactly when the partition is pairwise balanced at tolerance 0.
+The closed-form quadratic cost equals the rational moments of the same
+float vertices after translation and scaling. A waypoint draw that
+netsim.random_destination accepts by its offset bound, with no distance
+test, is one the array-form draw's distance test accepts too.
 """
 import math
 from fractions import Fraction
@@ -30,16 +30,11 @@ from gossipcover.partition import Partition
 DENS = geo.UniformDensity()
 QUAD = geo.quadratic_performance()
 
-# perturbations from below snap (1e-12 of the diameter) to far above the
-# hairline overshoots the bound is meant to catch (a few 1e-9)
+# seam offsets from below snap (1e-12 of the diameter) to far above a
+# hairline (a few 1e-9)
 EXPONENT = st.floats(-13.0, -6.0)
 UNIT = st.floats(-1.0, 1.0)
-NOISE = st.lists(st.tuples(UNIT, UNIT), min_size=10, max_size=10)
 DRAW = st.floats(0.0, 1.0, exclude_max=True)
-
-
-def trade_bound(part, i, j, ci, cj) -> float:
-    return gp._trade_bound(part, i, j, geo.bisector_halfplane(ci, cj))
 
 
 def strips(env, cuts):
@@ -51,88 +46,30 @@ def strips(env, cuts):
         for a, b in zip(xs, xs[1:])))
 
 
-def check_bound(part, points, noise, scale):
-    """Every pair at its points moved by noise * scale: the split trades
-    at most the bound, so a split the bound lets the residual skip is a
-    no-op."""
-    k = 0
-    for i in range(part.n):
-        for j in range(i + 1, part.n):
-            ci = points[i] + scale * np.array(noise[k % len(noise)])
-            cj = points[j] + scale * np.array(noise[(k + 1) % len(noise)])
-            k += 2
-            assert oracles.bisector_trade(part, i, j, ci, cj) <= \
-                trade_bound(part, i, j, ci, cj)
-
-
-@settings(max_examples=60, deadline=None)
-@given(cuts=st.lists(UNIT, min_size=1, max_size=3), cut_exp=EXPONENT,
-       noise=NOISE, noise_exp=EXPONENT)
-def test_bound_skips_only_no_op_splits_on_strips(cuts, cut_exp, noise,
-                                                 noise_exp):
-    # unit strips with seams moved off their centroidal positions
-    n = len(cuts) + 1
-    env = pt.rectangle(float(n), 1.0)
-    part = strips(env, [k + 1.0 + c * 10.0 ** cut_exp
-                        for k, c in enumerate(cuts)])
-    cs = pt.centroids(part, DENS, QUAD)
-    check_bound(part, cs, noise, 10.0 ** noise_exp)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if oracles.bisector_trade(part, i, j, cs[i], cs[j]) <= \
-                    env.tol_area:
-                for out in (gp.gossip_step(part, i, j, DENS, QUAD),
-                            gp.partial_gossip_step(part, i, j, 0.2, DENS,
-                                                   QUAD)):
-                    assert out.partition is part and not out.changed
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 5), noise=NOISE,
-       noise_exp=EXPONENT)
-def test_bound_skips_only_no_op_splits_on_voronoi(seed, n, noise, noise_exp):
-    # each pair's perturbed generators put the bisector near their seam
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 12),
+       steps=st.lists(st.tuples(st.integers(0, 2 ** 16), st.booleans()),
+                      min_size=1, max_size=8))
+def test_memoized_residual_is_the_all_pairs_loop(seed, n, steps):
+    # along a random run of both maps each partition's residual, in both
+    # modes, is the float of the all-pairs loop, whatever its memo carried
     env = pt.rectangle(2.0, 1.0)
-    rng = np.random.default_rng(seed)
-    points = rng.uniform([0.05, 0.05], [1.95, 0.95], size=(n, 2))
+    points = np.random.default_rng(seed).uniform([0.05, 0.05], [1.95, 0.95],
+                                                 size=(n, 2))
     part = pt.voronoi(env, points)
-    check_bound(part, points, noise, 10.0 ** noise_exp)
-
-
-def test_bound_skips_hairline_voronoi_pairs():
-    # the sweeps above are not vacuous: at 1e-10 noise the exact split
-    # test fails on adjacent Voronoi pairs, the bound holds them to
-    # tol_area, and the split they make trades a hairline
-    env = pt.rectangle(2.0, 1.0)
-    rng = np.random.default_rng(5)
-    points = rng.uniform([0.05, 0.05], [1.95, 0.95], size=(5, 2))
-    part = pt.voronoi(env, points)
-    moved = points + 1e-10 * rng.uniform(-1.0, 1.0, size=points.shape)
-    caught = [(i, j) for i in range(part.n) for j in range(i + 1, part.n)
-              if not oracles.on_own_sides(part, i, j, moved[i], moved[j])
-              and trade_bound(part, i, j, moved[i], moved[j]) <= env.tol_area]
-    assert len(caught) >= 2
-    for i, j in caught:
-        traded = oracles.bisector_trade(part, i, j, moved[i], moved[j])
-        assert 0.0 < traded <= env.tol_area
-
-
-def test_bound_counts_the_snap_band():
-    # a thin piece of region 0 reaches from snap/2 before the bisector
-    # x = 1 to tol_area - snap/4 past it; the split snaps its near side
-    # onto the line and hands over the whole piece, which is more than
-    # tol_area, so the bound must count the snap band to hold
-    env = pt.rectangle(2.0, 1.0)
-    snap, tol = env.snap, env.tol_area
-    near, far = 1.0 - snap / 2.0, 1.0 + tol - snap / 4.0
-    part = Partition(env, (
-        region_of([[0, 0], [near, 0], [near, 1], [0, 1]],
-                  [[near, 0], [far, 0], [far, 1], [near, 1]]),
-        region_of([[far, 0], [2, 0], [2, 1], [far, 1]])))
-    ci, cj = np.array([0.5, 0.5]), np.array([1.5, 0.5])
-    assert not oracles.on_own_sides(part, 0, 1, ci, cj)
-    traded = oracles.bisector_trade(part, 0, 1, ci, cj)
-    assert tol < traded <= trade_bound(part, 0, 1, ci, cj)
+    pairs = pt.all_pairs(n)
+    for step in [None, *steps]:
+        if step is not None:
+            draw, full = step
+            i, j = pairs[draw % len(pairs)]
+            part = (gp.gossip_step(part, i, j, DENS, QUAD) if full else
+                    gp.partial_gossip_step(part, i, j, 0.2, DENS,
+                                           QUAD)).partition
+        for mode, delta in (("full", None), ("adjacent", 1e-9)):
+            got = gp.fixed_point_residual(part, DENS, QUAD, mode, delta)
+            want = oracles.fixed_point_residual_ref(part, DENS, QUAD, mode,
+                                                    delta)
+            assert got.hex() == want.hex()
 
 
 @settings(max_examples=30, deadline=None)

@@ -214,7 +214,8 @@ def test_trace_serialization():
     assert float(row0[3]) == trace.steps[0].h
     # the embedded snapshot round-trips to the final partition
     k = next(i for i, ln in enumerate(lines) if ln.startswith("# termination"))
-    part, _step = pt.read_snapshot(io.StringIO("\n".join(lines[k + 1:])))
+    part, _step = pt.read_snapshot(io.StringIO(
+        "".join(ln + "\n" for ln in lines[k + 1:])))
     assert pt.partition_distance(part, trace.final) <= \
         2 * trace.final.env.tol_area
 
