@@ -45,23 +45,19 @@ def check_delta(env: pt.Environment, delta: float) -> float:
 _new_tuple = tuple.__new__
 
 
-def _unchanged(partition: Partition, i: int, j: int,
-               h: float) -> StepOutcome:
-    """The no-op outcome at cost h, built by tuple.__new__: the named
-    tuple's own __new__ is a Python-level call, and a memoized contact
-    pays for little else."""
-    return _new_tuple(StepOutcome, (partition, False, (i, j), h, h, 0.0))
-
-
 def gossip_step(partition: Partition, i: int, j: int, density: Density,
                 perf: PerformanceFunction) -> StepOutcome:
     """Full pairwise exchange: split the union by the centroid bisector.
 
-    A no-op found before on this partition returns from its memo entry.
+    A pair_cache movement at most 2 tol_area answers a no-op before any
+    centroid or split; a non-integer index is refused first (1.0 == 1).
     """
-    h = partition.exchange_cache.get((i, j, density, perf))
-    if h is not None:
-        return _unchanged(partition, i, j, h)
+    if type(i) is not int or type(j) is not int:
+        _check_pair(partition, i, j)
+    movement = partition.pair_cache.get((i, j), {}).get((density, perf))
+    if movement is not None and movement <= 2.0 * partition.env.tol_area:
+        h = pt.centroid_cost(partition, density, perf)
+        return StepOutcome(partition, False, (i, j), h, h, 0.0)
     return _exchange(partition, i, j, None, density, perf)
 
 
@@ -117,11 +113,15 @@ def partial_gossip_step(partition: Partition, i: int, j: int, delta: float,
     The memo is looked up first, so a repeated no-op costs one lookup:
     only a checked pair and delta are ever stored in a key, so a hit
     proves them valid, and a bad index, NaN, a str or an out-of-range
-    delta never hits.
+    delta never hits, nor, refused first, a non-integer index.
     """
+    if type(i) is not int or type(j) is not int:
+        _check_pair(partition, i, j)
     h = partition.exchange_cache.get((i, j, delta, density, perf))
     if h is not None:
-        return _unchanged(partition, i, j, h)
+        # tuple.__new__ skips the named tuple's Python-level __new__: a
+        # memoized contact pays for little else
+        return _new_tuple(StepOutcome, (partition, False, (i, j), h, h, 0.0))
     return _exchange(partition, i, j, check_delta(partition.env, delta),
                      density, perf)
 
@@ -136,20 +136,18 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
     partition comes back unchanged exactly when beta is 0 or the split
     trades at most tol_area.
 
-    The exchange is a map of the partition, so a no-op found once is
-    stored in the partition's exchange_cache; both maps look their key
-    up before they call here, so a repeat returns before any centroid
-    or split. Only the cost before is stored, a float: an outcome would
-    refer back to its own partition, and a changed one would chain each
-    successor to its predecessor. The full exchange's key has no delta
-    slot, so no partial_gossip_step lookup, whatever its delta, can
-    meet it.
+    A no-op is stored as a float, which both maps look up first: the
+    distance-limited one's cost before in exchange_cache, the full
+    one's movement in pair_cache under the pair as named (the exchange
+    is not label-symmetric). That is the residual's movement: both sum
+    the same handed-over parts in the same order, and doubling is exact.
     """
     _check_pair(partition, i, j)
     env = partition.env
     cs = pt.centroids(partition, density, perf)
     h_before = pt.centroid_cost(partition, density, perf)
     beta = _fraction(partition, i, j, delta, cs)
+    traded = 0.0
     if beta > 0.0:
         hp_i = hp_j = hp = geo.bisector_halfplane(cs[i], cs[j])
         if beta < 1.0:
@@ -159,8 +157,7 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
                              + (1.0 - beta) * max(float(di.max()), 0.0))
             hp_j = HalfPlane(hp.normal, hp.offset
                              - (1.0 - beta) * max(float((-dj).max()), 0.0))
-        pieces_i, pieces_j, traded = pt.pair_split(partition, i, j, hp_i,
-                                                   hp_j)
+        pieces_i, pieces_j, traded = pt.pair_split(partition, i, j, hp_i, hp_j)
         if traded > env.tol_area:
             # each new region reuses the merge verdicts of both old ones
             parents = partition.regions[i], partition.regions[j]
@@ -168,10 +165,12 @@ def _exchange(partition: Partition, i: int, j: int, delta: float | None,
                                     env.region(pieces_j, parents))
             return StepOutcome(new, True, (i, j), h_before,
                                pt.centroid_cost(new, density, perf), traded)
-    key = ((i, j, density, perf) if delta is None
-           else (i, j, delta, density, perf))
-    partition.exchange_cache[key] = h_before
-    return _unchanged(partition, i, j, h_before)
+    if delta is None:
+        known = partition.pair_cache.setdefault((i, j), {})
+        known[density, perf] = 2.0 * traded
+    else:
+        partition.exchange_cache[i, j, delta, density, perf] = h_before
+    return StepOutcome(partition, False, (i, j), h_before, h_before, 0.0)
 
 
 def lloyd_step(partition: Partition, density: Density,
@@ -195,11 +194,10 @@ def fixed_point_residual(partition: Partition, density: Density,
     is_mixed_centroidal is this residual, in mode "full", held to a
     threshold.
 
-    Each pair's movement is kept in the partition's movement_cache, and
-    an exchange's successor keeps those of the pairs it left alone, so
+    Each pair's movement is kept in the partition's pair_cache, and an
+    exchange's successor keeps those of the pairs it left alone, so
     only the pairs missing from the memo are split.
     """
-    env = partition.env
     if mode == "adjacent":
         pairs = pt.adjacency_pairs(partition, delta)
     elif mode == "full":
@@ -207,16 +205,17 @@ def fixed_point_residual(partition: Partition, density: Density,
     else:
         raise ValueError(f"unknown residual mode {mode!r}")
     cs = pt.centroids(partition, density, perf)
-    moved = partition.movement_cache.setdefault((density, perf), {})
+    memo = partition.pair_cache
     worst = 0.0
     for i, j in pairs:
-        movement = moved.get((i, j))
+        known = memo.get((i, j)) or memo.setdefault((i, j), {})
+        movement = known.get((density, perf))
         if movement is None:
             movement = 0.0
-            if float(np.hypot(*(cs[i] - cs[j]))) > env.tol_point:
+            if _fraction(partition, i, j, None, cs):
                 hp = geo.bisector_halfplane(cs[i], cs[j])
                 movement = 2.0 * pt.traded_area(partition, i, j, hp, hp)
-            moved[i, j] = movement
+            known[density, perf] = movement
         worst = max(worst, movement)
     return worst
 

@@ -141,27 +141,22 @@ def rectangle(width: float, height: float) -> Environment:
 class Partition:
     """Regions tiling the environment, one per agent.
 
-    A partition never changes, so it keeps three plain memos of itself.
-    exchange_cache holds the cost before each pairwise exchange found
-    to be a no-op on it (filled by gossip's exchange, keyed by
-    (i, j, delta, density, perf), or (i, j, density, perf) for the full
-    exchange). adjacency_cache maps delta to {(i, j): bool}, whether
-    regions i and j come within delta (filled by adjacency_pairs).
-    movement_cache maps (density, perf) to {(i, j): movement}, twice the
-    area the pair's centroid bisector split trades (filled by gossip's
-    fixed_point_residual). replace(i, j, ...) hands the successor a copy
-    of the adjacency and movement entries whose pair involves neither i
-    nor j.
+    A partition never changes, so it keeps two plain memos of itself.
+    exchange_cache maps (i, j, delta, density, perf) to the cost before
+    a distance-limited exchange found to be a no-op on it. pair_cache
+    maps a pair (i, j) to {question: answer}: a delta to whether the
+    regions come within it (adjacency_pairs), and (density, perf) to
+    the movement of their centroid bisector split (gossip). An answer
+    depends only on the pair's two regions, so replace(i, j, ...) hands
+    the successor, by reference, those of every pair without i or j.
     """
 
     env: Environment
     regions: tuple
     exchange_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
-    adjacency_cache: dict = field(default_factory=dict, init=False,
-                                  repr=False, compare=False)
-    movement_cache: dict = field(default_factory=dict, init=False,
-                                 repr=False, compare=False)
+    pair_cache: dict = field(default_factory=dict, init=False,
+                             repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.regions) == 0:
@@ -193,11 +188,9 @@ class Partition:
         regs = list(self.regions)
         regs[i], regs[j] = ri, rj
         new = Partition(self.env, tuple(regs))
-        for memo, carried in ((self.adjacency_cache, new.adjacency_cache),
-                              (self.movement_cache, new.movement_cache)):
-            for key, known in memo.items():
-                carried[key] = {pair: v for pair, v in known.items()
-                                if i not in pair and j not in pair}
+        new.pair_cache.update({pair: known for pair, known
+                               in self.pair_cache.items()
+                               if i not in pair and j not in pair})
         return new
 
     def validate(self) -> "Partition":
@@ -374,21 +367,21 @@ def adjacency_pairs(partition: Partition, delta: float) -> list[tuple[int, int]]
     """Region pairs whose interiors come within delta of each other.
 
     Each pair is tested once per partition and delta; the answers are
-    kept in the partition's adjacency_cache. delta must be > 0.
+    kept in the partition's pair_cache. delta must be > 0.
     """
     # before the memo: a NaN key would store a fresh entry each call
     geo.check_adjacency_delta(delta)
-    near = partition.adjacency_cache.setdefault(delta, {})
+    memo = partition.pair_cache
     regions = partition.regions
     out = []
-    for pair in all_pairs(partition.n):
-        within = near.get(pair)
+    for i, j in all_pairs(partition.n):
+        known = memo.get((i, j)) or memo.setdefault((i, j), {})
+        within = known.get(delta)
         if within is None:
-            i, j = pair
-            within = near[pair] = geo.regions_within(regions[i], regions[j],
-                                                     delta)
+            within = known[delta] = geo.regions_within(regions[i], regions[j],
+                                                       delta)
         if within:
-            out.append(pair)
+            out.append((i, j))
     return out
 
 

@@ -29,9 +29,8 @@ def audit_cover(partition: Partition) -> float:
                - partition.env.area)
 
 
-def render_svg(partition: Partition, *, width: int = 640, points=None,
-               label: str = "") -> str:
-    """Render the partition as an SVG document string.
+def render_svg(partition: Partition, *, points=None, label: str = "") -> str:
+    """Render the partition as an SVG document string, 640 px wide.
 
     Optional points (one marker per region, e.g. centroids) are drawn
     as small circles. The y axis is flipped so the picture matches
@@ -44,6 +43,7 @@ def render_svg(partition: Partition, *, width: int = 640, points=None,
     x1, y1 = v.max(axis=0)
     span_x, span_y = x1 - x0, y1 - y0
     margin = 0.03 * max(span_x, span_y)
+    width = 640
     scale = width / (span_x + 2 * margin)
     height = int(round(scale * (span_y + 2 * margin)))
 

@@ -244,12 +244,13 @@ def write_trace(trace: EvolutionTrace, path_or_file):
 # ---------------------------------------------------------------------------
 # per-pair window statistics
 
-def _wilson(k: int, n: int, z: float = 1.959963984540054):
-    """(p, low, high): the hit rate k / n with its Wilson score interval.
-    With no trial there is no estimate: p is NaN and the interval the
-    whole of [0, 1]."""
+def _wilson(k: int, n: int):
+    """(p, low, high): the hit rate k / n with its 95 % Wilson score
+    interval. With no trial there is no estimate: p is NaN and the
+    interval the whole of [0, 1]."""
     if n == 0:
         return math.nan, 0.0, 1.0
+    z = 1.959963984540054
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

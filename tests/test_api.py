@@ -15,7 +15,7 @@ import pytest
 
 import gossipcover
 from gossipcover import (cli, dyadic, geometry, gossip, netsim, partition,
-                         quadrature, switching)
+                         quadrature, svg, switching)
 
 KNOBS = {"order", "refine", "precomputed_centroids"}
 
@@ -73,7 +73,9 @@ FIXED = [(geometry.bisector_halfplane, "tol"),
          (geometry.centroid, "within"), (geometry.centroid, "min_area"),
          # a split projects the region onto its cut line itself
          (geometry.region_split, "offsets"), (partition.pair_split, "di"),
-         (partition.pair_split, "dj")]
+         (partition.pair_split, "dj"),
+         # no caller sets a picture's width or the interval's quantile
+         (svg.render_svg, "width"), (switching._wilson, "z")]
 
 
 @pytest.mark.parametrize("fn, name", FIXED,
@@ -169,6 +171,13 @@ def test_region_caches_one_map():
     # pieces, which Environment.region carries to the regions cut from it
     assert [f.name for f in dataclasses.fields(geometry.Region)] == \
         ["pieces", "centroid_cache", "refused"]
+
+
+def test_partition_keeps_two_memos():
+    # the distance-limited exchange's no-ops, and one dict of answers per
+    # region pair: adjacency at each delta and movement at each cost
+    assert [f.name for f in dataclasses.fields(partition.Partition)] == \
+        ["env", "regions", "exchange_cache", "pair_cache"]
 
 
 def test_performance_is_a_kind_and_a_refine_level():

@@ -112,10 +112,36 @@ def test_non_integer_pair_index_is_refused(call, bad):
     for i, j in ((0, bad), (bad, 0)):
         with pytest.raises(TypeError):
             call(part, i, j)
-    assert not part.exchange_cache
+    assert not part.exchange_cache and not part.pair_cache
     # numpy integers are indices
     out = gp.gossip_step(part, np.int64(0), np.int64(1), DENS, QUAD)
     assert out.pair == (0, 1) and out.partition is part
+
+
+@pytest.mark.parametrize("bad", [1.0, np.float64(1)],
+                         ids=["float", "numpy-float"])
+def test_memo_hit_refuses_a_non_integer_index(bad, monkeypatch):
+    # 1.0 == 1 and they hash alike, so a lookup before the index check
+    # would meet the no-ops stored under (0, 1) and (1, 0); a miss
+    # refuses such an index, and so must a hit, whatever the memos hold
+    part = hairline_pair()
+    calls = [lambda i, j: gp.gossip_step(part, i, j, DENS, QUAD),
+             lambda i, j: gp.partial_gossip_step(part, i, j, 0.2, DENS,
+                                                 QUAD)]
+    for call in calls:
+        for i, j in ((0, 1), (1, 0)):
+            assert not call(i, j).changed
+    assert part.pair_cache.keys() == {(0, 1), (1, 0)}
+    assert len(part.exchange_cache) == 2
+    splits = count_calls(monkeypatch, pt, "pair_split")
+    for call in calls:
+        for i, j in ((0, bad), (bad, 0)):
+            with pytest.raises(TypeError):
+                call(i, j)
+        # numpy integers still hit
+        hit = call(np.int64(0), np.int64(1))
+        assert not hit.changed and hit.partition is part
+    assert splits == []
 
 
 def test_coincident_centroids_are_a_no_op():
@@ -484,18 +510,48 @@ def test_repeated_noop_skips_centroids_and_split(monkeypatch):
 
 
 def test_noop_memo_keys_on_delta_and_perf(monkeypatch):
+    # the full exchange keeps its movement under the pair as named, the
+    # distance-limited one its cost before under the whole call
     part = hairline_pair()
     splits = count_calls(monkeypatch, pt, "pair_split")
-    outs = [gp.gossip_step(part, 0, 1, DENS, QUAD),
-            gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD),
-            gp.partial_gossip_step(part, 0, 1, 0.1, DENS, QUAD),
-            gp.gossip_step(part, 0, 1, DENS, LIN),
-            gp.gossip_step(part, 1, 0, DENS, QUAD)]
-    assert not any(out.changed for out in outs)
+    steps = [lambda: gp.gossip_step(part, 0, 1, DENS, QUAD),
+             lambda: gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD),
+             lambda: gp.partial_gossip_step(part, 0, 1, 0.1, DENS, QUAD),
+             lambda: gp.gossip_step(part, 0, 1, DENS, LIN),
+             lambda: gp.gossip_step(part, 1, 0, DENS, QUAD)]
+    assert not any(step().changed for step in steps)
     assert len(splits) == 5
-    assert len(part.exchange_cache) == 5
-    gp.partial_gossip_step(part, 0, 1, 0.1, DENS, QUAD)
+    assert part.exchange_cache.keys() == {(0, 1, 0.2, DENS, QUAD),
+                                          (0, 1, 0.1, DENS, QUAD)}
+    assert part.pair_cache.keys() == {(0, 1), (1, 0)}
+    assert part.pair_cache[0, 1].keys() == {(DENS, QUAD), (DENS, LIN)}
+    assert part.pair_cache[1, 0].keys() == {(DENS, QUAD)}
+    tol = part.env.tol_area
+    assert all(0.0 < movement <= 2.0 * tol for known
+               in part.pair_cache.values() for movement in known.values())
+    for step in steps:
+        assert not step().changed
     assert len(splits) == 5
+
+
+def test_residual_movement_answers_the_full_exchange(monkeypatch):
+    # a pair whose movement the residual stored at most 2 tol_area is a
+    # no-op of the full exchange named in the same order, and one above
+    # it still runs the exchange; no other key answers it
+    part = strips(pt.rectangle(4.0, 1.0), [1.0 - 1e-9, 2.0, 2.3])
+    gp.fixed_point_residual(part, DENS, QUAD)
+    moved = {pair: known[DENS, QUAD]
+             for pair, known in part.pair_cache.items()}
+    assert list(moved) == pt.all_pairs(4)
+    splits = count_calls(monkeypatch, pt, "pair_split")
+    noop = gp.gossip_step(part, 0, 1, DENS, QUAD)
+    assert splits == [] and not noop.changed and noop.partition is part
+    assert noop.h_before == noop.h_after == pt.centroid_cost(part, DENS, QUAD)
+    assert moved[1, 2] > 2.0 * part.env.tol_area
+    assert gp.gossip_step(part, 1, 2, DENS, QUAD).changed
+    assert not gp.gossip_step(part, 1, 0, DENS, QUAD).changed
+    assert not gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD).changed
+    assert len(splits) == 3
 
 
 def test_changed_exchange_is_not_memoized(monkeypatch):
@@ -506,7 +562,7 @@ def test_changed_exchange_is_not_memoized(monkeypatch):
     again = gp.gossip_step(part, 0, 1, DENS, QUAD)
     assert first.changed and again.changed
     assert len(splits) == 2
-    assert part.exchange_cache == {}
+    assert part.exchange_cache == {} and part.pair_cache == {}
     assert vertex_bytes(again.partition) == vertex_bytes(first.partition)
 
 
@@ -524,7 +580,7 @@ def test_memo_hit_skips_the_delta_check_and_the_exchange(monkeypatch):
 
 
 class CountingMemo(dict):
-    """An exchange_cache that counts its lookups."""
+    """A memo that counts its lookups."""
 
     gets = 0
 
@@ -533,22 +589,24 @@ class CountingMemo(dict):
         return super().get(key, default)
 
 
-@pytest.mark.parametrize("step", [
-    lambda part: gp.gossip_step(part, 0, 1, DENS, QUAD),
-    lambda part: gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD)],
+@pytest.mark.parametrize("step, name", [
+    (lambda part: gp.gossip_step(part, 0, 1, DENS, QUAD), "pair_cache"),
+    (lambda part: gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD),
+     "exchange_cache")],
     ids=["full", "partial"])
 @pytest.mark.parametrize("cuts", [[1.0 - 1e-9], [0.7]],
                          ids=["noop", "changed"])
-def test_each_exchange_call_looks_the_memo_up_once(step, cuts):
+def test_each_exchange_call_looks_the_memo_up_once(step, name, cuts):
     # a miss is looked up by the map and only stored by the exchange;
-    # a hit returns from the one lookup
+    # a hit returns from the one lookup; each map reads only its memo
     part = strips(pt.rectangle(2.0, 1.0), cuts)
     memo = CountingMemo()
-    object.__setattr__(part, "exchange_cache", memo)
+    object.__setattr__(part, name, memo)
     for calls in (1, 2):
         step(part)
         assert memo.gets == calls
     assert len(memo) == (cuts == [1.0 - 1e-9])
+    assert len(part.exchange_cache) + len(part.pair_cache) == len(memo)
 
 
 @pytest.mark.parametrize("bad", [
@@ -564,23 +622,32 @@ def test_memo_hit_never_takes_a_bad_delta(bad):
     gp.gossip_step(part, 0, 1, DENS, QUAD)
     for delta in (0.2, top):
         gp.partial_gossip_step(part, 0, 1, delta, DENS, QUAD)
-    assert len(part.exchange_cache) == 3
+    assert len(part.exchange_cache) == 2
+    assert part.pair_cache[0, 1].keys() == {(DENS, QUAD)}
     with pytest.raises(ValueError):
         gp.partial_gossip_step(part, 0, 1, bad(top), DENS, QUAD)
 
 
 def test_memoized_partition_is_freed_without_gc():
-    # the memo holds floats, never an outcome that refers back to the
-    # partition, so reference counting alone frees a dropped partition
+    # the memos hold floats and bools, never an outcome that refers back
+    # to the partition, so reference counting alone frees a dropped
+    # partition, also while its successor shares its pair answers
     gc.disable()
     try:
-        part = hairline_pair()
-        out = gp.gossip_step(part, 0, 1, DENS, QUAD)
+        part = strips(pt.rectangle(4.0, 1.0), [1.0 - 1e-9, 2.0, 2.7])
+        noop = gp.gossip_step(part, 0, 1, DENS, QUAD)
         gp.partial_gossip_step(part, 0, 1, 0.2, DENS, QUAD)
-        assert len(part.exchange_cache) == 2
+        pt.adjacency_pairs(part, 0.1)
+        gp.fixed_point_residual(part, DENS, QUAD)
+        assert not noop.changed and len(part.exchange_cache) == 1
+        out = gp.gossip_step(part, 2, 3, DENS, QUAD)
+        nxt = out.partition
+        assert out.changed and list(nxt.pair_cache) == [(0, 1)]
+        assert nxt.pair_cache[0, 1] is part.pair_cache[0, 1]
         ref = weakref.ref(part)
-        del part, out
+        del part, noop, out
         assert ref() is None
+        assert nxt.pair_cache[0, 1].keys() == {0.1, (DENS, QUAD)}
     finally:
         gc.enable()
 
@@ -708,7 +775,8 @@ def test_residual_by_bound_matches_all_pairs_loop(seed, monkeypatch):
                     assert traded == 0.0
             # the pair that moves most changes the partition; its
             # successor splits only the pairs of the two changed regions
-            moved = part.movement_cache[DENS, perf]
+            moved = {pair: part.pair_cache[pair][DENS, perf]
+                     for pair in sw.all_pairs(part.n)}
             i, j = max(moved, key=moved.get)
             nxt = gp.gossip_step(part, i, j, DENS, perf).partition
             assert nxt is not part

@@ -437,7 +437,9 @@ ADJACENCY_DELTAS = (1e-9, 1e-3, 0.5)
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_adjacency_memo_carries_only_untouched_pairs(seed):
-    # the residual's movement memo is carried by the same rule
+    # each pair's answers, adjacency and movement alike, are handed on
+    # as the very dict the predecessor holds, and only when the pair
+    # involves neither changed region
     env = pt.rectangle(2.0, 1.0)
     rng = np.random.default_rng(seed)
     part = pt.voronoi(env, rng.uniform([0.05, 0.05], [1.95, 0.95], (6, 2)))
@@ -452,25 +454,26 @@ def test_adjacency_memo_carries_only_untouched_pairs(seed):
         if nxt is part:
             continue
         changed += 1
-        assert nxt.adjacency_cache is not part.adjacency_cache
-        for memo, key in [*(("adjacency_cache", d) for d in ADJACENCY_DELTAS),
-                          ("movement_cache", (DENS, QUAD))]:
-            carried = getattr(nxt, memo)[key]
-            assert carried is not getattr(part, memo)[key]
-            assert carried == {pair: v for pair, v
-                               in getattr(part, memo)[key].items()
-                               if i not in pair and j not in pair}
+        assert nxt.pair_cache is not part.pair_cache
+        assert sorted(part.pair_cache) == pt.all_pairs(part.n)
+        untouched = [pair for pair in part.pair_cache
+                     if i not in pair and j not in pair]
+        assert list(nxt.pair_cache) == untouched
+        assert all(nxt.pair_cache[pair] is part.pair_cache[pair]
+                   for pair in untouched)
         # a fresh partition of fresh regions: nothing comes from a memo
         fresh = Partition(env, tuple(Region(r.pieces) for r in nxt.regions))
         for delta in ADJACENCY_DELTAS:
             assert pt.adjacency_pairs(nxt, delta) == \
                 pt.adjacency_pairs(fresh, delta)
-            near = nxt.adjacency_cache[delta]
-            assert len(near) == nxt.n * (nxt.n - 1) // 2
-            assert all(type(v) is bool for v in near.values())
         assert gp.fixed_point_residual(nxt, DENS, QUAD) == \
             gp.fixed_point_residual(fresh, DENS, QUAD)
-        assert len(nxt.movement_cache[DENS, QUAD]) == nxt.n * (nxt.n - 1) // 2
+        assert sorted(nxt.pair_cache) == pt.all_pairs(nxt.n)
+        for pair, known in nxt.pair_cache.items():
+            # the same answers, bool for bool and float for float
+            assert known == fresh.pair_cache[pair]
+            assert known.keys() == {*ADJACENCY_DELTAS, (DENS, QUAD)}
+            assert all(type(known[d]) is bool for d in ADJACENCY_DELTAS)
         part = nxt
     assert changed > 100
     assert max(len(r.pieces) for r in part.regions) > 5
@@ -554,7 +557,7 @@ def test_adjacency_pairs_refuses_a_bad_delta(delta):
     part = pt.voronoi(pt.rectangle(2.0, 1.0), [[0.5, 0.5], [1.5, 0.5]])
     with pytest.raises(ValueError):
         pt.adjacency_pairs(part, delta)
-    assert part.adjacency_cache == {}
+    assert part.pair_cache == {}
 
 
 def test_degeneracy_report_fields():

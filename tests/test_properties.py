@@ -72,6 +72,51 @@ def test_memoized_residual_is_the_all_pairs_loop(seed, n, steps):
             assert got.hex() == want.hex()
 
 
+def _outcome_bits(out) -> tuple:
+    return ([[p.vertices.tobytes() for p in r.pieces]
+             for r in out.partition.regions], out.changed,
+            out.h_before.hex(), out.h_after.hex(), out.traded_area.hex())
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 6),
+       balanced=st.booleans(), nudge_exp=EXPONENT,
+       steps=st.lists(st.tuples(st.integers(0, 2 ** 16), st.booleans(),
+                                st.booleans()),
+                      min_size=1, max_size=12))
+def test_memoized_maps_match_memo_free_calls(seed, n, balanced, nudge_exp,
+                                             steps):
+    # along a random run of both maps, with residual checks in between,
+    # each outcome is that of the same call on a copy of fresh regions,
+    # whose memos are empty, and each residual the all-pairs loop's; an
+    # equal-strip start nudged by up to 10**nudge_exp makes many no-ops
+    # that the memos then answer
+    env = pt.rectangle(2.0, 1.0)
+    rng = np.random.default_rng(seed)
+    if balanced:
+        part = strips(env, [2.0 * k / n + rng.uniform(-1, 1) * 10 ** nudge_exp
+                            for k in range(1, n)])
+    else:
+        part = pt.voronoi(env, rng.uniform([0.05, 0.05], [1.95, 0.95],
+                                           size=(n, 2)))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for draw, full, check in steps:
+        if check:
+            for mode, delta in (("full", None), ("adjacent", 1e-9)):
+                got = gp.fixed_point_residual(part, DENS, QUAD, mode, delta)
+                want = oracles.fixed_point_residual_ref(part, DENS, QUAD,
+                                                        mode, delta)
+                assert got.hex() == want.hex()
+        i, j = pairs[draw % len(pairs)]
+        fresh = Partition(env, tuple(Region(r.pieces) for r in part.regions))
+        outs = [gp.gossip_step(p, i, j, DENS, QUAD) if full else
+                gp.partial_gossip_step(p, i, j, 0.2, DENS, QUAD)
+                for p in (part, fresh)]
+        assert _outcome_bits(outs[0]) == _outcome_bits(outs[1])
+        assert outs[0].changed or outs[0].partition is part
+        part = outs[0].partition
+
+
 @settings(max_examples=30, deadline=None)
 @given(cuts=st.lists(UNIT, min_size=1, max_size=3), cut_exp=EXPONENT,
        seed=st.integers(0, 2 ** 16), scale=st.floats(0.05, 1.0))
