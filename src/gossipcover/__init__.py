@@ -20,8 +20,7 @@ from .geometry import (ConvexPolygon, EmptyRegion, GeometryError, GridDensity,
                        quadratic_performance, region_of, regions_within,
                        symdiff_area)
 from .gossip import (StepOutcome, fixed_point_residual, gossip_step,
-                     is_mixed_centroidal, lloyd_step, partial_gossip_step,
-                     trade_fraction)
+                     is_mixed_centroidal, lloyd_step, partial_gossip_step)
 from .netsim import NetConfig, NetTrace, SamplingExhausted, simulate
 from .partition import (DegenerateEvolution, Environment, Partition,
                         adjacency_pairs, centroid_cost, centroids,
@@ -49,5 +48,5 @@ __all__ = [
     "partial_gossip_step", "partition_distance", "quadratic_performance",
     "read_snapshot", "rectangle", "region_of", "regions_within",
     "run_evolution", "run_lloyd", "run_polar", "simulate", "symdiff_area",
-    "trade_fraction", "voronoi", "write_snapshot",
+    "voronoi", "write_snapshot",
 ]

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, chain
 from numbers import Real
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -78,6 +79,8 @@ class ConvexPolygon:
         v = np.array(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must have shape (n, 2)")
+        if not np.isfinite(v).all():
+            raise ValueError("polygon vertices must be finite")
         v = _dedupe_ring(v)
         if len(v) < 3:
             raise ValueError("polygon needs at least 3 distinct vertices")
@@ -184,17 +187,51 @@ def _dedupe_ring(ring) -> np.ndarray:
 def _ring_area(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
     s = float(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
-    return 0.5 * (s + float(x[-1] * y[0] - x[0] * y[-1]))
+    # the wrap-around term on Python floats: item() skips numpy's scalars
+    return 0.5 * (s + (x.item(-1) * y.item(0) - x.item(0) * y.item(-1)))
 
 
 def _ring_moment(v: np.ndarray) -> np.ndarray:
-    """Integral of (x, y) over the polygon (unnormalized first moment)."""
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = _cyclic_next(x), _cyclic_next(y)
-    cr = x * yn - xn * y
-    mx = float(np.add.reduce((x + xn) * cr)) / 6.0
-    my = float(np.add.reduce((y + yn) * cr)) / 6.0
-    return np.array([mx, my])
+    """Integral of (x, y) over the polygon (unnormalized first moment).
+
+    Each edge's terms are Python float products, as numpy computes them
+    elementwise, and each coordinate's terms are added in np.add.reduce's
+    order, so the bits are those of the array form."""
+    vl = v.tolist()
+    tx, ty = [], []
+    for (x, y), (xn, yn) in zip(vl, vl[1:] + vl[:1]):
+        cr = x * yn - xn * y
+        tx.append((x + xn) * cr)
+        ty.append((y + yn) * cr)
+    return np.array([_pairwise_sum(tx) / 6.0, _pairwise_sum(ty) / 6.0])
+
+
+def _pairwise_sum(t: list) -> float:
+    """np.add.reduce of a float64 vector held as a list of floats, to the
+    bit. numpy adds a pairwise sum to its identity 0.0: below 8 terms one
+    running sum; up to 128, eight interleaved running sums joined as a
+    tree, then the remaining terms one by one; above that, the sums of two
+    halves cut at a multiple of 8. Adding 0.0 changes only the sign of a
+    zero, and that only in a zero result, so each level starts from 0.0
+    in place of numpy's one identity."""
+    n = len(t)
+    if n < 8:
+        s = 0.0
+        for x in t:
+            s += x
+        return s
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        return _pairwise_sum(t[:h]) + _pairwise_sum(t[h:])
+    m = n - n % 8
+    r = t[:8]
+    for k in range(8, m, 8):
+        r = list(map(add, r, t[k:k + 8]))
+    s = 0.0 + (((r[0] + r[1]) + (r[2] + r[3]))
+               + ((r[4] + r[5]) + (r[6] + r[7])))
+    for x in t[m:]:
+        s += x
+    return s
 
 
 def sum_left(values):
@@ -454,11 +491,10 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     (b - a) x (p - a) in the order the array form did, so every answer
     is the same to the bit.
     """
-    pts = np.asarray(points, dtype=float)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    if len(pts) < 3:
-        return pts
+    # Python's stable sort of [x, y] rows is np.lexsort's order on x, then y
+    seq = sorted(np.asarray(points, dtype=float).tolist())
+    if len(seq) < 3:
+        return np.array(seq, dtype=float).reshape(-1, 2)
 
     def build(seq):
         out = []
@@ -473,7 +509,6 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
             out.append(p)
         return out
 
-    seq = pts.tolist()
     lower = build(seq)
     upper = build(seq[::-1])
     return np.array(lower[:-1] + upper[:-1], dtype=float).reshape(-1, 2)
@@ -930,10 +965,16 @@ def _mass_centroid(region: Region, density: Density, refine: int) -> np.ndarray:
         raise EmptyRegion("centroid of an empty region")
     if isinstance(density, UniformDensity):
         m0 = region.area
-        m1 = sum((p.moment for p in region.pieces), np.zeros(2))
         if m0 <= 0.0:
             raise VanishedRegion("region has no area")
-        return m1 / m0
+        # the moments summed left to right from 0.0, as the sum of arrays
+        # from np.zeros(2) adds them
+        mx = my = 0.0
+        for p in region.pieces:
+            px, py = p.moment.tolist()
+            mx += px
+            my += py
+        return np.array([mx / m0, my / m0])
     return _quad_mass_centroid(_quadrature(region, density, refine))
 
 
@@ -978,8 +1019,9 @@ def _polar_moment_about(p, region: Region) -> float:
     xn, yn = x[nxt], y[nxt]
     cr = x * yn - xn * y
     a = float(cr.sum()) / 2.0
-    m = np.array([(x + xn) @ cr, (y + yn) @ cr]) / 6.0
-    j = float((x * (x + xn) + xn * xn + y * (y + yn) + yn * yn) @ cr) / 12.0
+    sx, sy = x + xn, y + yn
+    m = np.array([sx @ cr, sy @ cr]) / 6.0
+    j = float((x * sx + xn * xn + y * sy + yn * yn) @ cr) / 12.0
     c = m / a
     d = np.asarray(p, dtype=float) - o - c
     return float(j - c @ m + a * (d @ d))

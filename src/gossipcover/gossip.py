@@ -94,14 +94,6 @@ def _check_pair(partition: Partition, i: int, j: int) -> None:
         raise ValueError("pair indices must differ")
 
 
-def trade_fraction(partition: Partition, i: int, j: int, delta: float,
-                   density: Density, perf: PerformanceFunction) -> float:
-    _check_pair(partition, i, j)
-    delta = check_delta(partition.env, delta)
-    return _fraction(partition, i, j, delta,
-                     pt.centroids(partition, density, perf))
-
-
 def partial_gossip_step(partition: Partition, i: int, j: int, delta: float,
                         density: Density,
                         perf: PerformanceFunction) -> StepOutcome:

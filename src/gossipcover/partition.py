@@ -6,6 +6,7 @@ a Region; the regions tile the environment up to tolerance.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -218,21 +219,31 @@ def check_points(env: Environment, points) -> np.ndarray:
     if not np.all(inside):
         bad = int(np.argmin(inside))
         raise GeometryError(f"point {bad} at {pts[bad]} lies outside the environment")
-    gap, i, j = _min_gap(pts)
+    gap, i, j = _min_gap(pts.tolist())
     if gap <= env.tol_point:
         raise CoincidentGenerators(f"points {i} and {j} coincide")
     return pts
 
 
-def _min_gap(pts: np.ndarray) -> tuple[float, int, int]:
-    """The smallest distance between two of the points and the first pair
-    at it; inf for fewer than two points."""
-    if len(pts) < 2:
-        return np.inf, 0, 0
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    k = int(np.argmin(d2))
-    return float(np.sqrt(d2.flat[k])), *divmod(k, len(pts))
+def _min_gap(points) -> tuple[float, int, int]:
+    """The smallest distance between two of the points, (x, y) pairs of
+    floats, and the first pair at it; inf for fewer than two points.
+
+    The answer is np.argmin's over the matrix of squared gaps dx*dx + dy*dy
+    with an infinite diagonal: the first minimum in row-major order, which
+    the matrix's symmetry puts at i < j, or the first NaN; (inf, 0, 0)
+    when every gap is infinite."""
+    best, bi, bj = math.inf, 0, 0
+    for i, (xi, yi) in enumerate(points):
+        for j in range(i + 1, len(points)):
+            xj, yj = points[j]
+            dx, dy = xi - xj, yi - yj
+            d2 = dx * dx + dy * dy
+            if d2 < best:
+                best, bi, bj = d2, i, j
+            elif d2 != d2:
+                return math.sqrt(d2), i, j
+    return math.sqrt(best), bi, bj
 
 
 def voronoi(env: Environment, points) -> Partition:
@@ -354,7 +365,7 @@ def is_centroidal_voronoi(partition: Partition, density: Density,
     if tol is None:
         tol = env.balance_tol
     cs = centroids(partition, density, perf)
-    if _min_gap(cs)[0] <= env.tol_point:
+    if _min_gap(cs.tolist())[0] <= env.tol_point:
         return False
     try:
         ref = voronoi(env, cs)
@@ -394,7 +405,9 @@ class DegeneracyReport(NamedTuple):
 def degeneracy_report(partition: Partition, density: Density,
                       perf: PerformanceFunction) -> DegeneracyReport:
     return DegeneracyReport(
-        min_centroid_gap=_min_gap(centroids(partition, density, perf))[0],
+        min_centroid_gap=_min_gap([
+            _centroid_entry(r, partition.env, density, perf)[0].tolist()
+            for r in partition.regions])[0],
         min_region_area=min(r.area for r in partition.regions),
         max_piece_count=max(len(r.pieces) for r in partition.regions))
 

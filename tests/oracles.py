@@ -578,6 +578,16 @@ def fixed_point_residual_ref(partition, density, perf, mode: str = "full",
     return worst
 
 
+def trade_fraction(partition, i: int, j: int, delta, density,
+                   perf) -> float:
+    """The distance-limited exchange's beta for the pair, with the pair
+    and delta checked as the exchange checks them."""
+    gp._check_pair(partition, i, j)
+    delta = gp.check_delta(partition.env, delta)
+    return gp._fraction(partition, i, j, delta,
+                        pt.centroids(partition, density, perf))
+
+
 def bisector_trade(partition, i: int, j: int, ci, cj) -> float:
     """Area that splitting regions i and j along the bisector of ci and
     cj trades: the full exchange's split at those points."""
@@ -737,7 +747,22 @@ def in_convex_hull(point, region: Region, tol: float) -> bool:
     return contains_point_ref(convex_hull_ref(region.vertices), point, tol)
 
 
+def min_gap_ref(points) -> tuple:
+    """partition._min_gap's array form: np.argmin over the matrix of
+    squared gaps, its diagonal infinite."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(pts) < 2:
+        return np.inf, 0, 0
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, silently
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    k = int(np.argmin(d2))
+    return float(np.sqrt(d2.flat[k])), *divmod(k, len(pts))
+
+
 def ring_moment_ref(v: np.ndarray) -> np.ndarray:
+    """geometry._ring_moment's array form: elementwise products, and a
+    reduce in numpy's pairwise order."""
     x, y = v[:, 0], v[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cr = x * yn - xn * y

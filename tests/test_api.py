@@ -156,7 +156,10 @@ GONE = [(geometry, "clip_convex"), (geometry, "point_region_distance"),
         (geometry, "_ring_array"), (gossip, "_sat"),
         # the residual reads each pair's movement from the partition's
         # memo: no bound orders or stops its splits
-        (gossip, "_trade_bound")]
+        (gossip, "_trade_bound"),
+        # the exchange reads its fraction from gossip._fraction; tests
+        # take a checked one from tests/oracles.py
+        (gossip, "trade_fraction")]
 
 
 @pytest.mark.parametrize("owner, name", GONE,

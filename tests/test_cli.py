@@ -789,6 +789,13 @@ MALFORMED = [
                  "environment.rectangle[0]", id="rectangle-inf"),
     pytest.param("cuts: [0.5]", "cuts: [.nan]", "initial.cuts[0]",
                  id="cuts-nan"),
+    pytest.param("{rectangle: [2, 1]}",
+                 "{vertices: [[0, 0], [2, 0], [2, .inf], [0, 1]]}",
+                 "environment.vertices", id="vertices-inf"),
+    pytest.param("{kind: strips, cuts: [0.5]}",
+                 "{kind: pieces, regions: [[[[0, 0], [1, 0], [1, .nan], "
+                 "[0, 1]]], [[[1, 0], [2, 0], [2, 1], [1, 1]]]]}",
+                 "initial.regions", id="pieces-nan"),
     pytest.param("n: 2", "n: 2\nscheduler: {kind: adjacent_random, "
                  f"delta: {10 ** 400}}}", "scheduler.delta",
                  id="delta-int-beyond-float"),
@@ -871,6 +878,17 @@ def test_run_malformed_config_names_its_field(tmp_path, capsys, old, new,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old, new, field", [
+    p for p in MALFORMED if p.id in ("vertices-inf", "pieces-nan")])
+def test_run_non_finite_vertex_gives_its_own_reason(tmp_path, capsys, old,
+                                                    new, field):
+    # refused before the dedupe drops the vertex and counts too few
+    cfg = write_cfg(tmp_path, TWO_STRIPS.replace(old, new))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {field}: polygon vertices must be finite\n"
 
 
 def test_comb_levels_above_the_limit_name_it(tmp_path, capsys):

@@ -75,6 +75,17 @@ def test_polygon_orientation_and_area():
         ConvexPolygon([[0, 0], [1, 0], [1, 1], [0.2, -0.5]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polygon_refuses_non_finite_vertices(bad):
+    # its own reason, not the dedupe's "at least 3 distinct vertices"
+    for k in range(4):
+        ring = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]
+        ring[k][k % 2] = bad
+        with pytest.raises(ValueError, match="^polygon vertices must be "
+                                             "finite$"):
+            ConvexPolygon(ring)
+
+
 def test_polygon_contains_boundary_tol():
     assert bool(UNIT_SQUARE.contains([0.5, 0.5])[0])
     assert bool(UNIT_SQUARE.contains([0.0, 0.5])[0])

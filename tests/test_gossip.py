@@ -86,7 +86,7 @@ def test_step_on_same_index_rejected():
 @pytest.mark.parametrize("call", [
     lambda p, i, j: gp.gossip_step(p, i, j, DENS, QUAD),
     lambda p, i, j: gp.partial_gossip_step(p, i, j, 0.2, DENS, QUAD),
-    lambda p, i, j: gp.trade_fraction(p, i, j, 0.2, DENS, QUAD)],
+    lambda p, i, j: oracles.trade_fraction(p, i, j, 0.2, DENS, QUAD)],
     ids=["full", "partial", "fraction"])
 def test_pair_index_outside_the_partition_is_refused(call, bad):
     # index -1 would trade region 3 and report the pair as (0, -1); index
@@ -103,7 +103,7 @@ def test_pair_index_outside_the_partition_is_refused(call, bad):
 @pytest.mark.parametrize("call", [
     lambda p, i, j: gp.gossip_step(p, i, j, DENS, QUAD),
     lambda p, i, j: gp.partial_gossip_step(p, i, j, 0.2, DENS, QUAD),
-    lambda p, i, j: gp.trade_fraction(p, i, j, 0.2, DENS, QUAD)],
+    lambda p, i, j: oracles.trade_fraction(p, i, j, 0.2, DENS, QUAD)],
     ids=["full", "partial", "fraction"])
 def test_non_integer_pair_index_is_refused(call, bad):
     # 1.0 in range(4) holds, so a float index would pass the range test
@@ -157,7 +157,7 @@ def test_coincident_centroids_are_a_no_op():
     out = gp.gossip_step(part, 0, 1, DENS, QUAD)
     assert not out.changed and out.partition is part
     assert out.traded_area == 0.0 and out.h_after == out.h_before
-    assert gp.trade_fraction(part, 0, 1, 0.2, DENS, QUAD) == 0.0
+    assert oracles.trade_fraction(part, 0, 1, 0.2, DENS, QUAD) == 0.0
 
 
 def test_monotone_cost_seeded_sweep():
@@ -257,7 +257,7 @@ def test_check_delta_gate():
         with pytest.raises(ValueError, match="^delta "):
             gp.partial_gossip_step(part, 0, 1, bad, DENS, QUAD)
         with pytest.raises(ValueError, match="^delta "):
-            gp.trade_fraction(part, 0, 1, bad, DENS, QUAD)
+            oracles.trade_fraction(part, 0, 1, bad, DENS, QUAD)
 
 
 def test_trade_fraction_profile():
@@ -298,7 +298,8 @@ def test_partial_step_trades_partial_slab():
     # 1/2 and only half of the full exchange (0.225) should move
     env = pt.rectangle(3.0, 1.0)
     part = strips(env, [0.9, 1.0])
-    assert gp.trade_fraction(part, 0, 2, 0.2, DENS, QUAD) == pytest.approx(0.5)
+    assert oracles.trade_fraction(part, 0, 2, 0.2, DENS, QUAD) == \
+        pytest.approx(0.5)
     out = gp.partial_gossip_step(part, 0, 2, 0.2, DENS, QUAD)
     assert out.changed
     full = gp.gossip_step(part, 0, 2, DENS, QUAD)
@@ -346,7 +347,7 @@ def test_split_traded_area_is_half_the_symmetric_differences():
         cs = pt.centroids(part, DENS, QUAD)
         for i, j in sw.all_pairs(part.n):
             # the distance-limited exchange reports its slab's traded area
-            beta = gp.trade_fraction(part, i, j, delta, DENS, QUAD)
+            beta = oracles.trade_fraction(part, i, j, delta, DENS, QUAD)
             out = gp.partial_gossip_step(part, i, j, delta, DENS, QUAD)
             after = (out.partition.regions[i], out.partition.regions[j])
             assert out.traded_area == pytest.approx(
@@ -372,7 +373,7 @@ def test_partial_step_matches_slab_oracle():
         part = random_partition(rng, env, 6)
         cs = pt.centroids(part, DENS, QUAD)
         for i, j in sw.all_pairs(part.n):
-            beta = gp.trade_fraction(part, i, j, delta, DENS, QUAD)
+            beta = oracles.trade_fraction(part, i, j, delta, DENS, QUAD)
             if not 0.0 < beta < 1.0:
                 continue
             pieces_i, pieces_j, traded = oracles.slab_split_ref(

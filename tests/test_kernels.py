@@ -10,7 +10,10 @@ and the cached piece moments must sum to the moments computed afresh.
 The one-center integrals over plain arrays must give the same bits as
 the integrand callables they replaced, the linear descent on Python
 floats the same bits as the loop on numpy 2-vectors, and the descent's
-filters the same answers as the numpy calls they stand in for.
+filters the same answers as the numpy calls they stand in for. The
+exchange's small kernels on Python floats (the ring moment and its
+pairwise sum, the hull's sort, the least gap between points) must give
+numpy's bits too, and a few of their answers are pinned by hex.
 """
 import dataclasses
 import hashlib
@@ -477,6 +480,76 @@ def test_ring_moment_matches_array_form():
     for poly in seeded_polygons(18, 60):
         v = poly.vertices
         assert same(geo._ring_moment(v), oracles.ring_moment_ref(v))
+
+
+def test_ring_moment_matches_array_form_on_seeded_rings():
+    # any ring, convex or not: one running sum below 8 edges, eight
+    # interleaved ones from 8 to 40; small integers give exact zeros,
+    # negated ones -0.0
+    rng = np.random.default_rng(52)
+    for n in range(3, 41):
+        for k in range(6):
+            if k % 3 == 2:
+                v = rng.integers(-2, 3, (n, 2)) * rng.choice([-1.0, 1.0])
+            else:
+                v = (rng.uniform(-1.0, 1.0, (n, 2)) * 10.0 ** rng.uniform(-3, 3)
+                     + rng.uniform(-5.0, 5.0, 2))
+            assert same(geo._ring_moment(v), oracles.ring_moment_ref(v))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 127, 128, 129, 300])
+def test_pairwise_sum_matches_add_reduce(n):
+    # magnitudes 1e-8 to 1e8, so the order shows in the last bits; with
+    # -0.0 among the terms, and as every term
+    rng = np.random.default_rng(n)
+    for k in range(24):
+        t = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        if k % 3 == 1:
+            t[rng.random(n) < 0.5] = -0.0
+        elif k % 3 == 2:
+            t[:] = -0.0
+        assert bits(geo._pairwise_sum(t.tolist())) == \
+            bits(float(np.add.reduce(t)))
+
+
+def min_gap_cases():
+    rng = np.random.default_rng(53)
+    for n in range(0, 13):
+        yield rng.uniform(0.0, 2.0, (n, 2))
+    # tied gaps: lattices, with and without a repeated point
+    lattice = np.array([[x, y] for y in range(3) for x in range(4)], float)
+    yield lattice
+    yield lattice[::-1]
+    yield np.concatenate((lattice, lattice[5:6]))
+    yield np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    # a NaN point, which every gap it is in makes NaN, wherever it stands
+    for k in range(5):
+        pts = rng.uniform(0.0, 2.0, (5, 2))
+        pts[k, k % 2] = np.nan
+        yield pts
+    # every gap infinite: argmin's first entry, the diagonal
+    yield np.array([[np.inf, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
+
+
+def test_min_gap_matches_argmin_form():
+    for pts in min_gap_cases():
+        gap, i, j = pt._min_gap(pts.tolist())
+        want = oracles.min_gap_ref(pts)
+        assert (bits(gap), i, j) == (bits(want[0]), *want[1:])
+
+
+def test_small_kernels_are_pinned():
+    # float.hex of _ring_moment and _min_gap on seeded inputs. Neither
+    # calls BLAS, so these hold on every OpenBLAS core (CI runs this test
+    # again under OPENBLAS_CORETYPE=Prescott)
+    rng = np.random.default_rng(51)
+    moments = [[m.hex() for m in geo._ring_moment(
+        rng.uniform(-2.0, 2.0, (n, 2))).tolist()] for n in (3, 9, 40)]
+    assert moments == [["0x1.02a33dbf3dd88p-2", "-0x1.930b27c668999p-2"],
+                       ["0x1.d77faf736ba0fp-2", "0x1.9b075b0aa5bebp-1"],
+                       ["-0x1.316ec5226712dp+1", "0x1.67ae503062195p+1"]]
+    gap, i, j = pt._min_gap(rng.uniform(0.0, 2.0, (6, 2)).tolist())
+    assert (gap.hex(), i, j) == ("0x1.fb3bbf32c6113p-3", 1, 3)
 
 
 def test_mass_centroid_sums_the_cached_piece_moments():

@@ -656,6 +656,18 @@ def test_snapshot_line_without_its_number_is_refused(k, cut, what):
         pt.read_snapshot(io.StringIO("".join(lines)))
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_snapshot_with_a_non_finite_vertex_names_it(token):
+    # before the dedupe, which would drop the vertex and then refuse the
+    # ring for too few distinct vertices
+    lines = two_region_snapshot()
+    assert lines[5] == "piece 0.0 0.0 1.0 0.0 1.0 1.0 0.0 1.0\n"
+    lines[5] = lines[5].replace("1.0 1.0", f"1.0 {token}", 1)
+    with pytest.raises(ValueError, match="^polygon vertices must be "
+                                         "finite$"):
+        pt.read_snapshot(io.StringIO("".join(lines)))
+
+
 def rect6_run(perf, scheduler, steps, seed=0):
     """The trace of a rect6 start (six seeded Voronoi cells of a 2x1
     rectangle) over the given number of full exchanges, with every
