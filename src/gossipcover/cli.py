@@ -561,7 +561,7 @@ def _run_polar(s: Settings) -> Run:
     trace = sw.run_polar(a.mode, a.steps, a.rho0, a.theta0)
     rho_f, theta_f = map(float, trace.states[-1])
     near = trace.states[np.abs(trace.states[:, 0] - 1.0) <= NEAR_CIRCLE_BAND]
-    spread = float(sw.circular_spread(near[:, 1])) if len(near) else 0.0
+    spread = sw.circular_spread(near[:, 1])
     entries = {
         "algorithm": "polar", "mode": a.mode, "steps": a.steps,
         "final_rho": repr(rho_f), "final_theta": repr(theta_f),

@@ -122,11 +122,10 @@ def comb_teeth(t: int) -> list[Interval]:
                              (Fraction(1) - cap, Fraction(1))]
     if t >= 1:
         spacing = Fraction(1, 2 ** (t - 1))
-        half = Fraction(1, 2 ** (t + 1))
         m = 2 ** (t - 1) - 1
         for h in range(-m, m + 1):
-            c = h * spacing
-            teeth.append((c - half, c + half))
+            c = h * spacing  # a tooth is as wide as both caps
+            teeth.append((c - cap, c + cap))
     return _normalize(teeth)
 
 

@@ -62,10 +62,13 @@ class HalfPlane:
         norm = float(np.hypot(n[0], n[1]))
         if norm == 0.0:
             raise ValueError("half-plane normal must be nonzero")
+        offset = float(self.offset)
+        if not (norm < math.inf and abs(offset) < math.inf):  # NaN too
+            raise ValueError("half-plane normal and offset must be finite")
         n = n / norm
         n.setflags(write=False)
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset) / norm)
+        object.__setattr__(self, "offset", offset / norm)
 
 
 class ConvexPolygon:
@@ -252,10 +255,10 @@ def sum_left(values):
 class Region:
     """Union of convex polygons with pairwise disjoint interiors.
 
-    A region never changes, so it caches one map of itself:
-    centroid_cache, the (centroid, cost) pair per density, performance
-    and environment, filled by partition.centroids and
-    partition.centroid_cost.
+    A region never changes, so it keeps one memo map of itself, cache:
+    the (centroid, cost) pair under (density, performance, environment
+    polygon), filled by partition.centroids and centroid_cost, and the
+    waypoint table under the polygon alone, by netsim.waypoint_table.
 
     refused is (tol, pairs): the pairs (a, b) of its own pieces whose
     fused hull merge_pieces refused at area tolerance tol. Only
@@ -264,8 +267,8 @@ class Region:
     """
 
     pieces: tuple
-    centroid_cache: dict = field(default_factory=dict, init=False,
-                                 repr=False, compare=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
     refused: tuple = field(default=(0.0, frozenset()), repr=False,
                            compare=False)
 

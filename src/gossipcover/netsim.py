@@ -20,13 +20,10 @@ next leg start, with positions, pair distances and coins from array
 operations (see simulate).
 
 A waypoint is drawn from its region's waypoint table: the internal
-boundary's segments and their running lengths (waypoint_table). The
-table depends on the region alone, and a region outlives most of its
-agent's legs, so simulate keeps each agent's last region and table and
-builds a new table only when the agent draws in a region it does not
-hold. A draw takes four random numbers and a few float operations; only
-one whose offset comes within rounding of the margin runs a distance
-test (random_destination).
+boundary's segments and their running lengths (waypoint_table). A draw
+takes four random numbers and a few float operations; only one whose
+offset comes within rounding of the margin runs a distance test
+(random_destination).
 """
 from __future__ import annotations
 
@@ -257,7 +254,9 @@ class WaypointTable:
 
 
 def _segment_table(starts: np.ndarray, ends: np.ndarray) -> WaypointTable:
-    """The waypoint table of the segments (starts[k], ends[k])."""
+    """A fresh waypoint table of the segments (starts[k], ends[k])."""
+    if len(starts) == 0:
+        raise SamplingExhausted("region has no internal boundary")
     cum = np.cumsum(np.hypot(*(ends - starts).T))
     if cum[-1] <= 0.0:
         raise SamplingExhausted("internal boundary has zero length")
@@ -268,12 +267,12 @@ def _segment_table(starts: np.ndarray, ends: np.ndarray) -> WaypointTable:
 
 def waypoint_table(region: Region, env: Environment) -> WaypointTable:
     """The region's internal boundary segments and the running sum of
-    their lengths, what random_destination draws from. It depends on
-    the region alone."""
-    starts, ends = internal_boundary_segments(region, env)
-    if len(starts) == 0:
-        raise SamplingExhausted("region has no internal boundary")
-    return _segment_table(starts, ends)
+    their lengths, what random_destination draws from, memoized in
+    region.cache under env.polygon, a key no centroid entry uses."""
+    if env.polygon not in region.cache:
+        region.cache[env.polygon] = _segment_table(
+            *internal_boundary_segments(region, env))
+    return region.cache[env.polygon]
 
 
 def random_destination(table: WaypointTable, margin: float,
@@ -395,8 +394,8 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     a trade (a vanished region) or in a waypoint draw (a region with no
     internal boundary to draw near), aborts the run with
     DegenerateEvolution at its step, the partial trace attached. A delta
-    beyond the environment's diameter/10 raises ValueError before the
-    first draw.
+    beyond the environment's diameter/10, or a duration that is not
+    finite and >= 0, raises ValueError before the first draw.
 
     The loop goes a window at a time: the steps up to and including the
     next one at which an agent starts a leg (or the horizon). Until
@@ -421,6 +420,8 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
     n = initial.n
     check_fleet(config, n)
     gp.check_delta(env, config.delta)
+    if not 0.0 <= geo._number(duration) < math.inf:  # NaN too
+        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
     leg = leg_time(env, config)
     per_leg = _steps_per_leg(env, config)
     dt = leg / per_leg
@@ -437,9 +438,6 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
         hold = int(rng.integers(per_leg))
         phase.append(HOLD if hold > 0 else TRAVEL)
         left.append(hold if hold > 0 else per_leg)
-    # each agent's last region and its waypoint table; the table is
-    # rebuilt only when the agent draws in a region it does not hold
-    slots = [(None, None)] * n
 
     def degenerate(exc, step, t):
         """The abort of a geometry failure at the step, at time t."""
@@ -449,12 +447,9 @@ def simulate(config: NetConfig, initial: Partition, density: Density,
         return DegenerateEvolution(str(exc), step=step, trace=trace)
 
     def waypoint(a, step, t):
-        region = current.regions[a]
         try:
-            if slots[a][0] is not region:
-                slots[a] = (region, waypoint_table(region, env))
-            return random_destination(slots[a][1], config.waypoint_margin,
-                                      rng)
+            return random_destination(waypoint_table(current.regions[a], env),
+                                      config.waypoint_margin, rng)
         except GeometryError as exc:
             raise degenerate(exc, step, t) from exc
 

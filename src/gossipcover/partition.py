@@ -215,6 +215,9 @@ def check_points(env: Environment, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:
         raise DimensionMismatch("points must have shape (n, 2)")
+    if not np.isfinite(pts).all():
+        bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
+        raise GeometryError(f"point {bad} at {pts[bad]} is not finite")
     inside = env.polygon.contains(pts, tol=env.tol_point)
     if not np.all(inside):
         bad = int(np.argmin(inside))
@@ -280,9 +283,9 @@ def _centroid_entry(region: Region, env: Environment, density: Density,
                     perf: PerformanceFunction) -> tuple:
     """The region's cached (centroid, cost), both computed on first use."""
     key = (density, perf, env.polygon)
-    entry = region.centroid_cache.get(key)
+    entry = region.cache.get(key)
     if entry is None:
-        entry = region.centroid_cache[key] = geo._centroid_and_cost(
+        entry = region.cache[key] = geo._centroid_and_cost(
             region, density, perf, env.diameter)
     return entry
 
@@ -364,11 +367,8 @@ def is_centroidal_voronoi(partition: Partition, density: Density,
     env = partition.env
     if tol is None:
         tol = env.balance_tol
-    cs = centroids(partition, density, perf)
-    if _min_gap(cs.tolist())[0] <= env.tol_point:
-        return False
     try:
-        ref = voronoi(env, cs)
+        ref = voronoi(env, centroids(partition, density, perf))
     except (CoincidentGenerators, VanishedRegion):
         return False
     return partition_distance(partition, ref) <= tol

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -122,8 +123,9 @@ def run_evolution(initial: Partition, density: Density,
     evaluated every check_every steps and for the final partition; the
     run stops once it reaches stop_tol (>= 0), which defaults to the
     environment's stop_tol, or when the scheduler returns None. Residual
-    entries between evaluations repeat the most recent value. A
-    geometry failure inside a step aborts the run with
+    entries between evaluations repeat the most recent value. A budget
+    not an int >= 0, or a check_every not an int >= 1, raises
+    ValueError. A geometry failure inside a step aborts the run with
     DegenerateEvolution carrying the partial trace.
     The partition state is recorded before each step listed in
     snapshot_steps; steps past the end of the run record the final
@@ -186,15 +188,18 @@ def _evolve(initial: Partition, density: Density, perf: PerformanceFunction,
     stop_tol = initial.env.stop_tol if stop_tol is None else stop_tol
     if not stop_tol >= 0.0:  # NaN too
         raise ValueError(f"stop_tol must be >= 0, got {stop_tol!r}")
+    if not (isinstance(budget, Integral) and budget >= 0):
+        raise ValueError(f"budget: need an int >= 0, got {budget!r}")
+    if not (isinstance(check_every, Integral) and check_every >= 1):
+        raise ValueError(f"check_every: need an int >= 1, got {check_every!r}")
     trace = EvolutionTrace(stop_tol=stop_tol)
     current = initial
     snaps = sorted(set(int(s) for s in snapshot_steps))
-    checked = None  # the partition the residual was last computed for
     for t in range(budget):
         while snaps and snaps[0] <= t:
             trace.snapshots.append((snaps.pop(0), current))
-        if t % max(check_every, 1) == 0:
-            residual, checked = residual_of(current), current
+        if t % check_every == 0:
+            residual = residual_of(current)
             if residual <= stop_tol:
                 break
         try:
@@ -209,8 +214,7 @@ def _evolve(initial: Partition, density: Density, perf: PerformanceFunction,
         trace.steps.append(TraceStep(
             t, pair, h, residual,
             *pt.degeneracy_report(current, density, perf)))
-    if checked is not current:
-        residual = residual_of(current)
+    residual = residual_of(current)  # read from pair_cache if just checked
     trace.termination = "converged" if residual <= stop_tol else "step_budget"
     trace.final = current
     for s in snaps:
@@ -338,9 +342,7 @@ def run_polar(mode: str, steps: int, rho0: float,
 def circular_spread(angles) -> float:
     """Arc length covered: full circle minus the largest angular gap."""
     a = np.sort(np.asarray(angles, dtype=float) % TWO_PI)
-    if len(a) == 0:
-        return 0.0
-    if len(a) == 1:
+    if len(a) < 2:
         return 0.0
     gaps = np.diff(a)
     wrap = a[0] + TWO_PI - a[-1]

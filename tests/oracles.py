@@ -982,8 +982,9 @@ def simulate_ref(config, initial, density, perf, duration, *,
                  snapshot_times=()):
     """netsim.simulate one step at a time: motion, then one np.hypot
     range test and one rng.random() coin per in-range pair. Every
-    waypoint draw builds its region's table afresh and draws in array
-    form (random_destination_ref). A geometry failure in a draw or a
+    waypoint draw builds its region's table afresh, past the memo of
+    netsim.waypoint_table, and draws in array form
+    (random_destination_ref). A geometry failure in a draw or a
     trade at step k, time t, aborts as simulate's does."""
     env = initial.env
     n = initial.n
@@ -1008,8 +1009,10 @@ def simulate_ref(config, initial, density, perf, duration, *,
 
     def draw(a, k, t):
         try:
+            region = current.regions[a.region_index]
             return random_destination_ref(
-                ns.waypoint_table(current.regions[a.region_index], env),
+                ns._segment_table(*ns.internal_boundary_segments(region,
+                                                                 env)),
                 config.waypoint_margin, rng)
         except geo.GeometryError as exc:
             raise abort(exc, k, t) from exc

@@ -7,6 +7,7 @@ that no caller ever set are fixed in the code and stay out too.
 """
 import ast
 import dataclasses
+from collections import Counter
 import importlib
 import inspect
 from pathlib import Path
@@ -173,7 +174,7 @@ def test_region_caches_one_map():
     # refused is not a cache but the merge verdicts on the region's own
     # pieces, which Environment.region carries to the regions cut from it
     assert [f.name for f in dataclasses.fields(geometry.Region)] == \
-        ["pieces", "centroid_cache", "refused"]
+        ["pieces", "cache", "refused"]
 
 
 def test_partition_keeps_two_memos():
@@ -394,3 +395,39 @@ def test_src_sums_floats_left_to_right():
     found = {f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
              for line in _float_sums(ast.parse(path.read_text()))}
     assert found == set()
+
+
+# the products src/ still routes through BLAS, whose kernel may decide
+# their last bits (ROADMAP item 3): an entry leaves as its product is
+# written elementwise, and a new product fails here
+BLAS_PRODUCTS = {
+    "geometry.region_split @": 1,
+    "gossip._exchange @": 2,
+    "geometry.bisector_halfplane @": 1,
+    "geometry._ring_area np.dot": 2,
+    "geometry._polar_moment_about @": 5,
+}
+
+
+def _blas_products(tree: ast.AST, where: str):
+    """'where @' or 'where np.dot' for each product in the tree, where
+    is the name of the innermost enclosing function."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            yield f"{where} @"
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("dot", "matmul"):
+            yield f"{where} {ast.unparse(node.func)}"
+        yield from _blas_products(node, inner)
+
+
+def test_src_routes_only_the_listed_products_through_blas():
+    found = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(f"{path.stem}.{site}" for site in _blas_products(
+            ast.parse(path.read_text()), "<module>"))
+    assert found == Counter(BLAS_PRODUCTS)

@@ -735,7 +735,7 @@ perf, uniform, grid = loaded
 part = pt.voronoi(pt.rectangle(2.0, 1.0), [[0.5, 0.5], [1.5, 0.5]])
 pt.centroids(part, fresh[1], fresh[0])
 pt.centroids(part, fresh[2], fresh[0])
-cache, poly = part.regions[0].centroid_cache, part.env.polygon
+cache, poly = part.regions[0].cache, part.env.polygon
 assert (uniform, perf, poly) in cache and (grid, perf, poly) in cache
 print("ok")
 """
@@ -863,6 +863,14 @@ def test_environment_diameter_matches_polygon_diameter():
 @pytest.mark.parametrize("make, error, message", [
     (lambda: HalfPlane((0.0, 0.0), 1.0), ValueError,
      "half-plane normal must be nonzero"),
+    (lambda: HalfPlane((math.nan, 1.0), 0.5), ValueError,
+     "half-plane normal and offset must be finite"),
+    (lambda: HalfPlane((math.inf, 0.0), 0.5), ValueError,
+     "half-plane normal and offset must be finite"),
+    (lambda: HalfPlane((1.0, 0.0), math.nan), ValueError,
+     "half-plane normal and offset must be finite"),
+    (lambda: HalfPlane((1.0, 0.0), -math.inf), ValueError,
+     "half-plane normal and offset must be finite"),
     (lambda: ConvexPolygon([[0, 0, 0], [1, 0, 0], [1, 1, 0]]), ValueError,
      r"vertices must have shape \(n, 2\)"),
     (lambda: ConvexPolygon([[0, 0], [1, 0], [2, 0]]), ValueError,
@@ -888,7 +896,9 @@ def test_environment_diameter_matches_polygon_diameter():
     (lambda: region_of(UNIT_SQUARE.vertices,
                        square(0.5, 0.0, 1.0).vertices).validate(1e-12),
      geo.GeometryError, "pieces overlap with area 5.000e-01"),
-], ids=["halfplane-zero-normal", "polygon-bad-shape", "polygon-no-area",
+], ids=["halfplane-zero-normal", "halfplane-nan-normal",
+        "halfplane-inf-normal", "halfplane-nan-offset", "halfplane-inf-offset",
+        "polygon-bad-shape", "polygon-no-area",
         "uniform-density-zero", "grid-one-row", "grid-empty-extent",
         "interior-distance-empty", "hausdorff-distance-empty",
         "diameter-empty", "centroid-empty-quadratic", "centroid-empty-linear",

@@ -188,6 +188,13 @@ def test_internal_boundary_clips_edges_at_t_junctions(b, want):
             np.hypot(*(want[:, 2:] - want[:, :2]).T).sum(), abs=1e-12)
 
 
+def test_waypoint_table_is_memoized_on_its_region():
+    env, region = half_square()
+    table = ns.waypoint_table(region, env)
+    assert ns.waypoint_table(region, env) is table
+    assert region.cache == {env.polygon: table}
+
+
 def test_random_destination_hugs_internal_boundary():
     env, region = half_square()
     table = ns.waypoint_table(region, env)
@@ -355,6 +362,13 @@ def test_simulate_refuses_a_delta_beyond_the_environment(monkeypatch):
     with pytest.raises(ValueError, match="diameter/10"):
         ns.simulate(config, init, DENS, QUAD, duration=1.0)
     assert rngs == []
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0, "1.0"])
+def test_simulate_refuses_a_duration_below_zero_or_not_finite(duration):
+    init = strip_partition(strip_env())
+    with pytest.raises(ValueError, match="^duration must be finite and >= 0"):
+        ns.simulate(ns.NetConfig(), init, DENS, QUAD, duration)
 
 
 def test_simulate_deterministic_per_seed():
@@ -611,20 +625,20 @@ def test_failed_waypoint_table_aborts_at_its_leg_start(monkeypatch):
     init = strip_partition(env, cuts=(0.6, 1.9))
     leg = ns.leg_time(env, ns.NetConfig())
     cfg = ns.NetConfig(comm_rate=40.0, seed=5, time_step=leg / 20.0)
-    table_of, draw = ns.waypoint_table, ns.random_destination
+    build, draw = ns.internal_boundary_segments, ns.random_destination
     tables, draws = [], []
 
     def table(region, env):
         tables.append(region)
         if len(tables) == fail_at:
             raise ns.SamplingExhausted("forced table failure")
-        return table_of(region, env)
+        return build(region, env)
 
     def counted(*args):
         draws.append(args)
         return draw(*args)
 
-    monkeypatch.setattr(ns, "waypoint_table", table)
+    monkeypatch.setattr(ns, "internal_boundary_segments", table)
     monkeypatch.setattr(ns, "random_destination", counted)
     fail_at = 5
     with pytest.raises(pt.DegenerateEvolution) as info:
@@ -675,17 +689,18 @@ def test_exchange_memo_keeps_netsim_strip_bit_identical(monkeypatch, seed):
 
 def reference_draws(monkeypatch, cfg, init, duration):
     """simulate_ref's trace and the (agent, region) of each of its
-    waypoint draws; the agent is found in the partition the last trade
-    left, the one the draw is made on."""
-    table_of, partition_of = ns.waypoint_table, gp.partial_gossip_step
+    waypoint draws, each of which builds a table; the agent is found in
+    the partition the last trade left, the one the draw is made on."""
+    build, partition_of = (ns.internal_boundary_segments,
+                           gp.partial_gossip_step)
     state = {"current": init}
     draws = []
 
-    def recording_table(region, env):
+    def recording_build(region, env):
         agent, = [i for i, r in enumerate(state["current"].regions)
                   if r is region]
         draws.append((agent, region))
-        return table_of(region, env)
+        return build(region, env)
 
     def tracking(*args, **kwargs):
         out = partition_of(*args, **kwargs)
@@ -693,24 +708,32 @@ def reference_draws(monkeypatch, cfg, init, duration):
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(ns, "waypoint_table", recording_table)
+        m.setattr(ns, "internal_boundary_segments", recording_build)
         m.setattr(gp, "partial_gossip_step", tracking)
         want = oracles.simulate_ref(cfg, init, DENS, QUAD, duration)
     return want, draws
 
 
+def fresh_copy(partition):
+    """The partition on new regions of the same pieces and merge
+    verdicts, which hold nothing memoized."""
+    return pt.Partition(partition.env, tuple(
+        geo.Region(r.pieces, refused=r.refused) for r in partition.regions))
+
+
 def counted_simulate(monkeypatch, cfg, init, duration):
-    """simulate's trace and the number of waypoint tables it built."""
-    table_of = ns.waypoint_table
+    """simulate's trace on a fresh copy of init and the number of
+    waypoint tables it built."""
+    build = ns.internal_boundary_segments
     built = []
 
     def counting(region, env):
         built.append(region)
-        return table_of(region, env)
+        return build(region, env)
 
     with monkeypatch.context() as m:
-        m.setattr(ns, "waypoint_table", counting)
-        got = ns.simulate(cfg, init, DENS, QUAD, duration)
+        m.setattr(ns, "internal_boundary_segments", counting)
+        got = ns.simulate(cfg, fresh_copy(init), DENS, QUAD, duration)
     return got, len(built)
 
 

@@ -280,7 +280,7 @@ def test_region_keeps_centroid_and_cost_per_performance():
                 geo.one_center_cost(c, Region(r.pieces), dens, perf)
                 for c, r in zip(fresh, part.regions)).hex()
             for k, r in enumerate(part.regions):
-                c, cost = r.centroid_cache[(dens, perf, env.polygon)]
+                c, cost = r.cache[(dens, perf, env.polygon)]
                 assert np.array_equal(c, cs[k]) and cost is not None
         assert not np.array_equal(cached["quadratic"][0],
                                   cached["linear"][0])
@@ -294,7 +294,7 @@ def test_centroids_fill_whole_entries(monkeypatch):
     part = pt.voronoi(env, rng.uniform([0.1, 0.1], [1.9, 0.9], size=(4, 2)))
     for perf in (QUAD, geo.linear_performance()):
         cs = pt.centroids(part, DENS, perf)
-        entries = [r.centroid_cache[(DENS, perf, env.polygon)]
+        entries = [r.cache[(DENS, perf, env.polygon)]
                    for r in part.regions]
         for k, (c, cost) in enumerate(entries):
             assert isinstance(c, np.ndarray) and type(cost) is float
@@ -581,6 +581,12 @@ def two_cells():
      "partition needs at least one region"),
     (lambda: pt.check_points(strip_env(), np.zeros((2, 3))),
      pt.DimensionMismatch, r"points must have shape \(n, 2\)"),
+    # before the containment test, which would call NaN outside and
+    # warn on infinity
+    (lambda: pt.voronoi(strip_env(), [[math.nan, 0.5], [1.5, 0.5]]),
+     geo.GeometryError, r"point 0 at \[nan 0\.5\] is not finite"),
+    (lambda: pt.voronoi(strip_env(), [[0.5, 0.5], [1.5, -math.inf]]),
+     geo.GeometryError, r"point 1 at \[ 1\.5 -inf\] is not finite"),
     (lambda: pt.multicenter_cost(two_cells(), [[0.5, 0.5]], DENS, QUAD),
      pt.DimensionMismatch, "1 points for 2 regions"),
     (lambda: pt.partition_distance(two_cells(), pt.voronoi(
@@ -591,7 +597,8 @@ def two_cells():
         region_of([[-0.5, 0], [1, 0], [1, 1], [-0.5, 1]]),
         region_of([[1, 0], [1.5, 0], [1.5, 1], [1, 1]]))).validate(),
      geo.GeometryError, "region 0 leaves the environment"),
-], ids=["no-regions", "points-3d", "cost-count-mismatch",
+], ids=["no-regions", "points-3d", "points-nan", "points-inf",
+        "cost-count-mismatch",
         "distance-count-mismatch", "region-leaves-environment"])
 def test_partition_refuses_degenerate_input(make, error, message):
     with pytest.raises(error, match=f"^{message}$"):
@@ -704,7 +711,7 @@ def test_memoized_linear_centroids_lie_in_their_region_hulls():
     trace = rect6_run(geo.linear_performance(), sw.RoundRobin(6), 60)
     regions = {id(r): r for _, p in trace.snapshots for r in p.regions}
     for r in regions.values():
-        (c, _), = r.centroid_cache.values()
+        (c, _), = r.cache.values()
         assert oracles.in_convex_hull(c, r, 1e-9 * geo.diameter(r))
     assert max(len(r.pieces) for r in regions.values()) > 1
 

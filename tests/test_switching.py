@@ -122,6 +122,56 @@ def test_runners_refuse_a_negative_stop_tolerance(stop_tol):
         sw.run_lloyd(init, DENS, QUAD, budget=10, stop_tol=stop_tol)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("budget", -1), ("budget", 2.5), ("budget", math.nan),
+    ("check_every", 0), ("check_every", -3), ("check_every", 1.5)])
+def test_runners_refuse_a_bad_budget_or_cadence(name, value):
+    init = three_region_start()
+    with pytest.raises(ValueError, match=f"^{name}: need an int"):
+        sw.run_evolution(init, DENS, QUAD, sw.RoundRobin(3),
+                         **{"budget": 10, name: value})
+    if name == "budget":
+        with pytest.raises(ValueError, match="^budget: need an int"):
+            sw.run_lloyd(init, DENS, QUAD, budget=value)
+
+
+def fresh_residual(trace, **mode):
+    """The residual of the run's final partition, from a copy that has
+    no pair answer memoized."""
+    final = pt.Partition(trace.final.env, trace.final.regions)
+    return gp.fixed_point_residual(final, DENS, QUAD, **mode)
+
+
+ADJACENT = {"mode": "adjacent", "delta": 1e-9}
+
+
+@pytest.mark.parametrize("run, mode, termination", [
+    (lambda init: sw.run_evolution(init, DENS, QUAD,
+                                   sw.AdjacentRandom(0, 1e-9), budget=800),
+     ADJACENT, "converged"),
+    (lambda init: sw.run_evolution(init, DENS, QUAD,
+                                   sw.AdjacentRandom(0, 1e-9), budget=7),
+     ADJACENT, "step_budget"),
+    (lambda init: sw.run_evolution(init, DENS, QUAD, sw.RoundRobin(3),
+                                   budget=800), {}, "converged"),
+    (lambda init: sw.run_lloyd(init, DENS, QUAD, budget=200), {},
+     "converged"),
+    # the schedule runs out at a residual check, on a partition checked
+    (lambda init: sw.run_evolution(init, DENS, QUAD, sw.ExplicitSchedule(
+        [(0, 1), (1, 2), (0, 2), (0, 1), (1, 2)]), budget=100), {},
+     "step_budget"),
+    (lambda init: sw.run_evolution(init, DENS, QUAD,
+                                   sw.AdjacentRandom(0, 1e-9), budget=0),
+     ADJACENT, "step_budget"),
+], ids=["converged-adjacent", "step-budget-adjacent", "converged-full",
+        "converged-lloyd", "schedule-exhausted", "budget-0"])
+def test_final_residual_is_the_final_partitions_in_the_runs_mode(
+        run, mode, termination):
+    trace = run(three_region_start())
+    assert trace.termination == termination
+    assert trace.final_residual == fresh_residual(trace, **mode)
+
+
 def test_run_evolution_stops_when_schedule_runs_out():
     init = three_region_start()
     trace = sw.run_evolution(init, DENS, QUAD,
